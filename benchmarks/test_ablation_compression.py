@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.extensions.compression import CompressedPostingsList, compression_ratio
+from repro.ir.compressed import CompressedPostingsList, compression_ratio
 from repro.ir.postings import PostingsList
 
 N = 20_000

@@ -3,9 +3,7 @@ relevance ranking and temporal IR joins.
 
 Postings compression is no longer an extension — the codec graduated into
 the engine proper (:mod:`repro.ir.codec` / :mod:`repro.ir.compressed`,
-plus the mmap-served cold variant in :mod:`repro.ir.cold`).  The legacy
-``repro.extensions.compression`` module remains as a deprecation shim but
-is deliberately not re-exported here.
+plus the mmap-served cold variant in :mod:`repro.ir.cold`).
 """
 
 from repro.extensions.joins import (

@@ -12,9 +12,7 @@ from repro.ir.backends import (
 )
 from repro.ir.codec import (
     decode_block,
-    decode_postings,
     encode_block,
-    encode_postings,
     svarint_decode,
     svarint_encode,
     varint_decode,
@@ -62,10 +60,8 @@ __all__ = [
     "compression_ratio",
     "contains_sorted",
     "decode_block",
-    "decode_postings",
     "dedupe_preserving_order",
     "encode_block",
-    "encode_postings",
     "id_postings_backend",
     "intersect_adaptive",
     "intersect_binary",

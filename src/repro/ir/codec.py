@@ -1,18 +1,14 @@
 """Varint / zigzag / block codecs for compressed postings.
 
-This module is the compression substrate promoted out of
-``repro.extensions.compression`` (which now re-exports it for backward
-compatibility).  Three layers:
+This module is the compression substrate of the block-postings backends.
+Two layers:
 
 * **LEB128 varints** — :func:`varint_encode` / :func:`varint_decode` for
   unsigned ints, :func:`svarint_encode` / :func:`svarint_decode` adding a
   zigzag fold so the full signed 64-bit range (and beyond — Python ints are
   unbounded) round-trips.
-* **the legacy entry stream** — :func:`encode_postings` /
-  :func:`decode_postings`, the original gap+varint triple stream kept for
-  the ablation bench and existing callers.
-* **blocks** — :func:`encode_block` / :func:`decode_block`, the unit of the
-  :class:`~repro.ir.compressed.CompressedPostingsList` backend.  A block
+* **blocks** — :func:`encode_block` / :func:`decode_block`, the payload of
+  one sealed block (:mod:`repro.ir.blocks`).  A block
   packs up to a few hundred id-sorted entries as ``count ‖ id stream
   (zigzag first, positive gaps after) ‖ t_st stream (zigzag first, signed
   deltas after) ‖ per-entry varint(duration)`` so a reader can skip whole
@@ -25,7 +21,7 @@ mirroring the WAL's torn-tail discipline (``repro.service.wal``).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.core.errors import ConfigurationError, CorruptPostingsError
 
@@ -35,10 +31,8 @@ EntryTriple = Tuple[int, int, int]
 #: Varints longer than this many continuation bytes cannot come from this
 #: codec's own writers for any 64-bit quantity; treat them as corruption
 #: rather than looping forever over adversarial input.  (10 × 7 = 70 bits
-#: covers the zigzag-folded i64 range; Python-int overflow beyond that is
-#: allowed for *trusted* streams via the legacy functions, so the cap is
-#: generous: 19 bytes ≈ 133 bits, enough for durations of i64-extreme
-#: intervals.)
+#: covers the zigzag-folded i64 range; the cap is generous: 19 bytes ≈
+#: 133 bits, enough for durations of i64-extreme intervals.)
 _MAX_VARINT_BYTES = 19
 
 
@@ -106,49 +100,6 @@ def svarint_decode(buffer: bytes, offset: int) -> Tuple[int, int]:
     """Decode one zigzag+LEB128 signed int; returns ``(value, offset)``."""
     raw, offset = varint_decode(buffer, offset)
     return zigzag_decode(raw), offset
-
-
-# --------------------------------------------------------------- legacy stream
-def encode_postings(entries: Iterable[EntryTriple]) -> bytes:
-    """Encode id-sorted ``(id, st, end)`` triples: id gaps + st + duration.
-
-    Durations rather than raw ends keep the third stream small (durations
-    are usually tiny next to absolute timestamps).
-    """
-    out = bytearray()
-    previous_id = 0
-    first = True
-    for object_id, st, end in entries:
-        if end < st:
-            raise ConfigurationError(f"entry {object_id}: end {end} < st {st}")
-        gap = object_id - previous_id if not first else object_id
-        if not first and gap <= 0:
-            raise ConfigurationError("entries must be strictly id-sorted")
-        varint_encode(gap, out)
-        varint_encode(st, out)
-        varint_encode(end - st, out)
-        previous_id = object_id
-        first = False
-    return bytes(out)
-
-
-def decode_postings(buffer: bytes) -> Iterator[EntryTriple]:
-    """Stream the triples back out of an encoded buffer.
-
-    Torn or truncated buffers raise :class:`CorruptPostingsError` at the
-    first damaged value.
-    """
-    offset = 0
-    object_id = 0
-    first = True
-    n = len(buffer)
-    while offset < n:
-        gap, offset = varint_decode(buffer, offset)
-        st, offset = varint_decode(buffer, offset)
-        duration, offset = varint_decode(buffer, offset)
-        object_id = gap if first else object_id + gap
-        first = False
-        yield object_id, st, st + duration
 
 
 # --------------------------------------------------------------------- blocks

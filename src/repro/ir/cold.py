@@ -3,11 +3,11 @@
 :class:`ColdPostingsList` serves the full
 :class:`~repro.ir.postings.PostingsList` read surface straight from a
 segment's encoded blocks (:mod:`repro.storage.format`) without ever
-materialising the whole list: block-skip summaries — the same
-``(min_id, max_id, min_st, max_end)`` metadata
-:class:`~repro.ir.compressed.CompressedPostingsList` keeps in RAM — live
-in the segment directory, and only blocks a query can touch are decoded
-(and CRC-checked) on demand.  Decoded payload damage raises
+materialising the whole list: the block summaries live in the segment
+directory, every read is the :mod:`repro.ir.blocks` kernel — the one
+:class:`~repro.ir.compressed.CompressedPostingsList` runs over RAM — and
+only blocks a query can touch are CRC-checked and decoded on demand.
+Decoded payload damage raises
 :class:`~repro.core.errors.CorruptPostingsError`; mutation attempts raise
 :class:`~repro.core.errors.ReadOnlySegmentError` — cold shards promote
 before they accept writes (:mod:`repro.storage.tiering`).
@@ -22,22 +22,18 @@ instead of a silent KeyError.
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.errors import (
-    CorruptPostingsError,
-    ReadOnlySegmentError,
-    UnknownObjectError,
-)
+from repro.core.errors import CorruptPostingsError, ReadOnlySegmentError
 from repro.core.interval import Timestamp
+from repro.ir import blocks
 from repro.ir.codec import decode_block
 from repro.ir.postings import PostingsEntry
 
-#: ``(offset, length, crc32, min_id, max_id, min_st, max_end, count)`` —
-#: mirrors :data:`repro.storage.format.BlockDescriptor` without importing
-#: the storage package (repro.ir stays a lower layer).
-ColdBlockDescriptor = Tuple[int, int, int, int, int, int, int, int]
+#: One ``(offset, length, crc32) ‖ summary`` 8-tuple per block — the
+#: segment directory's :data:`repro.storage.format.BlockDescriptor`
+#: (not imported: repro.ir stays a lower layer than the storage package).
+Descriptors = Sequence[Tuple[int, int, int, int, int, int, int, int]]
 
 #: Metrics sink: ``count_blocks(decoded, skipped)``; the reader batches
 #: these into the ``repro_storage_blocks_*`` counters once per call.
@@ -51,28 +47,12 @@ def _read_only(what: str) -> ReadOnlySegmentError:
     )
 
 
-class ColdPostingsList:
-    """Read-only postings over one element's blocks in an open segment."""
+def _mmap_load(buffer, descriptors: Descriptors) -> blocks.Load:
+    """The kernel's ``load`` over a segment body: slice, CRC-check, decode."""
 
-    __slots__ = ("_buffer", "_blocks", "_n", "_sink")
-
-    def __init__(
-        self,
-        buffer,  # memoryview over the segment body (zero-copy mmap slice)
-        blocks: Sequence[ColdBlockDescriptor],
-        sink: Optional[BlockSink] = None,
-    ) -> None:
-        self._buffer = buffer
-        self._blocks = list(blocks)
-        self._n = sum(descriptor[7] for descriptor in self._blocks)
-        self._sink = sink
-
-    # --------------------------------------------------------------- decoding
-    def _decode(
-        self, descriptor: ColdBlockDescriptor
-    ) -> Tuple[List[int], List[int], List[int]]:
-        offset, length, crc = descriptor[0], descriptor[1], descriptor[2]
-        raw = bytes(self._buffer[offset : offset + length])
+    def load(block_index: int) -> blocks.Columns:
+        offset, length, crc = descriptors[block_index][:3]
+        raw = bytes(buffer[offset : offset + length])
         if len(raw) != length:
             raise CorruptPostingsError(
                 f"segment block at {offset} is truncated "
@@ -84,7 +64,31 @@ class ColdPostingsList:
             )
         return decode_block(raw)
 
-    def _count(self, decoded: int, skipped: int) -> None:
+    return load
+
+
+class ColdPostingsList:
+    """Read-only postings over one element's blocks in an open segment."""
+
+    __slots__ = ("_descriptors", "_reader", "_n", "_sink")
+
+    def __init__(
+        self,
+        buffer,  # memoryview over the segment body (zero-copy mmap slice)
+        descriptors: Descriptors,
+        sink: Optional[BlockSink] = None,
+    ) -> None:
+        self._descriptors = descriptors
+        self._reader = blocks.BlockReader(
+            [descriptor[3:] for descriptor in descriptors],
+            _mmap_load(buffer, descriptors),
+        )
+        self._n = sum(descriptor[7] for descriptor in descriptors)
+        self._sink = sink
+
+    def _count(self, decoded: int) -> None:
+        """Meter one kernel read: what it did not decode, it skipped."""
+        skipped = len(self._descriptors) - decoded
         if self._sink is not None and (decoded or skipped):
             self._sink(decoded, skipped)
 
@@ -102,35 +106,19 @@ class ColdPostingsList:
     def __len__(self) -> int:
         return self._n
 
-    def __bool__(self) -> bool:
-        return self._n > 0
-
     def physical_len(self) -> int:
         return self._n
 
     def __contains__(self, object_id: int) -> bool:
-        block_index = self._locate_block(object_id)
-        if block_index is None:
-            return False
-        ids, _sts, _ends = self._decode(self._blocks[block_index])
-        self._count(1, len(self._blocks) - 1)
-        return object_id in ids
-
-    def _locate_block(self, object_id: int) -> Optional[int]:
-        blocks = self._blocks
-        if not blocks:
-            return None
-        lo = bisect_left(blocks, object_id, key=lambda d: d[4])  # max_id
-        if lo < len(blocks) and blocks[lo][3] <= object_id:  # min_id
-            return lo
-        return None
+        found, decoded = self._reader.contains(object_id)
+        if decoded:  # an id outside every block's range meters nothing
+            self._count(decoded)
+        return found
 
     def entries(self) -> Iterator[PostingsEntry]:
         """Every entry in id order (sequential block decode)."""
-        for descriptor in self._blocks:
-            ids, sts, ends = self._decode(descriptor)
-            yield from zip(ids, sts, ends)
-        self._count(len(self._blocks), 0)
+        yield from self._reader.entries()
+        self._count(len(self._descriptors))
 
     def ids(self) -> List[int]:
         return [entry[0] for entry in self.entries()]
@@ -139,99 +127,34 @@ class ColdPostingsList:
         self, q_st: Timestamp, q_end: Timestamp
     ) -> List[PostingsEntry]:
         """Entries overlapping ``[q_st, q_end]``; summary-skipped."""
-        out: List[PostingsEntry] = []
-        decoded = skipped = 0
-        for descriptor in self._blocks:
-            if descriptor[5] > q_end or descriptor[6] < q_st:
-                skipped += 1
-                continue
-            decoded += 1
-            ids, sts, ends = self._decode(descriptor)
-            for i in range(len(ids)):
-                if q_st <= ends[i] and sts[i] <= q_end:
-                    out.append((ids[i], sts[i], ends[i]))
-        self._count(decoded, skipped)
+        out, decoded = self._reader.overlapping(q_st, q_end)
+        self._count(decoded)
         return out
 
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
         return [entry[0] for entry in self.overlapping(q_st, q_end)]
 
     def ids_end_ge(self, q_st: Timestamp) -> List[int]:
-        out: List[int] = []
-        decoded = skipped = 0
-        for descriptor in self._blocks:
-            if descriptor[6] < q_st:  # max_end
-                skipped += 1
-                continue
-            decoded += 1
-            ids, _sts, ends = self._decode(descriptor)
-            out.extend(ids[i] for i in range(len(ids)) if ends[i] >= q_st)
-        self._count(decoded, skipped)
-        return out
+        return self.overlapping_ids(q_st, blocks.OPEN_END)
 
     def ids_st_le(self, q_end: Timestamp) -> List[int]:
-        out: List[int] = []
-        decoded = skipped = 0
-        for descriptor in self._blocks:
-            if descriptor[5] > q_end:  # min_st
-                skipped += 1
-                continue
-            decoded += 1
-            ids, sts, _ends = self._decode(descriptor)
-            out.extend(ids[i] for i in range(len(ids)) if sts[i] <= q_end)
-        self._count(decoded, skipped)
-        return out
+        return self.overlapping_ids(blocks.OPEN_START, q_end)
 
     def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
         """Merge-intersect with an ascending candidate list, skipping
-        every block whose id range holds no candidate — the
-        intersect-without-decompression path, now over mmap'd bytes."""
-        n_c = len(sorted_ids)
-        if n_c == 0 or not self._n:
-            return []
-        out: List[int] = []
-        decoded = skipped = 0
-        i = 0
-        for position, descriptor in enumerate(self._blocks):
-            min_id, max_id = descriptor[3], descriptor[4]
-            while i < n_c and sorted_ids[i] < min_id:
-                i += 1
-            if i >= n_c:
-                # Candidates exhausted: every remaining block is skipped.
-                skipped += len(self._blocks) - position
-                break
-            if sorted_ids[i] > max_id:
-                skipped += 1
-                continue
-            decoded += 1
-            ids, _sts, _ends = self._decode(descriptor)
-            j, n_e = 0, len(ids)
-            while i < n_c and j < n_e:
-                c, e = sorted_ids[i], ids[j]
-                if c == e:
-                    out.append(c)
-                    i += 1
-                    j += 1
-                    while i < n_c and sorted_ids[i] == c:
-                        i += 1
-                elif c < e:
-                    i += 1
-                else:
-                    j += 1
-        self._count(decoded, skipped)
+        every block whose id range holds no candidate."""
+        if not sorted_ids or not self._n:
+            return []  # nothing to scan meters nothing
+        out, decoded = self._reader.intersect_sorted(sorted_ids)
+        self._count(decoded)
         return out
 
     def span(self) -> Tuple[Timestamp, Timestamp]:
         """``[min t_st, max t_end]`` — exact from the summaries alone."""
-        if not self._blocks:
-            raise UnknownObjectError("span() of an empty postings list")
-        return (
-            min(descriptor[5] for descriptor in self._blocks),
-            max(descriptor[6] for descriptor in self._blocks),
-        )
+        return self._reader.span()
 
     # ----------------------------------------------------------------- sizes
     def size_bytes(self) -> int:
         """Encoded bytes on disk plus the in-RAM descriptor list."""
-        encoded = sum(descriptor[1] for descriptor in self._blocks)
-        return encoded + len(self._blocks) * 8 * 8
+        encoded = sum(descriptor[1] for descriptor in self._descriptors)
+        return encoded + len(self._descriptors) * 8 * 8

@@ -1,19 +1,18 @@
 """Block-compressed postings: delta+varint blocks with skip summaries.
 
 :class:`CompressedPostingsList` is the compressed tier of the postings
-substrate — the §7 "orthogonal" direction the paper defers, promoted from
-``repro.extensions.compression`` into the real query path.  Entries live in
-immutable gap+varint blocks (:mod:`repro.ir.codec`) of up to
-:data:`BLOCK_SIZE` id-sorted entries; each block carries an uncompressed
-summary ``(min_id, max_id, min_st, max_end)`` so the temporal scans and
-``intersect_sorted`` skip whole blocks without decoding them — the
-intersect-without-decompress idea of roaring-style containers.
-
-Mutations honour the same contract as the other backends:
+substrate — the §7 "orthogonal" direction the paper defers, serving the
+real query path.  Entries live in immutable sealed blocks of up to
+:data:`BLOCK_SIZE` id-sorted entries, each with an uncompressed skip
+summary, so the temporal scans and ``intersect_sorted`` skip whole blocks
+without decoding them — the intersect-without-decompress idea of
+roaring-style containers.  The block layout and every read over it live
+in :mod:`repro.ir.blocks`; this class adds what a *mutable* list needs:
 
 * ``add`` of a fresh, larger id appends to a small uncompressed *tail*
   that is sealed into a block when full (the append-mostly regime of
   arXiv 2606.22773 — increasing ids, increasing times — never re-encodes);
+  reads see the tail as one more, already-decoded block;
 * ``add`` of an existing id (interval overwrite / tombstone revive) and
   out-of-order ids rebuild the affected state;
 * ``delete`` tombstones the id in a side set — blocks stay immutable —
@@ -27,19 +26,15 @@ packed backend's spill path.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple, TypeGuard
 
 from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
-from repro.ir.codec import decode_block, encode_block
+from repro.ir import blocks
+from repro.ir.blocks import BLOCK_SIZE
+from repro.ir.codec import EntryTriple, decode_block
 from repro.ir.postings import PostingsEntry, PostingsList
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
-
-#: Entries per sealed block.  128 keeps blocks around half a kilobyte —
-#: small enough that decoding one block for a point lookup is cheap, large
-#: enough that the per-block summary overhead stays under 3%.
-BLOCK_SIZE = 128
 
 #: Compact (re-encode without tombstones) when dead entries exceed this
 #: fraction of physical entries.
@@ -50,23 +45,8 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-def _codable(value: Timestamp) -> bool:
+def _codable(value: Timestamp) -> TypeGuard[int]:
     return isinstance(value, int) and _I64_MIN <= value <= _I64_MAX
-
-
-class _BlockSummary:
-    """Uncompressed skip metadata for one sealed block."""
-
-    __slots__ = ("min_id", "max_id", "min_st", "max_end", "count")
-
-    def __init__(
-        self, min_id: int, max_id: int, min_st: int, max_end: int, count: int
-    ) -> None:
-        self.min_id = min_id
-        self.max_id = max_id
-        self.min_st = min_st
-        self.max_end = max_end
-        self.count = count
 
 
 class CompressedPostingsList:
@@ -79,96 +59,76 @@ class CompressedPostingsList:
     :meth:`from_postings`.
     """
 
-    __slots__ = ("_blocks", "_summaries", "_tail", "_dead", "_n_live", "_spilled")
+    __slots__ = ("_payloads", "_summaries", "_tail", "_dead", "_n_live", "_spilled")
 
     def __init__(self, entries: Iterable[Tuple[int, int, int]] = ()) -> None:
-        self._blocks: List[bytes] = []
-        self._summaries: List[_BlockSummary] = []
+        self._spilled: Optional[PostingsList] = None
+        self._reset()
+        for object_id, st, end in entries:
+            self.add(object_id, st, end)
+
+    def _reset(self) -> None:
+        #: Sealed block payloads and, index-aligned, their summaries.
+        self._payloads: List[bytes] = []
+        self._summaries: List[blocks.Summary] = []
         #: Uncompressed append run: ids strictly above every sealed id.
-        self._tail: List[PostingsEntry] = []
+        self._tail: List[EntryTriple] = []
         #: Tombstoned ids living inside sealed blocks or the tail.
         self._dead: set = set()
         self._n_live = 0
-        self._spilled: Optional[PostingsList] = None
-        for object_id, st, end in entries:
-            self.add(object_id, st, end)
 
     @classmethod
     def from_postings(cls, postings) -> "CompressedPostingsList":
         """Compress any postings backend's live entries."""
         return cls(postings.entries())
 
-    # ------------------------------------------------------------------ spill
-    def _spill(self) -> None:
-        """Degrade to an uncompressed delegate (non-codable value arrived)."""
-        if self._spilled is None:
-            delegate = PostingsList()
-            for object_id, st, end in self.entries():
-                delegate.add(object_id, st, end)
-            self._spilled = delegate
-            self._blocks = []
-            self._summaries = []
-            self._tail = []
-            self._dead = set()
-
     # ------------------------------------------------------------- internals
-    def _max_sealed_id(self) -> Optional[int]:
-        return self._summaries[-1].max_id if self._summaries else None
+    def _reader(self) -> blocks.BlockReader:
+        """What the kernel reads: the sealed blocks, then the tail as one
+        more block (summarised on the fly, served already decoded)."""
+        summaries = self._summaries
+        if self._tail:
+            summaries = summaries + [blocks.summarize(self._tail)]
+        return blocks.BlockReader(summaries, self._load)
 
-    def _seal_tail(self) -> None:
-        """Encode the full tail run into one or more blocks."""
-        tail = self._tail
-        while len(tail) >= BLOCK_SIZE:
-            run, tail = tail[:BLOCK_SIZE], tail[BLOCK_SIZE:]
-            self._append_block(run)
-        self._tail = tail
+    def _load(self, block_index: int) -> blocks.Columns:
+        if block_index < len(self._payloads):
+            return decode_block(self._payloads[block_index])
+        ids, sts, ends = zip(*self._tail)
+        return ids, sts, ends
 
-    def _append_block(self, run: List[PostingsEntry]) -> None:
-        self._blocks.append(encode_block(run))
-        self._summaries.append(
-            _BlockSummary(
-                run[0][0],
-                run[-1][0],
-                min(entry[1] for entry in run),
-                max(entry[2] for entry in run),
-                len(run),
-            )
-        )
+    def _seal(self, run: List[EntryTriple]) -> None:
+        payload, summary = blocks.seal(run)
+        self._payloads.append(payload)
+        self._summaries.append(summary)
 
-    def _physical_entries(self) -> Iterator[PostingsEntry]:
-        """Every stored entry, dead or alive, in id order."""
-        for block in self._blocks:
-            ids, sts, ends = decode_block(block)
-            yield from zip(ids, sts, ends)
-        yield from self._tail
+    def _spill(self) -> PostingsList:
+        """Degrade to an uncompressed delegate (non-codable value arrived)."""
+        delegate = PostingsList()
+        for object_id, st, end in self.entries():
+            delegate.add(object_id, st, end)
+        self._spilled = delegate
+        self._reset()
+        return delegate
 
     def _rebuild(
-        self, replace: Optional[PostingsEntry] = None, seal_all: bool = False
+        self, replace: Optional[EntryTriple] = None, seal_all: bool = False
     ) -> None:
         """Re-encode from scratch: drop tombstones, optionally upsert one
         entry (the overwrite / revive / out-of-order path).  With
         ``seal_all`` the trailing partial run is encoded too instead of
         staying in the uncompressed tail (the bulk-load finish)."""
-        dead = self._dead
-        entries = [e for e in self._physical_entries() if e[0] not in dead]
+        entries = list(self._reader().entries(self._dead))
         if replace is not None:
             entries = [e for e in entries if e[0] != replace[0]]
             entries.append(replace)
             entries.sort()
-        self._blocks = []
-        self._summaries = []
-        self._tail = []
-        self._dead = set()
-        run: List[PostingsEntry] = []
-        for entry in entries:
-            run.append(entry)
-            if len(run) == BLOCK_SIZE:
-                self._append_block(run)
-                run = []
-        if run and seal_all:
-            self._append_block(run)
-            run = []
-        self._tail = run
+        self._reset()
+        for run in blocks.runs(entries):
+            if len(run) == BLOCK_SIZE or seal_all:
+                self._seal(run)
+            else:
+                self._tail = run
         self._n_live = len(entries)
 
     def compact(self) -> None:
@@ -180,8 +140,7 @@ class CompressedPostingsList:
         """
         if self._spilled is not None:
             self._spilled.compact()
-            return
-        if self._dead or self._tail:
+        elif self._dead or self._tail:
             self._rebuild(seal_all=True)
 
     # --------------------------------------------------------------- updates
@@ -197,17 +156,19 @@ class CompressedPostingsList:
             self._spilled.add(object_id, st, end)
             return
         if not (_codable(object_id) and _codable(st) and _codable(end)):
-            self._spill()
-            assert self._spilled is not None
-            self._spilled.add(object_id, st, end)
+            self._spill().add(object_id, st, end)
             return
         tail = self._tail
-        floor = tail[-1][0] if tail else self._max_sealed_id()
-        if floor is None or object_id > floor:
+        if tail:
+            ascending = object_id > tail[-1][0]
+        else:
+            ascending = not self._summaries or object_id > self._summaries[-1][1]
+        if ascending:
             tail.append((object_id, st, end))
             self._n_live += 1
-            if len(tail) >= BLOCK_SIZE:
-                self._seal_tail()
+            if len(tail) == BLOCK_SIZE:
+                self._seal(tail)
+                self._tail = []
             return
         # Interval overwrite, tombstone revive, or out-of-order insert: all
         # three are the upsert-and-re-encode path.
@@ -219,7 +180,7 @@ class CompressedPostingsList:
         if self._spilled is not None:
             self._spilled.delete(object_id)
             return
-        if object_id in self._dead or not self._contains_physical(object_id):
+        if object_id not in self:
             raise UnknownObjectError(object_id)
         self._dead.add(object_id)
         self._n_live -= 1
@@ -229,27 +190,6 @@ class CompressedPostingsList:
         ):
             self._rebuild()
 
-    def _contains_physical(self, object_id: int) -> bool:
-        """Is the id stored at all (alive or tombstoned)?"""
-        for entry in self._tail:
-            if entry[0] == object_id:
-                return True
-        block_index = self._locate_block(object_id)
-        if block_index is None:
-            return False
-        ids, _sts, _ends = decode_block(self._blocks[block_index])
-        return object_id in ids
-
-    def _locate_block(self, object_id: int) -> Optional[int]:
-        """Index of the single sealed block whose id range covers the id."""
-        summaries = self._summaries
-        if not summaries:
-            return None
-        lo = bisect_left(summaries, object_id, key=lambda s: s.max_id)
-        if lo < len(summaries) and summaries[lo].min_id <= object_id:
-            return lo
-        return None
-
     # ----------------------------------------------------------------- reads
     def __len__(self) -> int:
         """Number of live entries."""
@@ -257,58 +197,34 @@ class CompressedPostingsList:
             return len(self._spilled)
         return self._n_live
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def __contains__(self, object_id: int) -> bool:
         if self._spilled is not None:
             return object_id in self._spilled
         if object_id in self._dead:
             return False
-        return self._contains_physical(object_id)
+        return self._reader().contains(object_id)[0]
 
     def physical_len(self) -> int:
         """Stored entries including tombstones (drops after compaction)."""
         if self._spilled is not None:
             return self._spilled.physical_len()
-        return sum(s.count for s in self._summaries) + len(self._tail)
+        return sum(summary[4] for summary in self._summaries) + len(self._tail)
 
     def entries(self) -> Iterator[PostingsEntry]:
         """Live entries in id order (block-by-block decode)."""
         if self._spilled is not None:
-            yield from self._spilled.entries()
-            return
-        dead = self._dead
-        if not dead:
-            yield from self._physical_entries()
-            return
-        for entry in self._physical_entries():
-            if entry[0] not in dead:
-                yield entry
+            return self._spilled.entries()
+        return self._reader().entries(self._dead)
 
     def ids(self) -> List[int]:
         """Live object ids, sorted."""
-        if self._spilled is not None:
-            return self._spilled.ids()
         return [entry[0] for entry in self.entries()]
 
     def overlapping(self, q_st: Timestamp, q_end: Timestamp) -> List[PostingsEntry]:
         """Live entries overlapping ``[q_st, q_end]`` (summary-skipped)."""
         if self._spilled is not None:
             return self._spilled.overlapping(q_st, q_end)
-        out: List[PostingsEntry] = []
-        dead = self._dead
-        for block_index, summary in enumerate(self._summaries):
-            if summary.min_st > q_end or summary.max_end < q_st:
-                continue  # the whole block misses the window: skip undecoded
-            ids, sts, ends = decode_block(self._blocks[block_index])
-            for i in range(len(ids)):
-                if q_st <= ends[i] and sts[i] <= q_end and ids[i] not in dead:
-                    out.append((ids[i], sts[i], ends[i]))
-        for object_id, st, end in self._tail:
-            if q_st <= end and st <= q_end and object_id not in dead:
-                out.append((object_id, st, end))
-        return out
+        return self._reader().overlapping(q_st, q_end, self._dead)[0]
 
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
         """Ids of live entries overlapping ``[q_st, q_end]``, in id order."""
@@ -316,124 +232,31 @@ class CompressedPostingsList:
 
     def ids_end_ge(self, q_st: Timestamp) -> List[int]:
         """Live ids with ``t_end >= q_st`` (START_ONLY check), id order."""
-        if self._spilled is not None:
-            return self._spilled.ids_end_ge(q_st)
-        out: List[int] = []
-        dead = self._dead
-        for block_index, summary in enumerate(self._summaries):
-            if summary.max_end < q_st:
-                continue
-            ids, _sts, ends = decode_block(self._blocks[block_index])
-            out.extend(
-                ids[i]
-                for i in range(len(ids))
-                if ends[i] >= q_st and ids[i] not in dead
-            )
-        out.extend(
-            object_id
-            for object_id, _st, end in self._tail
-            if end >= q_st and object_id not in dead
-        )
-        return out
+        return self.overlapping_ids(q_st, blocks.OPEN_END)
 
     def ids_st_le(self, q_end: Timestamp) -> List[int]:
         """Live ids with ``t_st <= q_end`` (END_ONLY check), id order."""
-        if self._spilled is not None:
-            return self._spilled.ids_st_le(q_end)
-        out: List[int] = []
-        dead = self._dead
-        for block_index, summary in enumerate(self._summaries):
-            if summary.min_st > q_end:
-                continue
-            ids, sts, _ends = decode_block(self._blocks[block_index])
-            out.extend(
-                ids[i]
-                for i in range(len(ids))
-                if sts[i] <= q_end and ids[i] not in dead
-            )
-        out.extend(
-            object_id
-            for object_id, st, _end in self._tail
-            if st <= q_end and object_id not in dead
-        )
-        return out
+        return self.overlapping_ids(blocks.OPEN_START, q_end)
 
     def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
-        """Merge intersection with an ascending id list, skipping blocks.
-
-        Blocks whose ``[min_id, max_id]`` range contains no candidate are
-        never decoded — the intersect-without-full-decompression path.
-        """
+        """Merge intersection with an ascending id list, skipping blocks
+        whose id range holds no candidate."""
         if self._spilled is not None:
             return self._spilled.intersect_sorted(sorted_ids)
-        n_c = len(sorted_ids)
-        if n_c == 0 or not self._n_live:
-            return []
-        out: List[int] = []
-        dead = self._dead
-        i = 0  # cursor into sorted_ids
-        for block_index, summary in enumerate(self._summaries):
-            while i < n_c and sorted_ids[i] < summary.min_id:
-                i += 1
-            if i >= n_c:
-                return out
-            if sorted_ids[i] > summary.max_id:
-                continue  # no candidate lands in this block: skip undecoded
-            ids, _sts, _ends = decode_block(self._blocks[block_index])
-            j, n_e = 0, len(ids)
-            while i < n_c and j < n_e:
-                c, e = sorted_ids[i], ids[j]
-                if c == e:
-                    if c not in dead:
-                        out.append(c)
-                    i += 1
-                    j += 1
-                    while i < n_c and sorted_ids[i] == c:  # repeated candidates
-                        i += 1
-                elif c < e:
-                    i += 1
-                else:
-                    j += 1
-        for object_id, _st, _end in self._tail:
-            while i < n_c and sorted_ids[i] < object_id:
-                i += 1
-            if i >= n_c:
-                break
-            if sorted_ids[i] == object_id:
-                if object_id not in dead:
-                    out.append(object_id)
-                while i < n_c and sorted_ids[i] == object_id:
-                    i += 1
-        return out
+        return self._reader().intersect_sorted(sorted_ids, self._dead)[0]
 
     def span(self) -> Tuple[Timestamp, Timestamp]:
         """``[min t_st, max t_end]`` over live entries."""
         if self._spilled is not None:
             return self._spilled.span()
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        if not self._dead:
-            # Summaries are exact when nothing is tombstoned.
-            for summary in self._summaries:
-                lo = summary.min_st if lo is None or summary.min_st < lo else lo
-                hi = summary.max_end if hi is None or summary.max_end > hi else hi
-            for _object_id, st, end in self._tail:
-                lo = st if lo is None or st < lo else lo
-                hi = end if hi is None or end > hi else hi
-        else:
-            for _object_id, st, end in self.entries():
-                lo = st if lo is None or st < lo else lo
-                hi = end if hi is None or end > hi else hi
-        if lo is None or hi is None:
-            raise UnknownObjectError("span() of an empty postings list")
-        return lo, hi
+        return self._reader().span(self._dead)
 
     # ----------------------------------------------------------------- sizes
     def size_bytes(self) -> int:
         """Actual encoded bytes + summaries + modelled tail + container."""
         if self._spilled is not None:
             return self._spilled.size_bytes()
-        encoded = sum(len(block) for block in self._blocks)
+        encoded = sum(len(payload) for payload in self._payloads)
         summaries = len(self._summaries) * 4 * 8  # four i64s per summary
         tail = len(self._tail) * ENTRY_FULL_BYTES
         return encoded + summaries + tail + CONTAINER_BYTES

@@ -7,7 +7,7 @@ One segment holds one demoted shard::
     [ dir_offset u64 | dir_length u64 | dir_crc32 u32 | magic ] footer
 
 * **Postings blocks** are the :func:`repro.ir.codec.encode_block` payload
-  of :data:`~repro.ir.compressed.BLOCK_SIZE`-entry id-sorted runs, one
+  of :data:`~repro.ir.blocks.BLOCK_SIZE`-entry id-sorted runs, one
   run sequence per dictionary element.  Each block's directory descriptor
   carries its offset, length, CRC32 and the ``(min_id, max_id, min_st,
   max_end, count)`` skip summary, so a reader decodes only the blocks a

@@ -22,8 +22,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.core.errors import ClusterError
 from repro.core.model import Element, TemporalObject
-from repro.ir.codec import encode_block
-from repro.ir.compressed import BLOCK_SIZE
+from repro.ir.blocks import runs, seal
 from repro.obs.registry import OBS
 from repro.service.fsio import REAL_FS, FileSystem
 from repro.storage.format import (
@@ -59,7 +58,7 @@ def build_segment(
     """Serialise ``objects`` into one complete segment image.
 
     Objects are catalogued in id order; per-element postings runs are
-    sealed into :data:`~repro.ir.compressed.BLOCK_SIZE`-entry encoded
+    sealed into :data:`~repro.ir.blocks.BLOCK_SIZE`-entry encoded
     blocks with CRC32s and skip summaries.  Raises
     :class:`~repro.core.errors.ClusterError` for non-i64 timestamps (the
     block codec's domain — such shards stay RAM-resident).
@@ -78,21 +77,9 @@ def build_segment(
     for element in sorted(postings, key=repr):
         entries = postings[element]
         descriptors: List[BlockDescriptor] = []
-        for start in range(0, len(entries), BLOCK_SIZE):
-            run = entries[start : start + BLOCK_SIZE]
-            block = encode_block(run)
-            descriptors.append(
-                (
-                    len(body),
-                    len(block),
-                    zlib.crc32(block),
-                    run[0][0],
-                    run[-1][0],
-                    min(entry[1] for entry in run),
-                    max(entry[2] for entry in run),
-                    len(run),
-                )
-            )
+        for run in runs(entries):
+            block, summary = seal(run)
+            descriptors.append((len(body), len(block), zlib.crc32(block)) + summary)
             body += block
         terms[element] = descriptors
 

@@ -1,50 +1,22 @@
-"""The compression module is a deprecation shim over ``repro.ir``.
+"""Postings compression is not an extension any more.
 
-The codec's behaviour is tested where it lives (``tests/ir/test_codec.py``,
-``tests/ir/test_postings_backends.py``); this file only pins the shim
-contract: importing the legacy module warns, and every legacy name is the
-*same object* as its ``repro.ir`` home — not a copy that could drift.
+The codec and the compressed backend are tested where they live
+(``tests/ir/test_codec.py``, ``tests/ir/test_postings_backends.py``,
+``tests/ir/test_postings_property.py``); the ``repro.extensions.compression``
+deprecation shim has been deleted.  This file pins what is left of its
+contract: the package neither re-exports the names nor ships the module.
 """
 
 import importlib
-import sys
-import warnings
 
 import pytest
 
 
-def _fresh_import():
-    sys.modules.pop("repro.extensions.compression", None)
-    return importlib.import_module("repro.extensions.compression")
-
-
 class TestDeprecationShim:
-    def test_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.ir"):
-            _fresh_import()
-
-    def test_names_are_identical_objects(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = _fresh_import()
-        from repro.ir import codec, compressed
-
-        assert shim.CompressedPostingsList is compressed.CompressedPostingsList
-        assert shim.compression_ratio is compressed.compression_ratio
-        assert shim.decode_postings is codec.decode_postings
-        assert shim.encode_postings is codec.encode_postings
-        assert shim.varint_decode is codec.varint_decode
-        assert shim.varint_encode is codec.varint_encode
-
-    def test_all_matches_exports(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = _fresh_import()
-        for name in shim.__all__:
-            assert hasattr(shim, name)
-
     def test_package_no_longer_reexports(self):
         import repro.extensions as extensions
 
         assert "CompressedPostingsList" not in extensions.__all__
         assert not hasattr(extensions, "varint_encode")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.extensions.compression")

@@ -21,11 +21,10 @@ import random
 import pytest
 
 from repro.core.errors import ConfigurationError, CorruptPostingsError
+from repro.ir.blocks import seal
 from repro.ir.codec import (
     decode_block,
-    decode_postings,
     encode_block,
-    encode_postings,
     svarint_decode,
     svarint_encode,
     varint_decode,
@@ -147,25 +146,6 @@ class TestTornBuffers:
             except CorruptPostingsError:
                 pass  # the only acceptable failure
 
-    def test_legacy_stream_truncations_raise_typed(self):
-        # The legacy stream is headerless, so a cut landing exactly on a
-        # triple boundary is indistinguishable from a shorter valid stream
-        # (it decodes to a strict prefix); every *mid-triple* cut must
-        # raise the typed error.
-        entries = [(3, 10, 20), (9, 0, 0), (700, 5, 5_000)]
-        boundary_to_prefix = {
-            len(encode_postings(entries[:k])): k for k in range(len(entries) + 1)
-        }
-        buffer = encode_postings(entries)
-        assert list(decode_postings(buffer)) == entries
-        for cut in range(1, len(buffer)):
-            if cut in boundary_to_prefix:
-                prefix = entries[: boundary_to_prefix[cut]]
-                assert list(decode_postings(buffer[:cut])) == prefix
-            else:
-                with pytest.raises(CorruptPostingsError):
-                    list(decode_postings(buffer[:cut]))
-
 
 # ------------------------------------------------------------------- blocks
 def _random_block_entries(rng: random.Random, n: int, lo=I64_MIN, hi=I64_MAX):
@@ -178,7 +158,27 @@ def _random_block_entries(rng: random.Random, n: int, lo=I64_MIN, hi=I64_MAX):
     return entries
 
 
+#: The block format, pinned: a negative first id, i64-extreme timestamps
+#: and a zero-length interval.  Segments on disk hold these bytes, so a
+#: codec change that moves them must version-gate
+#: (``repro.storage.format.FORMAT_VERSION``), not edit this literal.
+GOLDEN_RUN = [(-7, I64_MIN, I64_MIN + 300), (5, -1, -1), (133, 1_000, I64_MAX)]
+GOLDEN_BYTES = bytes.fromhex(
+    "03"  # count
+    "0d" "0c" "8001"  # ids: zigzag(-7), gaps 12 and 128
+    "ffffffffffffffffff01" "feffffffffffffffff01" "d20f"  # t_st: zigzag first, then deltas
+    "ac02" "00" "97f8ffffffffffff7f"  # durations 300, 0, I64_MAX - 1000
+)
+GOLDEN_SUMMARY = (-7, 133, I64_MIN, I64_MAX, 3)  # min_id, max_id, min_st, max_end, count
+
+
 class TestBlockCodec:
+    def test_golden_bytes_pin_the_block_format(self):
+        assert encode_block(GOLDEN_RUN) == GOLDEN_BYTES
+        assert seal(GOLDEN_RUN) == (GOLDEN_BYTES, GOLDEN_SUMMARY)
+        ids, sts, ends = decode_block(GOLDEN_BYTES)
+        assert list(zip(ids, sts, ends)) == GOLDEN_RUN
+
     def test_empty_block_round_trips(self):
         assert decode_block(encode_block([])) == ([], [], [])
 

@@ -7,7 +7,10 @@ size accounting.  This harness replays seeded operation traces drawn
 from *adversarial regimes* (duplicate-heavy id universes, point
 intervals, tombstone churn, i64 extremes, float/overflow spill) against
 every alternative backend and cross-checks the **full** observable
-surface after every mutation:
+surface after every mutation (the ``blocks`` regime first bulk-loads
+enough entries that the block backends seal, tombstone and rebuild real
+blocks; the read-only ``cold`` backend is checked over the oracle's live
+entries sealed into a buffer after each step):
 
 ``add`` / ``delete`` (exception parity included) / ``__len__`` /
 ``__contains__`` / ``entries`` / ``ids`` / ``overlapping`` /
@@ -26,12 +29,15 @@ from __future__ import annotations
 
 import os
 import random
+import zlib
 from typing import Callable, List, Tuple
 
 import pytest
 
 from repro.core.errors import UnknownObjectError
 from repro.ir.backends import ID_POSTINGS_BACKENDS, POSTINGS_BACKENDS
+from repro.ir.blocks import BLOCK_SIZE, runs, seal
+from repro.ir.cold import ColdPostingsList
 from repro.ir.postings import IdPostingsList, PostingsList
 from repro.utils.memory import CONTAINER_BYTES
 
@@ -107,6 +113,49 @@ def _gen_spill(rng: random.Random) -> Op:
     return ("add", rng.randrange(60), st2, st2 + rng.choice([0, 2, 30]))
 
 
+#: The ``blocks`` regime's bulk load: three ids of every four (the fourth
+#: stays free for out-of-order inserts; neighbours straddle block
+#: boundaries), near-sorted short intervals so block summaries are tight
+#: and the skip scans really skip.
+_BLOCKS_N = 5 * BLOCK_SIZE + 40
+_BLOCKS_IDS = 4 * _BLOCKS_N // 3
+
+
+def _blocks_interval(rng: random.Random, object_id: int) -> Tuple[int, int]:
+    st = 2 * object_id + rng.randint(-4, 4)
+    return st, st + rng.choice([0, 5, 40])
+
+
+def _blocks_prefill(seed: int) -> List[List[Op]]:
+    """Unchecked bulk phases (the surface is checked after each one): five
+    sealed blocks plus a tail; then tombstones — all inside sealed blocks —
+    up to exactly half the entries, the brink of the compaction threshold;
+    then the one delete that crosses it."""
+    rng = random.Random(seed * 7919 + 5)
+    adds: List[Op] = [
+        ("add", oid, *_blocks_interval(rng, oid))
+        for oid in (4 * i // 3 for i in range(_BLOCKS_N))
+    ]
+    doomed = rng.sample(adds[: 4 * BLOCK_SIZE], _BLOCKS_N // 2 + 1)
+    deletes: List[Op] = [("delete", op[1]) for op in doomed]
+    return [adds, deletes[:-1], deletes[-1:]]
+
+
+def _gen_blocks(rng: random.Random) -> Op:
+    """Churn over the bulk-loaded universe: deletes tombstone entries of
+    sealed blocks (or miss: free and already-dead ids), adds overwrite or
+    revive a loaded id, insert a free one out of order (both rebuild), or
+    append above the universe (the tail)."""
+    roll = rng.random()
+    if roll < 0.40:
+        return ("delete", rng.randrange(_BLOCKS_IDS))
+    if roll < 0.85:
+        oid = rng.randrange(_BLOCKS_IDS)
+    else:
+        oid = _BLOCKS_IDS + rng.randrange(400)
+    return ("add", oid, *_blocks_interval(rng, oid))
+
+
 REGIMES: List[Tuple[str, Callable[[random.Random], Op]]] = [
     ("mixed", _gen_mixed),
     ("duplicates", _gen_duplicates),
@@ -114,12 +163,16 @@ REGIMES: List[Tuple[str, Callable[[random.Random], Op]]] = [
     ("churn", _gen_churn),
     ("extremes", _gen_extremes),
     ("spill", _gen_spill),
+    ("blocks", _gen_blocks),
 ]
 REGIME_GENERATORS = dict(REGIMES)
 REGIME_NAMES = [name for name, _ in REGIMES]
 
 ALT_BACKENDS = sorted(name for name in POSTINGS_BACKENDS if name != "list")
 ALL_BACKENDS = sorted(POSTINGS_BACKENDS)
+#: ``cold`` holds what the block codec holds: every regime but the one
+#: whose floats and beyond-i64 ints exist to force a spill.
+COLD_REGIMES = [name for name in REGIME_NAMES if name != "spill"]
 
 
 def make_trace(regime: str, seed: int, n_ops: int) -> List[Op]:
@@ -153,6 +206,8 @@ def _check_surface(
     backend: str, subject, oracle: PostingsList, rng: random.Random, context: str
 ) -> None:
     """Compare every read-side observation of ``subject`` vs the oracle."""
+    # A cold view models bytes on disk, not a container: empty is 0 bytes.
+    size_floor = 0 if backend == "cold" else CONTAINER_BYTES
 
     def expect(label: str, got, want) -> None:
         assert got == want, (
@@ -168,7 +223,7 @@ def _check_surface(
         f"{context}\n  physical_len() {subject.physical_len()} < live "
         f"len() {len(subject)}"
     )
-    assert subject.size_bytes() >= CONTAINER_BYTES, (
+    assert subject.size_bytes() >= size_floor, (
         f"{context}\n  size_bytes() fell below the container overhead"
     )
 
@@ -176,6 +231,9 @@ def _check_surface(
     probes = [rng.randrange(200), I64_MAX, I64_MIN]
     if known:
         probes.append(rng.choice(known))
+    # Where a freshly sealed list changes block: the last id of each run
+    # and the first of the next.
+    probes += known[BLOCK_SIZE - 1 :: BLOCK_SIZE] + known[BLOCK_SIZE::BLOCK_SIZE]
     for oid in probes:
         expect(f"{oid} in list", oid in subject, oid in oracle)
 
@@ -224,11 +282,61 @@ def _check_surface(
         expect("span()", subject.span(), want_span)
 
 
+def _apply(target, op: Op) -> bool:
+    """Apply one operation; True when it raised ``UnknownObjectError``."""
+    try:
+        if op[0] == "add":
+            target.add(op[1], op[2], op[3])
+        else:
+            target.delete(op[1])
+    except UnknownObjectError:
+        return True
+    return False
+
+
+def _cold_view(oracle: PostingsList) -> ColdPostingsList:
+    """The oracle's live entries as a cold list: sealed into one buffer
+    the way the segment writer lays blocks out, every read metered."""
+    body = bytearray()
+    descriptors = []
+    for run in runs(list(oracle.entries())):
+        payload, summary = seal(run)
+        descriptors.append((len(body), len(payload), zlib.crc32(payload)) + summary)
+        body += payload
+
+    def sink(decoded: int, skipped: int) -> None:
+        assert decoded + skipped == len(descriptors), (
+            f"cold metering: {decoded} decoded + {skipped} skipped of "
+            f"{len(descriptors)} blocks"
+        )
+
+    return ColdPostingsList(memoryview(bytes(body)), descriptors, sink)
+
+
 def run_property_trace(backend: str, regime: str, seed: int, n_ops: int = N_OPS) -> None:
-    """Replay one trace against ``backend`` and the oracle; fail loudly."""
-    subject = POSTINGS_BACKENDS[backend]()
+    """Replay one trace against ``backend`` and the oracle; fail loudly.
+
+    ``cold`` cannot be mutated: its subject is rebuilt from the oracle's
+    live entries before every check instead.
+    """
+    subject = None if backend == "cold" else POSTINGS_BACKENDS[backend]()
     oracle = PostingsList()
     check_rng = random.Random(seed ^ 0x5EED)
+
+    def check(context: str) -> None:
+        view = _cold_view(oracle) if subject is None else subject
+        _check_surface(backend, view, oracle, check_rng, context)
+
+    prefill = _blocks_prefill(seed) if regime == "blocks" else []
+    for number, phase in enumerate(prefill):
+        for op in phase:
+            _apply(oracle, op)
+            if subject is not None:
+                _apply(subject, op)
+        check(
+            f"{backend}: postings property mismatch after prefill phase "
+            f"{number} of {len(prefill)} (regime={regime!r}, seed={seed})"
+        )
     ops = make_trace(regime, seed, n_ops)
     for step, op in enumerate(ops):
         context = (
@@ -236,25 +344,14 @@ def run_property_trace(backend: str, regime: str, seed: int, n_ops: int = N_OPS)
             f"(regime={regime!r}, seed={seed}, n_ops={n_ops}); reproducing "
             f"trace:\n{format_trace(ops[: step + 1])}"
         )
-        if op[0] == "add":
-            subject.add(op[1], op[2], op[3])
-            oracle.add(op[1], op[2], op[3])
-        else:
-            oracle_raised = False
-            try:
-                oracle.delete(op[1])
-            except UnknownObjectError:
-                oracle_raised = True
-            try:
-                subject.delete(op[1])
-                subject_raised = False
-            except UnknownObjectError:
-                subject_raised = True
+        oracle_raised = _apply(oracle, op)
+        if subject is not None:
+            subject_raised = _apply(subject, op)
             assert subject_raised == oracle_raised, (
-                f"{context}\n  delete({op[1]}) exception parity: subject "
+                f"{context}\n  {op[0]}({op[1]}) exception parity: subject "
                 f"raised={subject_raised}, oracle raised={oracle_raised}"
             )
-        _check_surface(backend, subject, oracle, check_rng, context)
+        check(context)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -264,6 +361,39 @@ def test_postings_backend_matches_oracle(backend, regime, seed):
     """Every alternative full-postings backend is observationally equal to
     the list oracle on seeded adversarial traces."""
     run_property_trace(backend, regime, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("regime", COLD_REGIMES)
+def test_cold_backend_matches_oracle(regime, seed):
+    """The read-only cold backend, over the same traces: whatever the
+    oracle holds, its sealed image answers the whole read surface alike."""
+    run_property_trace("cold", regime, seed)
+
+
+def test_blocks_regime_reaches_sealed_blocks():
+    """The coverage the ``blocks`` regime exists for, asserted on the
+    trace itself: tombstones outnumber any tail (so they sit in sealed
+    blocks), the compaction threshold fires, and the checked ops include
+    overwrites of sealed entries and out-of-order inserts below them."""
+    for seed in SEEDS:
+        subject = POSTINGS_BACKENDS["compressed"]()
+        adds, tombstones, crossing = _blocks_prefill(seed)
+        for op in adds + tombstones:
+            _apply(subject, op)
+        assert len(subject) >= 5 * BLOCK_SIZE // 2
+        assert subject.physical_len() - len(subject) > BLOCK_SIZE
+        _apply(subject, crossing[0])
+        assert subject.physical_len() == len(subject)  # compacted
+        ops = make_trace("blocks", seed, N_OPS)
+        stored = {op[1] for op in adds}
+        kinds = {
+            (op[0], op[1] in stored) for op in ops if op[1] < _BLOCKS_IDS
+        }
+        if N_OPS >= 60:
+            assert kinds == {
+                ("add", True), ("add", False), ("delete", True), ("delete", False)
+            }
 
 
 @pytest.mark.parametrize("regime", ["mixed", "churn"])
