@@ -12,8 +12,8 @@ cluster router, WAL/snapshot recovery — runs unmodified on any backend:
     :class:`~repro.ir.packed.PackedPostingsList` — flat ``array('q')``
     columns with numpy kernels (the default).
 ``compressed``
-    :class:`~repro.ir.compressed.CompressedPostingsList` — delta+varint
-    blocks with skip summaries.
+    :class:`~repro.ir.compressed.CompressedPostingsList` — fixed-width
+    column blocks with skip summaries.
 ``cold`` *(read-only)*
     :class:`~repro.ir.cold.ColdPostingsList` — the same blocks served
     straight from an mmap'd segment (:mod:`repro.storage`); constructed

@@ -3,8 +3,8 @@
 :class:`ColdPostingsList` serves the full
 :class:`~repro.ir.postings.PostingsList` read surface straight from a
 segment's encoded blocks (:mod:`repro.storage.format`) without ever
-materialising the whole list: the block summaries live in the segment
-directory, every read is the :mod:`repro.ir.blocks` kernel — the one
+materialising the whole list: it is a run of rows of the segment's block
+table, every read is the :mod:`repro.ir.blocks` kernel — the one
 :class:`~repro.ir.compressed.CompressedPostingsList` runs over RAM — and
 only blocks a query can touch are CRC-checked and decoded on demand.
 Decoded payload damage raises
@@ -22,18 +22,21 @@ instead of a silent KeyError.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.errors import CorruptPostingsError, ReadOnlySegmentError
 from repro.core.interval import Timestamp
 from repro.ir import blocks
-from repro.ir.codec import decode_block
+from repro.ir.codec import Columns, decode_block
 from repro.ir.postings import PostingsEntry
 
-#: One ``(offset, length, crc32) ‖ summary`` 8-tuple per block — the
-#: segment directory's :data:`repro.storage.format.BlockDescriptor`
-#: (not imported: repro.ir stays a lower layer than the storage package).
-Descriptors = Sequence[Tuple[int, int, int, int, int, int, int, int]]
+#: One ``(offset, length, crc32) ‖ summary`` row of eight i64 per block —
+#: a run of rows of a segment's block table
+#: (:data:`repro.storage.format.BlockDescriptor`; not imported: repro.ir
+#: stays a lower layer than the storage package).
+Descriptors = Union[np.ndarray, Sequence[Tuple[int, int, int, int, int, int, int, int]]]
 
 #: Metrics sink: ``count_blocks(decoded, skipped)``; the reader batches
 #: these into the ``repro_storage_blocks_*`` counters once per call.
@@ -47,11 +50,12 @@ def _read_only(what: str) -> ReadOnlySegmentError:
     )
 
 
-def _mmap_load(buffer, descriptors: Descriptors) -> blocks.Load:
-    """The kernel's ``load`` over a segment body: slice, CRC-check, decode."""
+def _mmap_load(buffer, table: np.ndarray) -> blocks.Load:
+    """The kernel's ``load`` over a segment body: slice, CRC-check, decode.
+    ``table`` holds one row per descriptor field, one column per block."""
 
-    def load(block_index: int) -> blocks.Columns:
-        offset, length, crc = descriptors[block_index][:3]
+    def load(block_index: int, ids_only: bool) -> Columns:
+        offset, length, crc, *summary = table[:, block_index].tolist()
         raw = bytes(buffer[offset : offset + length])
         if len(raw) != length:
             raise CorruptPostingsError(
@@ -62,7 +66,7 @@ def _mmap_load(buffer, descriptors: Descriptors) -> blocks.Load:
             raise CorruptPostingsError(
                 f"segment block at {offset} fails its checksum"
             )
-        return decode_block(raw)
+        return decode_block(raw, summary, ids_only)
 
     return load
 
@@ -70,7 +74,7 @@ def _mmap_load(buffer, descriptors: Descriptors) -> blocks.Load:
 class ColdPostingsList:
     """Read-only postings over one element's blocks in an open segment."""
 
-    __slots__ = ("_descriptors", "_reader", "_n", "_sink")
+    __slots__ = ("_table", "_reader", "_n", "_sink")
 
     def __init__(
         self,
@@ -78,17 +82,17 @@ class ColdPostingsList:
         descriptors: Descriptors,
         sink: Optional[BlockSink] = None,
     ) -> None:
-        self._descriptors = descriptors
-        self._reader = blocks.BlockReader(
-            [descriptor[3:] for descriptor in descriptors],
-            _mmap_load(buffer, descriptors),
-        )
-        self._n = sum(descriptor[7] for descriptor in descriptors)
+        # One row per field, one column per block; for rows of a segment's
+        # block table this is a view: nothing is built per descriptor.
+        self._table = np.asarray(descriptors, dtype=np.int64).reshape(-1, 8).T
+        summaries = self._table[3:]
+        self._reader = blocks.BlockReader(summaries, _mmap_load(buffer, self._table))
+        self._n = int(summaries[blocks.COUNT].sum())
         self._sink = sink
 
     def _count(self, decoded: int) -> None:
         """Meter one kernel read: what it did not decode, it skipped."""
-        skipped = len(self._descriptors) - decoded
+        skipped = self._table.shape[1] - decoded
         if self._sink is not None and (decoded or skipped):
             self._sink(decoded, skipped)
 
@@ -118,7 +122,7 @@ class ColdPostingsList:
     def entries(self) -> Iterator[PostingsEntry]:
         """Every entry in id order (sequential block decode)."""
         yield from self._reader.entries()
-        self._count(len(self._descriptors))
+        self._count(self._table.shape[1])
 
     def ids(self) -> List[int]:
         return [entry[0] for entry in self.entries()]
@@ -132,7 +136,9 @@ class ColdPostingsList:
         return out
 
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
-        return [entry[0] for entry in self.overlapping(q_st, q_end)]
+        out, decoded = self._reader.overlapping_ids(q_st, q_end)
+        self._count(decoded)
+        return out
 
     def ids_end_ge(self, q_st: Timestamp) -> List[int]:
         return self.overlapping_ids(q_st, blocks.OPEN_END)
@@ -155,6 +161,5 @@ class ColdPostingsList:
 
     # ----------------------------------------------------------------- sizes
     def size_bytes(self) -> int:
-        """Encoded bytes on disk plus the in-RAM descriptor list."""
-        encoded = sum(descriptor[1] for descriptor in self._descriptors)
-        return encoded + len(self._descriptors) * 8 * 8
+        """Encoded bytes on disk plus this list's rows of the block table."""
+        return int(self._table[1].sum()) + self._table.shape[1] * 8 * 8

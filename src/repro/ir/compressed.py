@@ -1,4 +1,4 @@
-"""Block-compressed postings: delta+varint blocks with skip summaries.
+"""Block-compressed postings: fixed-width column blocks with skip summaries.
 
 :class:`CompressedPostingsList` is the compressed tier of the postings
 substrate — the §7 "orthogonal" direction the paper defers, serving the
@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Tuple, TypeGuard
 
+import numpy as np
+
 from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
 from repro.ir import blocks
 from repro.ir.blocks import BLOCK_SIZE
-from repro.ir.codec import EntryTriple, decode_block
+from repro.ir.codec import Columns, EntryTriple, decode_block
 from repro.ir.postings import PostingsEntry, PostingsList
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
@@ -59,7 +61,7 @@ class CompressedPostingsList:
     :meth:`from_postings`.
     """
 
-    __slots__ = ("_payloads", "_summaries", "_tail", "_dead", "_n_live", "_spilled")
+    __slots__ = ("_payloads", "_table", "_tail", "_dead", "_n_live", "_spilled")
 
     def __init__(self, entries: Iterable[Tuple[int, int, int]] = ()) -> None:
         self._spilled: Optional[PostingsList] = None
@@ -68,9 +70,11 @@ class CompressedPostingsList:
             self.add(object_id, st, end)
 
     def _reset(self) -> None:
-        #: Sealed block payloads and, index-aligned, their summaries.
+        #: Sealed block payloads and their summaries: column ``i`` of the
+        #: table (one row per summary field) is block ``i``'s; columns past
+        #: ``len(self._payloads)`` are spare capacity.
         self._payloads: List[bytes] = []
-        self._summaries: List[blocks.Summary] = []
+        self._table = np.empty((5, 0), dtype=np.int64)
         #: Uncompressed append run: ids strictly above every sealed id.
         self._tail: List[EntryTriple] = []
         #: Tombstoned ids living inside sealed blocks or the tail.
@@ -86,21 +90,27 @@ class CompressedPostingsList:
     def _reader(self) -> blocks.BlockReader:
         """What the kernel reads: the sealed blocks, then the tail as one
         more block (summarised on the fly, served already decoded)."""
-        summaries = self._summaries
+        summaries = self._table[:, : len(self._payloads)]
         if self._tail:
-            summaries = summaries + [blocks.summarize(self._tail)]
+            summaries = np.column_stack((summaries, blocks.summarize(self._tail)))
         return blocks.BlockReader(summaries, self._load)
 
-    def _load(self, block_index: int) -> blocks.Columns:
+    def _load(self, block_index: int, ids_only: bool) -> Columns:
         if block_index < len(self._payloads):
-            return decode_block(self._payloads[block_index])
-        ids, sts, ends = zip(*self._tail)
+            summary = self._table[:, block_index].tolist()
+            return decode_block(self._payloads[block_index], summary, ids_only)
+        ids, sts, ends = np.array(self._tail, dtype=np.int64).T
         return ids, sts, ends
 
     def _seal(self, run: List[EntryTriple]) -> None:
         payload, summary = blocks.seal(run)
+        sealed = len(self._payloads)
+        if sealed == self._table.shape[1]:  # full: double the capacity
+            grown = np.empty((5, max(4, 2 * sealed)), dtype=np.int64)
+            grown[:, :sealed] = self._table
+            self._table = grown
+        self._table[:, sealed] = summary
         self._payloads.append(payload)
-        self._summaries.append(summary)
 
     def _spill(self) -> PostingsList:
         """Degrade to an uncompressed delegate (non-codable value arrived)."""
@@ -162,7 +172,8 @@ class CompressedPostingsList:
         if tail:
             ascending = object_id > tail[-1][0]
         else:
-            ascending = not self._summaries or object_id > self._summaries[-1][1]
+            sealed = len(self._payloads)
+            ascending = not sealed or object_id > self._table[blocks.MAX_ID, sealed - 1]
         if ascending:
             tail.append((object_id, st, end))
             self._n_live += 1
@@ -208,7 +219,8 @@ class CompressedPostingsList:
         """Stored entries including tombstones (drops after compaction)."""
         if self._spilled is not None:
             return self._spilled.physical_len()
-        return sum(summary[4] for summary in self._summaries) + len(self._tail)
+        sealed = self._table[blocks.COUNT, : len(self._payloads)]
+        return int(sealed.sum()) + len(self._tail)
 
     def entries(self) -> Iterator[PostingsEntry]:
         """Live entries in id order (block-by-block decode)."""
@@ -228,7 +240,9 @@ class CompressedPostingsList:
 
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
         """Ids of live entries overlapping ``[q_st, q_end]``, in id order."""
-        return [entry[0] for entry in self.overlapping(q_st, q_end)]
+        if self._spilled is not None:
+            return self._spilled.overlapping_ids(q_st, q_end)
+        return self._reader().overlapping_ids(q_st, q_end, self._dead)[0]
 
     def ids_end_ge(self, q_st: Timestamp) -> List[int]:
         """Live ids with ``t_end >= q_st`` (START_ONLY check), id order."""
@@ -257,7 +271,7 @@ class CompressedPostingsList:
         if self._spilled is not None:
             return self._spilled.size_bytes()
         encoded = sum(len(payload) for payload in self._payloads)
-        summaries = len(self._summaries) * 4 * 8  # four i64s per summary
+        summaries = len(self._payloads) * 5 * 8  # five i64s per summary
         tail = len(self._tail) * ENTRY_FULL_BYTES
         return encoded + summaries + tail + CONTAINER_BYTES
 

@@ -6,10 +6,11 @@ immutable (the append-mostly regime of *Disk-Based Interval Indexes Under
 the Increasing Ending Time Assumption*, arXiv 2606.22773), so this
 package demotes them to disk and serves them lazily:
 
-* :mod:`repro.storage.format` — the immutable segment file format:
-  checksummed delta+varint postings blocks (:mod:`repro.ir.codec`),
-  packed i64 catalog columns, a pickled term/partition directory, and a
-  self-locating footer.
+* :mod:`repro.storage.format` — the immutable segment file format (v2;
+  v1 stays readable): checksummed column postings blocks
+  (:mod:`repro.ir.codec`) described by a columnar block table, packed
+  i64 catalog columns, a small pickled directory, and a self-locating
+  footer.
 * :mod:`repro.storage.writer` — builds a segment from a shard's live
   objects and installs it crash-safely through the
   :mod:`repro.service.fsio` seam (write-temp + fsync + rename).

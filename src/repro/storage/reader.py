@@ -5,10 +5,12 @@ directory, and answers Algorithm 1 (overlap ∧ containment) with **zero
 full-segment decode**:
 
 * element postings are :class:`~repro.ir.cold.ColdPostingsList` views —
-  only blocks whose skip summary admits the query are decoded;
+  runs of rows of the block table, which is copied out of the mapping
+  once at open; only blocks whose skip summary admits the query are
+  decoded;
 * membership probes bisect the raw i64 id column through
   ``memoryview.cast('q')`` (zero-copy);
-* pure-temporal queries scan the endpoint columns, never a block;
+* pure-temporal queries mask the endpoint columns, never a block;
 * the pickled descriptions blob is read only by :meth:`objects` — the
   promotion path — and the reader records whether that ever happened
   (``descriptions_decoded``) so tests can assert the query path stayed
@@ -21,23 +23,19 @@ a ``segment_query`` trace span.
 from __future__ import annotations
 
 import mmap
-import pickle
 from bisect import bisect_left
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-import zlib
+
+import numpy as np
 
 from repro.core.errors import CorruptSegmentError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
+from repro.ir.blocks import exact_window, overlap_mask
 from repro.ir.cold import ColdPostingsList
 from repro.obs.context import span
 from repro.obs.registry import OBS
-from repro.storage.format import (
-    FOOTER_SIZE,
-    SegmentDirectory,
-    parse_footer,
-    unpack_directory,
-)
+from repro.storage.format import read_directory, unpack_descriptions
 
 PathLike = Union[str, Path]
 
@@ -65,14 +63,9 @@ class SegmentReader:
         self._closed = False
         self._postings: Dict[Element, ColdPostingsList] = {}
         try:
-            dir_offset, dir_length, dir_crc = parse_footer(
-                self._view, str(self.path)
-            )
-            self.directory: SegmentDirectory = unpack_directory(
-                bytes(self._view[dir_offset : dir_offset + dir_length]),
-                dir_crc,
-                str(self.path),
-            )
+            # The block table is a copy: no numpy view of the mapping
+            # outlives a call, so close() can always release it.
+            self.directory, self._blocks = read_directory(self._view, str(self.path))
         except CorruptSegmentError:
             self.close()
             raise
@@ -137,16 +130,23 @@ class SegmentReader:
         cached = self._postings.get(element)
         if cached is not None:
             return cached
-        blocks = self.directory.terms.get(element)
-        if blocks is None:
+        rows = self.directory.terms.get(element)
+        if rows is None:
             return None
-        view = ColdPostingsList(self._view, blocks, self._count_blocks)
+        first_row, n_rows = rows
+        view = ColdPostingsList(
+            self._view,
+            self._blocks.T[first_row : first_row + n_rows],
+            self._count_blocks,
+        )
         self._postings[element] = view
         return view
 
     def term_count(self, element: Element) -> int:
-        """Live entries under ``element`` (Algorithm 1 ordering key)."""
-        return self.directory.term_counts.get(element, 0)
+        """Live entries under ``element`` (Algorithm 1 ordering key): the
+        sum of its rows of the block table's count column."""
+        postings = self.postings(element)
+        return 0 if postings is None else len(postings)
 
     # ------------------------------------------------------------------- query
     def query(self, q: TimeTravelQuery) -> List[int]:
@@ -173,37 +173,29 @@ class SegmentReader:
     def _pure_temporal(self, q_st, q_end) -> List[int]:
         """Catalog-column scan: ids of objects overlapping the window."""
         seg_lo_hi = self.directory.span
-        if seg_lo_hi is None:
+        window = exact_window(q_st, q_end)
+        if seg_lo_hi is None or window is None:
             return []
-        if seg_lo_hi[0] > q_end or seg_lo_hi[1] < q_st:
+        if seg_lo_hi[0] > window[1] or seg_lo_hi[1] < window[0]:
             return []
-        ids, sts, ends = self._ids, self._sts, self._ends
-        return [
-            ids[i]
-            for i in range(len(ids))
-            if sts[i] <= q_end and ends[i] >= q_st
-        ]
+        ids, sts, ends = (
+            np.frombuffer(column, dtype=np.int64)
+            for column in (self._ids, self._sts, self._ends)
+        )
+        return ids[overlap_mask(sts, ends, *window)].tolist()
 
     # --------------------------------------------------------------- promotion
     def objects(self) -> List[TemporalObject]:
         """The full decoded shard — the promote/rebalance path only.
 
         This is the one deliberate full-segment decode: the descriptions
-        blob is CRC-checked and unpickled, and the catalog columns are
+        blob is CRC-checked and decoded, and the catalog columns are
         joined back into :class:`TemporalObject` instances.
         """
-        offset, length, crc = self.directory.descriptions
-        blob = bytes(self._view[offset : offset + length])
-        if zlib.crc32(blob) != crc:
-            raise CorruptSegmentError(
-                f"{self.path}: descriptions blob fails its checksum"
-            )
-        try:
-            descriptions = pickle.loads(blob)
-        except Exception as exc:
-            raise CorruptSegmentError(
-                f"{self.path}: descriptions blob does not unpickle: {exc}"
-            ) from exc
+        offset, length, _crc = self.directory.descriptions
+        descriptions = unpack_descriptions(
+            self.directory, bytes(self._view[offset : offset + length]), str(self.path)
+        )
         self.descriptions_decoded = True
         ids, sts, ends = self._ids, self._sts, self._ends
         return [

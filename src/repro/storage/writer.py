@@ -14,11 +14,11 @@ the cluster serve it is the tier-state write in
 
 from __future__ import annotations
 
-import pickle
-import struct
 import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.core.errors import ClusterError
 from repro.core.model import Element, TemporalObject
@@ -30,21 +30,22 @@ from repro.storage.format import (
     SegmentDirectory,
     align8,
     build_footer,
+    pack_block_table,
+    pack_descriptions,
     pack_directory,
 )
 
 _TMP_SUFFIX = ".tmp"
-_I64 = struct.Struct("<q")
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
 def _check_codable(obj: TemporalObject) -> None:
-    for value in (obj.st, obj.end):
+    for what, value in (("id", obj.id), ("timestamp", obj.st), ("timestamp", obj.end)):
         if not isinstance(value, int) or not _I64_MIN <= value <= _I64_MAX:
             raise ClusterError(
-                f"object {obj.id}: timestamp {value!r} is not an i64 — "
-                f"only integer-time shards can demote to the cold tier"
+                f"object {obj.id}: {what} {value!r} is not an i64 — only "
+                f"shards of i64 ids and integer times can demote to the cold tier"
             )
 
 
@@ -59,44 +60,43 @@ def build_segment(
 
     Objects are catalogued in id order; per-element postings runs are
     sealed into :data:`~repro.ir.blocks.BLOCK_SIZE`-entry encoded
-    blocks with CRC32s and skip summaries.  Raises
-    :class:`~repro.core.errors.ClusterError` for non-i64 timestamps (the
-    block codec's domain — such shards stay RAM-resident).
+    blocks, described row by row in the block table.  Raises
+    :class:`~repro.core.errors.ClusterError` for ids or timestamps that
+    are not i64 (the domain of the block codec and of every column —
+    such shards stay RAM-resident).
     """
     catalog = sorted(objects, key=lambda obj: obj.id)
     for obj in catalog:
         _check_codable(obj)
 
     body = bytearray()
-    terms: Dict[Element, List[BlockDescriptor]] = {}
+    terms: Dict[Element, Tuple[int, int]] = {}
+    descriptors: List[BlockDescriptor] = []
     postings: Dict[Element, List[Tuple[int, int, int]]] = {}
     for obj in catalog:
         for element in obj.d:
             postings.setdefault(element, []).append((obj.id, obj.st, obj.end))
     # Deterministic file layout: elements in repr order.
     for element in sorted(postings, key=repr):
-        entries = postings[element]
-        descriptors: List[BlockDescriptor] = []
-        for run in runs(entries):
+        first_row = len(descriptors)
+        for run in runs(postings[element]):
             block, summary = seal(run)
             descriptors.append((len(body), len(block), zlib.crc32(block)) + summary)
             body += block
-        terms[element] = descriptors
+        terms[element] = (first_row, len(descriptors) - first_row)
 
     body += b"\x00" * (align8(len(body)) - len(body))
+    table_offset = len(body)
+    table_blob = pack_block_table(descriptors)
+    body += table_blob
     ids_offset = len(body)
-    for obj in catalog:
-        body += _I64.pack(obj.id)
+    body += np.array([obj.id for obj in catalog], dtype="<i8").tobytes()
     sts_offset = len(body)
-    for obj in catalog:
-        body += _I64.pack(obj.st)
+    body += np.array([obj.st for obj in catalog], dtype="<i8").tobytes()
     ends_offset = len(body)
-    for obj in catalog:
-        body += _I64.pack(obj.end)
+    body += np.array([obj.end for obj in catalog], dtype="<i8").tobytes()
 
-    descriptions_blob = pickle.dumps(
-        {obj.id: obj.d for obj in catalog}, protocol=pickle.HIGHEST_PROTOCOL
-    )
+    descriptions_blob = pack_descriptions({obj.id: obj.d for obj in catalog})
     descriptions_offset = len(body)
     body += descriptions_blob
 
@@ -106,6 +106,7 @@ def build_segment(
         index_params=dict(index_params),
         count=len(catalog),
         terms=terms,
+        block_table=(table_offset, len(descriptors), zlib.crc32(table_blob)),
         catalog=(ids_offset, sts_offset, ends_offset, len(catalog)),
         descriptions=(
             descriptions_offset,

@@ -187,6 +187,28 @@ class TestExtremeValues:
         assert fresh.overlapping_ids(1 << 79, 1 << 81) == [1]
         assert fresh.span() == (-(1 << 80), 1 << 80)
 
+    def test_float_bounds_past_2_53_order_like_python(self, fresh):
+        # float64 cannot tell the neighbours of 2**53 apart; a column kernel
+        # that let numpy round the *column* to compare it with a float bound
+        # would.  Python orders ints and floats exactly, and so must every
+        # backend (compact() seals the block backend: the column kernel).
+        base = 1 << 53
+        for i in range(4):
+            fresh.add(i, base + i, base + i)
+        fresh.compact()
+        below, above = float(base + 1), float(base + 3)  # round to even
+        assert (below, above) == (base, base + 4)
+        assert fresh.ids_st_le(below) == [0]
+        assert fresh.ids_end_ge(below) == [0, 1, 2, 3]
+        assert fresh.overlapping_ids(below, below) == [0]
+        assert fresh.ids_end_ge(above) == []
+        assert fresh.ids_st_le(above) == [0, 1, 2, 3]
+        assert fresh.overlapping_ids(float(base + 2), above) == [2, 3]
+        assert [e[0] for e in fresh.overlapping(float(base), base + 1)] == [0, 1]
+        assert fresh.overlapping_ids(float("-inf"), float("inf")) == [0, 1, 2, 3]
+        assert fresh.overlapping_ids(float("nan"), float("inf")) == []
+        assert fresh.overlapping_ids(2.0**63, 2.0**64) == []
+
     def test_spill_mid_stream_keeps_earlier_entries(self, fresh):
         fresh.add(1, 10, 20)
         fresh.add(2, 0.5, 2.5)  # first non-i64 value after native entries

@@ -86,13 +86,19 @@ def _gen_churn(rng: random.Random) -> Op:
     return ("add", rng.randrange(100), st, st + rng.choice([0, 5, 60]))
 
 
+#: Neighbours above 2**53, where float64 no longer tells integers apart:
+#: a float query bound there must still order them as Python does.
+_ABOVE_2_53 = ((1 << 53) + 1, (1 << 53) + 2, (1 << 53) + 3)
+
+
 def _gen_extremes(rng: random.Random) -> Op:
     """Ids and timestamps at the i64 boundary (packed/compressed native
-    limits): the columns must neither wrap nor lose precision."""
+    limits) and just past float64's exact range: the columns must neither
+    wrap nor lose precision, whatever the type of the query bound."""
     ids = (0, 1, I64_MAX, I64_MAX - 1, I64_MIN, I64_MIN + 1, 7, 1 << 40)
     if rng.random() < 0.30:
         return ("delete", rng.choice(ids))
-    st = rng.choice((I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX - 1, I64_MAX))
+    st = rng.choice((I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX - 1, I64_MAX) + _ABOVE_2_53)
     end = rng.choice((st, I64_MAX)) if st != I64_MAX else st
     return ("add", rng.choice(ids), st, end)
 
@@ -194,11 +200,14 @@ def format_trace(ops: List[Op]) -> str:
 
 # ----------------------------------------------------------------- checking
 def _probe_times(rng: random.Random, oracle: PostingsList) -> List:
-    """Query timestamps biased toward stored endpoints (boundary hits)."""
+    """Query timestamps biased toward stored endpoints (boundary hits),
+    one of them as a float: past 2**53 that is a *neighbour's* value, and
+    for ``I64_MAX`` one beyond the i64 range."""
     stored = [t for _, st, end in oracle.entries() for t in (st, end)]
     times = [rng.randint(-600, 2_200), rng.uniform(-50.0, 50.0)]
     if stored:
         times.append(rng.choice(stored))
+        times.append(float(rng.choice(stored)))
     return times
 
 

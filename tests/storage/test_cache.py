@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.model import make_query
 from repro.obs.registry import isolated_registry
 from repro.storage.cache import SegmentCache
+from repro.storage.reader import SegmentReader
 from repro.storage.writer import write_segment
 
 from tests.conftest import random_objects
@@ -53,6 +55,44 @@ class TestLeases:
         cache.close()
         assert len(cache) == 0
         assert all(reader.closed for reader in readers)
+
+
+class TestBufferLifetimes:
+    """Columns decode through numpy views of the mapped file, and a view
+    left alive makes ``mmap.close()`` raise ``BufferError``.  Whatever a
+    caller keeps — answers, postings views — must hold no such view."""
+
+    def _touch_everything(self, reader):
+        element = next(iter(reader.directory.terms))
+        postings = reader.postings(element)
+        kept = [
+            postings,
+            postings.overlapping(0, 10**9),
+            postings.ids(),
+            postings.intersect_sorted(reader.object_ids()),
+            reader.query(make_query(0, 10**9, {element})),
+            reader.query(make_query(0, 10**9, set())),  # the catalog-column scan
+            reader.object_ids(),
+        ]
+        assert all(kept[1:])
+        return kept
+
+    def test_close_succeeds_while_results_are_held(self, segments):
+        reader = SegmentReader(segments[0])
+        kept = self._touch_everything(reader)
+        reader.close()
+        assert reader.closed
+        assert all(type(x) is int for x in kept[2] + kept[4] + kept[5])
+
+    def test_eviction_succeeds_while_results_are_held(self, segments):
+        cache = SegmentCache(budget_bytes=1)  # every released lease is evicted
+        kept = []
+        for path in segments:
+            with cache.lease(path) as reader:
+                kept.append((reader, self._touch_everything(reader)))
+        assert cache.stats()["evictions"] == 3
+        assert all(reader.closed for reader, _ in kept)
+        cache.close()
 
 
 class TestEviction:

@@ -7,6 +7,7 @@ wrong answer.
 """
 
 import os
+import random
 
 import pytest
 
@@ -23,13 +24,21 @@ from repro.indexes.registry import build_index
 from repro.ir import backends
 from repro.obs.registry import isolated_registry
 from repro.service.faults import flip_bit, truncate_tail
-from repro.storage.format import FOOTER_STRUCT
+from repro.storage.format import (
+    FOOTER_STRUCT,
+    MAGIC,
+    build_footer,
+    pack_directory,
+    read_directory,
+)
 from repro.storage.reader import SegmentReader
 from repro.storage.writer import build_segment, write_segment
 
 from tests.conftest import random_objects, random_queries
 
 INDEX_KEY = "tif"
+I64_MIN = -(1 << 63)
+I64_MAX = (1 << 63) - 1
 
 
 @pytest.fixture()
@@ -124,6 +133,70 @@ class TestRoundTrip:
         bad = [TemporalObject(id=1, st=0.5, end=2.5, d=frozenset({"a"}))]
         with pytest.raises(ClusterError, match="i64"):
             build_segment(bad, shard_id="s", index_key=INDEX_KEY, index_params={})
+
+    def test_ids_beyond_i64_refuse_to_demote(self):
+        # The id column is i64 like the timestamp ones: the refusal must be
+        # the documented ClusterError, not struct's or numpy's own error.
+        for bad_id in (1 << 63, 1 << 80):
+            bad = [
+                make_object(1, 0, 5, {"a"}),
+                TemporalObject(id=bad_id, st=0, end=5, d=frozenset({"a"})),
+            ]
+            with pytest.raises(ClusterError, match="id .* is not an i64"):
+                build_segment(bad, shard_id="s", index_key=INDEX_KEY, index_params={})
+
+    def test_written_segments_carry_the_v2_magic(self, segment):
+        assert segment.read_bytes().endswith(MAGIC)
+        assert MAGIC == b"RSEG\x00\x02"
+        with SegmentReader(segment) as reader:
+            assert reader.directory.version == 2
+
+
+class TestPureTemporalScan:
+    """The catalog-column scan (queries with no elements) vs BruteForce."""
+
+    EXTREMES = [
+        make_object(1, I64_MIN, I64_MIN, {"a"}),
+        make_object(2, I64_MIN, I64_MAX, {"a"}),
+        make_object(3, I64_MAX, I64_MAX, {"b"}),
+        make_object(4, (1 << 53) + 1, (1 << 53) + 1, {"b"}),
+        make_object(5, (1 << 53) + 2, (1 << 53) + 3, {"a", "b"}),
+        make_object(6, -1, 0, {"a"}),
+        make_object(7, 0, 0, {"c"}),
+    ]
+    WINDOWS = [
+        (I64_MIN, I64_MIN), (I64_MIN, I64_MAX), (I64_MAX, I64_MAX), (-1, 0), (1, 5),
+        (I64_MIN - 10, I64_MIN - 1), (I64_MAX + 1, I64_MAX + 10), (-(1 << 70), 1 << 70),
+        # Float bounds: fractional, rounding onto a neighbour past 2**53,
+        # and past the i64 range on either side.
+        (-0.5, 0.5), (0.25, 0.75), (float((1 << 53) + 1), float((1 << 53) + 1)),
+        (float(1 << 53), (1 << 53) + 1), ((1 << 53) + 2, float((1 << 53) + 3)),
+        (-1e30, -1e25), (-1e30, float(I64_MIN)), (float(I64_MAX), 1e30), (-1e30, 1e30),
+    ]
+
+    def test_extreme_intervals_and_bounds(self, tmp_path):
+        path = write_segment(
+            tmp_path / "x.seg", self.EXTREMES,
+            shard_id="s", index_key=INDEX_KEY, index_params={},
+        )
+        oracle = build_index("brute", Collection(self.EXTREMES))
+        with SegmentReader(path) as reader:
+            for st, end in self.WINDOWS:
+                q = make_query(st, end, set())
+                assert reader.query(q) == sorted(oracle.query(q)), (st, end)
+            assert reader.descriptions_decoded is False
+
+    def test_random_windows(self, objects, segment):
+        collection = Collection(objects)
+        oracle = build_index("brute", collection)
+        domain = collection.domain()
+        with SegmentReader(segment) as reader:
+            rng = random.Random(33)
+            for _ in range(200):
+                st = rng.randint(domain.st - 50, domain.end + 50)
+                end = st + rng.choice([0, 1, 10, 500, domain.end])
+                q = make_query(st, end, set())
+                assert reader.query(q) == sorted(oracle.query(q))
 
 
 class TestZeroDecodeObservability:
@@ -225,13 +298,47 @@ class TestCorruption:
     def test_flipped_postings_block(self, objects, segment):
         # Locate a real block through an intact reader, then damage it.
         element = next(iter(sorted(objects, key=lambda o: o.id)[0].d))
-        with SegmentReader(segment) as reader:
-            offset, length = reader.directory.terms[element][0][:2]
+        directory, table = read_directory(memoryview(segment.read_bytes()), str(segment))
+        offset, length = table[:2, directory.terms[element][0]].tolist()
         flip_bit(segment, offset + length // 2)
         with SegmentReader(segment) as reader:
             postings = reader.postings(element)
             with pytest.raises(CorruptPostingsError):
                 postings.ids()
+
+    def test_flipped_block_table(self, segment):
+        # A damaged summary must never become a mis-skip, nor a damaged
+        # block CRC a refused sound block: the table has a checksum of its
+        # own, checked at open.  One flip per column, and both ends.
+        directory, table = read_directory(memoryview(segment.read_bytes()), str(segment))
+        offset, n_blocks, _crc = directory.block_table
+        assert table.shape == (8, n_blocks) and n_blocks > 8
+        columns = ["offset", "length", "crc32", "min_id", "max_id", "min_st", "max_end", "count"]
+        for column in range(len(columns)):
+            at = offset + 8 * (column * n_blocks + n_blocks // 2)
+            flip_bit(segment, at)
+            with pytest.raises(CorruptSegmentError, match="block table"):
+                SegmentReader(segment)
+            flip_bit(segment, at)  # restore
+        for at in (offset, offset + 64 * n_blocks - 1):
+            flip_bit(segment, at, bit=7)
+            with pytest.raises(CorruptSegmentError, match="block table"):
+                SegmentReader(segment)
+            flip_bit(segment, at, bit=7)
+        SegmentReader(segment).close()  # restored: sound again
+
+    def test_block_table_bounds_are_checked(self, objects, tmp_path):
+        # A directory whose table region runs into the directory itself
+        # (a consistent CRC cannot save it) is refused, not sliced.
+        image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
+        directory, _table = read_directory(memoryview(image), "image")
+        dir_offset = FOOTER_STRUCT.unpack(image[-FOOTER_STRUCT.size :])[0]
+        directory.block_table = (directory.block_table[0], 1 << 40, directory.block_table[2])
+        blob = pack_directory(directory)
+        path = tmp_path / "bounds.seg"
+        path.write_bytes(image[:dir_offset] + blob + build_footer(dir_offset, blob))
+        with pytest.raises(CorruptSegmentError, match="runs past the body"):
+            SegmentReader(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptSegmentError):

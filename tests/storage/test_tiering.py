@@ -108,6 +108,35 @@ class TestDemotePromoteCycle:
         with pytest.raises(ClusterError, match="already cold"):
             cluster.demote(shard_id)
 
+    def test_uncodable_id_refuses_typed_and_changes_nothing(self, collection, cluster):
+        # An id past i64 cannot live in a segment's id column.  The refusal
+        # is the documented ClusterError (it used to escape as struct.error)
+        # and comes before anything is written: the shard stays hot, and a
+        # tier state already on disk — another shard's demotion — is not
+        # touched.
+        cluster.demote(_some_hot_shard(cluster))
+        spec = _bounded_shard(cluster)  # another shard: this one has a lower bound
+        directory = cluster.directory
+        tiers = tiering.tiers_path(directory)
+        before = tiers.read_bytes()
+        cluster.insert(make_object(1 << 63, spec.lo, spec.lo, {"e0"}))
+        probe = make_query(spec.lo, spec.lo, {"e0"})
+        answer = cluster.query(probe)
+        assert 1 << 63 in answer
+
+        with pytest.raises(ClusterError, match=r"id 9223372036854775808 is not an i64"):
+            cluster.demote(spec.shard_id)
+
+        assert not cluster.tier_state.is_cold(spec.shard_id)
+        assert tiers.read_bytes() == before
+        segments = directory / "segments"
+        assert not (segments / f"{spec.shard_id}.seg").exists()
+        assert not list(directory.rglob("*.tmp"))
+        assert cluster.query(probe) == answer
+        cluster.delete(1 << 63)  # still writable: it never left the hot tier
+        cluster.demote(spec.shard_id)  # and demotable once the id is gone
+        assert cluster.tier_state.is_cold(spec.shard_id)
+
     def test_stats_and_status_show_tiers(self, cluster):
         shard_id = _some_hot_shard(cluster)
         cluster.demote(shard_id)
