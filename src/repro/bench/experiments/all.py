@@ -6,26 +6,20 @@ from typing import Dict
 
 from repro.bench.cli import run_cli
 from repro.bench.experiments import (
-    cluster,
     fig7,
     fig8,
     fig9,
     fig10,
     fig11,
     fig12,
-    postings,
-    server,
-    storage,
     table3,
     table5,
     table6,
     table7,
-    throughput,
 )
 
 #: Paper order: setup stats, tuning, variant comparison, main comparison,
-#: updates — then the beyond-paper batched-execution, cluster and serving
-#: sweeps.
+#: updates.
 SEQUENCE = [
     ("table3", table3),
     ("fig7", fig7),
@@ -37,11 +31,6 @@ SEQUENCE = [
     ("fig12", fig12),
     ("table6", table6),
     ("table7", table7),
-    ("throughput", throughput),
-    ("postings", postings),
-    ("cluster", cluster),
-    ("storage", storage),
-    ("server", server),
 ]
 
 

@@ -71,48 +71,6 @@ def query_throughput(
     return len(queries) / best
 
 
-def executor_throughput(
-    index: TemporalIRIndex,
-    queries: Sequence[TimeTravelQuery],
-    *,
-    strategy: str = "serial",
-    workers: Optional[int] = None,
-    cache_size: int = 0,
-    dedupe: bool = True,
-    sort: bool = True,
-) -> float:
-    """Queries/second for one batch through the :mod:`repro.exec` executor.
-
-    The complement of :func:`query_throughput` (the per-query serial
-    baseline): same workload, same index, but submitted as a single batch
-    so deduplication, interval sorting, result caching and the parallel
-    strategies all get to act.  A fresh executor is built per call — the
-    cache starts cold, so a reported win never comes from measuring a
-    pre-warmed cache.
-    """
-    from repro.exec import QueryExecutor
-
-    if not queries:
-        return 0.0
-    executor = QueryExecutor(
-        index,
-        strategy=strategy,
-        workers=workers,
-        cache_size=cache_size,
-        dedupe=dedupe,
-        sort=sort,
-    )
-    watch = Stopwatch()
-    watch.start()
-    results = executor.run(list(queries))
-    seconds = watch.stop()
-    # Fold the results into a no-op (same guard as query_throughput).
-    _ = sum(len(r) for r in results)
-    if seconds <= 0.0:
-        return float("inf")
-    return len(queries) / seconds
-
-
 def insert_batch_time(index: TemporalIRIndex, batch: Sequence[TemporalObject]) -> float:
     """Seconds to insert ``batch`` (index is mutated).
 

@@ -74,8 +74,7 @@ from repro.utils.timing import timed
 
 _EXPERIMENTS = [
     "table3", "fig7", "fig8", "fig9", "fig10",
-    "table5", "fig11", "fig12", "table6", "table7", "throughput",
-    "postings", "cluster", "server", "storage", "all",
+    "table5", "fig11", "fig12", "table6", "table7", "all",
 ]
 
 

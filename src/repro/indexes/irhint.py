@@ -39,9 +39,8 @@ from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import SortPolicy
 from repro.intervals.hint.traversal import DivisionKind, assign, iter_relevant_divisions
-from repro.ir.backends import make_id_postings
 from repro.ir.inverted import TemporalInvertedFile
-from repro.ir.postings import IdPostingsBackend
+from repro.ir.postings import IdPostingsBackend, IdPostingsList
 from repro.obs.registry import OBS
 from repro.utils.memory import CONTAINER_BYTES
 
@@ -249,7 +248,7 @@ class IRHintSize(TemporalIRIndex):
             for element in obj.d:
                 id_list = postings.get(element)
                 if id_list is None:
-                    id_list = postings[element] = make_id_postings()
+                    id_list = postings[element] = IdPostingsList()
                 id_list.add(obj.id)
 
     def _delete_impl(self, obj: TemporalObject) -> None:

@@ -5,7 +5,6 @@ from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.expanding import ExpandingHint, exact_mapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import Partition, SortPolicy, SubArray
-from repro.intervals.hint.vectorized import VectorizedHint
 from repro.intervals.hint.traversal import (
     Assignment,
     DivisionKind,
@@ -26,7 +25,6 @@ __all__ = [
     "SortPolicy",
     "SubArray",
     "TraversalStep",
-    "VectorizedHint",
     "assign",
     "choose_num_bits",
     "estimate_cost",

@@ -1,12 +1,8 @@
 """Inverted-file substrate: postings backends, intersections, de-dup, tIF."""
 
 from repro.ir.backends import (
-    ID_POSTINGS_BACKEND_ENV,
-    ID_POSTINGS_BACKENDS,
     POSTINGS_BACKEND_ENV,
     POSTINGS_BACKENDS,
-    id_postings_backend,
-    make_id_postings,
     make_postings,
     postings_backend,
 )
@@ -30,7 +26,7 @@ from repro.ir.intersection import (
     intersect_merge,
 )
 from repro.ir.inverted import TemporalCheck, TemporalInvertedFile
-from repro.ir.packed import BitsetIdPostingsList, PackedPostingsList
+from repro.ir.packed import PackedPostingsList
 from repro.ir.postings import (
     IdPostingsBackend,
     IdPostingsList,
@@ -42,10 +38,7 @@ from repro.ir.settrie import SetTrie
 from repro.ir.signatures import element_pattern, make_signature
 
 __all__ = [
-    "BitsetIdPostingsList",
     "CompressedPostingsList",
-    "ID_POSTINGS_BACKENDS",
-    "ID_POSTINGS_BACKEND_ENV",
     "IdPostingsBackend",
     "IdPostingsList",
     "POSTINGS_BACKENDS",
@@ -62,7 +55,6 @@ __all__ = [
     "decode_block",
     "dedupe_preserving_order",
     "encode_block",
-    "id_postings_backend",
     "intersect_adaptive",
     "intersect_binary",
     "intersect_galloping",
@@ -70,7 +62,6 @@ __all__ = [
     "intersect_many",
     "element_pattern",
     "intersect_merge",
-    "make_id_postings",
     "make_postings",
     "make_signature",
     "is_reference_partition",

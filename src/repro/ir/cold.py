@@ -14,7 +14,7 @@ before they accept writes (:mod:`repro.storage.tiering`).
 
 Unlike the mutable backends this class is *constructed by* a
 :class:`~repro.storage.reader.SegmentReader`, never by the
-:mod:`repro.ir.backends` factories — it is registered there as a
+:mod:`repro.ir.backends` factory — it is registered there as a
 read-only backend so the name resolves to a typed configuration error
 instead of a silent KeyError.
 """

@@ -8,10 +8,9 @@ ends) plus a one-byte-per-slot tombstone column, the closest CPython
 analogue of the paper's packed C++ arrays (HINT §5's cache-miss argument,
 arXiv 2104.10939).
 
-When numpy is importable the temporal scans and the sorted-id intersection
-run as vectorised kernels over zero-copy views of those columns; without
-numpy everything falls back to the same scalar loops the list backend uses
-(correctness never depends on numpy).
+Past :data:`_VECTOR_MIN` slots the temporal scans and the sorted-id
+intersection run as numpy kernels over zero-copy views of those columns;
+shorter lists use the same scalar loops the list backend uses.
 
 Values that do not fit a signed 64-bit slot (floats, or ints beyond the
 i64 range — both legal :data:`~repro.core.interval.Timestamp` values)
@@ -27,15 +26,13 @@ from array import array
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
-try:  # gated: numpy accelerates, never gates correctness
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
+from repro.ir.blocks import OPEN_END, OPEN_START, exact_window, overlap_mask
 from repro.ir.postings import PostingsEntry
-from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES, ENTRY_ID_BYTES
+from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -187,27 +184,48 @@ class PackedPostingsList:
     def _views(self):
         """Zero-copy int64 views over the packed columns (numpy path only)."""
         return (
-            _np.frombuffer(self._ids, dtype=_np.int64),
-            _np.frombuffer(self._sts, dtype=_np.int64),
-            _np.frombuffer(self._ends, dtype=_np.int64),
+            np.frombuffer(self._ids, dtype=np.int64),
+            np.frombuffer(self._sts, dtype=np.int64),
+            np.frombuffer(self._ends, dtype=np.int64),
         )
 
     def _alive_mask(self):
-        return _np.frombuffer(self._alive, dtype=_np.uint8) != 0
+        return np.frombuffer(self._alive, dtype=np.uint8) != 0
 
     def _use_kernels(self) -> bool:
-        return (
-            _np is not None and self._packed and len(self._ids) >= _VECTOR_MIN
+        return self._packed and len(self._ids) >= _VECTOR_MIN
+
+    def _window_mask(self, q_st: Timestamp, q_end: Timestamp):
+        """Which slots are live and overlap ``[q_st, q_end]`` (numpy path
+        only); ``None`` when no i64 interval can.  The one place a column
+        meets a query bound: the window is made exact i64 bounds first, so
+        a float bound never rounds the column."""
+        window = exact_window(q_st, q_end)
+        if window is None:
+            return None
+        mask = overlap_mask(
+            np.frombuffer(self._sts, dtype=np.int64),
+            np.frombuffer(self._ends, dtype=np.int64),
+            *window,
         )
+        if self._n_dead:
+            mask &= self._alive_mask()
+        return mask
+
+    def _window_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
+        mask = self._window_mask(q_st, q_end)
+        if mask is None:
+            return []
+        return np.frombuffer(self._ids, dtype=np.int64)[mask].tolist()
 
     # ----------------------------------------------------------------- scans
     def overlapping(self, q_st: Timestamp, q_end: Timestamp) -> List[PostingsEntry]:
         """Live entries whose interval overlaps ``[q_st, q_end]`` (Alg. 1)."""
         if self._use_kernels():
+            mask = self._window_mask(q_st, q_end)
+            if mask is None:
+                return []
             ids, sts, ends = self._views()
-            mask = (sts <= q_end) & (ends >= q_st)
-            if self._n_dead:
-                mask &= self._alive_mask()
             return list(
                 zip(ids[mask].tolist(), sts[mask].tolist(), ends[mask].tolist())
             )
@@ -221,11 +239,7 @@ class PackedPostingsList:
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
         """Ids of live entries overlapping ``[q_st, q_end]``, in id order."""
         if self._use_kernels():
-            ids, sts, ends = self._views()
-            mask = (sts <= q_end) & (ends >= q_st)
-            if self._n_dead:
-                mask &= self._alive_mask()
-            return ids[mask].tolist()
+            return self._window_ids(q_st, q_end)
         ids, sts, ends, alive = self._ids, self._sts, self._ends, self._alive
         return [
             ids[i]
@@ -236,22 +250,14 @@ class PackedPostingsList:
     def ids_end_ge(self, q_st: Timestamp) -> List[int]:
         """Live ids with ``t_end >= q_st`` (the START_ONLY check), id order."""
         if self._use_kernels():
-            ids, _sts, ends = self._views()
-            mask = ends >= q_st
-            if self._n_dead:
-                mask &= self._alive_mask()
-            return ids[mask].tolist()
+            return self._window_ids(q_st, OPEN_END)
         ids, ends, alive = self._ids, self._ends, self._alive
         return [ids[i] for i in range(len(ids)) if alive[i] and ends[i] >= q_st]
 
     def ids_st_le(self, q_end: Timestamp) -> List[int]:
         """Live ids with ``t_st <= q_end`` (the END_ONLY check), id order."""
         if self._use_kernels():
-            ids, sts, _ends = self._views()
-            mask = sts <= q_end
-            if self._n_dead:
-                mask &= self._alive_mask()
-            return ids[mask].tolist()
+            return self._window_ids(OPEN_START, q_end)
         ids, sts, alive = self._ids, self._sts, self._alive
         return [ids[i] for i in range(len(ids)) if alive[i] and sts[i] <= q_end]
 
@@ -271,12 +277,12 @@ class PackedPostingsList:
             and all(type(c) is int for c in sorted_ids)
         ):
             try:
-                candidates = _np.asarray(sorted_ids, dtype=_np.int64)
+                candidates = np.asarray(sorted_ids, dtype=np.int64)
             except OverflowError:  # an id beyond i64: scalar fallback
                 candidates = None
             if candidates is not None:
                 ids, _sts, _ends = self._views()
-                positions = _np.searchsorted(ids, candidates)
+                positions = np.searchsorted(ids, candidates)
                 positions[positions >= n_e] = n_e - 1
                 hit = ids[positions] == candidates
                 if self._n_dead:
@@ -340,144 +346,3 @@ class PackedPostingsList:
         actual packed footprint is ~24 bytes/slot + 1 tombstone byte.
         """
         return self.physical_len() * ENTRY_FULL_BYTES + CONTAINER_BYTES
-
-
-#: Ids above this bound (or negative) keep a bitset from being the right
-#: structure; the list spills to sorted-array mode instead of growing a
-#: multi-megabyte bitmap for one id.
-_BITSET_MAX_ID = 1 << 22
-
-
-class BitsetIdPostingsList:
-    """Id-only postings backed by a byte-per-8-ids bitmap.
-
-    Drop-in for :class:`~repro.ir.postings.IdPostingsList` on the dense,
-    small-id universes of per-division dictionaries (irHINT-size's
-    Algorithm 6): membership tests are O(1), and ``intersect_sorted``
-    degenerates to one bit probe per candidate.  Ids outside
-    ``[0, 2**22)`` spill the instance to plain sorted-list mode (same
-    semantics, no bitmap).
-
-    Unlike the tombstoning list backends this structure frees a deleted
-    id's slot immediately, so ``physical_len`` tracks the live count.
-    """
-
-    __slots__ = ("_bits", "_n", "_spilled")
-
-    def __init__(self) -> None:
-        self._bits = bytearray()
-        self._n = 0
-        self._spilled: Optional[List[int]] = None
-
-    def _spill(self) -> None:
-        if self._spilled is None:
-            self._spilled = self.ids()
-            self._bits = bytearray()
-
-    def add(self, object_id: int) -> None:
-        """Insert an id (idempotent for already-live ids)."""
-        if self._spilled is None and (
-            not isinstance(object_id, int)
-            or isinstance(object_id, bool)
-            or not 0 <= object_id < _BITSET_MAX_ID
-        ):
-            self._spill()
-        if self._spilled is not None:
-            ids = self._spilled
-            pos = bisect_left(ids, object_id)
-            if pos >= len(ids) or ids[pos] != object_id:
-                ids.insert(pos, object_id)
-                self._n += 1
-            return
-        byte, bit = object_id >> 3, 1 << (object_id & 7)
-        if byte >= len(self._bits):
-            self._bits.extend(b"\x00" * (byte + 1 - len(self._bits)))
-        if not self._bits[byte] & bit:
-            self._bits[byte] |= bit
-            self._n += 1
-
-    def delete(self, object_id: int) -> None:
-        """Remove an id (raises if absent)."""
-        if object_id not in self:
-            raise UnknownObjectError(object_id)
-        if self._spilled is not None:
-            self._spilled.remove(object_id)
-        else:
-            self._bits[object_id >> 3] &= ~(1 << (object_id & 7))
-        self._n -= 1
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-    def __contains__(self, object_id: int) -> bool:
-        if self._spilled is not None:
-            ids = self._spilled
-            pos = bisect_left(ids, object_id)
-            return pos < len(ids) and ids[pos] == object_id
-        if (
-            not isinstance(object_id, int)
-            or isinstance(object_id, bool)
-            or not 0 <= object_id < _BITSET_MAX_ID
-        ):
-            return False
-        byte = object_id >> 3
-        return byte < len(self._bits) and bool(
-            self._bits[byte] & (1 << (object_id & 7))
-        )
-
-    def ids(self) -> List[int]:
-        """Live ids, sorted (bit scan in byte order)."""
-        if self._spilled is not None:
-            return list(self._spilled)
-        out: List[int] = []
-        for byte_index, byte in enumerate(self._bits):
-            if not byte:
-                continue
-            base = byte_index << 3
-            while byte:
-                low = byte & -byte
-                out.append(base + low.bit_length() - 1)
-                byte ^= low
-        return out
-
-    def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
-        """One O(1) bit probe per candidate — no merge, no gallop."""
-        if self._spilled is not None:
-            ids = self._spilled
-            n_e = len(ids)
-            out: List[int] = []
-            lo = 0
-            for c in sorted_ids:
-                pos = bisect_left(ids, c, lo)
-                if pos < n_e and ids[pos] == c:
-                    out.append(c)
-                    lo = pos + 1
-                else:
-                    lo = pos
-                if lo >= n_e:
-                    break
-            return out
-        bits = self._bits
-        n_bytes = len(bits)
-        result: List[int] = []
-        for c in sorted_ids:
-            if 0 <= c < _BITSET_MAX_ID:
-                byte = c >> 3
-                if byte < n_bytes and bits[byte] & (1 << (c & 7)):
-                    if result and result[-1] == c:
-                        continue  # repeated candidates report once
-                    result.append(c)
-        return result
-
-    def physical_len(self) -> int:
-        """Live count — the bitmap holds no tombstones."""
-        return self._n
-
-    def size_bytes(self) -> int:
-        """Actual bitmap bytes (or modelled ids when spilled) + container."""
-        if self._spilled is not None:
-            return len(self._spilled) * ENTRY_ID_BYTES + CONTAINER_BYTES
-        return len(self._bits) + CONTAINER_BYTES

@@ -9,7 +9,7 @@ See ``docs/server.md``.
 """
 
 from repro.server.client import CLIENT_RETRY, DaemonClient, ServerError, TransportError
-from repro.server.daemon import AsyncRWLock, QueryDaemon, ServerConfig
+from repro.server.daemon import QueryDaemon, ServerConfig
 from repro.server.harness import DaemonHandle, start_daemon_thread
 from repro.server.protocol import (
     ERROR_CODES,
@@ -25,7 +25,6 @@ from repro.server.protocol import (
 from repro.server.tenants import Tenant, TenantRegistry, UnknownTenantError
 
 __all__ = [
-    "AsyncRWLock",
     "CLIENT_RETRY",
     "DaemonClient",
     "DaemonHandle",

@@ -99,9 +99,6 @@ from repro.service.faults import (
     InjectedDisconnect,
     NetworkFaultInjector,
 )
-# Re-exported here for compatibility: the lock class moved to
-# repro.utils.locks so the lock-order checker can observe it without
-# importing the serving tier.
 from repro.utils.locks import AsyncRWLock
 
 #: Verbs that go through admission control and the executor pool.

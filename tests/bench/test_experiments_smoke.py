@@ -105,20 +105,6 @@ def test_fig11(capsys):
             assert row["_size_mb"] > 0
 
 
-def test_cluster(capsys):
-    from repro.bench.experiments import cluster
-
-    results = cluster.run(scale="tiny")
-    rows = results["configurations"]
-    routed = rows["time-range routed"]
-    broadcast = rows["hash broadcast"]
-    assert routed["qps"] > 0 and broadcast["qps"] > 0
-    # The headline shape: routing visits strictly fewer shards than the
-    # broadcast, which by construction always visits all of them.
-    assert broadcast["mean_shards_visited"] == results["n_shards"]
-    assert routed["mean_shards_visited"] < broadcast["mean_shards_visited"]
-
-
 def test_table6_and_7(capsys):
     from repro.bench.experiments import table6, table7
 

@@ -385,14 +385,6 @@ def test_differential_postings_backends(key, backend, monkeypatch):
     run_differential(key, SEEDS[0], executor_config=None)
 
 
-def test_differential_bitset_id_backend(monkeypatch):
-    """irHINT-size divisions on the bitset id-postings backend."""
-    from repro.ir.backends import ID_POSTINGS_BACKEND_ENV
-
-    monkeypatch.setenv(ID_POSTINGS_BACKEND_ENV, "bitset")
-    run_differential("irhint-size", SEEDS[0], executor_config=None)
-
-
 # ----------------------------------------------------- network daemon leg
 def test_differential_server_with_chaos(tmp_path):
     """One seeded chaos interleaving replayed over the network daemon.

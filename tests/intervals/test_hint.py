@@ -139,6 +139,26 @@ def test_hint_equals_linear_scan_property(data):
         assert hint.range_query(a, b) == oracle.range_query(a, b)
 
 
+def test_three_thousand_intervals_equal_linear_scan():
+    """A set large enough that every level of an ``m = 8`` hierarchy is
+    populated: random windows starting below the domain and running past
+    it, the whole domain, a point window and a stab."""
+    rng = random.Random(13)
+    records = [
+        (i, st_, st_ + rng.randint(0, 700))
+        for i, st_ in enumerate(rng.randint(0, 50_000) for _ in range(3000))
+    ]
+    hint = Hint.build(records, num_bits=8)
+    oracle = LinearScan.build(records)
+    windows = [(0, 60_000), (100, 100), (25_000, 25_500)]
+    for _ in range(80):
+        a = rng.randint(-100, 52_000)
+        windows.append((a, a + rng.randint(0, 20_000)))
+    for a, b in windows:
+        assert hint.range_query(a, b) == oracle.range_query(a, b), (a, b)
+    assert hint.stab_query(25_000) == oracle.range_query(25_000, 25_000)
+
+
 def test_float_timestamps():
     records = [(1, 0.25, 0.75), (2, 0.5, 0.5), (3, 0.9, 1.4)]
     mapper = DomainMapper.for_domain(0.0, 1.5, 5)

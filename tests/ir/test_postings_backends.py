@@ -14,17 +14,13 @@ import pytest
 
 from repro.core.errors import ConfigurationError, UnknownObjectError
 from repro.ir.backends import (
-    ID_POSTINGS_BACKEND_ENV,
-    ID_POSTINGS_BACKENDS,
     POSTINGS_BACKEND_ENV,
     POSTINGS_BACKENDS,
-    id_postings_backend,
-    make_id_postings,
     make_postings,
     postings_backend,
 )
 from repro.ir.compressed import CompressedPostingsList
-from repro.ir.packed import BitsetIdPostingsList, PackedPostingsList
+from repro.ir.packed import PackedPostingsList
 from repro.ir.postings import IdPostingsList, PostingsList
 
 I64_MIN = -(1 << 63)
@@ -209,6 +205,31 @@ class TestExtremeValues:
         assert fresh.overlapping_ids(float("nan"), float("inf")) == []
         assert fresh.overlapping_ids(2.0**63, 2.0**64) == []
 
+    def test_float_bounds_at_kernel_length_match_the_list_oracle(self, fresh):
+        # 100 entries: past packed's _VECTOR_MIN, where the numpy kernels
+        # answer instead of the scalar loops the four entries above reach.
+        # Half sit beside 2**53, half beside I64_MAX; a few are tombstoned.
+        oracle = PostingsList()
+        for i in range(100):
+            base = (1 << 53) if i < 50 else I64_MAX - 150
+            for target in (fresh, oracle):
+                target.add(i, base + i, base + i + 1)
+        for i in (3, 50, 99):
+            fresh.delete(i)
+            oracle.delete(i)
+        inf = float("inf")
+        bounds = [
+            2.0**63, -(2.0**63), 1e19, float(2**53 + 2), float(2**53 + 51),
+            float(I64_MAX - 100), inf, -inf, float("nan"), 2**53 + 7, 1 << 70,
+        ]
+        for a in bounds:
+            assert fresh.ids_end_ge(a) == oracle.ids_end_ge(a), a
+            assert fresh.ids_st_le(a) == oracle.ids_st_le(a), a
+            for b in bounds:
+                assert fresh.overlapping_ids(a, b) == oracle.overlapping_ids(a, b), (a, b)
+                assert fresh.overlapping(a, b) == oracle.overlapping(a, b), (a, b)
+        assert oracle.ids_end_ge(2.0**63) == [] and len(oracle.ids_st_le(2.0**63)) == 97
+
     def test_spill_mid_stream_keeps_earlier_entries(self, fresh):
         fresh.add(1, 10, 20)
         fresh.add(2, 0.5, 2.5)  # first non-i64 value after native entries
@@ -312,9 +333,9 @@ class TestPackedInternals:
 
 
 class TestIdBackendsEdgeCases:
-    @pytest.fixture(params=sorted(ID_POSTINGS_BACKENDS))
-    def id_list(self, request):
-        return ID_POSTINGS_BACKENDS[request.param]()
+    @pytest.fixture(params=["list"])  # the one id-only list; keeps the test ids
+    def id_list(self):
+        return IdPostingsList()
 
     def test_empty(self, id_list):
         assert len(id_list) == 0
@@ -334,24 +355,6 @@ class TestIdBackendsEdgeCases:
         assert id_list.ids() == [1, 5, 9]
         assert id_list.intersect_sorted([0, 1, 5, 6, 9]) == [1, 5, 9]
 
-    def test_bitset_spills_on_out_of_range_ids(self):
-        bs = BitsetIdPostingsList()
-        bs.add(3)
-        bs.add(1 << 40)  # beyond the bitmap range → spill
-        bs.add(-2)
-        assert bs.ids() == [-2, 3, 1 << 40]
-        bs.delete(3)
-        assert bs.ids() == [-2, 1 << 40]
-        assert bs.intersect_sorted([-2, 0, 1 << 40]) == [-2, 1 << 40]
-
-    def test_bitset_size_beats_list_when_dense(self):
-        bs = BitsetIdPostingsList()
-        ref = IdPostingsList()
-        for oid in range(10_000):
-            bs.add(oid)
-            ref.add(oid)
-        assert bs.size_bytes() < ref.size_bytes()
-
 
 class TestBackendSelection:
     def test_explicit_argument_wins(self, monkeypatch):
@@ -361,15 +364,11 @@ class TestBackendSelection:
     def test_environment_overrides_default(self, monkeypatch):
         monkeypatch.setenv(POSTINGS_BACKEND_ENV, "compressed")
         assert isinstance(make_postings(), CompressedPostingsList)
-        monkeypatch.setenv(ID_POSTINGS_BACKEND_ENV, "bitset")
-        assert isinstance(make_id_postings(), BitsetIdPostingsList)
 
     def test_default_is_packed(self, monkeypatch):
         monkeypatch.delenv(POSTINGS_BACKEND_ENV, raising=False)
         assert postings_backend() == "packed"
         assert isinstance(make_postings(), PackedPostingsList)
-        monkeypatch.delenv(ID_POSTINGS_BACKEND_ENV, raising=False)
-        assert id_postings_backend() == "list"
 
     def test_unknown_names_raise_configuration_error(self, monkeypatch):
         with pytest.raises(ConfigurationError):
@@ -377,8 +376,6 @@ class TestBackendSelection:
         monkeypatch.setenv(POSTINGS_BACKEND_ENV, "no-such-backend")
         with pytest.raises(ConfigurationError):
             make_postings()
-        with pytest.raises(ConfigurationError):
-            id_postings_backend("no-such-backend")
 
     def test_env_is_read_at_creation_time(self, monkeypatch):
         monkeypatch.setenv(POSTINGS_BACKEND_ENV, "list")

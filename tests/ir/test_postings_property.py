@@ -9,8 +9,10 @@ intervals, tombstone churn, i64 extremes, float/overflow spill) against
 every alternative backend and cross-checks the **full** observable
 surface after every mutation (the ``blocks`` regime first bulk-loads
 enough entries that the block backends seal, tombstone and rebuild real
-blocks; the read-only ``cold`` backend is checked over the oracle's live
-entries sealed into a buffer after each step):
+blocks; the ``extremes`` regime bulk-loads half-way, so its second half
+runs on the packed backend's numpy kernels; the read-only ``cold``
+backend is checked over the oracle's live entries sealed into a buffer
+after each step):
 
 ``add`` / ``delete`` (exception parity included) / ``__len__`` /
 ``__contains__`` / ``entries`` / ``ids`` / ``overlapping`` /
@@ -35,10 +37,11 @@ from typing import Callable, List, Tuple
 import pytest
 
 from repro.core.errors import UnknownObjectError
-from repro.ir.backends import ID_POSTINGS_BACKENDS, POSTINGS_BACKENDS
+from repro.ir.backends import POSTINGS_BACKENDS
 from repro.ir.blocks import BLOCK_SIZE, runs, seal
 from repro.ir.cold import ColdPostingsList
-from repro.ir.postings import IdPostingsList, PostingsList
+from repro.ir.packed import _VECTOR_MIN
+from repro.ir.postings import PostingsList
 from repro.utils.memory import CONTAINER_BYTES
 
 #: Operations per (backend, regime, seed) trace; CI pins this knob the
@@ -91,6 +94,11 @@ def _gen_churn(rng: random.Random) -> Op:
 _ABOVE_2_53 = ((1 << 53) + 1, (1 << 53) + 2, (1 << 53) + 3)
 
 
+def _extreme_interval(rng: random.Random) -> Tuple[int, int]:
+    st = rng.choice((I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX - 1, I64_MAX) + _ABOVE_2_53)
+    return st, rng.choice((st, I64_MAX)) if st != I64_MAX else st
+
+
 def _gen_extremes(rng: random.Random) -> Op:
     """Ids and timestamps at the i64 boundary (packed/compressed native
     limits) and just past float64's exact range: the columns must neither
@@ -98,9 +106,15 @@ def _gen_extremes(rng: random.Random) -> Op:
     ids = (0, 1, I64_MAX, I64_MAX - 1, I64_MIN, I64_MIN + 1, 7, 1 << 40)
     if rng.random() < 0.30:
         return ("delete", rng.choice(ids))
-    st = rng.choice((I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX - 1, I64_MAX) + _ABOVE_2_53)
-    end = rng.choice((st, I64_MAX)) if st != I64_MAX else st
-    return ("add", rng.choice(ids), st, end)
+    return ("add", rng.choice(ids), *_extreme_interval(rng))
+
+
+def _extremes_bulk(seed: int) -> List[Op]:
+    """The ``extremes`` regime's unchecked mid-trace bulk load, on ids the
+    generator never deletes: from there on the list stays past
+    ``_VECTOR_MIN`` and packed answers from its numpy kernels."""
+    rng = random.Random(seed * 7919 + 11)
+    return [("add", 100 + i, *_extreme_interval(rng)) for i in range(_VECTOR_MIN + 6)]
 
 
 def _gen_spill(rng: random.Random) -> Op:
@@ -336,12 +350,15 @@ def run_property_trace(backend: str, regime: str, seed: int, n_ops: int = N_OPS)
         view = _cold_view(oracle) if subject is None else subject
         _check_surface(backend, view, oracle, check_rng, context)
 
-    prefill = _blocks_prefill(seed) if regime == "blocks" else []
-    for number, phase in enumerate(prefill):
+    def bulk(phase: List[Op]) -> None:
         for op in phase:
             _apply(oracle, op)
             if subject is not None:
                 _apply(subject, op)
+
+    prefill = _blocks_prefill(seed) if regime == "blocks" else []
+    for number, phase in enumerate(prefill):
+        bulk(phase)
         check(
             f"{backend}: postings property mismatch after prefill phase "
             f"{number} of {len(prefill)} (regime={regime!r}, seed={seed})"
@@ -353,6 +370,8 @@ def run_property_trace(backend: str, regime: str, seed: int, n_ops: int = N_OPS)
             f"(regime={regime!r}, seed={seed}, n_ops={n_ops}); reproducing "
             f"trace:\n{format_trace(ops[: step + 1])}"
         )
+        if regime == "extremes" and step == n_ops // 2:
+            bulk(_extremes_bulk(seed))
         oracle_raised = _apply(oracle, op)
         if subject is not None:
             subject_raised = _apply(subject, op)
@@ -425,96 +444,3 @@ def test_default_budget_covers_acceptance_floor():
     if N_OPS < 60:
         pytest.skip("REPRO_POSTINGS_PROP_OPS capped below the default")
     assert N_OPS * len(REGIME_NAMES) * len(SEEDS) >= 500
-
-
-# ------------------------------------------------------------ id-only leg
-def _gen_id_dense(rng: random.Random) -> Tuple:
-    if rng.random() < 0.35:
-        return ("delete", rng.randrange(300))
-    return ("add", rng.randrange(300))
-
-
-def _gen_id_sparse(rng: random.Random) -> Tuple:
-    """Huge and negative ids: drives the bitset past its bitmap range."""
-    ids = (-5, 0, 3, 1 << 30, 1 << 50, I64_MAX)
-    if rng.random() < 0.35:
-        return ("delete", rng.choice(ids))
-    return ("add", rng.choice(ids))
-
-
-def _gen_id_churn(rng: random.Random) -> Tuple:
-    if rng.random() < 0.55:
-        return ("delete", rng.randrange(40))
-    return ("add", rng.randrange(40))
-
-
-ID_REGIMES = {"dense": _gen_id_dense, "sparse": _gen_id_sparse, "churn": _gen_id_churn}
-ALT_ID_BACKENDS = sorted(name for name in ID_POSTINGS_BACKENDS if name != "list")
-
-
-def _check_id_surface(subject, oracle: IdPostingsList, rng: random.Random, context):
-    assert len(subject) == len(oracle), f"{context}\n  len() diverged"
-    assert subject.ids() == oracle.ids(), (
-        f"{context}\n  ids()\n  got      {subject.ids()!r}\n"
-        f"  expected {oracle.ids()!r}"
-    )
-    assert subject.physical_len() >= len(subject), f"{context}\n  physical_len()"
-    assert subject.size_bytes() >= CONTAINER_BYTES, f"{context}\n  size_bytes()"
-    known = oracle.ids()
-    probes = [rng.randrange(350), -1, I64_MAX]
-    if known:
-        probes.append(rng.choice(known))
-    for oid in probes:
-        assert (oid in subject) == (oid in oracle), f"{context}\n  {oid} in list"
-    candidate_sets = [
-        [],
-        sorted({rng.randrange(350) for _ in range(rng.randint(1, 30))}),
-        [-7, 0, 1 << 50, I64_MAX],
-    ]
-    if known:
-        candidate_sets.append(sorted(rng.choices(known, k=min(len(known), 6))))
-    for candidates in candidate_sets:
-        got = subject.intersect_sorted(candidates)
-        want = oracle.intersect_sorted(candidates)
-        assert got == want, (
-            f"{context}\n  intersect_sorted({candidates})\n"
-            f"  got      {got!r}\n  expected {want!r}"
-        )
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("regime", sorted(ID_REGIMES))
-@pytest.mark.parametrize("backend", ALT_ID_BACKENDS)
-def test_id_postings_backend_matches_oracle(backend, regime, seed):
-    """Id-only backends (bitset) vs the IdPostingsList oracle, including
-    the out-of-range spill path."""
-    subject = ID_POSTINGS_BACKENDS[backend]()
-    oracle = IdPostingsList()
-    rng = random.Random(seed * 6151 + 17)
-    check_rng = random.Random(seed ^ 0x1D5)
-    gen = ID_REGIMES[regime]
-    ops = [gen(rng) for _ in range(N_OPS)]
-    for step, op in enumerate(ops):
-        context = (
-            f"{backend}: id-postings property mismatch at step {step} "
-            f"(regime={regime!r}, seed={seed}, n_ops={N_OPS}); reproducing "
-            f"trace:\n" + "\n".join(f"  {i:3d} {o[0]} id={o[1]}" for i, o in enumerate(ops[: step + 1]))
-        )
-        if op[0] == "add":
-            subject.add(op[1])
-            oracle.add(op[1])
-        else:
-            oracle_raised = False
-            try:
-                oracle.delete(op[1])
-            except UnknownObjectError:
-                oracle_raised = True
-            try:
-                subject.delete(op[1])
-                subject_raised = False
-            except UnknownObjectError:
-                subject_raised = True
-            assert subject_raised == oracle_raised, (
-                f"{context}\n  delete({op[1]}) exception parity"
-            )
-        _check_id_surface(subject, oracle, check_rng, context)

@@ -66,6 +66,7 @@ def workload():
     return index, queries
 
 
+@pytest.mark.timing
 def test_disabled_overhead_within_budget(workload):
     index, queries = workload
     assert OBS.active is False, "overhead smoke requires the default disabled state"

@@ -76,6 +76,7 @@ def _measure(index, queries, tracer):
     return instrumented / baseline, baseline, instrumented
 
 
+@pytest.mark.timing
 def test_full_sampling_overhead_within_budget(workload):
     index, queries = workload
     assert OBS.active is False
@@ -89,6 +90,7 @@ def test_full_sampling_overhead_within_budget(workload):
     )
 
 
+@pytest.mark.timing
 def test_default_rate_overhead_within_budget(workload):
     index, queries = workload
     assert OBS.active is False

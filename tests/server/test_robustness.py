@@ -7,8 +7,9 @@ import time
 import pytest
 
 from repro.server import DaemonClient, ServerConfig, ServerError, start_daemon_thread
-from repro.server.daemon import AsyncRWLock, QueryDaemon
+from repro.server.daemon import QueryDaemon
 from repro.service.store import DurableIndexStore
+from repro.utils.locks import AsyncRWLock
 from repro.utils.retry import RetryPolicy
 
 from tests.server.conftest import NO_RETRY, Watchdog, make_client
