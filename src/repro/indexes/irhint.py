@@ -1,19 +1,21 @@
 """irHINT — the novel time-first composite index (paper Section 4).
 
-A *single* HINT hierarchically indexes the time domain, and every division
-(originals/replicas of every partition) is injected with inverted indexing.
-Queries are driven by HINT's bottom-up traversal: the ``compfirst`` /
-``complast`` flags dictate which temporal comparisons each relevant division
-still needs, HINT's structural duplicate avoidance makes the per-division
-outputs disjoint, and the division-local inverted structures answer the IR
-part.
+HINT hierarchically indexes the time domain and inverted indexing is
+injected into its divisions: a query reads, per relevant division, only the
+postings of its elements, HINT's ``compfirst`` / ``complast`` flags dictate
+the comparisons left to do, and its structural duplicate avoidance makes the
+per-division outputs disjoint.
 
 Two variants:
 
-* :class:`IRHintPerformance` (Section 4.1, Algorithm 5) — each division *is*
-  a small temporal inverted file: element → ``⟨id, t_st, t_end⟩`` postings.
-  Fastest queries; every object entry is stored once per element of its
-  description, so the index is large.
+* :class:`IRHintPerformance` (Section 4.1, Algorithm 5) — element →
+  ``⟨id, t_st, t_end⟩`` postings per division.  Stored flat: *one* id-ordered
+  packed run per element (a :class:`~repro.indexes.tif.TIF`), and, for the
+  runs long enough to pay for it, a derived
+  :class:`~repro.indexes.timefirst.TimeFirstTable` holding that element's
+  divisions as level-contiguous columns — the paper's own hybrid (§3.2):
+  hierarchy only where a list is long.  Fastest queries; the tables
+  replicate entries, so the index is larger than the tIF.
 * :class:`IRHintSize` (Section 4.2, Algorithm 6) — each division decouples
   the attributes: one interval store identical to original HINT (with
   beneficial sorting — this is a real :class:`~repro.intervals.hint.Hint`)
@@ -31,171 +33,163 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.collection import Collection
-from repro.core.errors import UnknownObjectError
+from repro.core.errors import CorruptSnapshotError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
+from repro.indexes import timefirst
 from repro.indexes.base import TemporalIRIndex
+from repro.indexes.tif import TIF
 from repro.intervals.hint.cost_model import choose_num_bits
 from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import SortPolicy
-from repro.intervals.hint.traversal import DivisionKind, assign, iter_relevant_divisions
-from repro.ir.inverted import TemporalInvertedFile
+from repro.intervals.hint.traversal import DivisionKind, assign
 from repro.ir.postings import IdPostingsBackend, IdPostingsList
 from repro.obs.registry import OBS
-from repro.utils.memory import CONTAINER_BYTES
+from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
-#: Headroom left above the built domain for insertion workloads.
+#: Headroom irHINT-size leaves above the built domain for insertions.
 DOMAIN_SLACK = 0.25
 
 #: Division key: (level, partition index, is_original) — plain ints/bools
 #: hash faster than enum members on this hot path.
 _DivisionKey = Tuple[int, int, bool]
 
-#: Objects with an empty description would otherwise leave no trace in a
-#: division's inverted file and become invisible to pure-temporal queries;
-#: they are filed under this reserved element instead (never queried by
-#: containment searches, always swept by ``iter_all_entries``).
-_EMPTY_DESCRIPTION = ("__repro.empty__",)
+
+def _cost_model_bits(objects) -> int:
+    """The cost model's ``m`` for these objects' lifespans."""
+    return choose_num_bits([(obj.id, obj.st, obj.end) for obj in objects])
 
 
 def _default_mapper(collection: Collection, num_bits: Optional[int]) -> DomainMapper:
     """Domain mapper for a collection, with cost-model ``m`` when unset."""
     domain = collection.domain()
     if num_bits is None:
-        records = [(obj.id, obj.st, obj.end) for obj in collection]
-        num_bits = choose_num_bits(records, domain=(domain.st, domain.end))
+        num_bits = _cost_model_bits(collection)
     return DomainMapper.with_slack(domain.st, domain.end, num_bits, slack=DOMAIN_SLACK)
 
 
-class IRHintPerformance(TemporalIRIndex):
-    """Algorithm 5: a temporal inverted file inside every HINT division."""
+class IRHintPerformance(TIF):
+    """Algorithm 5 on flat storage: a tIF whose long lists carry a
+    time-first table.
+
+    Updates are the tIF's — one append or tombstone per description
+    element.  A query scans its rarest element's list through that list's
+    table when it has a fresh one and flat otherwise (always correct), and
+    intersects the rest as Algorithm 1 does.  Tables are derived state:
+    built by queries, each aside and published by one assignment, never
+    changed afterwards, never pickled.
+    """
 
     name = "irHINT (performance)"
 
     def __init__(self, num_bits: Optional[int] = None) -> None:
         super().__init__()
-        self._requested_bits = num_bits
-        self._mapper: Optional[DomainMapper] = None
-        self._divisions: Dict[_DivisionKey, TemporalInvertedFile] = {}
+        self._num_bits = num_bits
+        self._tables: Dict[Element, timefirst.TimeFirstTable] = {}
+        # Scans that wanted a table and ran flat since the last build.
+        self._owed = 0
 
     def _configure_for(self, collection: Collection) -> None:
-        if len(collection):
-            self._mapper = _default_mapper(collection, self._requested_bits)
-
-    def _ensure_mapper(self, st, end) -> DomainMapper:
-        if self._mapper is None:
-            self._mapper = DomainMapper.with_slack(
-                st, end, self._requested_bits or 10, slack=DOMAIN_SLACK
-            )
-        return self._mapper
+        if self._num_bits is None and len(collection):
+            self._num_bits = _cost_model_bits(collection)
 
     @property
     def num_bits(self) -> int:
-        """``m`` actually in use (resolved by the cost model when unset)."""
-        if self._mapper is None:
-            raise UnknownObjectError("index is empty; no mapper configured yet")
-        return self._mapper.num_bits
+        """``m`` actually in use: the constructor's, else the cost model's
+        over the collection built from, else — for an index that started
+        empty — over the objects held when first asked."""
+        if self._num_bits is None:
+            if not self._catalog:
+                raise UnknownObjectError("index is empty; no m chosen yet")
+            self._num_bits = _cost_model_bits(self._catalog.values())
+        return self._num_bits
 
-    # ---------------------------------------------------------------- updates
-    def _insert_impl(self, obj: TemporalObject) -> None:
-        mapper = self._ensure_mapper(obj.st, obj.end)
-        st_cell, end_cell = mapper.cell_range(obj.st, obj.end)
-        description = obj.d or _EMPTY_DESCRIPTION
-        for level, j, is_original in assign(mapper.num_bits, st_cell, end_cell):
-            key = (level, j, is_original)
-            division = self._divisions.get(key)
-            if division is None:
-                division = self._divisions[key] = TemporalInvertedFile()
-            division.add_object(obj.id, obj.st, obj.end, description)
+    def __getstate__(self) -> Dict[str, object]:
+        state = super().__getstate__()
+        del state["_tables"], state["_owed"]
+        return state
 
-    def _delete_impl(self, obj: TemporalObject) -> None:
-        if self._mapper is None:
-            raise UnknownObjectError(obj.id)
-        mapper = self._mapper
-        st_cell, end_cell = mapper.cell_range(obj.st, obj.end)
-        description = obj.d or _EMPTY_DESCRIPTION
-        found = False
-        for level, j, is_original in assign(mapper.num_bits, st_cell, end_cell):
-            division = self._divisions.get((level, j, is_original))
-            if division is not None:
-                division.delete_object(obj.id, description)
-                found = True
-        if not found:
-            raise UnknownObjectError(obj.id)
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        if "_tif" not in state:
+            raise CorruptSnapshotError("irHINT snapshot predates the flat layout")
+        self.__dict__.update(state)
+        self._tables = {}
+        self._owed = 0
 
     # ------------------------------------------------------------------ query
+    def _table_for(
+        self, element: Element, postings, due: bool = False
+    ) -> Optional[timefirst.TimeFirstTable]:
+        """The element's table when fresh; else builds one if a build is
+        ``due`` — as it is once enough scans ran flat to have paid for it."""
+        table = self._tables.get(element)
+        if table is not None and table.is_fresh(postings):
+            return table
+        self._owed += 1
+        if not due and self._owed < timefirst.BUILD_AFTER:
+            return None
+        self._owed = 0
+        table = self._tables[element] = timefirst.TimeFirstTable(postings, self.num_bits)
+        return table
+
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        return self._traverse(q)
-
-    def _pure_temporal_query(self, q: TimeTravelQuery) -> List[int]:
-        # Time-first design: the HINT traversal answers q.d = ∅ natively.
-        return self._traverse(q)
-
-    def _traverse(self, q: TimeTravelQuery) -> List[int]:
         trace = OBS.trace
-        mapper = self._mapper
-        if mapper is None:
+        ordered = self.order_query_elements(q)
+        first = self._tif.postings(ordered[0])
+        table = self._table_for(ordered[0], first) if timefirst.wants_table(first) else None
+        if table is None:
             if trace is not None:
-                trace.phase("empty index")
-            return []
-        first_cell, last_cell = mapper.cell_range(q.st, q.end)
-        out: List[int] = []
-        divisions = self._divisions
-        # Algorithm 1 line 2, hoisted: the element-frequency order comes from
-        # the global dictionary, so it is computed once per query rather
-        # than once per division.
-        ordered = self._dictionary.order_by_frequency(q.d) if q.d else []
-        originals = DivisionKind.ORIGINALS
-        relevant = materialised = scanned = 0
-        per_level: Dict[int, int] = {}
-        for level, j, kind, check in iter_relevant_divisions(
-            mapper.num_bits, first_cell, last_cell
-        ):
-            if trace is not None:
-                relevant += 1
-            division = divisions.get((level, j, kind is originals))
-            if division is None:
-                continue
-            if trace is not None:
-                materialised += 1
-                scanned += division.n_entries()
-                per_level[level] = per_level.get(level, 0) + 1
-            # QueryTemporalIF (Alg. 5): Algorithm 1 inside the division with
-            # only the comparisons the flags deem necessary.  No trace is
-            # passed down: the sweep accounts for the divisions wholesale.
-            out.extend(division.query(q.st, q.end, ordered, check))
-        out.sort()
-        if trace is not None:
-            trace.phase(
-                "bottom-up division sweep",
-                entries_scanned=scanned,
-                candidates_after=len(out),
-                structures_touched=materialised,
-            )
-            trace.note("relevant_divisions", relevant)
-            trace.note("materialised_divisions", materialised)
-            trace.note("divisions_per_level", per_level)
-            trace.note("m", mapper.num_bits)
-        return out
+                trace.note("table", "stale" if ordered[0] in self._tables else "none")
+                if self._num_bits is not None:
+                    trace.note("m", self._num_bits)
+            return self._tif.query(q.st, q.end, ordered, trace=trace)
+        if trace is None:
+            return self._tif.intersect(table.scan_ids(first, q.st, q.end), ordered[1:])
+        notes: Dict[str, object] = {}
+        candidates = table.scan_ids(first, q.st, q.end, notes)
+        trace.phase(
+            f"{notes.pop('phase', 'scan')} I[{ordered[0]}]",
+            entries_scanned=notes.pop("rows", 0),
+            candidates_after=len(candidates),
+            structures_touched=notes.pop("slices", 0),
+        )
+        for key, value in notes.items():
+            trace.note(key, value)
+        trace.note("table", "fresh")
+        trace.note("m", table.mapper.num_bits)
+        return self._tif.intersect(candidates, ordered[1:], trace)
 
     # -------------------------------------------------------------- inspection
+    def _all_tables(self) -> List[timefirst.TimeFirstTable]:
+        """Every table the index holds at rest: the ones a warm index has
+        built, building here whichever are missing or stale."""
+        tif = self._tif
+        # Publishing a new dict drops the tables of lists that spilled or shrank.
+        self._tables = {
+            element: self._table_for(element, postings, due=True)
+            for element in tif.elements()
+            if timefirst.wants_table(postings := tif.postings(element))
+        }
+        return list(self._tables.values())
+
     def n_divisions(self) -> int:
-        """Materialised (non-empty) divisions."""
-        return len(self._divisions)
+        """Materialised (non-empty) divisions, over all tables."""
+        return sum(table.n_divisions for table in self._all_tables())
 
     def size_bytes(self) -> int:
-        total = CONTAINER_BYTES
-        for division in self._divisions.values():
-            total += division.size_bytes()
+        """The tIF plus every table row charged as a full entry."""
+        total = super().size_bytes()
+        for table in self._all_tables():
+            total += table.n_rows * ENTRY_FULL_BYTES + CONTAINER_BYTES
         return total
 
     def stats(self) -> dict:
         out = super().stats()
-        out["num_bits"] = None if self._mapper is None else self._mapper.num_bits
-        out["n_divisions"] = self.n_divisions()
-        out["division_entries"] = sum(
-            division.n_entries() for division in self._divisions.values()
-        )
+        tables = self._all_tables()
+        out["num_bits"] = self._num_bits
+        out["n_tables"] = len(tables)
+        out["n_divisions"] = sum(table.n_divisions for table in tables)
+        out["division_entries"] = sum(table.n_rows for table in tables)
         return out
 
 

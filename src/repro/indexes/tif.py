@@ -13,7 +13,7 @@ from typing import List
 
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
-from repro.ir.inverted import TemporalCheck, TemporalInvertedFile
+from repro.ir.inverted import TemporalInvertedFile
 from repro.obs.registry import OBS
 
 
@@ -36,9 +36,7 @@ class TIF(TemporalIRIndex):
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         ordered = self.order_query_elements(q)
-        return self._tif.query(
-            q.st, q.end, ordered, TemporalCheck.BOTH, trace=OBS.trace
-        )
+        return self._tif.query(q.st, q.end, ordered, trace=OBS.trace)
 
     # -------------------------------------------------------------- inspection
     @property

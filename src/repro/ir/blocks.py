@@ -54,11 +54,6 @@ MIN_ID, MAX_ID, MIN_ST, MAX_END, COUNT = range(5)
 #: ``load(block_index, ids_only)``: the block's decoded columns.
 Load = Callable[[int, bool], Columns]
 
-#: Open window bounds: ``t_end >= q_st`` alone is the overlap test against
-#: ``[q_st, OPEN_END]``, ``t_st <= q_end`` alone against ``[OPEN_START, q_end]``.
-OPEN_START = float("-inf")
-OPEN_END = float("inf")
-
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -177,10 +172,7 @@ class BlockReader:
     def overlapping(
         self, q_st: Timestamp, q_end: Timestamp, dead: Collection[int] = ()
     ) -> Tuple[List[PostingsEntry], int]:
-        """Live entries overlapping ``[q_st, q_end]``: ``(entries, decoded)``.
-
-        Pass :data:`OPEN_START` / :data:`OPEN_END` for a one-sided check.
-        """
+        """Live entries overlapping ``[q_st, q_end]``: ``(entries, decoded)``."""
         out: List[PostingsEntry] = []
         decoded = 0
         for ids, sts, ends, mask in self._scan(q_st, q_end):

@@ -140,12 +140,6 @@ class ColdPostingsList:
         self._count(decoded)
         return out
 
-    def ids_end_ge(self, q_st: Timestamp) -> List[int]:
-        return self.overlapping_ids(q_st, blocks.OPEN_END)
-
-    def ids_st_le(self, q_end: Timestamp) -> List[int]:
-        return self.overlapping_ids(blocks.OPEN_START, q_end)
-
     def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
         """Merge-intersect with an ascending candidate list, skipping
         every block whose id range holds no candidate."""

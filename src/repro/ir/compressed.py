@@ -244,14 +244,6 @@ class CompressedPostingsList:
             return self._spilled.overlapping_ids(q_st, q_end)
         return self._reader().overlapping_ids(q_st, q_end, self._dead)[0]
 
-    def ids_end_ge(self, q_st: Timestamp) -> List[int]:
-        """Live ids with ``t_end >= q_st`` (START_ONLY check), id order."""
-        return self.overlapping_ids(q_st, blocks.OPEN_END)
-
-    def ids_st_le(self, q_end: Timestamp) -> List[int]:
-        """Live ids with ``t_st <= q_end`` (END_ONLY check), id order."""
-        return self.overlapping_ids(blocks.OPEN_START, q_end)
-
     def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
         """Merge intersection with an ascending id list, skipping blocks
         whose id range holds no candidate."""

@@ -6,21 +6,24 @@ least frequent element's list applying the temporal overlap predicate, then
 shrink the candidate set by merge-intersecting the remaining (id-sorted)
 lists.
 
-The same structure doubles as the per-division inverted index of the
-performance irHINT variant (Section 4.1), where the temporal predicate to be
-applied is dictated by HINT's ``compfirst``/``complast`` flags — hence the
-:class:`TemporalCheck` modes mirroring the four cases of Algorithm 5.
+The performance irHINT (Section 4.1) is this structure plus a time-first
+table on its long lists: it replaces the first scan and shares
+:meth:`TemporalInvertedFile.intersect`.  :class:`TemporalCheck` names the
+comparison subsets HINT's ``compfirst``/``complast`` flags select.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.interval import Timestamp
 from repro.core.model import Element
 from repro.ir.backends import make_postings, postings_backend
-from repro.ir.postings import PostingsBackend, PostingsEntry
+from repro.ir.packed import PackedPostingsList
+from repro.ir.postings import PostingsBackend
 from repro.utils.memory import CONTAINER_BYTES
 
 
@@ -47,7 +50,7 @@ class TemporalInvertedFile:
     pin one, or leave it ``None`` to follow the ``REPRO_POSTINGS_BACKEND``
     environment knob (default packed).  Every backend honours the exact
     :class:`~repro.ir.postings.PostingsList` surface, so Algorithm 1 and
-    the irHINT per-division scans are backend-agnostic.
+    irHINT's flat scans are backend-agnostic.
     """
 
     __slots__ = ("_lists", "_backend")
@@ -106,28 +109,11 @@ class TemporalInvertedFile:
         """Total live entries across all lists (replication-sensitive size)."""
         return sum(len(postings) for postings in self._lists.values())
 
-    def n_physical_entries(self) -> int:
-        """Total slots including tombstones."""
-        return sum(postings.physical_len() for postings in self._lists.values())
-
     def __len__(self) -> int:
         return len(self._lists)
 
     def __bool__(self) -> bool:
         return bool(self._lists)
-
-    def iter_all_entries(self) -> Iterable[PostingsEntry]:
-        """Every distinct live object entry (dedup across lists).
-
-        Slow path, only used for pure-temporal fallbacks; the tIF layout has
-        no object catalog of its own.
-        """
-        seen = set()
-        for postings in self._lists.values():
-            for entry in postings.entries():
-                if entry[0] not in seen:
-                    seen.add(entry[0])
-                    yield entry
 
     # ------------------------------------------------------------------ query
     def order_elements_locally(self, elements: Iterable[Element]) -> List[Element]:
@@ -145,40 +131,27 @@ class TemporalInvertedFile:
         q_st: Timestamp,
         q_end: Timestamp,
         ordered_elements: Sequence[Element],
-        check: TemporalCheck = TemporalCheck.BOTH,
         trace=None,
     ) -> List[int]:
-        """Algorithm 1 with a configurable temporal predicate (Alg. 5 cases).
+        """Algorithm 1: scan the first list, intersect with the rest.
 
-        ``ordered_elements`` must already be sorted by ascending frequency
-        (global or local — the caller decides which applies).  Returns live
-        object ids sorted ascending.  An empty ``ordered_elements`` answers
-        the pure-temporal query over all entries of this tIF.
+        ``ordered_elements`` must be non-empty and already sorted by
+        ascending frequency (global or local — the caller decides which
+        applies).  Returns live object ids sorted ascending.
 
         ``trace`` is an optional :class:`repro.obs.tracing.QueryTrace`; when
-        given, each Algorithm 1 phase is recorded on it.  Per-division calls
-        (irHINT) pass no trace — the traversal accounts for them wholesale.
+        given, each Algorithm 1 phase is recorded on it.
         """
-        if not ordered_elements:
-            result = sorted(
-                entry[0]
-                for entry in self.iter_all_entries()
-                if _passes(entry[1], entry[2], q_st, q_end, check)
-            )
-            if trace is not None:
-                trace.phase(
-                    "scan all lists",
-                    entries_scanned=self.n_entries(),
-                    candidates_after=len(result),
-                    structures_touched=len(self._lists),
-                )
-            return result
         first = self._lists.get(ordered_elements[0])
         if first is None:
             if trace is not None:
                 trace.phase(f"scan I[{ordered_elements[0]}] (absent)")
             return []
-        candidates = _filtered_ids(first, q_st, q_end, check)
+        candidates: "np.ndarray | List[int]"
+        if isinstance(first, PackedPostingsList):
+            candidates = first.scan_ids(q_st, q_end)
+        else:
+            candidates = first.overlapping_ids(q_st, q_end)
         if trace is not None:
             trace.phase(
                 f"scan I[{ordered_elements[0]}]",
@@ -186,15 +159,36 @@ class TemporalInvertedFile:
                 candidates_after=len(candidates),
                 structures_touched=1,
             )
-        for element in ordered_elements[1:]:
-            if not candidates:
+        return self.intersect(candidates, ordered_elements[1:], trace)
+
+    def intersect(
+        self,
+        candidates: "np.ndarray | List[int]",
+        elements: Sequence[Element],
+        trace=None,
+    ) -> List[int]:
+        """Algorithm 1 lines 7–9: shrink ascending ``candidates`` by the
+        list of each of ``elements`` in turn.
+
+        Candidates that arrive as an int64 array (a kernel-sized packed
+        first list, or irHINT's table) stay one through every packed list
+        whose kernel engages and are boxed once; any other backend is
+        handed a list.
+        """
+        for element in elements:
+            if not len(candidates):
                 return []
             postings = self._lists.get(element)
             if postings is None:
                 if trace is not None:
                     trace.phase(f"∩ I[{element}] (absent)")
                 return []
-            candidates = postings.intersect_sorted(candidates)
+            if isinstance(postings, PackedPostingsList):
+                candidates = postings.intersect_sorted(candidates)
+            else:
+                if isinstance(candidates, np.ndarray):
+                    candidates = candidates.tolist()
+                candidates = postings.intersect_sorted(candidates)
             if trace is not None:
                 trace.phase(
                     f"∩ I[{element}]",
@@ -202,7 +196,7 @@ class TemporalInvertedFile:
                     candidates_after=len(candidates),
                     structures_touched=1,
                 )
-        return candidates
+        return candidates.tolist() if isinstance(candidates, np.ndarray) else candidates
 
     # ------------------------------------------------------------------ sizes
     def size_bytes(self) -> int:
@@ -211,32 +205,3 @@ class TemporalInvertedFile:
         for postings in self._lists.values():
             total += postings.size_bytes()
         return total
-
-
-def _passes(
-    st: Timestamp, end: Timestamp, q_st: Timestamp, q_end: Timestamp, check: TemporalCheck
-) -> bool:
-    """Apply the configured subset of the overlap predicate."""
-    if check is TemporalCheck.BOTH:
-        return q_st <= end and st <= q_end
-    if check is TemporalCheck.START_ONLY:
-        return q_st <= end
-    if check is TemporalCheck.END_ONLY:
-        return st <= q_end
-    return True
-
-
-def _filtered_ids(
-    postings: PostingsBackend, q_st: Timestamp, q_end: Timestamp, check: TemporalCheck
-) -> List[int]:
-    """Ids of live entries passing the configured temporal predicate."""
-    if check is TemporalCheck.BOTH:
-        return postings.overlapping_ids(q_st, q_end)
-    if check is TemporalCheck.NONE:
-        return postings.ids()
-    if check is TemporalCheck.START_ONLY:
-        return postings.ids_end_ge(q_st)
-    return postings.ids_st_le(q_end)
-
-
-EntryTriple = Tuple[int, Timestamp, Timestamp]

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
-from repro.ir.blocks import OPEN_END, OPEN_START, exact_window, overlap_mask
+from repro.ir.blocks import exact_window, overlap_mask
 from repro.ir.postings import PostingsEntry
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
@@ -40,6 +40,11 @@ _I64_MAX = (1 << 63) - 1
 #: Below this many physical slots the scalar loops beat the numpy setup
 #: cost; kernels only engage past it.
 _VECTOR_MIN = 64
+
+#: ... and below this many candidates an intersection probes one by one.
+_KERNEL_MIN_CANDIDATES = 8
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 #: Auto-compaction threshold: compact when dead slots exceed this fraction
 #: of physical slots (and the list is big enough for it to matter).
@@ -58,6 +63,14 @@ class PackedPostingsList:
     Drop-in replacement for :class:`~repro.ir.postings.PostingsList`
     (same public surface, same semantics — tombstone deletes, revive on
     re-add, ``UnknownObjectError`` on bad deletes).
+
+    ``_packed`` is 0 once spilled and otherwise the *layout epoch*: it
+    starts at 1 and grows whenever a stored slot moves or its interval is
+    rewritten (mid-list insert, compaction, re-add with another interval).
+    Appends, tombstones and revives with the same interval leave it alone,
+    so a structure derived from slots ``[0, n)`` at epoch ``e`` (irHINT's
+    time-first table) is still exact over those slots while the epoch
+    reads ``e``.
     """
 
     __slots__ = ("_ids", "_sts", "_ends", "_alive", "_n_dead", "_packed")
@@ -68,7 +81,7 @@ class PackedPostingsList:
         self._ends: "array | List[Timestamp]" = array("q")
         self._alive = bytearray()
         self._n_dead = 0
-        self._packed = True
+        self._packed = 1
 
     # ----------------------------------------------------------------- spill
     def _spill(self) -> None:
@@ -77,7 +90,7 @@ class PackedPostingsList:
             self._ids = list(self._ids)
             self._sts = list(self._sts)
             self._ends = list(self._ends)
-            self._packed = False
+            self._packed = 0
 
     # --------------------------------------------------------------- updates
     def add(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
@@ -100,6 +113,8 @@ class PackedPostingsList:
             return
         pos = bisect_left(ids, object_id)
         if pos < len(ids) and ids[pos] == object_id:
+            if self._packed and (self._sts[pos] != st or self._ends[pos] != end):
+                self._packed += 1
             self._sts[pos] = st
             self._ends[pos] = end
             if not self._alive[pos]:
@@ -110,6 +125,8 @@ class PackedPostingsList:
         self._sts.insert(pos, st)
         self._ends.insert(pos, end)
         self._alive.insert(pos, 1)
+        if self._packed:
+            self._packed += 1
 
     def delete(self, object_id: int) -> None:
         """Tombstone the entry for ``object_id`` (raises if absent)."""
@@ -142,6 +159,7 @@ class PackedPostingsList:
             self._ids = array("q", (ids[i] for i in keep))
             self._sts = array("q", (sts[i] for i in keep))
             self._ends = array("q", (ends[i] for i in keep))
+            self._packed += 1
         else:
             self._ids = [ids[i] for i in keep]
             self._sts = [sts[i] for i in keep]
@@ -212,12 +230,6 @@ class PackedPostingsList:
             mask &= self._alive_mask()
         return mask
 
-    def _window_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
-        mask = self._window_mask(q_st, q_end)
-        if mask is None:
-            return []
-        return np.frombuffer(self._ids, dtype=np.int64)[mask].tolist()
-
     # ----------------------------------------------------------------- scans
     def overlapping(self, q_st: Timestamp, q_end: Timestamp) -> List[PostingsEntry]:
         """Live entries whose interval overlaps ``[q_st, q_end]`` (Alg. 1)."""
@@ -238,8 +250,16 @@ class PackedPostingsList:
 
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
         """Ids of live entries overlapping ``[q_st, q_end]``, in id order."""
+        candidates = self.scan_ids(q_st, q_end)
+        return candidates.tolist() if isinstance(candidates, np.ndarray) else candidates
+
+    def scan_ids(self, q_st: Timestamp, q_end: Timestamp) -> "np.ndarray | List[int]":
+        """:meth:`overlapping_ids` without the boxing: an int64 array when
+        the kernels engage, a plain list otherwise.  Algorithm 1 hands the
+        array on to :meth:`intersect_sorted` and boxes once, at the end."""
         if self._use_kernels():
-            return self._window_ids(q_st, q_end)
+            mask = self._window_mask(q_st, q_end)
+            return _NO_IDS if mask is None else np.frombuffer(self._ids, dtype=np.int64)[mask]
         ids, sts, ends, alive = self._ids, self._sts, self._ends, self._alive
         return [
             ids[i]
@@ -247,33 +267,42 @@ class PackedPostingsList:
             if alive[i] and q_st <= ends[i] and sts[i] <= q_end
         ]
 
-    def ids_end_ge(self, q_st: Timestamp) -> List[int]:
-        """Live ids with ``t_end >= q_st`` (the START_ONLY check), id order."""
-        if self._use_kernels():
-            return self._window_ids(q_st, OPEN_END)
-        ids, ends, alive = self._ids, self._ends, self._alive
-        return [ids[i] for i in range(len(ids)) if alive[i] and ends[i] >= q_st]
+    def _intersect_array(self, candidates: np.ndarray, strict: bool) -> np.ndarray:
+        """The ``searchsorted`` kernel: every candidate binary-searched
+        into the packed id column at once (a vectorised gallop).
+        ``strict`` promises strictly ascending candidates."""
+        ids = np.frombuffer(self._ids, dtype=np.int64)
+        positions = np.searchsorted(ids, candidates)
+        np.minimum(positions, len(ids) - 1, out=positions)
+        hit = ids[positions] == candidates
+        if self._n_dead:
+            hit &= self._alive_mask()[positions]
+        if not strict:  # repeated candidates report once (merge parity)
+            hit[1:] &= candidates[1:] != candidates[:-1]
+        return candidates[hit]
 
-    def ids_st_le(self, q_end: Timestamp) -> List[int]:
-        """Live ids with ``t_st <= q_end`` (the END_ONLY check), id order."""
-        if self._use_kernels():
-            return self._window_ids(OPEN_START, q_end)
-        ids, sts, alive = self._ids, self._sts, self._alive
-        return [ids[i] for i in range(len(ids)) if alive[i] and sts[i] <= q_end]
+    def intersect_sorted(
+        self, sorted_ids: "np.ndarray | List[int]"
+    ) -> "np.ndarray | List[int]":
+        """Intersection with ascending ids (live entries only).
 
-    def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
-        """Intersection with an ascending id list (live entries only).
-
-        The numpy kernel binary-searches every candidate into the packed id
-        column at once (``searchsorted`` — a vectorised gallop); the scalar
-        fallback keeps the merge-vs-probe switch of the list backend.
+        The numpy kernel engages when both sides are long enough to pay
+        for it; the scalar fallback keeps the merge-vs-probe switch of the
+        list backend.  Candidates may arrive as a *strictly* ascending
+        int64 array (Algorithm 1's unboxed pipeline): the kernel then
+        answers with an array and nothing is boxed in between; every other
+        path answers with a list.
         """
         n_c, n_e = len(sorted_ids), len(self._ids)
         if n_c == 0 or n_e == 0:
             return []
-        if (
+        if isinstance(sorted_ids, np.ndarray):
+            if self._packed and n_c >= _KERNEL_MIN_CANDIDATES:
+                return self._intersect_array(sorted_ids, strict=True)
+            sorted_ids = sorted_ids.tolist()
+        elif (
             self._use_kernels()
-            and n_c >= 8
+            and n_c >= _KERNEL_MIN_CANDIDATES
             and all(type(c) is int for c in sorted_ids)
         ):
             try:
@@ -281,15 +310,7 @@ class PackedPostingsList:
             except OverflowError:  # an id beyond i64: scalar fallback
                 candidates = None
             if candidates is not None:
-                ids, _sts, _ends = self._views()
-                positions = np.searchsorted(ids, candidates)
-                positions[positions >= n_e] = n_e - 1
-                hit = ids[positions] == candidates
-                if self._n_dead:
-                    hit &= self._alive_mask()[positions]
-                if n_c > 1:  # repeated candidates report once (merge parity)
-                    hit[1:] &= candidates[1:] != candidates[:-1]
-                return candidates[hit].tolist()
+                return self._intersect_array(candidates, strict=False).tolist()
         ids, alive = self._ids, self._alive
         out: List[int] = []
         if n_e > 16 * n_c:

@@ -43,8 +43,6 @@ class PostingsBackend(Protocol):
     def ids(self) -> List[int]: ...
     def overlapping(self, q_st: Timestamp, q_end: Timestamp) -> List[PostingsEntry]: ...
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]: ...
-    def ids_end_ge(self, q_st: Timestamp) -> List[int]: ...
-    def ids_st_le(self, q_end: Timestamp) -> List[int]: ...
     def intersect_sorted(self, sorted_ids: List[int]) -> List[int]: ...
     def span(self) -> Tuple[Timestamp, Timestamp]: ...
     def size_bytes(self) -> int: ...
@@ -168,21 +166,11 @@ class PostingsList:
             if alive[i] and q_st <= ends[i] and sts[i] <= q_end
         ]
 
-    def ids_end_ge(self, q_st: Timestamp) -> List[int]:
-        """Live ids with ``t_end >= q_st`` (the START_ONLY check), id order."""
-        ids, ends, alive = self._ids, self._ends, self._alive
-        return [ids[i] for i in range(len(ids)) if alive[i] and ends[i] >= q_st]
-
-    def ids_st_le(self, q_end: Timestamp) -> List[int]:
-        """Live ids with ``t_st <= q_end`` (the END_ONLY check), id order."""
-        ids, sts, alive = self._ids, self._sts, self._alive
-        return [ids[i] for i in range(len(ids)) if alive[i] and sts[i] <= q_end]
-
     def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
         """Intersection with an ascending id list (live entries only).
 
-        Works directly on the column arrays — the hot path of the
-        per-division intersections in irHINT (Algorithm 5).  When the
+        Works directly on the column arrays — Algorithm 1's hot path on
+        short lists.  When the
         postings side is much longer than the candidate side the two-pointer
         merge degrades to a full scan, so the kernel switches to per-
         candidate binary probes (the same merge-vs-gallop trade-off as

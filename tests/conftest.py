@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.collection import Collection
 from repro.core.model import TemporalObject, make_object, make_query
+from repro.indexes import timefirst
 
 
 @pytest.fixture()
@@ -31,6 +32,15 @@ def running_example() -> Collection:
             make_object(8, 1, 2, {"c"}),
         ]
     )
+
+
+@pytest.fixture()
+def small_tables(monkeypatch):
+    """irHINT-performance with its crossover forced down: every list of at
+    least 8 entries gets a time-first table, built the first time a query
+    wants it — so collections of a few hundred objects reach the table."""
+    monkeypatch.setattr(timefirst, "TABLE_MIN", 8)
+    monkeypatch.setattr(timefirst, "BUILD_AFTER", 1)
 
 
 @pytest.fixture()

@@ -387,6 +387,10 @@ def test_differential_postings_backends(key, backend, monkeypatch):
 
 # ----------------------------------------------------- network daemon leg
 def test_differential_server_with_chaos(tmp_path):
+    run_differential_server(tmp_path)
+
+
+def run_differential_server(tmp_path) -> None:
     """One seeded chaos interleaving replayed over the network daemon.
 
     The same trace generator drives the daemon through its bundled
@@ -462,3 +466,62 @@ def test_differential_server_with_chaos(tmp_path):
         assert injector.actions_fired > 0, "chaos schedule never fired"
     finally:
         handle.stop(30)
+
+
+# ------------------------------------------------- irHINT crossover legs
+# ``irhint-perf`` scans a list flat below its crossover length and through
+# a time-first table above it.  At the shipped crossover these collections
+# never reach a table; forced down to 8 entries (tests/conftest.py,
+# ``small_tables``) their longer lists do.  Both settings, every path.
+@pytest.fixture(params=["shipped", "forced-to-8"])
+def crossover(request):
+    if request.param == "forced-to-8":
+        request.getfixturevalue("small_tables")
+    return request.param
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_differential_irhint_crossover_direct(crossover, seed):
+    run_differential("irhint-perf", seed, executor_config=None)
+
+
+def test_differential_irhint_crossover_durable_store(crossover, tmp_path):
+    """Through a durable store, checkpointed and reopened mid-trace: the
+    recovered index carries no table and must rebuild what it needs."""
+    from repro.indexes import timefirst
+    from repro.service.store import DurableIndexStore
+
+    seed = SEEDS[0]
+    collection = small_collection(seed)
+    oracle = BruteForce.build(collection)
+    store = DurableIndexStore.open(tmp_path / "docs", index_key="irhint-perf", wal_fsync=False)
+    for obj in collection:
+        store.insert(obj)
+    live = collection.ids()
+    ops = make_trace(seed, N_OPS, live, max(live) + 1)
+    tables_seen = 0
+    for step, op in enumerate(ops):
+        if step == N_OPS // 2:
+            store.checkpoint()
+        if step in (N_OPS // 2, 3 * N_OPS // 4):  # from the snapshot, then + WAL tail
+            store.close()
+            store = DurableIndexStore.open(tmp_path / "docs", index_key="irhint-perf", wal_fsync=False)
+            assert store.index._tables == {}
+        if op[0] == "query":
+            assert store.query(op[1]) == oracle.query(op[1]), (
+                f"durable-store differential mismatch at step {step} (seed={seed}, "
+                f"crossover={crossover}):\n{format_trace(ops[: step + 1])}"
+            )
+            tables_seen += bool(store.index._tables)
+        elif op[0] == "insert":
+            store.insert(op[1])
+            oracle.insert(op[1])
+        else:
+            store.delete(op[1])
+            oracle.delete(op[1])
+    store.close()
+    assert bool(tables_seen) == (timefirst.TABLE_MIN == 8)
+
+
+def test_differential_irhint_crossover_forced_through_the_daemon(small_tables, tmp_path):
+    run_differential_server(tmp_path)

@@ -73,17 +73,24 @@ class TestPaperClaims:
         merge_touched = sum(p.structures_touched for p in merge.phases[1:])
         assert slicing_touched <= merge_touched
 
-    def test_irhint_division_counts(self, built):
+    def test_irhint_division_counts(self, built, small_tables):
         _collection, indexes = built
         q = make_query(2000, 2400, {"e0"})
         explanation = explain(indexes["irhint-perf"], q)
-        relevant = explanation.detail["relevant_divisions"]
-        materialised = explanation.detail["materialised_divisions"]
-        assert materialised <= relevant
+        assert explanation.detail["table"] == "fresh"
         m = explanation.detail["m"]
-        # Per level: at most (extent/width + 2) partitions, each with two
-        # divisions; summed over levels this is a loose structural bound.
-        assert relevant <= 2 * (m + 1) * 3 + 100
+        # Originals of partitions f … l and replicas of f alone: at most two
+        # non-empty divisions (slices) per level, however many partitions
+        # the window touches.
+        per_level = explanation.detail["divisions_per_level"]
+        assert all(0 < count <= 2 for count in per_level.values())
+        assert set(per_level) <= set(range(m + 1))
+        table_phase = explanation.phases[0]
+        assert table_phase.label == "time-first table I[e0]"
+        assert table_phase.structures_touched == sum(per_level.values())
+        assert m + 1 <= explanation.detail["partitions_touched"]
+        # Per level at most (extent/width + 2) partitions: a loose bound.
+        assert explanation.detail["partitions_touched"] <= (m + 1) * 3 + 100
 
     def test_sharding_impact_lists_skip_work(self, built):
         """Impact lists must let late queries skip shard prefixes."""
@@ -93,14 +100,15 @@ class TestPaperClaims:
         explanation = explain(indexes["tif-sharding"], late)
         assert explanation.detail["impact_list_skips"] >= 0
 
-    def test_wider_queries_scan_more(self, built):
+    def test_wider_queries_scan_more(self, built, small_tables):
         _collection, indexes = built
         narrow = explain(indexes["irhint-perf"], make_query(5000, 5100, {"e0"}))
         wide = explain(indexes["irhint-perf"], make_query(0, 20_000, {"e0"}))
-        assert (
-            wide.detail["materialised_divisions"]
-            >= narrow.detail["materialised_divisions"]
-        )
+        assert wide.detail["partitions_touched"] >= narrow.detail["partitions_touched"]
+        assert wide.total_entries_scanned >= narrow.total_entries_scanned
+        # Wide enough that the flat scan is the cheaper read of the list.
+        assert narrow.phases[0].label == "time-first table I[e0]"
+        assert wide.phases[0].label == "scan I[e0]"
 
 
 class TestTraceParity:
@@ -138,6 +146,10 @@ class TestTraceParity:
                 for p in explanation.phases
             ]
             assert traced == explained, (key, q)
+
+    def test_trace_matches_explain_through_the_tables(self, built, small_tables):
+        self.test_trace_matches_explain(built, "irhint-perf")
+        assert built[1]["irhint-perf"]._tables
 
     @pytest.mark.parametrize("key", EXPLAINABLE)
     def test_every_query_path_emits_phases(self, built, key):

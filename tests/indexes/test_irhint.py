@@ -1,10 +1,17 @@
 """Per-index tests for the two irHINT variants (Section 4)."""
 
+import pickle
+import random
+
 import pytest
 
-from repro.core.errors import UnknownObjectError
+from repro.core.errors import CorruptSnapshotError, UnknownObjectError
 from repro.core.model import make_object, make_query
+from repro.datasets.synthetic import generate_synthetic
+from repro.indexes import explain, timefirst
 from repro.indexes.irhint import IRHintPerformance, IRHintSize
+from repro.indexes.tif import TIF
+from repro.intervals.hint.cost_model import choose_num_bits
 
 
 @pytest.mark.parametrize("cls", [IRHintPerformance, IRHintSize])
@@ -14,8 +21,14 @@ class TestCommonBehaviour:
         assert index.query(example_query) == [2, 4, 7]
 
     def test_pure_temporal_handled_natively(self, cls, running_example):
-        """Time-first design: q.d = ∅ is a plain HINT range query."""
+        """q.d = ∅: a HINT range query (size) or the catalog scan
+        (performance) — the same answer, empty descriptions included."""
         index = cls.build(running_example, num_bits=3)
+        assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8]
+        index.insert(make_object(40, 3, 3))
+        assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8, 40]
+        assert index.query(make_query(2, 4, {"c"})) == [2, 4, 5, 6, 7, 8]
+        index.delete(40)
         assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8]
 
     def test_stabbing(self, cls, running_example):
@@ -60,6 +73,11 @@ class TestCommonBehaviour:
 
 
 class TestVariantSpecifics:
+    @pytest.fixture(autouse=True)
+    def _tables_on_the_running_example(self, monkeypatch):
+        # Its lists hold 4, 4 and 7 entries.
+        monkeypatch.setattr(timefirst, "TABLE_MIN", 2)
+
     def test_divisions_materialised(self, running_example):
         perf = IRHintPerformance.build(running_example, num_bits=3)
         size = IRHintSize.build(running_example, num_bits=3)
@@ -77,10 +95,116 @@ class TestVariantSpecifics:
         perf = IRHintPerformance.build(running_example, num_bits=3)
         # Σ over assignments of |o.d| — strictly more than one entry per
         # object whenever descriptions exceed one element.
-        assert perf.stats()["division_entries"] > len(running_example)
+        stats = perf.stats()
+        assert stats["division_entries"] > len(running_example)
+        assert stats["n_tables"] == 3 and stats["num_bits"] == 3
+        # The tables are what the index holds beyond its tIF.
+        assert perf.size_bytes() > TIF.build(running_example).size_bytes()
 
     def test_size_variant_shares_hint(self, running_example):
         size = IRHintSize.build(running_example, num_bits=3)
         assert size.interval_hint is not None
         assert len(size.interval_hint) == 8
         assert size.interval_hint.range_query(2, 4) == [2, 4, 5, 6, 7, 8]
+
+
+class TestFlatLayout:
+    """IRHintPerformance = one tIF + derived tables on the long lists."""
+
+    @staticmethod
+    def _spread(n=2000, seed=3):
+        rng = random.Random(seed)
+        for oid in range(n):
+            st = rng.randrange(1_000_000)
+            d = {"hot"} | ({"cold"} if oid % 7 == 0 else set())
+            yield make_object(oid, st, st + rng.randrange(2_000), d)
+
+    def test_started_empty_gets_a_real_domain(self, small_tables):
+        """Bugfix.  An index that started empty used to fix its grid to
+        the *first inserted object's* lifespan (+25 %, m = 10), so every
+        later object clamped into the last cell and a narrow query read
+        everything.  A table takes its domain from its list, and m comes
+        from the cost model over what the index holds."""
+        index = IRHintPerformance()
+        objects = list(self._spread())
+        for obj in objects:
+            index.insert(obj)
+        narrow = explain(index, make_query(500_000, 500_500, {"hot"}))
+        assert narrow.detail["table"] == "fresh"
+        assert narrow.result_size == len(
+            [o for o in objects if o.st <= 500_500 and 500_000 <= o.end]
+        )
+        assert narrow.total_entries_scanned < len(objects) // 10
+        assert index.num_bits == choose_num_bits([(o.id, o.st, o.end) for o in objects]) > 1
+        mapper = index._tables["hot"].mapper
+        assert (mapper.lo, mapper.hi) == (
+            min(o.st for o in objects), max(o.end for o in objects)
+        )
+
+    def test_ledger_data_narrow_queries_gather_a_fraction(self, small_tables):
+        """Counts, no clock: on the ledger's generator a narrow query reads
+        fewer rows of its term's table than the term's list holds."""
+        coll = generate_synthetic(cardinality=2000, dict_size=800, sigma=8_000_000.0)
+        index = IRHintPerformance.build(coll)
+        flat = TIF.build(coll)
+        top = max(coll.dictionary.elements(), key=coll.dictionary.frequency)
+        held = len(index.inverted_file.postings(top))
+        domain = coll.domain()
+        span = domain.end - domain.st
+        gathered = []
+        for k in range(1, 10):
+            st = domain.st + k * span // 10
+            q = make_query(st, st + span // 1000, {top})
+            assert index.query(q) == flat.query(q)
+            first = explain(index, q).phases[0]
+            if first.label == f"time-first table I[{top}]":
+                gathered.append(first.entries_scanned)
+            else:  # the dense middle: over a quarter of the rows, so scanned flat
+                assert (first.label, first.entries_scanned) == (f"scan I[{top}]", held)
+        assert len(gathered) >= 7 and max(gathered) < held // 4
+
+    def test_tables_are_never_pickled(self, small_tables, random_collection):
+        index = IRHintPerformance.build(random_collection)
+        q = make_query(2000, 6000, {"e0"})
+        want = index.query(q)
+        assert index._tables
+        blob = pickle.dumps(index)
+        assert b"TimeFirstTable" not in blob
+        clone = pickle.loads(blob)
+        assert clone._tables == {} and clone.num_bits == index.num_bits
+        assert clone.query(q) == want and clone._tables
+
+    def test_pre_flat_snapshot_is_refused(self):
+        legacy = IRHintPerformance.__new__(IRHintPerformance)
+        with pytest.raises(CorruptSnapshotError):
+            legacy.__setstate__({"_divisions": {}, "_mapper": None, "_catalog": {}})
+
+    def test_builds_are_paid_for_by_flat_scans(self, monkeypatch):
+        """Ski rental: a table is (re)built only once BUILD_AFTER scans ran
+        without one, so a list whose slots shift under every query never
+        costs more than a bounded number of builds."""
+        monkeypatch.setattr(timefirst, "TABLE_MIN", 8)
+        built = []
+
+        class Counting(timefirst.TimeFirstTable):
+            def __init__(self, postings, num_bits):
+                built.append(len(postings))
+                super().__init__(postings, num_bits)
+
+        monkeypatch.setattr(timefirst, "TimeFirstTable", Counting)
+        index = IRHintPerformance(num_bits=6)
+        for obj in self._spread(400):
+            if obj.id % 2 == 0:
+                index.insert(obj)
+        q = make_query(0, 1_000_000, {"hot"})
+        for _ in range(timefirst.BUILD_AFTER - 1):
+            assert explain(index, q).detail["table"] == "none"
+        assert not built
+        assert explain(index, q).detail["table"] == "fresh" and len(built) == 1
+        odd = [obj for obj in self._spread(400) if obj.id % 2]
+        for obj in odd[:150]:  # a mid-list insert before every query
+            index.insert(obj)
+            assert index.query(q) == sorted(index._catalog)
+        assert len(built) <= 1 + 150 // timefirst.BUILD_AFTER
+        index.insert(odd[150])
+        assert explain(index, q).detail["table"] == "stale"

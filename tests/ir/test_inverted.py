@@ -1,8 +1,14 @@
-"""Tests for the temporal inverted file (Algorithm 1) and its check modes."""
+"""Tests for the temporal inverted file (Algorithm 1)."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.ir.inverted import TemporalCheck, TemporalInvertedFile
+from repro.ir.backends import POSTINGS_BACKENDS
+from repro.ir.inverted import TemporalInvertedFile
+from repro.ir.postings import PostingsList
+from tests.ir.test_postings_property import _cold_view
 
 
 @pytest.fixture()
@@ -26,10 +32,6 @@ class TestStructure:
         # Sum of |d| over all 8 objects: 3+2+1+3+2+1+2+1 = 15.
         assert tif.n_entries() == 15
 
-    def test_iter_all_entries_dedupes(self, tif):
-        ids = sorted(entry[0] for entry in tif.iter_all_entries())
-        assert ids == list(range(1, 9))
-
     def test_size_grows_with_entries(self):
         a, b = TemporalInvertedFile(), TemporalInvertedFile()
         a.add_object(1, 0, 1, {"x"})
@@ -51,18 +53,81 @@ class TestQuery:
         assert tif.query(0, 7, ["zzz"]) == []
         assert tif.query(0, 7, ["a", "zzz"]) == []
 
-    def test_pure_temporal_over_all_entries(self, tif):
-        assert tif.query(2, 4, []) == [2, 4, 5, 6, 7, 8]
 
-    def test_check_modes(self, tif):
-        # o3 = [0, 1] {b}; o1 = [5, 6] {a,b,c}
-        assert tif.query(2, 4, ["b"], TemporalCheck.BOTH) == [4, 5]
-        # START_ONLY keeps everything ending at/after q.st = 2.
-        assert tif.query(2, 4, ["b"], TemporalCheck.START_ONLY) == [1, 4, 5]
-        # END_ONLY keeps everything starting at/before q.end = 4.
-        assert tif.query(2, 4, ["b"], TemporalCheck.END_ONLY) == [3, 4, 5]
-        # NONE reports the whole postings list.
-        assert tif.query(2, 4, ["b"], TemporalCheck.NONE) == [1, 3, 4, 5]
+class TestArrayPipeline:
+    """Candidates stay an int64 array between packed kernels and are a
+    list everywhere else; the answers are the list oracle's either way."""
+
+    ELEMENTS = ("long", "mid", "short")
+
+    @staticmethod
+    def _files():
+        """One file per backend (``cold``: sealed views of the oracle's
+        lists) over 600 objects: ``long`` in all, ``mid`` in a third
+        (kernel-sized), ``short`` in 40 (below the kernel threshold)."""
+        rng = random.Random(5)
+        files = {name: TemporalInvertedFile(backend=name) for name in POSTINGS_BACKENDS}
+        for oid in range(600):
+            st = rng.randrange(10_000)
+            end = st + rng.choice((0, 30, 900))
+            d = ["long"] + ["mid"] * (oid % 3 == 0) + ["short"] * (oid % 15 == 0)
+            for tif in files.values():
+                tif.add_object(oid, st, end, d)
+        for tif in files.values():
+            tif.delete_object(300, ["long", "mid", "short"])
+        cold = files["cold"] = TemporalInvertedFile()
+        for element in TestArrayPipeline.ELEMENTS:
+            cold._lists[element] = _cold_view(files["list"].postings(element))
+        return files
+
+    def test_every_backend_answers_like_the_list_oracle(self):
+        files = self._files()
+        rng = random.Random(6)
+        for _ in range(60):
+            st = rng.randrange(-50, 10_000)
+            end = st + rng.choice((0, 100, 3_000, 20_000))
+            ordered = rng.sample(self.ELEMENTS, rng.randint(1, 3))
+            want = files["list"].query(st, end, ordered)
+            for name, tif in files.items():
+                got = tif.query(st, end, ordered)
+                assert got == want, (name, st, end, ordered)
+                assert all(type(i) is int for i in got), name
+
+    def test_array_and_list_candidates_intersect_alike(self):
+        files = self._files()
+        rng = random.Random(7)
+        for size in (0, 3, 8, 200):
+            boxed = sorted(rng.sample(range(700), size))
+            for name, tif in files.items():
+                for rest in (["long"], ["mid", "long"], ["short"], ["long", "absent"]):
+                    want = files["list"].intersect(boxed, rest)
+                    assert tif.intersect(boxed, rest) == want, (name, size, rest)
+                    unboxed = np.array(boxed, dtype=np.int64)
+                    assert tif.intersect(unboxed, rest) == want, (name, size, rest)
+
+    def test_packed_keeps_arrays_and_others_get_lists(self):
+        files = self._files()
+        long_list = files["packed"].postings("long")
+        scanned = long_list.scan_ids(0, 5_000)
+        assert type(scanned) is np.ndarray and scanned.dtype == np.int64
+        assert type(long_list.intersect_sorted(scanned)) is np.ndarray
+        assert type(files["packed"].postings("short").scan_ids(0, 5_000)) is list
+        few = long_list.intersect_sorted(scanned[:3])  # too few to pay for the kernel
+        assert type(few) is list and few == scanned[:3].tolist()
+
+        seen = []
+
+        class Spy(PostingsList):
+            def intersect_sorted(self, sorted_ids):
+                seen.append(type(sorted_ids))
+                return super().intersect_sorted(sorted_ids)
+
+        spy = files["packed"]._lists["spy"] = Spy()
+        for oid in range(0, 600, 2):
+            spy.add(oid, 0, 10_000)
+        evens = [i for i in scanned.tolist() if i % 2 == 0]
+        assert files["packed"].query(0, 5_000, ["long", "spy"]) == evens
+        assert seen == [list]
 
 
 class TestUpdates:

@@ -68,8 +68,9 @@ class TestPostingsList:
         postings = PostingsList()
         postings.add(1, 0, 5)
         postings.add(2, 10, 20)
-        assert postings.ids_end_ge(6) == [2]
-        assert postings.ids_st_le(5) == [1]
+        # One side of the window open: t_end >= 6 alone, t_st <= 5 alone.
+        assert postings.overlapping_ids(6, float("inf")) == [2]
+        assert postings.overlapping_ids(float("-inf"), 5) == [1]
 
     def test_span(self):
         postings = PostingsList()

@@ -25,6 +25,7 @@ from repro.ir.postings import IdPostingsList, PostingsList
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
+INF = float("inf")
 
 ALL_BACKENDS = sorted(POSTINGS_BACKENDS)
 
@@ -49,8 +50,6 @@ class TestEmptyList:
         assert fresh.ids() == []
         assert fresh.overlapping(0, 100) == []
         assert fresh.overlapping_ids(0, 100) == []
-        assert fresh.ids_end_ge(0) == []
-        assert fresh.ids_st_le(0) == []
         assert fresh.intersect_sorted([1, 2, 3]) == []
         assert 7 not in fresh
         assert fresh.size_bytes() > 0
@@ -77,8 +76,8 @@ class TestSingleEntry:
         assert fresh.overlapping_ids(0, 9) == []
         assert fresh.overlapping_ids(20, 20) == [42]  # closed endpoints
         assert fresh.overlapping_ids(10, 10) == [42]
-        assert fresh.ids_end_ge(20) == [42] and fresh.ids_end_ge(21) == []
-        assert fresh.ids_st_le(10) == [42] and fresh.ids_st_le(9) == []
+        assert fresh.overlapping_ids(20, INF) == [42] and fresh.overlapping_ids(21, INF) == []
+        assert fresh.overlapping_ids(-INF, 10) == [42] and fresh.overlapping_ids(-INF, 9) == []
         assert fresh.intersect_sorted([41, 42, 43]) == [42]
         assert fresh.span() == (10, 20)
 
@@ -194,11 +193,11 @@ class TestExtremeValues:
         fresh.compact()
         below, above = float(base + 1), float(base + 3)  # round to even
         assert (below, above) == (base, base + 4)
-        assert fresh.ids_st_le(below) == [0]
-        assert fresh.ids_end_ge(below) == [0, 1, 2, 3]
+        assert fresh.overlapping_ids(-INF, below) == [0]
+        assert fresh.overlapping_ids(below, INF) == [0, 1, 2, 3]
         assert fresh.overlapping_ids(below, below) == [0]
-        assert fresh.ids_end_ge(above) == []
-        assert fresh.ids_st_le(above) == [0, 1, 2, 3]
+        assert fresh.overlapping_ids(above, INF) == []
+        assert fresh.overlapping_ids(-INF, above) == [0, 1, 2, 3]
         assert fresh.overlapping_ids(float(base + 2), above) == [2, 3]
         assert [e[0] for e in fresh.overlapping(float(base), base + 1)] == [0, 1]
         assert fresh.overlapping_ids(float("-inf"), float("inf")) == [0, 1, 2, 3]
@@ -223,12 +222,11 @@ class TestExtremeValues:
             float(I64_MAX - 100), inf, -inf, float("nan"), 2**53 + 7, 1 << 70,
         ]
         for a in bounds:
-            assert fresh.ids_end_ge(a) == oracle.ids_end_ge(a), a
-            assert fresh.ids_st_le(a) == oracle.ids_st_le(a), a
             for b in bounds:
                 assert fresh.overlapping_ids(a, b) == oracle.overlapping_ids(a, b), (a, b)
                 assert fresh.overlapping(a, b) == oracle.overlapping(a, b), (a, b)
-        assert oracle.ids_end_ge(2.0**63) == [] and len(oracle.ids_st_le(2.0**63)) == 97
+        assert oracle.overlapping_ids(2.0**63, inf) == []
+        assert len(oracle.overlapping_ids(-inf, 2.0**63)) == 97
 
     def test_spill_mid_stream_keeps_earlier_entries(self, fresh):
         fresh.add(1, 10, 20)
@@ -256,8 +254,8 @@ class TestCompressedDeleteRegression:
         assert len(pl) == 297
         assert 150 not in pl
         assert pl.overlapping_ids(150, 150) == list(range(140, 150))
-        assert pl.ids_end_ge(300) == [oid for oid in range(290, 299)]
-        assert pl.ids_st_le(5) == [1, 2, 3, 4, 5]
+        assert pl.overlapping_ids(300, INF) == [oid for oid in range(290, 299)]
+        assert pl.overlapping_ids(-INF, 5) == [1, 2, 3, 4, 5]
         assert pl.intersect_sorted([0, 1, 150, 151, 299]) == [1, 151]
         assert pl.span() == (1, 308)
 

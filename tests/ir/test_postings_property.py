@@ -16,7 +16,7 @@ after each step):
 
 ``add`` / ``delete`` (exception parity included) / ``__len__`` /
 ``__contains__`` / ``entries`` / ``ids`` / ``overlapping`` /
-``overlapping_ids`` / ``ids_end_ge`` / ``ids_st_le`` /
+``overlapping_ids`` (both sides, and each side open) /
 ``intersect_sorted`` / ``span`` / ``size_bytes`` invariants.
 
 Determinism: no wall-clock, no unseeded RNG — every trace derives from
@@ -262,8 +262,12 @@ def _check_surface(
 
     times = _probe_times(rng, oracle)
     for q_st in times:
-        expect(f"ids_end_ge({q_st})", subject.ids_end_ge(q_st), oracle.ids_end_ge(q_st))
-        expect(f"ids_st_le({q_st})", subject.ids_st_le(q_st), oracle.ids_st_le(q_st))
+        for window in ((q_st, float("inf")), (float("-inf"), q_st)):
+            expect(
+                f"overlapping_ids{window}",
+                subject.overlapping_ids(*window),
+                oracle.overlapping_ids(*window),
+            )
         for q_end in times:
             if q_end < q_st:
                 continue
