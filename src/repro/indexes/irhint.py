@@ -74,10 +74,11 @@ class IRHintPerformance(TIF):
 
     Updates are the tIF's — one append or tombstone per description
     element.  A query scans its rarest element's list through that list's
-    table when it has a fresh one and flat otherwise (always correct), and
-    intersects the rest as Algorithm 1 does.  Tables are derived state:
-    built by queries, each aside and published by one assignment, never
-    changed afterwards, never pickled.
+    table when the list is long enough to want one (building it first if it
+    is absent or stale) and flat otherwise, and intersects the rest as
+    Algorithm 1 does.  Tables are derived state: built by queries, each
+    aside and published by one assignment, never changed afterwards, never
+    pickled.
     """
 
     name = "irHINT (performance)"
@@ -86,8 +87,6 @@ class IRHintPerformance(TIF):
         super().__init__()
         self._num_bits = num_bits
         self._tables: Dict[Element, timefirst.TimeFirstTable] = {}
-        # Scans that wanted a table and ran flat since the last build.
-        self._owed = 0
 
     def _configure_for(self, collection: Collection) -> None:
         if self._num_bits is None and len(collection):
@@ -106,7 +105,7 @@ class IRHintPerformance(TIF):
 
     def __getstate__(self) -> Dict[str, object]:
         state = super().__getstate__()
-        del state["_tables"], state["_owed"]
+        del state["_tables"]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -114,35 +113,27 @@ class IRHintPerformance(TIF):
             raise CorruptSnapshotError("irHINT snapshot predates the flat layout")
         self.__dict__.update(state)
         self._tables = {}
-        self._owed = 0
 
     # ------------------------------------------------------------------ query
-    def _table_for(
-        self, element: Element, postings, due: bool = False
-    ) -> Optional[timefirst.TimeFirstTable]:
-        """The element's table when fresh; else builds one if a build is
-        ``due`` — as it is once enough scans ran flat to have paid for it."""
+    def _table_for(self, element: Element, postings) -> timefirst.TimeFirstTable:
+        """The element's table, built here when absent or stale."""
         table = self._tables.get(element)
-        if table is not None and table.is_fresh(postings):
-            return table
-        self._owed += 1
-        if not due and self._owed < timefirst.BUILD_AFTER:
-            return None
-        self._owed = 0
-        table = self._tables[element] = timefirst.TimeFirstTable(postings, self.num_bits)
+        if table is None or not table.is_fresh(postings):
+            table = self._tables[element] = timefirst.TimeFirstTable(postings, self.num_bits)
         return table
 
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         trace = OBS.trace
         ordered = self.order_query_elements(q)
         first = self._tif.postings(ordered[0])
-        table = self._table_for(ordered[0], first) if timefirst.wants_table(first) else None
-        if table is None:
+        if not timefirst.wants_table(first):
             if trace is not None:
-                trace.note("table", "stale" if ordered[0] in self._tables else "none")
+                trace.note("table", "none")
                 if self._num_bits is not None:
                     trace.note("m", self._num_bits)
             return self._tif.query(q.st, q.end, ordered, trace=trace)
+        found = self._tables.get(ordered[0])
+        table = self._table_for(ordered[0], first)
         if trace is None:
             return self._tif.intersect(table.scan_ids(first, q.st, q.end), ordered[1:])
         notes: Dict[str, object] = {}
@@ -155,7 +146,8 @@ class IRHintPerformance(TIF):
         )
         for key, value in notes.items():
             trace.note(key, value)
-        trace.note("table", "fresh")
+        # The table as the query found it; anything but fresh was (re)built here.
+        trace.note("table", "fresh" if table is found else "none" if found is None else "stale")
         trace.note("m", table.mapper.num_bits)
         return self._tif.intersect(candidates, ordered[1:], trace)
 
@@ -166,7 +158,7 @@ class IRHintPerformance(TIF):
         tif = self._tif
         # Publishing a new dict drops the tables of lists that spilled or shrank.
         self._tables = {
-            element: self._table_for(element, postings, due=True)
+            element: self._table_for(element, postings)
             for element in tif.elements()
             if timefirst.wants_table(postings := tif.postings(element))
         }

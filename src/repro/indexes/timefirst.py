@@ -18,8 +18,10 @@ dispatching per slice, and it changes no answer.
 The list stays the single source of truth.  Rows name slots, so liveness is
 a gather from the list's own tombstone column; slots appended since the
 build are scanned flat as the tail; and a table is *fresh* only while the
-list's layout epoch reads what it read at the build (``PackedPostingsList``).
-A table is never changed once constructed.
+list's layout epoch reads what it read at the build.  The table reads the
+list through ``PackedPostingsList``'s columnar surface only (``layout_epoch``,
+``columns``, ``alive_column``, ``physical_len``) and is never changed once
+constructed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from repro.core.interval import Timestamp
 from repro.intervals.hint.domain import DomainMapper
 from repro.ir.blocks import exact_window, overlap_mask
-from repro.ir.packed import _I64_MAX, _NO_IDS, PackedPostingsList
+from repro.ir.packed import PackedPostingsList
 
 #: Lists with at least this many live entries get a table; shorter ones
 #: are scanned flat.  Fixed by measurement (EXPERIMENTS.md, "tif vs
@@ -39,12 +41,6 @@ from repro.ir.packed import _I64_MAX, _NO_IDS, PackedPostingsList
 #: mask reads an entry in ≈ 1.3 ns, and in the ledger's query mix the
 #: table first beats the flat scan on lists of 16–32 thousand entries.
 TABLE_MIN = 16_384
-
-#: A table is (re)built once this many scans that wanted one ran flat —
-#: roughly what a build costs in flat scans of the same list, so lists
-#: whose slots keep shifting under their queries cost at most twice the
-#: flat scan (ski rental).
-BUILD_AFTER = 64
 
 #: A window whose partitions hold more than this share of the table's slots
 #: is scanned flat after all: the flat mask reads every slot but yields ids
@@ -57,13 +53,16 @@ _FLAT_SHARE = 0.25
 #: i64 sort key.
 _MAX_BITS = 30
 
+_I64_MAX = np.iinfo(np.int64).max
+_NO_IDS = np.empty(0, dtype=np.int64)
+
 
 def wants_table(postings: object) -> bool:
     """Is this a packed (unspilled) list past the crossover?"""
     return (
         isinstance(postings, PackedPostingsList)
-        and len(postings._ids) - postings._n_dead >= TABLE_MIN
-        and postings._packed > 0
+        and len(postings) >= TABLE_MIN
+        and postings.layout_epoch > 0
     )
 
 
@@ -71,7 +70,10 @@ def _cells(mapper: DomainMapper, column: np.ndarray) -> np.ndarray:
     """``mapper.cell`` of every in-domain value of an int64 column."""
     span = mapper.hi - mapper.lo
     if span < mapper.n_cells:
-        return column - mapper.lo
+        cells = column - mapper.lo
+        # cell() sends the domain's top to the last cell, not to cell `span`.
+        cells[column >= mapper.hi] = mapper.n_cells - 1
+        return cells
     if (span + 1) * mapper.n_cells <= _I64_MAX:
         return (column - mapper.lo) * mapper.n_cells // (span + 1)
     return np.array([mapper.cell(t) for t in column.tolist()], dtype=np.int64)
@@ -88,9 +90,9 @@ class TimeFirstTable:
     )
 
     def __init__(self, postings: PackedPostingsList, num_bits: int) -> None:
-        ids, sts, ends = postings._views()
+        ids, sts, ends = postings.columns()
         m = min(num_bits, _MAX_BITS)
-        self.epoch = postings._packed
+        self.epoch = postings.layout_epoch
         self.n_slots = n = len(sts)
         self.mapper = mapper = DomainMapper.for_domain(int(sts.min()), int(ends.max()), m)
         n_keys = 1 << (m + 1)
@@ -136,8 +138,8 @@ class TimeFirstTable:
         """Do the rows still describe slots ``[0, n_slots)``, and is the
         unindexed tail still the smaller part?"""
         return (
-            self.epoch == postings._packed
-            and len(postings._ids) <= 2 * self.n_slots
+            self.epoch == postings.layout_epoch
+            and postings.physical_len() <= 2 * self.n_slots
         )
 
     def scan_ids(
@@ -174,18 +176,19 @@ class TimeFirstTable:
             notes["partitions_touched"] = int((last - first)[: m + 1].sum()) + m + 1
         if sum(stop - start for start, stop in bounds) > _FLAT_SHARE * self.n_slots:
             if notes is not None:
-                notes.update(phase="scan", rows=len(postings._ids), slices=1)
+                notes.update(phase="scan", rows=postings.physical_len(), slices=1)
             return postings.scan_ids(q_st, q_end)
         # Rows are (slot, id, t_st, t_end); the slot row is read only to
         # look tombstones up, so a list without any leaves it behind.
-        rows = self._rows[0 if postings._n_dead else 1 :]
+        alive = postings.alive_column()
+        rows = self._rows[1 if alive is None else 0 :]
         parts = [rows[:, start:stop] for start, stop in bounds]
-        n = self.n_slots
-        if len(postings._ids) > n:  # the tail: slots appended since the build
-            tail = np.empty((len(rows), len(postings._ids) - n), dtype=np.int64)
-            tail[-3], tail[-2], tail[-1] = (column[n:] for column in postings._views())
-            if postings._n_dead:
-                tail[0] = np.arange(n, len(postings._ids))
+        n, n_now = self.n_slots, postings.physical_len()
+        if n_now > n:  # the tail: slots appended since the build
+            tail = np.empty((len(rows), n_now - n), dtype=np.int64)
+            tail[-3], tail[-2], tail[-1] = (column[n:] for column in postings.columns())
+            if alive is not None:
+                tail[0] = np.arange(n, n_now)
             parts.append(tail)
         if notes is not None:
             notes["phase"] = "time-first table"
@@ -200,8 +203,7 @@ class TimeFirstTable:
             return _NO_IDS
         gathered = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
         hit = overlap_mask(gathered[-2], gathered[-1], *window)
-        if postings._n_dead:
-            alive = np.frombuffer(postings._alive, dtype=np.uint8)
+        if alive is not None:
             hit &= alive[gathered[0]] != 0
         ids = gathered[-3][hit]
         ids.sort()

@@ -64,13 +64,13 @@ class PackedPostingsList:
     (same public surface, same semantics — tombstone deletes, revive on
     re-add, ``UnknownObjectError`` on bad deletes).
 
-    ``_packed`` is 0 once spilled and otherwise the *layout epoch*: it
-    starts at 1 and grows whenever a stored slot moves or its interval is
-    rewritten (mid-list insert, compaction, re-add with another interval).
-    Appends, tombstones and revives with the same interval leave it alone,
-    so a structure derived from slots ``[0, n)`` at epoch ``e`` (irHINT's
-    time-first table) is still exact over those slots while the epoch
-    reads ``e``.
+    ``_packed`` (read it as :attr:`layout_epoch`) is 0 once spilled and
+    otherwise the *layout epoch*: it starts at 1 and grows whenever a
+    stored slot moves or its interval is rewritten (mid-list insert,
+    compaction, re-add with another interval).  Appends, tombstones and
+    revives with the same interval leave it alone, so a structure derived
+    from slots ``[0, n)`` at epoch ``e`` (irHINT's time-first table) is
+    still exact over those slots while the epoch reads ``e``.
     """
 
     __slots__ = ("_ids", "_sts", "_ends", "_alive", "_n_dead", "_packed")
@@ -199,13 +199,26 @@ class PackedPostingsList:
         return [oid for i, oid in enumerate(self._ids) if alive[i]]
 
     # ------------------------------------------------------------ numpy views
-    def _views(self):
-        """Zero-copy int64 views over the packed columns (numpy path only)."""
+    # What a structure derived from the columns (irHINT's time-first table)
+    # reads: the epoch, the three columns, the tombstones, physical_len().
+    @property
+    def layout_epoch(self) -> int:
+        """0 once spilled, else the layout epoch (see the class docstring)."""
+        return self._packed
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zero-copy int64 views ``(ids, t_st, t_end)`` over the packed
+        columns, one entry per physical slot (unspilled lists only)."""
         return (
             np.frombuffer(self._ids, dtype=np.int64),
             np.frombuffer(self._sts, dtype=np.int64),
             np.frombuffer(self._ends, dtype=np.int64),
         )
+
+    def alive_column(self) -> Optional[np.ndarray]:
+        """Zero-copy uint8 view of the tombstone column (0 = dead slot);
+        ``None`` while every slot is live."""
+        return np.frombuffer(self._alive, dtype=np.uint8) if self._n_dead else None
 
     def _alive_mask(self):
         return np.frombuffer(self._alive, dtype=np.uint8) != 0
@@ -237,7 +250,7 @@ class PackedPostingsList:
             mask = self._window_mask(q_st, q_end)
             if mask is None:
                 return []
-            ids, sts, ends = self._views()
+            ids, sts, ends = self.columns()
             return list(
                 zip(ids[mask].tolist(), sts[mask].tolist(), ends[mask].tolist())
             )
@@ -345,7 +358,7 @@ class PackedPostingsList:
         if not len(self):
             raise UnknownObjectError("span() of an empty postings list")
         if self._use_kernels():
-            _ids, sts, ends = self._views()
+            _ids, sts, ends = self.columns()
             if self._n_dead:
                 alive = self._alive_mask()
                 return int(sts[alive].min()), int(ends[alive].max())

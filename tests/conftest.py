@@ -37,10 +37,9 @@ def running_example() -> Collection:
 @pytest.fixture()
 def small_tables(monkeypatch):
     """irHINT-performance with its crossover forced down: every list of at
-    least 8 entries gets a time-first table, built the first time a query
-    wants it — so collections of a few hundred objects reach the table."""
+    least 8 entries gets a time-first table, so collections of a few
+    hundred objects reach the table."""
     monkeypatch.setattr(timefirst, "TABLE_MIN", 8)
-    monkeypatch.setattr(timefirst, "BUILD_AFTER", 1)
 
 
 @pytest.fixture()

@@ -130,7 +130,7 @@ class TestFlatLayout:
         for obj in objects:
             index.insert(obj)
         narrow = explain(index, make_query(500_000, 500_500, {"hot"}))
-        assert narrow.detail["table"] == "fresh"
+        assert narrow.phases[0].label == "time-first table I[hot]"
         assert narrow.result_size == len(
             [o for o in objects if o.st <= 500_500 and 500_000 <= o.end]
         )
@@ -179,11 +179,9 @@ class TestFlatLayout:
         with pytest.raises(CorruptSnapshotError):
             legacy.__setstate__({"_divisions": {}, "_mapper": None, "_catalog": {}})
 
-    def test_builds_are_paid_for_by_flat_scans(self, monkeypatch):
-        """Ski rental: a table is (re)built only once BUILD_AFTER scans ran
-        without one, so a list whose slots shift under every query never
-        costs more than a bounded number of builds."""
-        monkeypatch.setattr(timefirst, "TABLE_MIN", 8)
+    def test_a_table_is_built_by_the_query_that_finds_none_usable(self, small_tables, monkeypatch):
+        """Lazy, no policy: the first query on a long list builds its table,
+        later ones reuse it, and one that finds it stale rebuilds it."""
         built = []
 
         class Counting(timefirst.TimeFirstTable):
@@ -193,18 +191,32 @@ class TestFlatLayout:
 
         monkeypatch.setattr(timefirst, "TimeFirstTable", Counting)
         index = IRHintPerformance(num_bits=6)
-        for obj in self._spread(400):
-            if obj.id % 2 == 0:
-                index.insert(obj)
-        q = make_query(0, 1_000_000, {"hot"})
-        for _ in range(timefirst.BUILD_AFTER - 1):
-            assert explain(index, q).detail["table"] == "none"
-        assert not built
-        assert explain(index, q).detail["table"] == "fresh" and len(built) == 1
-        odd = [obj for obj in self._spread(400) if obj.id % 2]
-        for obj in odd[:150]:  # a mid-list insert before every query
+        even = [obj for obj in self._spread(400) if obj.id % 2 == 0]
+        for obj in even:
             index.insert(obj)
-            assert index.query(q) == sorted(index._catalog)
-        assert len(built) <= 1 + 150 // timefirst.BUILD_AFTER
-        index.insert(odd[150])
-        assert explain(index, q).detail["table"] == "stale"
+        assert not built and not index._tables
+        q = make_query(0, 1_000_000, {"hot"})
+        assert explain(index, q).detail["table"] == "none" and built == [200]
+        for _ in range(3):
+            assert explain(index, q).detail["table"] == "fresh"
+        index.delete(even[0])  # a tombstone, then a revive with the same interval:
+        index.insert(even[0])  # neither moves a slot
+        assert explain(index, q).detail["table"] == "fresh" and built == [200]
+        index.insert(make_object(1, 5, 9, {"hot"}))  # mid-list: every later slot shifts
+        assert explain(index, q).detail["table"] == "stale" and built == [200, 201]
+        assert index.query(q) == sorted(index._catalog) and built == [200, 201]
+
+    def test_window_at_the_lists_last_end(self, small_tables):
+        """A term alive for a short burst: its list spans fewer timestamps
+        than the grid has cells, the exact-offset regime, where the top of
+        the domain must still land in the last cell on both sides."""
+        index, flat = IRHintPerformance(num_bits=10), TIF()
+        for oid in range(20):
+            for each in (index, flat):
+                each.insert(make_object(oid, oid, oid + 60, {"burst"}))
+        for each in (index, flat):
+            each.insert(make_object(20, 90, 100, {"burst"}))
+        for st in (100, 99.5, 100.0, 79, 80):
+            q = make_query(st, 100, {"burst"})
+            assert explain(index, q).phases[0].label == "time-first table I[burst]"
+            assert index.query(q) == flat.query(q) != []

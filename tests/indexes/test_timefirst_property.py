@@ -8,7 +8,9 @@ to non-i64 values — and after every step the subject
 reach the table) must answer like plain :class:`TIF` and like
 :class:`BruteForce`, and each fresh table must answer raw windows
 (±inf, NaN, ``2.0**63``, floats past ``2**53``, point windows, the
-domain's edges) like a Python loop over the live entries.
+domain's edges) like a Python loop over the live entries.  Three regimes:
+a domain much wider than the grid, one beside the i64 limits, and a burst
+narrower than the grid (where cells are exact offsets).
 
 The traces are only as good as what they catch, so the mutants below are
 checked in: each is a one-line change to ``repro/indexes/timefirst.py``
@@ -62,7 +64,14 @@ def _extreme_interval(rng: random.Random):
     return st, rng.choice((st, st + 1, I64_MAX))
 
 
-REGIMES = {"spread": _spread_interval, "extremes": _extreme_interval}
+def _burst_interval(rng: random.Random):
+    """A term alive for 41 timestamps: fewer than the 64 cells of m = 6, so
+    cells are exact offsets and only the domain's top maps past its offset."""
+    st = rng.randrange(41)
+    return st, min(40, st + rng.choice((0, 0, 1, 3, 10, 40)))
+
+
+REGIMES = {"spread": _spread_interval, "extremes": _extreme_interval, "burst": _burst_interval}
 
 
 def _windows(rng: random.Random, regime: str, live: List[TemporalObject]):
@@ -75,6 +84,8 @@ def _windows(rng: random.Random, regime: str, live: List[TemporalObject]):
         out.append((a, b))
     a = rng.choice(stored)
     out += [(a - 0.5, a + 0.5), (float(a), float(a)), (min(stored), max(stored))]
+    top = max(stored)  # a window starting at the last end, and just below it
+    out += [(top, top), (top - 0.5, top + 3), (float(top), float(top) + 1)]
     if regime == "extremes":
         out += [(0, 2.0**63), (float(_TWO_53 + 2), 2.0**63), (2.0**63, 2.0**64)]
     return out
@@ -201,14 +212,14 @@ def test_traces_reach_the_table_the_tail_and_the_spill(forced, monkeypatch):
 
         def scan_ids(self, postings, q_st, q_end, notes=None):
             seen["fresh"] += 1
-            seen["tail"] += len(postings._ids) > self.n_slots
-            seen["dead"] += postings._n_dead > 0
+            seen["tail"] += postings.physical_len() > self.n_slots
+            seen["dead"] += postings.alive_column() is not None
             return super().scan_ids(postings, q_st, q_end, notes)
 
     monkeypatch.setattr(timefirst, "TimeFirstTable", Spy)
     left = [run_trace(regime, seed) for regime in sorted(REGIMES) for seed in SEEDS]
     assert all(seen.values()), seen
-    assert any(not index.inverted_file.postings("hot")._packed for index in left)
+    assert any(not index.inverted_file.postings("hot").layout_epoch for index in left)
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -259,18 +270,23 @@ MUTANTS = [
         "replica = ((a[right] << shift) >= origin[right]) * n_keys",
     ),
     (
+        "top of a narrow domain filed under its offset",
+        "cells[column >= mapper.hi] = mapper.n_cells - 1",
+        "pass",
+    ),
+    (
         "tombstones not looked up",
-        "        if postings._n_dead:\n            alive =",
-        "        if False:\n            alive =",
+        "        if alive is not None:\n            hit &=",
+        "        if False:\n            hit &=",
     ),
     (
         "stale table served after a shifting insert",
-        "self.epoch == postings._packed",
+        "self.epoch == postings.layout_epoch",
         "True",
     ),
     (
         "tail not scanned",
-        "if len(postings._ids) > n:  # the tail",
+        "if n_now > n:  # the tail",
         "if False:  # the tail",
     ),
 ]
@@ -289,7 +305,7 @@ def _mutated(old: str, new: str):
 @pytest.mark.parametrize("name,old,new", MUTANTS, ids=[m[0] for m in MUTANTS])
 def test_mutant_is_killed(monkeypatch, name, old, new):
     mutant = _mutated(old, new)
-    mutant.TABLE_MIN, mutant.BUILD_AFTER = 8, 1
+    mutant.TABLE_MIN = 8
     monkeypatch.setattr(irhint, "timefirst", mutant)
     killed_by = []
     for regime in sorted(REGIMES):
@@ -303,9 +319,9 @@ def test_mutant_is_killed(monkeypatch, name, old, new):
 
 def test_unmutated_module_survives_the_mutant_harness(monkeypatch):
     """The harness's own control: the same loader, no change, no kill."""
-    anchor = "self.epoch == postings._packed"
+    anchor = "self.epoch == postings.layout_epoch"
     module = _mutated(anchor, anchor)
-    module.TABLE_MIN, module.BUILD_AFTER = 8, 1
+    module.TABLE_MIN = 8
     monkeypatch.setattr(irhint, "timefirst", module)
     for regime in sorted(REGIMES):
         run_trace(regime, SEEDS[0], n_ops=40)

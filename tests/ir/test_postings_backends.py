@@ -329,6 +329,32 @@ class TestPackedInternals:
         assert pl.physical_len() == len(pl)
         assert (list(pl.entries()), pl.ids(), pl.span()) == before
 
+    def test_columnar_surface_and_layout_epoch(self):
+        """What a derived structure may read: the epoch moves exactly when a
+        stored slot moves or its interval changes, and is 0 once spilled."""
+        pl = PackedPostingsList()
+        for oid in range(0, 20, 2):
+            pl.add(oid, oid, oid + 5)
+        epoch = pl.layout_epoch
+        assert epoch > 0 and pl.alive_column() is None
+        assert [column.tolist() for column in pl.columns()] == [
+            list(range(0, 20, 2)), list(range(0, 20, 2)), list(range(5, 25, 2))
+        ]
+        pl.add(20, 1, 2)  # append
+        pl.delete(4)  # tombstone
+        assert pl.alive_column().tolist() == [1, 1, 0] + [1] * 8
+        pl.add(4, 4, 9)  # revive, same interval
+        assert pl.layout_epoch == epoch and pl.alive_column() is None
+        pl.add(4, 4, 10)  # another interval
+        assert pl.layout_epoch == (epoch := epoch + 1)
+        pl.add(3, 0, 0)  # mid-list insert
+        assert pl.layout_epoch == (epoch := epoch + 1)
+        pl.delete(3)
+        pl.compact()
+        assert pl.layout_epoch == epoch + 1 and pl.physical_len() == 11
+        pl.add(30, 0.5, 1)  # spill
+        assert pl.layout_epoch == 0
+
 
 class TestIdBackendsEdgeCases:
     @pytest.fixture(params=["list"])  # the one id-only list; keeps the test ids
