@@ -5,8 +5,7 @@ ingesting new versions (insertions) and retiring old ones (tombstone
 deletions).  This example runs a day-by-day simulation:
 
 * new document versions arrive with ever-later timestamps (the domain only
-  grows — handled by the 25 % domain headroom of the composite indexes and,
-  for the raw interval layer, by the time-expanding HINT);
+  grows — handled by the 25 % domain headroom of the composite indexes);
 * retention enforcement tombstones versions older than a sliding window;
 * queries keep running against the live index and are continuously
   cross-checked against a brute-force shadow.
@@ -19,7 +18,6 @@ import time
 
 from repro import Collection, make_object, make_query
 from repro.indexes import BruteForce, IRHintPerformance
-from repro.intervals.hint import ExpandingHint
 
 rng = random.Random(99)
 DAY = 24 * 3600
@@ -76,14 +74,3 @@ for day in range(30, 60):
 ops_seconds = time.perf_counter() - t0
 print(f"30 live days: +{inserted} versions, -{deleted} expired, "
       f"{ops_seconds:.2f}s of update+query work — all answers verified")
-
-# --- The interval layer can grow its domain structurally. -------------------
-growing = ExpandingHint(origin=0, num_bits=18)  # ~3 days of 1-second cells
-for obj in shadow.objects():
-    growing.insert(obj.id, obj.st, obj.end)
-print(f"\nExpandingHint absorbed 60 days into a 3-day initial domain: "
-      f"{growing.n_expansions} doublings → m={growing.num_bits}")
-recent = growing.range_query(clock - DAY, clock)
-check = [o.id for o in shadow.objects() if o.st <= clock and clock - DAY <= o.end]
-assert recent == sorted(check)
-print(f"last-day range query: {len(recent)} live versions (verified)")

@@ -20,7 +20,6 @@ _COVERED = (
     "repro.cluster",
     "repro.server",
     "repro.utils",
-    "repro.extensions",
     "repro.datasets",
 )
 

@@ -2,7 +2,6 @@
 
 from repro.indexes.base import TemporalIRIndex
 from repro.indexes.brute import BruteForce
-from repro.indexes.containment import SetTrieIndex, SignatureFileIndex
 from repro.indexes.explain import PhaseTrace, QueryExplanation, explain
 from repro.indexes.persistence import load_index, save_index
 from repro.indexes.irhint import IRHintPerformance, IRHintSize
@@ -24,8 +23,6 @@ from repro.indexes.tif_slicing import TIFSlicing
 __all__ = [
     "BruteForce",
     "PhaseTrace",
-    "SetTrieIndex",
-    "SignatureFileIndex",
     "QueryExplanation",
     "explain",
     "COMPARISON_METHODS",

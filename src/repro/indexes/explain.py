@@ -136,17 +136,8 @@ _EXPLAINABLE: Set[Type[TemporalIRIndex]] = {
 }
 
 
-def _register_containment() -> None:
-    """Lazy registration: avoids an import cycle with the package __init__."""
-    from repro.indexes.containment import SetTrieIndex, SignatureFileIndex
-
-    _EXPLAINABLE.add(SignatureFileIndex)
-    _EXPLAINABLE.add(SetTrieIndex)
-
-
 def explain(index: TemporalIRIndex, q: TimeTravelQuery) -> QueryExplanation:
     """Trace one query against a built index (see module docstring)."""
-    _register_containment()
     if type(index) not in _EXPLAINABLE:
         raise ConfigurationError(
             f"no explainer registered for {type(index).__name__}"

@@ -17,7 +17,6 @@ from repro.indexes.tif import TIF
 from repro.indexes.tif_hint import TIFHintBinary, TIFHintMerge
 from repro.indexes.tif_hint_slicing import TIFHintSlicing
 from repro.indexes.tif_sharding import TIFSharding
-from repro.indexes.containment import SetTrieIndex, SignatureFileIndex
 from repro.indexes.tif_slicing import TIFSlicing
 
 #: Short, CLI-friendly keys → index classes.
@@ -31,10 +30,6 @@ INDEX_CLASSES: Dict[str, Type[TemporalIRIndex]] = {
     "tif-hint-slicing": TIFHintSlicing,
     "irhint-perf": IRHintPerformance,
     "irhint-size": IRHintSize,
-    # Related-work containment baselines (paper §6.1); not part of the
-    # paper's comparison set, used by the containment ablation bench.
-    "signature-file": SignatureFileIndex,
-    "set-trie": SetTrieIndex,
 }
 
 #: The methods compared in the paper's headline experiments (Fig. 11/12,

@@ -1,38 +1,22 @@
-"""Interval-index substrate: HINT, 1D grid, interval tree, segment tree,
-timeline index, period index, linear scan."""
+"""Interval-index substrate: HINT, the 1D-grid layout, linear scan."""
 
-from repro.intervals.allen import AllenIndex, AllenRelation, allen_query
 from repro.intervals.base import IntervalIndex, IntervalRecord
-from repro.intervals.grid1d import Grid1D, GridLayout
+from repro.intervals.grid1d import GridLayout
 from repro.intervals.hint import (
     DomainMapper,
-    ExpandingHint,
     Hint,
     SortPolicy,
     choose_num_bits,
 )
-from repro.intervals.interval_tree import IntervalTree
 from repro.intervals.linear import LinearScan
-from repro.intervals.period_index import PeriodIndex
-from repro.intervals.segment_tree import SegmentTree
-from repro.intervals.timeline import TimelineIndex
 
 __all__ = [
-    "AllenIndex",
-    "AllenRelation",
     "DomainMapper",
-    "ExpandingHint",
-    "Grid1D",
     "GridLayout",
     "Hint",
     "IntervalIndex",
     "IntervalRecord",
-    "IntervalTree",
     "LinearScan",
-    "PeriodIndex",
-    "SegmentTree",
     "SortPolicy",
-    "TimelineIndex",
-    "allen_query",
     "choose_num_bits",
 ]

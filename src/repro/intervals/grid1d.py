@@ -7,22 +7,18 @@ replication creates with the **reference value** method [25]: an (object,
 query) pair is reported only by the partition containing
 ``max(o.t_st, q.t_st)``.
 
-This structure is what tIF+Slicing applies to each postings list, so the
-implementation here is deliberately reusable: :class:`Grid1D` carries raw
-``(id, st, end)`` records and :class:`GridLayout` exposes the shared
-boundary arithmetic.
+This structure is what tIF+Slicing applies to each postings list;
+:class:`GridLayout` is the boundary arithmetic ``tif_slicing`` and
+``tif_hint_slicing`` share.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.core.errors import ConfigurationError, UnknownObjectError
+from repro.core.errors import ConfigurationError
 from repro.core.interval import Timestamp
-from repro.intervals.base import IntervalIndex
-from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,116 +65,3 @@ class GridLayout:
         if index == self.n_slices - 1:
             return lo, float("inf")
         return lo, self.lo + (index + 1) * self.width
-
-    def is_reference_slice(self, index: int, o_st: Timestamp, q_st: Timestamp) -> bool:
-        """Reference-value test: does slice ``index`` own ``max(o_st, q_st)``?"""
-        ref = o_st if o_st > q_st else q_st
-        return self.slice_of(ref) == index
-
-
-class Grid1D(IntervalIndex):
-    """Replicating 1D-grid interval index with reference-value dedup."""
-
-    def __init__(self, lo: Timestamp, hi: Timestamp, n_slices: int = 50) -> None:
-        self._layout = GridLayout(lo, hi, n_slices)
-        # Column storage per slice.
-        self._ids: List[List[int]] = [[] for _ in range(n_slices)]
-        self._sts: List[List[Timestamp]] = [[] for _ in range(n_slices)]
-        self._ends: List[List[Timestamp]] = [[] for _ in range(n_slices)]
-        self._alive: List[List[bool]] = [[] for _ in range(n_slices)]
-        self._n_live = 0
-
-    @classmethod
-    def build(cls, records, n_slices: int = 50, **params) -> "Grid1D":
-        """Build over records, deriving the domain from the data."""
-        materialised = list(records)
-        if not materialised:
-            return cls(0, 1, n_slices)
-        lo = min(r[1] for r in materialised)
-        hi = max(r[2] for r in materialised)
-        index = cls(lo, hi, n_slices)
-        for object_id, st, end in materialised:
-            index.insert(object_id, st, end)
-        return index
-
-    @property
-    def layout(self) -> GridLayout:
-        return self._layout
-
-    def __len__(self) -> int:
-        return self._n_live
-
-    # ---------------------------------------------------------------- updates
-    def insert(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
-        first, last = self._layout.slice_range(st, end)
-        for index in range(first, last + 1):
-            self._ids[index].append(object_id)
-            self._sts[index].append(st)
-            self._ends[index].append(end)
-            self._alive[index].append(True)
-        self._n_live += 1
-
-    def delete(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
-        first, last = self._layout.slice_range(st, end)
-        found = False
-        for index in range(first, last + 1):
-            ids, alive = self._ids[index], self._alive[index]
-            for i in range(len(ids)):
-                if ids[i] == object_id and alive[i]:
-                    alive[i] = False
-                    found = True
-                    break
-        if not found:
-            raise UnknownObjectError(object_id)
-        self._n_live -= 1
-
-    # ------------------------------------------------------------------ query
-    def range_query(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
-        out = self.range_query_unsorted(q_st, q_end)
-        out.sort()
-        return out
-
-    def range_query_unsorted(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
-        """Scan overlapping slices; report only at the reference slice."""
-        layout = self._layout
-        first, last = layout.slice_range(q_st, q_end)
-        out: List[int] = []
-        for index in range(first, last + 1):
-            ids = self._ids[index]
-            sts = self._sts[index]
-            ends = self._ends[index]
-            alive = self._alive[index]
-            slice_lo, slice_hi = layout.slice_bounds(index)
-            for i in range(len(ids)):
-                if not alive[i]:
-                    continue
-                st, end = sts[i], ends[i]
-                if q_st <= end and st <= q_end:
-                    ref = st if st > q_st else q_st
-                    if slice_lo <= ref < slice_hi or (index == first and ref < slice_lo):
-                        out.append(ids[i])
-        return out
-
-    # ------------------------------------------------------------------ sizes
-    def n_replicated_entries(self) -> int:
-        """Stored entries including replication (live only)."""
-        return sum(
-            sum(1 for flag in flags if flag) for flags in self._alive
-        )
-
-    def size_bytes(self) -> int:
-        total = CONTAINER_BYTES
-        for index in range(self._layout.n_slices):
-            if self._ids[index]:
-                total += CONTAINER_BYTES + len(self._ids[index]) * ENTRY_FULL_BYTES
-        return total
-
-
-def slice_boundaries(layout: GridLayout) -> List[float]:
-    """All slice lower bounds (diagnostics; Figure 8 reporting)."""
-    return [layout.lo + i * layout.width for i in range(layout.n_slices)]
-
-
-def locate_slice(boundaries: List[float], t: Timestamp) -> int:
-    """Slice index of ``t`` given precomputed boundaries (bisect helper)."""
-    return max(0, min(bisect_right(boundaries, t) - 1, len(boundaries) - 1))

@@ -2,7 +2,6 @@
 
 from repro.intervals.hint.cost_model import CostEstimate, choose_num_bits, estimate_cost, sweep_costs
 from repro.intervals.hint.domain import DomainMapper
-from repro.intervals.hint.expanding import ExpandingHint, exact_mapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import Partition, SortPolicy, SubArray
 from repro.intervals.hint.traversal import (
@@ -19,7 +18,6 @@ __all__ = [
     "CostEstimate",
     "DivisionKind",
     "DomainMapper",
-    "ExpandingHint",
     "Hint",
     "Partition",
     "SortPolicy",
@@ -28,7 +26,6 @@ __all__ = [
     "assign",
     "choose_num_bits",
     "estimate_cost",
-    "exact_mapper",
     "iter_relevant_divisions",
     "iter_relevant_partitions",
     "sweep_costs",

@@ -9,8 +9,8 @@ partitions; everything else is reported comparison-free.
 
 This implementation keeps only non-empty partitions in a hash map — the
 pragmatic CPython counterpart of the paper's skewness & sparsity
-optimisation — and supports the subdivisions, beneficial-sorting and storage
-optimisations via constructor flags (see
+optimisation — and always applies the subdivisions and storage
+optimisations; the sort policy picks beneficial sorting or id order (see
 :mod:`repro.intervals.hint.partition`).
 """
 
@@ -24,7 +24,6 @@ from repro.intervals.base import IntervalIndex, IntervalRecord
 from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.partition import Partition, SortPolicy
 from repro.intervals.hint.traversal import (
-    DivisionKind,
     assign,
     iter_relevant_divisions,
     iter_relevant_partitions,
@@ -40,8 +39,6 @@ class Hint(IntervalIndex):
         self,
         mapper: DomainMapper,
         sort_policy: SortPolicy = SortPolicy.TEMPORAL,
-        use_subdivisions: bool = True,
-        storage_optimisation: bool = True,
     ) -> None:
         """Create an empty HINT over ``mapper``'s domain.
 
@@ -52,19 +49,12 @@ class Hint(IntervalIndex):
         sort_policy:
             ``TEMPORAL`` — the paper's beneficial sorting (default);
             ``BY_ID`` — divisions ordered by object id (Algorithm 4 needs
-            this; beneficial sorting is then unavailable by construction);
-            ``NONE`` — insertion order.
-        use_subdivisions:
-            Exploit the O_in/O_aft/R_in/R_aft split to skip comparisons.
-        storage_optimisation:
-            Charge subdivision entries only for the endpoints they need.
+            this; beneficial sorting is then unavailable by construction).
         """
         validate_num_bits(mapper.num_bits)
         self._mapper = mapper
         self._m = mapper.num_bits
         self._sort_policy = sort_policy
-        self._use_subdivisions = use_subdivisions
-        self._storage_optimisation = storage_optimisation
         self._partitions: Dict[Tuple[int, int], Partition] = {}
         self._n_live = 0
 
@@ -76,8 +66,6 @@ class Hint(IntervalIndex):
         num_bits: Optional[int] = None,
         mapper: Optional[DomainMapper] = None,
         sort_policy: SortPolicy = SortPolicy.TEMPORAL,
-        use_subdivisions: bool = True,
-        storage_optimisation: bool = True,
         domain_slack: float = 0.25,
     ) -> "Hint":
         """Bulk-build over ``records``.
@@ -98,12 +86,7 @@ class Hint(IntervalIndex):
                 lo = min(record[1] for record in materialised)
                 hi = max(record[2] for record in materialised)
                 mapper = DomainMapper.with_slack(lo, hi, num_bits, slack=domain_slack)
-        index = cls(
-            mapper,
-            sort_policy=sort_policy,
-            use_subdivisions=use_subdivisions,
-            storage_optimisation=storage_optimisation,
-        )
+        index = cls(mapper, sort_policy=sort_policy)
         for object_id, st, end in materialised:
             index.insert(object_id, st, end)
         return index
@@ -150,17 +133,21 @@ class Hint(IntervalIndex):
         self._n_live += 1
 
     def delete(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
-        """Tombstone the record in every partition its assignment touches."""
+        """Tombstone the record in every partition its assignment touches.
+
+        All or nothing: every entry is located (id and both endpoints) before
+        any is tombstoned, so a record that is absent anywhere raises and
+        leaves the index unchanged.
+        """
         st_cell, end_cell = self._mapper.cell_range(st, end)
-        assignments = assign(self._m, st_cell, end_cell)
-        partitions = []
-        for level, j, is_original in assignments:
+        located = []
+        for level, j, is_original in assign(self._m, st_cell, end_cell):
             partition = self._partitions.get((level, j))
             if partition is None:
                 raise UnknownObjectError(object_id)
-            partitions.append((partition, is_original))
-        for partition, is_original in partitions:
-            partition.tombstone(object_id, st, end, end_cell, is_original)
+            located.append(partition.locate(object_id, st, end, end_cell, is_original))
+        for sub, i in located:
+            sub.tombstone_at(i)
         self._n_live -= 1
 
     # ------------------------------------------------------------------ query
@@ -175,11 +162,10 @@ class Hint(IntervalIndex):
         first_cell, last_cell = self._mapper.cell_range(q_st, q_end)
         out: List[int] = []
         partitions = self._partitions
-        use_subdivisions = self._use_subdivisions
         for level, j, kind, check in iter_relevant_divisions(self._m, first_cell, last_cell):
             partition = partitions.get((level, j))
             if partition is not None:
-                partition.scan_division(kind, check, q_st, q_end, out, use_subdivisions)
+                partition.scan_division(kind, check, q_st, q_end, out)
         return out
 
     def iter_query_divisions(self, q_st: Timestamp, q_end: Timestamp):
@@ -227,5 +213,5 @@ class Hint(IntervalIndex):
         """Modelled size of all partitions plus the directory."""
         total = CONTAINER_BYTES
         for partition in self._partitions.values():
-            total += partition.size_bytes(self._storage_optimisation)
+            total += partition.size_bytes()
         return total

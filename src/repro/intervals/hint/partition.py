@@ -19,15 +19,14 @@ The *storage optimisation* falls out of the same table: ``O_aft`` needs only
 ``i.st``, ``R_in`` only ``i.end`` and ``R_aft`` no endpoint at all — the size
 model charges each subdivision accordingly.
 
-Each subdivision can maintain one of three orders:
+Each subdivision maintains one of two orders:
 
 * ``TEMPORAL`` — the paper's *beneficial sorting*: ``O_in``/``O_aft`` by
   start (prefix scans answer ``i.st <= q.end`` via binary search), ``R_in``
   by end descending (prefix scans answer ``q.st <= i.end``), ``R_aft``
   unsorted;
 * ``BY_ID`` — object-id order, required by the merge-sort tIF+HINT variant
-  (Algorithm 4) and by the inverted-index-friendly irHINT layouts;
-* ``NONE`` — insertion order (the unoptimised baseline).
+  (Algorithm 4) and by the inverted-index-friendly irHINT layouts.
 
 Deletions are tombstones, located via the subdivision's own sort order.
 """
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from typing import List, Optional
+from typing import List, Tuple
 
 from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
@@ -53,7 +52,6 @@ from repro.utils.memory import (
 class SortPolicy(enum.Enum):
     """How subdivision contents are ordered."""
 
-    NONE = "none"
     TEMPORAL = "temporal"
     BY_ID = "by_id"
 
@@ -71,9 +69,7 @@ def _orders_for(policy: SortPolicy) -> "tuple[_Order, _Order, _Order, _Order]":
     """(O_in, O_aft, R_in, R_aft) orders under a policy."""
     if policy is SortPolicy.TEMPORAL:
         return _Order.BY_ST, _Order.BY_ST, _Order.BY_END_DESC, _Order.NONE
-    if policy is SortPolicy.BY_ID:
-        return _Order.BY_ID, _Order.BY_ID, _Order.BY_ID, _Order.BY_ID
-    return _Order.NONE, _Order.NONE, _Order.NONE, _Order.NONE
+    return _Order.BY_ID, _Order.BY_ID, _Order.BY_ID, _Order.BY_ID
 
 
 def _bisect_desc(values: List[Timestamp], value: Timestamp) -> int:
@@ -131,8 +127,8 @@ class SubArray:
             self.ends.insert(pos, end)
             self.alive.insert(pos, True)
 
-    def tombstone(self, object_id: int, st: Timestamp, end: Timestamp) -> bool:
-        """Mark the entry dead; ``False`` when the id is not found alive."""
+    def locate(self, object_id: int, st: Timestamp, end: Timestamp) -> int:
+        """Position of the live ``(object_id, st, end)`` entry, ``-1`` if none."""
         n = len(self.ids)
         lo, hi = 0, n
         if self.order is _Order.BY_ST:
@@ -145,19 +141,17 @@ class SubArray:
                 hi += 1
         elif self.order is _Order.BY_ID:
             lo = bisect_left(self.ids, object_id)
-            hi = min(lo + 1, n)
+            hi = bisect_right(self.ids, object_id)
         for i in range(lo, hi):
             if self.ids[i] == object_id and self.alive[i]:
-                self.alive[i] = False
-                self.n_dead += 1
-                return True
-        # Fallback linear scan (covers float keys and NONE order).
-        for i in range(len(self.ids)):
-            if self.ids[i] == object_id and self.alive[i]:
-                self.alive[i] = False
-                self.n_dead += 1
-                return True
-        return False
+                if self.sts[i] == st and self.ends[i] == end:
+                    return i
+        return -1
+
+    def tombstone_at(self, i: int) -> None:
+        """Mark the entry at position ``i`` (from :meth:`locate`) dead."""
+        self.alive[i] = False
+        self.n_dead += 1
 
     # ------------------------------------------------------------------ scans
     def scan(
@@ -277,12 +271,15 @@ class Partition:
         """Store the interval in the right subdivision."""
         self._subdivision(is_original, end_cell).add(object_id, st, end)
 
-    def tombstone(
+    def locate(
         self, object_id: int, st: Timestamp, end: Timestamp, end_cell: int, is_original: bool
-    ) -> None:
-        """Tombstone the interval's entry; raises when missing."""
-        if not self._subdivision(is_original, end_cell).tombstone(object_id, st, end):
+    ) -> Tuple[SubArray, int]:
+        """The subdivision and position of the interval's entry; raises when missing."""
+        sub = self._subdivision(is_original, end_cell)
+        i = sub.locate(object_id, st, end)
+        if i < 0:
             raise UnknownObjectError(object_id)
+        return sub, i
 
     # ------------------------------------------------------------------ scans
     def scan_division(
@@ -292,24 +289,18 @@ class Partition:
         q_st: Timestamp,
         q_end: Timestamp,
         out: List[int],
-        use_subdivisions: bool = True,
     ) -> None:
         """Scan one division, appending qualifying live ids to ``out``.
 
-        With ``use_subdivisions`` (the paper's default configuration) each
-        subdivision runs only the comparisons that can actually fail for it;
-        without, the full ``check`` is applied everywhere (the unoptimised
-        ablation — results are identical, work is larger).
+        Each subdivision runs only the comparisons that can actually fail
+        for it (the subdivisions optimisation).
         """
         if kind is DivisionKind.ORIGINALS:
             self.o_in.scan(check, q_st, q_end, out)
-            aft_check = _DOWNGRADE_O_AFT[check] if use_subdivisions else check
-            self.o_aft.scan(aft_check, q_st, q_end, out)
+            self.o_aft.scan(_DOWNGRADE_O_AFT[check], q_st, q_end, out)
         else:
-            in_check = _DOWNGRADE_R_IN[check] if use_subdivisions else check
-            self.r_in.scan(in_check, q_st, q_end, out)
-            aft_check = _DOWNGRADE_R_AFT[check] if use_subdivisions else check
-            self.r_aft.scan(aft_check, q_st, q_end, out)
+            self.r_in.scan(_DOWNGRADE_R_IN[check], q_st, q_end, out)
+            self.r_aft.scan(_DOWNGRADE_R_AFT[check], q_st, q_end, out)
 
     def division_live_ids(self, kind: DivisionKind) -> List[int]:
         """Live ids of a division in storage order (concatenated subdivisions)."""
@@ -324,22 +315,15 @@ class Partition:
         return self.r_in.live_entries() + self.r_aft.live_entries()
 
     # ------------------------------------------------------------------ sizes
-    def size_bytes(self, storage_optimisation: bool = True) -> int:
-        """Modelled bytes of this partition's payload."""
-        if storage_optimisation:
-            payload = (
-                self.o_in.physical_len() * ENTRY_FULL_BYTES
-                + self.o_aft.physical_len() * ENTRY_ID_START_BYTES
-                + self.r_in.physical_len() * ENTRY_ID_START_BYTES
-                + self.r_aft.physical_len() * ENTRY_ID_BYTES
-            )
-        else:
-            payload = (
-                self.o_in.physical_len()
-                + self.o_aft.physical_len()
-                + self.r_in.physical_len()
-                + self.r_aft.physical_len()
-            ) * ENTRY_FULL_BYTES
+    def size_bytes(self) -> int:
+        """Modelled bytes of this partition's payload (the storage optimisation:
+        each subdivision is charged only for the endpoints it needs)."""
+        payload = (
+            self.o_in.physical_len() * ENTRY_FULL_BYTES
+            + self.o_aft.physical_len() * ENTRY_ID_START_BYTES
+            + self.r_in.physical_len() * ENTRY_ID_START_BYTES
+            + self.r_aft.physical_len() * ENTRY_ID_BYTES
+        )
         n_nonempty = sum(
             1
             for sub in (self.o_in, self.o_aft, self.r_in, self.r_aft)
@@ -350,8 +334,3 @@ class Partition:
     def n_entries(self) -> int:
         """Live entries across all subdivisions."""
         return len(self)
-
-
-def subdivision_of(partition: Partition, name: str) -> Optional[SubArray]:
-    """Test helper: access a subdivision by name ('o_in', 'o_aft', ...)."""
-    return getattr(partition, name, None)

@@ -1,4 +1,4 @@
-"""Inverted-file substrate: postings backends, intersections, de-dup, tIF."""
+"""Inverted-file substrate: postings backends, intersections, tIF."""
 
 from repro.ir.backends import (
     POSTINGS_BACKEND_ENV,
@@ -14,8 +14,7 @@ from repro.ir.codec import (
     varint_decode,
     varint_encode,
 )
-from repro.ir.compressed import CompressedPostingsList, compression_ratio
-from repro.ir.dedup import dedupe_preserving_order, is_reference_partition, reference_value
+from repro.ir.compressed import CompressedPostingsList
 from repro.ir.intersection import (
     contains_sorted,
     intersect_adaptive,
@@ -34,8 +33,6 @@ from repro.ir.postings import (
     PostingsEntry,
     PostingsList,
 )
-from repro.ir.settrie import SetTrie
-from repro.ir.signatures import element_pattern, make_signature
 
 __all__ = [
     "CompressedPostingsList",
@@ -47,26 +44,19 @@ __all__ = [
     "PostingsBackend",
     "PostingsEntry",
     "PostingsList",
-    "SetTrie",
     "TemporalCheck",
     "TemporalInvertedFile",
-    "compression_ratio",
     "contains_sorted",
     "decode_block",
-    "dedupe_preserving_order",
     "encode_block",
     "intersect_adaptive",
     "intersect_binary",
     "intersect_galloping",
     "intersect_hash",
     "intersect_many",
-    "element_pattern",
     "intersect_merge",
     "make_postings",
-    "make_signature",
-    "is_reference_partition",
     "postings_backend",
-    "reference_value",
     "svarint_decode",
     "svarint_encode",
     "varint_decode",

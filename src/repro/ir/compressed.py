@@ -57,8 +57,7 @@ class CompressedPostingsList:
     Same public surface and semantics as
     :class:`~repro.ir.postings.PostingsList`; see the module docstring for
     the mutation strategy.  Also constructible from raw entries (the
-    legacy ``CompressedPostingsList(entries)`` form) or via
-    :meth:`from_postings`.
+    legacy ``CompressedPostingsList(entries)`` form).
     """
 
     __slots__ = ("_payloads", "_table", "_tail", "_dead", "_n_live", "_spilled")
@@ -80,11 +79,6 @@ class CompressedPostingsList:
         #: Tombstoned ids living inside sealed blocks or the tail.
         self._dead: set = set()
         self._n_live = 0
-
-    @classmethod
-    def from_postings(cls, postings) -> "CompressedPostingsList":
-        """Compress any postings backend's live entries."""
-        return cls(postings.entries())
 
     # ------------------------------------------------------------- internals
     def _reader(self) -> blocks.BlockReader:
@@ -267,10 +261,3 @@ class CompressedPostingsList:
         tail = len(self._tail) * ENTRY_FULL_BYTES
         return encoded + summaries + tail + CONTAINER_BYTES
 
-
-def compression_ratio(postings) -> float:
-    """Modelled uncompressed bytes / actual compressed bytes."""
-    compressed = CompressedPostingsList.from_postings(postings)
-    if compressed.size_bytes() == 0:
-        return 1.0
-    return postings.size_bytes() / compressed.size_bytes()

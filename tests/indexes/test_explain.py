@@ -202,26 +202,3 @@ class TestMissingPhases:
         explanation = explain(indexes[key], make_query(1000, 9000, frozenset()))
         assert explanation.total_entries_scanned >= 0
 
-
-class TestContainmentExplainers:
-    def test_signature_file(self, built):
-        collection, _indexes = built
-        from repro.indexes.containment import SignatureFileIndex
-
-        index = SignatureFileIndex.build(collection, signature_bits=16)
-        q = make_query(2000, 6000, {"e0", "e1"})
-        explanation = explain(index, q)
-        assert explanation.result_size == len(index.query(q))
-        assert explanation.detail["filter_passes"] >= explanation.result_size
-        assert explanation.phases[0].entries_scanned == len(collection)
-
-    def test_set_trie(self, built):
-        collection, _indexes = built
-        from repro.indexes.containment import SetTrieIndex
-
-        index = SetTrieIndex.build(collection)
-        q = make_query(2000, 6000, {"e0", "e1"})
-        explanation = explain(index, q)
-        assert explanation.result_size == len(index.query(q))
-        # The superset walk produces at least as many candidates as results.
-        assert explanation.phases[0].candidates_after >= explanation.result_size

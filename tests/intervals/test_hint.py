@@ -89,29 +89,53 @@ class TestUpdates:
         assert 10 in hint.range_query(40, 70)
         assert 10 not in hint.range_query(0, 3)
 
+    def test_delete_with_wrong_endpoints_changes_nothing(self):
+        hint = Hint(DomainMapper.for_domain(0, 15, 4))
+        hint.insert(1, 0, 4)
+        hint.insert(2, 1, 3)
+        with pytest.raises(UnknownObjectError):
+            hint.delete(1, 2, 4)
+        assert hint.range_query(4, 4) == [1]
+        assert hint.range_query(0, 15) == [1, 2]
+        assert len(hint) == 2
+
+    @pytest.mark.parametrize("policy", list(SortPolicy))
+    def test_wrong_endpoint_deletes_leave_queries_equal_to_linear_scan(self, policy):
+        rng = random.Random(7)
+        records = [
+            (i, st_, st_ + rng.randint(0, 60))
+            for i, st_ in enumerate(rng.randint(0, 400) for _ in range(200))
+        ]
+        hint = Hint.build(records, num_bits=5, sort_policy=policy)
+        oracle = LinearScan.build(records)
+        for object_id, st_, end in rng.sample(records, 60):
+            shift = rng.randint(1, 40)
+            wrong = (st_, end + shift) if rng.random() < 0.5 else (st_ - shift, end)
+            with pytest.raises(UnknownObjectError):
+                hint.delete(object_id, *wrong)
+            if rng.random() < 0.3:  # interleave real deletes
+                hint.delete(object_id, st_, end)
+                oracle.delete(object_id, st_, end)
+        assert len(hint) == len(oracle)
+        for _ in range(40):
+            a = rng.randint(-10, 470)
+            b = a + rng.randint(0, 150)
+            assert hint.range_query(a, b) == oracle.range_query(a, b), (a, b)
+
 
 class TestConfigurations:
     @pytest.mark.parametrize("policy", list(SortPolicy))
-    @pytest.mark.parametrize("subs", [True, False])
-    def test_all_configurations_agree(self, policy, subs):
+    def test_all_configurations_agree(self, policy):
         rng = random.Random(3)
         records = [
             (i, st, st + rng.randint(0, 50))
             for i, st in enumerate(rng.randint(0, 500) for _ in range(300))
         ]
-        hint = Hint.build(
-            records, num_bits=6, sort_policy=policy, use_subdivisions=subs
-        )
+        hint = Hint.build(records, num_bits=6, sort_policy=policy)
         for _ in range(40):
             a = rng.randint(-10, 520)
             b = a + rng.randint(0, 200)
             assert hint.range_query(a, b) == brute(records, a, b)
-
-    def test_storage_optimisation_shrinks_size(self):
-        records = [(i, i, i + 40) for i in range(200)]
-        opt = Hint.build(records, num_bits=6, storage_optimisation=True)
-        raw = Hint.build(records, num_bits=6, storage_optimisation=False)
-        assert opt.size_bytes() < raw.size_bytes()
 
     def test_larger_m_more_replication(self):
         records = [(i, i, i + 60) for i in range(200)]

@@ -6,12 +6,33 @@ from repro.core.errors import UnknownObjectError
 from repro.intervals.hint.partition import Partition, SortPolicy, SubArray, _Order
 from repro.intervals.hint.traversal import DivisionKind
 from repro.ir.inverted import TemporalCheck
+from repro.utils.memory import (
+    CONTAINER_BYTES,
+    ENTRY_FULL_BYTES,
+    ENTRY_ID_BYTES,
+    ENTRY_ID_START_BYTES,
+)
 
 
-def scan(partition, kind, check, q_st, q_end, use_subdivisions=True):
+def scan(partition, kind, check, q_st, q_end):
     out = []
-    partition.scan_division(kind, check, q_st, q_end, out, use_subdivisions)
+    partition.scan_division(kind, check, q_st, q_end, out)
     return sorted(out)
+
+
+def full_check(entries, check, q_st, q_end):
+    """Brute-force filter: ``check``'s comparisons applied to every entry."""
+    compare_st = check in (TemporalCheck.END_ONLY, TemporalCheck.BOTH)
+    compare_end = check in (TemporalCheck.START_ONLY, TemporalCheck.BOTH)
+    return sorted(
+        i for i, st, end in entries
+        if (not compare_st or st <= q_end) and (not compare_end or q_st <= end)
+    )
+
+
+def tombstone(partition, *args, **kwargs):
+    sub, i = partition.locate(*args, **kwargs)
+    sub.tombstone_at(i)
 
 
 @pytest.fixture()
@@ -71,29 +92,30 @@ class TestScans:
         assert scan(partition, DivisionKind.ORIGINALS, TemporalCheck.BOTH, 75, 90) == [3]
 
     def test_subdivision_skips_match_full_checks(self, partition):
-        """With and without the subdivision shortcuts, results agree."""
+        """The shortcut scan equals a brute-force filter of the division's
+        live entries under the full check."""
         for kind in DivisionKind:
+            entries = partition.division_entries(kind)
             for check in TemporalCheck:
                 for q in ((46, 62), (65, 99), (0, 47), (75, 90)):
-                    fast = scan(partition, kind, check, *q, use_subdivisions=True)
-                    slow = scan(partition, kind, check, *q, use_subdivisions=False)
-                    assert fast == slow, (kind, check, q)
+                    slow = full_check(entries, check, *q)
+                    assert scan(partition, kind, check, *q) == slow, (kind, check, q)
 
 
 class TestTombstones:
     def test_tombstone_hides_from_scans(self, partition):
-        partition.tombstone(2, 45, 70, end_cell=7, is_original=True)
+        tombstone(partition, 2, 45, 70, end_cell=7, is_original=True)
         assert scan(partition, DivisionKind.ORIGINALS, TemporalCheck.NONE, 0, 0) == [1, 3]
         assert len(partition) == 4
 
     def test_tombstone_missing_raises(self, partition):
         with pytest.raises(UnknownObjectError):
-            partition.tombstone(99, 0, 0, end_cell=6, is_original=True)
+            partition.locate(99, 0, 0, end_cell=6, is_original=True)
 
     def test_tombstone_in_each_subdivision(self, partition):
-        partition.tombstone(3, 50, 95, end_cell=9, is_original=True)
-        partition.tombstone(4, 10, 55, end_cell=5, is_original=False)
-        partition.tombstone(5, 5, 99, end_cell=9, is_original=False)
+        tombstone(partition, 3, 50, 95, end_cell=9, is_original=True)
+        tombstone(partition, 4, 10, 55, end_cell=5, is_original=False)
+        tombstone(partition, 5, 5, 99, end_cell=9, is_original=False)
         assert scan(partition, DivisionKind.REPLICAS, TemporalCheck.NONE, 0, 0) == []
 
 
@@ -116,20 +138,17 @@ class TestSortMaintenance:
             p.add(object_id, 0, 3, end_cell=3, is_original=True)
         assert p.o_in.ids == [1, 2, 5, 9]
 
-    def test_none_is_insertion_order(self):
-        p = Partition(0, 7, SortPolicy.NONE)
-        for object_id in (5, 2, 9):
-            p.add(object_id, 0, 3, end_cell=3, is_original=True)
-        assert p.o_in.ids == [5, 2, 9]
-
 
 class TestSizeAccounting:
-    def test_storage_optimisation_is_smaller(self, partition):
-        assert partition.size_bytes(True) < partition.size_bytes(False)
-
-    def test_unoptimised_counts_full_entries(self, partition):
-        # 5 entries * 16B + 4 non-empty subdivision containers * 16B
-        assert partition.size_bytes(False) == 5 * 16 + 4 * 16
+    def test_subdivisions_charged_for_their_endpoints(self, partition):
+        # o_in: 2 full entries; o_aft, r_in: id + one endpoint; r_aft: id only;
+        # plus 4 non-empty subdivision containers.
+        assert partition.size_bytes() == (
+            2 * ENTRY_FULL_BYTES
+            + 2 * ENTRY_ID_START_BYTES
+            + ENTRY_ID_BYTES
+            + 4 * CONTAINER_BYTES
+        )
 
 
 class TestSubArrayEdge:
@@ -142,4 +161,6 @@ class TestSubArrayEdge:
     def test_tombstone_false_when_absent(self):
         sub = SubArray(_Order.BY_ID)
         sub.add(1, 0, 1)
-        assert sub.tombstone(2, 0, 1) is False
+        assert sub.locate(2, 0, 1) == -1
+        assert sub.locate(1, 0, 2) == -1  # the id alone is not a match
+        assert sub.locate(1, 0, 1) == 0

@@ -1,20 +1,11 @@
-"""Per-substrate unit tests: grid, interval tree, segment tree, timeline,
-period index, linear scan."""
+"""Per-substrate unit tests: the 1D-grid layout and the linear scan."""
 
 import random
 
 import pytest
 
 from repro.core.errors import ConfigurationError, UnknownObjectError
-from repro.intervals import (
-    Grid1D,
-    GridLayout,
-    IntervalTree,
-    LinearScan,
-    PeriodIndex,
-    SegmentTree,
-    TimelineIndex,
-)
+from repro.intervals import GridLayout, Hint, LinearScan, SortPolicy
 
 
 def brute(records, a, b):
@@ -51,128 +42,6 @@ class TestGridLayout:
         assert layout.slice_of(5) == 0
 
 
-class TestGrid1D:
-    def test_queries_match_brute(self):
-        grid = Grid1D.build(RECORDS, n_slices=4)
-        for q in ((0, 40), (6, 7), (26, 28), (41, 50)):
-            assert grid.range_query(*q) == brute(RECORDS, *q)
-
-    def test_replication_counted(self):
-        grid = Grid1D.build(RECORDS, n_slices=4)
-        assert grid.n_replicated_entries() > len(RECORDS)
-
-    def test_delete(self):
-        grid = Grid1D.build(RECORDS, n_slices=4)
-        grid.delete(3, 8, 30)
-        assert 3 not in grid.range_query(0, 40)
-        with pytest.raises(UnknownObjectError):
-            grid.delete(3, 8, 30)
-
-    def test_build_empty(self):
-        grid = Grid1D.build([], n_slices=4)
-        assert grid.range_query(0, 10) == []
-
-
-class TestIntervalTree:
-    def test_queries_match_brute(self):
-        tree = IntervalTree.build(RECORDS)
-        for q in ((0, 40), (6, 7), (26, 28), (41, 50), (5, 5)):
-            assert tree.range_query(*q) == brute(RECORDS, *q)
-
-    def test_delete_and_double_delete(self):
-        tree = IntervalTree.build(RECORDS)
-        tree.delete(1, 0, 10)
-        assert 1 not in tree.range_query(0, 40)
-        with pytest.raises(UnknownObjectError):
-            tree.delete(1, 0, 10)
-
-    def test_insert_outside_domain_terminates(self):
-        tree = IntervalTree.build(RECORDS)
-        tree.insert(9, 1000, 1001)
-        tree.insert(10, -500, -499)
-        assert tree.range_query(999, 1002) == [9]
-        assert tree.range_query(-501, -498) == [10]
-
-    def test_depth_reasonable(self):
-        records = [(i, i, i + 1) for i in range(256)]
-        tree = IntervalTree.build(records)
-        assert tree.depth() <= 16  # domain-halving keeps it balanced
-
-
-class TestSegmentTree:
-    def test_stab_matches_brute(self):
-        tree = SegmentTree.build(RECORDS)
-        for t in (0, 5, 8, 26, 30, 35, 50):
-            assert tree.stab_query(t) == brute(RECORDS, t, t)
-
-    def test_range_matches_brute(self):
-        tree = SegmentTree.build(RECORDS)
-        for q in ((0, 40), (6, 7), (26, 28), (41, 50)):
-            assert tree.range_query(*q) == brute(RECORDS, *q)
-
-    def test_insert_new_coords_goes_to_overflow(self):
-        tree = SegmentTree.build(RECORDS)
-        tree.insert(9, 3, 7)  # 3 and 7 are not skeleton coordinates
-        assert 9 in tree.stab_query(5)
-
-    def test_delete(self):
-        tree = SegmentTree.build(RECORDS)
-        tree.delete(2, 5, 5)
-        assert 2 not in tree.stab_query(5)
-        with pytest.raises(UnknownObjectError):
-            tree.delete(2, 5, 5)
-
-
-class TestTimelineIndex:
-    def test_queries_match_brute(self):
-        timeline = TimelineIndex.build(RECORDS, checkpoint_every=4)
-        for q in ((0, 40), (6, 7), (26, 28), (41, 50), (10, 10)):
-            assert timeline.range_query(*q) == brute(RECORDS, *q)
-
-    def test_zero_duration_interval(self):
-        timeline = TimelineIndex.build([(1, 5, 5)])
-        assert timeline.range_query(5, 5) == [1]
-        assert timeline.range_query(6, 9) == []
-
-    def test_checkpoints_exist(self):
-        timeline = TimelineIndex.build(RECORDS, checkpoint_every=2)
-        assert timeline.n_checkpoints() >= 2
-
-    def test_insert_marks_dirty_but_stays_correct(self):
-        timeline = TimelineIndex.build(RECORDS, checkpoint_every=100)
-        timeline.insert(9, 1, 2)
-        records = RECORDS + [(9, 1, 2)]
-        for q in ((0, 40), (1, 1), (2, 3)):
-            assert timeline.range_query(*q) == brute(records, *q)
-
-    def test_delete(self):
-        timeline = TimelineIndex.build(RECORDS)
-        timeline.delete(5, 29, 40)
-        assert 5 not in timeline.range_query(0, 50)
-
-
-class TestPeriodIndex:
-    def test_queries_match_brute(self):
-        period = PeriodIndex.build(RECORDS, n_partitions=4)
-        for q in ((0, 40), (6, 7), (26, 28), (41, 50)):
-            assert period.range_query(*q) == brute(RECORDS, *q)
-
-    def test_range_duration_query(self):
-        period = PeriodIndex.build(RECORDS, n_partitions=4)
-        # Only intervals with duration >= 10 overlapping [0, 40]:
-        # 1 (10), 3 (22), 5 (11).
-        assert period.range_duration_query(0, 40, 10, None) == [1, 3, 5]
-        # Duration <= 1: o2 (0) and o4 (1).
-        assert period.range_duration_query(0, 40, None, 1) == [2, 4]
-
-    def test_delete(self):
-        period = PeriodIndex.build(RECORDS)
-        period.delete(4, 25, 26)
-        assert 4 not in period.range_query(20, 30)
-        with pytest.raises(UnknownObjectError):
-            period.delete(4, 25, 26)
-
-
 class TestLinearScan:
     def test_matches_brute_trivially(self):
         scan = LinearScan.build(RECORDS)
@@ -188,7 +57,7 @@ class TestLinearScan:
 
 
 class TestCrossSubstrateEquivalence:
-    """All six substrates agree with each other on randomized workloads."""
+    """HINT, under both sort policies, agrees with the linear scan on randomized workloads."""
 
     def test_randomized_agreement(self):
         rng = random.Random(99)
@@ -196,17 +65,11 @@ class TestCrossSubstrateEquivalence:
         for i in range(400):
             st = rng.randint(0, 5000)
             records.append((i, st, st + rng.randint(0, 400)))
-        indexes = [
-            Grid1D.build(records, n_slices=13),
-            IntervalTree.build(records),
-            SegmentTree.build(records),
-            TimelineIndex.build(records, checkpoint_every=64),
-            PeriodIndex.build(records, n_partitions=8),
-        ]
+        indexes = [Hint.build(records, num_bits=6, sort_policy=policy) for policy in SortPolicy]
         oracle = LinearScan.build(records)
         for _ in range(60):
             a = rng.randint(-100, 5200)
             b = a + rng.randint(0, 1500)
             expected = oracle.range_query(a, b)
             for index in indexes:
-                assert index.range_query(a, b) == expected, type(index).__name__
+                assert index.range_query(a, b) == expected, index.sort_policy

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.errors import ReproError
+from repro.core.errors import ConfigurationError, ReproError
 from repro.indexes.brute import BruteForce
+from repro.indexes.registry import available_indexes
 from repro.service import layout
 from repro.service.faults import flip_bit
-from repro.service.recovery import _apply, recover
+from repro.service.recovery import _apply, _fresh_index, recover
 from repro.service.store import DurableIndexStore
 from repro.service.wal import WriteAheadLog, read_wal
 
@@ -114,6 +115,23 @@ def test_unknown_manifest_key_degrades_not_crashes(tmp_path, ops):
     report = recover(tmp_path)
     assert report.degraded
     assert query_results(report.index) == query_results(oracle_index(ops[:10]))
+
+
+def test_manifest_naming_a_retired_index_key_is_a_configuration_error(tmp_path, ops):
+    """``set-trie`` was a registry key once: constructing it raises
+    ConfigurationError naming the keys there are (not KeyError or
+    AttributeError), and open serves the degraded store that error explains."""
+    populate(tmp_path, ops[:10])
+    manifest_path = tmp_path / layout.MANIFEST_NAME
+    manifest_path.write_text('{"index_key": "set-trie", "index_params": {}}')
+    with pytest.raises(ConfigurationError, match="unknown index 'set-trie'; available: "):
+        _fresh_index("set-trie", {})
+    with DurableIndexStore.open(tmp_path) as store:
+        assert store.degraded
+        notes = "\n".join(store.last_recovery.notes)
+        assert "cannot construct index 'set-trie'" in notes
+        assert ", ".join(available_indexes()) in notes
+        assert query_results(store.index) == query_results(oracle_index(ops[:10]))
 
 
 def test_unknown_wal_record_kind_degrades(tmp_path, ops):

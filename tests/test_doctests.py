@@ -3,7 +3,6 @@
 import doctest
 
 import repro
-import repro.intervals.allen
 import repro.utils.sorting
 
 
@@ -15,10 +14,6 @@ def _run(module):
 
 def test_package_quickstart_doctest():
     assert _run(repro) >= 1  # the README-style quickstart in repro.__doc__
-
-
-def test_allen_doctest():
-    assert _run(repro.intervals.allen) >= 1
 
 
 def test_sorting_doctest():

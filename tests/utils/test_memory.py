@@ -36,7 +36,7 @@ class TestSizeModel:
     def test_endpoint_entries(self):
         assert SizeModel().add_endpoint_entries(2).bytes_total == 12
 
-    def test_storage_optimisation_ordering(self):
+    def test_entry_sizes_ordering(self):
         # The whole point: id-only < id+endpoint < full entry.
         assert ENTRY_ID_BYTES < ENTRY_ID_START_BYTES < ENTRY_FULL_BYTES
 
