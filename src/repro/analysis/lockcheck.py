@@ -22,9 +22,10 @@ Locks are identified by *name* (role), not instance: ``tenant:<name>``
 RW locks, ``exec.cache``, ``cluster.swap`` … — ordering discipline is a
 property of roles.  Ownership is tracked per *context* (asyncio task
 when inside a loop, thread otherwise), and a release may legally arrive
-from a different context than the acquire (the daemon releases
-deadline-abandoned acquisitions from a pool-future done-callback), so
-release bookkeeping falls back to a cross-context search.
+from a different context than the acquire (the daemon releases every
+pool-run hold from the pool future's done-callback, which runs as a
+plain loop callback outside any task), so release bookkeeping falls
+back to a cross-context search.
 
 Production cost is zero: nothing in this module is imported by the
 serving path, and with no observer installed the hooks in
@@ -139,8 +140,8 @@ class LockOrderChecker:
         with self._mutex:
             if self._remove(ctx, name, mode):
                 return
-            # Cross-context release (e.g. the daemon's done-callback
-            # release task): find whoever holds it.
+            # Cross-context release (e.g. the daemon's pool-future
+            # done-callback): find whoever holds it.
             for other in list(self._held):
                 if self._remove(other, name, mode):
                     return

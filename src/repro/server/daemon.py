@@ -14,18 +14,20 @@ Concurrency model
 One asyncio loop owns all socket I/O and the admission state.  Index
 work is synchronous CPU-bound Python, so admitted requests execute on a
 bounded thread pool (``max_inflight`` workers — the pool *is* the
-capacity).  Per tenant, a read/write lock lets queries overlap while
-mutations get exclusivity (the WAL and the in-memory index are not safe
-under concurrent mutation).  Deadlines are enforced cooperatively at
-shard boundaries inside the cluster scatter-gather
-(:meth:`~repro.cluster.ClusterRouter.query_partial`) and as an
-``asyncio.wait_for`` backstop around the pool call; an expired backstop
-abandons the *result*, not the thread — the pool stays bounded, so a
+capacity; a full pool parks requests in a FIFO that finishing requests
+hand their slots to).  Per tenant, a read/write lock lets queries
+overlap while mutations get exclusivity (the WAL and the in-memory index
+are not safe under concurrent mutation).  Deadlines are enforced
+cooperatively at shard boundaries inside the cluster scatter-gather
+(:meth:`~repro.cluster.ClusterRouter.query_partial`) and by one loop
+timer per wait: admission queue, lock queue, pool call.  An expired
+execution backstop abandons the *result*, not the thread — a
 pathological query can at worst occupy one of ``max_inflight`` slots
 until it returns.  The tenant lock stays held until that thread really
-finishes (release rides on the future's done-callback), so an abandoned
-mutation can never overlap a later one on the same store; drain
-likewise waits for outstanding pool futures before flushing WALs.
+finishes (the pool future's done-callback releases it), so an abandoned
+mutation can never overlap a later one on the same store; drain likewise
+waits for outstanding pool futures before flushing WALs.  Uncontended,
+a request creates no task and suspends once, on the pool hop.
 
 Fault injection
 ---------------
@@ -53,9 +55,10 @@ import asyncio
 import random
 import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster import PartialResult
 from repro.core.errors import (
@@ -181,11 +184,11 @@ class QueryDaemon:
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_futures: Set["asyncio.Future[Any]"] = set()
+        self._pool_futures: Set["Future[Any]"] = set()
         self._locks: Dict[str, AsyncRWLock] = {}
         self._writers: Set[asyncio.StreamWriter] = set()
         self._executing = 0
-        self._waiting = 0
+        self._queue: Deque["asyncio.Future[bool]"] = deque()  # admission FIFO
         self._active = 0  # requests between dispatch and response-sent
         self._draining = False
         self._drain_requested: Optional[asyncio.Event] = None
@@ -383,17 +386,20 @@ class QueryDaemon:
                 )
             )
         writer.write(data)
-        try:
-            await asyncio.wait_for(writer.drain(), self.config.write_timeout)
-        except asyncio.TimeoutError:
-            # Slow client: its kernel buffers are full and it is not
-            # reading.  Keeping the connection would let one laggard pin
-            # daemon memory; cut it loose instead.
-            self._count(lambda i: i.slow_client_closes.inc())
-            writer.transport.abort()
-            return False
-        except (ConnectionError, InjectedDisconnect):
-            return False
+        transport = writer.transport
+        # Drain only a socket that did not take the whole frame (or is closing).
+        if transport.get_write_buffer_size() or transport.is_closing():
+            try:
+                await asyncio.wait_for(writer.drain(), self.config.write_timeout)
+            except asyncio.TimeoutError:
+                # Slow client: its kernel buffers are full and it is not
+                # reading.  Keeping the connection would let one laggard
+                # pin daemon memory; cut it loose instead.
+                self._count(lambda i: i.slow_client_closes.inc())
+                transport.abort()
+                return False
+            except (ConnectionError, InjectedDisconnect):
+                return False
         self._count(lambda i: i.bytes_written.inc(len(data)))
         return True
 
@@ -455,7 +461,7 @@ class QueryDaemon:
                 "draining": self._draining,
                 "tenants": self.tenants.stats(),
                 "executing": self._executing,
-                "waiting": self._waiting,
+                "waiting": len(self._queue),
                 "open_connections": len(self._writers),
                 "limits": {
                     "max_inflight": self.config.max_inflight,
@@ -468,40 +474,27 @@ class QueryDaemon:
 
     def _introspect(self, request_id: Any, payload: Dict[str, Any]) -> Dict[str, Any]:
         """The live introspection plane: traces, slow log, events, SLOs."""
+        def bad(message: str) -> Dict[str, Any]:
+            return self._error(request_id, E_BAD_REQUEST, message, verb="introspect")
+
         what = payload.get("what", "top")
         if what not in INTROSPECT_VIEWS:
-            return self._error(
-                request_id,
-                E_BAD_REQUEST,
+            return bad(
                 f"unknown introspect view {what!r}; expected one of "
-                f"{', '.join(INTROSPECT_VIEWS)}",
-                verb="introspect",
+                f"{', '.join(INTROSPECT_VIEWS)}"
             )
         limit = payload.get("limit", 20)
         if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-            return self._error(
-                request_id,
-                E_BAD_REQUEST,
-                f"limit must be a positive integer, got {limit!r}",
-                verb="introspect",
-            )
+            return bad(f"limit must be a positive integer, got {limit!r}")
         limit = min(limit, 500)
         if what == "traces":
             trace_id = payload.get("trace_id")
             tenant = payload.get("tenant")
             min_duration = payload.get("min_duration_ms", 0.0)
             if trace_id is not None and not isinstance(trace_id, str):
-                return self._error(
-                    request_id, E_BAD_REQUEST,
-                    "trace_id must be a string", verb="introspect",
-                )
-            if isinstance(min_duration, bool) or not isinstance(
-                min_duration, (int, float)
-            ):
-                return self._error(
-                    request_id, E_BAD_REQUEST,
-                    "min_duration_ms must be a number", verb="introspect",
-                )
+                return bad("trace_id must be a string")
+            if isinstance(min_duration, bool) or not isinstance(min_duration, (int, float)):
+                return bad("min_duration_ms must be a number")
             buffer = self.tracer.buffer
             return protocol.ok_response(
                 request_id,
@@ -574,7 +567,7 @@ class QueryDaemon:
                 "daemon": {
                     "draining": self._draining,
                     "executing": self._executing,
-                    "waiting": self._waiting,
+                    "waiting": len(self._queue),
                     "open_connections": len(self._writers),
                     "traces_buffered": len(self.tracer.buffer),
                     "traces_dropped": self.tracer.buffer.dropped,
@@ -589,12 +582,8 @@ class QueryDaemon:
         self, request_id: Any, verb: str, payload: Dict[str, Any], started: float
     ) -> Dict[str, Any]:
         if self._draining:
-            return self._error(
-                request_id,
-                E_SHUTTING_DOWN,
-                "daemon is draining; no new work accepted",
-                verb=verb,
-            )
+            message = "daemon is draining; no new work accepted"
+            return self._error(request_id, E_SHUTTING_DOWN, message, verb=verb)
         try:
             deadline = started + self._deadline_seconds(payload)
             tenant = self.tenants.get(self._tenant_name(payload))
@@ -638,8 +627,7 @@ class QueryDaemon:
                         request_id, verb, payload, tenant, deadline, waits
                     )
                 finally:
-                    self._executing -= 1
-                    self._count(lambda i: i.inflight.set(self._executing))
+                    self._release_slot()
         self._finish_work(trace, tenant.name, verb, response, started, waits)
         return response
 
@@ -692,30 +680,52 @@ class QueryDaemon:
 
     # ---------------------------------------------------------------- admission
     async def _admit(self, deadline: float) -> str:
-        """Reserve an execution slot: ``ok``, ``shed`` or ``deadline``."""
-        if (
-            self._executing >= self.config.max_inflight
-            and self._waiting >= self.config.max_queue
-        ):
+        """Reserve an execution slot: ``ok``, ``shed`` or ``deadline``.
+
+        A full pool parks the request in :attr:`_queue` until
+        :meth:`_release_slot` hands it a slot or its deadline unqueues it.
+        """
+        queue = self._queue
+        if self._executing < self.config.max_inflight and not queue:
+            self._executing += 1
+            self._count(lambda i: i.inflight.set(self._executing))
+            return "ok"
+        if len(queue) >= self.config.max_queue:
             return "shed"
-        if self._executing < self.config.max_inflight and not self._waiting:
-            self._executing += 1
-            self._count(lambda i: i.inflight.set(self._executing))
-            return "ok"
-        self._waiting += 1
-        self._count(lambda i: i.queued.set(self._waiting))
+        loop = asyncio.get_running_loop()
+        waiter: "asyncio.Future[bool]" = loop.create_future()
+        queue.append(waiter)
+        self._count(lambda i: i.queued.set(len(queue)))
+        timer = loop.call_later(deadline - time.monotonic(), self._unqueue, waiter)
         try:
-            while self._executing >= self.config.max_inflight:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return "deadline"
-                await asyncio.sleep(min(0.002, remaining))
-            self._executing += 1
-            self._count(lambda i: i.inflight.set(self._executing))
-            return "ok"
+            return "ok" if await waiter else "deadline"
+        except asyncio.CancelledError:
+            if waiter.cancelled():
+                self._unqueue(waiter)
+            elif waiter.result():
+                self._release_slot()  # handed a slot it will never use
+            raise
         finally:
-            self._waiting -= 1
-            self._count(lambda i: i.queued.set(self._waiting))
+            timer.cancel()
+
+    def _unqueue(self, waiter: "asyncio.Future[bool]") -> None:
+        """Take a waiter out of the admission queue (deadline or cancel)."""
+        if waiter in self._queue:
+            self._queue.remove(waiter)
+            self._count(lambda i: i.queued.set(len(self._queue)))
+        _settle(waiter, False)
+
+    def _release_slot(self) -> None:
+        """A request left execution: its slot goes to the queue head, if any."""
+        queue = self._queue
+        while queue:
+            waiter = queue.popleft()
+            if not waiter.done():
+                waiter.set_result(True)
+                self._count(lambda i: i.queued.set(len(queue)))
+                return
+        self._executing -= 1
+        self._count(lambda i: i.inflight.set(self._executing))
 
     # ---------------------------------------------------------------- execution
     async def _execute(
@@ -728,37 +738,29 @@ class QueryDaemon:
         waits: Optional[Dict[str, float]] = None,
     ) -> Dict[str, Any]:
         try:
-            grace = (
-                self.config.deadline_grace if tenant.kind == "cluster" else 0.0
-            )
+            grace = self.config.deadline_grace if tenant.kind == "cluster" else 0.0
             if verb == "query":
-                q = self._parse_query(payload)
+                q = _query_from(payload)
                 work = lambda: tenant.query_partial(q, deadline)  # noqa: E731
                 partial = await self._run_locked(
                     tenant.name, work, deadline, write=False, grace=grace, waits=waits
                 )
-                return self._partial_response(request_id, partial)
+                if not partial.complete:
+                    self._count(lambda i: i.partial_results.inc())
+                return protocol.ok_response(request_id, self._partial_dict(partial))
             if verb == "batch":
                 queries = self._parse_batch(payload)
 
                 def run_batch() -> List[PartialResult]:
                     out: List[PartialResult] = []
                     for q in queries:
-                        if time.monotonic() >= deadline:
-                            out.append(
-                                PartialResult(
-                                    ids=[],
-                                    complete=False,
-                                    shard_errors={
-                                        "*": {
-                                            "code": "deadline_exceeded",
-                                            "message": "batch deadline expired",
-                                        }
-                                    },
-                                )
-                            )
-                        else:
+                        if time.monotonic() < deadline:
                             out.append(tenant.query_partial(q, deadline))
+                            continue
+                        expired = {"code": E_DEADLINE, "message": "batch deadline expired"}
+                        out.append(
+                            PartialResult(ids=[], complete=False, shard_errors={"*": expired})
+                        )
                     return out
 
                 partials = await self._run_locked(
@@ -816,90 +818,74 @@ class QueryDaemon:
         """Run ``fn`` on the pool under the tenant's read/write lock.
 
         The lock is held until the worker thread actually finishes —
-        never merely until the awaiter gives up.  ``asyncio.wait_for``
-        cannot cancel a running executor thread, so when the deadline
-        backstop fires the caller gets its deadline error immediately,
-        but the release rides on the future's done-callback: no later
+        never merely until the awaiter gives up.  A running pool thread
+        cannot be cancelled, so when the deadline backstop (one loop
+        timer) fires the caller gets its deadline error immediately, but
+        the release rides on the pool future's done-callback: no later
         writer can acquire the lock and mutate the same store while the
         abandoned thread is still inside it.
         """
         lock = self._locks.get(tenant_name)
         if lock is None:
-            lock = self._locks[tenant_name] = AsyncRWLock(
-                name=f"tenant:{tenant_name}"
-            )
+            lock = self._locks[tenant_name] = AsyncRWLock(f"tenant:{tenant_name}")
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise _DeadlineHit("deadline expired before execution began")
-        acquire = lock.acquire_write() if write else lock.acquire_read()
         with span("tenant_lock", write=write):
             lock_t0 = time.monotonic()
-            try:
-                await asyncio.wait_for(acquire, remaining)
-            except asyncio.TimeoutError:
-                raise _DeadlineHit(
-                    "deadline expired waiting for the tenant lock"
-                ) from None
-            finally:
-                if waits is not None:
-                    waits["lock_ms"] = (time.monotonic() - lock_t0) * 1000.0
-        fut: Optional["asyncio.Future[Tuple[str, Any]]"] = None
-        try:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _DeadlineHit("deadline expired before execution began")
-            loop = asyncio.get_running_loop()
-            with span("execute") as exec_rec:
-                # The worker thread re-parents its spans (router plan,
-                # per-shard probes) under this one via the explicit
-                # capture/under handoff — ContextVars do not follow a
-                # run_in_executor call on their own.
-                active = capture_active()
-                # The thread wrapper captures exceptions itself: a future
-                # whose awaiter was cancelled by the deadline backstop must
-                # not leak "exception was never retrieved" noise.
-                fut = loop.run_in_executor(self._pool, _capture(fn, active))
-                # From here on the done-callback owns both the lock release
-                # and the drain-visible tracking; the shield keeps the
-                # backstop timeout from cancelling the future out from
-                # under that callback.
-                self._track_pool_future(fut, lock, write)
-                try:
-                    outcome = await asyncio.wait_for(
-                        asyncio.shield(fut), remaining + grace
-                    )
-                except asyncio.TimeoutError:
-                    if exec_rec is not None:
-                        exec_rec.status = "deadline_abandoned"
-                    raise _DeadlineHit("deadline expired during execution") from None
-                kind, value = outcome
-                if kind == "err":
-                    raise value
-                return value
-        finally:
-            if fut is None:
-                # The executor call never started; release inline.
-                if write:
-                    await lock.release_write()
-                else:
-                    await lock.release_read()
-
-    def _track_pool_future(
-        self, fut: "asyncio.Future[Any]", lock: AsyncRWLock, write: bool
-    ) -> None:
-        """Register a pool future; its completion releases the tenant lock."""
-        self._pool_futures.add(fut)
+            acquire = lock.acquire_write if write else lock.acquire_read
+            acquired = await acquire(remaining)
+            if waits is not None:
+                waits["lock_ms"] = (time.monotonic() - lock_t0) * 1000.0
+            if not acquired:
+                raise _DeadlineHit("deadline expired waiting for the tenant lock")
+        release = lock.release_write if write else lock.release_read
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            release()
+            raise _DeadlineHit("deadline expired before execution began")
+        assert self._pool is not None
         loop = asyncio.get_running_loop()
+        outcome: "asyncio.Future[Optional[Tuple[str, Any]]]" = loop.create_future()
 
-        def on_done(f: "asyncio.Future[Any]") -> None:
-            self._pool_futures.discard(f)
-            release = lock.release_write() if write else lock.release_read()
+        def on_done(job: "Future[Tuple[str, Any]]") -> None:
+            # Runs on the loop once the worker thread has really returned.
+            self._pool_futures.discard(job)
+            release()
+            _settle(outcome, job.result())
+
+        def from_thread(job: "Future[Tuple[str, Any]]") -> None:
             try:
-                loop.create_task(release)
+                loop.call_soon_threadsafe(on_done, job)
             except RuntimeError:
-                release.close()  # loop already torn down; lock is moot
+                pass  # loop already torn down; the lock is moot
 
-        fut.add_done_callback(on_done)
+        with span("execute") as exec_rec:
+            # The worker re-parents its spans (router plan, per-shard
+            # probes) under this one: ContextVars do not follow a pool
+            # submission on their own.
+            try:
+                job = self._pool.submit(_capture(fn, capture_active()))
+            except BaseException:
+                release()  # the job never started
+                raise
+            # The done-callback now owns the release and the drain-visible
+            # tracking; the backstop timer only settles `outcome`.
+            self._pool_futures.add(job)
+            job.add_done_callback(from_thread)
+            timer = loop.call_later(remaining + grace, _settle, outcome, None)
+            try:
+                result = await outcome
+            finally:
+                timer.cancel()
+            if result is None:
+                if exec_rec is not None:
+                    exec_rec.status = "deadline_abandoned"
+                raise _DeadlineHit("deadline expired during execution")
+            kind, value = result
+            if kind == "err":
+                raise value
+            return value
 
     # ------------------------------------------------------------ result shapes
     def _partial_dict(self, partial: PartialResult) -> Dict[str, Any]:
@@ -914,13 +900,6 @@ class QueryDaemon:
             out["shard_errors"] = partial.shard_errors
         return out
 
-    def _partial_response(
-        self, request_id: Any, partial: PartialResult
-    ) -> Dict[str, Any]:
-        if not partial.complete:
-            self._count(lambda i: i.partial_results.inc())
-        return protocol.ok_response(request_id, self._partial_dict(partial))
-
     # ---------------------------------------------------------------- parsing
     def _deadline_seconds(self, payload: Dict[str, Any]) -> float:
         raw = payload.get("deadline_ms", self.config.default_deadline_ms)
@@ -933,9 +912,6 @@ class QueryDaemon:
         if not isinstance(tenant, str) or not tenant:
             raise _BadRequest("missing required field 'tenant'")
         return tenant
-
-    def _parse_query(self, payload: Dict[str, Any]) -> TimeTravelQuery:
-        return _query_from(payload)
 
     def _parse_batch(self, payload: Dict[str, Any]) -> List[TimeTravelQuery]:
         raw = payload.get("queries")
@@ -1010,6 +986,12 @@ def _capture(
             return ("err", exc)
 
     return run
+
+
+def _settle(fut: "asyncio.Future[Any]", value: Any) -> None:
+    """Resolve ``fut`` unless a timer or a finishing job already has."""
+    if not fut.done():
+        fut.set_result(value)
 
 
 def _classify(response: Dict[str, Any]) -> Tuple[str, Optional[str]]:

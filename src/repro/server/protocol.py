@@ -53,6 +53,10 @@ MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct("!I")
 
+#: One compact encoder for every frame: ``json.dumps`` with non-default
+#: separators would build a fresh ``JSONEncoder`` per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 # ------------------------------------------------------------- error codes
 E_BAD_REQUEST = "bad_request"  # malformed verb/fields/values
 E_UNKNOWN_TENANT = "unknown_tenant"  # tenant name not registered
@@ -86,7 +90,7 @@ class ProtocolError(ReproError):
 # ------------------------------------------------------------ frame codecs
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One framed message; raises :class:`ProtocolError` when oversized."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _ENCODER.encode(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"

@@ -1,48 +1,36 @@
 """Lock primitives with optional order-checking instrumentation.
 
-Two kinds of locks live here:
+:class:`AsyncRWLock` is the daemon's many-readers/one-writer asyncio
+lock (it lives here so the lock-order checker can observe it without
+importing the serving tier); :func:`make_lock` is the factory every
+``threading.Lock`` creation site in the library goes through.
 
-* :class:`AsyncRWLock` — the daemon's many-readers/one-writer asyncio
-  lock (moved out of :mod:`repro.server.daemon` so the lock-order
-  checker can observe it without importing the serving tier);
-* :func:`make_lock` — the factory every ``threading.Lock`` creation
-  site in the library goes through.
-
-Both consult a module-level *observer* slot.  Production never installs
-an observer, so the overhead is one global load and a branch per
-acquisition — and for :func:`make_lock`, zero: with no observer the raw
-``threading.Lock`` is returned and the wrapper class never exists.
-
-The observer protocol (implemented by
-:class:`repro.analysis.lockcheck.LockOrderChecker`)::
-
-    before_acquire(name, mode)   # about to block on `name`
-    acquired(name, mode)         # acquisition succeeded
-    released(name, mode)         # lock handed back
-
-``mode`` is ``"read"`` / ``"write"`` for the RW lock and ``"exclusive"``
-for plain mutexes.  The observer derives its own notion of *who* is
-acquiring (thread / asyncio task) — these hooks carry only the lock's
-name, which doubles as its identity in the ordering graph (every lock
-created under one name is one node: ordering discipline is a property
-of lock *roles*, not instances).
+Both report to a module-level :class:`LockObserver` slot (implemented by
+:class:`repro.analysis.lockcheck.LockOrderChecker`).  Production never
+installs one, so the overhead is one global load and a branch per
+acquisition — and for :func:`make_lock`, zero: the raw ``threading.Lock``
+is returned.  ``mode`` is ``"read"``/``"write"`` for the RW lock and
+``"exclusive"`` for mutexes; the hooks carry only the lock's name, its
+identity in the ordering graph (ordering discipline is a property of
+lock *roles*, not instances), and the observer derives *who* acquires.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Optional, Protocol, Union
+from collections import deque
+from typing import Any, Coroutine, Deque, Optional, Protocol, Tuple, Union
 
 
 class LockObserver(Protocol):
     """What the lock-order checker implements (see module docstring)."""
 
-    def before_acquire(self, name: str, mode: str) -> None: ...
+    def before_acquire(self, name: str, mode: str) -> None: ...  # may block next
 
-    def acquired(self, name: str, mode: str) -> None: ...
+    def acquired(self, name: str, mode: str) -> None: ...  # acquisition succeeded
 
-    def released(self, name: str, mode: str) -> None: ...
+    def released(self, name: str, mode: str) -> None: ...  # lock handed back
 
 
 #: The installed observer, or None (the production state).
@@ -131,67 +119,97 @@ def make_lock(name: str) -> LockLike:
 class AsyncRWLock:
     """Many readers or one writer, asyncio-native, writer-preferring.
 
-    New readers also wait while a writer is *queued* (not just while one
-    holds the lock), so a continuous stream of overlapping queries
-    cannot starve an insert/delete past its deadline.
+    Two counters and a FIFO of parked ``(write, future)`` waiters.  An
+    admissible acquire returns without suspending; a contended one parks
+    a future, with a ``call_later`` timer when given a timeout (it then
+    returns False).  Releases are synchronous and grant the admissible
+    head: one writer, or every reader up to the next queued writer.  New
+    readers wait while a writer is *queued*, so a stream of overlapping
+    queries cannot starve an insert/delete past its deadline.
 
-    Acquire/release may legally happen from *different* tasks: the
-    daemon releases a deadline-abandoned acquisition from the pool
-    future's done-callback.  The observer hooks therefore identify the
-    lock by name only and leave ownership bookkeeping to the checker.
+    The daemon releases from the pool future's done-callback, not the
+    acquiring task, so the observer hooks name the lock only and leave
+    ownership bookkeeping to the checker.
     """
 
     def __init__(self, name: str = "rwlock") -> None:
         self.name = name
-        self._cond = asyncio.Condition()
         self._readers = 0
         self._writing = False
-        self._writers_waiting = 0
+        self._waiters: Deque[Tuple[bool, "asyncio.Future[bool]"]] = deque()
 
-    async def acquire_read(self) -> None:
-        observer = _observer
-        if observer is not None:
-            observer.before_acquire(self.name, "read")
-        async with self._cond:
-            while self._writing or self._writers_waiting:
-                await self._cond.wait()
-            self._readers += 1
-        if observer is not None:
-            observer.acquired(self.name, "read")
+    def acquire_read(self, timeout: Optional[float] = None) -> Coroutine[Any, Any, bool]:
+        return self._acquire(False, timeout)
 
-    async def release_read(self) -> None:
-        async with self._cond:
-            self._readers -= 1
-            if not self._readers:
-                self._cond.notify_all()
+    def acquire_write(self, timeout: Optional[float] = None) -> Coroutine[Any, Any, bool]:
+        return self._acquire(True, timeout)
+
+    def release_read(self) -> None:
+        self._readers -= 1
+        if not self._readers:
+            self._grant()
         observer = _observer
         if observer is not None:
             observer.released(self.name, "read")
 
-    async def acquire_write(self) -> None:
-        observer = _observer
-        if observer is not None:
-            observer.before_acquire(self.name, "write")
-        async with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writing or self._readers:
-                    await self._cond.wait()
-                self._writing = True
-            finally:
-                self._writers_waiting -= 1
-                if not self._writing:
-                    # Acquisition was abandoned (deadline cancel while
-                    # queued); wake the readers this writer was holding
-                    # back.
-                    self._cond.notify_all()
-        if observer is not None:
-            observer.acquired(self.name, "write")
-
-    async def release_write(self) -> None:
-        async with self._cond:
-            self._writing = False
-            self._cond.notify_all()
+    def release_write(self) -> None:
+        self._writing = False
+        self._grant()
         observer = _observer
         if observer is not None:
             observer.released(self.name, "write")
+
+    async def _acquire(self, write: bool, timeout: Optional[float]) -> bool:
+        mode = "write" if write else "read"
+        observer = _observer
+        if observer is not None:
+            observer.before_acquire(self.name, mode)
+        if self._writing or self._waiters or (write and self._readers):
+            loop = asyncio.get_running_loop()
+            entry = (write, loop.create_future())
+            self._waiters.append(entry)
+            timer = None if timeout is None else loop.call_later(timeout, self._expire, entry)
+            try:
+                if not await entry[1]:
+                    return False
+            except asyncio.CancelledError:
+                if entry[1].cancelled():
+                    self._expire(entry)  # still parked: leave the queue
+                elif entry[1].result():  # granted, then cancelled: hand it on
+                    if observer is not None:
+                        observer.acquired(self.name, mode)
+                    (self.release_write if write else self.release_read)()
+                raise
+            finally:
+                if timer is not None:
+                    timer.cancel()
+        elif write:
+            self._writing = True
+        else:
+            self._readers += 1
+        if observer is not None:
+            observer.acquired(self.name, mode)
+        return True
+
+    def _expire(self, entry: Tuple[bool, "asyncio.Future[bool]"]) -> None:
+        """Drop a parked waiter; readers it held back may now be admissible."""
+        if entry in self._waiters:
+            self._waiters.remove(entry)
+            if not entry[1].done():
+                entry[1].set_result(False)
+            self._grant()
+
+    def _grant(self) -> None:
+        waiters = self._waiters
+        while waiters and not self._writing:
+            write, fut = waiters[0]
+            if write and self._readers:
+                return
+            waiters.popleft()
+            if fut.done():
+                continue  # cancelled; its task is about to unqueue it
+            if write:
+                self._writing = True
+            else:
+                self._readers += 1
+            fut.set_result(True)

@@ -144,8 +144,8 @@ class TestAsyncRWLock:
             inner = AsyncRWLock(name="tenant:b")
             await outer.acquire_write()
             await inner.acquire_read()  # event loop parked behind a writer
-            await inner.release_read()
-            await outer.release_write()
+            inner.release_read()
+            outer.release_write()
 
         asyncio.run(scenario())
         kinds = [v.kind for v in checker.violations]
@@ -157,9 +157,9 @@ class TestAsyncRWLock:
         async def scenario():
             rw = AsyncRWLock(name="tenant:a")
             await rw.acquire_write()
-            await rw.release_write()
+            rw.release_write()
             await rw.acquire_read()
-            await rw.release_read()
+            rw.release_read()
 
         asyncio.run(scenario())
         assert checker.acquisitions == 2
@@ -175,31 +175,49 @@ class TestAsyncRWLock:
             await rw.acquire_write()
             with mutex:
                 pass
-            await rw.release_write()
+            rw.release_write()
 
         asyncio.run(scenario())
         checker.assert_clean()
         assert checker.edges() == {"tenant:a": {"obs.events"}}
 
     def test_cross_context_release_is_reconciled(self, checker):
-        # The daemon releases a deadline-abandoned writer from the pool
-        # future's done-callback — a different task/thread than the
-        # acquirer.  The checker must find and clear the hold anyway.
+        # The daemon releases every pool-run hold from the pool future's
+        # done-callback — a different context than the acquiring task.
+        # The checker must find and clear the hold anyway.
         async def acquire_only():
             rw = AsyncRWLock(name="tenant:a")
             await rw.acquire_write()
             return rw
 
-        async def release_only(rw):
-            await rw.release_write()
-
         rw = asyncio.run(acquire_only())
-        releaser = threading.Thread(target=lambda: asyncio.run(release_only(rw)))
+        releaser = threading.Thread(target=rw.release_write)
         releaser.start()
         releaser.join(10)
         assert not releaser.is_alive()
         checker.assert_clean()
         assert checker._held == {}  # no stale ownership left behind
+
+    def test_cancel_after_grant_leaves_other_holds_alone(self, checker):
+        # A reader granted the lock but cancelled before it resumes hands
+        # its hold back; that release must not clear another reader's.
+        async def scenario():
+            rw = AsyncRWLock(name="tenant:a")
+            await rw.acquire_write()
+            first = asyncio.create_task(rw.acquire_read())
+            await asyncio.sleep(0)
+            second = asyncio.create_task(rw.acquire_read())
+            await asyncio.sleep(0)
+            rw.release_write()  # grants both readers
+            second.cancel()
+            await asyncio.gather(first, second, return_exceptions=True)
+            held = [h.name for hs in checker._held.values() for h in hs]
+            rw.release_read()
+            return held
+
+        assert asyncio.run(scenario()) == ["tenant:a"]
+        checker.assert_clean()
+        assert checker._held == {}
 
 
 class TestReporting:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.server import DaemonClient, ServerConfig, ServerError, start_daemon_thread
 from repro.server.daemon import QueryDaemon
+from repro.server.protocol import encode_frame
 from repro.service.store import DurableIndexStore
 from repro.utils.locks import AsyncRWLock
 from repro.utils.retry import RetryPolicy
@@ -78,6 +79,46 @@ class TestAdmissionControl:
         finally:
             handle.stop(30)
 
+    def test_queued_requests_are_admitted_in_arrival_order(self, registry):
+        daemon = QueryDaemon(registry, ServerConfig(max_inflight=1, max_queue=8))
+        order = []
+
+        async def go():
+            deadline = time.monotonic() + 5.0
+            assert await daemon._admit(deadline) == "ok"  # the occupant
+
+            async def queued(name):
+                assert await daemon._admit(deadline) == "ok"
+                order.append(name)
+
+            tasks = []
+            for name in ("a", "b", "c"):
+                tasks.append(asyncio.create_task(queued(name)))
+                await asyncio.sleep(0.01)  # it parks before the next arrives
+            assert order == [] and len(daemon._queue) == 3
+            for admitted in (["a"], ["a", "b"], ["a", "b", "c"]):
+                daemon._release_slot()  # a finishing request hands its slot on
+                await asyncio.sleep(0.01)
+                assert order == admitted
+                assert daemon._executing == 1
+            await asyncio.gather(*tasks)
+            daemon._release_slot()
+            assert daemon._executing == 0 and not daemon._queue
+
+        asyncio.run(go())
+
+    def test_expired_waiter_leaves_the_queue(self, registry):
+        daemon = QueryDaemon(registry, ServerConfig(max_inflight=1, max_queue=8))
+
+        async def go():
+            assert await daemon._admit(time.monotonic() + 5.0) == "ok"
+            assert await daemon._admit(time.monotonic() + 0.02) == "deadline"
+            assert not daemon._queue
+            daemon._release_slot()  # nobody queued: the slot is freed
+            assert daemon._executing == 0
+
+        asyncio.run(go())
+
     def test_retry_after_floor_applies_even_with_zero_backoff(self):
         """A shedding server's hint is honoured even by a no-delay policy."""
         responses = [
@@ -139,6 +180,8 @@ class TestDeadlines:
             with make_client(handle, retry=NO_RETRY) as c:
                 with pytest.raises(ServerError) as caught:
                     c.query("docs", 0, 100, deadline_ms=100)
+                # The expired waiter left the admission queue with its error.
+                assert c.status()["waiting"] == 0
             assert caught.value.code == "deadline_exceeded"
             watchdog.join_all(20)
         finally:
@@ -204,6 +247,51 @@ class TestDeadlines:
 
         asyncio.run(go())
         assert events == ["stalled-start", "stalled-end", "second"]
+
+    def test_abandoned_query_holds_its_read_lock_until_the_thread_finishes(
+        self, registry
+    ):
+        """The read-side companion: a deadline-abandoned query keeps its
+        read hold until its pool thread returns, so a writer queued
+        behind it waits for the thread, not just for the deadline."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.server.daemon import _DeadlineHit
+
+        daemon = QueryDaemon(registry, ServerConfig())
+        release = threading.Event()
+        events = []
+
+        def stalled():
+            events.append("query-start")
+            release.wait(10)
+            events.append("query-end")
+
+        async def go():
+            daemon._pool = ThreadPoolExecutor(max_workers=2)
+            try:
+                with pytest.raises(_DeadlineHit):
+                    await daemon._run_locked(
+                        "docs", stalled, time.monotonic() + 0.05, write=False
+                    )
+                write = asyncio.get_running_loop().create_task(
+                    daemon._run_locked(
+                        "docs",
+                        lambda: events.append("write"),
+                        time.monotonic() + 5.0,
+                        write=True,
+                    )
+                )
+                await asyncio.sleep(0.1)  # well past the query's deadline
+                assert "write" not in events
+                release.set()
+                await write
+            finally:
+                release.set()
+                daemon._pool.shutdown(wait=True)
+
+        asyncio.run(go())
+        assert events == ["query-start", "query-end", "write"]
 
 
 class TestPartialResults:
@@ -340,32 +428,63 @@ class TestGracefulDrain:
         assert registry.get("docs").handle.closed
 
 
+class StuckTransport:
+    """A socket whose kernel buffer holds ``buffered`` unsent bytes."""
+
+    def __init__(self, buffered: int) -> None:
+        self.buffered = buffered
+        self.aborted = False
+
+    def get_write_buffer_size(self) -> int:
+        return self.buffered
+
+    def is_closing(self) -> bool:
+        return self.aborted
+
+    def abort(self) -> None:
+        self.aborted = True
+
+
+class StuckWriter:
+    """A client that never reads: ``drain()`` only returns after 10 s."""
+
+    def __init__(self, buffered: int) -> None:
+        self.transport = StuckTransport(buffered)
+        self.written = b""
+        self.drains = 0
+
+    def write(self, data: bytes) -> None:
+        self.written += data
+
+    async def drain(self) -> None:
+        self.drains += 1
+        await asyncio.sleep(10)
+
+
 class TestSlowClients:
     def test_write_timeout_aborts_the_connection(self, registry):
         daemon = QueryDaemon(registry, ServerConfig(write_timeout=0.05))
-
-        class StuckTransport:
-            aborted = False
-
-            def abort(self):
-                self.aborted = True
-
-        class StuckWriter:
-            transport = StuckTransport()
-
-            def write(self, data):
-                pass
-
-            async def drain(self):
-                await asyncio.sleep(10)
-
-        writer = StuckWriter()
+        writer = StuckWriter(buffered=4096)
 
         async def go():
             return await daemon._send(writer, {"id": 1, "ok": True, "result": {}})
 
         assert asyncio.run(go()) is False
+        assert writer.drains == 1
         assert writer.transport.aborted is True
+
+    def test_response_written_in_full_never_awaits_drain(self, registry):
+        daemon = QueryDaemon(registry, ServerConfig(write_timeout=0.05))
+        writer = StuckWriter(buffered=0)
+        response = {"id": 1, "ok": True, "result": {"ids": [1, 2, 3]}}
+
+        async def go():
+            return await daemon._send(writer, response)
+
+        assert asyncio.run(go()) is True
+        assert writer.drains == 0
+        assert writer.transport.aborted is False
+        assert writer.written == encode_frame(response)
 
 
 class TestAsyncRWLock:
@@ -379,13 +498,13 @@ class TestAsyncRWLock:
                 order.append(f"+{name}")
                 await asyncio.sleep(0.05)
                 order.append(f"-{name}")
-                await lock.release_read()
+                lock.release_read()
 
             async def writer():
                 await lock.acquire_write()
                 order.append("+w")
                 order.append("-w")
-                await lock.release_write()
+                lock.release_write()
 
             await asyncio.gather(reader("a"), reader("b"), writer())
             return order
@@ -405,12 +524,12 @@ class TestAsyncRWLock:
             async def writer():
                 await lock.acquire_write()
                 order.append("w")
-                await lock.release_write()
+                lock.release_write()
 
             async def late_reader():
                 await lock.acquire_read()
                 order.append("r2")
-                await lock.release_read()
+                lock.release_read()
 
             await lock.acquire_read()  # a long-running query in flight
             w = asyncio.create_task(writer())
@@ -418,7 +537,7 @@ class TestAsyncRWLock:
             r2 = asyncio.create_task(late_reader())
             await asyncio.sleep(0.01)
             assert order == []  # the late reader waits behind the writer
-            await lock.release_read()
+            lock.release_read()
             await asyncio.gather(w, r2)
             return order
 
@@ -435,7 +554,7 @@ class TestAsyncRWLock:
             w.cancel()  # deadline expired while queued
             await asyncio.gather(w, return_exceptions=True)
             await asyncio.wait_for(r2, 1.0)  # reader must not hang
-            await lock.release_read()
-            await lock.release_read()
+            lock.release_read()
+            lock.release_read()
 
         asyncio.run(go())
