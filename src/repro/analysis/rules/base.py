@@ -86,6 +86,9 @@ def walk_own_scope(
     This is what makes REP001 sound on the daemon: a sync closure defined
     inside an ``async def`` but executed on the worker pool may block
     freely; only code that runs on the event loop itself is in scope.
+    (The daemon's read closures also run on the loop when their work
+    bound fits the inline budget; they probe an in-memory index and do
+    no I/O.)
     """
     stack: List[ast.AST] = list(func.body)
     while stack:

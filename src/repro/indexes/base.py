@@ -186,6 +186,17 @@ class TemporalIRIndex(abc.ABC):
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         """Index-specific evaluation for queries with ``q.d`` non-empty."""
 
+    def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
+        """An upper bound on the postings entries answering ``q`` reads, or
+        ``None`` when this index cannot say.
+
+        A bound is sound: never below the ``entries_scanned`` of the query's
+        own explain trace, summed over its phases.  It is read without
+        evaluating the query, so that a server can decide whether a query is
+        cheap enough to answer without a thread hop.
+        """
+        return None
+
     def _pure_temporal_query(self, q: TimeTravelQuery) -> List[int]:
         """Fallback for ``q.d = ∅``: a catalog scan.
 

@@ -151,6 +151,23 @@ class IRHintPerformance(TIF):
         trace.note("m", table.mapper.num_bits)
         return self._tif.intersect(candidates, ordered[1:], trace)
 
+    def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
+        """The tIF's bound, with the rarest list counted by its physical
+        slots when a table scans it (the table, or its flat fallback, reads
+        at most those); ``None`` when the query would build or rebuild that
+        table first."""
+        bound = super().work_bound(q)
+        if bound is None:
+            return None
+        rarest = self.order_query_elements(q)[0]
+        first = self._tif.postings(rarest)
+        if not timefirst.wants_table(first):
+            return bound
+        table = self._tables.get(rarest)
+        if table is None or not table.is_fresh(first):
+            return None
+        return bound + first.physical_len() - len(first)
+
     # -------------------------------------------------------------- inspection
     def _all_tables(self) -> List[timefirst.TimeFirstTable]:
         """Every table the index holds at rest: the ones a warm index has

@@ -9,7 +9,7 @@ HINT-based methods all start from this structure.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
@@ -37,6 +37,14 @@ class TIF(TemporalIRIndex):
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         ordered = self.order_query_elements(q)
         return self._tif.query(q.st, q.end, ordered, trace=OBS.trace)
+
+    def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
+        """The query elements' live list lengths, summed: the first scan
+        plus every intersection read at most that on any postings backend.
+        A pure-temporal query scans the catalog instead, and is unbounded."""
+        if q.is_pure_temporal:
+            return None
+        return sum(self._tif.list_length(element) for element in q.d)
 
     # -------------------------------------------------------------- inspection
     @property

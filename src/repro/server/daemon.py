@@ -17,17 +17,26 @@ bounded thread pool (``max_inflight`` workers — the pool *is* the
 capacity; a full pool parks requests in a FIFO that finishing requests
 hand their slots to).  Per tenant, a read/write lock lets queries
 overlap while mutations get exclusivity (the WAL and the in-memory index
-are not safe under concurrent mutation).  Deadlines are enforced
-cooperatively at shard boundaries inside the cluster scatter-gather
+are not safe under concurrent mutation).  A cheap store read skips the
+pool: when admission granted its slot without queueing, the tenant's
+read lock is free without waiting, and the index bounds the postings the
+read touches (``work_bound``) within :data:`INLINE_BUDGET`, the read runs
+on the loop and releases its hold before the coroutine next yields — so
+it can delay the loop no longer than a pool thread holding the GIL
+would.  Mutations, cluster reads and unbounded or over-budget reads take
+the pool.  Deadlines are enforced cooperatively at shard boundaries
+inside the cluster scatter-gather
 (:meth:`~repro.cluster.ClusterRouter.query_partial`) and by one loop
-timer per wait: admission queue, lock queue, pool call.  An expired
+timer per wait: admission queue, lock queue, pool call; an inline read
+is bounded by the budget instead of a timer.  An expired
 execution backstop abandons the *result*, not the thread — a
 pathological query can at worst occupy one of ``max_inflight`` slots
 until it returns.  The tenant lock stays held until that thread really
 finishes (the pool future's done-callback releases it), so an abandoned
 mutation can never overlap a later one on the same store; drain likewise
 waits for outstanding pool futures before flushing WALs.  Uncontended,
-a request creates no task and suspends once, on the pool hop.
+a request creates no task; an inline read never suspends, and any other
+request suspends once, on the pool hop.
 
 Fault injection
 ---------------
@@ -39,8 +48,8 @@ Observability plane
 -------------------
 Every work request gets a :class:`~repro.obs.context.RequestTrace`
 (adopting the client's ``trace`` context when present) whose spans cover
-ingress, admission wait, tenant-lock wait, and pool execution — the
-worker thread re-parents the cluster router's per-shard/per-replica
+ingress, admission wait, tenant-lock wait, and execution (``inline``
+says whether it ran on the loop or the pool) — a pool thread re-parents the cluster router's per-shard/per-replica
 spans beneath the ``execute`` span, so one stitched tree attributes a
 slow request to its actual phase.  Head-based sampling keeps the cost
 near zero at low rates; errors and deadline misses are force-captured
@@ -83,6 +92,7 @@ from repro.obs.events import EventLog, SlowQueryLog
 from repro.obs.registry import OBS
 from repro.obs.slo import SloAccountant
 from repro.server import protocol
+from repro.server.introspect import introspect
 from repro.server.protocol import (
     E_BAD_REQUEST,
     E_CONFLICT,
@@ -110,10 +120,16 @@ WORK_VERBS = frozenset({"query", "batch", "insert", "delete"})
 #: Cheap control-plane verbs answered inline on the event loop.
 CONTROL_VERBS = frozenset({"status", "metrics", "ping", "shutdown", "introspect"})
 
-#: Introspection views exported by the ``introspect`` verb.
-INTROSPECT_VIEWS = ("traces", "slow_log", "events", "slo", "top", "tiers")
-
 ALL_VERBS = WORK_VERBS | CONTROL_VERBS
+
+#: Postings entries a store read may touch and still run on the event loop
+#: instead of the pool (see ``docs/server.md``, "Request path").  The
+#: smallest power of two covering every read of the ledger's
+#: ``daemon-query`` mix at 2·10⁴ objects; the slowest of those, on the
+#: slowest postings backend, finishes inside ``sys.getswitchinterval()``
+#: (5 ms), the longest the loop already waits while a pool thread holds
+#: the GIL.
+INLINE_BUDGET = 1 << 16
 
 
 @dataclass
@@ -440,7 +456,7 @@ class QueryDaemon:
             self.request_drain()
             return protocol.ok_response(request_id, {"draining": True})
         if verb == "introspect":
-            return self._introspect(request_id, payload)
+            return introspect(self, request_id, payload)
         if verb == "metrics":
             from repro.obs.exposition import render_prometheus
 
@@ -472,112 +488,6 @@ class QueryDaemon:
             },
         )
 
-    def _introspect(self, request_id: Any, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """The live introspection plane: traces, slow log, events, SLOs."""
-        def bad(message: str) -> Dict[str, Any]:
-            return self._error(request_id, E_BAD_REQUEST, message, verb="introspect")
-
-        what = payload.get("what", "top")
-        if what not in INTROSPECT_VIEWS:
-            return bad(
-                f"unknown introspect view {what!r}; expected one of "
-                f"{', '.join(INTROSPECT_VIEWS)}"
-            )
-        limit = payload.get("limit", 20)
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-            return bad(f"limit must be a positive integer, got {limit!r}")
-        limit = min(limit, 500)
-        if what == "traces":
-            trace_id = payload.get("trace_id")
-            tenant = payload.get("tenant")
-            min_duration = payload.get("min_duration_ms", 0.0)
-            if trace_id is not None and not isinstance(trace_id, str):
-                return bad("trace_id must be a string")
-            if isinstance(min_duration, bool) or not isinstance(min_duration, (int, float)):
-                return bad("min_duration_ms must be a number")
-            buffer = self.tracer.buffer
-            return protocol.ok_response(
-                request_id,
-                {
-                    "traces": buffer.snapshot(
-                        limit,
-                        trace_id=trace_id,
-                        tenant=tenant if isinstance(tenant, str) else None,
-                        min_duration_ms=float(min_duration),
-                    ),
-                    "buffered": len(buffer),
-                    "dropped": buffer.dropped,
-                    "sample_rate": self.tracer.sample_rate,
-                },
-            )
-        if what == "slow_log":
-            return protocol.ok_response(
-                request_id,
-                {
-                    "entries": self.slow_log.recent(limit),
-                    "threshold_ms": self.slow_log.threshold_ms,
-                    "logged": self.slow_log.logged,
-                },
-            )
-        if what == "events":
-            kind = payload.get("kind")
-            return protocol.ok_response(
-                request_id,
-                {
-                    "events": self.events.recent(
-                        limit, kind=kind if isinstance(kind, str) else None
-                    ),
-                    "emitted": self.events.emitted,
-                },
-            )
-        if what == "tiers":
-            tiers = []
-            for name in self.tenants.names():
-                tenant = self.tenants.get(name)
-                handle = tenant.handle
-                stats_fn = getattr(handle, "tier_status", None)
-                if stats_fn is None:
-                    continue  # store tenants have no tiers
-                cluster_stats = handle.stats()
-                tiers.append(
-                    {
-                        "tenant": name,
-                        "tiers": cluster_stats.get("tiers"),
-                        "segment_cache": cluster_stats.get("segment_cache"),
-                        "shards": stats_fn()[:limit],
-                    }
-                )
-            return protocol.ok_response(request_id, {"tenants": tiers})
-        slo = self.slo.publish()
-        if what == "slo":
-            return protocol.ok_response(
-                request_id,
-                {
-                    "tenants": slo,
-                    "horizon_s": self.slo.horizon_s,
-                    "latency_slo_ms": self.slo.latency_slo_ms,
-                    "error_budget": self.slo.error_budget,
-                },
-            )
-        # top: one fetch for the live CLI view
-        return protocol.ok_response(
-            request_id,
-            {
-                "tenants": slo,
-                "daemon": {
-                    "draining": self._draining,
-                    "executing": self._executing,
-                    "waiting": len(self._queue),
-                    "open_connections": len(self._writers),
-                    "traces_buffered": len(self.tracer.buffer),
-                    "traces_dropped": self.tracer.buffer.dropped,
-                    "sample_rate": self.tracer.sample_rate,
-                    "slow_queries": self.slow_log.logged,
-                    "slow_query_ms": self.slow_log.threshold_ms,
-                },
-            },
-        )
-
     async def _work(
         self, request_id: Any, verb: str, payload: Dict[str, Any], started: float
     ) -> Dict[str, Any]:
@@ -602,6 +512,7 @@ class QueryDaemon:
         with trace.activate():
             with span("admission") as rec:
                 queue_t0 = time.monotonic()
+                unqueued = self._slot_free()  # only these may run inline
                 admitted = await self._admit(deadline)
                 waits["queue_ms"] = (time.monotonic() - queue_t0) * 1000.0
                 if rec is not None:
@@ -624,7 +535,8 @@ class QueryDaemon:
             else:
                 try:
                     response = await self._execute(
-                        request_id, verb, payload, tenant, deadline, waits
+                        request_id, verb, payload, tenant, deadline, waits,
+                        inline=unqueued,
                     )
                 finally:
                     self._release_slot()
@@ -686,7 +598,7 @@ class QueryDaemon:
         :meth:`_release_slot` hands it a slot or its deadline unqueues it.
         """
         queue = self._queue
-        if self._executing < self.config.max_inflight and not queue:
+        if self._slot_free():
             self._executing += 1
             self._count(lambda i: i.inflight.set(self._executing))
             return "ok"
@@ -707,6 +619,10 @@ class QueryDaemon:
             raise
         finally:
             timer.cancel()
+
+    def _slot_free(self) -> bool:
+        """Would :meth:`_admit` grant a slot without queueing?"""
+        return self._executing < self.config.max_inflight and not self._queue
 
     def _unqueue(self, waiter: "asyncio.Future[bool]") -> None:
         """Take a waiter out of the admission queue (deadline or cancel)."""
@@ -736,14 +652,18 @@ class QueryDaemon:
         tenant,
         deadline: float,
         waits: Optional[Dict[str, float]] = None,
+        *,
+        inline: bool = False,
     ) -> Dict[str, Any]:
         try:
             grace = self.config.deadline_grace if tenant.kind == "cluster" else 0.0
             if verb == "query":
                 q = _query_from(payload)
                 work = lambda: tenant.query_partial(q, deadline)  # noqa: E731
+                fits = (lambda: _within_budget(tenant, [q])) if inline else None
                 partial = await self._run_locked(
-                    tenant.name, work, deadline, write=False, grace=grace, waits=waits
+                    tenant.name, work, deadline, write=False, grace=grace, waits=waits,
+                    fits=fits,
                 )
                 if not partial.complete:
                     self._count(lambda i: i.partial_results.inc())
@@ -763,9 +683,10 @@ class QueryDaemon:
                         )
                     return out
 
+                fits = (lambda: _within_budget(tenant, queries)) if inline else None
                 partials = await self._run_locked(
                     tenant.name, run_batch, deadline, write=False, grace=grace,
-                    waits=waits,
+                    waits=waits, fits=fits,
                 )
                 results = [self._partial_dict(p) for p in partials]
                 complete = all(p.complete for p in partials)
@@ -814,10 +735,16 @@ class QueryDaemon:
         write: bool,
         grace: float = 0.0,
         waits: Optional[Dict[str, float]] = None,
+        fits: Optional[Callable[[], bool]] = None,
     ) -> Any:
-        """Run ``fn`` on the pool under the tenant's read/write lock.
+        """Run ``fn`` under the tenant's read/write lock, on the loop or
+        on the pool.
 
-        The lock is held until the worker thread actually finishes —
+        ``fits`` (reads only) is asked, under a read hold taken without
+        waiting, whether the work fits :data:`INLINE_BUDGET`.  If it does,
+        ``fn`` runs right here and the hold is released before this
+        coroutine next yields.  Every other request goes to the pool, and
+        there the lock is held until the worker thread actually finishes —
         never merely until the awaiter gives up.  A running pool thread
         cannot be cancelled, so when the deadline backstop (one loop
         timer) fires the caller gets its deadline error immediately, but
@@ -833,8 +760,12 @@ class QueryDaemon:
             raise _DeadlineHit("deadline expired before execution began")
         with span("tenant_lock", write=write):
             lock_t0 = time.monotonic()
-            acquire = lock.acquire_write if write else lock.acquire_read
-            acquired = await acquire(remaining)
+            if fits is not None and lock.try_acquire_read():
+                acquired = True
+            else:
+                fits = None  # a read that had to wait takes the pool
+                acquire = lock.acquire_write if write else lock.acquire_read
+                acquired = await acquire(remaining)
             if waits is not None:
                 waits["lock_ms"] = (time.monotonic() - lock_t0) * 1000.0
             if not acquired:
@@ -844,6 +775,17 @@ class QueryDaemon:
         if remaining <= 0:
             release()
             raise _DeadlineHit("deadline expired before execution began")
+        try:
+            inline = fits is not None and fits()
+        except BaseException:
+            release()
+            raise
+        if inline:
+            with span("execute", inline=True):
+                try:
+                    return fn()
+                finally:
+                    release()
         assert self._pool is not None
         loop = asyncio.get_running_loop()
         outcome: "asyncio.Future[Optional[Tuple[str, Any]]]" = loop.create_future()
@@ -860,7 +802,7 @@ class QueryDaemon:
             except RuntimeError:
                 pass  # loop already torn down; the lock is moot
 
-        with span("execute") as exec_rec:
+        with span("execute", inline=False) as exec_rec:
             # The worker re-parents its spans (router plan, per-shard
             # probes) under this one: ContextVars do not follow a pool
             # submission on their own.
@@ -903,7 +845,8 @@ class QueryDaemon:
     # ---------------------------------------------------------------- parsing
     def _deadline_seconds(self, payload: Dict[str, Any]) -> float:
         raw = payload.get("deadline_ms", self.config.default_deadline_ms)
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw <= 0:
+        # `not raw > 0` also refuses NaN, which json.loads accepts.
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not raw > 0:
             raise _BadRequest(f"deadline_ms must be a positive number, got {raw!r}")
         return min(float(raw), float(self.config.max_deadline_ms)) / 1000.0
 
@@ -986,6 +929,20 @@ def _capture(
             return ("err", exc)
 
     return run
+
+
+def _within_budget(tenant, queries: List[TimeTravelQuery]) -> bool:
+    """Do ``queries`` on ``tenant`` read at most :data:`INLINE_BUDGET`
+    postings entries between them, as far as the index can bound it?"""
+    total = 0
+    for q in queries:
+        bound = tenant.work_bound(q)
+        if bound is None:
+            return False
+        total += bound
+        if total > INLINE_BUDGET:
+            return False
+    return True
 
 
 def _settle(fut: "asyncio.Future[Any]", value: Any) -> None:

@@ -10,7 +10,8 @@ share durability state, and a corrupted tenant cannot poison another.
 
 :class:`Tenant` normalises the two backends behind the daemon's
 vocabulary: ``query_partial`` (deadline-aware, degrades to partial
-results), ``insert``/``delete`` and ``stats``.
+results), ``work_bound`` (what a query reads, when the index can say),
+``insert``/``delete`` and ``stats``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ class Tenant:
         with span("store_query"):
             ids = self.handle.query(q)
         return PartialResult(ids=ids, shards_planned=1, shards_answered=1)
+
+    def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
+        """A store's bound on the postings ``q`` reads, or ``None``.
+
+        A cluster is always ``None``: its reads may open segments (file
+        I/O) and degrade per shard, so their cost is not the index's.
+        """
+        if self.kind == CLUSTER:
+            return None
+        assert isinstance(self.handle, DurableIndexStore)
+        return self.handle.work_bound(q)
 
     # ----------------------------------------------------------------- writes
     def insert(self, obj: TemporalObject) -> None:

@@ -183,6 +183,11 @@ class DurableIndexStore:
         self._require_open()
         return self._index.query(q)
 
+    def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
+        """The live index's bound on the postings ``q`` reads (see
+        :meth:`TemporalIRIndex.work_bound`); ``None`` when unknown."""
+        return self._index.work_bound(q)
+
     # ----------------------------------------------------------- result caches
     def attach_cache(self, cache) -> None:
         """Register a result cache against the *live* index.

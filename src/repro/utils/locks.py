@@ -125,7 +125,9 @@ class AsyncRWLock:
     returns False).  Releases are synchronous and grant the admissible
     head: one writer, or every reader up to the next queued writer.  New
     readers wait while a writer is *queued*, so a stream of overlapping
-    queries cannot starve an insert/delete past its deadline.
+    queries cannot starve an insert/delete past its deadline, and
+    :meth:`try_acquire_read` grants only what an acquire would grant
+    without parking.
 
     The daemon releases from the pool future's done-callback, not the
     acquiring task, so the observer hooks name the lock only and leave
@@ -143,6 +145,20 @@ class AsyncRWLock:
 
     def acquire_write(self, timeout: Optional[float] = None) -> Coroutine[Any, Any, bool]:
         return self._acquire(True, timeout)
+
+    def try_acquire_read(self) -> bool:
+        """Take a read hold without waiting, or fail: False while a writer
+        holds the lock or anyone is queued, so a queued writer keeps its
+        place ahead of new readers."""
+        observer = _observer
+        if observer is not None:
+            observer.before_acquire(self.name, "read")
+        if self._writing or self._waiters:
+            return False
+        self._readers += 1
+        if observer is not None:
+            observer.acquired(self.name, "read")
+        return True
 
     def release_read(self) -> None:
         self._readers -= 1

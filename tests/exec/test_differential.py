@@ -386,7 +386,37 @@ def test_differential_postings_backends(key, backend, monkeypatch):
 
 
 # ----------------------------------------------------- network daemon leg
-def test_differential_server_with_chaos(tmp_path):
+@pytest.fixture()
+def lock_order_checked():
+    """With ``REPRO_LOCKCHECK=1``, fail the daemon legs on a lock-ordering
+    cycle or an await-while-holding-writer (see repro.analysis.lockcheck)."""
+    from repro.analysis import lockcheck
+
+    if not lockcheck.enabled_from_env():
+        yield
+        return
+    checker = lockcheck.install()
+    try:
+        yield
+    finally:
+        lockcheck.uninstall()
+        checker.assert_clean()
+
+
+def test_differential_server_with_chaos(tmp_path, lock_order_checked):
+    run_differential_server(tmp_path)
+
+
+@pytest.mark.parametrize("backend", ["list", "compressed"])
+def test_differential_server_postings_backends(
+    backend, tmp_path, monkeypatch, lock_order_checked
+):
+    """The daemon answers bounded store reads on its event loop, so every
+    backend's kernels run there: the chaos leg again, on each of the
+    other postings backends (packed is the leg above)."""
+    from repro.ir.backends import POSTINGS_BACKEND_ENV
+
+    monkeypatch.setenv(POSTINGS_BACKEND_ENV, backend)
     run_differential_server(tmp_path)
 
 
@@ -523,5 +553,7 @@ def test_differential_irhint_crossover_durable_store(crossover, tmp_path):
     assert bool(tables_seen) == (timefirst.TABLE_MIN == 8)
 
 
-def test_differential_irhint_crossover_forced_through_the_daemon(small_tables, tmp_path):
+def test_differential_irhint_crossover_forced_through_the_daemon(
+    small_tables, tmp_path, lock_order_checked
+):
     run_differential_server(tmp_path)

@@ -87,6 +87,29 @@ class TestErrorSemantics:
             strict_client.query("docs", 0, 1, deadline_ms=-5)
         assert caught.value.code == "bad_request"
 
+    def test_non_finite_deadlines_over_the_wire(self, daemon):
+        """``json.loads`` parses the ``NaN`` and ``Infinity`` literals: NaN
+        is refused like any non-positive deadline, Infinity is capped."""
+
+        def send(raw_deadline: bytes):
+            body = (
+                b'{"id": 1, "verb": "query", "tenant": "docs", "start": 0, '
+                b'"end": 100, "deadline_ms": ' + raw_deadline + b"}"
+            )
+            with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+                sock.settimeout(5)
+                sock.sendall(struct.pack("!I", len(body)) + body)
+                return protocol.read_frame_sock(sock)
+
+        refused = send(b"NaN")
+        assert refused["ok"] is False
+        assert refused["error"]["code"] == "bad_request"
+        assert "positive" in refused["error"]["message"]
+        assert send(b"Infinity")["ok"] is True
+        assert daemon.daemon._deadline_seconds({"deadline_ms": float("inf")}) == (
+            daemon.daemon.config.max_deadline_ms / 1000.0
+        )
+
     def test_duplicate_insert_is_a_conflict(self, strict_client, store_objects):
         existing = store_objects[0]
         with pytest.raises(ServerError) as caught:

@@ -17,7 +17,11 @@ from tests.server.conftest import NO_RETRY, Watchdog, make_client
 
 
 def slow_tenant(registry, name: str, seconds: float):
-    """Patch a tenant's query path to stall — the load generator's stand-in."""
+    """Patch a tenant's query path to stall — the load generator's stand-in.
+
+    A query that sleeps is one the index cannot bound, so its bound is
+    ``None`` too: the daemon runs it on the pool, never on its loop.
+    """
     tenant = registry.get(name)
     original = tenant.query_partial
 
@@ -26,6 +30,7 @@ def slow_tenant(registry, name: str, seconds: float):
         return original(q, deadline)
 
     tenant.query_partial = delayed
+    tenant.work_bound = lambda q: None
     return tenant
 
 

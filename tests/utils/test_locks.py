@@ -47,6 +47,61 @@ def test_uncontended_acquire_does_not_yield_to_the_loop():
     asyncio.run(go())
 
 
+class RecordingObserver:
+    def __init__(self):
+        self.calls = []
+
+    def before_acquire(self, name, mode):
+        self.calls.append(("before", name, mode))
+
+    def acquired(self, name, mode):
+        self.calls.append(("acquired", name, mode))
+
+    def released(self, name, mode):
+        self.calls.append(("released", name, mode))
+
+
+def test_try_acquire_read_grants_only_what_would_not_park():
+    async def go():
+        lock = AsyncRWLock()
+        assert lock.try_acquire_read() is True  # free
+        assert lock.try_acquire_read() is True  # readers share
+        writer = asyncio.create_task(lock.acquire_write())
+        await asyncio.sleep(0)
+        assert _parked(lock) == ["w"]
+        assert lock.try_acquire_read() is False  # a queued writer goes first
+        assert lock._readers == 2
+        lock.release_read()
+        lock.release_read()
+        assert await writer is True
+        assert lock.try_acquire_read() is False  # a writer holds it
+        lock.release_write()
+        assert lock.try_acquire_read() is True
+        lock.release_read()
+        assert lock._readers == 0 and not lock._writing and not lock._waiters
+
+    asyncio.run(go())
+
+
+def test_try_acquire_read_reports_to_the_observer(monkeypatch):
+    from repro.utils import locks
+
+    observer = RecordingObserver()
+    monkeypatch.setattr(locks, "_observer", observer)
+    lock = AsyncRWLock("tenant:t")
+    lock._writing = True
+    assert lock.try_acquire_read() is False
+    lock._writing = False
+    assert lock.try_acquire_read() is True
+    lock.release_read()
+    assert observer.calls == [
+        ("before", "tenant:t", "read"),
+        ("before", "tenant:t", "read"),
+        ("acquired", "tenant:t", "read"),
+        ("released", "tenant:t", "read"),
+    ]
+
+
 def test_queued_writer_makes_new_readers_wait():
     async def go():
         lock = AsyncRWLock()
