@@ -36,7 +36,7 @@ Examples
     python -m repro query /tmp/ec.bin --index irhint-perf \
         --start 100000 --end 500000 --elements /uri/3,/uri/9
     python -m repro query /tmp/ec.bin --index irhint-perf \
-        --batch-file /tmp/workload.jsonl --strategy process --cache-size 1024
+        --batch-file /tmp/workload.jsonl --cache-size 1024
     python -m repro serve /tmp/store --metrics-file /tmp/store.prom
     python -m repro serve-net /tmp/tenants --port 0 --create acme \
         --trace-sample-rate 0.1 --slow-query-ms 250
@@ -324,12 +324,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exec_strategies() -> List[str]:
-    from repro.exec.strategies import available_strategies
-
-    return available_strategies()
-
-
 def _make_query_from_args(args: argparse.Namespace):
     if args.start is None or args.end is None:
         raise SystemExit("error: --start and --end are required (unless --batch-file)")
@@ -361,12 +355,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
         print(f"error: {args.batch_file} holds no queries", file=sys.stderr)
         return 2
     _collection, index, _seconds = _build(args)
-    executor = QueryExecutor(
-        index,
-        strategy=args.strategy,
-        workers=args.workers,
-        cache_size=args.cache_size,
-    )
+    executor = QueryExecutor(index, cache_size=args.cache_size)
     results = executor.run(queries)
     report = executor.last_report
     assert report is not None
@@ -545,14 +534,13 @@ def _cmd_cluster_build(args: argparse.Namespace) -> int:
             collection,
             index_key=args.index,
             index_params=params,
-            partitioner=args.partitioner,
             n_shards=args.shards,
             n_replicas=args.replicas,
             wal_fsync=not args.no_fsync,
         )
     with cluster:
         print(
-            f"built {args.shards}-shard {args.partitioner} cluster "
+            f"built {args.shards}-shard time-range cluster "
             f"({args.replicas} replicas) over {len(collection)} objects "
             f"in {watch.elapsed:.3f}s"
         )
@@ -575,12 +563,10 @@ def _cmd_cluster_query(args: argparse.Namespace) -> int:
                 print(f"error: {args.batch_file} holds no queries", file=sys.stderr)
                 return 2
             with timed() as watch:
-                results = cluster.run_batch(
-                    queries, strategy=args.strategy, workers=args.workers
-                )
+                results = cluster.run_batch(queries)
             total = sum(len(r) for r in results)
             print(
-                f"{len(queries)} queries via {args.strategy} in "
+                f"{len(queries)} queries in "
                 f"{watch.elapsed * 1000:.2f} ms; {total} result ids"
             )
             limit = args.limit if args.limit > 0 else len(results)
@@ -1101,16 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="JSONL query workload (repro.queries.io) to run as one batch",
             )
             batch.add_argument(
-                "--strategy",
-                choices=_exec_strategies(),
-                default="serial",
-                help="batch execution strategy (default: serial)",
-            )
-            batch.add_argument(
-                "--workers", type=int, default=None,
-                help="worker count for threaded/process strategies",
-            )
-            batch.add_argument(
                 "--cache-size", type=int, default=0,
                 help="attach an invalidating LRU result cache of this capacity",
             )
@@ -1172,9 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="apply the paper's tuned parameters (default: yes)",
     )
-    cp.add_argument(
-        "--partitioner", choices=["time-range", "hash"], default="time-range"
-    )
     cp.add_argument("--shards", type=int, default=4, help="number of shards")
     cp.add_argument("--replicas", type=int, default=1, help="replicas per shard")
     cp.set_defaults(func=_cmd_cluster_build)
@@ -1187,14 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--limit", type=int, default=20, help="ids to print (0 = all)")
     cp.add_argument(
         "--batch-file", help="JSONL query workload to run as one batch"
-    )
-    cp.add_argument(
-        "--strategy", choices=_exec_strategies(), default="serial",
-        help="within-shard batch strategy (default: serial)",
-    )
-    cp.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for the scatter/batch fan-out",
     )
     cp.set_defaults(func=_cmd_cluster_query)
 

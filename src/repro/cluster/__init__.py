@@ -14,21 +14,13 @@ protocol behind routing-generation swaps.
 
 from repro.cluster.cluster import DEFAULT_CACHE_SIZE, TemporalCluster
 from repro.cluster.group import ReplicaSet, ShardGroup
-from repro.cluster.partitioners import (
-    HashPartitioner,
-    PARTITIONERS,
-    TimeRangePartitioner,
-    make_partitioner,
-)
+from repro.cluster.partitioners import TimeRangePartitioner
 from repro.cluster.rebalance import RebalancePlan, next_table, plan_rebalance
 from repro.cluster.router import ClusterRouter, PartialResult, merge_shard_results
-from repro.cluster.routing import HASH, TIME_RANGE, RoutingTable, ShardSpec
+from repro.cluster.routing import TIME_RANGE, RoutingTable, ShardSpec
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
-    "HASH",
-    "HashPartitioner",
-    "PARTITIONERS",
     "PartialResult",
     "RebalancePlan",
     "ReplicaSet",
@@ -39,7 +31,6 @@ __all__ = [
     "TemporalCluster",
     "TimeRangePartitioner",
     "ClusterRouter",
-    "make_partitioner",
     "merge_shard_results",
     "next_table",
     "plan_rebalance",

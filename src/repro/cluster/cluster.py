@@ -24,7 +24,7 @@ from repro.core.errors import ClusterError, ReproError
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.cluster import layout
 from repro.cluster.group import ReplicaSet, ShardGroup
-from repro.cluster.partitioners import make_partitioner
+from repro.cluster.partitioners import TimeRangePartitioner
 from repro.cluster.rebalance import (
     RebalancePlan,
     next_table,
@@ -106,11 +106,16 @@ class TemporalCluster:
         directory = Path(directory)
         if layout.is_cluster_dir(directory):
             raise ClusterError(f"{directory}: already a cluster directory")
-        directory.mkdir(parents=True, exist_ok=True)
-        params = dict(index_params or {})
-        table = make_partitioner(partitioner, n_shards, n_replicas).table(
+        # Kept for benchmarks/ledger/wl_cold_tier.py, which passes it.
+        if partitioner != TIME_RANGE:
+            raise ClusterError(
+                f"unknown partitioner {partitioner!r}; only {TIME_RANGE!r} exists"
+            )
+        table = TimeRangePartitioner(n_shards, n_replicas).table(
             collection, generation=1
         )
+        directory.mkdir(parents=True, exist_ok=True)
+        params = dict(index_params or {})
         _build_shards(
             directory,
             table,
@@ -249,14 +254,8 @@ class TemporalCluster:
             return self._router.query_partial(q, deadline)
         return result
 
-    def run_batch(
-        self,
-        queries: Sequence[TimeTravelQuery],
-        *,
-        strategy: str = "serial",
-        workers: Optional[int] = None,
-    ) -> List[List[int]]:
-        return self._router.run_batch(queries, strategy=strategy, workers=workers)
+    def run_batch(self, queries: Sequence[TimeTravelQuery]) -> List[List[int]]:
+        return self._router.run_batch(queries)
 
     def insert(self, obj: TemporalObject) -> None:
         self._router.insert(obj)
@@ -549,7 +548,6 @@ class TemporalCluster:
         return {
             "directory": str(self._directory),
             "generation": self.table.generation,
-            "kind": self.table.kind,
             "shards": len(self.table.shards),
             "replicas_per_shard": self.table.n_replicas,
             "objects": len(self),
@@ -611,8 +609,6 @@ def _build_shards(
         spec = table.spec(shard_id)
         members = Collection(
             obj for obj in objects if spec.overlaps(obj.st, obj.end)
-        ) if table.kind == TIME_RANGE else Collection(
-            obj for obj in objects if obj.id % len(table.shards) == spec.bucket
         )
         stores = []
         for replica in range(table.n_replicas):

@@ -1,14 +1,10 @@
-"""Partitioners: build a :class:`RoutingTable` generation from data.
+"""The partitioner: build a :class:`RoutingTable` generation from data.
 
 ``TimeRangePartitioner`` cuts the time domain into contiguous start-time
 ranges using the shared staircase machinery of
 :mod:`repro.utils.partitioning` — the same greedy pass tIF+Sharding uses
 for its ideal shards, lifted one level up so cuts land between object
 populations that barely overlap (fewer boundary-straddling duplicates).
-
-``HashPartitioner`` is the id-hash fallback: perfectly balanced, no
-duplicates, but every query broadcasts to every shard — the baseline the
-scatter-gather bench compares the router against.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence
 from repro.core.errors import ClusterError
 from repro.core.interval import Timestamp
 from repro.core.model import TemporalObject
-from repro.cluster.routing import HASH, TIME_RANGE, RoutingTable, ShardSpec
+from repro.cluster.routing import RoutingTable, ShardSpec
 from repro.utils.partitioning import staircase_time_boundaries
 
 
@@ -40,8 +36,6 @@ class TimeRangePartitioner:
     n_replicas:
         Replicas per shard the table advertises.
     """
-
-    kind = TIME_RANGE
 
     def __init__(self, n_shards: int = 4, n_replicas: int = 1) -> None:
         if n_shards < 1:
@@ -65,42 +59,5 @@ class TimeRangePartitioner:
             ShardSpec(shard_id(generation, i), lo=lo, hi=hi)
             for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
         ]
-        return RoutingTable(generation, TIME_RANGE, specs, self.n_replicas)
+        return RoutingTable(generation, specs, self.n_replicas)
 
-
-class HashPartitioner:
-    """Hash-by-id placement: balanced, duplicate-free, broadcast reads."""
-
-    kind = HASH
-
-    def __init__(self, n_shards: int = 4, n_replicas: int = 1) -> None:
-        if n_shards < 1:
-            raise ClusterError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-        self.n_replicas = n_replicas
-
-    def table(
-        self, objects: Iterable[TemporalObject], generation: int = 1
-    ) -> RoutingTable:
-        specs = [
-            ShardSpec(shard_id(generation, i), bucket=i)
-            for i in range(self.n_shards)
-        ]
-        return RoutingTable(generation, HASH, specs, self.n_replicas)
-
-
-PARTITIONERS = {
-    TIME_RANGE: TimeRangePartitioner,
-    HASH: HashPartitioner,
-}
-
-
-def make_partitioner(kind: str, n_shards: int, n_replicas: int = 1):
-    """Resolve a partitioner by routing kind."""
-    try:
-        cls = PARTITIONERS[kind]
-    except KeyError:
-        raise ClusterError(
-            f"unknown partitioner {kind!r}; available: {', '.join(sorted(PARTITIONERS))}"
-        ) from None
-    return cls(n_shards=n_shards, n_replicas=n_replicas)

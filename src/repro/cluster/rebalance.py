@@ -6,7 +6,7 @@ the live catalogs) and the ``repro_cluster_shard_queries_total`` counter
 queries is *hot* even if it is not large.  The planner proposes at most
 one action per pass:
 
-* **split** the most overloaded time-range shard at a staircase-aligned
+* **split** the most overloaded shard at a staircase-aligned
   boundary inside its range;
 * **merge** the lightest pair of adjacent shards when both are far below
   the mean (keeps the shard count from ratcheting up forever).
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.core.errors import ClusterError
 from repro.core.interval import Timestamp
 from repro.cluster.group import ShardGroup
-from repro.cluster.routing import TIME_RANGE, RoutingTable, ShardSpec
+from repro.cluster.routing import RoutingTable, ShardSpec
 from repro.cluster.partitioners import shard_id as make_shard_id
 from repro.obs.registry import OBS
 from repro.utils.partitioning import staircase_time_boundaries
@@ -87,13 +87,7 @@ def plan_rebalance(
     merge_factor: float = DEFAULT_MERGE_FACTOR,
     min_split_objects: int = DEFAULT_MIN_SPLIT_OBJECTS,
 ) -> RebalancePlan:
-    """Propose at most one split or merge for the current generation.
-
-    Only ``time-range`` tables rebalance — hash placement is balanced by
-    construction and has no boundaries to move.
-    """
-    if table.kind != TIME_RANGE:
-        return RebalancePlan("none", reason=f"{table.kind} tables do not rebalance")
+    """Propose at most one split or merge for the current generation."""
     ordered = sorted(table.shards, key=lambda s: (s.lo is not None, s.lo))
     sizes = {
         spec.shard_id: len(group.replica_set(spec.shard_id).primary_index())
@@ -246,4 +240,4 @@ def next_table(table: RoutingTable, plan: RebalancePlan) -> RoutingTable:
             )
     else:
         raise ClusterError(f"unknown rebalance kind {plan.kind!r}")
-    return RoutingTable(generation, TIME_RANGE, specs, table.n_replicas)
+    return RoutingTable(generation, specs, table.n_replicas)

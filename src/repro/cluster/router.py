@@ -3,27 +3,25 @@
 Reads
 -----
 A query interval is planned against the :class:`RoutingTable`: only the
-shards it overlaps are visited (``time-range``), or all of them
-(``hash``).  Sub-queries scatter to the planned shards — per shard with
-replica failover for single queries, or through the existing
-:mod:`repro.exec.strategies` fan-out for batches — and the sorted
+shards it overlaps are visited.  The query goes to each planned shard's
+replica set (result cache, then replica failover), and the sorted
 per-shard id lists are merged with de-duplication, because an object
 whose lifespan straddles a shard boundary is stored (and found) in more
-than one shard but must be returned exactly once.
+than one shard but must be returned exactly once.  A batch is routed the
+same way, one query at a time.
 
 Writes
 ------
 An insert lands on every shard whose range the object's lifespan
-overlaps (exactly one for ``hash``); a delete is routed to the shards
-that actually hold the id.  Only those shards' result caches are
-invalidated — untouched shards keep serving their cached answers, which
-is the point of partitioning the cache along with the data.
+overlaps; a delete is routed to the shards that actually hold the id.
+Only those shards' result caches are invalidated — untouched shards keep
+serving their cached answers, which is the point of partitioning the
+cache along with the data.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -35,8 +33,7 @@ from repro.core.errors import (
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.cluster.group import ShardGroup
 from repro.cluster.routing import RoutingTable
-from repro.exec.strategies import default_workers, strategy_fn
-from repro.obs.context import capture_active, event, span, under
+from repro.obs.context import event, span
 from repro.obs.registry import OBS
 
 
@@ -150,93 +147,13 @@ class ClusterRouter:
             shards_answered=len(answered),
         )
 
-    def run_batch(
-        self,
-        queries: Sequence[TimeTravelQuery],
-        *,
-        strategy: str = "serial",
-        workers: Optional[int] = None,
-    ) -> List[List[int]]:
-        """Scatter-gather a whole batch; results in submission order.
+    def run_batch(self, queries: Sequence[TimeTravelQuery]) -> List[List[int]]:
+        """Answer a batch one query at a time; results in submission order.
 
-        The batch is scattered into one sub-batch per shard (each query
-        appears in every shard it overlaps).  Sub-batches run through the
-        chosen :mod:`repro.exec.strategies` fan-out against the shard's
-        primary replica, shards themselves running on a thread pool —
-        two-level parallelism whose total width is still bounded by
-        :func:`~repro.exec.strategies.default_workers` (and therefore by
-        ``REPRO_MAX_WORKERS``).
+        Each query takes :meth:`query`'s path, so per-shard caches and
+        replica failover apply to batches unchanged.
         """
-        run = strategy_fn(strategy)  # validate before any work
-        workers = workers if workers is not None else default_workers()
-        sub_batches: Dict[str, List[int]] = {}  # shard → positions
-        plans: List[List[str]] = []
-        with span("router_plan", batch=len(queries)) as plan_rec:
-            for position, q in enumerate(queries):
-                planned = self.plan(q)
-                plans.append(planned)
-                for shard_id in planned:
-                    sub_batches.setdefault(shard_id, []).append(position)
-            if plan_rec is not None:
-                plan_rec.attrs["planned"] = sorted(sub_batches)
-
-        shard_answers: Dict[str, Dict[int, List[int]]] = {}
-        # The per-shard thread pool below does not inherit ContextVars;
-        # hand the active span across explicitly so shard spans stitch.
-        parent_span = capture_active()
-
-        def run_shard(item: Tuple[str, List[int]]) -> Tuple[str, Dict[int, List[int]]]:
-            shard_id, positions = item
-            with under(parent_span), span(
-                f"shard:{shard_id}", shard=shard_id, queries=len(positions)
-            ):
-                replica_set = self.group.replica_set(shard_id)
-                cache = replica_set.cache
-                answers: Dict[int, List[int]] = {}
-                misses: List[int] = []
-                for position in positions:
-                    hit = cache.get(queries[position]) if cache is not None else None
-                    if hit is not None:
-                        answers[position] = hit
-                    else:
-                        misses.append(position)
-                if misses:
-                    try:
-                        results = run(
-                            replica_set.primary_index(),
-                            [queries[p] for p in misses],
-                            workers=workers,
-                        )
-                    # analysis: allow(REP006, reason=any primary failure degrades to the per-query replica failover path below; ShardUnavailableError from that path carries the per-replica detail)
-                    except Exception:
-                        # Primary died mid-batch: fall back to the failover
-                        # read path, one query at a time.
-                        results = [replica_set.query(queries[p]) for p in misses]
-                    for position, result in zip(misses, results):
-                        answers[position] = result
-                        if cache is not None:
-                            cache.put(queries[position], result)
-                return shard_id, answers
-
-        items = list(sub_batches.items())
-        if len(items) > 1 and workers > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(items))
-            ) as pool:
-                for shard_id, answers in pool.map(run_shard, items):
-                    shard_answers[shard_id] = answers
-        else:
-            for item in items:
-                shard_id, answers = run_shard(item)
-                shard_answers[shard_id] = answers
-
-        out: List[List[int]] = []
-        for position, planned in enumerate(plans):
-            results = [shard_answers[shard_id][position] for shard_id in planned]
-            merged, duplicates = merge_shard_results(results) if results else ([], 0)
-            self._count_query(planned, duplicates)
-            out.append(merged)
-        return out
+        return [self.query(q) for q in queries]
 
     # ------------------------------------------------------------------ writes
     def insert(self, obj: TemporalObject) -> None:

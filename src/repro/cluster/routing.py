@@ -5,22 +5,23 @@ whole cluster's data placement in one JSON-serialisable record.  Queries
 and mutations never consult anything else, so swapping in a new
 *generation* (a rebalance) is one atomic pointer update.
 
-Placement semantics:
+Placement is ``time-range``, HINT-style domain partitioning lifted to the
+shard level: every shard owns a half-open start-time range ``[lo, hi)``
+over the *whole object lifespan*.  An object lives in every shard whose
+range its ``[st, end]`` interval overlaps (objects that straddle a
+boundary are stored twice and de-duplicated at read time); a query visits
+exactly the shards its interval overlaps.
 
-* ``time-range`` — every shard owns a half-open start-time range
-  ``[lo, hi)`` over the *whole object lifespan*: an object lives in every
-  shard whose range its ``[st, end]`` interval overlaps (objects that
-  straddle a boundary are stored twice and de-duplicated at read time);
-  a query visits exactly the shards its interval overlaps.  HINT-style
-  domain partitioning lifted to the shard level.
-* ``hash`` — objects hash to exactly one shard by id (no duplicates);
-  every query is a broadcast.  The fallback for id-centric workloads and
-  the baseline the scatter-gather bench routes against.
+Routing files still carry ``"kind": "time-range"`` so directories written
+when a second placement existed open unchanged; any other kind, and any
+field of the wrong type, is a :class:`~repro.core.errors.ClusterError`
+at load.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,24 +32,40 @@ from repro.core.model import TemporalObject, TimeTravelQuery
 #: Routing-table file format version.
 ROUTING_VERSION = 1
 
+#: The one placement kind a routing file may name.
 TIME_RANGE = "time-range"
-HASH = "hash"
-KINDS = (TIME_RANGE, HASH)
+
+
+def _json_int(data: Dict[str, object], key: str, default: Optional[int] = None) -> int:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ClusterError(f"routing table field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_bound(data: Dict[str, object], key: str) -> Optional[Timestamp]:
+    value = data.get(key)
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ClusterError(
+            f"shard bound {key!r} must be a finite number or absent, got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One shard's identity and ownership claim.
-
-    ``lo``/``hi`` bound the owned start-time range for ``time-range``
-    tables (``None`` = unbounded on that side; ``hi`` exclusive);
-    ``bucket`` is the hash bucket for ``hash`` tables.
-    """
+    """One shard's identity and its owned start-time range ``[lo, hi)``
+    (``None`` = unbounded on that side; ``hi`` exclusive)."""
 
     shard_id: str
     lo: Optional[Timestamp] = None
     hi: Optional[Timestamp] = None
-    bucket: Optional[int] = None
 
     def overlaps(self, st: Timestamp, end: Timestamp) -> bool:
         """Does ``[st, end]`` overlap this shard's ``[lo, hi)`` range?"""
@@ -60,19 +77,20 @@ class ShardSpec:
 
     def to_json(self) -> Dict[str, object]:
         out: Dict[str, object] = {"shard_id": self.shard_id}
-        for field in ("lo", "hi", "bucket"):
+        for field in ("lo", "hi"):
             value = getattr(self, field)
             if value is not None:
                 out[field] = value
         return out
 
     @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "ShardSpec":
+    def from_json(cls, data: object) -> "ShardSpec":
+        if not isinstance(data, dict) or not isinstance(data.get("shard_id"), str):
+            raise ClusterError(f"routing shard entry needs a string shard_id, got {data!r}")
         return cls(
-            shard_id=str(data["shard_id"]),
-            lo=data.get("lo"),  # type: ignore[arg-type]
-            hi=data.get("hi"),  # type: ignore[arg-type]
-            bucket=data.get("bucket"),  # type: ignore[arg-type]
+            shard_id=data["shard_id"],
+            lo=_json_bound(data, "lo"),
+            hi=_json_bound(data, "hi"),
         )
 
 
@@ -82,12 +100,9 @@ class RoutingTable:
     def __init__(
         self,
         generation: int,
-        kind: str,
         shards: Sequence[ShardSpec],
         n_replicas: int = 1,
     ) -> None:
-        if kind not in KINDS:
-            raise ClusterError(f"unknown routing kind {kind!r} (expected {KINDS})")
         if generation < 1:
             raise ClusterError(f"routing generation must be >= 1, got {generation}")
         if not shards:
@@ -98,14 +113,12 @@ class RoutingTable:
         if len(set(ids)) != len(ids):
             raise ClusterError(f"duplicate shard ids in routing table: {ids}")
         self.generation = generation
-        self.kind = kind
         self.shards: Tuple[ShardSpec, ...] = tuple(shards)
         self.n_replicas = n_replicas
-        if kind == TIME_RANGE:
-            self._validate_ranges()
+        self._validate_ranges()
 
     def _validate_ranges(self) -> None:
-        """Time-range shards must tile the line: contiguous, no overlap."""
+        """Shards must tile the line: contiguous, no overlap."""
         ordered = sorted(
             self.shards, key=lambda s: (s.lo is not None, s.lo)
         )
@@ -121,8 +134,6 @@ class RoutingTable:
     # ------------------------------------------------------------------ routing
     def shards_for_interval(self, st: Timestamp, end: Timestamp) -> List[ShardSpec]:
         """Every shard a query over ``[st, end]`` must visit."""
-        if self.kind == HASH:
-            return list(self.shards)
         return [s for s in self.shards if s.overlaps(st, end)]
 
     def shards_for_query(self, q: TimeTravelQuery) -> List[ShardSpec]:
@@ -130,9 +141,7 @@ class RoutingTable:
 
     def shards_for_object(self, obj: TemporalObject) -> List[ShardSpec]:
         """Every shard that stores ``obj`` (≥ 2 across range boundaries)."""
-        if self.kind == HASH:
-            return [self.shards[obj.id % len(self.shards)]]
-        owners = [s for s in self.shards if s.overlaps(obj.st, obj.end)]
+        owners = self.shards_for_interval(obj.st, obj.end)
         if not owners:
             raise ClusterError(
                 f"object {obj.id} [{obj.st}, {obj.end}] maps to no shard"
@@ -154,7 +163,7 @@ class RoutingTable:
             {
                 "version": ROUTING_VERSION,
                 "generation": self.generation,
-                "kind": self.kind,
+                "kind": TIME_RANGE,
                 "n_replicas": self.n_replicas,
                 "shards": [s.to_json() for s in self.shards],
             },
@@ -174,26 +183,30 @@ class RoutingTable:
                 if isinstance(data, dict)
                 else "routing table is not a JSON object"
             )
+        if data.get("kind") != TIME_RANGE:
+            raise ClusterError(
+                f"unsupported routing kind {data.get('kind')!r}; "
+                f"only {TIME_RANGE!r} is served"
+            )
+        shards = data.get("shards")
+        if not isinstance(shards, list):
+            raise ClusterError(f"routing table field 'shards' must be a list, got {shards!r}")
         return cls(
-            generation=int(data["generation"]),
-            kind=str(data["kind"]),
-            shards=[ShardSpec.from_json(s) for s in data["shards"]],
-            n_replicas=int(data.get("n_replicas", 1)),
+            generation=_json_int(data, "generation"),
+            shards=[ShardSpec.from_json(s) for s in shards],
+            n_replicas=_json_int(data, "n_replicas", 1),
         )
 
     def describe(self) -> List[str]:
         """Human lines for ``cluster status``."""
         out = [
-            f"generation {self.generation} ({self.kind}, "
+            f"generation {self.generation} ({TIME_RANGE}, "
             f"{len(self.shards)} shards × {self.n_replicas} replicas)"
         ]
         for s in self.shards:
-            if self.kind == HASH:
-                out.append(f"  {s.shard_id}: bucket {s.bucket}")
-            else:
-                lo = "-inf" if s.lo is None else s.lo
-                hi = "+inf" if s.hi is None else s.hi
-                out.append(f"  {s.shard_id}: [{lo}, {hi})")
+            lo = "-inf" if s.lo is None else s.lo
+            hi = "+inf" if s.hi is None else s.hi
+            out.append(f"  {s.shard_id}: [{lo}, {hi})")
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -201,16 +214,12 @@ class RoutingTable:
             return NotImplemented
         return (
             self.generation == other.generation
-            and self.kind == other.kind
             and self.shards == other.shards
             and self.n_replicas == other.n_replicas
         )
 
     def __hash__(self) -> int:
-        return hash((self.generation, self.kind, self.shards, self.n_replicas))
+        return hash((self.generation, self.shards, self.n_replicas))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RoutingTable(gen={self.generation}, kind={self.kind!r}, "
-            f"shards={len(self.shards)})"
-        )
+        return f"RoutingTable(gen={self.generation}, shards={len(self.shards)})"

@@ -1,11 +1,11 @@
-"""Batched and parallel query execution over any registry index.
+"""Batched query execution over any registry index.
 
-The paper's evaluation measures one query at a time; production serving
-wants *batches*: reorder for locality, deduplicate repeats, cache popular
-answers, and fan the remainder out across cores.  This package supplies
-that layer without touching any index's query semantics — the
-:class:`~repro.exec.executor.QueryExecutor` returns, for every submitted
-query, exactly what ``index.query(q)`` would have returned.
+The paper's evaluation measures one query at a time; serving wants
+*batches*: reorder for locality, deduplicate repeats, and cache popular
+answers.  This package supplies that layer without touching any index's
+query semantics — the :class:`~repro.exec.executor.QueryExecutor`
+returns, for every submitted query, exactly what ``index.query(q)`` would
+have returned.
 
 Components
 ----------
@@ -13,37 +13,20 @@ Components
     Size-bounded LRU over ``(interval, frozenset(q.d))`` keys, invalidated
     on every index mutation (wired through
     :meth:`repro.indexes.base.TemporalIRIndex.attach_cache`).
-:mod:`~repro.exec.strategies`
-    Pluggable batch runners: ``serial`` (baseline loop), ``threaded``
-    (chunked thread fan-out over a read-only index), ``process``
-    (multiprocessing with a one-time picklable index handoff).
 :class:`~repro.exec.executor.QueryExecutor`
-    Ties the above together: dedup → cache probe → interval sort →
-    strategy fan-out → cache fill → reassembly in submission order.
+    dedup → cache probe → interval sort → one ``index.query`` loop →
+    cache fill → reassembly in submission order.
 
-See ``docs/execution.md`` for the trade-offs and invalidation guarantees.
+See ``docs/execution.md`` for the measurements behind the one serial
+loop and the invalidation guarantees.
 """
 
 from repro.exec.cache import ResultCache, cache_key
 from repro.exec.executor import ExecutionReport, QueryExecutor
-from repro.exec.strategies import (
-    STRATEGIES,
-    available_strategies,
-    default_workers,
-    run_process,
-    run_serial,
-    run_threaded,
-)
 
 __all__ = [
     "ExecutionReport",
     "QueryExecutor",
     "ResultCache",
-    "STRATEGIES",
-    "available_strategies",
     "cache_key",
-    "default_workers",
-    "run_process",
-    "run_serial",
-    "run_threaded",
 ]

@@ -1,4 +1,4 @@
-"""The batch query executor: dedup → cache → sort → fan-out → reassemble.
+"""The batch query executor: dedup → cache → sort → evaluate → reassemble.
 
 :class:`QueryExecutor` accepts batches of
 :class:`~repro.core.model.TimeTravelQuery` objects and answers each one
@@ -12,9 +12,8 @@ optimisations that a per-query API cannot:
   mutation invalidates (see :mod:`repro.indexes.base`);
 * **interval sort** — remaining misses are evaluated in ``(st, end)``
   order, so consecutive queries touch neighbouring HINT partitions and
-  time slices (warm lines instead of random walks);
-* **strategy fan-out** — the miss list runs through a pluggable strategy
-  (:mod:`repro.exec.strategies`): ``serial``, ``threaded`` or ``process``.
+  time slices (warm lines instead of random walks), one ``index.query``
+  after another on the calling thread.
 
 The executor targets either a bare index or a
 :class:`~repro.service.DurableIndexStore`; with a store, the *live* index
@@ -34,7 +33,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from repro.core.errors import ConfigurationError
 from repro.core.model import TimeTravelQuery
 from repro.exec.cache import ResultCache, cache_key
-from repro.exec.strategies import default_workers, strategy_fn
 from repro.indexes.base import TemporalIRIndex
 from repro.obs.registry import OBS
 from repro.utils.timing import Stopwatch
@@ -44,7 +42,6 @@ from repro.utils.timing import Stopwatch
 class ExecutionReport:
     """What one :meth:`QueryExecutor.run` call did, for logs and benches."""
 
-    strategy: str
     queries: int  #: queries submitted
     unique: int  #: distinct queries after deduplication
     cache_hits: int  #: distinct queries answered from the cache
@@ -66,13 +63,13 @@ class ExecutionReport:
         return (
             f"{self.queries} queries ({self.unique} unique, "
             f"{self.cache_hits} cached, {self.executed} executed) "
-            f"via {self.strategy} in {ms:.2f} ms "
+            f"in {ms:.2f} ms "
             f"({self.queries_per_second:,.0f} q/s)"
         )
 
 
 class QueryExecutor:
-    """Batched, optionally parallel and cached, query execution.
+    """Batched, cached query execution.
 
     Parameters
     ----------
@@ -81,15 +78,10 @@ class QueryExecutor:
         :class:`~repro.service.DurableIndexStore` (its live index is
         re-resolved on every batch).
     strategy:
-        ``serial`` | ``threaded`` | ``process`` (see
-        :mod:`repro.exec.strategies`).
-    workers:
-        Worker count for the parallel strategies (default: CPUs, ≤ 8).
+        Accepts only ``"serial"``, the one way a batch runs.
     cache_size:
         ``0`` disables caching; ``> 0`` attaches an invalidating
         :class:`~repro.exec.cache.ResultCache` of that capacity.
-    dedupe / sort:
-        Batch-level optimisation switches, on by default.
     """
 
     def __init__(
@@ -97,18 +89,13 @@ class QueryExecutor:
         target: Union[TemporalIRIndex, "object"],
         *,
         strategy: str = "serial",
-        workers: Optional[int] = None,
         cache_size: int = 0,
-        dedupe: bool = True,
-        sort: bool = True,
     ) -> None:
-        self._run_strategy = strategy_fn(strategy)  # validates the name
-        self.strategy = strategy
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers if workers is not None else default_workers()
-        self._dedupe = dedupe
-        self._sort = sort
+        # Kept for benchmarks/ledger/wl_daemon_query.py, which passes it.
+        if strategy != "serial":
+            raise ConfigurationError(
+                f"unknown strategy {strategy!r}; only 'serial' exists"
+            )
         self._target = target
         if not isinstance(target, TemporalIRIndex) and not hasattr(target, "index"):
             raise ConfigurationError(
@@ -141,7 +128,7 @@ class QueryExecutor:
         """
         batch = list(queries)
         if not batch:
-            self.last_report = ExecutionReport(self.strategy, 0, 0, 0, 0, 0.0)
+            self.last_report = ExecutionReport(0, 0, 0, 0, 0.0)
             return []
         watch = Stopwatch()
         watch.start()
@@ -153,8 +140,8 @@ class QueryExecutor:
         resolved: Dict[Hashable, List[int]] = {}
         pending: Dict[Hashable, TimeTravelQuery] = {}
         cache_hits = 0
-        for position, q in enumerate(batch):
-            key: Hashable = cache_key(q) if self._dedupe else position
+        for q in batch:
+            key = cache_key(q)
             keys.append(key)
             if key in resolved or key in pending:
                 continue
@@ -168,18 +155,14 @@ class QueryExecutor:
 
         # 2. Sort the misses by query interval for partition locality.
         misses: List[Tuple[Hashable, TimeTravelQuery]] = list(pending.items())
-        if self._sort:
-            misses.sort(key=lambda kv: (kv[1].st, kv[1].end, len(kv[1].d)))
+        misses.sort(key=lambda kv: (kv[1].st, kv[1].end, len(kv[1].d)))
 
-        # 3. Fan out through the strategy; 4. fill the cache.
-        if misses:
-            results = self._run_strategy(
-                index, [q for _key, q in misses], workers=self.workers
-            )
-            for (key, q), result in zip(misses, results):
-                resolved[key] = result
-                if cache is not None:
-                    cache.put(q, result)
+        # 3. Evaluate one after another; 4. fill the cache.
+        for key, q in misses:
+            result = index.query(q)
+            resolved[key] = result
+            if cache is not None:
+                cache.put(q, result)
 
         # 5. Reassemble in submission order; duplicates get copies.
         out: List[List[int]] = []
@@ -194,7 +177,6 @@ class QueryExecutor:
 
         seconds = watch.stop()
         report = ExecutionReport(
-            strategy=self.strategy,
             queries=len(batch),
             unique=len(resolved),
             cache_hits=cache_hits,
@@ -207,10 +189,10 @@ class QueryExecutor:
             from repro.obs.instruments import exec_instruments
 
             instruments = exec_instruments(registry)
-            instruments.batches.labels(self.strategy).inc()
-            instruments.queries.labels(self.strategy).inc(report.queries)
+            instruments.batches.inc()
+            instruments.queries.inc(report.queries)
             instruments.batch_size.observe(report.queries)
-            instruments.batch_seconds.labels(self.strategy).observe(seconds)
+            instruments.batch_seconds.observe(seconds)
             if report.duplicates:
                 instruments.deduped.inc(report.duplicates)
         return out
@@ -218,16 +200,3 @@ class QueryExecutor:
     def run_one(self, q: TimeTravelQuery) -> List[int]:
         """Single-query convenience (still cache-aware)."""
         return self.run([q])[0]
-
-    # -------------------------------------------------------------- inspection
-    def stats(self) -> Dict[str, object]:
-        """Executor configuration plus cache counters (when caching)."""
-        out: Dict[str, object] = {
-            "strategy": self.strategy,
-            "workers": self.workers,
-            "dedupe": self._dedupe,
-            "sort": self._sort,
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
-        return out

@@ -153,18 +153,16 @@ def store_instruments(registry: MetricsRegistry) -> StoreInstruments:
 
 
 class ExecInstruments:
-    """Batch-executor accounting (labelled by execution strategy)."""
+    """Batch-executor accounting."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.batches = registry.counter(
             "repro_exec_batches_total",
-            "Query batches executed, by strategy.",
-            ("strategy",),
+            "Query batches executed.",
         )
         self.queries = registry.counter(
             "repro_exec_queries_total",
-            "Queries submitted through the batch executor, by strategy.",
-            ("strategy",),
+            "Queries submitted through the batch executor.",
         )
         self.deduped = registry.counter(
             "repro_exec_deduped_queries_total",
@@ -172,8 +170,7 @@ class ExecInstruments:
         )
         self.batch_seconds = registry.histogram(
             "repro_exec_batch_seconds",
-            "Wall-clock latency of one executed batch, by strategy.",
-            ("strategy",),
+            "Wall-clock latency of one executed batch.",
         )
         self.batch_size = registry.histogram(
             "repro_exec_batch_size",

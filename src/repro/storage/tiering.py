@@ -304,7 +304,6 @@ def plan_tiering(
     the plan is a no-op: no heat signal, no movement.
     """
     from repro.cluster.rebalance import query_share
-    from repro.cluster.routing import TIME_RANGE
 
     shard_ids = list(table.shard_ids())
     heat = query_share(shard_ids)
@@ -317,11 +316,7 @@ def plan_tiering(
         for shard_id in shard_ids
         if getattr(group.replica_set(shard_id), "is_cold", False)
     }
-    open_ended = (
-        {spec.shard_id for spec in table.shards if spec.hi is None}
-        if table.kind == TIME_RANGE
-        else set()
-    )
+    open_ended = {spec.shard_id for spec in table.shards if spec.hi is None}
     hot_ids = [shard_id for shard_id in shard_ids if shard_id not in cold_ids]
 
     demote = [

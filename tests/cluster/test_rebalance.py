@@ -44,17 +44,6 @@ def skewed_cluster(tmp_path):
 
 
 class TestPlanning:
-    def test_hash_tables_never_rebalance(self, tmp_path):
-        with TemporalCluster.create(
-            tmp_path / "hash",
-            Collection(random_objects(60, seed=62)),
-            index_key="tif-slicing",
-            partitioner="hash",
-            n_shards=2,
-            wal_fsync=False,
-        ) as cluster:
-            assert cluster.plan_rebalance(split_factor=0.1).is_noop
-
     def test_balanced_cluster_plans_nothing(self, tmp_path):
         with TemporalCluster.create(
             tmp_path / "flat",

@@ -84,11 +84,10 @@ class TestQueries:
 
 
 class TestBatches:
-    @pytest.mark.parametrize("strategy", ["serial", "threaded"])
-    def test_batch_matches_oracle(self, cluster, collection, strategy):
+    def test_batch_matches_oracle(self, cluster, collection):
         oracle = build_index("brute", collection)
         queries = random_queries(collection, 30, seed=53)
-        results = cluster.run_batch(queries, strategy=strategy, workers=2)
+        results = cluster.run_batch(queries)
         assert results == [sorted(oracle.query(q)) for q in queries]
 
     def test_batch_uses_per_shard_caches(self, collection, tmp_path):
@@ -124,9 +123,9 @@ class TestBatches:
             queries = random_queries(collection, 12, seed=55)
             shard_id = cluster.table.shards[0].shard_id
             # Close the primary without marking it dead: the batch path
-            # hits the closed store and falls back to the failover path.
+            # hits the closed store and fails over to the second replica.
             cluster.group.replica_set(shard_id).stores[0].close()
-            results = cluster.run_batch(queries, strategy="serial")
+            results = cluster.run_batch(queries)
             assert results == [sorted(oracle.query(q)) for q in queries]
 
 

@@ -1,16 +1,16 @@
 """Routing tables and partitioners: placement, validation, round-trips."""
 
+import json
+
 import pytest
 
 from repro.cluster import (
-    HASH,
-    TIME_RANGE,
-    HashPartitioner,
     RoutingTable,
     ShardSpec,
+    TemporalCluster,
     TimeRangePartitioner,
-    make_partitioner,
 )
+from repro.cluster import layout
 from repro.core.collection import Collection
 from repro.core.errors import ClusterError
 from repro.core.model import make_object, make_query
@@ -38,8 +38,11 @@ class TestShardSpec:
         assert ShardSpec("s", lo=5, hi=None).overlaps(10**9, 10**9)
 
     def test_json_round_trip(self):
-        spec = ShardSpec("g0001-s01", lo=None, hi=42, bucket=3)
-        assert ShardSpec.from_json(spec.to_json()) == spec
+        for spec in (
+            ShardSpec("g0001-s01", lo=None, hi=42),
+            ShardSpec("g0001-s02", lo=42, hi=99.5),
+        ):
+            assert ShardSpec.from_json(spec.to_json()) == spec
 
 
 class TestRoutingTable:
@@ -48,21 +51,23 @@ class TestRoutingTable:
         assert [s.lo for s in good.shards] == [None, 10, 20]
         with pytest.raises(ClusterError):
             RoutingTable(
-                1, TIME_RANGE,
+                1,
                 [ShardSpec("a", lo=None, hi=10), ShardSpec("b", lo=11, hi=None)],
                 1,
             )
         with pytest.raises(ClusterError):
-            RoutingTable(1, TIME_RANGE, [ShardSpec("a", lo=0, hi=10)], 1)
+            RoutingTable(1, [ShardSpec("a", lo=0, hi=10)], 1)
 
     def test_rejects_duplicate_ids_and_bad_kind(self):
         spec = ShardSpec("a", lo=None, hi=None)
         with pytest.raises(ClusterError):
-            RoutingTable(1, TIME_RANGE, [spec, spec], 1)
+            RoutingTable(1, [spec, spec], 1)
         with pytest.raises(ClusterError):
-            RoutingTable(1, "mystery", [spec], 1)
-        with pytest.raises(ClusterError):
-            RoutingTable(0, TIME_RANGE, [spec], 1)
+            RoutingTable(0, [spec], 1)
+        doc = json.loads(RoutingTable(1, [spec], 1).to_json())
+        doc["kind"] = "mystery"
+        with pytest.raises(ClusterError, match="time-range"):
+            RoutingTable.from_json(json.dumps(doc))
 
     def test_interval_routing_visits_only_overlaps(self):
         table = time_table([10, 20])
@@ -86,25 +91,75 @@ class TestRoutingTable:
         q = make_query(0, 9, {"a"})
         assert [s.lo for s in table.shards_for_query(q)] == [None]
 
-    def test_hash_routing_is_single_owner_broadcast_read(self):
-        table = make_partitioner(HASH, 3, 1).table(Collection([]))
-        obj = make_object(7, 0, 5, {"a"})
-        owners = table.shards_for_object(obj)
-        assert len(owners) == 1
-        assert owners[0].bucket == 7 % 3
-        assert len(table.shards_for_interval(0, 1)) == 3
-
     def test_json_round_trip(self):
         table = time_table([10, 20], n_replicas=2, generation=4)
         back = RoutingTable.from_json(table.to_json())
         assert back == table
         assert back.generation == 4 and back.n_replicas == 2
+        assert json.loads(table.to_json())["kind"] == "time-range"
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ClusterError):
             RoutingTable.from_json("{}")
         with pytest.raises(ClusterError):
             RoutingTable.from_json("not json")
+
+
+def _set_boundary(doc, value):
+    """Replace the one boundary between the two shards with ``value``."""
+    doc["shards"][0]["hi"] = value
+    doc["shards"][1]["lo"] = value
+
+
+#: One damage per case, applied to a valid two-shard routing document.
+DAMAGE = {
+    "no-generation": lambda doc: doc.pop("generation"),
+    "no-shards": lambda doc: doc.pop("shards"),
+    "no-shard-id": lambda doc: doc["shards"][0].pop("shard_id"),
+    "generation-not-a-number": lambda doc: doc.update(generation="x"),
+    "generation-bool": lambda doc: doc.update(generation=True),
+    "shards-not-a-list": lambda doc: doc.update(shards=5),
+    "shard-not-an-object": lambda doc: doc.update(shards=[5]),
+    "replicas-not-a-number": lambda doc: doc.update(n_replicas="x"),
+    "string-bounds": lambda doc: _set_boundary(doc, "m"),
+    "bool-bounds": lambda doc: _set_boundary(doc, True),
+    "infinite-bounds": lambda doc: _set_boundary(doc, float("inf")),
+    "kind-hash": lambda doc: doc.update(kind="hash"),
+    "no-kind": lambda doc: doc.pop("kind"),
+}
+
+
+def _damaged(case, generation=1):
+    doc = json.loads(time_table([10], generation=generation).to_json())
+    DAMAGE[case](doc)
+    return json.dumps(doc)
+
+
+class TestDamagedRoutingFiles:
+    """A damaged routing file is a typed :class:`ClusterError`, never a
+    ``KeyError``/``TypeError`` at load or a ``TypeError`` on every query."""
+
+    @pytest.mark.parametrize("case", sorted(DAMAGE))
+    def test_from_json_raises_cluster_error(self, case):
+        with pytest.raises(ClusterError):
+            RoutingTable.from_json(_damaged(case))
+
+    @pytest.mark.parametrize("case", sorted(DAMAGE))
+    def test_open_raises_cluster_error(self, case, tmp_path):
+        directory = tmp_path / "cluster"
+        TemporalCluster.create(
+            directory,
+            Collection(random_objects(40, seed=7)),
+            index_key="tif",
+            n_shards=2,
+            wal_fsync=False,
+        ).close()
+        generation = int(layout.read_manifest(directory)["generation"])
+        layout.routing_path(directory, generation).write_text(
+            _damaged(case, generation)
+        )
+        with pytest.raises(ClusterError):
+            TemporalCluster.open(directory, wal_fsync=False).close()
 
 
 class TestPartitioners:
@@ -131,17 +186,21 @@ class TestPartitioners:
         table = TimeRangePartitioner(4, 1).table(Collection([]))
         assert table.shards[0].lo is None and table.shards[-1].hi is None
 
-    def test_hash_partitioner_buckets(self):
-        table = HashPartitioner(5, 2).table(Collection([]))
-        assert [s.bucket for s in table.shards] == list(range(5))
-        assert table.n_replicas == 2
+    def test_unknown_kind_rejected(self, tmp_path):
+        """``time-range`` is the one placement; a refused ``create`` names
+        it and leaves no directory behind."""
+        collection = Collection(random_objects(20, seed=8))
+        for kind in ("hash", "mystery"):
+            directory = tmp_path / kind
+            with pytest.raises(ClusterError, match="time-range"):
+                TemporalCluster.create(directory, collection, partitioner=kind)
+            assert not directory.exists()
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ClusterError):
-            make_partitioner("mystery", 2, 1)
-
-    def test_bad_shapes_rejected(self):
+    def test_bad_shapes_rejected(self, tmp_path):
         with pytest.raises(ClusterError):
             TimeRangePartitioner(0, 1)
         with pytest.raises(ClusterError):
             TimeRangePartitioner(2, 0).table(Collection([]))
+        with pytest.raises(ClusterError):
+            TemporalCluster.create(tmp_path / "c", Collection([]), n_shards=0)
+        assert not (tmp_path / "c").exists()

@@ -1,7 +1,7 @@
 """Seeded randomized differential testing: every index vs BruteForce.
 
 The harness interleaves queries, inserts and deletes — the workload an
-execution layer that reorders, caches and parallelises queries is most
+execution layer that reorders, deduplicates and caches queries is most
 likely to break — and cross-checks every answer against the
 :class:`~repro.indexes.brute.BruteForce` oracle, on the direct
 ``index.query`` path, through a caching :class:`QueryExecutor`, and
@@ -177,23 +177,22 @@ def test_differential_with_executor_and_cache(key, seed):
     are continuously exercised.
     """
     run_differential(
-        key, seed, executor_config={"strategy": "serial", "cache_size": 8}
+        key, seed, executor_config={"cache_size": 8}
     )
 
 
-@pytest.mark.parametrize("strategy", ["threaded", "process"])
-def test_differential_batched_parallel(strategy):
-    """Batched parallel execution between mutation bursts.
+def test_differential_batched():
+    """Batched execution between mutation bursts.
 
-    Batches carry duplicates (dedup path) and are answered by a
-    2-worker parallel strategy; the oracle answers each query
-    individually.  Mutations between batches must invalidate the cache.
+    Batches carry duplicates (dedup path), run in locality-sorted order
+    and fill a cache; the oracle answers each query individually in
+    submission order.  Mutations between batches must invalidate the cache.
     """
     seed = 424242
     collection = small_collection(seed)
     index = build_index("irhint-perf", collection)
     oracle = BruteForce.build(collection)
-    executor = QueryExecutor(index, strategy=strategy, workers=2, cache_size=64)
+    executor = QueryExecutor(index, cache_size=64)
     rng = random.Random(seed)
     live = collection.ids()
     next_id = max(live) + 1
@@ -203,7 +202,7 @@ def test_differential_batched_parallel(strategy):
         expected = [oracle.query(q) for q in batch]
         got = executor.run(batch)
         assert got == expected, (
-            f"round {round_number} (seed={seed}, strategy={strategy}): "
+            f"round {round_number} (seed={seed}): "
             "batched answers diverge from oracle"
         )
         for _ in range(8):

@@ -1,4 +1,4 @@
-"""Unit tests for the batch executor: strategies, dedup, sort, reports."""
+"""Unit tests for the batch executor: dedup, sort, cache, reports."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.collection import Collection
 from repro.core.errors import ConfigurationError
-from repro.exec import QueryExecutor, ResultCache, available_strategies
-from repro.exec.strategies import chunked, run_process, run_serial, run_threaded
+from repro.exec import QueryExecutor, ResultCache
 from repro.indexes.registry import build_index
 from repro.obs.registry import isolated_registry
 from tests.conftest import random_objects, random_queries
@@ -23,58 +22,20 @@ def corpus():
     return collection, index, queries, expected
 
 
-# -------------------------------------------------------------------- chunking
-def test_chunked_partitions_preserve_order():
-    items = list(range(10))
-    for n in (1, 2, 3, 7, 10, 25):
-        chunks = chunked(items, n)
-        assert [x for c in chunks for x in c] == items
-        assert len(chunks) <= max(1, min(n, len(items)))
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-
-def test_chunked_single_item():
-    assert chunked([1], 8) == [[1]]
-
-
-# ------------------------------------------------------------------ strategies
-def test_all_strategies_agree_with_direct_queries(corpus):
-    _collection, index, queries, expected = corpus
-    assert run_serial(index, queries) == expected
-    assert run_threaded(index, queries, workers=3) == expected
-    assert run_process(index, queries, workers=2) == expected
-
-
-def test_parallel_strategies_fall_back_to_serial_on_one_worker(corpus):
-    _collection, index, queries, expected = corpus
-    assert run_threaded(index, queries, workers=1) == expected
-    assert run_process(index, queries, workers=1) == expected
-
-
-def test_unknown_strategy_rejected(corpus):
-    _collection, index, _queries, _expected = corpus
-    with pytest.raises(ConfigurationError):
-        QueryExecutor(index, strategy="warp-drive")
-
-
-def test_available_strategies():
-    assert available_strategies() == ["process", "serial", "threaded"]
-
-
 # -------------------------------------------------------------------- executor
-@pytest.mark.parametrize("strategy", ["serial", "threaded", "process"])
+def test_unknown_strategy_rejected(corpus):
+    """``serial`` is the one strategy; a retired one is refused by name."""
+    _collection, index, _queries, _expected = corpus
+    QueryExecutor(index, strategy="serial")
+    for retired in ("threaded", "process", "warp-drive"):
+        with pytest.raises(ConfigurationError, match="only 'serial'"):
+            QueryExecutor(index, strategy=retired)
+
+
+@pytest.mark.parametrize("strategy", ["serial"])
 def test_executor_matches_direct_path(corpus, strategy):
     _collection, index, queries, expected = corpus
-    executor = QueryExecutor(index, strategy=strategy, workers=2)
-    assert executor.run(queries) == expected
-
-
-@pytest.mark.parametrize("dedupe", [True, False])
-@pytest.mark.parametrize("sort", [True, False])
-def test_optimisation_switches_do_not_change_answers(corpus, dedupe, sort):
-    _collection, index, queries, expected = corpus
-    executor = QueryExecutor(index, dedupe=dedupe, sort=sort)
+    executor = QueryExecutor(index, strategy=strategy)
     assert executor.run(queries) == expected
 
 
@@ -122,12 +83,6 @@ def test_cache_hits_across_batches(corpus):
     assert report.executed == 0
 
 
-def test_invalid_workers_rejected(corpus):
-    _collection, index, _queries, _expected = corpus
-    with pytest.raises(ConfigurationError):
-        QueryExecutor(index, workers=0)
-
-
 def test_invalid_cache_capacity_rejected(corpus):
     _collection, index, _queries, _expected = corpus
     with pytest.raises(ConfigurationError):
@@ -150,9 +105,8 @@ def test_report_summary_and_throughput(corpus):
     assert report.queries_per_second > 0
     text = report.summary()
     assert "unique" in text and "q/s" in text
-    stats = executor.stats()
-    assert stats["strategy"] == "serial"
-    assert "cache" in stats
+    assert "via" not in text
+    assert executor.cache is not None and executor.cache.stats()["misses"] > 0
 
 
 def test_run_one(corpus):
@@ -166,55 +120,11 @@ def test_run_one(corpus):
 def test_executor_metrics(corpus):
     _collection, index, queries, _expected = corpus
     with isolated_registry() as registry:
-        executor = QueryExecutor(index, strategy="serial", cache_size=64)
+        executor = QueryExecutor(index, cache_size=64)
         executor.run(queries)
         executor.run(queries)
-        assert registry.sample_value("repro_exec_batches_total", ["serial"]) == 2
-        assert registry.sample_value("repro_exec_queries_total", ["serial"]) == 2 * len(
-            queries
-        )
+        assert registry.sample_value("repro_exec_batches_total") == 2
+        assert registry.sample_value("repro_exec_queries_total") == 2 * len(queries)
         assert registry.sample_value("repro_exec_deduped_queries_total") > 0
         assert registry.sample_value("repro_cache_hits_total") > 0
         assert registry.sample_value("repro_cache_misses_total") > 0
-
-
-# ------------------------------------------------------------- worker cap env
-def test_default_workers_honors_env(monkeypatch):
-    import os
-
-    from repro.exec.strategies import MAX_WORKERS_ENV, default_workers, worker_cap
-
-    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-    assert worker_cap() == 8
-    monkeypatch.setenv(MAX_WORKERS_ENV, "2")
-    assert worker_cap() == 2
-    assert default_workers() == max(1, min(2, os.cpu_count() or 1))
-    monkeypatch.setenv(MAX_WORKERS_ENV, "4096")
-    # The env var lifts the built-in cap of 8; cores still bound the result.
-    assert default_workers() == max(1, os.cpu_count() or 1)
-
-
-def test_default_workers_explicit_cap_ignores_env(monkeypatch):
-    from repro.exec.strategies import MAX_WORKERS_ENV, default_workers
-
-    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-    assert default_workers(cap=3) == max(1, min(3, __import__("os").cpu_count() or 1))
-
-
-def test_default_workers_rejects_bad_env(monkeypatch):
-    from repro.exec.strategies import MAX_WORKERS_ENV, default_workers
-
-    for bad in ("zero", "-1", "0"):
-        monkeypatch.setenv(MAX_WORKERS_ENV, bad)
-        with pytest.raises(ConfigurationError):
-            default_workers()
-    with pytest.raises(ConfigurationError):
-        default_workers(cap=0)
-
-
-def test_executor_picks_up_env_workers(monkeypatch, corpus):
-    from repro.exec.strategies import MAX_WORKERS_ENV
-
-    _collection, index, _queries, _expected = corpus
-    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-    assert QueryExecutor(index).workers == 1

@@ -280,14 +280,13 @@ class TestCluster:
                 [
                     "cluster", "query", cluster_dir,
                     "--batch-file", batch,
-                    "--strategy", "threaded", "--workers", "2",
                     "--no-fsync",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "2 queries via threaded" in out
+        assert "2 queries in" in out
         assert "3 ids" in out and "8 ids" in out
 
 
