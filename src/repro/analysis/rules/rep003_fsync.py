@@ -1,4 +1,9 @@
-"""REP003 — durable writes in repro.service/repro.storage flow through fsio."""
+"""REP003 — durable writes flow through the fsio seam.
+
+Scope: ``repro.service``, ``repro.storage``, ``repro.cluster`` and
+``repro.indexes.persistence`` — every package that puts durable bytes on
+disk.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,9 @@ from repro.analysis.rules.base import RawFinding, Rule, constant_str, keyword_va
 #: The one module allowed to touch ``open`` directly: it *is* the seam.
 _SEAM_MODULE = "repro.service.fsio"
 
+#: The packages (and one module) whose writes are durable state.
+_SCOPE = ("repro.service", "repro.storage", "repro.cluster", "repro.indexes.persistence")
+
 
 def _mode_expr(call: ast.Call) -> Optional[ast.expr]:
     if len(call.args) >= 2:
@@ -20,21 +28,22 @@ def _mode_expr(call: ast.Call) -> Optional[ast.expr]:
 
 class FsyncDisciplineRule(Rule):
     code = "REP003"
-    title = "service/storage-layer file writes must go through the fsio seam"
+    title = "durable file writes must go through the fsio seam"
     rationale = (
         "Crash-consistency holds because every durable byte flows through "
         "FileSystem (fsio) — the object the fault injector substitutes and "
         "the single place fsync discipline lives.  A raw builtin "
-        "open(..., 'w') in repro.service or repro.storage writes bytes the "
-        "crash matrix never tears, so its failure modes are untested.  The "
-        "storage package's segment installs and tier-state commits carry "
-        "the same obligation as WALs and snapshots."
+        "open(..., 'w') in a durable package writes bytes the crash matrix "
+        "never tears, so its failure modes are untested.  Segment installs, "
+        "tier-state commits, cluster manifests and routing tables, and "
+        "saved index snapshots carry the same obligation as WALs and "
+        "store snapshots."
     )
 
     def applies_to(self, module: ModuleInfo) -> bool:
-        return (
-            module.in_package("repro.service") or module.in_package("repro.storage")
-        ) and module.module != _SEAM_MODULE
+        return module.module != _SEAM_MODULE and any(
+            module.in_package(scope) for scope in _SCOPE
+        )
 
     def check_module(self, module: ModuleInfo) -> Iterable[RawFinding]:
         for node in ast.walk(module.tree):
@@ -54,7 +63,7 @@ class FsyncDisciplineRule(Rule):
             yield RawFinding(
                 module,
                 node.lineno,
-                f"raw open(..., {shown!r}) in the service layer; durable "
+                f"raw open(..., {shown!r}) in a durable package; durable "
                 f"writes must go through FileSystem.open (repro.service."
                 f"fsio) so the crash matrix covers them",
             )

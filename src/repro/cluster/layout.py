@@ -82,15 +82,6 @@ def list_routing_generations(directory: PathLike) -> List[Tuple[int, Path]]:
 
 
 # ------------------------------------------------------------------- manifest
-def _atomic_write(path: Path, payload: bytes, fs: FileSystem) -> None:
-    tmp = path.with_name(path.name + _TMP_SUFFIX)
-    with fs.open(tmp, "wb") as handle:
-        handle.write(payload)
-        fs.fsync(handle)
-    fs.replace(tmp, path)
-    fs.fsync_dir(path.parent)
-
-
 def write_manifest(
     directory: PathLike,
     generation: int,
@@ -106,10 +97,9 @@ def write_manifest(
         "index_key": index_key,
         "index_params": dict(index_params or {}),
     }
-    _atomic_write(
+    fs.atomic_write(
         Path(directory) / MANIFEST_NAME,
         json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
-        fs,
     )
 
 
@@ -142,7 +132,7 @@ def write_routing_table(
 ) -> Path:
     """Durably write one routing generation (immutable once installed)."""
     path = routing_path(directory, table.generation)
-    _atomic_write(path, table.to_json().encode("utf-8"), fs)
+    fs.atomic_write(path, table.to_json().encode("utf-8"))
     return path
 
 

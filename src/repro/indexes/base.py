@@ -27,6 +27,7 @@ from repro.core.collection import Collection
 from repro.core.dictionary import Dictionary
 from repro.core.errors import DuplicateObjectError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
+from repro.obs.context import annotate, event, tracing_active
 from repro.obs.registry import OBS
 from repro.utils.timing import Stopwatch
 
@@ -146,10 +147,11 @@ class TemporalIRIndex(abc.ABC):
     def query(self, q: TimeTravelQuery) -> List[int]:
         """Answer a time-travel IR query; returns sorted live object ids.
 
-        When observability is off (the default) this is the bare dispatch;
-        one attribute load and a branch is the entire overhead.  With a
-        metrics registry enabled and/or a query trace active, the evaluation
-        is timed and its cost accounting recorded (see :mod:`repro.obs`).
+        When metrics are off (the default) this is the bare dispatch; one
+        attribute load and a branch is the entire overhead.  With a metrics
+        registry enabled the evaluation is timed and counted (see
+        :mod:`repro.obs`).  Phases are recorded by the index paths
+        themselves, inside a sampled request trace only.
         """
         if OBS.active:
             return self._observed_query(q)
@@ -161,8 +163,6 @@ class TemporalIRIndex(abc.ABC):
         """The slow-path twin of :meth:`query`: timed and counted."""
         from repro.obs.instruments import query_instruments
 
-        registry = OBS.registry
-        metrics = registry.enabled
         watch = Stopwatch()
         watch.start()
         if q.is_pure_temporal:
@@ -170,16 +170,12 @@ class TemporalIRIndex(abc.ABC):
         else:
             result = self._query_impl(q)
         seconds = watch.stop()
-        trace = OBS.trace
-        if trace is not None:
-            trace.note("query_seconds", seconds)
-        if metrics:
-            instruments = query_instruments(registry)
-            instruments.queries.labels(self.name).inc()
-            instruments.seconds.labels(self.name).observe(seconds)
-            instruments.results.labels(self.name).inc(len(result))
-            if q.is_pure_temporal:
-                instruments.pure_temporal.labels(self.name).inc()
+        instruments = query_instruments(OBS.registry)
+        instruments.queries.labels(self.name).inc()
+        instruments.seconds.labels(self.name).observe(seconds)
+        instruments.results.labels(self.name).inc(len(result))
+        if q.is_pure_temporal:
+            instruments.pure_temporal.labels(self.name).inc()
         return result
 
     @abc.abstractmethod
@@ -209,15 +205,14 @@ class TemporalIRIndex(abc.ABC):
             for obj in self._catalog.values()
             if obj.st <= q.end and q.st <= obj.end
         )
-        trace = OBS.trace
-        if trace is not None:
-            trace.phase(
+        if tracing_active():
+            event(
                 "catalog scan",
                 entries_scanned=len(self._catalog),
                 candidates_after=len(result),
                 structures_touched=1,
             )
-            trace.note("note", "pure-temporal query: catalog scan")
+            annotate(note="pure-temporal query: catalog scan")
         return result
 
     # -------------------------------------------------------------- inspection

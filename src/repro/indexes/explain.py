@@ -1,11 +1,11 @@
 """Query explanation: where does a time-travel IR query spend its work?
 
-``explain(index, query)`` evaluates the query against a built index with a
-:func:`repro.obs.tracing.query_trace` active, then renders the collected
-trace as a :class:`QueryExplanation` — per-phase entries scanned, candidate
-counts, structures touched, plus the method-specific ``detail`` keys
-(relevant slices, impact-list skips, division counts, …).  It exists for
-three reasons:
+``explain(index, query)`` evaluates the query against a built index inside
+a sampled request trace of its own (:mod:`repro.obs.context`), then reads
+that trace as a :class:`QueryExplanation` — per-phase entries scanned,
+candidate counts, structures touched, plus the method-specific ``detail``
+keys (relevant slices, impact-list skips, division counts, …).  It exists
+for three reasons:
 
 * **teaching** — the examples print explanations to make the IR-first vs
   time-first difference tangible;
@@ -15,16 +15,20 @@ three reasons:
 * **tuning** — the per-phase counts show *why* a configuration is slow
   (e.g. an oversized ``m`` shows up as division count, not as a mystery).
 
-Because the phases come from the *real* query paths (each index emits them
-when a trace is active — see :mod:`repro.obs.tracing`), the numbers an
-explanation reports and the numbers a live trace reports are the same
-numbers by construction.  Explanations never mutate the index.
+The phases are the events the *real* query paths record whenever a sampled
+request trace is active, and the detail keys are what those paths annotate
+onto the innermost span.  A sampled daemon or cluster trace therefore
+carries the same phases under its ``store_query`` / ``replica:<n>`` spans:
+the numbers an explanation reports and the numbers a live trace reports are
+the same numbers by construction.  The trace is held in a context variable,
+so queries other threads run meanwhile never enter an explanation.
+Explanations never mutate the index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Type
+from typing import Any, Dict, List, Set, Type, cast
 
 from repro.core.errors import ConfigurationError
 from repro.core.model import TimeTravelQuery
@@ -35,7 +39,7 @@ from repro.indexes.tif_hint import TIFHintBinary, TIFHintMerge
 from repro.indexes.tif_hint_slicing import TIFHintSlicing
 from repro.indexes.tif_sharding import TIFSharding
 from repro.indexes.tif_slicing import TIFSlicing
-from repro.obs.tracing import QueryTrace, query_trace
+from repro.obs.context import Tracer
 
 
 @dataclass
@@ -103,25 +107,6 @@ class QueryExplanation:
         return "\n".join(lines)
 
 
-def explanation_from_trace(
-    method: str, q: TimeTravelQuery, result_size: int, trace: QueryTrace
-) -> QueryExplanation:
-    """Wrap a collected :class:`QueryTrace` as a :class:`QueryExplanation`."""
-    phases = [
-        PhaseTrace(
-            label=span.name,
-            entries_scanned=int(span.count("entries_scanned")),
-            candidates_after=int(span.count("candidates_after")),
-            structures_touched=int(span.count("structures_touched")),
-            seconds=span.seconds,
-        )
-        for span in trace.phases()
-    ]
-    detail = dict(trace.detail)
-    seconds = float(detail.pop("query_seconds", 0.0))  # type: ignore[arg-type]
-    return QueryExplanation(method, q, result_size, phases, detail, seconds)
-
-
 #: Index types whose query paths emit trace phases.  BruteForce is absent by
 #: design: a linear scan has no structure worth explaining.
 _EXPLAINABLE: Set[Type[TemporalIRIndex]] = {
@@ -142,6 +127,20 @@ def explain(index: TemporalIRIndex, q: TimeTravelQuery) -> QueryExplanation:
         raise ConfigurationError(
             f"no explainer registered for {type(index).__name__}"
         )
-    with query_trace() as trace:
+    request = Tracer(sample_rate=1.0, capacity=1).begin(None, "explain")
+    with request.activate():
         result = index.query(q)
-    return explanation_from_trace(index.name, q, len(result), trace)
+    doc = request.finish()
+    assert doc is not None  # a sampled trace is always kept
+    root, *events = cast(List[Dict[str, Any]], doc["spans"])
+    phases = [
+        PhaseTrace(
+            label=record["name"],
+            entries_scanned=record["attrs"].get("entries_scanned", 0),
+            candidates_after=record["attrs"].get("candidates_after", 0),
+            structures_touched=record["attrs"].get("structures_touched", 0),
+        )
+        for record in events
+    ]
+    seconds = root["duration_ms"] / 1000.0
+    return QueryExplanation(index.name, q, len(result), phases, root["attrs"], seconds)

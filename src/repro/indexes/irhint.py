@@ -44,7 +44,7 @@ from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import SortPolicy
 from repro.intervals.hint.traversal import DivisionKind, assign
 from repro.ir.postings import IdPostingsBackend, IdPostingsList
-from repro.obs.registry import OBS
+from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
 #: Headroom irHINT-size leaves above the built domain for insertions.
@@ -123,33 +123,34 @@ class IRHintPerformance(TIF):
         return table
 
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        trace = OBS.trace
+        traced = tracing_active()
         ordered = self.order_query_elements(q)
         first = self._tif.postings(ordered[0])
         if not timefirst.wants_table(first):
-            if trace is not None:
-                trace.note("table", "none")
+            if traced:
+                annotate(table="none")
                 if self._num_bits is not None:
-                    trace.note("m", self._num_bits)
-            return self._tif.query(q.st, q.end, ordered, trace=trace)
+                    annotate(m=self._num_bits)
+            return self._tif.query(q.st, q.end, ordered)
         found = self._tables.get(ordered[0])
         table = self._table_for(ordered[0], first)
-        if trace is None:
+        if not traced:
             return self._tif.intersect(table.scan_ids(first, q.st, q.end), ordered[1:])
         notes: Dict[str, object] = {}
         candidates = table.scan_ids(first, q.st, q.end, notes)
-        trace.phase(
+        event(
             f"{notes.pop('phase', 'scan')} I[{ordered[0]}]",
             entries_scanned=notes.pop("rows", 0),
             candidates_after=len(candidates),
             structures_touched=notes.pop("slices", 0),
         )
-        for key, value in notes.items():
-            trace.note(key, value)
         # The table as the query found it; anything but fresh was (re)built here.
-        trace.note("table", "fresh" if table is found else "none" if found is None else "stale")
-        trace.note("m", table.mapper.num_bits)
-        return self._tif.intersect(candidates, ordered[1:], trace)
+        annotate(
+            **notes,
+            table="fresh" if table is found else "none" if found is None else "stale",
+            m=table.mapper.num_bits,
+        )
+        return self._tif.intersect(candidates, ordered[1:])
 
     def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
         """The tIF's bound, with the rarest list counted by its physical
@@ -275,22 +276,20 @@ class IRHintSize(TemporalIRIndex):
         return self._traverse(q)
 
     def _pure_temporal_query(self, q: TimeTravelQuery) -> List[int]:
-        if self._hint is None:
-            if OBS.trace is not None:
-                OBS.trace.phase("empty index")
-            return []
-        if OBS.trace is not None:
+        if tracing_active():
             # The traversal is the range query when q.d = ∅; running it
             # keeps the trace's per-division accounting on the real path.
             return self._traverse(q)
+        if self._hint is None:
+            return []
         return self._hint.range_query(q.st, q.end)
 
     def _traverse(self, q: TimeTravelQuery) -> List[int]:
-        trace = OBS.trace
+        traced = tracing_active()
         hint = self._hint
         if hint is None:
-            if trace is not None:
-                trace.phase("empty index")
+            if traced:
+                event("empty index")
             return []
         out: List[int] = []
         # Global frequency order, computed once (Algorithm 1 line 2).
@@ -301,7 +300,7 @@ class IRHintSize(TemporalIRIndex):
             # Step 1 (Alg. 6): range-filter the division's interval store.
             candidates: List[int] = []
             partition.scan_division(kind, check, q.st, q.end, candidates)
-            if trace is not None:
+            if traced:
                 touched += 1
                 interval_candidates += len(candidates)
             if not candidates:
@@ -325,20 +324,20 @@ class IRHintSize(TemporalIRIndex):
                     break
             out.extend(candidates)
         out.sort()
-        if trace is not None:
-            trace.phase(
+        if traced:
+            event(
                 "interval-store range filters",
                 entries_scanned=interval_candidates,
                 candidates_after=interval_candidates,
                 structures_touched=touched,
             )
-            trace.phase(
+            event(
                 "per-division id-postings merges",
                 entries_scanned=interval_candidates,
                 candidates_after=len(out),
                 structures_touched=touched,
             )
-            trace.note("m", hint.num_bits)
+            annotate(m=hint.num_bits)
         return out
 
     # -------------------------------------------------------------- inspection

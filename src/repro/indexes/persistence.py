@@ -10,8 +10,9 @@ index class, payload length and CRC32) followed by a pickle of the index
 object.  The header lets :func:`load_index` fail with a clear error on
 foreign files or version-incompatible snapshots *before* unpickling
 anything, and the checksum detects torn writes and bit rot.  Snapshots are
-written atomically (temp file → fsync → ``os.replace``) so a crash
-mid-save never clobbers the previous snapshot.  Format v1 files (no
+written through the :mod:`repro.service.fsio` seam (temp file → fsync →
+rename → directory fsync) so a crash mid-save never clobbers the previous
+snapshot.  Format v1 files (no
 checksum) written by earlier releases still load.
 
 Security note (the standard pickle caveat): only load snapshots you wrote.
@@ -21,7 +22,6 @@ The header check guards against accidents, not adversaries.
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import zlib
 from pathlib import Path
@@ -72,24 +72,18 @@ def dumps_index(index: TemporalIRIndex, extra_header: Optional[dict] = None) -> 
     )
 
 
-def save_index(
-    index: TemporalIRIndex, path: PathLike, *, fsync: bool = True
-) -> None:
+def save_index(index: TemporalIRIndex, path: PathLike) -> None:
     """Snapshot a built index (structure, catalog and dictionary included).
 
-    The write is atomic: the blob goes to a sibling temp file which is
-    fsynced and then renamed over ``path``, so readers either see the old
-    snapshot or the complete new one — never a torn mix.
+    The write is atomic and durable (:meth:`FileSystem.atomic_write`):
+    readers either see the old snapshot or the complete new one — never a
+    torn mix — and the rename itself survives a crash.
     """
+    # Imported here: the service package imports this module for snapshots.
+    from repro.service.fsio import REAL_FS
+
     blob = dumps_index(index)  # validates the index type before touching disk
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    REAL_FS.atomic_write(path, blob)
 
 
 def _parse_header(blob: bytes, context: str) -> tuple[dict, int]:

@@ -14,7 +14,6 @@ from typing import List, Optional
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
 from repro.ir.inverted import TemporalInvertedFile
-from repro.obs.registry import OBS
 
 
 class TIF(TemporalIRIndex):
@@ -36,7 +35,7 @@ class TIF(TemporalIRIndex):
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         ordered = self.order_query_elements(q)
-        return self._tif.query(q.st, q.end, ordered, trace=OBS.trace)
+        return self._tif.query(q.st, q.end, ordered)
 
     def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
         """The query elements' live list lengths, summed: the first scan

@@ -34,7 +34,7 @@ from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import SortPolicy
 from repro.ir.intersection import contains_sorted, intersect_merge
-from repro.obs.registry import OBS
+from repro.obs.context import event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES
 from repro.utils.sorting import merge_sorted
 
@@ -42,7 +42,9 @@ from repro.utils.sorting import merge_sorted
 DOMAIN_SLACK = 0.25
 
 
-def _traced_range_query(hint: Hint, q: TimeTravelQuery, element, trace) -> List[int]:
+def _traced_range_query(
+    hint: Hint, q: TimeTravelQuery, element, traced: bool
+) -> List[int]:
     """The first element's HINT range query, with optional phase accounting.
 
     Untraced, this is exactly ``hint.range_query_unsorted``; traced, the
@@ -50,7 +52,7 @@ def _traced_range_query(hint: Hint, q: TimeTravelQuery, element, trace) -> List[
     divisions touched can be recorded (``scan_division`` defaults match the
     plain range query's configuration).
     """
-    if trace is None:
+    if not traced:
         return hint.range_query_unsorted(q.st, q.end)
     candidates: List[int] = []
     scanned = touched = 0
@@ -58,7 +60,7 @@ def _traced_range_query(hint: Hint, q: TimeTravelQuery, element, trace) -> List[
         scanned += len(partition)
         touched += 1
         partition.scan_division(kind, check, q.st, q.end, candidates)
-    trace.phase(
+    event(
         f"range query H[{element}]",
         entries_scanned=scanned,
         candidates_after=len(candidates),
@@ -138,22 +140,22 @@ class TIFHintBinary(_TIFHintBase):
     _policy = SortPolicy.TEMPORAL
 
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        trace = OBS.trace
+        traced = tracing_active()
         ordered = self.order_query_elements(q)
         first_hint = self._hints.get(ordered[0])
         if first_hint is None:
-            if trace is not None:
-                trace.phase(f"range query H[{ordered[0]}] (absent)")
+            if traced:
+                event(f"range query H[{ordered[0]}] (absent)")
             return []
         # Lines 1-3: the initial candidates via a plain HINT range query.
-        candidates = _traced_range_query(first_hint, q, ordered[0], trace)
+        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
         for element in ordered[1:]:
             if not candidates:
                 return []
             hint = self._hints.get(element)
             if hint is None:
-                if trace is not None:
-                    trace.phase(f"∩ divisions of H[{element}] (absent)")
+                if traced:
+                    event(f"∩ divisions of H[{element}] (absent)")
                 return []
             candidates.sort()  # line 5
             matched: List[int] = []
@@ -161,7 +163,7 @@ class TIFHintBinary(_TIFHintBase):
             # Lines 7-29: traverse H[e] with the comp flags; each object that
             # passes its division's temporal checks is probed into C.
             for _level, _j, partition, kind, check in hint.iter_query_divisions(q.st, q.end):
-                if trace is not None:
+                if traced:
                     scanned += len(partition)
                     touched += 1
                 probe: List[int] = []
@@ -170,8 +172,8 @@ class TIFHintBinary(_TIFHintBase):
                     if contains_sorted(candidates, object_id):
                         matched.append(object_id)
             candidates = matched  # line 30
-            if trace is not None:
-                trace.phase(
+            if traced:
+                event(
                     f"∩ divisions of H[{element}]",
                     entries_scanned=scanned,
                     candidates_after=len(candidates),
@@ -188,22 +190,22 @@ class TIFHintMerge(_TIFHintBase):
     _policy = SortPolicy.BY_ID
 
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        trace = OBS.trace
+        traced = tracing_active()
         ordered = self.order_query_elements(q)
         first_hint = self._hints.get(ordered[0])
         if first_hint is None:
-            if trace is not None:
-                trace.phase(f"range query H[{ordered[0]}] (absent)")
+            if traced:
+                event(f"range query H[{ordered[0]}] (absent)")
             return []
-        candidates = _traced_range_query(first_hint, q, ordered[0], trace)
+        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
         candidates.sort()
         for element in ordered[1:]:
             if not candidates:
                 return []
             hint = self._hints.get(element)
             if hint is None:
-                if trace is not None:
-                    trace.phase(f"∩ divisions of H[{element}] (absent)")
+                if traced:
+                    event(f"∩ divisions of H[{element}] (absent)")
                 return []
             matched: List[int] = []
             scanned = touched = 0
@@ -216,20 +218,20 @@ class TIFHintMerge(_TIFHintBase):
                         partition.r_in.live_ids(), partition.r_aft.live_ids()
                     )
                     matched.extend(intersect_merge(candidates, replicas))
-                    if trace is not None:
+                    if traced:
                         scanned += len(replicas)
                         touched += 2
                 originals = merge_sorted(
                     partition.o_in.live_ids(), partition.o_aft.live_ids()
                 )
                 matched.extend(intersect_merge(candidates, originals))
-                if trace is not None:
+                if traced:
                     scanned += len(originals)
                     touched += 2
             matched.sort()
             candidates = matched
-            if trace is not None:
-                trace.phase(
+            if traced:
+                event(
                     f"∩ divisions of H[{element}]",
                     entries_scanned=scanned,
                     candidates_after=len(candidates),

@@ -32,7 +32,7 @@ from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import SortPolicy
 from repro.indexes.tif_hint import _traced_range_query
-from repro.obs.registry import OBS
+from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_ID_START_BYTES
 
 #: Headroom left above the built domain for insertion workloads.
@@ -151,25 +151,25 @@ class TIFHintSlicing(TemporalIRIndex):
 
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        trace = OBS.trace
+        traced = tracing_active()
         layout = self._layout
         if layout is None:
-            if trace is not None:
-                trace.phase("empty index")
+            if traced:
+                event("empty index")
             return []
         ordered = self.order_query_elements(q)
         first_hint = self._hints.get(ordered[0])
         if first_hint is None:
-            if trace is not None:
-                trace.phase(f"range query H[{ordered[0]}] (absent)")
+            if traced:
+                event(f"range query H[{ordered[0]}] (absent)")
             return []
         # First element: HINT's fast range query provides the candidates.
-        candidates = _traced_range_query(first_hint, q, ordered[0], trace)
+        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
         candidates.sort()
         q_st = q.st
         first_slice, last_slice = layout.slice_range(q.st, q.end)
-        if trace is not None:
-            trace.note("relevant_slices", last_slice - first_slice + 1)
+        if traced:
+            annotate(relevant_slices=last_slice - first_slice + 1)
         # Remaining elements: slice-restricted merge intersections with
         # reference-value de-duplication on the ⟨id, t_st⟩ pairs.
         for element in ordered[1:]:
@@ -177,8 +177,8 @@ class TIFHintSlicing(TemporalIRIndex):
                 return []
             sliced = self._sliced.get(element)
             if sliced is None:
-                if trace is not None:
-                    trace.phase(f"∩ sub-lists of I[{element}] (absent)")
+                if traced:
+                    event(f"∩ sub-lists of I[{element}] (absent)")
                 return []
             matched: List[int] = []
             scanned = touched = 0
@@ -187,7 +187,7 @@ class TIFHintSlicing(TemporalIRIndex):
                 if columns is None:
                     continue
                 ids, sts, alive = columns
-                if trace is not None:
+                if traced:
                     scanned += len(ids)
                     touched += 1
                 slice_lo, slice_hi = layout.slice_bounds(slice_index)
@@ -211,8 +211,8 @@ class TIFHintSlicing(TemporalIRIndex):
                         j += 1
             matched.sort()
             candidates = matched
-            if trace is not None:
-                trace.phase(
+            if traced:
+                event(
                     f"∩ sub-lists of I[{element}]",
                     entries_scanned=scanned,
                     candidates_after=len(candidates),

@@ -34,7 +34,7 @@ from repro.core.interval import Timestamp
 from repro.core.errors import ConfigurationError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
-from repro.obs.registry import OBS
+from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES, ENTRY_ID_START_BYTES
 from repro.utils.partitioning import staircase_chain_assignment
 
@@ -324,55 +324,58 @@ class TIFSharding(TemporalIRIndex):
 
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        trace = OBS.trace
-        ordered = self.order_query_elements(q)
-        if trace is not None:
-            trace.add("impact_list_skips", 0)
-        shards = self._shards.get(ordered[0])
-        if not shards:
-            if trace is not None:
-                trace.phase(f"scan shards of I[{ordered[0]}] (absent)")
-            return []
-        candidates: List[int] = []
-        scanned = 0
-        for shard in shards:
-            examined = shard.scan(q.st, q.end, candidates)
-            if trace is not None:
-                scanned += examined
-                trace.add("impact_list_skips", shard.scan_start(q.st))
-        if trace is not None:
-            trace.phase(
-                f"scan shards of I[{ordered[0]}]",
-                entries_scanned=scanned,
-                candidates_after=len(candidates),
-                structures_touched=len(shards),
-            )
-        for element in ordered[1:]:
-            if not candidates:
-                return []
-            shards = self._shards.get(element)
+        traced = tracing_active()
+        skips = 0
+        try:
+            ordered = self.order_query_elements(q)
+            shards = self._shards.get(ordered[0])
             if not shards:
-                if trace is not None:
-                    trace.phase(f"∩ shards of I[{element}] (absent)")
+                if traced:
+                    event(f"scan shards of I[{ordered[0]}] (absent)")
                 return []
-            membership = set(candidates)
-            matched: List[int] = []
+            candidates: List[int] = []
             scanned = 0
             for shard in shards:
-                examined = shard.scan(q.st, q.end, matched, membership)
-                if trace is not None:
+                examined = shard.scan(q.st, q.end, candidates)
+                if traced:
                     scanned += examined
-                    trace.add("impact_list_skips", shard.scan_start(q.st))
-            candidates = matched
-            if trace is not None:
-                trace.phase(
-                    f"∩ shards of I[{element}]",
+                    skips += shard.scan_start(q.st)
+            if traced:
+                event(
+                    f"scan shards of I[{ordered[0]}]",
                     entries_scanned=scanned,
                     candidates_after=len(candidates),
                     structures_touched=len(shards),
                 )
-        candidates.sort()
-        return candidates
+            for element in ordered[1:]:
+                if not candidates:
+                    return []
+                shards = self._shards.get(element)
+                if not shards:
+                    if traced:
+                        event(f"∩ shards of I[{element}] (absent)")
+                    return []
+                membership = set(candidates)
+                matched: List[int] = []
+                scanned = 0
+                for shard in shards:
+                    examined = shard.scan(q.st, q.end, matched, membership)
+                    if traced:
+                        scanned += examined
+                        skips += shard.scan_start(q.st)
+                candidates = matched
+                if traced:
+                    event(
+                        f"∩ shards of I[{element}]",
+                        entries_scanned=scanned,
+                        candidates_after=len(candidates),
+                        structures_touched=len(shards),
+                    )
+            candidates.sort()
+            return candidates
+        finally:
+            if traced:
+                annotate(impact_list_skips=skips)
 
     # -------------------------------------------------------------- inspection
     def n_shards(self) -> int:

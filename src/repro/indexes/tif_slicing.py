@@ -23,7 +23,7 @@ from repro.core.interval import Timestamp
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
 from repro.intervals.grid1d import GridLayout
-from repro.obs.registry import OBS
+from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
 #: How much head-room beyond the built domain the slicing grid keeps, so
@@ -134,23 +134,23 @@ class TIFSlicing(TemporalIRIndex):
 
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        trace = OBS.trace
+        traced = tracing_active()
         layout = self._layout
         if layout is None:
-            if trace is not None:
-                trace.phase("empty index")
+            if traced:
+                event("empty index")
             return []
         ordered = self.order_query_elements(q)
         first_slice, last_slice = layout.slice_range(q.st, q.end)
-        if trace is not None:
-            trace.note("relevant_slices", last_slice - first_slice + 1)
+        if traced:
+            annotate(relevant_slices=last_slice - first_slice + 1)
 
         # Phase 1 (Algorithm 1 lines 3-6): temporally filter the least
         # frequent element's relevant sub-lists; reference-value dedup.
         sliced = self._lists.get(ordered[0])
         if sliced is None:
-            if trace is not None:
-                trace.phase(f"filter+dedup I[{ordered[0]}] (absent)")
+            if traced:
+                event(f"filter+dedup I[{ordered[0]}] (absent)")
             return []
         candidates: List[int] = []
         q_st, q_end = q.st, q.end
@@ -160,7 +160,7 @@ class TIFSlicing(TemporalIRIndex):
             if columns is None:
                 continue
             ids, sts, ends, alive = columns
-            if trace is not None:
+            if traced:
                 scanned += len(ids)
                 touched += 1
             slice_lo, slice_hi = layout.slice_bounds(slice_index)
@@ -173,8 +173,8 @@ class TIFSlicing(TemporalIRIndex):
                     if slice_lo <= ref < slice_hi or (slice_index == first_slice and ref < slice_lo):
                         candidates.append(ids[i])
         candidates.sort()
-        if trace is not None:
-            trace.phase(
+        if traced:
+            event(
                 f"filter+dedup I[{ordered[0]}]",
                 entries_scanned=scanned,
                 candidates_after=len(candidates),
@@ -188,8 +188,8 @@ class TIFSlicing(TemporalIRIndex):
                 return []
             sliced = self._lists.get(element)
             if sliced is None:
-                if trace is not None:
-                    trace.phase(f"∩ sub-lists of I[{element}] (absent)")
+                if traced:
+                    event(f"∩ sub-lists of I[{element}] (absent)")
                 return []
             matched: List[int] = []
             scanned = touched = 0
@@ -198,7 +198,7 @@ class TIFSlicing(TemporalIRIndex):
                 if columns is None:
                     continue
                 ids, sts, _ends, alive = columns
-                if trace is not None:
+                if traced:
                     scanned += len(ids)
                     touched += 1
                 slice_lo, slice_hi = layout.slice_bounds(slice_index)
@@ -222,8 +222,8 @@ class TIFSlicing(TemporalIRIndex):
                         j += 1
             matched.sort()
             candidates = matched
-            if trace is not None:
-                trace.phase(
+            if traced:
+                event(
                     f"∩ sub-lists of I[{element}]",
                     entries_scanned=scanned,
                     candidates_after=len(candidates),

@@ -15,15 +15,7 @@ from repro.ir.codec import (
     varint_encode,
 )
 from repro.ir.compressed import CompressedPostingsList
-from repro.ir.intersection import (
-    contains_sorted,
-    intersect_adaptive,
-    intersect_binary,
-    intersect_galloping,
-    intersect_hash,
-    intersect_many,
-    intersect_merge,
-)
+from repro.ir.intersection import contains_sorted, intersect_merge
 from repro.ir.inverted import TemporalCheck, TemporalInvertedFile
 from repro.ir.packed import PackedPostingsList
 from repro.ir.postings import (
@@ -49,11 +41,6 @@ __all__ = [
     "contains_sorted",
     "decode_block",
     "encode_block",
-    "intersect_adaptive",
-    "intersect_binary",
-    "intersect_galloping",
-    "intersect_hash",
-    "intersect_many",
     "intersect_merge",
     "make_postings",
     "postings_backend",

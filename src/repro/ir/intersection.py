@@ -1,17 +1,12 @@
-"""List-intersection kernels used throughout the composite indexes.
-
-The paper leans on three intersection strategies:
+"""The two sorted-list kernels the composite indexes call.
 
 * **merge** — the classic two-pointer walk over two id-sorted lists
-  (Algorithm 1 line 8, Algorithm 4, Algorithm 6),
-* **binary search** — probing a sorted candidate set per division entry when
-  divisions are *not* id-sorted (Algorithm 3),
-* **galloping** — the standard refinement of merge when the inputs are of
-  very different lengths (smaller drives, exponential search in the bigger);
-  used wherever a candidate set meets a much longer postings list.
+  (Algorithm 1 line 8, Algorithm 4, Algorithm 6);
+* **binary search** — probing a sorted candidate set per division entry
+  when divisions are *not* id-sorted (Algorithm 3's ``o.id ∈ C``).
 
-All kernels take plain ``list``s of ints sorted ascending and return a new
-sorted list; they never mutate inputs.
+Both take plain sequences of ints sorted ascending and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -38,90 +33,7 @@ def intersect_merge(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
-def intersect_binary(candidates: Sequence[int], probes: Sequence[int]) -> List[int]:
-    """Keep every probe id that binary-searches into the sorted candidates.
-
-    ``probes`` need not be sorted (division contents in Algorithm 3 follow
-    their own beneficial sorting); output order follows ``probes``.
-    """
-    out: List[int] = []
-    n = len(candidates)
-    for object_id in probes:
-        pos = bisect_left(candidates, object_id)
-        if pos < n and candidates[pos] == object_id:
-            out.append(object_id)
-    return out
-
-
 def contains_sorted(candidates: Sequence[int], object_id: int) -> bool:
     """Binary-search membership in a sorted id list (Algorithm 3's ``o.id ∈ C``)."""
     pos = bisect_left(candidates, object_id)
     return pos < len(candidates) and candidates[pos] == object_id
-
-
-def intersect_galloping(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Galloping (exponential-search) intersection; ``a`` should be shorter.
-
-    For each element of the shorter list, gallop forward in the longer list;
-    asymptotically O(|a| log(|b|/|a|)) which beats merge when ``|a| ≪ |b|``.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    out: List[int] = []
-    lo = 0
-    nb = len(b)
-    for value in a:
-        # exponential probe from lo
-        step = 1
-        hi = lo
-        while hi < nb and b[hi] < value:
-            lo = hi + 1
-            hi += step
-            step <<= 1
-        pos = bisect_left(b, value, lo, min(hi, nb) + 1 if hi < nb else nb)
-        if pos < nb and b[pos] == value:
-            out.append(value)
-            lo = pos + 1
-        else:
-            lo = pos
-        if lo >= nb:
-            break
-    return out
-
-
-def intersect_hash(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Hash-probe intersection (used by the sharding index, Section 2.2).
-
-    Builds a set over the shorter input; output is sorted.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    small = set(a)
-    return sorted(value for value in b if value in small)
-
-
-def intersect_many(lists: Sequence[Sequence[int]]) -> List[int]:
-    """Intersect several sorted lists, shortest-first (Algorithm 1's loop)."""
-    if not lists:
-        return []
-    ordered = sorted(lists, key=len)
-    result = list(ordered[0])
-    for other in ordered[1:]:
-        if not result:
-            break
-        result = intersect_adaptive(result, other)
-    return result
-
-
-#: Ratio of list lengths beyond which galloping beats the plain merge.
-GALLOP_THRESHOLD = 16
-
-
-def intersect_adaptive(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Pick merge vs galloping by the length ratio of the inputs."""
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return []
-    if la * GALLOP_THRESHOLD < lb or lb * GALLOP_THRESHOLD < la:
-        return intersect_galloping(a, b)
-    return intersect_merge(a, b)

@@ -10,6 +10,11 @@ The performance irHINT (Section 4.1) is this structure plus a time-first
 table on its long lists: it replaces the first scan and shares
 :meth:`TemporalInvertedFile.intersect`.  :class:`TemporalCheck` names the
 comparison subsets HINT's ``compfirst``/``complast`` flags select.
+
+Inside a sampled request trace (:mod:`repro.obs.context`) each phase —
+the first scan, then every intersection — is recorded as an event carrying
+``entries_scanned``, ``candidates_after`` and ``structures_touched``: the
+numbers ``explain()`` renders and a daemon trace shows.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.core.model import Element
 from repro.ir.backends import make_postings, postings_backend
 from repro.ir.packed import PackedPostingsList
 from repro.ir.postings import PostingsBackend
+from repro.obs.context import event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES
 
 
@@ -131,41 +137,37 @@ class TemporalInvertedFile:
         q_st: Timestamp,
         q_end: Timestamp,
         ordered_elements: Sequence[Element],
-        trace=None,
     ) -> List[int]:
         """Algorithm 1: scan the first list, intersect with the rest.
 
         ``ordered_elements`` must be non-empty and already sorted by
         ascending frequency (global or local — the caller decides which
-        applies).  Returns live object ids sorted ascending.
-
-        ``trace`` is an optional :class:`repro.obs.tracing.QueryTrace`; when
-        given, each Algorithm 1 phase is recorded on it.
+        applies).  Returns live object ids sorted ascending.  Inside a
+        sampled request trace each phase is recorded as an event.
         """
         first = self._lists.get(ordered_elements[0])
         if first is None:
-            if trace is not None:
-                trace.phase(f"scan I[{ordered_elements[0]}] (absent)")
+            if tracing_active():
+                event(f"scan I[{ordered_elements[0]}] (absent)")
             return []
         candidates: "np.ndarray | List[int]"
         if isinstance(first, PackedPostingsList):
             candidates = first.scan_ids(q_st, q_end)
         else:
             candidates = first.overlapping_ids(q_st, q_end)
-        if trace is not None:
-            trace.phase(
+        if tracing_active():
+            event(
                 f"scan I[{ordered_elements[0]}]",
                 entries_scanned=len(first),
                 candidates_after=len(candidates),
                 structures_touched=1,
             )
-        return self.intersect(candidates, ordered_elements[1:], trace)
+        return self.intersect(candidates, ordered_elements[1:])
 
     def intersect(
         self,
         candidates: "np.ndarray | List[int]",
         elements: Sequence[Element],
-        trace=None,
     ) -> List[int]:
         """Algorithm 1 lines 7–9: shrink ascending ``candidates`` by the
         list of each of ``elements`` in turn.
@@ -175,13 +177,14 @@ class TemporalInvertedFile:
         whose kernel engages and are boxed once; any other backend is
         handed a list.
         """
+        traced = tracing_active()
         for element in elements:
             if not len(candidates):
                 return []
             postings = self._lists.get(element)
             if postings is None:
-                if trace is not None:
-                    trace.phase(f"∩ I[{element}] (absent)")
+                if traced:
+                    event(f"∩ I[{element}] (absent)")
                 return []
             if isinstance(postings, PackedPostingsList):
                 candidates = postings.intersect_sorted(candidates)
@@ -189,8 +192,8 @@ class TemporalInvertedFile:
                 if isinstance(candidates, np.ndarray):
                     candidates = candidates.tolist()
                 candidates = postings.intersect_sorted(candidates)
-            if trace is not None:
-                trace.phase(
+            if traced:
+                event(
                     f"∩ I[{element}]",
                     entries_scanned=len(postings),
                     candidates_after=len(candidates),

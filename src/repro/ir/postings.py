@@ -170,11 +170,10 @@ class PostingsList:
         """Intersection with an ascending id list (live entries only).
 
         Works directly on the column arrays — Algorithm 1's hot path on
-        short lists.  When the
-        postings side is much longer than the candidate side the two-pointer
-        merge degrades to a full scan, so the kernel switches to per-
-        candidate binary probes (the same merge-vs-gallop trade-off as
-        :func:`repro.ir.intersection.intersect_adaptive`).
+        short lists.  When the postings side is much longer than the
+        candidate side the two-pointer merge degrades to a full scan, so
+        the kernel switches to per-candidate binary probes (the classic
+        merge-vs-gallop trade-off).
         """
         ids, alive = self._ids, self._alive
         out: List[int] = []

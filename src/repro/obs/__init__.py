@@ -9,15 +9,15 @@ Cooperating layers:
   a process-wide registry that defaults to *disabled* (null mode) so
   instrumented code costs one attribute load and a branch until someone
   opts in;
-* **query tracing** (:mod:`repro.obs.tracing`) — nestable spans and the
-  per-phase cost records (`entries scanned`, `candidates after`,
-  `structures touched`) the paper's evaluation reasons about; the
-  ``explain()`` renderer in :mod:`repro.indexes.explain` is a thin view
-  over these traces;
-* **distributed tracing** (:mod:`repro.obs.context`) — request-scoped
-  ``trace_id``/``span_id`` context propagated across the network
-  protocol, the daemon's admission/lock/executor stages, and the cluster
-  scatter-gather, with head-based sampling and a bounded trace buffer;
+* **tracing** (:mod:`repro.obs.context`) — the one trace mechanism:
+  request-scoped ``trace_id``/``span_id`` context propagated across the
+  network protocol, the daemon's admission/lock/executor stages, and the
+  cluster scatter-gather, with head-based sampling and a bounded trace
+  buffer.  Inside a sampled request the index query paths record each
+  evaluation phase as an event carrying the paper's cost counts
+  (`entries scanned`, `candidates after`, `structures touched`);
+  ``explain()`` in :mod:`repro.indexes.explain` runs one query under a
+  trace of its own and reads those events;
 * **events + SLOs** (:mod:`repro.obs.events`, :mod:`repro.obs.slo`) —
   a structured JSON event log with a threshold-triggered slow-query log,
   and rolling per-tenant SLO windows (p50/p99, error/shed/partial rates,
@@ -66,7 +66,6 @@ from repro.obs.registry import (
     set_registry,
 )
 from repro.obs.slo import OUTCOMES, SloAccountant, TenantWindow
-from repro.obs.tracing import QueryTrace, Span, active_trace, query_trace
 
 __all__ = [
     "OBS",
@@ -79,17 +78,14 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "QueryTrace",
     "RequestTrace",
     "SloAccountant",
     "SlowQueryLog",
-    "Span",
     "SpanRecord",
     "TenantWindow",
     "TraceBuffer",
     "TraceContext",
     "Tracer",
-    "active_trace",
     "annotate",
     "capture_active",
     "event",
@@ -99,7 +95,6 @@ __all__ = [
     "mint_context",
     "parse_prometheus_text",
     "phase_durations",
-    "query_trace",
     "registry_from_prometheus",
     "render_json",
     "render_prometheus",

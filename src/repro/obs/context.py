@@ -1,10 +1,13 @@
 """Distributed trace context: propagated ids, spans, sampling, buffering.
 
-:mod:`repro.obs.tracing` records what one *index* does inside one
-process; this module records what one *request* does across the whole
-service — client → daemon ingress → admission queue → tenant lock →
-executor thread → cluster router → shard → replica — stitched into a
-single tree by a shared ``trace_id``.
+This module records what one *request* does across the whole service —
+client → daemon ingress → admission queue → tenant lock → executor
+thread → cluster router → shard → replica → index — stitched into a
+single tree by a shared ``trace_id``.  It is the only trace mechanism:
+the index query paths record their evaluation phases as :func:`event`
+records under whatever span is innermost (``store_query``,
+``replica:<n>``), and ``explain()`` reads one query's phases from a
+trace it mints for itself.
 
 Design points:
 

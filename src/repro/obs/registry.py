@@ -10,10 +10,9 @@ Design constraints, in order:
 2. **Tests must not share state.**  :func:`isolated_registry` installs a
    fresh enabled registry for the duration of a ``with`` block and restores
    the previous one afterwards — no test ever sees another test's counters.
-3. **One switch for two systems.**  Query *tracing* (per-query spans, see
-   :mod:`repro.obs.tracing`) and *metrics* (process aggregates) are
-   independent, but the hot path wants a single "is anyone watching?"
-   check; :class:`ObservabilityState` maintains that precomputed flag.
+3. **Metrics only.**  Tracing is request-scoped and lives in a context
+   variable (:mod:`repro.obs.context`), so it never touches this process
+   state; ``OBS.active`` is exactly "the installed registry is enabled".
 """
 
 from __future__ import annotations
@@ -197,21 +196,20 @@ class MetricsRegistry:
 
 
 class ObservabilityState:
-    """Mutable holder of the installed registry and the active query trace.
+    """Mutable holder of the installed registry.
 
-    ``active`` is the precomputed OR of "metrics enabled" and "a trace is
-    running" — the *single* attribute the hot query path reads.
+    ``active`` mirrors ``registry.enabled`` — the *single* attribute the
+    hot query path reads.
     """
 
-    __slots__ = ("registry", "trace", "active")
+    __slots__ = ("registry", "active")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.trace = None  # Optional[repro.obs.tracing.QueryTrace]
         self.active = registry.enabled
 
     def refresh(self) -> None:
-        self.active = self.registry.enabled or self.trace is not None
+        self.active = self.registry.enabled
 
 
 #: The process-wide switchboard.  Starts with a *disabled* registry so the

@@ -1,10 +1,11 @@
 """The filesystem seam of the durability layer.
 
-Every byte the WAL and the snapshotter put on disk goes through a
-:class:`FileSystem` instance.  Production uses the default passthrough;
-the crash-consistency suite substitutes
-:class:`repro.service.faults.FaultyFileSystem` to crash, tear and corrupt
-writes at deterministic points without monkeypatching the os module.
+Every byte the WAL, the snapshotter, the cluster and storage layouts and
+``save_index`` put on disk goes through a :class:`FileSystem` instance.
+Production uses the default passthrough; the crash-consistency suite
+substitutes :class:`repro.service.faults.FaultyFileSystem` to crash, tear
+and corrupt writes at deterministic points without monkeypatching the os
+module.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ class FileSystem:
             handle.truncate(size)
             handle.flush()
             os.fsync(handle.fileno())
+
+    def atomic_write(self, path: PathLike, payload: bytes) -> None:
+        """Durably replace ``path`` with ``payload``.
+
+        ``write <path>.tmp → fsync → rename → fsync dir``: a crash at any
+        boundary leaves the old file or the new one under ``path`` (at
+        worst beside a ``.tmp`` sibling the recovery sweeps remove), never
+        a torn mix.  Built only from this seam's own primitives, so a
+        substituted :class:`FileSystem` injects its faults here too.
+        """
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        with self.open(tmp, "wb") as handle:
+            handle.write(payload)
+            self.fsync(handle)
+        self.replace(tmp, path)
+        self.fsync_dir(path.parent)
 
     def fsync_dir(self, path: PathLike) -> None:
         """Durably record directory entries (created/renamed files).

@@ -88,13 +88,10 @@ def write_manifest(
         "index_params": dict(index_params or {}),
         "library": repro.__version__,
     }
-    path = Path(directory) / MANIFEST_NAME
-    tmp = path.with_name(path.name + _TMP_SUFFIX)
-    with fs.open(tmp, "wb") as handle:
-        handle.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
-        fs.fsync(handle)
-    fs.replace(tmp, path)
-    fs.fsync_dir(directory)
+    fs.atomic_write(
+        Path(directory) / MANIFEST_NAME,
+        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
+    )
 
 
 def read_manifest(directory: PathLike) -> Optional[Dict[str, object]]:

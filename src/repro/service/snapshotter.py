@@ -62,13 +62,8 @@ class Snapshotter:
             watch = Stopwatch()
             watch.start()
         final = layout.snapshot_path(self._directory, seq)
-        tmp = final.with_name(final.name + ".tmp")
         blob = dumps_index(index, extra_header={"last_lsn": last_lsn})
-        with self._fs.open(tmp, "wb") as handle:
-            handle.write(blob)
-            self._fs.fsync(handle)
-        self._fs.replace(tmp, final)
-        self._fs.fsync_dir(self._directory)
+        self._fs.atomic_write(final, blob)
         if watch is not None:
             instruments = snapshot_instruments(registry)
             instruments.write_seconds.observe(watch.stop())

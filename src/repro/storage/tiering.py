@@ -101,16 +101,13 @@ def write_tier_state(
     directory: PathLike, state: TierState, fs: FileSystem = REAL_FS
 ) -> None:
     """Atomically commit the tier assignment (write-temp + fsync + rename)."""
-    from repro.cluster.layout import _atomic_write
-
     payload = {
         "version": TIERS_VERSION,
         "cold": dict(sorted(state.cold.items())),
     }
-    _atomic_write(
+    fs.atomic_write(
         tiers_path(directory),
         json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
-        fs,
     )
 
 

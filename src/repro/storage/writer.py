@@ -35,7 +35,6 @@ from repro.storage.format import (
     pack_directory,
 )
 
-_TMP_SUFFIX = ".tmp"
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -143,12 +142,7 @@ def write_segment(
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + _TMP_SUFFIX)
-    with fs.open(tmp, "wb") as handle:
-        handle.write(payload)
-        fs.fsync(handle)
-    fs.replace(tmp, path)
-    fs.fsync_dir(path.parent)
+    fs.atomic_write(path, payload)
     registry = OBS.registry
     if registry.enabled:
         from repro.obs.instruments import storage_instruments

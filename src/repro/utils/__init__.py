@@ -14,15 +14,7 @@ from repro.utils.bitops import (
 )
 from repro.utils.memory import SizeModel, deep_getsizeof, mib
 from repro.utils.retry import DEFAULT_POLICY, RetryPolicy, retry_call
-from repro.utils.sorting import (
-    chunked,
-    count_in_range,
-    dedupe_sorted,
-    is_sorted,
-    is_strictly_increasing,
-    merge_sorted,
-    sorted_contains,
-)
+from repro.utils.sorting import merge_sorted
 from repro.utils.timing import (
     Stopwatch,
     ThroughputMeasurement,
@@ -38,15 +30,10 @@ __all__ = [
     "SizeModel",
     "Stopwatch",
     "ThroughputMeasurement",
-    "chunked",
-    "count_in_range",
-    "dedupe_sorted",
     "deep_getsizeof",
     "domain_size",
     "is_left_child",
     "is_right_child",
-    "is_sorted",
-    "is_strictly_increasing",
     "max_cell",
     "measure_query_throughput",
     "merge_sorted",
@@ -57,7 +44,6 @@ __all__ = [
     "partitions_per_level",
     "prefix",
     "retry_call",
-    "sorted_contains",
     "throughput",
     "time_call",
     "timed",

@@ -1,37 +1,18 @@
-"""Small sorted-sequence utilities shared across index implementations."""
+"""Sorted-sequence helpers shared across index implementations."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
 
-def is_sorted(seq: Sequence[T], key: Callable[[T], object] | None = None) -> bool:
-    """``True`` iff ``seq`` is non-decreasing under ``key`` (identity default)."""
-    if key is None:
-        return all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))  # type: ignore[operator]
-    keys = [key(item) for item in seq]
-    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))  # type: ignore[operator]
-
-
-def is_strictly_increasing(seq: Sequence[T]) -> bool:
-    """``True`` iff every element is strictly larger than its predecessor."""
-    return all(seq[i] < seq[i + 1] for i in range(len(seq) - 1))  # type: ignore[operator]
-
-
-def dedupe_sorted(seq: Sequence[T]) -> List[T]:
-    """Remove adjacent duplicates from an already-sorted sequence."""
-    out: List[T] = []
-    for item in seq:
-        if not out or out[-1] != item:
-            out.append(item)
-    return out
-
-
 def merge_sorted(a: Sequence[T], b: Sequence[T]) -> List[T]:
-    """Merge two sorted sequences into one sorted list (duplicates kept)."""
+    """Merge two sorted sequences into one sorted list (duplicates kept).
+
+    >>> merge_sorted([1, 3, 5], [2, 3])
+    [1, 2, 3, 3, 5]
+    """
     out: List[T] = []
     i = j = 0
     la, lb = len(a), len(b)
@@ -45,32 +26,3 @@ def merge_sorted(a: Sequence[T], b: Sequence[T]) -> List[T]:
     out.extend(a[i:])
     out.extend(b[j:])
     return out
-
-
-def sorted_contains(seq: Sequence[T], item: T) -> bool:
-    """Binary-search membership test on a sorted sequence."""
-    index = bisect_left(seq, item)  # type: ignore[arg-type]
-    return index < len(seq) and seq[index] == item
-
-
-def count_in_range(sorted_values: Sequence[T], lo: T, hi: T) -> int:
-    """Number of values in the inclusive range ``[lo, hi]`` (sorted input)."""
-    return bisect_right(sorted_values, hi) - bisect_left(sorted_values, lo)  # type: ignore[arg-type]
-
-
-def chunked(items: Iterable[T], size: int) -> Iterable[List[T]]:
-    """Yield consecutive chunks of at most ``size`` items.
-
-    >>> list(chunked([1, 2, 3, 4, 5], 2))
-    [[1, 2], [3, 4], [5]]
-    """
-    if size <= 0:
-        raise ValueError(f"chunk size must be positive, got {size}")
-    batch: List[T] = []
-    for item in items:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

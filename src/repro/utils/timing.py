@@ -5,9 +5,9 @@ than per-query latency, plus indexing and update times in seconds.  These
 helpers wrap :func:`time.perf_counter` — a **monotonic** clock, immune to
 wall-clock adjustments — with a tiny amount of structure so experiments
 stay declarative.  :class:`Stopwatch` is the single timing primitive of
-the repository: observability spans (:mod:`repro.obs.tracing`), the
-latency histograms of the serving layer, the bench runner and the CLI all
-accumulate through it rather than calling ``perf_counter`` pairs by hand.
+the repository: the latency histograms of the serving layer, the bench
+runner and the CLI all accumulate through it rather than calling
+``perf_counter`` pairs by hand.
 """
 
 from __future__ import annotations

@@ -195,6 +195,25 @@ class TestFsyncDiscipline:
         )
         assert report.clean, report.render_text()
 
+    def test_fires_in_cluster_and_index_persistence(self, run_analysis):
+        raw_write = """\
+            def save(path, data):
+                with open(path, "wb") as handle:
+                    handle.write(data)
+            """
+        report = run_analysis(
+            {
+                "repro/cluster/manifest.py": raw_write,
+                "repro/indexes/persistence.py": raw_write,
+                "repro/indexes/explain.py": raw_write,
+            },
+            rules=[FsyncDisciplineRule],
+        )
+        assert sorted(f.path.rsplit("/", 1)[-1] for f in report.unsuppressed) == [
+            "manifest.py",
+            "persistence.py",
+        ]
+
     def test_scoped_to_repro_service(self, run_analysis):
         report = run_analysis(
             {

@@ -1,5 +1,7 @@
 """Tests for query explanation/instrumentation."""
 
+import threading
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -7,8 +9,23 @@ from repro.core.model import make_query
 from repro.indexes import BruteForce, build_index, explain
 from repro.indexes.registry import PAPER_METHODS
 from repro.bench.tuned import tuned
+from repro.obs.context import Tracer
 
 EXPLAINABLE = PAPER_METHODS + ["tif"]
+
+
+def phase_tuples(records):
+    """(name, entries scanned, candidates after, structures touched) of
+    each phase event of a finished trace document."""
+    return [
+        (
+            record["name"],
+            record["attrs"].get("entries_scanned", 0),
+            record["attrs"].get("candidates_after", 0),
+            record["attrs"].get("structures_touched", 0),
+        )
+        for record in records
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -124,29 +141,21 @@ class TestTraceParity:
 
     @pytest.mark.parametrize("key", EXPLAINABLE)
     def test_trace_matches_explain(self, built, key):
-        from repro.obs.tracing import query_trace
-
+        """The phases a sampled request trace collects are explain()'s."""
         _collection, indexes = built
         index = indexes[key]
         for q in self.QUERIES:
-            with query_trace() as trace:
+            request = Tracer(sample_rate=1.0).begin(None, "request")
+            with request.activate():
                 result = index.query(q)
             explanation = explain(index, q)
             assert explanation.result_size == len(result)
-            traced = [
-                (
-                    span.name,
-                    span.count("entries_scanned"),
-                    span.count("candidates_after"),
-                    span.count("structures_touched"),
-                )
-                for span in trace.phases()
-            ]
-            explained = [
+            _root, *events = request.finish()["spans"]
+            assert explanation.phases, (key, q)
+            assert phase_tuples(events) == [
                 (p.label, p.entries_scanned, p.candidates_after, p.structures_touched)
                 for p in explanation.phases
-            ]
-            assert traced == explained, (key, q)
+            ], (key, q)
 
     def test_trace_matches_explain_through_the_tables(self, built, small_tables):
         self.test_trace_matches_explain(built, "irhint-perf")
@@ -169,6 +178,31 @@ class TestTraceParity:
         explanation = explain(index, make_query(0, 100, {"e0"}))
         assert len(explanation.phases) >= 1
         assert explanation.result_size == 0
+
+
+class TestIsolation:
+    """An explanation records its own query and nothing another thread runs."""
+
+    def test_other_threads_do_not_leak_into_an_explanation(self, built, monkeypatch):
+        _collection, indexes = built
+        index, other = indexes["tif"], indexes["irhint-size"]
+        q = make_query(2000, 6000, {"e0", "e1"})
+        undisturbed = explain(index, q)
+        original = index._query_impl
+
+        def query_beside_another_thread(query):
+            worker = threading.Thread(target=other.query, args=(query,))
+            worker.start()
+            worker.join()
+            return original(query)
+
+        monkeypatch.setattr(index, "_query_impl", query_beside_another_thread)
+        explanation = explain(index, q)
+        assert [p.label for p in explanation.phases] == [
+            p.label for p in undisturbed.phases
+        ]
+        assert explanation.detail == undisturbed.detail
+        assert explanation.render() == undisturbed.render()
 
 
 class TestMissingPhases:

@@ -109,6 +109,18 @@ def test_save_is_atomic_no_temp_residue(running_example, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["i.idx"]
 
 
+def test_save_fsyncs_the_directory_after_the_rename(running_example, tmp_path, monkeypatch):
+    """The rename is durable only once its directory entry is fsynced."""
+    from repro.service.fsio import REAL_FS
+
+    synced = []
+    monkeypatch.setattr(REAL_FS, "fsync_dir", synced.append)
+    path = tmp_path / "i.idx"
+    save_index(build_index("brute", running_example), path)
+    assert synced == [path.parent]
+    assert load_index(path).query(make_query(0, 7, {"a"}))
+
+
 def test_v2_header_carries_checksum(running_example, tmp_path):
     index = build_index("brute", running_example)
     path = tmp_path / "i.idx"

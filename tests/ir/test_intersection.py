@@ -3,15 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ir.intersection import (
-    contains_sorted,
-    intersect_adaptive,
-    intersect_binary,
-    intersect_galloping,
-    intersect_hash,
-    intersect_many,
-    intersect_merge,
-)
+from repro.ir.intersection import contains_sorted, intersect_merge
 
 sorted_ids = st.lists(st.integers(0, 200), unique=True).map(sorted)
 
@@ -23,25 +15,9 @@ class TestUnit:
     def test_merge_empty(self):
         assert intersect_merge([], [1, 2]) == []
 
-    def test_binary_preserves_probe_order(self):
-        assert intersect_binary([1, 2, 3], [3, 1, 9]) == [3, 1]
-
     def test_contains_sorted(self):
         assert contains_sorted([1, 5, 9], 5)
         assert not contains_sorted([1, 5, 9], 6)
-
-    def test_galloping_shorter_first_or_second(self):
-        long = list(range(0, 300, 3))
-        assert intersect_galloping([9, 10, 150], long) == [9, 150]
-        assert intersect_galloping(long, [9, 10, 150]) == [9, 150]
-
-    def test_hash(self):
-        assert intersect_hash([5, 1], [1, 2, 5]) == [1, 5]
-
-    def test_many(self):
-        assert intersect_many([[1, 2, 3, 4], [2, 4, 6], [4]]) == [4]
-        assert intersect_many([]) == []
-        assert intersect_many([[1, 2], []]) == []
 
 
 class TestEquivalenceProperties:
@@ -49,15 +25,7 @@ class TestEquivalenceProperties:
     def test_all_kernels_agree(self, a, b):
         expected = sorted(set(a) & set(b))
         assert intersect_merge(a, b) == expected
-        assert intersect_galloping(a, b) == expected
-        assert intersect_hash(a, b) == expected
-        assert intersect_adaptive(a, b) == expected
-        assert sorted(intersect_binary(a, b)) == expected
-
-    @given(st.lists(sorted_ids, max_size=5))
-    def test_many_matches_set_reduction(self, lists):
-        expected = sorted(set.intersection(*map(set, lists))) if lists else []
-        assert intersect_many(lists) == expected
+        assert [x for x in b if contains_sorted(a, x)] == expected
 
     @given(sorted_ids, sorted_ids)
     def test_commutative(self, a, b):

@@ -1,68 +1,9 @@
-"""Query tracing: spans, phases, and the observability switchboard."""
+"""The observability switchboard: ``OBS.active`` is the registry switch."""
 
 from repro.obs.registry import OBS, MetricsRegistry, isolated_registry, set_registry
-from repro.obs.tracing import QueryTrace, active_trace, query_trace
-
-
-class TestSpans:
-    def test_nested_spans_form_a_tree(self):
-        trace = QueryTrace()
-        with trace.span("outer") as outer:
-            with trace.span("inner-1"):
-                pass
-            with trace.span("inner-2") as inner:
-                inner.counts["items"] = 4
-        assert [span.name for span in trace.roots] == ["outer"]
-        assert [child.name for child in outer.children] == ["inner-1", "inner-2"]
-        assert outer.children[1].count("items") == 4
-
-    def test_span_timing_is_monotone(self):
-        trace = QueryTrace()
-        with trace.span("outer") as outer:
-            with trace.span("inner") as inner:
-                sum(range(1000))
-        assert inner.seconds >= 0.0
-        assert outer.seconds >= inner.seconds
-
-    def test_phases_collected_depth_first(self):
-        trace = QueryTrace()
-        trace.phase("first", entries_scanned=10, candidates_after=5)
-        with trace.span("region"):
-            trace.phase("second", entries_scanned=5, candidates_after=2)
-        trace.phase("third", candidates_after=1)
-        assert [p.name for p in trace.phases()] == ["first", "second", "third"]
-
-    def test_plain_spans_are_not_phases(self):
-        trace = QueryTrace()
-        with trace.span("just-a-region"):
-            pass
-        assert trace.phases() == []
-
-    def test_notes_and_accumulators(self):
-        trace = QueryTrace()
-        trace.note("m", 8)
-        trace.add("skips", 3)
-        trace.add("skips", 2)
-        assert trace.detail == {"m": 8, "skips": 5}
 
 
 class TestSwitchboard:
-    def test_query_trace_installs_and_restores(self):
-        assert active_trace() is None
-        with query_trace() as trace:
-            assert active_trace() is trace
-            with query_trace() as inner:
-                assert active_trace() is inner
-            assert active_trace() is trace
-        assert active_trace() is None
-
-    def test_active_reflects_trace_even_with_metrics_disabled(self):
-        with isolated_registry(enabled=False):
-            assert OBS.active is False
-            with query_trace():
-                assert OBS.active is True
-            assert OBS.active is False
-
     def test_active_reflects_registry_enablement(self):
         with isolated_registry(enabled=True) as registry:
             assert OBS.active is True

@@ -18,7 +18,9 @@ import pytest
 
 from repro.cluster import TemporalCluster
 from repro.core.collection import Collection
+from repro.core.model import make_query
 from repro.cli import main
+from repro.indexes import explain
 from repro.server import (
     ServerConfig,
     ServerError,
@@ -30,6 +32,7 @@ from repro.service.faults import NetworkFaultInjector, chaos_net_plan
 from repro.utils.retry import RetryPolicy
 
 from tests.conftest import random_objects
+from tests.indexes.test_explain import phase_tuples
 from tests.server.conftest import FAULT_SEED, NO_RETRY, make_client
 
 #: Generous retries so the pinned fault schedule cannot exhaust a client.
@@ -200,6 +203,27 @@ class TestEndToEndTrace:
                 assert docs[0]["attrs"]["error_code"] == "deadline_exceeded"
         finally:
             restore()
+
+
+class TestIndexPhasesInTrace:
+    def test_store_query_span_carries_explains_phases(
+        self, client, registry, small_tables
+    ):
+        """A sampled daemon trace shows what the index did: the events
+        under ``store_query`` are the phases explain() reports for the
+        same query on the same state."""
+        client.query("docs", 0, 30_000, ["e0", "e1"], sampled=True)
+        doc = client.introspect("traces", trace_id=client.last_trace_id)["traces"][0]
+        (store_query,) = [s for s in doc["spans"] if s["name"] == "store_query"]
+        events = [s for s in doc["spans"] if s["parent_id"] == store_query["span_id"]]
+
+        index = registry.get("docs").handle.index
+        explanation = explain(index, make_query(0, 30_000, {"e0", "e1"}))
+        assert events and phase_tuples(events) == [
+            (p.label, p.entries_scanned, p.candidates_after, p.structures_touched)
+            for p in explanation.phases
+        ]
+        assert store_query["attrs"]["m"] == explanation.detail["m"]
 
 
 class TestIntrospectVerb:

@@ -1,55 +1,15 @@
 """Tests for sorted-sequence utilities."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.sorting import (
-    chunked,
-    count_in_range,
-    dedupe_sorted,
-    is_sorted,
-    is_strictly_increasing,
-    merge_sorted,
-    sorted_contains,
-)
-
-
-class TestPredicates:
-    def test_is_sorted(self):
-        assert is_sorted([1, 2, 2, 3])
-        assert not is_sorted([2, 1])
-        assert is_sorted([])
-
-    def test_is_sorted_with_key(self):
-        assert is_sorted([(1, "z"), (2, "a")], key=lambda t: t[0])
-
-    def test_strictly_increasing(self):
-        assert is_strictly_increasing([1, 2, 3])
-        assert not is_strictly_increasing([1, 1])
+from repro.utils.sorting import merge_sorted
 
 
 class TestTransforms:
-    def test_dedupe_sorted(self):
-        assert dedupe_sorted([1, 1, 2, 3, 3, 3]) == [1, 2, 3]
-        assert dedupe_sorted([]) == []
-
     def test_merge_sorted(self):
         assert merge_sorted([1, 3, 5], [2, 3, 6]) == [1, 2, 3, 3, 5, 6]
         assert merge_sorted([], [1]) == [1]
-
-    def test_sorted_contains(self):
-        assert sorted_contains([1, 3, 5], 3)
-        assert not sorted_contains([1, 3, 5], 4)
-        assert not sorted_contains([], 1)
-
-    def test_count_in_range(self):
-        assert count_in_range([1, 2, 2, 5, 9], 2, 5) == 3
-
-    def test_chunked(self):
-        assert list(chunked([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
 
 
 class TestProperties:
@@ -58,8 +18,3 @@ class TestProperties:
         a, b = sorted(a), sorted(b)
         merged = merge_sorted(a, b)
         assert merged == sorted(a + b)
-
-    @given(st.lists(st.integers()))
-    def test_dedupe_matches_set(self, values):
-        values = sorted(values)
-        assert dedupe_sorted(values) == sorted(set(values))
