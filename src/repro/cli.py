@@ -5,25 +5,28 @@ Commands
 ``generate``  synthesise a dataset (synthetic / eclog / wikipedia) to a file
 ``stats``     print a collection's Table 3 characteristics, or (with
               ``--metrics``) dump the metric catalog / an exported metrics
-              file in Prometheus text or JSON; with ``--host`` the metric /
-              trace / slow-log / SLO views come live from a serve-net daemon
+              file in Prometheus text or JSON; ``--traces`` / ``--slow-log``
+              / ``--slo`` read those views live from a serve-net daemon
 ``build``     build an index over a saved collection; print time and size
 ``query``     answer one time-travel IR query against a chosen index
 ``explain``   same, but print the per-phase evaluation trace
 ``bench``     run one of the paper's experiments (or ``all``)
-``serve``     run a crash-safe durable store, commands on stdin
 ``recover``   replay a store directory's snapshots + WAL; print a report
-``cluster``   shard-cluster operations: build / serve / query /
-              rebalance / status (see ``docs/cluster.md``)
+``cluster``   shard-cluster operations: build / query / rebalance /
+              status (see ``docs/cluster.md``)
 ``tier``      cold-tier operations: demote / promote / auto / status
               (see ``docs/storage.md``)
 ``serve-net`` run the resilient asyncio network daemon over a
-              multi-tenant root (see ``docs/server.md``)
-``client``    talk to a running serve-net daemon
+              multi-tenant root (see ``docs/server.md``); the only server
+``client``    talk to a running serve-net daemon: query / insert / delete /
+              status / metrics / shutdown / ping
 ``top``       live per-tenant SLO / daemon health view over a running
               serve-net daemon's ``introspect`` verb
 ``lint``      run the repro.analysis invariant checks (REP001-REP007)
               over source paths (see ``docs/static-analysis.md``)
+
+A command that fails with a typed ``ReproError`` prints ``error: <message>``
+to stderr and exits 1; ``client`` prints a JSON error document instead.
 
 Examples
 --------
@@ -37,11 +40,12 @@ Examples
         --start 100000 --end 500000 --elements /uri/3,/uri/9
     python -m repro query /tmp/ec.bin --index irhint-perf \
         --batch-file /tmp/workload.jsonl --cache-size 1024
-    python -m repro serve /tmp/store --metrics-file /tmp/store.prom
-    python -m repro serve-net /tmp/tenants --port 0 --create acme \
-        --trace-sample-rate 0.1 --slow-query-ms 250
+    python -m repro serve-net /tmp/tenants --create acme \
+        --trace-sample-rate 0.1 --slow-query-ms 250 --metrics-file /tmp/store.prom
+    python -m repro client insert --tenant acme --object-id 1 --start 0 --end 5
+    python -m repro client query --tenant acme --start 0 --end 9
+    python -m repro client metrics
     python -m repro top --port 7421 --iterations 1
-    python -m repro stats --metrics --host 127.0.0.1 --port 7421
     python -m repro stats --traces --port 7421 --trace-id 7f3a...
     python -m repro stats --slow-log --port 7421 --limit 5
     python -m repro cluster build /tmp/cluster --data /tmp/ec.bin --shards 4
@@ -61,6 +65,7 @@ from typing import List, Optional
 
 from repro.bench.config import SCALES
 from repro.bench.tuned import tuned
+from repro.core.errors import ReproError
 from repro.core.model import make_query
 from repro.datasets.eclog import generate_eclog
 from repro.datasets.io import load, save
@@ -183,97 +188,88 @@ def _slo_table_lines(tenants: dict) -> List[str]:
 
 
 def _daemon_stats(args: argparse.Namespace) -> int:
-    """The ``stats`` daemon views: live metrics / traces / slow log / SLOs."""
+    """The ``stats`` daemon views: traces / slow log / SLOs."""
     import json
 
-    from repro.server import DaemonClient, ServerError, TransportError
+    from repro.server import DaemonClient
 
-    host = args.host or "127.0.0.1"
-    try:
-        with DaemonClient(host, args.port, timeout=args.timeout) as client:
-            if args.metrics:
-                body = client.metrics()["body"]
-                if args.format == "json":
-                    from repro.obs.exposition import (
-                        registry_from_prometheus, render_json,
-                    )
-
-                    print(render_json(registry_from_prometheus(body)))
-                else:
-                    print(body, end="")
-                return 0
-            if args.traces:
-                view = client.introspect(
-                    "traces",
-                    limit=args.limit,
-                    trace_id=args.trace_id,
-                    tenant=args.tenant,
-                    min_duration_ms=args.min_duration_ms,
-                )
-                if args.format == "json":
-                    print(json.dumps(view, indent=2, sort_keys=True))
-                    return 0
-                print(
-                    f"# {view['buffered']} buffered, {view['dropped']} dropped, "
-                    f"sample rate {view['sample_rate']}"
-                )
-                for doc in view["traces"]:
-                    for line in _trace_tree_lines(doc):
-                        print(line)
-                if not view["traces"]:
-                    print("(no matching traces buffered)")
-                return 0
-            if args.slow_log:
-                view = client.introspect("slow_log", limit=args.limit)
-                if args.format == "json":
-                    print(json.dumps(view, indent=2, sort_keys=True))
-                    return 0
-                threshold = view.get("threshold_ms")
-                print(
-                    f"# {view['logged']} slow queries logged "
-                    f"(threshold {threshold} ms)"
-                )
-                from datetime import datetime, timezone
-
-                for entry in view["entries"]:
-                    stamp = datetime.fromtimestamp(
-                        float(entry.get("ts_utc", 0.0)), tz=timezone.utc
-                    ).strftime("%Y-%m-%dT%H:%M:%SZ")
-                    print(
-                        f"{stamp}  {entry.get('tenant')}/"
-                        f"{entry.get('verb')}  {entry.get('duration_ms', 0.0):.2f} ms  "
-                        f"queue {entry.get('queue_wait_ms', 0.0):.2f} ms  "
-                        f"lock {entry.get('lock_wait_ms', 0.0):.2f} ms  "
-                        f"status={entry.get('status')}  "
-                        f"trace={entry.get('trace_id')}"
-                    )
-                    for name, ms in sorted((entry.get("phases") or {}).items()):
-                        print(f"    {name}: {ms:.2f} ms")
-                if not view["entries"]:
-                    print("(slow-query log is empty)")
-                return 0
-            # --slo
-            view = client.introspect("slo")
+    with DaemonClient(
+        args.host or "127.0.0.1", args.port or 7421, timeout=args.timeout
+    ) as client:
+        if args.traces:
+            view = client.introspect(
+                "traces",
+                limit=args.limit,
+                trace_id=args.trace_id,
+                tenant=args.tenant,
+                min_duration_ms=args.min_duration_ms,
+            )
             if args.format == "json":
                 print(json.dumps(view, indent=2, sort_keys=True))
                 return 0
             print(
-                f"# horizon {view['horizon_s']}s, latency SLO "
-                f"{view['latency_slo_ms']} ms, error budget {view['error_budget']}"
+                f"# {view['buffered']} buffered, {view['dropped']} dropped, "
+                f"sample rate {view['sample_rate']}"
             )
-            for line in _slo_table_lines(view["tenants"]):
-                print(line)
+            for doc in view["traces"]:
+                for line in _trace_tree_lines(doc):
+                    print(line)
+            if not view["traces"]:
+                print("(no matching traces buffered)")
             return 0
-    except (ServerError, TransportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if args.slow_log:
+            view = client.introspect("slow_log", limit=args.limit)
+            if args.format == "json":
+                print(json.dumps(view, indent=2, sort_keys=True))
+                return 0
+            threshold = view.get("threshold_ms")
+            print(
+                f"# {view['logged']} slow queries logged "
+                f"(threshold {threshold} ms)"
+            )
+            from datetime import datetime, timezone
+
+            for entry in view["entries"]:
+                stamp = datetime.fromtimestamp(
+                    float(entry.get("ts_utc", 0.0)), tz=timezone.utc
+                ).strftime("%Y-%m-%dT%H:%M:%SZ")
+                print(
+                    f"{stamp}  {entry.get('tenant')}/"
+                    f"{entry.get('verb')}  {entry.get('duration_ms', 0.0):.2f} ms  "
+                    f"queue {entry.get('queue_wait_ms', 0.0):.2f} ms  "
+                    f"lock {entry.get('lock_wait_ms', 0.0):.2f} ms  "
+                    f"status={entry.get('status')}  "
+                    f"trace={entry.get('trace_id')}"
+                )
+                for name, ms in sorted((entry.get("phases") or {}).items()):
+                    print(f"    {name}: {ms:.2f} ms")
+            if not view["entries"]:
+                print("(slow-query log is empty)")
+            return 0
+        # --slo
+        view = client.introspect("slo")
+        if args.format == "json":
+            print(json.dumps(view, indent=2, sort_keys=True))
+            return 0
+        print(
+            f"# horizon {view['horizon_s']}s, latency SLO "
+            f"{view['latency_slo_ms']} ms, error budget {view['error_budget']}"
+        )
+        for line in _slo_table_lines(view["tenants"]):
+            print(line)
+        return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.traces or args.slow_log or args.slo:
         return _daemon_stats(args)
-    if args.metrics and args.host is not None:
-        return _daemon_stats(args)
+    if args.host is not None or args.port is not None:
+        print(
+            "error: --host/--port select a live --traces, --slow-log or --slo "
+            "view; for live metrics run `repro client metrics`",
+            file=sys.stderr,
+        )
+        return 2
     if args.metrics or args.metrics_file:
         from repro.obs.exposition import render_json, render_prometheus
 
@@ -328,7 +324,7 @@ def _make_query_from_args(args: argparse.Namespace):
     if args.start is None or args.end is None:
         raise SystemExit("error: --start and --end are required (unless --batch-file)")
     elements = [e for e in (args.elements or "").split(",") if e]
-    return make_query(_parse_number(args.start), _parse_number(args.end), set(elements))
+    return make_query(args.start, args.end, set(elements))
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -379,117 +375,6 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     _collection, index, _seconds = _build(args)
     print(explain_query(index, _make_query_from_args(args)).render())
-    return 0
-
-
-def _serve_line(store, line: str) -> Optional[str]:
-    """Execute one serve-loop command; the reply text (None = quit)."""
-    from repro.core.model import make_object
-
-    parts = line.split()
-    if not parts:
-        return ""
-    cmd, rest = parts[0].lower(), parts[1:]
-    if cmd in ("quit", "exit"):
-        return None
-    if cmd == "insert":
-        if len(rest) < 3:
-            return "error: usage: insert <id> <start> <end> [e1,e2,...]"
-        elements = [e for e in (rest[3] if len(rest) > 3 else "").split(",") if e]
-        store.insert(
-            make_object(
-                int(rest[0]), _parse_number(rest[1]), _parse_number(rest[2]), elements
-            )
-        )
-        return f"ok: inserted {rest[0]}"
-    if cmd == "delete":
-        if len(rest) != 1:
-            return "error: usage: delete <id>"
-        store.delete(int(rest[0]))
-        return f"ok: deleted {rest[0]}"
-    if cmd == "query":
-        if len(rest) < 2:
-            return "error: usage: query <start> <end> [e1,e2,...]"
-        elements = [e for e in (rest[2] if len(rest) > 2 else "").split(",") if e]
-        result = store.query(
-            make_query(_parse_number(rest[0]), _parse_number(rest[1]), set(elements))
-        )
-        return f"{len(result)} results: {result}"
-    if cmd == "checkpoint":
-        path = store.checkpoint()
-        return f"ok: snapshot {path.name}"
-    if cmd == "stats":
-        return "\n".join(f"{k}: {v}" for k, v in store.stats().items())
-    if cmd == "metrics":
-        from repro.obs.exposition import render_prometheus
-        from repro.obs.registry import OBS
-
-        if not OBS.registry.enabled:
-            return "error: metrics are disabled (serve with --metrics-file)"
-        return render_prometheus(OBS.registry).rstrip("\n")
-    return (
-        f"error: unknown command {cmd!r} "
-        "(insert/delete/query/checkpoint/stats/metrics/quit)"
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.errors import ReproError
-    from repro.obs.exposition import render_prometheus
-    from repro.obs.instruments import register_catalog
-    from repro.obs.registry import OBS, MetricsRegistry, set_registry
-    from repro.service.store import DurableIndexStore
-
-    metrics_file = args.metrics_file
-    previous_registry = None
-    if metrics_file:
-        previous_registry = set_registry(
-            register_catalog(MetricsRegistry(enabled=True))
-        )
-
-    def export_metrics() -> None:
-        if metrics_file:
-            Path(metrics_file).write_text(
-                render_prometheus(OBS.registry), encoding="utf-8"
-            )
-
-    try:
-        store = DurableIndexStore.open(
-            args.directory,
-            index_key=args.index,
-            retain=args.retain,
-            wal_fsync=not args.no_fsync,
-            checkpoint_every=args.checkpoint_every,
-        )
-        with store:
-            if args.data:
-                collection = load(args.data)
-                store.bootstrap(collection, args.index, **(tuned(args.index) if args.tuned else {}))
-                print(f"bootstrapped {len(collection)} objects into {args.index}")
-            recovery = store.last_recovery
-            if recovery is not None:
-                for line in recovery.summary_lines():
-                    print(f"# {line}")
-            export_metrics()
-            print("# serving; commands: insert/delete/query/checkpoint/stats/metrics/quit")
-            for line in sys.stdin:
-                try:
-                    reply = _serve_line(store, line)
-                except ReproError as exc:
-                    reply = f"error: {exc}"
-                except ValueError as exc:
-                    reply = f"error: {exc}"
-                if reply is None:
-                    break
-                if reply:
-                    print(reply, flush=True)
-                command = line.split()[:1]
-                if command and command[0].lower() in ("checkpoint", "stats", "metrics"):
-                    export_metrics()
-        export_metrics()
-    finally:
-        if previous_registry is not None:
-            set_registry(previous_registry)
     return 0
 
 
@@ -675,114 +560,6 @@ def _cmd_tier(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_serve_line(cluster, line: str) -> Optional[str]:
-    """Execute one cluster-serve command; the reply text (None = quit)."""
-    from repro.core.model import make_object
-
-    parts = line.split()
-    if not parts:
-        return ""
-    cmd, rest = parts[0].lower(), parts[1:]
-    if cmd in ("quit", "exit"):
-        return None
-    if cmd == "insert":
-        if len(rest) < 3:
-            return "error: usage: insert <id> <start> <end> [e1,e2,...]"
-        elements = [e for e in (rest[3] if len(rest) > 3 else "").split(",") if e]
-        cluster.insert(
-            make_object(
-                int(rest[0]), _parse_number(rest[1]), _parse_number(rest[2]), elements
-            )
-        )
-        return f"ok: inserted {rest[0]}"
-    if cmd == "delete":
-        if len(rest) != 1:
-            return "error: usage: delete <id>"
-        cluster.delete(int(rest[0]))
-        return f"ok: deleted {rest[0]}"
-    if cmd == "query":
-        if len(rest) < 2:
-            return "error: usage: query <start> <end> [e1,e2,...]"
-        elements = [e for e in (rest[2] if len(rest) > 2 else "").split(",") if e]
-        q = make_query(_parse_number(rest[0]), _parse_number(rest[1]), set(elements))
-        planned = cluster.router.plan(q)
-        result = cluster.query(q)
-        return f"{len(result)} results from {len(planned)} shards: {result}"
-    if cmd == "rebalance":
-        plan = cluster.rebalance()
-        if plan.is_noop:
-            return f"ok: no-op ({plan.reason})"
-        return (
-            f"ok: {plan.kind} → generation {cluster.table.generation} "
-            f"({len(cluster.table.shards)} shards)"
-        )
-    if cmd == "status":
-        return "\n".join(cluster.status_lines())
-    if cmd == "metrics":
-        from repro.obs.exposition import render_prometheus
-        from repro.obs.registry import OBS
-
-        if not OBS.registry.enabled:
-            return "error: metrics are disabled (serve with --metrics-file)"
-        return render_prometheus(OBS.registry).rstrip("\n")
-    return (
-        f"error: unknown command {cmd!r} "
-        "(insert/delete/query/rebalance/status/metrics/quit)"
-    )
-
-
-def _cmd_cluster_serve(args: argparse.Namespace) -> int:
-    from repro.cluster import TemporalCluster
-    from repro.core.errors import ReproError
-    from repro.obs.exposition import render_prometheus
-    from repro.obs.instruments import register_catalog
-    from repro.obs.registry import OBS, MetricsRegistry, set_registry
-
-    metrics_file = args.metrics_file
-    previous_registry = None
-    if metrics_file:
-        previous_registry = set_registry(
-            register_catalog(MetricsRegistry(enabled=True))
-        )
-
-    def export_metrics() -> None:
-        if metrics_file:
-            Path(metrics_file).write_text(
-                render_prometheus(OBS.registry), encoding="utf-8"
-            )
-
-    try:
-        with TemporalCluster.open(
-            args.directory, wal_fsync=not args.no_fsync
-        ) as cluster:
-            for line in cluster.status_lines():
-                print(f"# {line}")
-            export_metrics()
-            print(
-                "# serving; commands: "
-                "insert/delete/query/rebalance/status/metrics/quit"
-            )
-            for line in sys.stdin:
-                try:
-                    reply = _cluster_serve_line(cluster, line)
-                except ReproError as exc:
-                    reply = f"error: {exc}"
-                except ValueError as exc:
-                    reply = f"error: {exc}"
-                if reply is None:
-                    break
-                if reply:
-                    print(reply, flush=True)
-                command = line.split()[:1]
-                if command and command[0].lower() in ("rebalance", "status", "metrics"):
-                    export_metrics()
-        export_metrics()
-    finally:
-        if previous_registry is not None:
-            set_registry(previous_registry)
-    return 0
-
-
 def _cmd_serve_net(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -867,13 +644,12 @@ def _cmd_client(args: argparse.Namespace) -> int:
             kwargs = {"deadline_ms": args.deadline_ms}
             if verb == "query":
                 result = client.query(
-                    args.tenant, _parse_number(args.start), _parse_number(args.end),
+                    args.tenant, args.start, args.end,
                     [e for e in args.elements.split(",") if e], **kwargs,
                 )
             elif verb == "insert":
                 result = client.insert(
-                    args.tenant, args.object_id,
-                    _parse_number(args.start), _parse_number(args.end),
+                    args.tenant, args.object_id, args.start, args.end,
                     [e for e in args.elements.split(",") if e], **kwargs,
                 )
             elif verb == "delete":
@@ -905,16 +681,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """Live per-tenant SLO / daemon health view (``repro top``)."""
     import time as time_mod
 
-    from repro.server import DaemonClient, ServerError, TransportError
+    from repro.server import DaemonClient
 
     with DaemonClient(args.host, args.port, timeout=args.timeout) as client:
         iteration = 0
         while True:
-            try:
-                view = client.introspect("top")
-            except (ServerError, TransportError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            view = client.introspect("top")
             daemon = view["daemon"]
             if iteration:
                 print()
@@ -1019,10 +791,11 @@ def build_parser() -> argparse.ArgumentParser:
         "live daemon views (require a running serve-net daemon)"
     )
     daemon_group.add_argument(
-        "--host", default=None,
-        help="daemon host; with --metrics, fetch live metrics from it",
+        "--host", default=None, help="daemon host (default 127.0.0.1)"
     )
-    daemon_group.add_argument("--port", type=int, default=7421)
+    daemon_group.add_argument(
+        "--port", type=int, default=None, help="daemon port (default 7421)"
+    )
     daemon_group.add_argument("--timeout", type=float, default=5.0)
     daemon_group.add_argument(
         "--traces", action="store_true",
@@ -1076,8 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         add_index_args(p)
         single = p.add_argument_group("single query")
-        single.add_argument("--start", help="query interval start")
-        single.add_argument("--end", help="query interval end")
+        single.add_argument(
+            "--start", type=_parse_number, help="query interval start"
+        )
+        single.add_argument("--end", type=_parse_number, help="query interval end")
         single.add_argument("--elements", default="", help="comma-separated q.d")
         if name == "query":
             p.add_argument("--limit", type=int, default=20, help="ids to print (0 = all)")
@@ -1092,32 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.set_defaults(func=func)
 
-    p = sub.add_parser("serve", help="run a crash-safe durable store (commands on stdin)")
-    p.add_argument("directory", help="store directory (created if missing)")
-    p.add_argument("--index", choices=available_indexes(), default="irhint-perf")
-    p.add_argument("--data", help="bootstrap an empty store from this collection file")
-    p.add_argument(
-        "--tuned",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="apply the paper's tuned parameters when bootstrapping",
-    )
-    p.add_argument("--retain", type=int, default=3, help="snapshot generations to keep")
-    p.add_argument(
-        "--checkpoint-every", type=int, default=None,
-        help="auto-checkpoint after this many mutations",
-    )
-    p.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip per-record fsync (faster, loses the last records on a crash)",
-    )
-    p.add_argument(
-        "--metrics-file",
-        help="enable metrics and export Prometheus text to this file "
-        "(written at startup, after checkpoint/stats/metrics commands, on exit)",
-    )
-    p.set_defaults(func=_cmd_serve)
-
     p = sub.add_parser("recover", help="recover a store directory; print a report")
     p.add_argument("directory", help="store directory")
     p.add_argument(
@@ -1127,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser(
-        "cluster", help="shard-cluster operations (build/serve/query/rebalance/status)"
+        "cluster", help="shard-cluster operations (build/query/rebalance/status)"
     )
     cluster_sub = p.add_subparsers(dest="cluster_command", required=True)
 
@@ -1154,22 +903,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = cluster_sub.add_parser("query", help="scatter-gather a query (or a batch)")
     add_cluster_dir(cp)
-    cp.add_argument("--start", help="query interval start")
-    cp.add_argument("--end", help="query interval end")
+    cp.add_argument("--start", type=_parse_number, help="query interval start")
+    cp.add_argument("--end", type=_parse_number, help="query interval end")
     cp.add_argument("--elements", default="", help="comma-separated q.d")
     cp.add_argument("--limit", type=int, default=20, help="ids to print (0 = all)")
     cp.add_argument(
         "--batch-file", help="JSONL query workload to run as one batch"
     )
     cp.set_defaults(func=_cmd_cluster_query)
-
-    cp = cluster_sub.add_parser("serve", help="serve a cluster, commands on stdin")
-    add_cluster_dir(cp)
-    cp.add_argument(
-        "--metrics-file",
-        help="enable metrics and export Prometheus text to this file",
-    )
-    cp.set_defaults(func=_cmd_cluster_serve)
 
     cp = cluster_sub.add_parser(
         "rebalance", help="split a hot shard or merge cold neighbours"
@@ -1287,14 +1028,14 @@ def build_parser() -> argparse.ArgumentParser:
         client_sub.add_parser(verb)
     cq = client_sub.add_parser("query")
     cq.add_argument("--tenant", required=True)
-    cq.add_argument("--start", required=True)
-    cq.add_argument("--end", required=True)
+    cq.add_argument("--start", type=_parse_number, required=True)
+    cq.add_argument("--end", type=_parse_number, required=True)
     cq.add_argument("--elements", default="", help="comma-separated q.d")
     ci = client_sub.add_parser("insert")
     ci.add_argument("--tenant", required=True)
     ci.add_argument("--object-id", type=int, required=True)
-    ci.add_argument("--start", required=True)
-    ci.add_argument("--end", required=True)
+    ci.add_argument("--start", type=_parse_number, required=True)
+    ci.add_argument("--end", type=_parse_number, required=True)
     ci.add_argument("--elements", default="", help="comma-separated elements")
     cd = client_sub.add_parser("delete")
     cd.add_argument("--tenant", required=True)
@@ -1347,7 +1088,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (also used directly by tests)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

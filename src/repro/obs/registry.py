@@ -214,7 +214,7 @@ class ObservabilityState:
 
 #: The process-wide switchboard.  Starts with a *disabled* registry so the
 #: library behaves exactly like an uninstrumented build until someone opts
-#: in (``repro serve --metrics-file``, ``isolated_registry()``, …).
+#: in (``repro serve-net --metrics-file``, ``isolated_registry()``, …).
 OBS = ObservabilityState(MetricsRegistry(enabled=False))
 
 

@@ -14,7 +14,8 @@ durable across crashes so that the build cost is paid once:
   :class:`~repro.indexes.brute.BruteForce` rebuild as the last resort;
 * :mod:`repro.service.store` — the :class:`DurableIndexStore` façade
   (``insert`` / ``delete`` / ``query`` / ``checkpoint`` / ``close``)
-  behind the ``python -m repro serve`` and ``recover`` CLI commands;
+  behind the ``serve-net`` daemon's store tenants and the ``recover`` CLI
+  command;
 * :mod:`repro.service.faults` — deterministic fault injection used by the
   crash-consistency test suite.
 """

@@ -1,8 +1,16 @@
-"""Shared fixtures: the paper's running example and randomized corpora."""
+"""Shared fixtures: the paper's running example, randomized corpora, and
+``serve-net`` children spawned through the CLI."""
 
 from __future__ import annotations
 
+import os
 import random
+import re
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -90,3 +98,85 @@ def random_queries(collection: Collection, n: int, seed: int):
         d = frozenset(rng.choices(ELEMENTS, weights=WEIGHTS, k=k))
         queries.append(make_query(st, st + extent, d))
     return queries
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_LISTENING = re.compile(r"# listening on [^\s:]+:(\d+)\n")
+
+
+class ServeNetChild:
+    """One ``python -m repro serve-net ROOT --port 0 ...`` subprocess.
+
+    ``port`` is parsed from its ``# listening on`` line; ``stdout`` holds
+    what it printed so far (all of it once :meth:`stop` returns).
+    """
+
+    def __init__(self, root: Path, args: List[str], log_path: Path) -> None:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(_SRC), env.get("PYTHONPATH")) if p
+        )
+        self._log = open(log_path, "ab")
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-net", str(root),
+             "--port", "0", *args],
+            stdout=subprocess.PIPE, stderr=self._log, env=env,
+        )
+        self.pid = self.proc.pid
+        self.stdout = ""
+        try:
+            self.port = self._await_port(timeout=60.0)
+        except BaseException:
+            self.stop()
+            raise
+
+    def _await_port(self, timeout: float) -> int:
+        assert self.proc.stdout is not None
+        fd = self.proc.stdout.fileno()
+        deadline = time.monotonic() + timeout
+        while True:
+            match = _LISTENING.search(self.stdout)
+            if match:
+                return int(match.group(1))
+            ready, _, _ = select.select(
+                [fd], [], [], max(0.0, deadline - time.monotonic())
+            )
+            chunk = os.read(fd, 4096) if ready else b""
+            if not chunk:
+                raise RuntimeError(
+                    f"serve-net child {self.pid} did not start listening "
+                    f"(stdout so far: {self.stdout!r}; stderr in {self._log.name})"
+                )
+            self.stdout += chunk.decode()
+
+    def stop(self) -> int:
+        """Drain (SIGTERM), escalate to SIGKILL, wait until the PID is
+        gone; the exit code."""
+        if self.proc.poll() is None:
+            self.proc.terminate()
+            try:
+                self.proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+        if self.proc.stdout is not None and not self.proc.stdout.closed:
+            self.stdout += self.proc.stdout.read().decode()
+            self.proc.stdout.close()
+        self._log.close()
+        return self.proc.returncode
+
+
+@pytest.fixture()
+def serve_net(tmp_path):
+    """Spawn ``serve-net`` children with ``serve_net(root, *args)``; every
+    child is reaped at teardown, whatever the test did."""
+    children: List[ServeNetChild] = []
+
+    def spawn(root: Path, *args: str) -> ServeNetChild:
+        log_path = tmp_path / f"serve-net-{len(children)}.log"
+        children.append(ServeNetChild(root, list(args), log_path))
+        return children[-1]
+
+    yield spawn
+    for child in children:
+        child.stop()

@@ -1,8 +1,6 @@
 """End-to-end instrumentation: query path, serving layer, CLI, bench."""
 
-import io
 import json
-import sys
 
 from repro.core.model import make_object, make_query
 from repro.indexes.registry import build_index
@@ -136,60 +134,54 @@ class TestCli:
         assert main(["stats"]) == 2
         assert "collection file is required" in capsys.readouterr().err
 
-    def test_serve_exports_metrics_file(self, tmp_path, capsys, monkeypatch):
+    def test_stats_metrics_is_never_live(self, capsys):
         from repro.cli import main
 
+        assert main(["stats", "--metrics", "--port", "7421"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repro client metrics" in captured.err
+
+    @staticmethod
+    def _serve_one_insert_and_query(tmp_path, serve_net, metrics_file):
+        """``serve-net --create t --index tif --metrics-file M``, one client
+        insert, one client query, then SIGTERM; the child's stdout."""
+        from repro.cli import main
+
+        daemon = serve_net(
+            tmp_path / "root", "--create", "t", "--index", "tif",
+            "--no-fsync", "--metrics-file", str(metrics_file),
+        )
+        port = str(daemon.port)
+        assert main(
+            ["client", "--port", port, "insert", "--tenant", "t",
+             "--object-id", "1", "--start", "100", "--end", "200",
+             "--elements", "a,b"]
+        ) == 0
+        assert main(
+            ["client", "--port", port, "query", "--tenant", "t",
+             "--start", "120", "--end", "260", "--elements", "a"]
+        ) == 0
+        assert daemon.stop() == 0
+        return daemon.stdout
+
+    def test_serve_exports_metrics_file(self, tmp_path, serve_net):
         metrics_file = tmp_path / "metrics.prom"
-        monkeypatch.setattr(
-            sys,
-            "stdin",
-            io.StringIO(
-                "insert 1 100 200 a,b\n"
-                "query 120 260 a\n"
-                "metrics\n"
-                "checkpoint\n"
-                "quit\n"
-            ),
-        )
-        assert (
-            main(
-                [
-                    "serve", str(tmp_path / "store"),
-                    "--index", "tif",
-                    "--metrics-file", str(metrics_file),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "# TYPE repro_wal_appends_total counter" in out  # metrics command
+        out = self._serve_one_insert_and_query(tmp_path, serve_net, metrics_file)
+        assert "# drained:" in out
         parsed = parse_prometheus_text(metrics_file.read_text(encoding="utf-8"))
         assert parsed.value("repro_wal_appends_total") == 1.0
         assert parsed.value("repro_queries_total", index="tIF") == 1.0
-        assert parsed.value("repro_store_checkpoints_total") == 1.0
 
-    def test_stats_renders_a_served_export(self, tmp_path, capsys, monkeypatch):
+    def test_stats_renders_a_served_export(self, tmp_path, serve_net, capsys):
         from repro.cli import main
 
         metrics_file = tmp_path / "metrics.prom"
-        monkeypatch.setattr(sys, "stdin", io.StringIO("insert 1 100 200 a\nquit\n"))
-        main(
-            [
-                "serve", str(tmp_path / "store"),
-                "--index", "tif",
-                "--metrics-file", str(metrics_file),
-            ]
-        )
+        self._serve_one_insert_and_query(tmp_path, serve_net, metrics_file)
         capsys.readouterr()
         assert main(["stats", "--metrics-file", str(metrics_file)]) == 0
         parsed = parse_prometheus_text(capsys.readouterr().out)
         assert parsed.value("repro_wal_appends_total") == 1.0
-
-    def test_serve_metrics_command_requires_enablement(self):
-        from repro.cli import _serve_line
-
-        reply = _serve_line(None, "metrics")
-        assert "metrics are disabled" in reply
 
     def test_recover_prints_recovery_counters(self, tmp_path, capsys):
         from repro.cli import main

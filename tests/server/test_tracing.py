@@ -379,7 +379,7 @@ class TestCliAgainstLiveDaemon:
         assert main(["stats", "--slo", "--port", port]) == 0
         assert "wide" in capsys.readouterr().out
 
-        assert main(["stats", "--metrics", "--host", "127.0.0.1", "--port", port]) == 0
+        assert main(["client", "--port", port, "metrics"]) == 0
         capsys.readouterr()
 
         assert main(["top", "--port", port, "--iterations", "1"]) == 0

@@ -1,11 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import io
+import ast
+import json
 
 import pytest
 
 from repro.cli import main
-from repro.datasets.io import save
+from repro.core.model import make_object
+from repro.datasets.io import load, save
+from repro.service.store import DurableIndexStore
 
 
 @pytest.fixture()
@@ -96,6 +99,32 @@ class TestBuildQueryExplain:
     def test_untuned_build(self, data_file):
         assert main(["build", data_file, "--index", "tif-slicing", "--no-tuned"]) == 0
 
+    def test_reversed_interval_is_one_error_line(self, data_file, capsys):
+        assert main(["query", data_file, "--start", "5", "--end", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: interval start 5 exceeds end 1\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "F", "--start", "nope", "--end", "1"],
+        ["explain", "F", "--start", "0", "--end", "nope"],
+        ["cluster", "query", "DIR", "--start", "nope", "--end", "1"],
+        ["client", "--port", "1", "query", "--tenant", "t",
+         "--start", "nope", "--end", "1"],
+        ["client", "--port", "1", "insert", "--tenant", "t", "--object-id", "1",
+         "--start", "0", "--end", "nope"],
+    ],
+    ids=["query", "explain", "cluster-query", "client-query", "client-insert"],
+)
+def test_numbers_are_parsed_by_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid _parse_number value: 'nope'" in capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_table3(self, capsys):
@@ -111,83 +140,101 @@ class TestBench:
             main(["frobnicate"])
 
 
+def _client(capsys, port, *argv):
+    """Run ``repro client --port P ARGV``: (exit code, stdout JSON or None,
+    stderr JSON or None)."""
+    code = main(["client", "--port", str(port), *argv])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out) if captured.out else None
+    err = json.loads(captured.err) if captured.err else None
+    return code, out, err
+
+
 class TestServe:
-    def _serve(self, monkeypatch, argv, commands):
-        monkeypatch.setattr("sys.stdin", io.StringIO(commands))
-        return main(argv)
+    """``serve-net`` driven through the CLI, and ``client`` against it."""
 
-    def test_serve_bootstrap_and_commands(self, data_file, tmp_path, monkeypatch, capsys):
-        store_dir = str(tmp_path / "store")
-        commands = (
-            "query 2 4 a,c\n"
-            "insert 60 2 4 a,c\n"
-            "query 2 4 a,c\n"
-            "delete 60\n"
-            "checkpoint\n"
-            "stats\n"
-            "quit\n"
-        )
-        code = self._serve(
-            monkeypatch,
-            ["serve", store_dir, "--index", "tif-slicing", "--data", data_file],
-            commands,
+    def test_serve_bootstrap_and_commands(self, tmp_path, serve_net, capsys):
+        data = str(tmp_path / "ec.bin")
+        assert main(["generate", "--dataset", "eclog", "--n", "300", "--out", data]) == 0
+        root = tmp_path / "root"
+        assert main(
+            ["cluster", "build", str(root / "docs"), "--data", data,
+             "--shards", "1", "--no-fsync"]
+        ) == 0
+        domain = load(data).domain()
+        start = domain.st + (domain.end - domain.st) // 4
+        end = domain.end - (domain.end - domain.st) // 4
+        interval = ["--start", str(start), "--end", str(end)]
+        assert main(
+            ["query", data, "--index", "brute", *interval, "--limit", "0"]
+        ) == 0
+        expected = ast.literal_eval(capsys.readouterr().out.splitlines()[-1])
+        assert expected
+
+        daemon = serve_net(root, "--no-fsync")
+        code, out, _ = _client(capsys, daemon.port, "query", "--tenant", "docs", *interval)
+        assert code == 0
+        assert sorted(out["ids"]) == sorted(expected)
+
+        code, _, _ = _client(
+            capsys, daemon.port, "insert", "--tenant", "docs",
+            "--object-id", "100000", *interval, "--elements", "x",
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "bootstrapped 8 objects" in out
-        assert "3 results: [2, 4, 7]" in out
-        assert "4 results: [2, 4, 7, 60]" in out
-        assert "ok: deleted 60" in out
-        assert "ok: snapshot snapshot-" in out
-        assert "degraded: False" in out
-
-    def test_serve_errors_do_not_kill_the_loop(self, tmp_path, monkeypatch, capsys):
-        store_dir = str(tmp_path / "store")
-        commands = (
-            "insert 1 0 10 a\n"
-            "insert 1 0 10 a\n"   # duplicate -> error line
-            "delete 99\n"          # missing -> error line
-            "frobnicate\n"         # unknown -> error line
-            "insert\n"             # bad arity -> usage line
-            "query 0 10\n"
-            "quit\n"
+        code, out, _ = _client(
+            capsys, daemon.port, "query", "--tenant", "docs", *interval,
+            "--elements", "x",
         )
-        code = self._serve(monkeypatch, ["serve", store_dir, "--index", "brute"], commands)
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "error: object id 1 already indexed" in out
-        assert out.count("error:") >= 3
-        assert "1 results: [1]" in out
+        assert out["ids"] == [100000]
+        assert daemon.stop() == 0
 
-    def test_serve_state_survives_restart(self, tmp_path, monkeypatch, capsys):
-        store_dir = str(tmp_path / "store")
-        assert self._serve(
-            monkeypatch, ["serve", store_dir, "--index", "brute"],
-            "insert 7 0 5 x,y\nquit\n",
-        ) == 0
-        capsys.readouterr()
-        assert self._serve(
-            monkeypatch, ["serve", store_dir], "query 0 10 x\nquit\n"
-        ) == 0
-        assert "1 results: [7]" in capsys.readouterr().out
+    def test_serve_errors_do_not_kill_the_loop(self, tmp_path, serve_net, capsys):
+        daemon = serve_net(tmp_path / "root", "--create", "t", "--index", "brute",
+                           "--no-fsync")
+        insert = ["insert", "--tenant", "t", "--object-id", "1",
+                  "--start", "0", "--end", "10", "--elements", "a"]
+        assert _client(capsys, daemon.port, *insert)[0] == 0
+        code, _, err = _client(capsys, daemon.port, *insert)
+        assert (code, err["error"]["code"]) == (1, "conflict")
+        code, _, err = _client(
+            capsys, daemon.port, "delete", "--tenant", "t", "--object-id", "99"
+        )
+        assert (code, err["error"]["code"]) == (1, "not_found")
+        code, out, _ = _client(
+            capsys, daemon.port, "query", "--tenant", "t", "--start", "0", "--end", "10"
+        )
+        assert (code, out["ids"]) == (0, [1])
+
+    def test_serve_state_survives_restart(self, tmp_path, serve_net, capsys):
+        root = tmp_path / "root"
+        daemon = serve_net(root, "--create", "t", "--index", "brute", "--no-fsync")
+        assert _client(
+            capsys, daemon.port, "insert", "--tenant", "t", "--object-id", "7",
+            "--start", "0", "--end", "5", "--elements", "x,y",
+        )[0] == 0
+        assert daemon.stop() == 0
+        daemon = serve_net(root, "--no-fsync")
+        code, out, _ = _client(
+            capsys, daemon.port, "query", "--tenant", "t",
+            "--start", "0", "--end", "10", "--elements", "x",
+        )
+        assert (code, out["ids"]) == (0, [7])
 
 
 class TestRecover:
-    def test_recover_reports_and_checkpoints(self, tmp_path, monkeypatch, capsys):
+    def test_recover_reports_and_checkpoints(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
-        monkeypatch.setattr("sys.stdin", io.StringIO("insert 1 0 5 a\nquit\n"))
-        assert main(["serve", store_dir, "--index", "brute"]) == 0
-        capsys.readouterr()
+        with DurableIndexStore.open(store_dir, index_key="brute") as store:
+            store.insert(make_object(1, 0, 5, {"a"}))
         assert main(["recover", store_dir, "--checkpoint"]) == 0
         out = capsys.readouterr().out
         assert "1 live objects" in out
         assert "checkpointed recovered state" in out
 
-    def test_recover_missing_directory_fails_cleanly(self, tmp_path):
-        from repro.core.errors import ReproError
-
-        with pytest.raises(ReproError, match="not a directory"):
-            main(["recover", str(tmp_path / "nope")])
+    def test_recover_missing_directory_fails_cleanly(self, tmp_path, capsys):
+        assert main(["recover", str(tmp_path / "nope")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a directory" in err
 
 
 class TestCluster:
@@ -252,22 +299,6 @@ class TestCluster:
             == 0
         )
         assert "plan:" in capsys.readouterr().out
-
-    def test_serve_loop(self, cluster_dir, monkeypatch, capsys):
-        commands = (
-            "query 2 4 a,c\n"
-            "insert 60 2 4 a,c\n"
-            "query 2 4 a,c\n"
-            "delete 60\n"
-            "status\n"
-            "quit\n"
-        )
-        monkeypatch.setattr("sys.stdin", io.StringIO(commands))
-        assert main(["cluster", "serve", cluster_dir, "--no-fsync"]) == 0
-        out = capsys.readouterr().out
-        assert "3 results from" in out
-        assert "[2, 4, 7, 60]" in out
-        assert "ok: deleted 60" in out
 
     def test_batch_query(self, cluster_dir, tmp_path, capsys):
         from repro.core.model import make_query
