@@ -5,16 +5,20 @@ directory, and answers Algorithm 1 (overlap ∧ containment) with **zero
 full-segment decode**:
 
 * element postings are :class:`~repro.ir.cold.ColdPostingsList` views —
-  runs of rows of the block table, which is copied out of the mapping
-  once at open; only blocks whose skip summary admits the query are
-  decoded;
+  runs of rows of the block table, found through the directory's term
+  table; both are copied out of the mapping once at open, and only
+  blocks whose skip summary admits the query are decoded;
 * membership probes bisect the raw i64 id column through
   ``memoryview.cast('q')`` (zero-copy);
 * pure-temporal queries mask the endpoint columns, never a block;
 * the pickled descriptions blob is read only by :meth:`objects` — the
   promotion path — and the reader records whether that ever happened
   (``descriptions_decoded``) so tests can assert the query path stayed
-  lazy.
+  lazy.  On a v3 segment nothing else unpickles either: its directory
+  is a JSON header.
+
+The reader cannot tell formats apart: :func:`~repro.storage.format.read_directory`
+gives v1, v2 and v3 segments one directory shape.
 
 Every query counts into the ``repro_storage_*`` families and runs under
 a ``segment_query`` trace span.

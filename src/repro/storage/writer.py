@@ -26,13 +26,14 @@ from repro.ir.blocks import runs, seal
 from repro.obs.registry import OBS
 from repro.service.fsio import REAL_FS, FileSystem
 from repro.storage.format import (
+    FORMAT_VERSION,
     BlockDescriptor,
-    SegmentDirectory,
     align8,
     build_footer,
+    encode_key,
     pack_block_table,
     pack_descriptions,
-    pack_directory,
+    pack_header,
 )
 
 _I64_MIN = -(1 << 63)
@@ -48,6 +49,16 @@ def _check_codable(obj: TemporalObject) -> None:
             )
 
 
+def _term_key(element: Element) -> bytes:
+    key = encode_key(element)
+    if key is None:
+        raise ClusterError(
+            f"element {element!r} is not a str, int, bytes or tuple of those — "
+            f"only shards of such elements can demote to the cold tier"
+        )
+    return key
+
+
 def build_segment(
     objects: Iterable[TemporalObject],
     *,
@@ -59,67 +70,74 @@ def build_segment(
 
     Objects are catalogued in id order; per-element postings runs are
     sealed into :data:`~repro.ir.blocks.BLOCK_SIZE`-entry encoded
-    blocks, described row by row in the block table.  Raises
-    :class:`~repro.core.errors.ClusterError` for ids or timestamps that
-    are not i64 (the domain of the block codec and of every column —
-    such shards stay RAM-resident).
+    blocks, described row by row in the block table, elements in
+    encoded-key order.  Raises :class:`~repro.core.errors.ClusterError`
+    for ids or timestamps that are not i64 (the domain of the block codec
+    and of every column) and for elements :func:`encode_key` cannot
+    encode — such shards stay RAM-resident.
     """
     catalog = sorted(objects, key=lambda obj: obj.id)
     for obj in catalog:
         _check_codable(obj)
 
-    body = bytearray()
-    terms: Dict[Element, Tuple[int, int]] = {}
-    descriptors: List[BlockDescriptor] = []
     postings: Dict[Element, List[Tuple[int, int, int]]] = {}
     for obj in catalog:
         for element in obj.d:
             postings.setdefault(element, []).append((obj.id, obj.st, obj.end))
-    # Deterministic file layout: elements in repr order.
-    for element in sorted(postings, key=repr):
-        first_row = len(descriptors)
-        for run in runs(postings[element]):
+    elements = {_term_key(element): element for element in postings}
+    terms = sorted(elements)  # the term table's order, and the blocks'
+
+    body = bytearray()
+    descriptors: List[BlockDescriptor] = []
+    first_row = [0]
+    for key in terms:
+        for run in runs(postings[elements[key]]):
             block, summary = seal(run)
             descriptors.append((len(body), len(block), zlib.crc32(block)) + summary)
             body += block
-        terms[element] = (first_row, len(descriptors) - first_row)
+        first_row.append(len(descriptors))
+
+    def region(blob: bytes) -> List[int]:
+        offset = len(body)
+        body.extend(blob)
+        return [offset, len(blob), zlib.crc32(blob)]
 
     body += b"\x00" * (align8(len(body)) - len(body))
-    table_offset = len(body)
-    table_blob = pack_block_table(descriptors)
-    body += table_blob
-    ids_offset = len(body)
-    body += np.array([obj.id for obj in catalog], dtype="<i8").tobytes()
-    sts_offset = len(body)
-    body += np.array([obj.st for obj in catalog], dtype="<i8").tobytes()
-    ends_offset = len(body)
-    body += np.array([obj.end for obj in catalog], dtype="<i8").tobytes()
+    block_table = region(pack_block_table(descriptors))
+    catalog_region = region(  # ids, then sts, then ends
+        np.array([(obj.id, obj.st, obj.end) for obj in catalog], dtype="<i8").T.tobytes()
+    )
+    width = max(map(len, terms), default=1)
+    term_region = region(
+        np.array(first_row, dtype="<i8").tobytes() + np.array(terms, dtype=f"S{width}").tobytes()
+    )
+    descriptions = region(pack_descriptions({obj.id: obj.d for obj in catalog}))
 
-    descriptions_blob = pack_descriptions({obj.id: obj.d for obj in catalog})
-    descriptions_offset = len(body)
-    body += descriptions_blob
-
-    directory = SegmentDirectory(
-        shard_id=shard_id,
-        index_key=index_key,
-        index_params=dict(index_params),
-        count=len(catalog),
-        terms=terms,
-        block_table=(table_offset, len(descriptors), zlib.crc32(table_blob)),
-        catalog=(ids_offset, sts_offset, ends_offset, len(catalog)),
-        descriptions=(
-            descriptions_offset,
-            len(descriptions_blob),
-            zlib.crc32(descriptions_blob),
-        ),
-        span=(
-            (min(obj.st for obj in catalog), max(obj.end for obj in catalog))
+    header = {
+        "version": FORMAT_VERSION,
+        "shard_id": shard_id,
+        "index_key": index_key,
+        "index_params": dict(index_params),
+        "count": len(catalog),
+        "span": (
+            [min(obj.st for obj in catalog), max(obj.end for obj in catalog)]
             if catalog
             else None
         ),
-    )
-    dir_blob = pack_directory(directory)
-    return bytes(body) + dir_blob + build_footer(len(body), dir_blob)
+        "n_terms": len(terms),
+        "key_width": width,
+        "terms": term_region,
+        "block_table": block_table,
+        "catalog": catalog_region,
+        "descriptions": descriptions,
+    }
+    try:
+        header_blob = pack_header(header)
+    except (TypeError, ValueError) as exc:
+        raise ClusterError(
+            f"shard {shard_id}: index params {index_params!r} are not JSON values"
+        ) from exc
+    return bytes(body) + header_blob + build_footer(len(body), header_blob)
 
 
 def write_segment(

@@ -1,18 +1,30 @@
-"""Byte images written by the commit before segment format v2 (d73e8e5).
+"""Byte images written by commits that could write formats this build
+only reads.
 
 Nothing in the repository can produce these any more — the v1 block
-encoder and directory writer are gone — so they are kept as literals
-(zlib, then base64).  Regenerating them means checking that commit out.
+encoder and the pickled segment directory writer are gone — so they are
+kept as literals (zlib, then base64).  Regenerating one means checking
+out the commit named beside it.
+
+``V1_SEGMENT`` and ``COMPRESSED_SNAPSHOT`` come from the commit before
+segment format v2 (d73e8e5); ``V2_SEGMENT`` from the commit before
+format v3 (7a798e0).
 
 ``V1_SEGMENT`` is ``segments/g0001-s00.seg`` of the cluster
-:func:`fixture_cluster` creates, demoted at that commit: format v1
+:func:`fixture_cluster` creates, demoted at d73e8e5: format v1
 (magic ``RSEG\\x00\\x01``, pickled per-element lists of descriptor
 8-tuples, varint block payloads), 140 objects, 139 postings — two blocks —
 under ``"hot"``.
 
+``V2_SEGMENT`` is ``segments/g0001-s01.seg`` of the same cluster, demoted
+at 7a798e0: format v2 (magic ``RSEG\\x00\\x02``, a pickled directory
+whose ``element → (first_row, n_rows)`` dict indexes a columnar block
+table, column block payloads, a deflated descriptions blob), 144
+objects, 13 terms, two blocks under ``"hot"``.
+
 ``COMPRESSED_SNAPSHOT`` is ``dumps_index(build_index("tif", ...))`` of
 :func:`snapshot_objects` under ``REPRO_POSTINGS_BACKEND=compressed`` at
-that commit: it pickles ``CompressedPostingsList`` objects in their old
+d73e8e5: it pickles ``CompressedPostingsList`` objects in their old
 shape (``_summaries`` lists, v1 payload bytes).
 """
 
@@ -29,8 +41,10 @@ from repro.core.model import TemporalObject, make_object
 
 I64_MAX = (1 << 63) - 1
 
-#: The shard of :func:`fixture_cluster` that ``V1_SEGMENT`` is an image of.
+#: The shards of :func:`fixture_cluster` that ``V1_SEGMENT`` and
+#: ``V2_SEGMENT`` are images of.
 V1_SHARD = "g0001-s00"
+V2_SHARD = "g0001-s01"
 
 
 def fixture_objects() -> List[TemporalObject]:
@@ -109,6 +123,55 @@ BFeMt4rf6Tdv5G3QCsTm11Mj9K600IrC4IoUq5jc8iXxo7S1YqfqV6P0JbmhFbOCK+Yb17h55PN6
 LU58LvVzVn0gJbiizh9RWuwt3uyuEKvWWPXOCH1itOYX+y66zFlb6qms8Va6q2vFxyRGH2n32b//
 08Jey56A31ZbU1wdeOit3h3wR9Q7PbXiDHEf90cZW2tDcKcFN5hrpKa6Rmv7XOM0u2uiZnNNEc94
 8UwQ308TJoun+LFc4tdzZYpnjmarqytJ382ftEl8UmatfrB/5apFSyzKPwGIk9b7
+""")
+
+V2_SEGMENT = _image("""
+eNrt2HdQFFkeB/AJzBIEzCKGM7BHEBUQyVlmSO0gUUBJE5oMgwMiomJYxQPHE7TXuKYtcdU9VPBU
+QFlEDh3D6qm4plrFlV0MrLKcIpywXg/9nS176qr896rOtqxPz6/Da2def997NnMcOIPbqjs7uHzO
+/+8fDueA0y2neOcNzqNcdrtcdYl2Xetq4ubp1uIW6r7C/TMPJ4/vPAI9Czzfe870Ou3l663w7vW2
+8jnu88gnzfc338l+h/3u+knmPJ9j7v+1/w3/BcInwhGiXaLLosiANQFDAqnA5sC5QcuC9II3Bp8N
+FoXkhwyElBAnCe+52XN75q4UHxW7hKaEvgr907xv5tmHJYU9DTML3xduExEb8ThiWOSOyKlR4VH3
+owyjN0c3RYfMvzWfF7Mhpj7GP/Zq7LvYtXEn4jwXtCx4vWDFwr8tdIqXx/8aX5BQmTAzMSHxl0RF
+0p4kq+T5yY+S0yTbJJOl86R3pfqycpm5PEh+Q84hS8kRKX4pl1O03aCLkTOWy+gL02A5rIVtULtZ
+wzBYCPdBNfzUzqd2PrXzv9NOC5+9cTilnBFcP+5lbh93Da+a585v5nfzl+kd0XMUnBW8EBTST6Sm
+n2Is15ebxi3n1nI1LVjT92OOtMhkMg6nwbjVvMIyjVtIP8++wRpdNDNpNX9hecjRmn7oMI7moPbk
+IvpkzYm1XO0NmHM1/0zN2R/W2rhdg//8Dxtirmz74LwKS6bpWi4aZ04MddQ2Xc66AdNMGOvpmWas
+OX/coGjwBkxLXexvlWMEDT9jjIPZsATuhEfhefgDfA75+oxm0Faf3c57AftnHAXNdT5/TPOP1M1M
+fmzVmDB6bL3GDdeaSzV6Wkfv1Xi9z+6ixr7aW4OXTukam6TR0nv6EY0dRZ2zNa42rho8b2urPErj
+ymcyE41vN63u05hLbp7A+S/bGD66PbpxNbwKb8M+WA8fwr2wGXbAQzqvxUi04w/NoRd8w2P8HU5F
+/Qk+6+OzLexEfRg+z4bX3jOb1ospTL3RlzHClXG0J2M/POjHuMUNz+XNOM2ZsdWdsdiHMdMF/YTZ
+Vmotysb3mcqozGLMkTFakYyH0xn1pOi/eE6DTMaTEkYX1OsyGLVf6yo4DOpBgc7njyn4SF277UDD
+X+n87l/DSp3f/Vt4VKdf/R2e1ulPDfCcTn+6AC/p9Mvr8KZOP70LH+j008ewXaefPoe/ctnvwb9g
+j07/74fvIQ/9UAAN4BBoCofDUdAMjoMT4WRoAS2hDZwO7eAs6ARdoQf0hn5QCANhCBTDMBgJ58M4
+GA+ToBSSMA1mwhy4CObDJbAIroCr4BewBJZCFdwEN8Mv4Xa4C+6B++EB+A08AqvgcXgCnoJ18Cxs
+hOdhC1TDK/AavAFb4R14H/4I23js3PsFPuOxc+8V7Oax87MXvtPJUy7yUY/PzlMjaMJn56k2r8fo
+5PUEOInPzuk/Q2udnJ4JHXRy2gW664wDvjrjhDbHlU74HZ3YuRwHf3Jm5/JOaOHKzv0H0MiNnfcT
+kO+EOzvv+R7odx7scUMIv9cZR9Z54b33Zo8jF+Abb/Y4UgWdfdnj1Eu4xI89PtnNwfQTdsBcf+Qy
+tBYid2EbTBfhPYFTAvDew3tQGshYAccFMQbDm3BhMGMZHBnCOAdegVEE3mtoPBc5Bf8BxWLG5VAQ
+in4DG2AnXDwP/RzOwITtFPwZ5oQzvoWWEYzH4EOYGolxAE6KwrgG78DkaOQQHDsf/RP+E8bFMP4F
+Do9F/4SXYEQc42potAD9E56HxELkJuTHYxyAZ6AwgTEP9kPbRIzD0CuJMQu+gZ8no39CZ8xHSPgS
+TsT85SC8DRMx3+mAY+Ton/AajMF8qA0OxXxnO9TO38Iwn7oHDdLQP+E5GIx5VSHkYt5UlsGeR83B
+PGsR/Df8AvO1miz2/E6KfKmDGciXJqhErlggT4rc2PlTBG1RXwMdkTPt0AM50wn9kSuvYSXypR9W
+ebPzpwr1RNRPwhTkTAPMQb60wALkixXypBjaIU9K/Nn50wZdUH8KfZAzXXA/cqYXHka+cJAr1dAA
+eVIXxM6fOpiBehNUIm8skC9F0Bb5sgY6IlfatXmDXOkUs/OnE+5G/TWsRM70wyrkjB5y5SRMQa40
+wBzkSUsEO38m4XMBtELOFEM75EsbdEG+PIU+yJUuGIhc6Y1h508vPIw6BzlTDaXImTqYgXxpgkrk
+iwXypAjaJrDzxxb1NdARx9uhB3KmE/ojX17DSuRLvzZvJOx1kTZ/EiXsdVEKjjdI2eurFlggZ6+3
+iqFdCnu95ZLKzh/teusp9Ellr+f2I2d609jrOA5ypTqDvY6rgxlZ7PzJQL0pk71OtMD6UbuOLOSK
+t6wUJiyaUHKmo2DGru9rZtN/s0J3/pA9cL8mrix2aoBQWF+vEtvIZm9zuEA6WzkTcTtvUuQJm8r0
+EJvK6Vcith7MCrHZRaZ7NDxa/6Cv4/HS5RMSO9YuN3m7Irzo+cQz9pdNA/WnfcsLvTv+bOQLz0Vl
+e5Z17vu5Zrjzss7j0VueBZ2anNRU0HLF8ruAgqYcUWPpq/JJycek9aUD6k1dW6RbS5vV4a4vAxQb
+fW63BnfO/upG+s7SE2q32n3bJT9N7faID7/q/JuV0iTHuvvajHZFbVXhpfiXk9/7Xbl/eu/1WU8u
+nPMv61yiZz7kyah7r1y7P/esUhcbqoWFiRUDm8vN2kQuAT1Ec8q5rN01Sabd465GyxuXy7ln96uL
+RWppYWTFQEh55fG5FQOXK0bb71O/NRM+XHN69L1j4+KGvJpW88hL7mVsU/OI3+7fG1QxcF59sevw
+eIt3Tsl7m8zcyUbLduLuEXVxttr07mF1saJc8XiZqOeFX08TV9QzXmjaNJzGP/Scjajnnaqf10jf
+z7N7fHyEvJFsH1pLX/hCLe69srFi4Pfk9+cTdtfsvZhZvC2t8NyZt3bVj/zaJYVRFQN/nfLksaGo
+x2OdJ/86fb3bAZMto+/ZCZ6tf1bWuW3dWd4xurhYvkeScHllvPxS+SrBlyqsKlWjlGSuUjEzL1+h
+lKSSM1MUymxJPqUaFkmmZpM5+cJ0JSmjjy2ltlA2q6kVlLXKIC9NopQnpcsplWGqvb29w4w8ewd6
+Pz1HThYmZZJLKRU/Pz2FUhkzlVyJUpKdR1+qEsgUi3PyKaJcJcgnlYM1a5UeKU8lKYJDcEvoC9MU
+9HEuwaP3eUp7iuAPlnlKB4rQY85QOtBlAcqzKOIz7DpShD52Z1OEAXadKMIQu84UYYRdF4oYgl1X
+ijDGrhtFmGh2F6uGSLMUssykfIk0i6TEQfqEaZlgRELfes56SqUvk+RLshSplLVYbSQOGipWjyTK
+6W/MWE7myZTpufnpipw8+qKx4hfcEHL/wET6Gr28XEkOFaJZYpQZaAd6uk39AlKZR59PEbzF0pmO
+45jfZJv2fxDqDhlGRIoCObz/ALCxR6M=
 """)
 
 COMPRESSED_SNAPSHOT = _image("""

@@ -1,12 +1,13 @@
-"""Format compatibility: v1 segments stay readable, writers emit only v2.
+"""Format compatibility: v1 and v2 segments stay readable, writers emit
+only v3.
 
-A v1 segment is the only copy of its demoted shard's data, so this build
-must open it, answer from it bit-identically to a v2 segment of the same
-objects, promote it, and refuse a damaged one with a typed error.  The
-v1 image is a literal written by the last commit that could write one
-(``parent_images``); so is the ``compressed``-backend index snapshot,
-whose fate — loading fails typed, recovery falls back — is pinned here
-too.
+An old segment is the only copy of its demoted shard's data, so this
+build must open it, answer from it bit-identically to a v3 segment of
+the same objects, promote it, and refuse a damaged one with a typed
+error.  Each image is a literal written by the last commit that could
+write its format (``parent_images``); so is the ``compressed``-backend
+index snapshot, whose fate — loading fails typed, recovery falls back —
+is pinned here too.
 """
 
 import pytest
@@ -32,19 +33,28 @@ from tests.storage.parent_images import (
     I64_MAX,
     V1_SEGMENT,
     V1_SHARD,
+    V2_SEGMENT,
+    V2_SHARD,
     fixture_cluster,
     fixture_objects,
     snapshot_objects,
 )
 
-V1_MAGIC = b"RSEG\x00\x01"
+#: version → (image, shard it is an image of, objects in it).
+IMAGES = {1: (V1_SEGMENT, V1_SHARD, 140), 2: (V2_SEGMENT, V2_SHARD, 144)}
 
 
-@pytest.fixture()
-def v1_segment(tmp_path):
-    path = tmp_path / f"{V1_SHARD}.seg"
-    path.write_bytes(V1_SEGMENT)
-    return path
+def _magic(version):
+    return b"RSEG\x00" + bytes([version])
+
+
+@pytest.fixture(params=sorted(IMAGES), ids=lambda version: f"v{version}")
+def old_segment(request, tmp_path):
+    """``(version, path)`` of an old image written out under its shard's name."""
+    image, shard, _n = IMAGES[request.param]
+    path = tmp_path / f"{shard}.seg"
+    path.write_bytes(image)
+    return request.param, path
 
 
 def _queries(objects):
@@ -63,90 +73,104 @@ def _queries(objects):
     return queries
 
 
-class TestV1SegmentStaysReadable:
-    def test_image_is_v1_and_writer_emits_v2(self, v1_segment, tmp_path):
-        assert V1_SEGMENT.endswith(V1_MAGIC) and MAGIC != V1_MAGIC
-        with SegmentReader(v1_segment) as reader:
-            assert reader.directory.version == 1
+class TestOldFormats:
+    def test_image_is_old_and_writer_emits_v3(self, old_segment, tmp_path):
+        version, path = old_segment
+        assert path.read_bytes().endswith(_magic(version)) and MAGIC == _magic(3)
+        with SegmentReader(path) as reader:
+            assert reader.directory.version == version
             objects = reader.objects()
-        v2 = write_segment(
-            tmp_path / "v2.seg", objects,
-            shard_id=V1_SHARD, index_key="tif", index_params={},
+        v3 = write_segment(
+            tmp_path / "v3.seg", objects,
+            shard_id=reader.shard_id, index_key="tif", index_params={},
         )
-        assert v2.read_bytes().endswith(MAGIC)
-        with SegmentReader(v2) as reader:
-            assert reader.directory.version == 2
+        assert v3.read_bytes().endswith(MAGIC)
+        with SegmentReader(v3) as reader:
+            assert reader.directory.version == 3
 
-    def test_answers_match_a_v2_segment_of_the_same_objects(self, v1_segment, tmp_path):
-        with SegmentReader(v1_segment) as old:
+    def test_answers_match_a_v3_segment(self, old_segment, tmp_path):
+        version, path = old_segment
+        with SegmentReader(path) as old:
             objects = old.objects()
-            assert len(objects) == 140
-            v2 = write_segment(
-                tmp_path / "v2.seg", objects,
-                shard_id=V1_SHARD, index_key="tif", index_params={},
+            assert len(objects) == IMAGES[version][2]
+            v3 = write_segment(
+                tmp_path / "v3.seg", objects,
+                shard_id=old.shard_id, index_key="tif", index_params={},
             )
             oracle = build_index("brute", Collection(objects))
-            with SegmentReader(v2) as new:
+            with SegmentReader(v3) as new:
                 assert new.objects() == objects
                 assert old.object_ids() == new.object_ids()
                 assert old.directory.span == new.directory.span
                 assert sorted(old.directory.terms, key=repr) == sorted(new.directory.terms, key=repr)
+                assert len(old.directory.terms) == len(new.directory.terms)
                 for element in old.directory.terms:
                     assert old.term_count(element) == new.term_count(element)
                     assert list(old.postings(element).entries()) == list(
                         new.postings(element).entries()
                     )
-                assert old.directory.terms["hot"][1] == new.directory.terms["hot"][1] == 2
+                assert old.directory.terms.get("hot")[1] == new.directory.terms.get("hot")[1] == 2
+                assert old.postings("absent") is new.postings("absent") is None
                 for q in _queries(objects):
                     assert old.query(q) == new.query(q) == sorted(oracle.query(q))
 
-    def test_damaged_v1_segments_raise_typed(self, v1_segment):
-        with SegmentReader(v1_segment) as reader:
-            assert reader.directory.terms["hot"][1] == 2
-        # v1 blocks sit at the head of the body, "hot"'s among them.
-        for offset, error in [(-1, CorruptSegmentError), (-(FOOTER_SIZE + 3), CorruptSegmentError)]:
-            flip_bit(v1_segment, offset)
-            with pytest.raises(error):
-                SegmentReader(v1_segment)
-            flip_bit(v1_segment, offset)  # restore
-        flip_bit(v1_segment, 40)
-        with SegmentReader(v1_segment) as reader:
+    def test_damaged_segments_raise_typed(self, old_segment):
+        _version, path = old_segment
+        with SegmentReader(path) as reader:
+            assert reader.directory.terms.get("hot")[1] == 2
+            first_block = min(reader.directory.terms.get(e)[0] for e in reader.directory.terms)
+            assert first_block == 0
+        # Footer magic, then a directory byte (just before the footer).
+        for offset in (-1, -(FOOTER_SIZE + 3)):
+            flip_bit(path, offset)
+            with pytest.raises(CorruptSegmentError):
+                SegmentReader(path)
+            flip_bit(path, offset)  # restore
+        # Old blocks sit at the head of the body; byte 40 is inside one.
+        flip_bit(path, 40)
+        with SegmentReader(path) as reader:
             with pytest.raises(CorruptPostingsError):
                 for element in reader.directory.terms:
                     reader.postings(element).ids()
 
 
 class TestMixedFormatCluster:
-    def test_cluster_serves_and_promotes_v1_beside_v2(self, tmp_path):
+    def test_cluster_serves_and_promotes_v1_beside_v2_and_v3(self, tmp_path):
         objects = fixture_objects()
         oracle = build_index("brute", Collection(objects))
         queries = _queries(objects)
         expected = [sorted(oracle.query(q)) for q in queries]
         with fixture_cluster(tmp_path / "cluster") as cluster:
             directory = cluster.directory
-            v1_path = cluster.demote(V1_SHARD)
-            v2_path = cluster.demote("g0001-s01")
-            with SegmentReader(v1_path) as reader:
-                now = reader.objects()
-        # The shard as this build demotes it holds what the image holds:
-        # swapping the file in changes the format and nothing else.
-        v1_path.write_bytes(V1_SEGMENT)
-        with SegmentReader(v1_path) as reader:
-            assert reader.objects() == now
-        assert v1_path.read_bytes().endswith(V1_MAGIC)
-        assert v2_path.read_bytes().endswith(MAGIC)
+            paths = {shard: cluster.demote(shard) for shard in (V1_SHARD, V2_SHARD)}
+            v3_path = cluster.demote("g0001-s02")
+            now = {}
+            for shard, path in paths.items():
+                with SegmentReader(path) as reader:
+                    now[shard] = reader.objects()
+        # The shards as this build demotes them hold what the images hold:
+        # swapping the files in changes the format and nothing else.
+        for version, (image, shard, _n) in IMAGES.items():
+            paths[shard].write_bytes(image)
+            with SegmentReader(paths[shard]) as reader:
+                assert reader.directory.version == version
+                assert reader.objects() == now[shard]
+        assert v3_path.read_bytes().endswith(MAGIC)
 
         with TemporalCluster.open(directory, wal_fsync=False) as cluster:
             assert cluster.tier_state.cold == {
-                V1_SHARD: v1_path.name, "g0001-s01": v2_path.name,
+                V1_SHARD: paths[V1_SHARD].name,
+                V2_SHARD: paths[V2_SHARD].name,
+                "g0001-s02": v3_path.name,
             }
             assert [cluster.query(q) for q in queries] == expected
-            # The upgrade recipe: promote reads v1, demote writes v2.
-            cluster.promote(V1_SHARD)
-            assert not v1_path.exists()
-            assert [cluster.query(q) for q in queries] == expected
-            assert cluster.demote(V1_SHARD).read_bytes().endswith(MAGIC)
-            assert [cluster.query(q) for q in queries] == expected
+            # The upgrade recipe: promote reads any format, demote writes v3.
+            for shard in (V1_SHARD, V2_SHARD):
+                cluster.promote(shard)
+                assert not paths[shard].exists()
+                assert [cluster.query(q) for q in queries] == expected
+                assert cluster.demote(shard).read_bytes().endswith(MAGIC)
+                assert [cluster.query(q) for q in queries] == expected
 
 
 class TestCompressedSnapshots:

@@ -6,8 +6,10 @@ every torn or bit-flipped byte must surface as a typed error — never a
 wrong answer.
 """
 
+import json
 import os
 import random
+import zlib
 
 import pytest
 
@@ -24,11 +26,15 @@ from repro.indexes.registry import build_index
 from repro.ir import backends
 from repro.obs.registry import isolated_registry
 from repro.service.faults import flip_bit, truncate_tail
+from repro.storage import format as segment_format
 from repro.storage.format import (
     FOOTER_STRUCT,
     MAGIC,
     build_footer,
-    pack_directory,
+    decode_key,
+    encode_key,
+    pack_header,
+    parse_footer,
     read_directory,
 )
 from repro.storage.reader import SegmentReader
@@ -55,6 +61,23 @@ def segment(objects, tmp_path):
         index_key=INDEX_KEY,
         index_params={},
     )
+
+
+def _header(image):
+    dir_offset, dir_length, _crc, _version = parse_footer(image, "image")
+    return json.loads(image[dir_offset : dir_offset + dir_length])
+
+
+def _rewrite_header(image, tmp_path, edit):
+    """``image`` with its header edited by ``edit`` and re-framed (footer
+    CRC recomputed), so only the header's own checks can refuse it."""
+    header = _header(image)
+    edit(header)
+    blob = pack_header(header)
+    dir_offset = parse_footer(image, "image")[0]
+    path = tmp_path / "hostile.seg"
+    path.write_bytes(image[:dir_offset] + blob + build_footer(dir_offset, blob))
+    return path
 
 
 class TestRoundTrip:
@@ -145,11 +168,92 @@ class TestRoundTrip:
             with pytest.raises(ClusterError, match="id .* is not an i64"):
                 build_segment(bad, shard_id="s", index_key=INDEX_KEY, index_params={})
 
-    def test_written_segments_carry_the_v2_magic(self, segment):
+    def test_written_segments_carry_the_v3_magic(self, segment):
         assert segment.read_bytes().endswith(MAGIC)
-        assert MAGIC == b"RSEG\x00\x02"
+        assert MAGIC == b"RSEG\x00\x03"
         with SegmentReader(segment) as reader:
-            assert reader.directory.version == 2
+            assert reader.directory.version == 3
+
+    def test_unencodable_elements_refuse_to_demote(self):
+        for element in (2.5, True, frozenset({"a"}), ("a", None)):
+            bad = [make_object(1, 0, 5, {"a"}), make_object(2, 0, 5, {element})]
+            with pytest.raises(ClusterError, match="element .* is not a str, int, bytes"):
+                build_segment(bad, shard_id="s", index_key=INDEX_KEY, index_params={})
+
+
+class TestTermKeys:
+    """The term table's typed key encoding: every supported element type
+    round-trips, and a segment finds each one — trailing NULs included,
+    which numpy strips from ``S`` column values."""
+
+    ELEMENTS = [
+        "", "a", "a\x00", "\x00", "é\ud800", b"", b"a", b"a\x00\x00", b"\x00",
+        0, 1, -1, 10, 1 << 80, -(1 << 70), (), ("a",), ("a", 1, b"\x00"),
+        (("a", ()), (1, (b"",))), "as", ("a", "s"), ("as",), "1:as", ("1:as",),
+    ]
+
+    def test_keys_round_trip_and_stay_distinct(self):
+        keys = [encode_key(element) for element in self.ELEMENTS]
+        assert all(key[-1:] in (b"s", b"b", b"i", b"t") for key in keys)
+        assert len(set(keys)) == len(keys)
+        for element, key in zip(self.ELEMENTS, keys):
+            decoded = decode_key(key)
+            assert decoded == element and type(decoded) is type(element)
+
+    def test_unencodable_types_have_no_key(self):
+        for element in (True, False, 1.0, None, frozenset(), ("a", 2.5)):
+            assert encode_key(element) is None
+
+    def test_malformed_keys_raise_typed(self):
+        for raw in (b"", b"a", b"xi", b"\xffs", b"1:at", b"-5:at", b"1:asxt", b"9:ast", b":ast"):
+            with pytest.raises(CorruptSegmentError, match="does not decode"):
+                decode_key(raw)
+
+    def test_every_element_type_is_found(self, tmp_path):
+        objects = [
+            make_object(i, i, i + 3, {element, "common"})
+            for i, element in enumerate(self.ELEMENTS)
+        ]
+        path = write_segment(
+            tmp_path / "keys.seg", objects, shard_id="s", index_key=INDEX_KEY, index_params={}
+        )
+        oracle = build_index("brute", Collection(objects))
+        with SegmentReader(path) as reader:
+            assert len(reader.directory.terms) == len(self.ELEMENTS) + 1
+            assert sorted(map(repr, reader.directory.terms)) == sorted(
+                map(repr, self.ELEMENTS + ["common"])
+            )
+            for element in self.ELEMENTS + ["common", "a\x00\x00", b"a\x00", 2, ("a", 2)]:
+                q = make_query(-10, 100, {element})
+                assert reader.query(q) == sorted(oracle.query(q)), element
+            for element in (1.5, None):
+                assert reader.postings(element) is None
+
+
+class TestNoUnpickling:
+    def test_v3_query_path_never_unpickles(self, objects, segment, monkeypatch):
+        # Opening, every element's postings, a pure-temporal query and a
+        # membership probe run with pickle.loads refusing; only objects()
+        # (promotion's descriptions blob) may unpickle.
+        oracle = build_index("brute", Collection(objects))
+        elements = sorted({e for obj in objects for e in obj.d}, key=repr)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the v3 query path unpickled")
+
+        monkeypatch.setattr(segment_format.pickle, "loads", refuse)
+        with SegmentReader(segment) as reader:
+            assert sorted(reader.directory.terms, key=repr) == elements
+            for element in elements:
+                q = make_query(-(1 << 40), 1 << 40, {element})
+                assert reader.query(q) == sorted(oracle.query(q))
+            q = make_query(-(1 << 40), 1 << 40, set())
+            assert reader.query(q) == sorted(oracle.query(q))
+            assert all(obj.id in reader for obj in objects)
+            assert max(obj.id for obj in objects) + 1 not in reader
+            assert reader.descriptions_decoded is False
+            with pytest.raises(CorruptSegmentError, match="the v3 query path unpickled"):
+                reader.objects()
 
 
 class TestPureTemporalScan:
@@ -299,7 +403,7 @@ class TestCorruption:
         # Locate a real block through an intact reader, then damage it.
         element = next(iter(sorted(objects, key=lambda o: o.id)[0].d))
         directory, table = read_directory(memoryview(segment.read_bytes()), str(segment))
-        offset, length = table[:2, directory.terms[element][0]].tolist()
+        offset, length = table[:2, directory.terms.get(element)[0]].tolist()
         flip_bit(segment, offset + length // 2)
         with SegmentReader(segment) as reader:
             postings = reader.postings(element)
@@ -327,17 +431,99 @@ class TestCorruption:
             flip_bit(segment, at, bit=7)
         SegmentReader(segment).close()  # restored: sound again
 
-    def test_block_table_bounds_are_checked(self, objects, tmp_path):
-        # A directory whose table region runs into the directory itself
-        # (a consistent CRC cannot save it) is refused, not sliced.
+    def test_flipped_catalog_columns(self, tmp_path):
+        # The ids/sts/ends columns answer membership and pure-temporal
+        # queries and seed promotion: a flipped bit in one must fail the
+        # open, not turn object 7 into a second 6 or move object 5.
+        objects = [make_object(i, 10 * i, 10 * i + 5, {"a", f"r{i % 3}"}) for i in range(64)]
+        path = write_segment(
+            tmp_path / "catalog.seg", objects, shard_id="s", index_key=INDEX_KEY, index_params={}
+        )
+        with SegmentReader(path) as reader:
+            ids_offset, sts_offset, ends_offset, n = reader.directory.catalog
+            assert n == 64 and reader.query(make_query(0, 100, set())) == list(range(11))
+        t_st_5, id_7 = sts_offset + 8 * 5, ids_offset + 8 * 7
+        for flips in ([t_st_5], [id_7], [t_st_5, id_7], [ends_offset + 8 * 63 + 7]):
+            for at in flips:
+                flip_bit(path, at)
+            with pytest.raises(CorruptSegmentError, match="catalog columns checksum"):
+                SegmentReader(path)
+            for at in flips:
+                flip_bit(path, at)  # restore
+        SegmentReader(path).close()
+
+    def test_flipped_term_table(self, objects, segment):
+        header = _header(segment.read_bytes())
+        offset, length, _crc = header["terms"]
+        for at in (offset, offset + 8 * header["n_terms"], offset + length - 1):
+            flip_bit(segment, at)
+            with pytest.raises(CorruptSegmentError, match="term table checksum"):
+                SegmentReader(segment)
+            flip_bit(segment, at)
+        SegmentReader(segment).close()
+
+    def test_term_rows_must_partition_the_block_table(self, objects, tmp_path):
+        # A term table with a sound CRC whose first_row column is not
+        # 0 = r0 < r1 < … = n_blocks would hand a term someone else's rows
+        # (or none): refused at open.
         image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
-        directory, _table = read_directory(memoryview(image), "image")
-        dir_offset = FOOTER_STRUCT.unpack(image[-FOOTER_STRUCT.size :])[0]
-        directory.block_table = (directory.block_table[0], 1 << 40, directory.block_table[2])
-        blob = pack_directory(directory)
-        path = tmp_path / "bounds.seg"
+        header = _header(image)
+        offset, length, _crc = header["terms"]
+        n_blocks = header["block_table"][1] // 64
+        for at, value in [(1, 0), (2, 1), (0, 1), (header["n_terms"], n_blocks + 1)]:
+            body = bytearray(image)
+            body[offset + 8 * at : offset + 8 * at + 8] = value.to_bytes(8, "little")
+            region = bytes(body[offset : offset + length])
+            path = _rewrite_header(
+                bytes(body), tmp_path, lambda h: h["terms"].__setitem__(2, zlib.crc32(region))
+            )
+            with pytest.raises(CorruptSegmentError, match="do not partition"):
+                SegmentReader(path)
+
+    def test_block_table_bounds_are_checked(self, objects, tmp_path):
+        # A header whose table region runs into the header itself (a
+        # consistent CRC cannot save it) is refused, not sliced.
+        image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
+        path = _rewrite_header(image, tmp_path, lambda h: h["block_table"].__setitem__(1, 64 << 40))
+        with pytest.raises(CorruptSegmentError, match="block table .* runs past the body"):
+            SegmentReader(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: h.pop("count"), "'count' is missing"),
+            (lambda h: h.pop("terms"), "'terms' is missing"),
+            (lambda h: h.__setitem__("n_terms", "7"), "'n_terms' is missing or malformed"),
+            (lambda h: h.__setitem__("count", True), "'count' is missing or malformed"),
+            (lambda h: h["catalog"].__setitem__(0, "0"), "'catalog' is missing or malformed"),
+            (lambda h: h.__setitem__("span", [0.5, 2]), "'span' is missing or malformed"),
+            (lambda h: h.__setitem__("version", 2), "'version' is missing or malformed"),
+            (lambda h: h.__setitem__("key_width", 0), "'key_width' is missing or malformed"),
+            (lambda h: h["descriptions"].pop(), "'descriptions' is missing or malformed"),
+            (lambda h: h["terms"].__setitem__(0, sum(h["descriptions"][:2])),  # dir_offset
+             "term table .* runs past the body"),
+            (lambda h: h["catalog"].__setitem__(1, 8), "catalog region of 8 bytes does not fit"),
+            (lambda h: h.__setitem__("n_terms", h["n_terms"] + 1), "terms region .* does not fit"),
+            (lambda h: h.__setitem__("key_width", h["key_width"] + 1),
+             "terms region .* does not fit"),
+        ],
+    )
+    def test_hostile_headers_raise_typed(self, objects, tmp_path, edit, match):
+        # A header with a sound CRC but a missing, wrong-typed or
+        # out-of-bounds field is CorruptSegmentError — never KeyError or
+        # TypeError, and never a slice of the wrong bytes.
+        image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
+        path = _rewrite_header(image, tmp_path, edit)
+        with pytest.raises(CorruptSegmentError, match=match):
+            SegmentReader(path)
+
+    @pytest.mark.parametrize("blob", [b"{not json", b"[1, 2]", b"\xff\xfe", b"[" * 100_000])
+    def test_unparseable_headers_raise_typed(self, objects, tmp_path, blob):
+        image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
+        dir_offset = parse_footer(image, "image")[0]
+        path = tmp_path / "garbage.seg"
         path.write_bytes(image[:dir_offset] + blob + build_footer(dir_offset, blob))
-        with pytest.raises(CorruptSegmentError, match="runs past the body"):
+        with pytest.raises(CorruptSegmentError, match="segment header is not"):
             SegmentReader(path)
 
     def test_missing_file(self, tmp_path):

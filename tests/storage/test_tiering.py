@@ -137,6 +137,29 @@ class TestDemotePromoteCycle:
         cluster.demote(spec.shard_id)  # and demotable once the id is gone
         assert cluster.tier_state.is_cold(spec.shard_id)
 
+    def test_unencodable_element_refuses_typed_and_changes_nothing(self, cluster):
+        # A segment's term table holds typed keys for str, int, bytes and
+        # tuples of those; any other element keeps its shard hot, refused
+        # before anything is written, like an id past i64.
+        spec = _bounded_shard(cluster)
+        directory = cluster.directory
+        odd = make_object(10**6, spec.lo, spec.lo, {("e0", 2.5)})
+        cluster.insert(odd)
+        probe = make_query(spec.lo, spec.lo, {("e0", 2.5)})
+        assert cluster.query(probe) == [odd.id]
+
+        with pytest.raises(ClusterError, match=r"element \('e0', 2.5\) is not a str, int, bytes"):
+            cluster.demote(spec.shard_id)
+
+        assert not cluster.tier_state.is_cold(spec.shard_id)
+        assert not tiering.tiers_path(directory).exists()
+        assert not (directory / "segments" / f"{spec.shard_id}.seg").exists()
+        assert not list(directory.rglob("*.tmp"))
+        assert cluster.query(probe) == [odd.id]
+        cluster.delete(odd.id)  # still writable: it never left the hot tier
+        cluster.demote(spec.shard_id)  # and demotable once the element is gone
+        assert cluster.tier_state.is_cold(spec.shard_id)
+
     def test_stats_and_status_show_tiers(self, cluster):
         shard_id = _some_hot_shard(cluster)
         cluster.demote(shard_id)
