@@ -43,7 +43,7 @@ from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.partition import SortPolicy
 from repro.intervals.hint.traversal import DivisionKind, assign
-from repro.ir.postings import IdPostingsBackend, IdPostingsList
+from repro.ir.postings import IdPostingsList
 from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
@@ -212,7 +212,7 @@ class IRHintSize(TemporalIRIndex):
         super().__init__()
         self._requested_bits = num_bits
         self._hint: Optional[Hint] = None
-        self._inverted: Dict[_DivisionKey, Dict[Element, IdPostingsBackend]] = {}
+        self._inverted: Dict[_DivisionKey, Dict[Element, IdPostingsList]] = {}
 
     def _configure_for(self, collection: Collection) -> None:
         if len(collection):

@@ -15,12 +15,17 @@ rename → directory fsync) so a crash mid-save never clobbers the previous
 snapshot.  Format v1 files (no
 checksum) written by earlier releases still load.
 
+Snapshots pickle postings classes: lists of the previous release's ``list``
+and ``compressed`` layouts load as plain :class:`~repro.ir.packed.PackedPostingsList`,
+tombstones kept, so an old store moves to packed at its next checkpoint.
+
 Security note (the standard pickle caveat): only load snapshots you wrote.
 The header check guards against accidents, not adversaries.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import pickle
 import zlib
@@ -30,6 +35,9 @@ from typing import Optional, Union
 import repro
 from repro.core.errors import CorruptSnapshotError, ReproError
 from repro.indexes.base import TemporalIRIndex
+from repro.ir import postings
+from repro.ir.compressed import CompressedPostingsList
+from repro.ir.packed import PackedPostingsList
 
 PathLike = Union[str, Path]
 
@@ -124,10 +132,71 @@ def read_header(path: PathLike) -> dict:
     return header
 
 
+def _int_field(header: dict, field: str, context: str) -> int:
+    """``header[field]``, which must be an int: JSON ``true`` == 1 and
+    ``2.0`` == 2, so an equality check alone would let them through."""
+    value = header.get(field)
+    if type(value) is not int:
+        raise CorruptSnapshotError(
+            f"{context}: corrupt snapshot header: {field} is {value!r}, not an integer"
+        )
+    return value
+
+
+def _packed_list(entries, dead) -> PackedPostingsList:
+    packed = PackedPostingsList()
+    for entry in entries:
+        packed.add(*entry)
+    for object_id in dead:
+        packed.delete(object_id)
+    return packed
+
+
+class _Migrated(PackedPostingsList):
+    """A list of the previous release's ``list`` or ``compressed`` layout,
+    turned into a plain packed list as it unpickles."""
+
+    __slots__ = ()
+
+    def __setstate__(self, state) -> None:
+        slots = state[1]
+        if "_alive" in slots:  # the list backend's boxed columns
+            ids = slots["_ids"]
+            dead = [oid for oid, alive in zip(ids, slots["_alive"]) if not alive]
+            packed = _packed_list(zip(ids, slots["_sts"], slots["_ends"]), dead)
+        else:
+            source = object.__new__(CompressedPostingsList)
+            for name, value in slots.items():
+                setattr(source, name, value)  # an older shape fails here, typed
+            spilled = source._spilled  # a list-backend delegate, migrated already
+            packed = (
+                spilled
+                if spilled is not None
+                else _packed_list(source._reader().entries(), source._dead)
+            )
+        self.__class__ = PackedPostingsList
+        for name in PackedPostingsList.__slots__:
+            setattr(self, name, getattr(packed, name))
+
+
+class _Unpickler(pickle.Unpickler):
+    """Restores the previous release's postings layouts as packed lists.
+
+    Delete with the v1/v2 segment readers when the catalog bumps its version.
+    """
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.ir.compressed", "CompressedPostingsList") or (
+            module == "repro.ir.postings" and not hasattr(postings, name)
+        ):
+            return _Migrated  # the postings module has lost one class: the list layout
+        return super().find_class(module, name)
+
+
 def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
     """Inverse of :func:`dumps_index`, verifying integrity end to end."""
     header, offset = _parse_header(blob, context)
-    fmt = header.get("format")
+    fmt = _int_field(header, "format", context)
     if fmt not in _SUPPORTED_FORMATS:
         raise ReproError(
             f"{context}: snapshot format {fmt} unsupported "
@@ -135,17 +204,17 @@ def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
         )
     payload = blob[offset:]
     if fmt >= 2:
-        expected_len = header.get("payload_bytes")
+        expected_len = _int_field(header, "payload_bytes", context)
         if expected_len != len(payload):
             raise CorruptSnapshotError(
                 f"{context}: truncated snapshot payload "
                 f"({len(payload)} bytes, header says {expected_len})"
             )
-        expected_crc = header.get("payload_crc32")
+        expected_crc = _int_field(header, "payload_crc32", context)
         if zlib.crc32(payload) != expected_crc:
             raise CorruptSnapshotError(f"{context}: snapshot payload checksum mismatch")
     try:
-        index = pickle.loads(payload)
+        index = _Unpickler(io.BytesIO(payload)).load()
     except Exception as exc:  # bit rot in a v1 payload surfaces here
         raise CorruptSnapshotError(f"{context}: snapshot payload unreadable: {exc}") from exc
     if not isinstance(index, TemporalIRIndex):

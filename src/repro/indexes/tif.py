@@ -39,7 +39,7 @@ class TIF(TemporalIRIndex):
 
     def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
         """The query elements' live list lengths, summed: the first scan
-        plus every intersection read at most that on any postings backend.
+        plus every intersection read at most that many entries.
         A pure-temporal query scans the catalog instead, and is unbounded."""
         if q.is_pure_temporal:
             return None

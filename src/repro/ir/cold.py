@@ -1,7 +1,7 @@
-"""The ``cold`` postings backend: a read-only view over mmap'd blocks.
+"""Cold postings: a read-only view over a segment's mmap'd blocks.
 
 :class:`ColdPostingsList` serves the full
-:class:`~repro.ir.postings.PostingsList` read surface straight from a
+:class:`~repro.ir.postings.PostingsBackend` read surface straight from a
 segment's encoded blocks (:mod:`repro.storage.format`) without ever
 materialising the whole list: it is a run of rows of the segment's block
 table, every read is the :mod:`repro.ir.blocks` kernel — the one
@@ -12,11 +12,8 @@ Decoded payload damage raises
 :class:`~repro.core.errors.ReadOnlySegmentError` — cold shards promote
 before they accept writes (:mod:`repro.storage.tiering`).
 
-Unlike the mutable backends this class is *constructed by* a
-:class:`~repro.storage.reader.SegmentReader`, never by the
-:mod:`repro.ir.backends` factory — it is registered there as a
-read-only backend so the name resolves to a typed configuration error
-instead of a silent KeyError.
+Only a :class:`~repro.storage.reader.SegmentReader` constructs one; a
+tIF cannot be built on it.
 """
 
 from __future__ import annotations

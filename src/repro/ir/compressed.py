@@ -1,8 +1,11 @@
-"""Block-compressed postings: fixed-width column blocks with skip summaries.
+"""Block-compressed postings in RAM: the benchmark ledger's codec probe.
 
-:class:`CompressedPostingsList` is the compressed tier of the postings
-substrate — the §7 "orthogonal" direction the paper defers, serving the
-real query path.  Entries live in immutable sealed blocks of up to
+No index builds on :class:`CompressedPostingsList` (all run on packed lists):
+the ledger builds ``TemporalInvertedFile(backend="compressed")`` to price the
+block codec (the §7 "orthogonal" direction the paper defers), whose size win
+cold segments serve on disk through the same kernel.
+
+Entries live in immutable sealed blocks of up to
 :data:`BLOCK_SIZE` id-sorted entries, each with an uncompressed skip
 summary, so the temporal scans and ``intersect_sorted`` skip whole blocks
 without decoding them — the intersect-without-decompress idea of
@@ -20,8 +23,8 @@ in :mod:`repro.ir.blocks`; this class adds what a *mutable* list needs:
   outnumber live entries.
 
 Values the codec cannot fold (floats, ints beyond i64) spill the instance
-to an uncompressed delegate with identical semantics, exactly like the
-packed backend's spill path.
+to a :class:`~repro.ir.packed.PackedPostingsList` delegate, which spills
+in turn to Python lists.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from repro.core.interval import Timestamp
 from repro.ir import blocks
 from repro.ir.blocks import BLOCK_SIZE
 from repro.ir.codec import Columns, EntryTriple, decode_block
-from repro.ir.postings import PostingsEntry, PostingsList
+from repro.ir.packed import PackedPostingsList
+from repro.ir.postings import PostingsEntry
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
 #: Compact (re-encode without tombstones) when dead entries exceed this
@@ -55,7 +59,7 @@ class CompressedPostingsList:
     """A mutable, block-compressed postings list.
 
     Same public surface and semantics as
-    :class:`~repro.ir.postings.PostingsList`; see the module docstring for
+    :class:`~repro.ir.packed.PackedPostingsList`; see the module docstring for
     the mutation strategy.  Also constructible from raw entries (the
     legacy ``CompressedPostingsList(entries)`` form).
     """
@@ -63,7 +67,7 @@ class CompressedPostingsList:
     __slots__ = ("_payloads", "_table", "_tail", "_dead", "_n_live", "_spilled")
 
     def __init__(self, entries: Iterable[Tuple[int, int, int]] = ()) -> None:
-        self._spilled: Optional[PostingsList] = None
+        self._spilled: Optional[PackedPostingsList] = None
         self._reset()
         for object_id, st, end in entries:
             self.add(object_id, st, end)
@@ -106,9 +110,9 @@ class CompressedPostingsList:
         self._table[:, sealed] = summary
         self._payloads.append(payload)
 
-    def _spill(self) -> PostingsList:
+    def _spill(self) -> PackedPostingsList:
         """Degrade to an uncompressed delegate (non-codable value arrived)."""
-        delegate = PostingsList()
+        delegate = PackedPostingsList()
         for object_id, st, end in self.entries():
             delegate.add(object_id, st, end)
         self._spilled = delegate

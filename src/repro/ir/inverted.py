@@ -20,17 +20,26 @@ numbers ``explain()`` renders and a daemon trace shows.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.errors import ConfigurationError
 from repro.core.interval import Timestamp
 from repro.core.model import Element
-from repro.ir.backends import make_postings, postings_backend
+from repro.ir.compressed import CompressedPostingsList
 from repro.ir.packed import PackedPostingsList
 from repro.ir.postings import PostingsBackend
 from repro.obs.context import event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES
+
+
+#: ``backend=`` → list class.  Every index builds on ``packed``; only the
+#: benchmark ledger's codec probe builds ``compressed``.
+_LAYOUTS: Dict[str, Callable[[], PostingsBackend]] = {
+    "packed": PackedPostingsList,
+    "compressed": CompressedPostingsList,
+}
 
 
 class TemporalCheck(enum.Enum):
@@ -51,19 +60,21 @@ class TemporalCheck(enum.Enum):
 class TemporalInvertedFile:
     """Element → postings-list map with Algorithm 1 querying.
 
-    The postings representation is pluggable (``list`` / ``packed`` /
-    ``compressed`` — see :mod:`repro.ir.backends`): pass ``backend=`` to
-    pin one, or leave it ``None`` to follow the ``REPRO_POSTINGS_BACKEND``
-    environment knob (default packed).  Every backend honours the exact
-    :class:`~repro.ir.postings.PostingsList` surface, so Algorithm 1 and
-    irHINT's flat scans are backend-agnostic.
+    Lists are :class:`~repro.ir.packed.PackedPostingsList`.
+    ``backend="compressed"`` builds them block-compressed instead, for the
+    ledger's codec probe; both honour the
+    :class:`~repro.ir.postings.PostingsBackend` surface Algorithm 1 reads.
     """
 
     __slots__ = ("_lists", "_backend")
 
-    def __init__(self, backend: "str | None" = None) -> None:
-        # Resolve eagerly so a bad name fails at construction, not first add.
-        self._backend = postings_backend(backend) if backend is not None else None
+    def __init__(self, backend: str = "packed") -> None:
+        if backend not in _LAYOUTS:
+            raise ConfigurationError(
+                f"unknown postings backend {backend!r}; "
+                f"available: {', '.join(sorted(_LAYOUTS))}"
+            )
+        self._backend: "str | None" = backend
         self._lists: Dict[Element, PostingsBackend] = {}
 
     # ---------------------------------------------------------------- updates
@@ -75,7 +86,8 @@ class TemporalInvertedFile:
         for element in description:
             postings = lists.get(element)
             if postings is None:
-                postings = lists[element] = make_postings(self._backend)
+                # A tIF pickled by the previous release carries None: packed.
+                postings = lists[element] = _LAYOUTS[self._backend or "packed"]()
             postings.add(object_id, st, end)
 
     def delete_object(self, object_id: int, description: Iterable[Element]) -> None:
@@ -89,9 +101,8 @@ class TemporalInvertedFile:
         """Compact every postings list (drop tombstones, seal tails).
 
         Call after a bulk load or a delete burst; answers are unchanged.
-        What compaction means is backend-specific — the list/packed
-        backends drop tombstoned slots, the compressed backend also seals
-        its uncompressed tail into encoded blocks.
+        Packed lists drop tombstoned slots; compressed ones also seal
+        their uncompressed tail into encoded blocks.
         """
         for postings in self._lists.values():
             postings.compact()
@@ -174,7 +185,7 @@ class TemporalInvertedFile:
 
         Candidates that arrive as an int64 array (a kernel-sized packed
         first list, or irHINT's table) stay one through every packed list
-        whose kernel engages and are boxed once; any other backend is
+        whose kernel engages and are boxed once; a compressed list is
         handed a list.
         """
         traced = tracing_active()

@@ -1,16 +1,14 @@
-"""Packed columnar postings: flat ``array('q')`` columns + numpy kernels.
+"""Packed columnar postings: the one in-RAM layout every index uses.
 
-The list-backed :class:`~repro.ir.postings.PostingsList` stores one boxed
-Python int per id/endpoint — the hot intersection and scan loops pay a
-pointer chase and a refcount per element.  :class:`PackedPostingsList`
-keeps the same public surface on three ``array('q')`` columns (ids, starts,
-ends) plus a one-byte-per-slot tombstone column, the closest CPython
-analogue of the paper's packed C++ arrays (HINT §5's cache-miss argument,
-arXiv 2104.10939).
+:class:`PackedPostingsList` keeps a list's entries in three ``array('q')``
+columns (ids, starts, ends) plus a one-byte-per-slot tombstone column, the
+closest CPython analogue of the paper's packed C++ arrays (HINT §5's
+cache-miss argument, arXiv 2104.10939): no boxed int per id or endpoint,
+so the scan and intersection loops pay no pointer chase or refcount.
 
 Past :data:`_VECTOR_MIN` slots the temporal scans and the sorted-id
 intersection run as numpy kernels over zero-copy views of those columns;
-shorter lists use the same scalar loops the list backend uses.
+shorter lists use scalar loops.
 
 Values that do not fit a signed 64-bit slot (floats, or ints beyond the
 i64 range — both legal :data:`~repro.core.interval.Timestamp` values)
@@ -60,9 +58,8 @@ def _fits_i64(value: Timestamp) -> bool:
 class PackedPostingsList:
     """Id-ordered ``⟨id, t_st, t_end⟩`` entries in flat packed columns.
 
-    Drop-in replacement for :class:`~repro.ir.postings.PostingsList`
-    (same public surface, same semantics — tombstone deletes, revive on
-    re-add, ``UnknownObjectError`` on bad deletes).
+    The :class:`~repro.ir.postings.PostingsBackend` surface: tombstone
+    deletes, revive on re-add, ``UnknownObjectError`` on bad deletes.
 
     ``_packed`` (read it as :attr:`layout_epoch`) is 0 once spilled and
     otherwise the *layout epoch*: it starts at 1 and grows whenever a
@@ -96,9 +93,10 @@ class PackedPostingsList:
     def add(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
         """Insert an entry, preserving id order (append fast path).
 
-        Same contract as ``PostingsList.add``: appending ids in increasing
-        order is O(1); re-adding an existing id overwrites its interval and
-        revives a tombstoned entry in place.
+        Appending ids in increasing order is O(1) (the common case: new
+        objects carry larger ids than indexed ones — Section 5.5);
+        re-adding an existing id overwrites its interval and revives a
+        tombstoned entry in place.
         """
         if self._packed and not (
             _fits_i64(object_id) and _fits_i64(st) and _fits_i64(end)
@@ -300,11 +298,11 @@ class PackedPostingsList:
         """Intersection with ascending ids (live entries only).
 
         The numpy kernel engages when both sides are long enough to pay
-        for it; the scalar fallback keeps the merge-vs-probe switch of the
-        list backend.  Candidates may arrive as a *strictly* ascending
-        int64 array (Algorithm 1's unboxed pipeline): the kernel then
-        answers with an array and nothing is boxed in between; every other
-        path answers with a list.
+        for it; the scalar fallback switches between a two-pointer merge
+        and per-candidate binary probes.  Candidates may arrive as a
+        *strictly* ascending int64 array (Algorithm 1's unboxed pipeline):
+        the kernel then answers with an array and nothing is boxed in
+        between; every other path answers with a list.
         """
         n_c, n_e = len(sorted_ids), len(self._ids)
         if n_c == 0 or n_e == 0:
@@ -375,8 +373,8 @@ class PackedPostingsList:
     def size_bytes(self) -> int:
         """Modelled size: full entries + one container overhead.
 
-        Uses the same size model as the list backend so relative index
-        sizes (Table 5, Figures 8–9) stay comparable across backends; the
-        actual packed footprint is ~24 bytes/slot + 1 tombstone byte.
+        The paper's entry model (:mod:`repro.utils.memory`), so relative
+        index sizes (Table 5, Figures 8–9) follow the paper's accounting;
+        the actual packed footprint is ~24 bytes/slot + 1 tombstone byte.
         """
         return self.physical_len() * ENTRY_FULL_BYTES + CONTAINER_BYTES

@@ -125,10 +125,10 @@ ALL_VERBS = WORK_VERBS | CONTROL_VERBS
 #: Postings entries a store read may touch and still run on the event loop
 #: instead of the pool (see ``docs/server.md``, "Request path").  The
 #: smallest power of two covering every read of the ledger's
-#: ``daemon-query`` mix at 2·10⁴ objects; the slowest of those, on the
-#: slowest postings backend, finishes inside ``sys.getswitchinterval()``
-#: (5 ms), the longest the loop already waits while a pool thread holds
-#: the GIL.
+#: ``daemon-query`` mix at 2·10⁴ objects; on packed postings, the one
+#: layout every index uses, the slowest of those takes about 0.5 ms, a
+#: tenth of ``sys.getswitchinterval()`` (5 ms), the longest the loop
+#: already waits while a pool thread holds the GIL.
 INLINE_BUDGET = 1 << 16
 
 

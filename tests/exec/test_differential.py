@@ -366,24 +366,6 @@ def test_trace_generation_is_deterministic():
     assert any(op[0] == "insert" for op in a)
 
 
-# ----------------------------------------------- postings backend legs
-#: Postings-heavy registry keys replayed once per postings backend: the
-#: whole tIF/irHINT family must answer identically whatever representation
-#: stores its lists (see repro.ir.backends).
-POSTINGS_BACKEND_KEYS = ("tif", "tif-slicing", "irhint-perf")
-
-
-@pytest.mark.parametrize("backend", ["list", "packed", "compressed"])
-@pytest.mark.parametrize("key", POSTINGS_BACKEND_KEYS)
-def test_differential_postings_backends(key, backend, monkeypatch):
-    """Interleaved query/insert/delete with the postings backend pinned
-    via REPRO_POSTINGS_BACKEND: every backend, same answers."""
-    from repro.ir.backends import POSTINGS_BACKEND_ENV
-
-    monkeypatch.setenv(POSTINGS_BACKEND_ENV, backend)
-    run_differential(key, SEEDS[0], executor_config=None)
-
-
 # ----------------------------------------------------- network daemon leg
 @pytest.fixture()
 def lock_order_checked():
@@ -403,19 +385,6 @@ def lock_order_checked():
 
 
 def test_differential_server_with_chaos(tmp_path, lock_order_checked):
-    run_differential_server(tmp_path)
-
-
-@pytest.mark.parametrize("backend", ["list", "compressed"])
-def test_differential_server_postings_backends(
-    backend, tmp_path, monkeypatch, lock_order_checked
-):
-    """The daemon answers bounded store reads on its event loop, so every
-    backend's kernels run there: the chaos leg again, on each of the
-    other postings backends (packed is the leg above)."""
-    from repro.ir.backends import POSTINGS_BACKEND_ENV
-
-    monkeypatch.setenv(POSTINGS_BACKEND_ENV, backend)
     run_differential_server(tmp_path)
 
 

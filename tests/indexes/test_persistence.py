@@ -231,3 +231,37 @@ def test_format_version_guard(running_example, tmp_path):
     path.write_bytes(raw[:8] + len(forged).to_bytes(4, "little") + forged + raw[12 + length :])
     with pytest.raises(ReproError, match="unsupported"):
         load_index(path)
+
+
+
+def _header(blob):
+    return json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])
+
+
+def _with_header(blob, **fields):
+    """``blob`` with ``fields`` rewritten in its JSON header."""
+    length = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + length])
+    header.update(fields)
+    forged = json.dumps(header, separators=(",", ":")).encode()
+    return blob[:8] + len(forged).to_bytes(4, "little") + forged + blob[12 + length :]
+
+
+@pytest.mark.parametrize("kind", [bool, float, str])
+@pytest.mark.parametrize("field", ["format", "payload_bytes", "payload_crc32"])
+def test_header_integers_must_be_ints(running_example, field, kind):
+    # JSON true == 1 and 2.0 == 2 in Python: a check by equality would read
+    # a header with "format": true as a checksum-free v1 snapshot.
+    blob = dumps_index(build_index("tif", running_example))
+    forged = _with_header(blob, **{field: kind(_header(blob)[field])})
+    with pytest.raises(CorruptSnapshotError, match=field):
+        loads_index(forged)
+
+
+def test_boolean_format_does_not_skip_the_checksum(running_example, example_query):
+    blob = dumps_index(build_index("tif", running_example))
+    assert loads_index(_with_header(blob, format=2)).query(example_query) == [2, 4, 7]
+    with pytest.raises(CorruptSnapshotError, match="checksum"):
+        loads_index(_with_header(blob, format=2, payload_crc32=0))
+    with pytest.raises(CorruptSnapshotError):
+        loads_index(_with_header(blob, format=True, payload_crc32=0))

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.ir.backends import POSTINGS_BACKENDS
+from repro.ir.compressed import CompressedPostingsList
 from repro.ir.inverted import TemporalInvertedFile
-from repro.ir.postings import PostingsList
+from tests.ir.model import PostingsModel
 from tests.ir.test_postings_property import _cold_view
 
 
@@ -56,17 +56,20 @@ class TestQuery:
 
 class TestArrayPipeline:
     """Candidates stay an int64 array between packed kernels and are a
-    list everywhere else; the answers are the list oracle's either way."""
+    list everywhere else; the answers are the list oracle's either way
+    (a tIF whose lists are :class:`~tests.ir.model.PostingsModel`)."""
 
     ELEMENTS = ("long", "mid", "short")
 
     @staticmethod
     def _files():
-        """One file per backend (``cold``: sealed views of the oracle's
-        lists) over 600 objects: ``long`` in all, ``mid`` in a third
-        (kernel-sized), ``short`` in 40 (below the kernel threshold)."""
+        """The oracle's file and one per layout (``cold``: sealed views of
+        the oracle's lists) over 600 objects: ``long`` in all, ``mid`` in a
+        third (kernel-sized), ``short`` in 40 (below the kernel threshold)."""
         rng = random.Random(5)
-        files = {name: TemporalInvertedFile(backend=name) for name in POSTINGS_BACKENDS}
+        files = {name: TemporalInvertedFile(backend=name) for name in ("packed", "compressed")}
+        oracle = files["oracle"] = TemporalInvertedFile()
+        oracle._lists = {element: PostingsModel() for element in TestArrayPipeline.ELEMENTS}
         for oid in range(600):
             st = rng.randrange(10_000)
             end = st + rng.choice((0, 30, 900))
@@ -77,7 +80,7 @@ class TestArrayPipeline:
             tif.delete_object(300, ["long", "mid", "short"])
         cold = files["cold"] = TemporalInvertedFile()
         for element in TestArrayPipeline.ELEMENTS:
-            cold._lists[element] = _cold_view(files["list"].postings(element))
+            cold._lists[element] = _cold_view(oracle.postings(element))
         return files
 
     def test_every_backend_answers_like_the_list_oracle(self):
@@ -87,7 +90,7 @@ class TestArrayPipeline:
             st = rng.randrange(-50, 10_000)
             end = st + rng.choice((0, 100, 3_000, 20_000))
             ordered = rng.sample(self.ELEMENTS, rng.randint(1, 3))
-            want = files["list"].query(st, end, ordered)
+            want = files["oracle"].query(st, end, ordered)
             for name, tif in files.items():
                 got = tif.query(st, end, ordered)
                 assert got == want, (name, st, end, ordered)
@@ -100,7 +103,7 @@ class TestArrayPipeline:
             boxed = sorted(rng.sample(range(700), size))
             for name, tif in files.items():
                 for rest in (["long"], ["mid", "long"], ["short"], ["long", "absent"]):
-                    want = files["list"].intersect(boxed, rest)
+                    want = files["oracle"].intersect(boxed, rest)
                     assert tif.intersect(boxed, rest) == want, (name, size, rest)
                     unboxed = np.array(boxed, dtype=np.int64)
                     assert tif.intersect(unboxed, rest) == want, (name, size, rest)
@@ -117,7 +120,7 @@ class TestArrayPipeline:
 
         seen = []
 
-        class Spy(PostingsList):
+        class Spy(CompressedPostingsList):
             def intersect_sorted(self, sorted_ids):
                 seen.append(type(sorted_ids))
                 return super().intersect_sorted(sorted_ids)

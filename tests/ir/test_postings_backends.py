@@ -1,11 +1,11 @@
-"""Edge-case sweep across every postings backend, plus backend selection.
+"""Edge-case sweep across every mutable postings layout, plus ``backend=``.
 
 The property harness (test_postings_property.py) covers the statistical
 bulk; this module pins the named corners the harness could in principle
 wander past — empty lists, single entries, all-identical intervals,
 delete-everything-then-re-add, tombstone accounting — one parametrized
-fixture over *all* backends so any new backend inherits the sweep by
-registering itself in :data:`repro.ir.backends.POSTINGS_BACKENDS`.
+fixture over packed columns, the Python lists packed spills to, and the
+compressed blocks.
 """
 
 from __future__ import annotations
@@ -13,32 +13,28 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ConfigurationError, UnknownObjectError
-from repro.ir.backends import (
-    POSTINGS_BACKEND_ENV,
-    POSTINGS_BACKENDS,
-    make_postings,
-    postings_backend,
-)
 from repro.ir.compressed import CompressedPostingsList
+from repro.ir.inverted import TemporalInvertedFile
 from repro.ir.packed import PackedPostingsList
-from repro.ir.postings import IdPostingsList, PostingsList
+from repro.ir.postings import IdPostingsList
+
+from tests.ir.model import SWEEP, PostingsModel
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 INF = float("inf")
 
-ALL_BACKENDS = sorted(POSTINGS_BACKENDS)
 
 
-@pytest.fixture(params=ALL_BACKENDS)
+@pytest.fixture(params=sorted(SWEEP))
 def backend_name(request):
     return request.param
 
 
 @pytest.fixture
 def fresh(backend_name):
-    """A fresh, empty postings list of each registered backend."""
-    return POSTINGS_BACKENDS[backend_name]()
+    """A fresh, empty postings list of each swept layout."""
+    return SWEEP[backend_name]()
 
 
 class TestEmptyList:
@@ -208,7 +204,7 @@ class TestExtremeValues:
         # 100 entries: past packed's _VECTOR_MIN, where the numpy kernels
         # answer instead of the scalar loops the four entries above reach.
         # Half sit beside 2**53, half beside I64_MAX; a few are tombstoned.
-        oracle = PostingsList()
+        oracle = PostingsModel()
         for i in range(100):
             base = (1 << 53) if i < 50 else I64_MAX - 150
             for target in (fresh, oracle):
@@ -293,7 +289,7 @@ class TestCompressedDeleteRegression:
 
     def test_size_reports_encoded_bytes(self):
         pl = CompressedPostingsList()
-        ref = PostingsList()
+        ref = PackedPostingsList()  # the paper's full-entry size model
         for oid in range(1_000):
             pl.add(oid, 1_000_000 + oid, 1_000_000 + oid + 3)
             ref.add(oid, 1_000_000 + oid, 1_000_000 + oid + 3)
@@ -381,37 +377,28 @@ class TestIdBackendsEdgeCases:
 
 
 class TestBackendSelection:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(POSTINGS_BACKEND_ENV, "compressed")
-        assert isinstance(make_postings("list"), PostingsList)
+    """``TemporalInvertedFile(backend=)``: packed, or the ledger's
+    compressed probe; nothing else, and nothing read from the environment."""
 
-    def test_environment_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(POSTINGS_BACKEND_ENV, "compressed")
-        assert isinstance(make_postings(), CompressedPostingsList)
+    def test_explicit_argument_wins(self):
+        tif = TemporalInvertedFile(backend="compressed")
+        tif.add_object(1, 0, 5, ["a"])
+        assert type(tif.postings("a")) is CompressedPostingsList
 
-    def test_default_is_packed(self, monkeypatch):
-        monkeypatch.delenv(POSTINGS_BACKEND_ENV, raising=False)
-        assert postings_backend() == "packed"
-        assert isinstance(make_postings(), PackedPostingsList)
+    def test_default_is_packed(self):
+        tif = TemporalInvertedFile()
+        tif.add_object(1, 0, 5, ["a"])
+        assert type(tif.postings("a")) is PackedPostingsList
+        tif._backend = None  # what a tIF pickled by the previous release holds
+        tif.add_object(2, 0, 5, ["b"])
+        assert type(tif.postings("b")) is PackedPostingsList
 
-    def test_unknown_names_raise_configuration_error(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            postings_backend("roaring")
-        monkeypatch.setenv(POSTINGS_BACKEND_ENV, "no-such-backend")
-        with pytest.raises(ConfigurationError):
-            make_postings()
-
-    def test_env_is_read_at_creation_time(self, monkeypatch):
-        monkeypatch.setenv(POSTINGS_BACKEND_ENV, "list")
-        first = make_postings()
-        monkeypatch.setenv(POSTINGS_BACKEND_ENV, "compressed")
-        second = make_postings()
-        assert isinstance(first, PostingsList)
-        assert isinstance(second, CompressedPostingsList)
+    def test_unknown_names_raise_configuration_error(self):
+        for retired in ("list", "cold", "roaring"):
+            with pytest.raises(ConfigurationError, match="available: compressed, packed"):
+                TemporalInvertedFile(backend=retired)
 
     def test_inverted_file_pins_backend_eagerly(self):
-        from repro.ir.inverted import TemporalInvertedFile
-
         with pytest.raises(ConfigurationError):
             TemporalInvertedFile(backend="bogus")
         tif = TemporalInvertedFile(backend="compressed")

@@ -1,18 +1,17 @@
-"""Property-based differential harness: every postings backend vs the oracle.
+"""Property-based differential harness: every postings layout vs one model.
 
-:class:`~repro.ir.postings.PostingsList` is the reference semantics for
-the whole postings surface — adds that revive tombstones, logical
-deletes, order-preserving scans, the merge/gallop intersection, span and
-size accounting.  This harness replays seeded operation traces drawn
-from *adversarial regimes* (duplicate-heavy id universes, point
-intervals, tombstone churn, i64 extremes, float/overflow spill) against
-every alternative backend and cross-checks the **full** observable
-surface after every mutation (the ``blocks`` regime first bulk-loads
-enough entries that the block backends seal, tombstone and rebuild real
-blocks; the ``extremes`` regime bulk-loads half-way, so its second half
-runs on the packed backend's numpy kernels; the read-only ``cold``
-backend is checked over the oracle's live entries sealed into a buffer
-after each step):
+:class:`~tests.ir.model.PostingsModel` — a dict of live entries — is the
+reference semantics for the whole postings surface: adds that overwrite
+and revive, deletes, order-preserving scans, the intersection, span.
+This harness replays seeded operation traces drawn from *adversarial
+regimes* (duplicate-heavy id universes, point intervals, tombstone churn,
+i64 extremes, float/overflow spill) against ``packed`` and ``compressed``
+and cross-checks the **full** observable surface after every mutation
+(the ``blocks`` regime first bulk-loads enough entries that the block
+layouts seal, tombstone and rebuild real blocks; the ``extremes`` regime
+bulk-loads half-way, so its second half runs on packed's numpy kernels;
+the read-only ``cold`` view is checked over the model's entries sealed
+into a buffer after each step):
 
 ``add`` / ``delete`` (exception parity included) / ``__len__`` /
 ``__contains__`` / ``entries`` / ``ids`` / ``overlapping`` /
@@ -24,7 +23,7 @@ an explicit integer seed, and a mismatch prints the seed, the regime and
 the reproducing operation trace (same discipline as
 ``tests/exec/test_differential.py``).  CI pins the per-trace operation
 budget with ``REPRO_POSTINGS_PROP_OPS``; the defaults below replay
-500+ operations per backend.
+500+ operations per layout.
 """
 
 from __future__ import annotations
@@ -37,12 +36,13 @@ from typing import Callable, List, Tuple
 import pytest
 
 from repro.core.errors import UnknownObjectError
-from repro.ir.backends import POSTINGS_BACKENDS
 from repro.ir.blocks import BLOCK_SIZE, runs, seal
 from repro.ir.cold import ColdPostingsList
-from repro.ir.packed import _VECTOR_MIN
-from repro.ir.postings import PostingsList
+from repro.ir.compressed import CompressedPostingsList
+from repro.ir.packed import _VECTOR_MIN, PackedPostingsList
 from repro.utils.memory import CONTAINER_BYTES
+
+from tests.ir.model import PostingsModel
 
 #: Operations per (backend, regime, seed) trace; CI pins this knob the
 #: same way REPRO_DIFF_OPS pins the exec harness.
@@ -188,8 +188,8 @@ REGIMES: List[Tuple[str, Callable[[random.Random], Op]]] = [
 REGIME_GENERATORS = dict(REGIMES)
 REGIME_NAMES = [name for name, _ in REGIMES]
 
-ALT_BACKENDS = sorted(name for name in POSTINGS_BACKENDS if name != "list")
-ALL_BACKENDS = sorted(POSTINGS_BACKENDS)
+#: The mutable layouts under the harness.
+BACKENDS = {"packed": PackedPostingsList, "compressed": CompressedPostingsList}
 #: ``cold`` holds what the block codec holds: every regime but the one
 #: whose floats and beyond-i64 ints exist to force a spill.
 COLD_REGIMES = [name for name in REGIME_NAMES if name != "spill"]
@@ -213,7 +213,7 @@ def format_trace(ops: List[Op]) -> str:
 
 
 # ----------------------------------------------------------------- checking
-def _probe_times(rng: random.Random, oracle: PostingsList) -> List:
+def _probe_times(rng: random.Random, oracle: PostingsModel) -> List:
     """Query timestamps biased toward stored endpoints (boundary hits),
     one of them as a float: past 2**53 that is a *neighbour's* value, and
     for ``I64_MAX`` one beyond the i64 range."""
@@ -226,7 +226,7 @@ def _probe_times(rng: random.Random, oracle: PostingsList) -> List:
 
 
 def _check_surface(
-    backend: str, subject, oracle: PostingsList, rng: random.Random, context: str
+    backend: str, subject, oracle: PostingsModel, rng: random.Random, context: str
 ) -> None:
     """Compare every read-side observation of ``subject`` vs the oracle."""
     # A cold view models bytes on disk, not a container: empty is 0 bytes.
@@ -321,12 +321,12 @@ def _apply(target, op: Op) -> bool:
     return False
 
 
-def _cold_view(oracle: PostingsList) -> ColdPostingsList:
-    """The oracle's live entries as a cold list: sealed into one buffer
+def _cold_view(oracle: PostingsModel) -> ColdPostingsList:
+    """The model's entries as a cold list: sealed into one buffer
     the way the segment writer lays blocks out, every read metered."""
     body = bytearray()
     descriptors = []
-    for run in runs(list(oracle.entries())):
+    for run in runs(oracle.entries()):
         payload, summary = seal(run)
         descriptors.append((len(body), len(payload), zlib.crc32(payload)) + summary)
         body += payload
@@ -343,11 +343,11 @@ def _cold_view(oracle: PostingsList) -> ColdPostingsList:
 def run_property_trace(backend: str, regime: str, seed: int, n_ops: int = N_OPS) -> None:
     """Replay one trace against ``backend`` and the oracle; fail loudly.
 
-    ``cold`` cannot be mutated: its subject is rebuilt from the oracle's
-    live entries before every check instead.
+    ``cold`` cannot be mutated: its subject is rebuilt from the model's
+    entries before every check instead.
     """
-    subject = None if backend == "cold" else POSTINGS_BACKENDS[backend]()
-    oracle = PostingsList()
+    subject = None if backend == "cold" else BACKENDS[backend]()
+    oracle = PostingsModel()
     check_rng = random.Random(seed ^ 0x5EED)
 
     def check(context: str) -> None:
@@ -388,18 +388,18 @@ def run_property_trace(backend: str, regime: str, seed: int, n_ops: int = N_OPS)
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("regime", REGIME_NAMES)
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_postings_backend_matches_oracle(backend, regime, seed):
-    """Every alternative full-postings backend is observationally equal to
-    the list oracle on seeded adversarial traces."""
+    """Each mutable layout is observationally equal to the model on
+    seeded adversarial traces."""
     run_property_trace(backend, regime, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("regime", COLD_REGIMES)
 def test_cold_backend_matches_oracle(regime, seed):
-    """The read-only cold backend, over the same traces: whatever the
-    oracle holds, its sealed image answers the whole read surface alike."""
+    """The read-only cold view, over the same traces: whatever the model
+    holds, its sealed image answers the whole read surface alike."""
     run_property_trace("cold", regime, seed)
 
 
@@ -409,7 +409,7 @@ def test_blocks_regime_reaches_sealed_blocks():
     blocks), the compaction threshold fires, and the checked ops include
     overwrites of sealed entries and out-of-order inserts below them."""
     for seed in SEEDS:
-        subject = POSTINGS_BACKENDS["compressed"]()
+        subject = CompressedPostingsList()
         adds, tombstones, crossing = _blocks_prefill(seed)
         for op in adds + tombstones:
             _apply(subject, op)
@@ -428,11 +428,23 @@ def test_blocks_regime_reaches_sealed_blocks():
             }
 
 
+class _ForgetsDeletes(PackedPostingsList):
+    """Refuses a delete it should refuse, then forgets the rest."""
+
+    __slots__ = ()
+
+    def delete(self, object_id: int) -> None:
+        if object_id not in self:
+            raise UnknownObjectError(object_id)
+
+
 @pytest.mark.parametrize("regime", ["mixed", "churn"])
-def test_oracle_self_consistency(regime):
-    """The harness replayed list-vs-list: catches bugs in the checker
-    itself (a checker that can never fail would vacuously pass)."""
-    run_property_trace("list", regime, SEEDS[0])
+def test_oracle_self_consistency(regime, monkeypatch):
+    """The checker itself can fail: a list that drops its deletes is
+    caught (a checker that never fails would pass vacuously)."""
+    monkeypatch.setitem(BACKENDS, "forgets-deletes", _ForgetsDeletes)
+    with pytest.raises(AssertionError, match="forgets-deletes: postings property"):
+        run_property_trace("forgets-deletes", regime, SEEDS[0])
 
 
 def test_trace_generation_is_deterministic():
@@ -443,7 +455,7 @@ def test_trace_generation_is_deterministic():
 
 
 def test_default_budget_covers_acceptance_floor():
-    """Unless explicitly capped below the default, each backend sees 500+
+    """Unless explicitly capped below the default, each layout sees 500+
     seeded operations across the regime × seed grid."""
     if N_OPS < 60:
         pytest.skip("REPRO_POSTINGS_PROP_OPS capped below the default")

@@ -5,10 +5,14 @@ An old segment is the only copy of its demoted shard's data, so this
 build must open it, answer from it bit-identically to a v3 segment of
 the same objects, promote it, and refuse a damaged one with a typed
 error.  Each image is a literal written by the last commit that could
-write its format (``parent_images``); so is the ``compressed``-backend
-index snapshot, whose fate — loading fails typed, recovery falls back —
-is pinned here too.
+write its format (``parent_images``).  So are three index snapshots of
+postings layouts this build no longer has: the pre-v2 ``compressed``
+shape fails typed at load (recovery falls back); the ``list`` backend's
+and the later ``compressed`` shape restore as packed lists.
 """
+
+import io
+import pickle
 
 import pytest
 
@@ -19,10 +23,13 @@ from repro.core.errors import (
     CorruptSegmentError,
     CorruptSnapshotError,
 )
-from repro.core.model import make_query
-from repro.indexes.persistence import dumps_index, loads_index
+from repro.core.model import make_object, make_query
+from repro.indexes.persistence import _parse_header, dumps_index, loads_index
 from repro.indexes.registry import build_index
+from repro.ir.packed import PackedPostingsList
 from repro.service.faults import flip_bit
+from repro.service.layout import snapshot_path, write_manifest
+from repro.service.store import DurableIndexStore
 from repro.storage.format import FOOTER_SIZE, MAGIC
 from repro.storage.reader import SegmentReader
 from repro.storage.writer import write_segment
@@ -31,12 +38,16 @@ from tests.conftest import random_queries
 from tests.storage.parent_images import (
     COMPRESSED_SNAPSHOT,
     I64_MAX,
+    LIST_SNAPSHOT,
+    MIGRATION_DELETED,
+    TABLE_COMPRESSED_SNAPSHOT,
     V1_SEGMENT,
     V1_SHARD,
     V2_SEGMENT,
     V2_SHARD,
     fixture_cluster,
     fixture_objects,
+    migration_objects,
     snapshot_objects,
 )
 
@@ -173,6 +184,26 @@ class TestMixedFormatCluster:
                 assert [cluster.query(q) for q in queries] == expected
 
 
+def _pickled_classes(blob):
+    """Every ``(module, name)`` a snapshot's payload names."""
+    seen = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            seen.add((module, name))
+            return super().find_class(module, name)
+
+    _header, offset = _parse_header(blob, "snapshot")
+    Recorder(io.BytesIO(blob[offset:])).load()
+    return seen
+
+
+def _names_no_retired_layout(blob):
+    classes = _pickled_classes(blob)
+    assert ("repro.ir.packed", "PackedPostingsList") in classes
+    assert not {module for module, _name in classes} & {"repro.ir.postings", "repro.ir.compressed"}
+
+
 class TestCompressedSnapshots:
     def test_parent_snapshot_fails_typed_at_load(self):
         # Recovery treats CorruptSnapshotError as "try an older generation,
@@ -182,10 +213,67 @@ class TestCompressedSnapshots:
         with pytest.raises(CorruptSnapshotError, match="_summaries"):
             loads_index(COMPRESSED_SNAPSHOT)
 
-    def test_snapshot_of_this_build_round_trips(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POSTINGS_BACKEND", "compressed")
+    def test_snapshot_of_this_build_round_trips(self):
         collection = Collection(snapshot_objects())
         index = build_index("tif", collection)
-        restored = loads_index(dumps_index(index))
+        blob = dumps_index(index)
+        _names_no_retired_layout(blob)
+        restored = loads_index(blob)
         for q in random_queries(collection, 40, seed=23):
             assert restored.query(q) == index.query(q)
+
+
+#: Snapshots of an index built on another postings layout than packed.
+OLD_LAYOUTS = {"list": LIST_SNAPSHOT, "compressed": TABLE_COMPRESSED_SNAPSHOT}
+
+
+@pytest.fixture(params=sorted(OLD_LAYOUTS))
+def old_layout_snapshot(request):
+    return OLD_LAYOUTS[request.param]
+
+
+def _live_objects():
+    return [o for o in migration_objects() if o.id not in MIGRATION_DELETED]
+
+
+class TestOldLayoutSnapshots:
+    """A store written on the ``list`` or ``compressed`` layout restores
+    with packed lists, and its next checkpoint writes packed for good."""
+
+    def test_every_list_loads_as_packed(self, old_layout_snapshot):
+        inverted = loads_index(old_layout_snapshot).inverted_file
+        deleted = [o for o in migration_objects() if o.id in MIGRATION_DELETED]
+        assert len(inverted.elements()) == 8
+        for element in inverted.elements():
+            postings = inverted.postings(element)
+            assert type(postings) is PackedPostingsList
+            tombstones = sum(element in o.d for o in deleted)
+            assert postings.physical_len() - len(postings) == tombstones, element
+        hot = inverted.postings("hot")
+        assert (len(hot), hot.physical_len()) == (195, 201)
+        assert hot.layout_epoch == 0  # the float interval spilled it
+
+    def test_answers_match_brute_force(self, old_layout_snapshot):
+        index = loads_index(old_layout_snapshot)
+        live = _live_objects()
+        brute = build_index("brute", Collection(live))
+        for q in _queries(live):
+            assert index.query(q) == brute.query(q), q
+
+    def test_store_recovers_writes_and_checkpoints_packed(self, old_layout_snapshot, tmp_path):
+        write_manifest(tmp_path, "tif", None)
+        snapshot_path(tmp_path, 1).write_bytes(old_layout_snapshot)
+        with DurableIndexStore.open(tmp_path, index_key="tif", wal_fsync=False) as store:
+            report = store.last_recovery
+            assert report.snapshot_path == snapshot_path(tmp_path, 1) and not report.degraded
+            added = make_object(900, 15, 30, {"hot", "fresh"})
+            store.insert(added)
+            store.delete(7)
+            checkpoint = store.checkpoint()
+        _names_no_retired_layout(checkpoint.read_bytes())
+        live = [o for o in _live_objects() if o.id != 7] + [added]
+        brute = build_index("brute", Collection(live))
+        with DurableIndexStore.open(tmp_path, index_key="tif", wal_fsync=False) as store:
+            assert store.last_recovery.snapshot_path == checkpoint
+            for q in _queries(live):
+                assert store.query(q) == brute.query(q), q

@@ -23,7 +23,7 @@ from repro.core.errors import (
 )
 from repro.core.model import TemporalObject, make_object, make_query
 from repro.indexes.registry import build_index
-from repro.ir import backends
+from repro.ir.inverted import TemporalInvertedFile
 from repro.obs.registry import isolated_registry
 from repro.service.faults import flip_bit, truncate_tail
 from repro.storage import format as segment_format
@@ -364,10 +364,9 @@ class TestReadOnlyDiscipline:
                 postings.delete(10**6)
 
     def test_cold_backend_not_constructible_by_factory(self):
-        assert "cold" in backends.READONLY_POSTINGS_BACKENDS
-        assert "cold" not in backends.POSTINGS_BACKENDS
-        with pytest.raises(ConfigurationError, match="read-only"):
-            backends.make_postings("cold")
+        # Only a SegmentReader mints cold lists; a tIF cannot be built on them.
+        with pytest.raises(ConfigurationError, match="'cold'"):
+            TemporalInvertedFile(backend="cold")
 
     def test_missing_element_has_no_postings(self, segment):
         with SegmentReader(segment) as reader:
