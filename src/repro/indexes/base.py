@@ -48,17 +48,23 @@ class TemporalIRIndex(abc.ABC):
         """Build an index over every object of ``collection``.
 
         The default path creates an empty index configured for the
-        collection's domain (via :meth:`_configure_for`) and inserts object
-        by object; subclasses override either hook when a bulk path differs.
+        collection's domain (via :meth:`_configure_for`), inserts object
+        by object and lets the index settle (:meth:`_settle`); subclasses
+        override the hooks when a bulk path differs.
         """
         index = cls(**params)  # type: ignore[call-arg]
         index._configure_for(collection)
         for obj in collection:
             index.insert(obj)
+        index._settle()
         return index
 
     def _configure_for(self, collection: Collection) -> None:
         """Hook: derive domain-dependent parameters before bulk insertion."""
+
+    def _settle(self) -> None:
+        """Hook: after bulk insertion, derive what the first queries would
+        otherwise build (a HINT's table)."""
 
     # ---------------------------------------------------------------- updates
     def insert(self, obj: TemporalObject) -> None:

@@ -12,17 +12,18 @@ Two variants:
   ``⟨id, t_st, t_end⟩`` postings per division.  Stored flat: *one* id-ordered
   packed run per element (a :class:`~repro.indexes.tif.TIF`), and, for the
   runs long enough to pay for it, a derived
-  :class:`~repro.indexes.timefirst.TimeFirstTable` holding that element's
+  :class:`~repro.intervals.hint.timefirst.TimeFirstTable` holding that element's
   divisions as level-contiguous columns — the paper's own hybrid (§3.2):
   hierarchy only where a list is long.  Fastest queries; the tables
   replicate entries, so the index is larger than the tIF.
-* :class:`IRHintSize` (Section 4.2, Algorithm 6) — each division decouples
-  the attributes: one interval store identical to original HINT (with
-  beneficial sorting — this is a real :class:`~repro.intervals.hint.Hint`)
-  plus an id-only inverted index.  The time interval of each division object
-  is stored exactly once; queries first run the division's range filter,
-  sort the candidates by id, then merge-intersect with the division's
-  id-postings per query element.
+* :class:`IRHintSize` (Section 4.2, Algorithm 6) — the attributes are
+  decoupled: one interval store, a real :class:`~repro.intervals.hint.Hint`
+  over every object, plus, per element, one id column: the store's rows
+  whose object holds the element, in the store's (partition key, id)
+  order.  The time interval of each object is stored once (in the store's
+  run and rows); a query runs the store's range filter over its divisions,
+  then intersects the surviving rows with each query element's column —
+  one ``searchsorted`` for every division at once.
 
 The number of bits ``m`` defaults to the HINT cost model of [19], which the
 paper found effective for irHINT thanks to its HINT-first design (§5.4).
@@ -32,40 +33,40 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.collection import Collection
 from repro.core.errors import CorruptSnapshotError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
-from repro.indexes import timefirst
 from repro.indexes.base import TemporalIRIndex
 from repro.indexes.tif import TIF
+from repro.intervals.hint import timefirst
 from repro.intervals.hint.cost_model import choose_num_bits
-from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
-from repro.intervals.hint.partition import SortPolicy
-from repro.intervals.hint.traversal import DivisionKind, assign
-from repro.ir.postings import IdPostingsList
+from repro.ir.packed import PackedPostingsList
 from repro.obs.context import annotate, event, tracing_active
-from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
+from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES, ENTRY_ID_BYTES
 
-#: Headroom irHINT-size leaves above the built domain for insertions.
-DOMAIN_SLACK = 0.25
+#: irHINT-perf's lists with at least this many live entries get a table;
+#: shorter ones are scanned flat.  Fixed by measurement (EXPERIMENTS.md,
+#: "tif vs irHINT"): a table query spends ≈ 19 µs before it reads a row, a
+#: flat mask reads an entry in ≈ 1.3 ns, and in the ledger's query mix the
+#: table first beats the flat scan on lists of 16–32 thousand entries.
+TABLE_MIN = 16_384
 
-#: Division key: (level, partition index, is_original) — plain ints/bools
-#: hash faster than enum members on this hot path.
-_DivisionKey = Tuple[int, int, bool]
+
+def wants_table(postings: object) -> bool:
+    """Is this a packed (unspilled) list past irHINT-perf's crossover?"""
+    return (
+        isinstance(postings, PackedPostingsList)
+        and len(postings) >= TABLE_MIN
+        and postings.layout_epoch > 0
+    )
 
 
 def _cost_model_bits(objects) -> int:
     """The cost model's ``m`` for these objects' lifespans."""
     return choose_num_bits([(obj.id, obj.st, obj.end) for obj in objects])
-
-
-def _default_mapper(collection: Collection, num_bits: Optional[int]) -> DomainMapper:
-    """Domain mapper for a collection, with cost-model ``m`` when unset."""
-    domain = collection.domain()
-    if num_bits is None:
-        num_bits = _cost_model_bits(collection)
-    return DomainMapper.with_slack(domain.st, domain.end, num_bits, slack=DOMAIN_SLACK)
 
 
 class IRHintPerformance(TIF):
@@ -126,7 +127,7 @@ class IRHintPerformance(TIF):
         traced = tracing_active()
         ordered = self.order_query_elements(q)
         first = self._tif.postings(ordered[0])
-        if not timefirst.wants_table(first):
+        if not wants_table(first):
             if traced:
                 annotate(table="none")
                 if self._num_bits is not None:
@@ -162,7 +163,7 @@ class IRHintPerformance(TIF):
             return None
         rarest = self.order_query_elements(q)[0]
         first = self._tif.postings(rarest)
-        if not timefirst.wants_table(first):
+        if not wants_table(first):
             return bound
         table = self._tables.get(rarest)
         if table is None or not table.is_fresh(first):
@@ -178,7 +179,7 @@ class IRHintPerformance(TIF):
         self._tables = {
             element: self._table_for(element, postings)
             for element in tif.elements()
-            if timefirst.wants_table(postings := tif.postings(element))
+            if wants_table(postings := tif.postings(element))
         }
         return list(self._tables.values())
 
@@ -204,7 +205,15 @@ class IRHintPerformance(TIF):
 
 
 class IRHintSize(TemporalIRIndex):
-    """Algorithm 6: per division, one interval store + an id-only inverted index."""
+    """Algorithm 6: one interval store + one id column per element.
+
+    The columns are derived from the store's table and the catalog, by the
+    first query that finds them absent or built for another table, and
+    never pickled.  An insert of an id the columns already cover (a
+    revive, or a mid-run insert) drops them, since its description may
+    differ; appended objects sit in the store's tail, whose rows are
+    checked against the catalog instead.
+    """
 
     name = "irHINT (size)"
 
@@ -212,20 +221,20 @@ class IRHintSize(TemporalIRIndex):
         super().__init__()
         self._requested_bits = num_bits
         self._hint: Optional[Hint] = None
-        self._inverted: Dict[_DivisionKey, Dict[Element, IdPostingsList]] = {}
+        #: (table, largest id it holds, element → ascending row numbers).
+        self._columns: Optional[
+            Tuple[timefirst.TimeFirstTable, int, Dict[Element, np.ndarray]]
+        ] = None
 
     def _configure_for(self, collection: Collection) -> None:
         if len(collection):
-            mapper = _default_mapper(collection, self._requested_bits)
-            self._hint = Hint(mapper, sort_policy=SortPolicy.TEMPORAL)
+            bits = self._requested_bits
+            self._hint = Hint(_cost_model_bits(collection) if bits is None else bits)
 
-    def _ensure_hint(self, st, end) -> Hint:
-        if self._hint is None:
-            mapper = DomainMapper.with_slack(
-                st, end, self._requested_bits or 10, slack=DOMAIN_SLACK
-            )
-            self._hint = Hint(mapper, sort_policy=SortPolicy.TEMPORAL)
-        return self._hint
+    def __getstate__(self) -> Dict[str, object]:
+        state = super().__getstate__()
+        state["_columns"] = None
+        return state
 
     @property
     def num_bits(self) -> int:
@@ -240,36 +249,62 @@ class IRHintSize(TemporalIRIndex):
 
     # ---------------------------------------------------------------- updates
     def _insert_impl(self, obj: TemporalObject) -> None:
-        hint = self._ensure_hint(obj.st, obj.end)
-        hint.insert(obj.id, obj.st, obj.end)
-        mapper = hint.mapper
-        st_cell, end_cell = mapper.cell_range(obj.st, obj.end)
-        for level, j, is_original in assign(hint.num_bits, st_cell, end_cell):
-            key = (level, j, is_original)
-            postings = self._inverted.get(key)
-            if postings is None:
-                postings = self._inverted[key] = {}
-            for element in obj.d:
-                id_list = postings.get(element)
-                if id_list is None:
-                    id_list = postings[element] = IdPostingsList()
-                id_list.add(obj.id)
+        if self._hint is None:
+            bits = self._requested_bits
+            self._hint = Hint(10 if bits is None else bits)
+        self._hint.insert(obj.id, obj.st, obj.end)
+        if self._columns is not None and obj.id <= self._columns[1]:
+            self._columns = None
 
     def _delete_impl(self, obj: TemporalObject) -> None:
         if self._hint is None:
             raise UnknownObjectError(obj.id)
-        hint = self._hint
-        hint.delete(obj.id, obj.st, obj.end)
-        mapper = hint.mapper
-        st_cell, end_cell = mapper.cell_range(obj.st, obj.end)
-        for level, j, is_original in assign(hint.num_bits, st_cell, end_cell):
-            postings = self._inverted.get((level, j, is_original))
-            if postings is None:
-                continue
+        self._hint.delete(obj.id, obj.st, obj.end)
+
+    def _settle(self) -> None:
+        table = None if self._hint is None else self._hint.table()
+        if table is not None:
+            self._columns_for(table)
+
+    # ---------------------------------------------------------------- columns
+    def _columns_for(self, table: timefirst.TimeFirstTable) -> Dict[Element, np.ndarray]:
+        """Per element, the rows of ``table`` whose object holds it,
+        ascending: its id column in (partition key, id) order, addressed by
+        row number."""
+        cached = self._columns  # one read: a concurrent reader may publish its own
+        if cached is not None and cached[0] is table:
+            return cached[2]
+        codes: Dict[Element, int] = {}
+        pair_codes: List[int] = []
+        pair_ids: List[int] = []
+        for obj in self._catalog.values():
             for element in obj.d:
-                id_list = postings.get(element)
-                if id_list is not None and obj.id in id_list:
-                    id_list.delete(obj.id)
+                pair_codes.append(codes.setdefault(element, len(codes)))
+                pair_ids.append(obj.id)
+        # Every row of each (element, id) pair's slot: rows grouped by id.
+        row_ids = table.row_ids
+        by_id = np.argsort(row_ids, kind="stable")
+        sorted_ids = row_ids[by_id]
+        ids = np.array(pair_ids, dtype=np.int64)
+        first = sorted_ids.searchsorted(ids, "left")
+        counts = sorted_ids.searchsorted(ids, "right") - first
+        pair = np.repeat(np.arange(len(ids)), counts)
+        rank = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = by_id[first[pair] + rank]
+        elements = np.array(pair_codes, dtype=np.int64)[pair]
+        order = np.lexsort((rows, elements))
+        rows, elements = rows[order], elements[order]
+        starts = elements.searchsorted(np.arange(len(codes) + 1))
+        columns = {
+            element: rows[starts[code] : starts[code + 1]] for element, code in codes.items()
+        }
+        self._columns = (table, int(row_ids.max()), columns)
+        return columns
+
+    def _holds(self, object_id: int, elements: List[Element]) -> bool:
+        """Does the catalog's object hold every one of ``elements``?"""
+        d = self._catalog[object_id].d
+        return all(element in d for element in elements)
 
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
@@ -278,7 +313,7 @@ class IRHintSize(TemporalIRIndex):
     def _pure_temporal_query(self, q: TimeTravelQuery) -> List[int]:
         if tracing_active():
             # The traversal is the range query when q.d = ∅; running it
-            # keeps the trace's per-division accounting on the real path.
+            # keeps the trace's accounting on the real path.
             return self._traverse(q)
         if self._hint is None:
             return []
@@ -291,67 +326,71 @@ class IRHintSize(TemporalIRIndex):
             if traced:
                 event("empty index")
             return []
-        out: List[int] = []
         # Global frequency order, computed once (Algorithm 1 line 2).
         ordered = self._dictionary.order_by_frequency(q.d) if q.d else []
-        originals = DivisionKind.ORIGINALS
-        touched = interval_candidates = 0
-        for level, j, partition, kind, check in hint.iter_query_divisions(q.st, q.end):
-            # Step 1 (Alg. 6): range-filter the division's interval store.
-            candidates: List[int] = []
-            partition.scan_division(kind, check, q.st, q.end, candidates)
-            if traced:
-                touched += 1
-                interval_candidates += len(candidates)
-            if not candidates:
-                continue
-            candidates.sort()  # by object id, for the merge intersections
-            # Step 2: progressive merge intersections with the division's
-            # id-only postings lists (QueryIF).
-            postings = self._inverted.get((level, j, kind is originals))
-            if postings is None:
-                if ordered:
-                    continue
-                out.extend(candidates)
-                continue
+        notes: Optional[Dict[str, object]] = {} if traced else None
+        found = hint.division_rows(q.st, q.end, notes)
+        probed = 0
+        if found is None:
+            # An empty or spilled store has no table: one flat pass, the
+            # descriptions read from the catalog.
+            flat = hint.scan_ids(q.st, q.end, notes)
+            passed = len(flat)
+            out = [oid for oid in flat if self._holds(oid, ordered)]
+        else:
+            # Step 1 (Alg. 6): the store's range filter over its divisions.
+            table, rows, ids = found
+            passed = len(rows)
+            indexed = rows < table.n_rows
+            rows, tail = rows[indexed], ids[~indexed].tolist()
+            ids = ids[indexed]
+            # Step 2: every division's survivors against each element's
+            # column at once — both are in (partition key, id) order.
+            columns = self._columns_for(table) if ordered else {}
             for element in ordered:
-                id_list = postings.get(element)
-                if id_list is None:
-                    candidates = []
+                column = columns.get(element)
+                if column is None or not len(column) or not len(rows):
+                    rows = ids = ids[:0]
                     break
-                candidates = id_list.intersect_sorted(candidates)
-                if not candidates:
-                    break
-            out.extend(candidates)
+                probed += len(rows)
+                positions = column.searchsorted(rows)
+                np.minimum(positions, len(column) - 1, out=positions)
+                hit = column[positions] == rows
+                rows, ids = rows[hit], ids[hit]
+            out = ids.tolist() + [oid for oid in tail if self._holds(oid, ordered)]
         out.sort()
         if traced:
+            assert notes is not None
             event(
                 "interval-store range filters",
-                entries_scanned=interval_candidates,
-                candidates_after=interval_candidates,
-                structures_touched=touched,
+                entries_scanned=notes.get("rows", 0),
+                candidates_after=passed,
+                structures_touched=notes.get("slices", 0),
             )
             event(
-                "per-division id-postings merges",
-                entries_scanned=interval_candidates,
+                "per-element id-column intersections",
+                entries_scanned=probed,
                 candidates_after=len(out),
-                structures_touched=touched,
+                structures_touched=len(ordered),
             )
             annotate(m=hint.num_bits)
         return out
 
     # -------------------------------------------------------------- inspection
     def n_divisions(self) -> int:
-        return len(self._inverted)
+        return 0 if self._hint is None else self._hint.n_divisions()
 
     def size_bytes(self) -> int:
+        """The interval store, plus every column entry as a bare id and a
+        container per column."""
         total = CONTAINER_BYTES
-        if self._hint is not None:
-            total += self._hint.size_bytes()
-        for postings in self._inverted.values():
-            total += CONTAINER_BYTES
-            for id_list in postings.values():
-                total += id_list.size_bytes()
+        if self._hint is None:
+            return total
+        total += self._hint.size_bytes()
+        table = self._hint.settled()
+        if table is not None:
+            for column in self._columns_for(table).values():
+                total += len(column) * ENTRY_ID_BYTES + CONTAINER_BYTES
         return total
 
     def stats(self) -> dict:

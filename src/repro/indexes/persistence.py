@@ -18,6 +18,9 @@ checksum) written by earlier releases still load.
 Snapshots pickle postings classes: lists of the previous release's ``list``
 and ``compressed`` layouts load as plain :class:`~repro.ir.packed.PackedPostingsList`,
 tombstones kept, so an old store moves to packed at its next checkpoint.
+An index stored on the retired per-division HINT classes (``Partition``,
+``SubArray``, ``IdPostingsList``) is rebuilt from its own catalog, with the
+parameters it was built with.
 
 Security note (the standard pickle caveat): only load snapshots you wrote.
 The header check guards against accidents, not adversaries.
@@ -33,6 +36,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 import repro
+from repro.core.collection import Collection
 from repro.core.errors import CorruptSnapshotError, ReproError
 from repro.indexes.base import TemporalIRIndex
 from repro.ir import postings
@@ -179,13 +183,41 @@ class _Migrated(PackedPostingsList):
             setattr(self, name, getattr(packed, name))
 
 
+class _Retired:
+    """Stands in for a class of the retired HINT layout while it unpickles;
+    the index holding it is rebuilt (:func:`_rebuilt`)."""
+
+    def __init__(self, *_args) -> None:  # an enum member's value
+        pass
+
+    def __setstate__(self, _state) -> None:
+        pass
+
+
+def _rebuilt(old: TemporalIRIndex) -> TemporalIRIndex:
+    """``old``, built afresh over its catalog with its own parameters."""
+    state = old.__dict__
+    params = {"num_bits": state.get("_num_bits", state.get("_requested_bits"))}
+    if "_n_slices" in state:
+        params["n_slices"] = state["_n_slices"]
+    return type(old).build(Collection(state["_catalog"].values()), **params)
+
+
 class _Unpickler(pickle.Unpickler):
-    """Restores the previous release's postings layouts as packed lists.
+    """Restores the previous release's postings layouts as packed lists,
+    and notes a class of its HINT layout (``retired``).
 
     Delete with the v1/v2 segment readers when the catalog bumps its version.
     """
 
+    retired = False
+
     def find_class(self, module: str, name: str):
+        if module == "repro.intervals.hint.partition" or (module, name) == (
+            "repro.ir.postings", "IdPostingsList"
+        ):
+            self.retired = True
+            return _Retired
         if (module, name) == ("repro.ir.compressed", "CompressedPostingsList") or (
             module == "repro.ir.postings" and not hasattr(postings, name)
         ):
@@ -213,13 +245,14 @@ def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
         expected_crc = _int_field(header, "payload_crc32", context)
         if zlib.crc32(payload) != expected_crc:
             raise CorruptSnapshotError(f"{context}: snapshot payload checksum mismatch")
+    unpickler = _Unpickler(io.BytesIO(payload))
     try:
-        index = _Unpickler(io.BytesIO(payload)).load()
+        index = unpickler.load()
     except Exception as exc:  # bit rot in a v1 payload surfaces here
         raise CorruptSnapshotError(f"{context}: snapshot payload unreadable: {exc}") from exc
     if not isinstance(index, TemporalIRIndex):
         raise CorruptSnapshotError(f"{context}: snapshot did not contain an index")
-    return index
+    return _rebuilt(index) if unpickler.retired else index
 
 
 def load_index(path: PathLike) -> TemporalIRIndex:

@@ -5,93 +5,69 @@ The temporal inverted file is extended by replacing every postings list
 candidate set comes from a full HINT range query on the least frequent query
 element; the two variants differ in how the remaining elements shrink it:
 
-* :class:`TIFHintBinary` (Algorithm 3) — ``H[e]`` keeps HINT's beneficial
-  (temporal) sorting.  Candidates are sorted by id, and every object a
-  division scan yields is probed into them by binary search.  Temporal
-  comparisons are still performed during the traversal because they are
-  cheaper than a binary search per division object.
-* :class:`TIFHintMerge` (Algorithm 4) — ``H[e]`` divisions are sorted by
-  object id instead (footnote 8: this forgoes the beneficial sorting).  The
-  candidate set is merge-intersected with each relevant division directly;
-  no temporal comparisons and no ``compfirst``/``complast`` flags are needed
-  since the candidates are already temporally exact.  Construction is the
-  cheapest of all HINT-based methods — ids arrive in increasing order, so
-  the id-sorted divisions build by appends (Section 5.3).
+* :class:`TIFHintBinary` (Algorithm 3) — the rows of every division the
+  query reads in ``H[e]`` are compared against the query interval, and
+  each survivor is binary-searched into the candidates.  The temporal
+  comparisons stay because they are cheaper than a binary search per
+  division object.
+* :class:`TIFHintMerge` (Algorithm 4) — the same divisions are swept with
+  no temporal comparison and no ``compfirst``/``complast`` flags, since the
+  candidates are already temporally exact; their ids are merge-intersected
+  with the candidates.
 
-All per-element HINTs share one domain mapper (the paper rescales each list
-to ``[0, 2^m − 1]``; a shared mapper is the same arithmetic with a shared
-domain, and keeps partition extents aligned across elements).
+Each ``H[e]`` is a :class:`~repro.intervals.hint.Hint`: one id-ordered run
+whose divisions are row slices of its time-first table, read for every
+level at once.  One layout serves both variants: Algorithm 4's id-sorted
+divisions and Algorithm 3's beneficial sorting both give way to one mask
+over the gathered rows (docs/algorithms.md, DEVIATION).  Each HINT grids
+its own list's span, as the paper rescales each list to ``[0, 2^m − 1]``.
 """
 
 from __future__ import annotations
 
+import abc
 from typing import Dict, List, Optional
 
-from repro.core.collection import Collection
+import numpy as np
+
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
-from repro.intervals.hint.domain import DomainMapper
-from repro.intervals.hint.index import Hint
-from repro.intervals.hint.partition import SortPolicy
-from repro.ir.intersection import contains_sorted, intersect_merge
+from repro.intervals.hint.index import Hint, Ids
 from repro.obs.context import event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES
-from repro.utils.sorting import merge_sorted
-
-#: Headroom left above the built domain for insertion workloads.
-DOMAIN_SLACK = 0.25
 
 
-def _traced_range_query(
-    hint: Hint, q: TimeTravelQuery, element, traced: bool
-) -> List[int]:
-    """The first element's HINT range query, with optional phase accounting.
+def _ids_list(ids: Ids) -> List[int]:
+    return ids.tolist() if isinstance(ids, np.ndarray) else ids
 
-    Untraced, this is exactly ``hint.range_query_unsorted``; traced, the
-    same traversal runs division by division so entries scanned and
-    divisions touched can be recorded (``scan_division`` defaults match the
-    plain range query's configuration).
-    """
-    if not traced:
-        return hint.range_query_unsorted(q.st, q.end)
-    candidates: List[int] = []
-    scanned = touched = 0
-    for _level, _j, partition, kind, check in hint.iter_query_divisions(q.st, q.end):
-        scanned += len(partition)
-        touched += 1
-        partition.scan_division(kind, check, q.st, q.end, candidates)
-    event(
-        f"range query H[{element}]",
-        entries_scanned=scanned,
-        candidates_after=len(candidates),
-        structures_touched=touched,
-    )
+
+def _traced_range_query(hint: Hint, q: TimeTravelQuery, element, traced: bool) -> Ids:
+    """The first element's HINT range query (ascending ids), recorded as a
+    phase when traced."""
+    notes: Optional[Dict[str, object]] = {} if traced else None
+    candidates = hint.scan_ids(q.st, q.end, notes)
+    if notes is not None:
+        _phase(f"range query H[{element}]", notes, candidates)
     return candidates
 
 
-class _TIFHintBase(TemporalIRIndex):
-    """Shared machinery: one HINT per element over a common domain mapper."""
+def _phase(label: str, notes: Dict[str, object], candidates: Ids) -> None:
+    """Record one phase from a HINT read's notes: rows read, slices cut."""
+    event(
+        label,
+        entries_scanned=notes.get("rows", 0),
+        candidates_after=len(candidates),
+        structures_touched=notes.get("slices", 0),
+    )
 
-    #: Division sort policy of the per-element HINTs (set by subclasses).
-    _policy: SortPolicy = SortPolicy.TEMPORAL
+
+class _TIFHintBase(TemporalIRIndex):
+    """Shared machinery: one HINT per element."""
 
     def __init__(self, num_bits: int = 10) -> None:
         super().__init__()
         self._num_bits = num_bits
-        self._mapper: Optional[DomainMapper] = None
         self._hints: Dict[Element, Hint] = {}
-
-    def _configure_for(self, collection: Collection) -> None:
-        if len(collection):
-            domain = collection.domain()
-            self._mapper = DomainMapper.with_slack(
-                domain.st, domain.end, self._num_bits, slack=DOMAIN_SLACK
-            )
-
-    def _ensure_mapper(self, st, end) -> DomainMapper:
-        if self._mapper is None:
-            self._mapper = DomainMapper.with_slack(st, end, self._num_bits, slack=DOMAIN_SLACK)
-        return self._mapper
 
     @property
     def num_bits(self) -> int:
@@ -104,11 +80,10 @@ class _TIFHintBase(TemporalIRIndex):
 
     # ---------------------------------------------------------------- updates
     def _insert_impl(self, obj: TemporalObject) -> None:
-        mapper = self._ensure_mapper(obj.st, obj.end)
         for element in obj.d:
             hint = self._hints.get(element)
             if hint is None:
-                hint = self._hints[element] = Hint(mapper, sort_policy=self._policy)
+                hint = self._hints[element] = Hint(self._num_bits)
             hint.insert(obj.id, obj.st, obj.end)
 
     def _delete_impl(self, obj: TemporalObject) -> None:
@@ -116,6 +91,39 @@ class _TIFHintBase(TemporalIRIndex):
             hint = self._hints.get(element)
             if hint is not None:
                 hint.delete(obj.id, obj.st, obj.end)
+
+    def _settle(self) -> None:
+        for hint in self._hints.values():
+            hint.table()
+
+    # ------------------------------------------------------------------ query
+    @abc.abstractmethod
+    def _intersect(self, hint: Hint, candidates: Ids, q: TimeTravelQuery, notes=None) -> Ids:
+        """Shrink the ascending candidates by ``hint``'s divisions."""
+
+    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
+        traced = tracing_active()
+        ordered = self.order_query_elements(q)
+        first_hint = self._hints.get(ordered[0])
+        if first_hint is None:
+            if traced:
+                event(f"range query H[{ordered[0]}] (absent)")
+            return []
+        # Lines 1-3: the initial candidates via a plain HINT range query.
+        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
+        for element in ordered[1:]:
+            if not len(candidates):
+                return []
+            hint = self._hints.get(element)
+            if hint is None:
+                if traced:
+                    event(f"∩ divisions of H[{element}] (absent)")
+                return []
+            notes: Optional[Dict[str, object]] = {} if traced else None
+            candidates = self._intersect(hint, candidates, q, notes)
+            if notes is not None:
+                _phase(f"∩ divisions of H[{element}]", notes, candidates)
+        return _ids_list(candidates)
 
     # -------------------------------------------------------------- inspection
     def size_bytes(self) -> int:
@@ -134,107 +142,18 @@ class _TIFHintBase(TemporalIRIndex):
 
 
 class TIFHintBinary(_TIFHintBase):
-    """Algorithm 3: temporally-sorted divisions + binary-search intersections."""
+    """Algorithm 3: masked division rows binary-searched into the candidates."""
 
     name = "tIF+HINT (binary search)"
-    _policy = SortPolicy.TEMPORAL
 
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        traced = tracing_active()
-        ordered = self.order_query_elements(q)
-        first_hint = self._hints.get(ordered[0])
-        if first_hint is None:
-            if traced:
-                event(f"range query H[{ordered[0]}] (absent)")
-            return []
-        # Lines 1-3: the initial candidates via a plain HINT range query.
-        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
-        for element in ordered[1:]:
-            if not candidates:
-                return []
-            hint = self._hints.get(element)
-            if hint is None:
-                if traced:
-                    event(f"∩ divisions of H[{element}] (absent)")
-                return []
-            candidates.sort()  # line 5
-            matched: List[int] = []
-            scanned = touched = 0
-            # Lines 7-29: traverse H[e] with the comp flags; each object that
-            # passes its division's temporal checks is probed into C.
-            for _level, _j, partition, kind, check in hint.iter_query_divisions(q.st, q.end):
-                if traced:
-                    scanned += len(partition)
-                    touched += 1
-                probe: List[int] = []
-                partition.scan_division(kind, check, q.st, q.end, probe)
-                for object_id in probe:
-                    if contains_sorted(candidates, object_id):
-                        matched.append(object_id)
-            candidates = matched  # line 30
-            if traced:
-                event(
-                    f"∩ divisions of H[{element}]",
-                    entries_scanned=scanned,
-                    candidates_after=len(candidates),
-                    structures_touched=touched,
-                )
-        candidates.sort()
-        return candidates
+    def _intersect(self, hint: Hint, candidates: Ids, q: TimeTravelQuery, notes=None) -> Ids:
+        return hint.probe(candidates, q.st, q.end, notes)
 
 
 class TIFHintMerge(_TIFHintBase):
-    """Algorithm 4: id-sorted divisions + merge-sort intersections."""
+    """Algorithm 4: the division sweep merge-intersected with the candidates."""
 
     name = "tIF+HINT (merge sort)"
-    _policy = SortPolicy.BY_ID
 
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        traced = tracing_active()
-        ordered = self.order_query_elements(q)
-        first_hint = self._hints.get(ordered[0])
-        if first_hint is None:
-            if traced:
-                event(f"range query H[{ordered[0]}] (absent)")
-            return []
-        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
-        candidates.sort()
-        for element in ordered[1:]:
-            if not candidates:
-                return []
-            hint = self._hints.get(element)
-            if hint is None:
-                if traced:
-                    event(f"∩ divisions of H[{element}] (absent)")
-                return []
-            matched: List[int] = []
-            scanned = touched = 0
-            # Lines 6-11: plain partition sweep, no comp flags, no temporal
-            # comparisons — candidates are already temporally exact, and
-            # HINT's structure guarantees each object meets the sweep once.
-            for partition, is_first in hint.iter_sweep_partitions(q.st, q.end):
-                if is_first:
-                    replicas = merge_sorted(
-                        partition.r_in.live_ids(), partition.r_aft.live_ids()
-                    )
-                    matched.extend(intersect_merge(candidates, replicas))
-                    if traced:
-                        scanned += len(replicas)
-                        touched += 2
-                originals = merge_sorted(
-                    partition.o_in.live_ids(), partition.o_aft.live_ids()
-                )
-                matched.extend(intersect_merge(candidates, originals))
-                if traced:
-                    scanned += len(originals)
-                    touched += 2
-            matched.sort()
-            candidates = matched
-            if traced:
-                event(
-                    f"∩ divisions of H[{element}]",
-                    entries_scanned=scanned,
-                    candidates_after=len(candidates),
-                    structures_touched=touched,
-                )
-        return candidates
+    def _intersect(self, hint: Hint, candidates: Ids, q: TimeTravelQuery, notes=None) -> Ids:
+        return hint.sweep(candidates, q.st, q.end, notes)

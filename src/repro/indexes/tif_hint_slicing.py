@@ -14,7 +14,9 @@ The slice copy stores only ``⟨o.id, o.t_st⟩`` pairs: once the initial
 candidate set is temporally exact, later intersections never check the
 temporal predicate again, and ``t_st`` is retained solely for the
 reference-value de-duplication [25] that replication requires (Section 3.2's
-space-saving observation).
+space-saving observation).  Its grid grows as tIF+Slicing's does
+(:func:`~repro.indexes.tif_slicing.regrid`); each HINT takes its grid from
+its own list.
 """
 
 from __future__ import annotations
@@ -27,16 +29,12 @@ from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
+from repro.indexes.tif_hint import _ids_list, _traced_range_query
+from repro.indexes.tif_slicing import intersect_slices, regrid
 from repro.intervals.grid1d import GridLayout
-from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
-from repro.intervals.hint.partition import SortPolicy
-from repro.indexes.tif_hint import _traced_range_query
 from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_ID_START_BYTES
-
-#: Headroom left above the built domain for insertion workloads.
-DOMAIN_SLACK = 0.25
 
 
 class _SlimSlicedList:
@@ -89,7 +87,6 @@ class TIFHintSlicing(TemporalIRIndex):
         super().__init__()
         self._num_bits = num_bits
         self._n_slices = n_slices
-        self._mapper: Optional[DomainMapper] = None
         self._layout: Optional[GridLayout] = None
         self._hints: Dict[Element, Hint] = {}
         self._sliced: Dict[Element, _SlimSlicedList] = {}
@@ -97,13 +94,7 @@ class TIFHintSlicing(TemporalIRIndex):
     def _configure_for(self, collection: Collection) -> None:
         if len(collection):
             domain = collection.domain()
-            self._configure_domain(domain.st, domain.end)
-
-    def _configure_domain(self, lo: Timestamp, hi: Timestamp) -> None:
-        span = hi - lo
-        slack_hi = hi + span * DOMAIN_SLACK if span else hi + 1
-        self._mapper = DomainMapper.for_domain(lo, slack_hi, self._num_bits)
-        self._layout = GridLayout(lo, slack_hi, self._n_slices)
+            self._layout = GridLayout.spanning(domain.st, domain.end, self._n_slices)
 
     @property
     def num_bits(self) -> int:
@@ -115,15 +106,22 @@ class TIFHintSlicing(TemporalIRIndex):
 
     # ---------------------------------------------------------------- updates
     def _insert_impl(self, obj: TemporalObject) -> None:
-        if self._mapper is None or self._layout is None:
-            self._configure_domain(obj.st, obj.end)
-        assert self._mapper is not None and self._layout is not None
-        first, last = self._layout.slice_range(obj.st, obj.end)
         for element in obj.d:
             hint = self._hints.get(element)
             if hint is None:
-                hint = self._hints[element] = Hint(self._mapper, sort_policy=SortPolicy.BY_ID)
+                hint = self._hints[element] = Hint(self._num_bits)
             hint.insert(obj.id, obj.st, obj.end)
+        grown = regrid(self._layout, obj, self._catalog.values(), self._n_slices)
+        if grown is not None:
+            self._layout, self._sliced = grown, {}
+            for held in self._catalog.values():
+                self._slice_in(held)
+        self._slice_in(obj)
+
+    def _slice_in(self, obj: TemporalObject) -> None:
+        assert self._layout is not None
+        first, last = self._layout.slice_range(obj.st, obj.end)
+        for element in obj.d:
             sliced = self._sliced.get(element)
             if sliced is None:
                 sliced = self._sliced[element] = _SlimSlicedList()
@@ -149,6 +147,10 @@ class TIFHintSlicing(TemporalIRIndex):
         if not found:
             raise UnknownObjectError(obj.id)
 
+    def _settle(self) -> None:
+        for hint in self._hints.values():
+            hint.table()
+
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         traced = tracing_active()
@@ -164,9 +166,7 @@ class TIFHintSlicing(TemporalIRIndex):
                 event(f"range query H[{ordered[0]}] (absent)")
             return []
         # First element: HINT's fast range query provides the candidates.
-        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
-        candidates.sort()
-        q_st = q.st
+        candidates = _ids_list(_traced_range_query(first_hint, q, ordered[0], traced))
         first_slice, last_slice = layout.slice_range(q.st, q.end)
         if traced:
             annotate(relevant_slices=last_slice - first_slice + 1)
@@ -180,37 +180,9 @@ class TIFHintSlicing(TemporalIRIndex):
                 if traced:
                     event(f"∩ sub-lists of I[{element}] (absent)")
                 return []
-            matched: List[int] = []
-            scanned = touched = 0
-            for slice_index in range(first_slice, last_slice + 1):
-                columns = sliced.slices.get(slice_index)
-                if columns is None:
-                    continue
-                ids, sts, alive = columns
-                if traced:
-                    scanned += len(ids)
-                    touched += 1
-                slice_lo, slice_hi = layout.slice_bounds(slice_index)
-                i = j = 0
-                n_c, n_e = len(candidates), len(ids)
-                while i < n_c and j < n_e:
-                    c, e = candidates[i], ids[j]
-                    if c == e:
-                        if alive[j]:
-                            st = sts[j]
-                            ref = st if st > q_st else q_st
-                            if slice_lo <= ref < slice_hi or (
-                                slice_index == first_slice and ref < slice_lo
-                            ):
-                                matched.append(c)
-                        i += 1
-                        j += 1
-                    elif c < e:
-                        i += 1
-                    else:
-                        j += 1
-            matched.sort()
-            candidates = matched
+            candidates, scanned, touched = intersect_slices(
+                candidates, sliced.slices, layout, first_slice, last_slice, q.st
+            )
             if traced:
                 event(
                     f"∩ sub-lists of I[{element}]",

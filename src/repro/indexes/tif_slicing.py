@@ -10,12 +10,16 @@ The original work considers stabbing queries; as the paper notes
 (footnote 6), the extension to interval queries only requires the duplicate
 handling, which the reference-value test provides.  The number of slices is
 a tuning parameter (Figure 8); 50 is the paper's chosen default.
+
+The grid spans the objects held plus head-room
+(:meth:`~repro.intervals.grid1d.GridLayout.spanning`); an object ending
+past it re-slices every held object over the grown span (:func:`regrid`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.collection import Collection
 from repro.core.errors import UnknownObjectError
@@ -26,9 +30,70 @@ from repro.intervals.grid1d import GridLayout
 from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
-#: How much head-room beyond the built domain the slicing grid keeps, so
-#: insertion workloads with growing timestamps do not pile into one slice.
-DOMAIN_SLACK = 0.25
+
+def regrid(
+    layout: Optional[GridLayout],
+    obj: TemporalObject,
+    held: Iterable[TemporalObject],
+    n_slices: int,
+) -> Optional[GridLayout]:
+    """The grid to re-slice ``held`` and ``obj`` over, when ``obj`` ends
+    past ``layout`` (or there is none yet); ``None`` when it fits."""
+    if layout is not None and obj.end <= layout.hi:
+        return None
+    objects = [*held, obj]
+    return GridLayout.spanning(
+        min(o.st for o in objects), max(o.end for o in objects), n_slices
+    )
+
+
+def intersect_slices(
+    candidates: List[int],
+    slices: Dict[int, List[list]],
+    layout: GridLayout,
+    first_slice: int,
+    last_slice: int,
+    q_st: Timestamp,
+) -> Tuple[List[int], int, int]:
+    """Algorithm 1's intersection over one list's relevant sub-lists.
+
+    ``slices`` maps a slice to its id-sorted columns ``[ids, sts, …,
+    alive]``.  Each sub-list is merged with the ascending ``candidates``,
+    and a match is reported by one slice only: the one holding its
+    reference value ``max(o.t_st, q.t_st)`` [25] — or the first relevant
+    slice, for an object starting before it.  Returns ``(matched ids,
+    entries scanned, sub-lists touched)``.
+    """
+    matched: List[int] = []
+    scanned = touched = 0
+    for slice_index in range(first_slice, last_slice + 1):
+        columns = slices.get(slice_index)
+        if columns is None:
+            continue
+        ids, sts, alive = columns[0], columns[1], columns[-1]
+        scanned += len(ids)
+        touched += 1
+        slice_lo, slice_hi = layout.slice_bounds(slice_index)
+        i = j = 0
+        n_c, n_e = len(candidates), len(ids)
+        while i < n_c and j < n_e:
+            c, e = candidates[i], ids[j]
+            if c == e:
+                if alive[j]:
+                    st = sts[j]
+                    ref = st if st > q_st else q_st
+                    if slice_lo <= ref < slice_hi or (
+                        slice_index == first_slice and ref < slice_lo
+                    ):
+                        matched.append(c)
+                i += 1
+                j += 1
+            elif c < e:
+                i += 1
+            else:
+                j += 1
+    matched.sort()
+    return matched, scanned, touched
 
 
 class _SlicedList:
@@ -89,16 +154,7 @@ class TIFSlicing(TemporalIRIndex):
     def _configure_for(self, collection: Collection) -> None:
         if len(collection):
             domain = collection.domain()
-            span = domain.end - domain.st
-            hi = domain.end + span * DOMAIN_SLACK if span else domain.end + 1
-            self._layout = GridLayout(domain.st, hi, self._n_slices)
-
-    def _ensure_layout(self, st: Timestamp, end: Timestamp) -> GridLayout:
-        if self._layout is None:
-            span = end - st
-            hi = end + span * DOMAIN_SLACK if span else end + 1
-            self._layout = GridLayout(st, hi, self._n_slices)
-        return self._layout
+            self._layout = GridLayout.spanning(domain.st, domain.end, self._n_slices)
 
     @property
     def layout(self) -> Optional[GridLayout]:
@@ -107,8 +163,16 @@ class TIFSlicing(TemporalIRIndex):
 
     # ---------------------------------------------------------------- updates
     def _insert_impl(self, obj: TemporalObject) -> None:
-        layout = self._ensure_layout(obj.st, obj.end)
-        first, last = layout.slice_range(obj.st, obj.end)
+        grown = regrid(self._layout, obj, self._catalog.values(), self._n_slices)
+        if grown is not None:
+            self._layout, self._lists = grown, {}
+            for held in self._catalog.values():
+                self._slice_in(held)
+        self._slice_in(obj)
+
+    def _slice_in(self, obj: TemporalObject) -> None:
+        assert self._layout is not None
+        first, last = self._layout.slice_range(obj.st, obj.end)
         for element in obj.d:
             sliced = self._lists.get(element)
             if sliced is None:
@@ -191,37 +255,9 @@ class TIFSlicing(TemporalIRIndex):
                 if traced:
                     event(f"∩ sub-lists of I[{element}] (absent)")
                 return []
-            matched: List[int] = []
-            scanned = touched = 0
-            for slice_index in range(first_slice, last_slice + 1):
-                columns = sliced.slices.get(slice_index)
-                if columns is None:
-                    continue
-                ids, sts, _ends, alive = columns
-                if traced:
-                    scanned += len(ids)
-                    touched += 1
-                slice_lo, slice_hi = layout.slice_bounds(slice_index)
-                i = j = 0
-                n_c, n_e = len(candidates), len(ids)
-                while i < n_c and j < n_e:
-                    c, e = candidates[i], ids[j]
-                    if c == e:
-                        if alive[j]:
-                            st = sts[j]
-                            ref = st if st > q_st else q_st
-                            if slice_lo <= ref < slice_hi or (
-                                slice_index == first_slice and ref < slice_lo
-                            ):
-                                matched.append(c)
-                        i += 1
-                        j += 1
-                    elif c < e:
-                        i += 1
-                    else:
-                        j += 1
-            matched.sort()
-            candidates = matched
+            candidates, scanned, touched = intersect_slices(
+                candidates, sliced.slices, layout, first_slice, last_slice, q_st
+            )
             if traced:
                 event(
                     f"∩ sub-lists of I[{element}]",

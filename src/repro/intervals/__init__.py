@@ -5,7 +5,6 @@ from repro.intervals.grid1d import GridLayout
 from repro.intervals.hint import (
     DomainMapper,
     Hint,
-    SortPolicy,
     choose_num_bits,
 )
 from repro.intervals.linear import LinearScan
@@ -17,6 +16,5 @@ __all__ = [
     "IntervalIndex",
     "IntervalRecord",
     "LinearScan",
-    "SortPolicy",
     "choose_num_bits",
 ]

@@ -9,7 +9,10 @@ query) pair is reported only by the partition containing
 
 This structure is what tIF+Slicing applies to each postings list;
 :class:`GridLayout` is the boundary arithmetic ``tif_slicing`` and
-``tif_hint_slicing`` share.
+``tif_hint_slicing`` share.  A grid is laid over the span it is built for
+plus :data:`DOMAIN_SLACK` head-room; an object ending past it makes those
+indexes re-slice everything they hold over the grown span, and the
+head-room makes the growth geometric, so its cost is amortised.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from typing import Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.interval import Timestamp
+
+#: Head-room a slicing grid keeps above the span it is laid over, as a
+#: share of that span.
+DOMAIN_SLACK = 0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +46,12 @@ class GridLayout:
             raise ConfigurationError(f"n_slices must be >= 1, got {self.n_slices}")
         if self.lo > self.hi:
             raise ConfigurationError(f"grid lo {self.lo!r} exceeds hi {self.hi!r}")
+
+    @classmethod
+    def spanning(cls, lo: Timestamp, hi: Timestamp, n_slices: int) -> "GridLayout":
+        """A grid over ``[lo, hi]`` plus the :data:`DOMAIN_SLACK` head-room."""
+        span = hi - lo
+        return cls(lo, hi + span * DOMAIN_SLACK if span else hi + 1, n_slices)
 
     @property
     def width(self) -> float:

@@ -15,10 +15,9 @@ timestamps, so discretisation can never flip a comparison:
   and last relevant partitions), eliminating false positives.
 
 Out-of-domain timestamps are clamped — clamping is monotone, so correctness
-is preserved; a domain built with :func:`DomainMapper.with_slack` leaves
-headroom for the growing domains of the update workloads (the paper defers to
-the time-expanding HINT extension of [21]; clamp-plus-slack is our simulation
-of it, documented in DESIGN.md).
+is preserved.  A HINT table takes its domain from its own run at every
+rebuild (:mod:`repro.intervals.hint.timefirst`), so only a query window
+ever reaches past it.
 """
 
 from __future__ import annotations
@@ -48,20 +47,6 @@ class DomainMapper:
     def for_domain(cls, lo: Timestamp, hi: Timestamp, num_bits: int) -> "DomainMapper":
         """Mapper for a fixed, known domain."""
         return cls(lo=lo, hi=hi, num_bits=num_bits)
-
-    @classmethod
-    def with_slack(
-        cls, lo: Timestamp, hi: Timestamp, num_bits: int, slack: float = 0.25
-    ) -> "DomainMapper":
-        """Mapper leaving ``slack`` fractional headroom above ``hi``.
-
-        Insertion workloads append objects with ever-later timestamps; the
-        slack keeps them from all clamping into the final cell.
-        """
-        if slack < 0:
-            raise ConfigurationError(f"slack must be non-negative, got {slack}")
-        span = hi - lo
-        return cls(lo=lo, hi=hi + span * slack if span else hi + 1, num_bits=num_bits)
 
     # ------------------------------------------------------------------- maps
     @property

@@ -3,93 +3,70 @@
 HINT hierarchically and uniformly divides the (discretised) time domain into
 ``2^l`` partitions at each of its ``m + 1`` levels; each interval is assigned
 to the smallest covering set of partitions (at most two per level), split
-into originals and replicas.  Range queries traverse the hierarchy bottom-up
-(Algorithm 2) so that endpoint comparisons are needed in at most four
-partitions; everything else is reported comparison-free.
+into originals and replicas.  A range query reads, per level, the originals
+of the partitions the query spans and the replicas of the first one, and
+meets every overlapping interval exactly once.
 
-This implementation keeps only non-empty partitions in a hash map — the
-pragmatic CPython counterpart of the paper's skewness & sparsity
-optimisation — and always applies the subdivisions and storage
-optimisations; the sort policy picks beneficial sorting or id order (see
-:mod:`repro.intervals.hint.partition`).
+Stored as one id-ordered packed run (:class:`~repro.ir.packed.PackedPostingsList`)
+read through its :class:`~repro.intervals.hint.timefirst.TimeFirstTable`:
+the divisions are row slices of that table, every level's slices are cut
+at once, and one overlap mask over the gathered rows replaces the paper's
+per-division comparison flags and beneficial sorting.  Inserts append to
+the run (the tail); the table is rebuilt, over the run's own time span, by
+the first query that finds it stale.  A run spilled to non-i64 values
+(floats) has no table and is scanned flat.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Union
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError, UnknownObjectError
 from repro.core.interval import Timestamp
 from repro.intervals.base import IntervalIndex, IntervalRecord
-from repro.intervals.hint.domain import DomainMapper
-from repro.intervals.hint.partition import Partition, SortPolicy
-from repro.intervals.hint.traversal import (
-    assign,
-    iter_relevant_divisions,
-    iter_relevant_partitions,
-)
-from repro.utils.bitops import partition_extent, validate_num_bits
-from repro.utils.memory import CONTAINER_BYTES
+from repro.intervals.hint import timefirst
+from repro.ir.blocks import exact_window, overlap_mask
+from repro.ir.packed import PackedPostingsList
+from repro.utils.bitops import validate_num_bits
+from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
+
+#: Ids of the divisions a query reads, or of their intersection with the
+#: candidates: an int64 array on the table path, a list on a spilled run.
+Ids = Union[np.ndarray, List[int]]
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 class Hint(IntervalIndex):
-    """Hierarchical index for intervals with bottom-up range queries."""
+    """Hierarchical index for intervals: a packed run and its HINT table."""
 
-    def __init__(
-        self,
-        mapper: DomainMapper,
-        sort_policy: SortPolicy = SortPolicy.TEMPORAL,
-    ) -> None:
-        """Create an empty HINT over ``mapper``'s domain.
+    def __init__(self, num_bits: int) -> None:
+        """Create an empty HINT of ``num_bits + 1`` levels (``m``)."""
+        validate_num_bits(num_bits)
+        self._m = num_bits
+        self._run = PackedPostingsList()
+        self._table: Optional[timefirst.TimeFirstTable] = None
 
-        Parameters
-        ----------
-        mapper:
-            Domain discretisation (fixes ``m``, the number of index bits).
-        sort_policy:
-            ``TEMPORAL`` — the paper's beneficial sorting (default);
-            ``BY_ID`` — divisions ordered by object id (Algorithm 4 needs
-            this; beneficial sorting is then unavailable by construction).
-        """
-        validate_num_bits(mapper.num_bits)
-        self._mapper = mapper
-        self._m = mapper.num_bits
-        self._sort_policy = sort_policy
-        self._partitions: Dict[Tuple[int, int], Partition] = {}
-        self._n_live = 0
-
-    # ------------------------------------------------------------ constructors
     @classmethod
     def build(
-        cls,
-        records: Iterable[IntervalRecord],
-        num_bits: Optional[int] = None,
-        mapper: Optional[DomainMapper] = None,
-        sort_policy: SortPolicy = SortPolicy.TEMPORAL,
-        domain_slack: float = 0.25,
+        cls, records: Iterable[IntervalRecord], num_bits: Optional[int] = None
     ) -> "Hint":
-        """Bulk-build over ``records``.
-
-        When no ``mapper`` is given the domain is derived from the records
-        (with ``domain_slack`` headroom for future insertions) and
-        ``num_bits`` must be provided (use
+        """Bulk-build over ``records``; ``num_bits`` is required (use
         :func:`repro.intervals.hint.cost_model.choose_num_bits` to derive
-        one).
-        """
-        materialised = list(records)
-        if mapper is None:
-            if num_bits is None:
-                raise ConfigurationError("Hint.build needs either a mapper or num_bits")
-            if not materialised:
-                mapper = DomainMapper.for_domain(0, 1, num_bits)
-            else:
-                lo = min(record[1] for record in materialised)
-                hi = max(record[2] for record in materialised)
-                mapper = DomainMapper.with_slack(lo, hi, num_bits, slack=domain_slack)
-        index = cls(mapper, sort_policy=sort_policy)
-        for object_id, st, end in materialised:
+        one)."""
+        if num_bits is None:
+            raise ConfigurationError("Hint.build needs num_bits")
+        index = cls(num_bits)
+        for object_id, st, end in records:
             index.insert(object_id, st, end)
         return index
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state["_table"] = None  # derived; the first query rebuilds it
+        return state
 
     # ------------------------------------------------------------- properties
     @property
@@ -97,121 +74,179 @@ class Hint(IntervalIndex):
         """``m`` — the number of index bits (``m + 1`` levels)."""
         return self._m
 
-    @property
-    def mapper(self) -> DomainMapper:
-        """The domain discretisation in use."""
-        return self._mapper
-
-    @property
-    def sort_policy(self) -> SortPolicy:
-        return self._sort_policy
-
     def __len__(self) -> int:
-        return self._n_live
+        return len(self._run)
 
-    def n_partitions(self) -> int:
-        """Number of materialised (non-empty) partitions."""
-        return len(self._partitions)
+    def table(self) -> Optional[timefirst.TimeFirstTable]:
+        """The run's table, (re)built here when absent or stale; ``None``
+        for an empty or spilled run."""
+        run = self._run
+        if not run.layout_epoch or not run.physical_len():
+            return None
+        table = self._table
+        if table is None or not table.is_fresh(run):
+            table = self._table = timefirst.TimeFirstTable(run, self._m)
+        return table
 
-    def partition(self, level: int, j: int) -> Optional[Partition]:
-        """Access a partition (test/introspection helper)."""
-        return self._partitions.get((level, j))
+    def settled(self) -> Optional[timefirst.TimeFirstTable]:
+        """:meth:`table`, rebuilt over the tail too if it has one: every
+        slot in a division, as the statistics count them."""
+        table = self.table()
+        if table is not None and table.n_slots < self._run.physical_len():
+            table = self._table = timefirst.TimeFirstTable(self._run, self._m)
+        return table
 
     # ---------------------------------------------------------------- updates
     def insert(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
-        """Assign the interval to at most two partitions per level."""
-        st_cell, end_cell = self._mapper.cell_range(st, end)
-        partitions = self._partitions
-        m = self._m
-        for level, j, is_original in assign(m, st_cell, end_cell):
-            key = (level, j)
-            partition = partitions.get(key)
-            if partition is None:
-                first, last = partition_extent(level, j, m)
-                partition = partitions[key] = Partition(first, last, self._sort_policy)
-            partition.add(object_id, st, end, end_cell, is_original)
-        self._n_live += 1
+        """Add the interval (re-inserting a live id replaces its interval)."""
+        self._run.add(object_id, st, end)
 
     def delete(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
-        """Tombstone the record in every partition its assignment touches.
-
-        All or nothing: every entry is located (id and both endpoints) before
-        any is tombstoned, so a record that is absent anywhere raises and
-        leaves the index unchanged.
-        """
-        st_cell, end_cell = self._mapper.cell_range(st, end)
-        located = []
-        for level, j, is_original in assign(self._m, st_cell, end_cell):
-            partition = self._partitions.get((level, j))
-            if partition is None:
-                raise UnknownObjectError(object_id)
-            located.append(partition.locate(object_id, st, end, end_cell, is_original))
-        for sub, i in located:
-            sub.tombstone_at(i)
-        self._n_live -= 1
+        """Tombstone the record; raises, changing nothing, unless the id is
+        live with exactly these endpoints."""
+        if self._run.interval(object_id) != (st, end):
+            raise UnknownObjectError(object_id)
+        self._run.delete(object_id)
 
     # ------------------------------------------------------------------ query
     def range_query(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
         """All live interval ids overlapping ``[q_st, q_end]``, sorted."""
-        out = self.range_query_unsorted(q_st, q_end)
-        out.sort()
-        return out
+        ids = self.scan_ids(q_st, q_end)
+        return ids.tolist() if isinstance(ids, np.ndarray) else ids
 
-    def range_query_unsorted(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
-        """Algorithm 2: bottom-up traversal, duplicate-free by construction."""
-        first_cell, last_cell = self._mapper.cell_range(q_st, q_end)
-        out: List[int] = []
-        partitions = self._partitions
-        for level, j, kind, check in iter_relevant_divisions(self._m, first_cell, last_cell):
-            partition = partitions.get((level, j))
-            if partition is not None:
-                partition.scan_division(kind, check, q_st, q_end, out)
-        return out
+    def scan_ids(
+        self, q_st: Timestamp, q_end: Timestamp, notes: Optional[Dict[str, object]] = None
+    ) -> Ids:
+        """Algorithm 2: the ascending ids of :meth:`range_query`, unboxed.
+        ``notes``, when given, receives the counts the query trace reports
+        (``phase``, ``rows`` read, ``slices`` touched)."""
+        table = self.table()
+        if table is None:
+            return self._flat(notes, self._run.scan_ids(q_st, q_end))
+        return table.scan_ids(self._run, q_st, q_end, notes)
 
-    def iter_query_divisions(self, q_st: Timestamp, q_end: Timestamp):
-        """Yield ``(level, j, partition, kind, check)`` for composite indexes.
+    def probe(
+        self,
+        candidates: Ids,
+        q_st: Timestamp,
+        q_end: Timestamp,
+        notes: Optional[Dict[str, object]] = None,
+    ) -> Ids:
+        """Algorithm 3's intersection: every row of the divisions
+        ``[q_st, q_end]`` reads that passes the overlap test, binary-searched
+        into the ascending, non-empty ``candidates``.  Ascending ids."""
+        block = self._gathered(candidates, q_st, q_end, notes)
+        if block is None:
+            return self._flat(notes, self._run.intersect_sorted(candidates))
+        sorted_ids, gathered, window = block
+        ids = gathered[-3][self._hits(gathered, window)]
+        positions = sorted_ids.searchsorted(ids)
+        np.minimum(positions, len(sorted_ids) - 1, out=positions)
+        matched = ids[sorted_ids[positions] == ids]
+        matched.sort()
+        return matched
 
-        Exposes the traversal skeleton over materialised partitions so
-        composite structures (irHINT) can run their own per-division search
-        in place of the id scan.
-        """
-        first_cell, last_cell = self._mapper.cell_range(q_st, q_end)
-        partitions = self._partitions
-        for level, j, kind, check in iter_relevant_divisions(self._m, first_cell, last_cell):
-            partition = partitions.get((level, j))
-            if partition is not None:
-                yield level, j, partition, kind, check
+    def sweep(
+        self,
+        candidates: Ids,
+        q_st: Timestamp,
+        q_end: Timestamp,
+        notes: Optional[Dict[str, object]] = None,
+    ) -> Ids:
+        """Algorithm 4's intersection: the live ids of the divisions
+        ``[q_st, q_end]`` reads, with no temporal comparison (temporally
+        exact candidates meet their own interval), sorted and intersected
+        with the ascending, non-empty ``candidates``.  Ascending ids."""
+        block = self._gathered(candidates, q_st, q_end, notes)
+        if block is None:
+            return self._flat(notes, self._run.intersect_sorted(candidates))
+        sorted_ids, gathered, _window = block
+        live = self._live(gathered)
+        ids = gathered[-3] if live is None else gathered[-3][live]
+        if not len(ids):
+            return ids
+        ids = np.sort(ids)
+        positions = ids.searchsorted(sorted_ids)
+        np.minimum(positions, len(ids) - 1, out=positions)
+        return sorted_ids[ids[positions] == sorted_ids]
 
-    def iter_sweep_partitions(self, q_st: Timestamp, q_end: Timestamp):
-        """Yield ``(partition, is_first)`` per Algorithm 4's simple sweep."""
-        first_cell, last_cell = self._mapper.cell_range(q_st, q_end)
-        partitions = self._partitions
-        for level, j, is_first in iter_relevant_partitions(self._m, first_cell, last_cell):
-            partition = partitions.get((level, j))
-            if partition is not None:
-                yield partition, is_first
+    def division_rows(
+        self, q_st: Timestamp, q_end: Timestamp, notes: Optional[Dict[str, object]] = None
+    ) -> "Optional[tuple[timefirst.TimeFirstTable, np.ndarray, np.ndarray]]":
+        """Algorithm 6's range filter, by row: ``(table, rows, ids)`` of the
+        live entries of the divisions ``[q_st, q_end]`` reads that overlap
+        it.  Rows number the table's rows, ascending in (partition key, id)
+        order, then the tail's slots from ``table.n_rows`` on.  ``None`` on
+        an empty or spilled run, which has no table."""
+        table = self.table()
+        if table is None:
+            return None
+        window = exact_window(q_st, q_end)
+        if window is None:
+            return table, _NO_IDS, _NO_IDS
+        bounds = table.slices(window, notes)
+        gathered = table.gather(self._run, bounds, notes)
+        tail = self._run.physical_len() - table.n_slots
+        rows = np.concatenate(
+            [np.arange(start, stop) for start, stop in bounds]
+            + [np.arange(table.n_rows, table.n_rows + tail)]
+        )
+        hit = self._hits(gathered, window)
+        return table, rows[hit], gathered[-3][hit]
+
+    def _gathered(self, candidates: Ids, q_st, q_end, notes):
+        """``(candidates as int64, gathered rows, exact window)`` for the
+        table path of :meth:`probe` and :meth:`sweep`; ``None`` when the
+        run's own intersection answers instead (a spilled run, an id beyond
+        i64, or a window wide enough that the flat read is cheaper)."""
+        table = self.table()
+        window = exact_window(q_st, q_end)
+        if table is None or window is None:
+            return None
+        try:
+            sorted_ids = np.asarray(candidates, dtype=np.int64)
+        except OverflowError:
+            return None
+        bounds = table.slices(window, notes)
+        if table.too_wide(bounds):
+            return None
+        return sorted_ids, table.gather(self._run, bounds, notes), window
+
+    def _live(self, gathered: np.ndarray) -> Optional[np.ndarray]:
+        """Which gathered rows name a live slot; ``None`` while all do."""
+        alive = self._run.alive_column()
+        return None if alive is None else alive[gathered[0]] != 0
+
+    def _hits(self, gathered: np.ndarray, window) -> np.ndarray:
+        """Which gathered rows are live and overlap the exact window."""
+        hit = overlap_mask(gathered[-2], gathered[-1], *window)
+        live = self._live(gathered)
+        return hit if live is None else hit & live
+
+    def _flat(self, notes: Optional[Dict[str, object]], ids: Ids) -> Ids:
+        """``ids``, read from the run in one pass, noted as such."""
+        if notes is not None:
+            notes.update(phase="scan", rows=self._run.physical_len(), slices=1)
+        return ids
 
     # ------------------------------------------------------------------ stats
+    def n_divisions(self) -> int:
+        """Non-empty divisions (originals and replicas of a partition apart)."""
+        table = self.settled()
+        return 0 if table is None else table.n_divisions
+
     def n_replicated_entries(self) -> int:
-        """Total stored entries across partitions (≥ live records)."""
-        return sum(partition.n_entries() for partition in self._partitions.values())
+        """Stored entries across divisions, replicas included (≥ live records)."""
+        table = self.settled()
+        return len(self._run) if table is None else table.live_rows(self._run)
 
     def replication_factor(self) -> float:
         """Stored entries per live record (1.0 = no replication)."""
-        if self._n_live == 0:
-            return 0.0
-        return self.n_replicated_entries() / self._n_live
-
-    def level_histogram(self) -> Dict[int, int]:
-        """Live entries per level (diagnostics; cost-model validation)."""
-        histogram: Dict[int, int] = {}
-        for (level, _j), partition in self._partitions.items():
-            histogram[level] = histogram.get(level, 0) + partition.n_entries()
-        return histogram
+        return self.n_replicated_entries() / len(self) if len(self) else 0.0
 
     def size_bytes(self) -> int:
-        """Modelled size of all partitions plus the directory."""
-        total = CONTAINER_BYTES
-        for partition in self._partitions.values():
-            total += partition.size_bytes()
-        return total
+        """Modelled size: the run, plus the table's rows as full entries
+        and its directory."""
+        table = self.settled()
+        rows = 0 if table is None else table.n_rows
+        return self._run.size_bytes() + rows * ENTRY_FULL_BYTES + CONTAINER_BYTES

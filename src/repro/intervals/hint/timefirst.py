@@ -1,32 +1,42 @@
-"""irHINT's time-first table: one long postings list re-cut along HINT.
+"""HINT as one table: a packed run re-cut along the hierarchy.
 
 A :class:`TimeFirstTable` is *derived* from slots ``[0, n_slots)`` of one
-:class:`~repro.ir.packed.PackedPostingsList`: every slot's interval is
-assigned to its HINT partitions over the list's own time span, and the rows
-``(slot, id, t_st, t_end)`` are stored ordered by (partition key, slot).
-Keys are level-contiguous — partition ``j`` of level ``l`` is ``2^l − 1 + j``
-— and replica rows carry their key shifted past every original's, so one
-sorted directory of the non-empty keys with their row offsets covers both
-(HINT's sparse partitions merged into one table behind an auxiliary index,
-arXiv 2104.10939).  A query is two ``searchsorted`` calls into the directory
-over the ``2(m + 1)`` level bounds — originals of partitions ``f … l`` as one
-slice per level, replicas of partition ``f`` alone — one ``concatenate``,
-one overlap mask over the gathered rows and one sort.  Partitions HINT would
-report without comparing are compared anyway: one mask is cheaper than
-dispatching per slice, and it changes no answer.
+:class:`~repro.ir.packed.PackedPostingsList` (a *run*): every slot's
+interval is assigned to its HINT partitions over the run's own time span,
+and the rows ``(slot, id, t_st, t_end)`` are stored ordered by (partition
+key, slot).  Keys are level-contiguous — partition ``j`` of level ``l`` is
+``2^l − 1 + j`` — and replica rows carry their key shifted past every
+original's, so one sorted directory of the non-empty keys with their row
+offsets covers both (HINT's sparse partitions merged into one table behind
+an auxiliary index, arXiv 2104.10939).  A window reads, per level, the
+originals of partitions ``f … l`` as one row slice and the replicas of
+partition ``f`` as another: two ``searchsorted`` calls into the directory
+over the ``2(m + 1)`` level bounds (:meth:`TimeFirstTable.slices`), one
+``concatenate`` (:meth:`TimeFirstTable.gather`), and the caller's mask.
+:meth:`TimeFirstTable.scan_ids` is the range query: one overlap mask over
+the gathered rows and one sort.  Partitions HINT would report without
+comparing are compared anyway: one mask is cheaper than dispatching per
+slice, and it changes no answer.
 
-The list stays the single source of truth.  Rows name slots, so liveness is
-a gather from the list's own tombstone column; slots appended since the
+Two kinds of run carry a table: the run of every :class:`~repro.intervals.hint.Hint`
+(the four HINT-based indexes) and the long lists of irHINT-perf.  The grid
+is the run's own ``[min t_st, max t_end]`` at each build, so a run that
+grows past its first objects' lifespans is re-gridded at its next rebuild,
+never clamped into its last cell.
+
+The run stays the single source of truth.  Rows name slots, so liveness is
+a gather from the run's own tombstone column; slots appended since the
 build are scanned flat as the tail; and a table is *fresh* only while the
-list's layout epoch reads what it read at the build.  The table reads the
-list through ``PackedPostingsList``'s columnar surface only (``layout_epoch``,
+run's layout epoch reads what it read at the build and the tail is still
+the smaller part.  The table reads the run through
+``PackedPostingsList``'s columnar surface only (``layout_epoch``,
 ``columns``, ``alive_column``, ``physical_len``) and is never changed once
 constructed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,13 +44,6 @@ from repro.core.interval import Timestamp
 from repro.intervals.hint.domain import DomainMapper
 from repro.ir.blocks import exact_window, overlap_mask
 from repro.ir.packed import PackedPostingsList
-
-#: Lists with at least this many live entries get a table; shorter ones
-#: are scanned flat.  Fixed by measurement (EXPERIMENTS.md, "tif vs
-#: irHINT"): a table query spends ≈ 19 µs before it reads a row, a flat
-#: mask reads an entry in ≈ 1.3 ns, and in the ledger's query mix the
-#: table first beats the flat scan on lists of 16–32 thousand entries.
-TABLE_MIN = 16_384
 
 #: A window whose partitions hold more than this share of the table's slots
 #: is scanned flat after all: the flat mask reads every slot but yields ids
@@ -57,18 +60,11 @@ _I64_MAX = np.iinfo(np.int64).max
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
-def wants_table(postings: object) -> bool:
-    """Is this a packed (unspilled) list past the crossover?"""
-    return (
-        isinstance(postings, PackedPostingsList)
-        and len(postings) >= TABLE_MIN
-        and postings.layout_epoch > 0
-    )
-
-
 def _cells(mapper: DomainMapper, column: np.ndarray) -> np.ndarray:
     """``mapper.cell`` of every in-domain value of an int64 column."""
     span = mapper.hi - mapper.lo
+    if span == 0:  # cell() sends a one-point domain's only value to cell 0
+        return np.zeros_like(column)
     if span < mapper.n_cells:
         cells = column - mapper.lo
         # cell() sends the domain's top to the last cell, not to cell `span`.
@@ -142,6 +138,80 @@ class TimeFirstTable:
             and postings.physical_len() <= 2 * self.n_slots
         )
 
+    def slices(
+        self, window: Tuple[int, int], notes: Optional[Dict[str, object]] = None
+    ) -> List[Tuple[int, int]]:
+        """Row ranges ``[start, stop)`` of the divisions the
+        :func:`~repro.ir.blocks.exact_window` ``window`` reads: per level,
+        the originals of partitions ``f … l`` as one range and the replicas
+        of ``f`` alone as another, empty ranges left out.  ``notes``, when
+        given, receives the partitions those ranges cover, and the
+        non-empty ranges per level."""
+        mapper = self.mapper
+        m = mapper.num_bits
+        # A window holding no integer (lo = hi + 1) still matches the
+        # intervals covering both neighbours: sweep the cells of the pair.
+        first = mapper.cell(min(window)) >> self._shifts
+        last = mapper.cell(max(window)) >> self._shifts
+        last[m + 1 :] = first[m + 1 :]  # replicas: the first partition only
+        lo = self._keys.searchsorted(self._bases + first, "left")
+        hi = self._keys.searchsorted(self._bases + last, "right")
+        if notes is not None:
+            notes["partitions_touched"] = int((last - first)[: m + 1].sum()) + m + 1
+            notes["divisions_per_level"] = {
+                level: int(count)
+                for level, count in enumerate(np.bincount(np.flatnonzero(hi > lo) % (m + 1)))
+                if count
+            }
+        return [
+            (start, stop)
+            for start, stop in zip(self._offsets[lo].tolist(), self._offsets[hi].tolist())
+            if stop > start
+        ]
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        """The id of every row, in row order."""
+        return self._rows[1]
+
+    def live_rows(self, postings: PackedPostingsList) -> int:
+        """Rows whose slot is live: stored entries, replicas included."""
+        alive = postings.alive_column()
+        return self.n_rows if alive is None else int(np.count_nonzero(alive[self._rows[0]]))
+
+    def too_wide(self, bounds: List[Tuple[int, int]]) -> bool:
+        """Do these row ranges hold more than the share of slots past which
+        one flat pass over the run is the cheaper read?"""
+        return sum(stop - start for start, stop in bounds) > _FLAT_SHARE * self.n_slots
+
+    def gather(
+        self,
+        postings: PackedPostingsList,
+        bounds: List[Tuple[int, int]],
+        notes: Optional[Dict[str, object]] = None,
+    ) -> np.ndarray:
+        """The rows of ``bounds``, in order, then the tail, as one block of
+        columns ``(slot, id, t_st, t_end)``.  The slot column is read only
+        to look tombstones up, so it is left out while ``postings`` has
+        none: index the columns from the end."""
+        alive = postings.alive_column()
+        rows = self._rows[1 if alive is None else 0 :]
+        parts = [rows[:, start:stop] for start, stop in bounds]
+        n, n_now = self.n_slots, postings.physical_len()
+        if n_now > n:  # the tail: slots appended since the build
+            tail = np.empty((len(rows), n_now - n), dtype=np.int64)
+            tail[-3], tail[-2], tail[-1] = (column[n:] for column in postings.columns())
+            if alive is not None:
+                tail[0] = np.arange(n, n_now)
+            parts.append(tail)
+        if notes is not None:
+            notes["phase"] = "time-first table"
+            notes["rows"] = sum(part.shape[1] for part in parts)
+            notes["slices"] = len(bounds)
+        if not parts:
+            return rows[:, :0]
+        return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+
     def scan_ids(
         self,
         postings: PackedPostingsList,
@@ -158,51 +228,14 @@ class TimeFirstTable:
         window = exact_window(q_st, q_end)
         if window is None:
             return _NO_IDS
-        mapper = self.mapper
-        m = mapper.num_bits
-        # A window holding no integer (lo = hi + 1) still matches the
-        # intervals covering both neighbours: sweep the cells of the pair.
-        first = mapper.cell(min(window)) >> self._shifts
-        last = mapper.cell(max(window)) >> self._shifts
-        last[m + 1 :] = first[m + 1 :]  # replicas: the first partition only
-        lo = self._keys.searchsorted(self._bases + first, "left")
-        hi = self._keys.searchsorted(self._bases + last, "right")
-        bounds = [
-            (start, stop)
-            for start, stop in zip(self._offsets[lo].tolist(), self._offsets[hi].tolist())
-            if stop > start
-        ]
-        if notes is not None:
-            notes["partitions_touched"] = int((last - first)[: m + 1].sum()) + m + 1
-        if sum(stop - start for start, stop in bounds) > _FLAT_SHARE * self.n_slots:
+        bounds = self.slices(window, notes)
+        if self.too_wide(bounds):
             if notes is not None:
                 notes.update(phase="scan", rows=postings.physical_len(), slices=1)
             return postings.scan_ids(q_st, q_end)
-        # Rows are (slot, id, t_st, t_end); the slot row is read only to
-        # look tombstones up, so a list without any leaves it behind.
-        alive = postings.alive_column()
-        rows = self._rows[1 if alive is None else 0 :]
-        parts = [rows[:, start:stop] for start, stop in bounds]
-        n, n_now = self.n_slots, postings.physical_len()
-        if n_now > n:  # the tail: slots appended since the build
-            tail = np.empty((len(rows), n_now - n), dtype=np.int64)
-            tail[-3], tail[-2], tail[-1] = (column[n:] for column in postings.columns())
-            if alive is not None:
-                tail[0] = np.arange(n, n_now)
-            parts.append(tail)
-        if notes is not None:
-            notes["phase"] = "time-first table"
-            notes["rows"] = sum(part.shape[1] for part in parts)
-            notes["slices"] = len(bounds)
-            notes["divisions_per_level"] = {
-                level: int(count)
-                for level, count in enumerate(np.bincount(np.flatnonzero(hi > lo) % (m + 1)))
-                if count
-            }
-        if not parts:
-            return _NO_IDS
-        gathered = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+        gathered = self.gather(postings, bounds, notes)
         hit = overlap_mask(gathered[-2], gathered[-1], *window)
+        alive = postings.alive_column()
         if alive is not None:
             hit &= alive[gathered[0]] != 0
         ids = gathered[-3][hit]

@@ -1,40 +1,19 @@
-"""HINT's partition assignment and bottom-up query traversal skeleton.
+"""HINT's partition assignment, one interval at a time.
 
-Two pure functions capture the whole hierarchical logic of HINT (paper
-Section 2.3) independently of what a division physically stores:
-
-* :func:`assign` — the canonical decomposition of an interval into at most
-  two partitions per level; flags which assignment holds the interval as an
-  *original* (the partition where the interval starts) vs a *replica*.
-* :func:`iter_relevant_divisions` — the bottom-up traversal of Algorithm 2
-  with the ``compfirst`` / ``complast`` flags, emitting for every relevant
-  division the exact temporal comparisons that remain necessary.
-
-Factoring the case analysis out lets the plain HINT index (Algorithm 2), the
-per-element HINTs of tIF+HINT (Algorithms 3–4) and both irHINT variants
-(Algorithms 5–6) share one verified traversal instead of four copies.
+:func:`assign` is the canonical decomposition of an interval into at most
+two partitions per level (paper Section 2.3), flagging which assignment
+holds the interval as an *original* (the partition where the interval
+starts) vs a *replica*.  The cost model samples it; the time-first table
+(:mod:`repro.intervals.hint.timefirst`) runs the same walk over whole
+columns at once, and its tests keep this loop as the scalar reference.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Iterator, List, Tuple
-
-from repro.ir.inverted import TemporalCheck
-
-
-class DivisionKind(enum.Enum):
-    """Which division of a partition a traversal step touches."""
-
-    ORIGINALS = "O"
-    REPLICAS = "R"
-
+from typing import List, Tuple
 
 #: One interval-to-partition assignment: (level, partition index, is_original).
 Assignment = Tuple[int, int, bool]
-
-#: One traversal step: (level, partition index, division kind, required check).
-TraversalStep = Tuple[int, int, DivisionKind, TemporalCheck]
 
 
 def assign(m: int, st_cell: int, end_cell: int) -> List[Assignment]:
@@ -63,72 +42,3 @@ def assign(m: int, st_cell: int, end_cell: int) -> List[Assignment]:
         a >>= 1
         b >>= 1
     return assignments
-
-
-def iter_relevant_divisions(
-    m: int, first_cell: int, last_cell: int
-) -> Iterator[TraversalStep]:
-    """Bottom-up traversal of Algorithm 2, emitting required comparisons.
-
-    ``first_cell`` / ``last_cell`` are the cells of the query endpoints.  For
-    every relevant division the step carries the :class:`TemporalCheck` that
-    must still be evaluated against the *original* timestamps:
-
-    * first relevant partition, ``f == l``, both flags set —
-      originals ``BOTH``, replicas ``START_ONLY`` (Alg. 2 lines 10–11);
-    * first, ``f == l``, only ``complast`` —
-      originals ``END_ONLY``, replicas ``NONE`` (lines 13–14);
-    * first, ``compfirst`` set — originals and replicas ``START_ONLY``
-      (line 16);
-    * first, no flags — everything reported (line 18);
-    * last (``l > f``) with ``complast`` — originals ``END_ONLY`` (line 20);
-    * in-between — originals reported unconditionally (line 22).
-
-    Replicas are only ever visited in the first relevant partition of a level
-    — HINT's structural duplicate avoidance.
-    """
-    compfirst = True
-    complast = True
-    for level in range(m, -1, -1):
-        shift = m - level
-        f = first_cell >> shift
-        l = last_cell >> shift
-        for j in range(f, l + 1):
-            if j == f:
-                if f == l and compfirst and complast:
-                    yield level, j, DivisionKind.ORIGINALS, TemporalCheck.BOTH
-                    yield level, j, DivisionKind.REPLICAS, TemporalCheck.START_ONLY
-                elif j == l and complast:  # compfirst is necessarily clear
-                    yield level, j, DivisionKind.ORIGINALS, TemporalCheck.END_ONLY
-                    yield level, j, DivisionKind.REPLICAS, TemporalCheck.NONE
-                elif compfirst:
-                    yield level, j, DivisionKind.ORIGINALS, TemporalCheck.START_ONLY
-                    yield level, j, DivisionKind.REPLICAS, TemporalCheck.START_ONLY
-                else:
-                    yield level, j, DivisionKind.ORIGINALS, TemporalCheck.NONE
-                    yield level, j, DivisionKind.REPLICAS, TemporalCheck.NONE
-            elif j == l and complast:
-                yield level, j, DivisionKind.ORIGINALS, TemporalCheck.END_ONLY
-            else:
-                yield level, j, DivisionKind.ORIGINALS, TemporalCheck.NONE
-        if (f & 1) == 0:  # q.st sits in a left child: start side safe above
-            compfirst = False
-        if (l & 1) == 1:  # q.end sits in a right child: end side safe above
-            complast = False
-
-
-def iter_relevant_partitions(
-    m: int, first_cell: int, last_cell: int
-) -> Iterator[Tuple[int, int, bool]]:
-    """Relevant ``(level, j, is_first)`` partitions without comparison logic.
-
-    The merge-sort tIF+HINT variant (Algorithm 4) needs only the partition
-    sweep — replicas for the first partition of each level, originals for all
-    — since all temporal filtering happened on the first query element.
-    """
-    for level in range(m, -1, -1):
-        shift = m - level
-        f = first_cell >> shift
-        l = last_cell >> shift
-        for j in range(f, l + 1):
-            yield level, j, j == f

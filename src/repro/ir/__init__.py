@@ -10,17 +10,15 @@ from repro.ir.codec import (
 )
 from repro.ir.compressed import CompressedPostingsList
 from repro.ir.intersection import contains_sorted, intersect_merge
-from repro.ir.inverted import TemporalCheck, TemporalInvertedFile
+from repro.ir.inverted import TemporalInvertedFile
 from repro.ir.packed import PackedPostingsList
-from repro.ir.postings import IdPostingsList, PostingsBackend, PostingsEntry
+from repro.ir.postings import PostingsBackend, PostingsEntry
 
 __all__ = [
     "CompressedPostingsList",
-    "IdPostingsList",
     "PackedPostingsList",
     "PostingsBackend",
     "PostingsEntry",
-    "TemporalCheck",
     "TemporalInvertedFile",
     "contains_sorted",
     "decode_block",

@@ -8,8 +8,7 @@ lists.
 
 The performance irHINT (Section 4.1) is this structure plus a time-first
 table on its long lists: it replaces the first scan and shares
-:meth:`TemporalInvertedFile.intersect`.  :class:`TemporalCheck` names the
-comparison subsets HINT's ``compfirst``/``complast`` flags select.
+:meth:`TemporalInvertedFile.intersect`.
 
 Inside a sampled request trace (:mod:`repro.obs.context`) each phase —
 the first scan, then every intersection — is recorded as an event carrying
@@ -19,7 +18,6 @@ numbers ``explain()`` renders and a daemon trace shows.
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -40,21 +38,6 @@ _LAYOUTS: Dict[str, Callable[[], PostingsBackend]] = {
     "packed": PackedPostingsList,
     "compressed": CompressedPostingsList,
 }
-
-
-class TemporalCheck(enum.Enum):
-    """Which endpoint comparisons a division scan must perform (Alg. 5).
-
-    ``BOTH``       — ``q.t_st <= o.t_end  and  o.t_st <= q.t_end``
-    ``START_ONLY`` — ``q.t_st <= o.t_end`` (replicas of the first partition)
-    ``END_ONLY``   — ``o.t_st <= q.t_end`` (originals of the last partition)
-    ``NONE``       — report everything (in-between partitions)
-    """
-
-    BOTH = "both"
-    START_ONLY = "start_only"
-    END_ONLY = "end_only"
-    NONE = "none"
 
 
 class TemporalInvertedFile:

@@ -178,6 +178,14 @@ class PackedPostingsList:
         pos = bisect_left(ids, object_id)
         return pos < len(ids) and ids[pos] == object_id and bool(self._alive[pos])
 
+    def interval(self, object_id: int) -> Optional[Tuple[Timestamp, Timestamp]]:
+        """``(t_st, t_end)`` of the live entry for ``object_id``, else ``None``."""
+        ids = self._ids
+        pos = bisect_left(ids, object_id)
+        if pos < len(ids) and ids[pos] == object_id and self._alive[pos]:
+            return self._sts[pos], self._ends[pos]
+        return None
+
     def physical_len(self) -> int:
         """Slots including tombstones (drops back after compaction)."""
         return len(self._ids)

@@ -6,7 +6,6 @@ from repro.utils.bitops import (
     is_right_child,
     max_cell,
     min_bits_for,
-    partition_extent,
     partition_of,
     partitions_per_level,
     prefix,
@@ -39,7 +38,6 @@ __all__ = [
     "merge_sorted",
     "mib",
     "min_bits_for",
-    "partition_extent",
     "partition_of",
     "partitions_per_level",
     "prefix",

@@ -8,8 +8,6 @@ helpers centralise that arithmetic so every module agrees on it.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.core.errors import ConfigurationError
 
 
@@ -40,16 +38,10 @@ def prefix(level: int, value: int, m: int) -> int:
     return value >> (m - level)
 
 
-def partition_extent(level: int, j: int, m: int) -> Tuple[int, int]:
-    """Inclusive cell range ``[first, last]`` covered by partition ``P_{level,j}``."""
-    width = 1 << (m - level)
-    first = j << (m - level)
-    return first, first + width - 1
-
-
 def partition_of(level: int, cell: int, m: int) -> int:
     """Partition at ``level`` containing ``cell`` (alias of :func:`prefix`)."""
     return prefix(level, cell, m)
+
 
 def partitions_per_level(level: int) -> int:
     """Number of partitions at ``level``: ``2^level``."""

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.collection import Collection
 from repro.core.model import TemporalObject, make_object, make_query
-from repro.indexes import timefirst
+from repro.indexes import irhint
 
 
 @pytest.fixture()
@@ -47,7 +47,7 @@ def small_tables(monkeypatch):
     """irHINT-performance with its crossover forced down: every list of at
     least 8 entries gets a time-first table, so collections of a few
     hundred objects reach the table."""
-    monkeypatch.setattr(timefirst, "TABLE_MIN", 8)
+    monkeypatch.setattr(irhint, "TABLE_MIN", 8)
 
 
 @pytest.fixture()

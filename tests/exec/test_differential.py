@@ -486,7 +486,7 @@ def test_differential_irhint_crossover_direct(crossover, seed):
 def test_differential_irhint_crossover_durable_store(crossover, tmp_path):
     """Through a durable store, checkpointed and reopened mid-trace: the
     recovered index carries no table and must rebuild what it needs."""
-    from repro.indexes import timefirst
+    from repro.indexes import irhint
     from repro.service.store import DurableIndexStore
 
     seed = SEEDS[0]
@@ -518,7 +518,7 @@ def test_differential_irhint_crossover_durable_store(crossover, tmp_path):
             store.delete(op[1])
             oracle.delete(op[1])
     store.close()
-    assert bool(tables_seen) == (timefirst.TABLE_MIN == 8)
+    assert bool(tables_seen) == (irhint.TABLE_MIN == 8)
 
 
 def test_differential_irhint_crossover_forced_through_the_daemon(

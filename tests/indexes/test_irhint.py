@@ -8,9 +8,10 @@ import pytest
 from repro.core.errors import CorruptSnapshotError, UnknownObjectError
 from repro.core.model import make_object, make_query
 from repro.datasets.synthetic import generate_synthetic
-from repro.indexes import explain, timefirst
+from repro.indexes import explain, irhint
 from repro.indexes.irhint import IRHintPerformance, IRHintSize
 from repro.indexes.tif import TIF
+from repro.intervals.hint import timefirst
 from repro.intervals.hint.cost_model import choose_num_bits
 
 
@@ -76,7 +77,7 @@ class TestVariantSpecifics:
     @pytest.fixture(autouse=True)
     def _tables_on_the_running_example(self, monkeypatch):
         # Its lists hold 4, 4 and 7 entries.
-        monkeypatch.setattr(timefirst, "TABLE_MIN", 2)
+        monkeypatch.setattr(irhint, "TABLE_MIN", 2)
 
     def test_divisions_materialised(self, running_example):
         perf = IRHintPerformance.build(running_example, num_bits=3)

@@ -6,7 +6,6 @@ from repro.core.errors import UnknownObjectError
 from repro.core.model import make_object, make_query
 from repro.indexes.tif_hint import TIFHintBinary, TIFHintMerge
 from repro.indexes.tif_hint_slicing import TIFHintSlicing
-from repro.intervals.hint.partition import SortPolicy
 
 
 @pytest.mark.parametrize("cls", [TIFHintBinary, TIFHintMerge, TIFHintSlicing])
@@ -47,14 +46,6 @@ class TestCommonBehaviour:
 
 
 class TestVariantSpecifics:
-    def test_binary_uses_temporal_sorting(self, running_example):
-        index = TIFHintBinary.build(running_example, num_bits=3)
-        assert index.hint_for("a").sort_policy is SortPolicy.TEMPORAL
-
-    def test_merge_uses_id_sorting(self, running_example):
-        index = TIFHintMerge.build(running_example, num_bits=3)
-        assert index.hint_for("a").sort_policy is SortPolicy.BY_ID
-
     def test_hybrid_has_two_copies(self, running_example):
         index = TIFHintSlicing.build(running_example, num_bits=3, n_slices=4)
         assert index._hints and index._sliced
@@ -66,8 +57,8 @@ class TestVariantSpecifics:
         assert hybrid.size_bytes() > merge.size_bytes()
 
     def test_binary_and_merge_same_size_at_same_m(self, random_collection):
-        """Figure 9: the two variants differ only in sorting, so their size
-        curves coincide for equal m."""
+        """Figure 9: the two variants differ only in how they intersect, so
+        their size curves coincide for equal m."""
         binary = TIFHintBinary.build(random_collection, num_bits=5)
         merge = TIFHintMerge.build(random_collection, num_bits=5)
         assert binary.size_bytes() == merge.size_bytes()

@@ -1,21 +1,26 @@
-"""Property leg: irHINT's time-first table vs the flat scan vs BruteForce.
+"""Property leg: every index on the time-first table vs BruteForce.
 
-Seeded traces interleave everything that can happen to a list under a
+Seeded traces interleave everything that can happen to a run under a
 table — appends, mid-list inserts, deletes, delete-then-reinsert with the
-same and with another interval, compaction, a pickle round trip, a spill
-to non-i64 values — and after every step the subject
-(:class:`IRHintPerformance` with the crossover forced to 8, so its lists
-reach the table) must answer like plain :class:`TIF` and like
-:class:`BruteForce`, and each fresh table must answer raw windows
-(±inf, NaN, ``2.0**63``, floats past ``2**53``, point windows, the
+same and with another interval or description, compaction, a pickle round
+trip, a spill to non-i64 values — and after every step each subject must
+answer like :class:`BruteForce` (and plain :class:`TIF`): irHINT-perf
+with the crossover forced to 8, so its lists reach the table; the four
+HINT-based indexes (``tif-hint-binary``, ``tif-hint-merge``,
+``tif-hint-slicing``, ``irhint-size``), started empty; and a bare
+:class:`Hint` over every live interval.  Each fresh table must answer raw
+windows (±inf, NaN, ``2.0**63``, floats past ``2**53``, point windows, the
 domain's edges) like a Python loop over the live entries.  Three regimes:
 a domain much wider than the grid, one beside the i64 limits, and a burst
 narrower than the grid (where cells are exact offsets).
 
 The traces are only as good as what they catch, so the mutants below are
-checked in: each is a one-line change to ``repro/indexes/timefirst.py``
-that some trace must kill (same discipline as the kernel mutants of
-``tests/ir/test_postings_property.py``'s history, PRs 18/19).
+checked in: each is a one-line change to the table
+(``repro/intervals/hint/timefirst.py``), to ``Hint``'s division reads
+(``repro/intervals/hint/index.py``) or to irHINT-size's id columns
+(``repro/indexes/irhint.py``) that some trace must kill (same discipline
+as the kernel mutants of ``tests/ir/test_postings_property.py``'s
+history).
 
 Determinism: every trace derives from an integer seed; a mismatch prints
 the regime, the seed and the step.
@@ -27,16 +32,23 @@ import importlib.util
 import pickle
 import random
 import sys
-from typing import List
+import types
+from typing import Dict, List
 
 import numpy as np
 import pytest
 
 from repro.core.model import TemporalObject, make_query
-from repro.indexes import irhint, timefirst
+from repro.indexes import irhint
 from repro.indexes.brute import BruteForce
 from repro.indexes.tif import TIF
+from repro.indexes.tif_hint import TIFHintBinary, TIFHintMerge
+from repro.indexes.tif_hint_slicing import TIFHintSlicing
+from repro.intervals.hint import index as hint_index
+from repro.intervals.hint import timefirst
+from repro.intervals.hint.index import Hint
 from repro.intervals.hint.traversal import assign
+from repro.ir.blocks import exact_window
 from repro.ir.packed import PackedPostingsList
 
 SEEDS = (11, 4242)
@@ -46,7 +58,8 @@ I64_MAX = (1 << 63) - 1
 INF = float("inf")
 _TWO_53 = 1 << 53
 
-TERMS = (frozenset({"hot"}), frozenset({"hot", "warm"}), frozenset({"warm"}))
+TERMS = (frozenset({"hot"}), frozenset({"hot", "warm"}), frozenset({"warm"}), frozenset())
+DESCRIPTIONS = TERMS[:3]
 
 
 # --------------------------------------------------------------- generators
@@ -99,25 +112,50 @@ RAW_WINDOWS = [
 
 
 # ------------------------------------------------------------------ harness
-def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> irhint.IRHintPerformance:
+def _subjects() -> Dict[str, object]:
+    """Every index the table serves, started empty, at m = 6."""
+    return {
+        "irhint-perf": irhint.IRHintPerformance(num_bits=6),
+        "tif-hint-binary": TIFHintBinary(num_bits=6),
+        "tif-hint-merge": TIFHintMerge(num_bits=6),
+        "tif-hint-slicing": TIFHintSlicing(num_bits=6, n_slices=8),
+        "irhint-size": irhint.IRHintSize(num_bits=6),
+    }
+
+
+def _hints(subjects: Dict[str, object], bare: Hint) -> List[Hint]:
+    """Every ``Hint`` the subjects hold, and the bare one."""
+    found = [bare]
+    for subject in subjects.values():
+        found += getattr(subject, "_hints", {}).values()
+        found += [hint for hint in [getattr(subject, "_hint", None)] if hint is not None]
+    return found
+
+
+def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
     """Replay one seeded trace; AssertionError on the first mismatch.
-    Returns the subject as the trace left it."""
+    Returns the subjects (and the bare ``Hint``, as ``"hint"``) as the
+    trace left them."""
     rng = random.Random(seed * 7907 + len(regime))
     interval = REGIMES[regime]
-    subject = irhint.IRHintPerformance(num_bits=6)
+    subjects = _subjects()
+    bare = Hint(6)
     flat, oracle = TIF(), BruteForce()
     live: dict = {}
     next_even = 0
 
     def insert(obj: TemporalObject) -> None:
         live[obj.id] = obj
-        for index in (subject, flat, oracle):
+        for index in (*subjects.values(), flat, oracle):
             index.insert(obj)
+        bare.insert(obj.id, obj.st, obj.end)
 
     def delete(object_id: int) -> TemporalObject:
-        for index in (subject, flat, oracle):
+        for index in (*subjects.values(), flat, oracle):
             index.delete(object_id)
-        return live.pop(object_id)
+        old = live.pop(object_id)
+        bare.delete(object_id, old.st, old.end)
+        return old
 
     def fresh(object_id: int) -> TemporalObject:
         d = {"hot"} | ({"warm"} if rng.random() < 0.5 else set())
@@ -138,34 +176,45 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> irhint.IRHintPerfor
             free = [i for i in range(1, next_even, 2) if i not in live]
             if free:
                 insert(fresh(rng.choice(free)))
-        elif roll < 0.60 and live:
+        elif roll < 0.56 and live:
             op = "delete"
             delete(rng.choice(sorted(live)))
-        elif roll < 0.72 and live:
+        elif roll < 0.68 and live:
             op = "reinsert, same interval"
             insert(delete(rng.choice(sorted(live))))
-        elif roll < 0.82 and live:
+        elif roll < 0.76 and live:
             op = "reinsert, other interval"
             old = delete(rng.choice(sorted(live)))
             insert(TemporalObject(old.id, *interval(rng), old.d))
+        elif roll < 0.82 and live:
+            op = "reinsert, other description"
+            old = delete(rng.choice(sorted(live)))
+            d = rng.choice([d for d in DESCRIPTIONS if d != old.d])
+            insert(TemporalObject(old.id, old.st, old.end, d))
         elif roll < 0.88:
             op = "compaction"
-            subject.inverted_file.compact()
+            subjects["irhint-perf"].inverted_file.compact()
             flat.inverted_file.compact()
+            for hint in _hints(subjects, bare):
+                hint._run.compact()
         elif roll < 0.96:
             op = "pickle round trip"
-            blob = pickle.dumps(subject)
+            blob = pickle.dumps((subjects, bare))
             assert b"TimeFirstTable" not in blob
-            subject = pickle.loads(blob)
-            assert subject._tables == {}
+            subjects, bare = pickle.loads(blob)
+            assert subjects["irhint-perf"]._tables == {}
+            assert subjects["irhint-size"]._columns is None
+            assert all(hint._table is None for hint in _hints(subjects, bare))
         else:
             op = "spill"
             if regime == "spread" and step > n_ops // 2:
                 insert(TemporalObject(next_even, 12.5, 99.25, frozenset({"hot", "warm"})))
                 next_even += 2
                 # Both lists now hold floats: no table is wanted, none is kept.
-                assert not irhint.timefirst.wants_table(subject.inverted_file.postings("hot"))
-                assert subject.stats()["n_tables"] == 0 and subject._tables == {}
+                perf = subjects["irhint-perf"]
+                assert not irhint.wants_table(perf.inverted_file.postings("hot"))
+                assert perf.stats()["n_tables"] == 0 and perf._tables == {}
+                assert all(hint.table() is None for hint in _hints(subjects, bare))
         context = f"regime={regime!r} seed={seed} step={step} after {op}"
 
         for st, end in _windows(rng, regime, list(live.values())):
@@ -173,19 +222,27 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> irhint.IRHintPerfor
                 q = make_query(st, end, d)
                 want = oracle.query(q)
                 assert flat.query(q) == want, f"{context}: tif on {q}"
-                assert subject.query(q) == want, f"{context}: irhint on {q}"
+                for name, subject in subjects.items():
+                    assert subject.query(q) == want, f"{context}: {name} on {q}"
+            want = sorted(o.id for o in live.values() if st <= o.end and o.st <= end)
+            assert bare.range_query(st, end) == want, f"{context}: Hint on [{st}, {end}]"
+        perf, binary = subjects["irhint-perf"], subjects["tif-hint-binary"]
         for element in ("hot", "warm"):
-            postings = subject.inverted_file.postings(element)
-            if not irhint.timefirst.wants_table(postings):
-                continue
-            table = subject._table_for(element, postings)
-            for a, b in RAW_WINDOWS:
-                want = sorted(
-                    o.id for o in live.values() if element in o.d and a <= o.end and o.st <= b
-                )
-                got = table.scan_ids(postings, a, b)
-                assert list(got) == want, f"{context}: table I[{element}] on [{a}, {b}]"
-    return subject
+            postings = perf.inverted_file.postings(element)
+            tables = []
+            if irhint.wants_table(postings):
+                tables.append((perf._table_for(element, postings), postings))
+            hint = binary.hint_for(element)
+            if hint is not None and hint.table() is not None:
+                tables.append((hint.table(), hint._run))
+            for table, run in tables:
+                for a, b in RAW_WINDOWS:
+                    want = sorted(
+                        o.id for o in live.values() if element in o.d and a <= o.end and o.st <= b
+                    )
+                    got = table.scan_ids(run, a, b)
+                    assert list(got) == want, f"{context}: table I[{element}] on [{a}, {b}]"
+    return {**subjects, "hint": bare}
 
 
 @pytest.fixture()
@@ -200,8 +257,11 @@ def test_table_matches_flat_scan_and_brute_force(forced, regime, seed):
 
 
 def test_traces_reach_the_table_the_tail_and_the_spill(forced, monkeypatch):
-    """Coverage the traces exist for, asserted on the subject itself."""
-    seen = {"fresh": 0, "tail": 0, "dead": 0, "scalar cells": 0}
+    """Coverage the traces exist for, asserted on the subjects themselves."""
+    seen = {
+        "fresh": 0, "tail": 0, "dead": 0, "scalar cells": 0,
+        "gathered tail": 0, "gathered dead": 0, "id columns": 0,
+    }
     real = timefirst.TimeFirstTable
 
     class Spy(real):
@@ -216,10 +276,68 @@ def test_traces_reach_the_table_the_tail_and_the_spill(forced, monkeypatch):
             seen["dead"] += postings.alive_column() is not None
             return super().scan_ids(postings, q_st, q_end, notes)
 
+        def gather(self, postings, bounds, notes=None):
+            seen["gathered tail"] += postings.physical_len() > self.n_slots
+            seen["gathered dead"] += postings.alive_column() is not None
+            return super().gather(postings, bounds, notes)
+
+    columns_for = irhint.IRHintSize._columns_for
+
+    def counted(index, table):
+        seen["id columns"] += index._columns is None or index._columns[0] is not table
+        return columns_for(index, table)
+
     monkeypatch.setattr(timefirst, "TimeFirstTable", Spy)
+    monkeypatch.setattr(irhint.IRHintSize, "_columns_for", counted)
     left = [run_trace(regime, seed) for regime in sorted(REGIMES) for seed in SEEDS]
     assert all(seen.values()), seen
-    assert any(not index.inverted_file.postings("hot").layout_epoch for index in left)
+    for key in ("irhint-perf", "hint"):
+        spilled = [
+            subjects[key].inverted_file.postings("hot") if key == "irhint-perf"
+            else subjects[key]._run
+            for subjects in left
+        ]
+        assert any(not run.layout_epoch for run in spilled), key
+
+
+def _scalar_sweep(m: int, first: int, last: int) -> set:
+    """The divisions a window over cells ``[first, last]`` reads, one
+    ``(level, j, is_original)`` at a time: originals of ``f … l``, replicas
+    of ``f``."""
+    out = set()
+    for level in range(m, -1, -1):
+        f, l = first >> (m - level), last >> (m - level)
+        out |= {(level, j, True) for j in range(f, l + 1)} | {(level, f, False)}
+    return out
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_division_slices_are_the_scalar_sweep(regime):
+    """The row ranges a window reads are exactly the rows of the divisions
+    the scalar sweep names."""
+    rng = random.Random(5)
+    postings = PackedPostingsList()
+    for object_id in range(0, 600, 2):
+        postings.add(object_id, *REGIMES[regime](rng))
+    stored = [t for _id, st, end in postings.entries() for t in (st, end)]
+    for m in (0, 3, 6):
+        table = timefirst.TimeFirstTable(postings, m)
+        n_keys = 1 << (m + 1)
+        keys = np.repeat(table._keys, np.diff(table._offsets)).tolist()
+        for _ in range(30):
+            a = rng.choice(stored) + rng.choice((-1, 0, 1))
+            window = exact_window(a, a + rng.choice((0, 1, 150, 5_000)))
+            if window is None:
+                continue
+            read = {row for start, stop in table.slices(window) for row in range(start, stop)}
+            want_divisions = _scalar_sweep(m, *table.mapper.cell_range(*window))
+            want = set()
+            for row, key in enumerate(keys):
+                original, k = key < n_keys, key % n_keys
+                level = (k + 1).bit_length() - 1
+                if (level, k - (1 << level) + 1, original) in want_divisions:
+                    want.add(row)
+            assert read == want, (regime, m, window)
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -247,82 +365,161 @@ def test_vectorised_assignment_equals_the_scalar_loop(regime):
 
 
 # ------------------------------------------------------------------ mutants
-#: (name, the line as it stands in timefirst.py, what the mutant makes of it).
+#: (name, module, the line as it stands there, what the mutant makes of it).
 MUTANTS = [
     (
         "off by one at f",
+        timefirst,
         "first = mapper.cell(min(window)) >> self._shifts",
         "first = (mapper.cell(min(window)) >> self._shifts) + 1",
     ),
     (
         "off by one at l",
+        timefirst,
         'hi = self._keys.searchsorted(self._bases + last, "right")',
         'hi = self._keys.searchsorted(self._bases + last, "left")',
     ),
     (
         "replicas taken at in-between partitions",
+        timefirst,
         "last[m + 1 :] = first[m + 1 :]  # replicas: the first partition only",
         "pass",
     ),
     (
         "originals filed as replicas",
+        timefirst,
         "replica = ((a[right] << shift) > origin[right]) * n_keys",
         "replica = ((a[right] << shift) >= origin[right]) * n_keys",
     ),
     (
         "top of a narrow domain filed under its offset",
+        timefirst,
         "cells[column >= mapper.hi] = mapper.n_cells - 1",
         "pass",
     ),
     (
         "tombstones not looked up",
+        timefirst,
         "        if alive is not None:\n            hit &=",
         "        if False:\n            hit &=",
     ),
     (
         "stale table served after a shifting insert",
+        timefirst,
         "self.epoch == postings.layout_epoch",
         "True",
     ),
     (
         "tail not scanned",
+        timefirst,
         "if n_now > n:  # the tail",
         "if False:  # the tail",
+    ),
+    (
+        "a Hint serves a stale table",
+        hint_index,
+        "if table is None or not table.is_fresh(run):",
+        "if table is None:",
+    ),
+    (
+        "dead division rows pass the overlap mask",
+        hint_index,
+        "return hit if live is None else hit & live",
+        "return hit",
+    ),
+    (
+        "sweep keeps dead rows",
+        hint_index,
+        "ids = gathered[-3] if live is None else gathered[-3][live]",
+        "ids = gathered[-3]",
+    ),
+    (
+        "sweep intersects unsorted ids",
+        hint_index,
+        "ids = np.sort(ids)",
+        "ids = ids",
+    ),
+    (
+        "division rows number the tail from n_slots",
+        hint_index,
+        "+ [np.arange(table.n_rows, table.n_rows + tail)]",
+        "+ [np.arange(table.n_slots, table.n_slots + tail)]",
+    ),
+    (
+        "id columns kept across a revive",
+        irhint,
+        "if self._columns is not None and obj.id <= self._columns[1]:",
+        "if False:",
+    ),
+    (
+        "id columns split by row, not by element",
+        irhint,
+        "order = np.lexsort((rows, elements))",
+        "order = np.lexsort((elements, rows))",
+    ),
+    (
+        "tail objects not checked against the catalog",
+        irhint,
+        "out = ids.tolist() + [oid for oid in tail if self._holds(oid, ordered)]",
+        "out = ids.tolist() + tail",
     ),
 ]
 
 
-def _mutated(old: str, new: str):
-    """``repro.indexes.timefirst`` with one line changed, as a module."""
-    source = open(timefirst.__file__, encoding="utf-8").read()
+def _mutated(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
+    """``module`` with one line changed, as a module of its own."""
+    source = open(module.__file__, encoding="utf-8").read()
     assert source.count(old) == 1, f"mutant anchor not unique: {old!r}"
-    spec = importlib.util.spec_from_file_location("timefirst_mutant", timefirst.__file__)
-    module = importlib.util.module_from_spec(spec)
-    exec(compile(source.replace(old, new), timefirst.__file__, "exec"), module.__dict__)
-    return module
+    spec = importlib.util.spec_from_file_location(f"{module.__name__}_mutant", module.__file__)
+    mutant = importlib.util.module_from_spec(spec)
+    exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+    return mutant
 
 
-@pytest.mark.parametrize("name,old,new", MUTANTS, ids=[m[0] for m in MUTANTS])
-def test_mutant_is_killed(monkeypatch, name, old, new):
-    mutant = _mutated(old, new)
-    mutant.TABLE_MIN = 8
-    monkeypatch.setattr(irhint, "timefirst", mutant)
-    killed_by = []
+def _install(monkeypatch, module: types.ModuleType, mutant: types.ModuleType) -> int:
+    """Swap in every function of ``mutant`` whose code differs from
+    ``module``'s — module-level, or a method of a class defined there — so
+    every importer sees it.  Returns how many were swapped."""
+    swapped = 0
+    for name, real in vars(module).items():
+        if getattr(real, "__module__", None) != module.__name__:
+            continue
+        if isinstance(real, types.FunctionType):
+            pairs = [(module, name, real, getattr(mutant, name))]
+        elif isinstance(real, type):
+            other = vars(getattr(mutant, name))
+            pairs = [
+                (real, attr, member, other[attr])
+                for attr, member in vars(real).items()
+                if isinstance(member, types.FunctionType)
+            ]
+        else:
+            continue
+        for owner, attr, member, replacement in pairs:
+            if member.__code__ != replacement.__code__:
+                monkeypatch.setattr(owner, attr, replacement)
+                swapped += 1
+    return swapped
+
+
+@pytest.mark.parametrize("name,module,old,new", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutant_is_killed(forced, monkeypatch, name, module, old, new):
+    assert _install(monkeypatch, module, _mutated(module, old, new)) == 1
     for regime in sorted(REGIMES):
         for seed in SEEDS:
             try:
                 run_trace(regime, seed)
-            except AssertionError:
-                killed_by.append((regime, seed))
-    assert killed_by, f"mutant survived every trace: {name}"
+            except Exception:  # a wrong answer, or a crash
+                return
+    pytest.fail(f"mutant survived every trace: {name}")
 
 
-def test_unmutated_module_survives_the_mutant_harness(monkeypatch):
-    """The harness's own control: the same loader, no change, no kill."""
+def test_unmutated_module_survives_the_mutant_harness(forced, monkeypatch):
+    """The harness's own control: the same loader and the same swap, a
+    change that keeps the behaviour, no kill."""
     anchor = "self.epoch == postings.layout_epoch"
-    module = _mutated(anchor, anchor)
-    module.TABLE_MIN = 8
-    monkeypatch.setattr(irhint, "timefirst", module)
+    mutant = _mutated(timefirst, anchor, f"{anchor} and True")
+    assert _install(monkeypatch, timefirst, mutant) == 1
     for regime in sorted(REGIMES):
         run_trace(regime, SEEDS[0], n_ops=40)
-    assert "timefirst_mutant" not in sys.modules
+    assert not any(name.endswith("_mutant") for name in sys.modules)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.collection import Collection
 from repro.core.model import make_object, make_query
-from repro.indexes import timefirst
+from repro.indexes import irhint
 from repro.indexes.explain import explain
 from repro.indexes.registry import INDEX_CLASSES, build_index
 
@@ -68,7 +68,7 @@ def test_bound_covers_the_queries_own_trace(key, backend, seed, small_tables):
         if bound is not None:
             assert bound >= scanned, f"bound {bound} < {scanned} entries scanned: {where}"
             rarest = index.order_query_elements(q)[0]
-            table_scans += timefirst.wants_table(index.inverted_file.postings(rarest))
+            table_scans += irhint.wants_table(index.inverted_file.postings(rarest))
         rebuilds += rebuilt
     if key == "irhint-perf" and backend == "packed":
         # The trace reached both sides: queries that (re)built a table and

@@ -21,18 +21,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             DomainMapper.for_domain(0, 1, -3)
 
-    def test_with_slack_extends_hi(self):
-        mapper = DomainMapper.with_slack(0, 100, 4, slack=0.5)
-        assert mapper.hi == 150
-
-    def test_with_slack_zero_span(self):
-        mapper = DomainMapper.with_slack(5, 5, 4)
-        assert mapper.hi == 6
-
-    def test_with_slack_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            DomainMapper.with_slack(0, 1, 4, slack=-0.1)
-
 
 class TestCellMapping:
     def test_exact_integer_map(self):

@@ -2,13 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, UnknownObjectError
-from repro.intervals.hint import DomainMapper, Hint, SortPolicy
+from repro.intervals.hint import Hint
+from repro.intervals.hint.traversal import assign
 from repro.intervals.linear import LinearScan
+from repro.ir.blocks import exact_window
+from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
 
 def brute(records, q_st, q_end):
@@ -34,7 +38,7 @@ class TestBasics:
     def test_len_and_partitions(self, small_hint):
         hint, _records = small_hint
         assert len(hint) == 5
-        assert hint.n_partitions() >= 1
+        assert hint.n_divisions() >= 1
 
     def test_range_query(self, small_hint):
         hint, records = small_hint
@@ -46,17 +50,20 @@ class TestBasics:
         assert hint.stab_query(5) == brute(records, 5, 5)
 
     def test_no_duplicates(self, small_hint):
+        """The divisions a query reads hold each overlapping id once."""
         hint, _ = small_hint
-        result = hint.range_query_unsorted(0, 7)
-        assert len(result) == len(set(result))
+        _table, _rows, ids = hint.division_rows(0, 7)
+        assert sorted(ids.tolist()) == [1, 2, 3, 4, 5]
 
     def test_replication_factor(self, small_hint):
         hint, _ = small_hint
         assert hint.replication_factor() >= 1.0
 
-    def test_level_histogram_sums_to_replicated(self, small_hint):
-        hint, _ = small_hint
-        assert sum(hint.level_histogram().values()) == hint.n_replicated_entries()
+    def test_replicated_entries_sum_the_assignments(self, small_hint):
+        hint, records = small_hint
+        mapper = hint.table().mapper
+        assigned = sum(len(assign(3, *mapper.cell_range(st_, end))) for _i, st_, end in records)
+        assert hint.n_replicated_entries() == assigned
 
 
 class TestQueryOutsideDomain:
@@ -90,7 +97,7 @@ class TestUpdates:
         assert 10 not in hint.range_query(0, 3)
 
     def test_delete_with_wrong_endpoints_changes_nothing(self):
-        hint = Hint(DomainMapper.for_domain(0, 15, 4))
+        hint = Hint(4)
         hint.insert(1, 0, 4)
         hint.insert(2, 1, 3)
         with pytest.raises(UnknownObjectError):
@@ -99,14 +106,13 @@ class TestUpdates:
         assert hint.range_query(0, 15) == [1, 2]
         assert len(hint) == 2
 
-    @pytest.mark.parametrize("policy", list(SortPolicy))
-    def test_wrong_endpoint_deletes_leave_queries_equal_to_linear_scan(self, policy):
+    def test_wrong_endpoint_deletes_leave_queries_equal_to_linear_scan(self):
         rng = random.Random(7)
         records = [
             (i, st_, st_ + rng.randint(0, 60))
             for i, st_ in enumerate(rng.randint(0, 400) for _ in range(200))
         ]
-        hint = Hint.build(records, num_bits=5, sort_policy=policy)
+        hint = Hint.build(records, num_bits=5)
         oracle = LinearScan.build(records)
         for object_id, st_, end in rng.sample(records, 60):
             shift = rng.randint(1, 40)
@@ -124,18 +130,20 @@ class TestUpdates:
 
 
 class TestConfigurations:
-    @pytest.mark.parametrize("policy", list(SortPolicy))
-    def test_all_configurations_agree(self, policy):
+    @pytest.mark.parametrize("scale", [1, 0.5], ids=["packed", "spilled"])
+    def test_all_configurations_agree(self, scale):
+        """The table over a packed run, and a run spilled to floats."""
         rng = random.Random(3)
         records = [
-            (i, st, st + rng.randint(0, 50))
+            (i, st * scale, (st + rng.randint(0, 50)) * scale)
             for i, st in enumerate(rng.randint(0, 500) for _ in range(300))
         ]
-        hint = Hint.build(records, num_bits=6, sort_policy=policy)
+        hint = Hint.build(records, num_bits=6)
+        assert (hint.table() is None) == (scale != 1)
         for _ in range(40):
             a = rng.randint(-10, 520)
             b = a + rng.randint(0, 200)
-            assert hint.range_query(a, b) == brute(records, a, b)
+            assert hint.range_query(a * scale, b * scale) == brute(records, a * scale, b * scale)
 
     def test_larger_m_more_replication(self):
         records = [(i, i, i + 60) for i in range(200)]
@@ -185,10 +193,112 @@ def test_three_thousand_intervals_equal_linear_scan():
 
 def test_float_timestamps():
     records = [(1, 0.25, 0.75), (2, 0.5, 0.5), (3, 0.9, 1.4)]
-    mapper = DomainMapper.for_domain(0.0, 1.5, 5)
-    hint = Hint(mapper)
+    hint = Hint(5)
     for record in records:
         hint.insert(*record)
     assert hint.range_query(0.5, 0.8) == [1, 2]
     assert hint.range_query(0.76, 0.89) == []
     assert hint.range_query(0.8, 1.0) == [3]
+
+
+def _divisions_read(hint, q_st, q_end):
+    """``(level, j, is_original)`` of every row a window reads."""
+    table = hint.table()
+    n_keys = 1 << (table.mapper.num_bits + 1)
+    keys = np.repeat(table._keys, np.diff(table._offsets))
+    out = set()
+    for start, stop in table.slices(exact_window(q_st, q_end)):
+        for key in keys[start:stop].tolist():
+            k = key % n_keys
+            level = (k + 1).bit_length() - 1
+            out.add((level, k - (1 << level) + 1, key < n_keys))
+    return out
+
+
+@pytest.fixture()
+def every_partition():
+    """At m = 3 over cells 0 … 7, one interval per partition and level —
+    each one's extent — plus replicas reaching across the middle."""
+    records = [(0, 0, 7)]
+    for level in range(1, 4):
+        width = 8 >> level
+        records += [(len(records) + j, j * width, (j + 1) * width - 1) for j in range(1 << level)]
+    records += [(100, 1, 6), (101, 2, 5), (102, 3, 4)]
+    return Hint.build(records, num_bits=3), records
+
+
+class TestFigure4:
+    def test_figure4_query(self, every_partition):
+        """Figure 4's query spans cells [4, 7]: the originals read are those
+        of P3,4..P3,7, P2,2, P2,3, P1,1 and P0,0."""
+        hint, _records = every_partition
+        originals = {(level, j) for level, j, original in _divisions_read(hint, 4, 7) if original}
+        assert originals == {
+            (3, 4), (3, 5), (3, 6), (3, 7),
+            (2, 2), (2, 3),
+            (1, 1),
+            (0, 0),
+        }
+
+    def test_replicas_only_in_first_partition(self, every_partition):
+        hint, _records = every_partition
+        seen = 0
+        for first, last in ((4, 7), (1, 6), (0, 0), (3, 3)):
+            per_level = {}
+            for level, j, original in _divisions_read(hint, first, last):
+                if not original:
+                    per_level.setdefault(level, []).append(j)
+            seen += len(per_level)
+            for level, js in per_level.items():
+                assert js == [first >> (3 - level)], (first, last, level)
+        assert seen
+
+
+class TestTableRows:
+    def test_tombstone_hides_from_scans(self, small_hint):
+        hint, records = small_hint
+        rows = hint.table().n_rows
+        hint.delete(2, 5, 5)
+        assert 2 not in hint.range_query(0, 7)
+        assert 2 not in hint.division_rows(0, 7)[2].tolist()
+        assert hint.table().n_rows == rows  # a tombstone, not a rebuild
+        assert hint.n_replicated_entries() == rows - 1
+        assert len(hint) == 4
+
+    def test_tombstone_in_each_division(self, every_partition):
+        """Deletes reach an interval's original and every replica."""
+        hint, records = every_partition
+        for object_id, st_, end in records:
+            if object_id >= 100:  # originals and replicas over several levels
+                hint.delete(object_id, st_, end)
+        live = [r for r in records if r[0] < 100]
+        for a in range(8):
+            for b in range(a, 8):
+                assert hint.range_query(a, b) == brute(live, a, b)
+                assert not set(hint.division_rows(a, b)[2].tolist()) & {100, 101, 102}
+
+    def test_size_charges_the_run_and_the_rows(self, small_hint):
+        hint, _records = small_hint
+        table = hint.table()
+        assert hint.size_bytes() == (5 + table.n_rows) * ENTRY_FULL_BYTES + 2 * CONTAINER_BYTES
+
+    def test_one_point_domain(self):
+        """Every interval the same point: the table's cells must be the
+        mapper's (cell 0), or the query looks in an empty partition."""
+        hint = Hint.build([(0, 7, 7), (1, 7, 7)], num_bits=2)
+        assert hint.range_query(7, 7) == [0, 1]
+        assert hint.range_query(0, 7) == [0, 1]
+
+    def test_grid_follows_the_run(self):
+        """Each rebuild grids the run's own span: objects arriving past the
+        first ones' lifespans spread over cells instead of piling up in
+        the last."""
+        hint = Hint(6)
+        hint.insert(0, 0, 5)
+        assert hint.range_query(0, 5) == [0]
+        for i in range(1, 2000):
+            hint.insert(i, 10 * i, 10 * i + 5)
+        notes = {}
+        assert hint.scan_ids(15_000, 15_005, notes).tolist() == [1500]
+        assert hint.table().mapper.hi == 19_995
+        assert notes["rows"] < 100

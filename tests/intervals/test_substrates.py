@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.errors import ConfigurationError, UnknownObjectError
-from repro.intervals import GridLayout, Hint, LinearScan, SortPolicy
+from repro.intervals import GridLayout, Hint, LinearScan
 
 
 def brute(records, a, b):
@@ -57,7 +57,7 @@ class TestLinearScan:
 
 
 class TestCrossSubstrateEquivalence:
-    """HINT, under both sort policies, agrees with the linear scan on randomized workloads."""
+    """HINT, at several depths, agrees with the linear scan on randomized workloads."""
 
     def test_randomized_agreement(self):
         rng = random.Random(99)
@@ -65,11 +65,11 @@ class TestCrossSubstrateEquivalence:
         for i in range(400):
             st = rng.randint(0, 5000)
             records.append((i, st, st + rng.randint(0, 400)))
-        indexes = [Hint.build(records, num_bits=6, sort_policy=policy) for policy in SortPolicy]
+        indexes = [Hint.build(records, num_bits=m) for m in (0, 6, 12)]
         oracle = LinearScan.build(records)
         for _ in range(60):
             a = rng.randint(-100, 5200)
             b = a + rng.randint(0, 1500)
             expected = oracle.range_query(a, b)
             for index in indexes:
-                assert index.range_query(a, b) == expected, index.sort_policy
+                assert index.range_query(a, b) == expected, index.num_bits

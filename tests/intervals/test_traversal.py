@@ -1,16 +1,17 @@
-"""Tests for HINT's assignment and bottom-up traversal invariants."""
+"""Tests for HINT's assignment invariants (the scalar reference the
+time-first table's vectorised assignment is checked against)."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.intervals.hint.traversal import (
-    DivisionKind,
-    assign,
-    iter_relevant_divisions,
-    iter_relevant_partitions,
-)
-from repro.ir.inverted import TemporalCheck
-from repro.utils.bitops import max_cell, partition_extent
+from repro.intervals.hint.traversal import assign
+from repro.utils.bitops import max_cell
+
+
+def partition_extent(level: int, j: int, m: int):
+    """Inclusive cell range ``[first, last]`` of partition ``P_{level,j}``."""
+    width = 1 << (m - level)
+    return j * width, (j + 1) * width - 1
 
 
 class TestAssignPaperExample:
@@ -80,97 +81,3 @@ class TestAssignProperties:
             first, _last = partition_extent(level, j, m)
             if not is_original:
                 assert a < first
-
-
-class TestTraversalPaperExample:
-    def test_figure4_query(self):
-        """Figure 4's query spans cells [4, 7]: relevant partitions are
-        P3,4..P3,7, P2,2, P2,3, P1,1 and P0,0."""
-        touched = {
-            (level, j)
-            for level, j, _k, _c in iter_relevant_divisions(3, 4, 7)
-        }
-        assert touched == {
-            (3, 4), (3, 5), (3, 6), (3, 7),
-            (2, 2), (2, 3),
-            (1, 1),
-            (0, 0),
-        }
-
-    def test_replicas_only_in_first_partition(self):
-        for first, last in ((4, 7), (1, 6), (0, 0), (3, 3)):
-            per_level = {}
-            for level, j, kind, _c in iter_relevant_divisions(3, first, last):
-                if kind is DivisionKind.REPLICAS:
-                    per_level.setdefault(level, []).append(j)
-            for level, js in per_level.items():
-                assert len(js) == 1
-                assert js[0] == first >> (3 - level)
-
-    def test_figure4_comparison_partitions(self):
-        """Bottom-up: comparisons needed in at most 4 partitions; for the
-        Figure 4 query, P2,3 (covering P3,6) needs none."""
-        checks = {
-            (level, j, kind): check
-            for level, j, kind, check in iter_relevant_divisions(3, 4, 7)
-        }
-        # q.end at cell 7 (right child) clears complast after level 3;
-        # q.st at cell 4 (left child) clears compfirst after level 3.
-        assert checks[(2, 2, DivisionKind.ORIGINALS)] is TemporalCheck.NONE
-        assert checks[(2, 3, DivisionKind.ORIGINALS)] is TemporalCheck.NONE
-        # At the bottom level, both ends still require comparisons.
-        assert checks[(3, 4, DivisionKind.ORIGINALS)] is TemporalCheck.START_ONLY
-        assert checks[(3, 7, DivisionKind.ORIGINALS)] is TemporalCheck.END_ONLY
-
-
-class TestTraversalProperties:
-    @given(m_and_interval())
-    def test_comparison_partitions_bounded_per_level(self, case):
-        """At most two partitions per level (first and last) ever require
-        comparisons — everything in between is reported comparison-free."""
-        m, a, b = case
-        per_level = {}
-        for level, j, _k, check in iter_relevant_divisions(m, a, b):
-            if check is not TemporalCheck.NONE:
-                per_level.setdefault(level, set()).add(j)
-        for level, js in per_level.items():
-            assert len(js) <= 2
-            allowed = {a >> (m - level), b >> (m - level)}
-            assert js <= allowed
-
-    @given(m_and_interval())
-    def test_flags_clear_monotonically(self, case):
-        """Once ``compfirst``/``complast`` clears, it never re-sets: the
-        levels still performing start-side (resp. end-side) comparisons form
-        a contiguous suffix ending at the bottom level ``m``."""
-        m, a, b = case
-        start_levels = set()
-        end_levels = set()
-        for level, _j, _k, check in iter_relevant_divisions(m, a, b):
-            if check in (TemporalCheck.BOTH, TemporalCheck.START_ONLY):
-                start_levels.add(level)
-            if check in (TemporalCheck.BOTH, TemporalCheck.END_ONLY):
-                end_levels.add(level)
-        for levels in (start_levels, end_levels):
-            if levels:
-                assert levels == set(range(min(levels), m + 1))
-
-    @given(m_and_interval())
-    def test_every_level_visited(self, case):
-        m, a, b = case
-        levels = {level for level, _j, _k, _c in iter_relevant_divisions(m, a, b)}
-        assert levels == set(range(m + 1))
-
-    @given(m_and_interval())
-    def test_sweep_matches_division_walk(self, case):
-        """The simple sweep (Algorithm 4) touches the same partitions."""
-        m, a, b = case
-        walk = {(level, j) for level, j, _k, _c in iter_relevant_divisions(m, a, b)}
-        sweep = {(level, j) for level, j, _first in iter_relevant_partitions(m, a, b)}
-        assert walk == sweep
-
-    @given(m_and_interval())
-    def test_sweep_first_flags(self, case):
-        m, a, b = case
-        for level, j, is_first in iter_relevant_partitions(m, a, b):
-            assert is_first == (j == a >> (m - level))

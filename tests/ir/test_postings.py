@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import UnknownObjectError
-from repro.ir.postings import IdPostingsList
 
 from tests.ir.model import SWEEP
 
@@ -119,43 +118,3 @@ class TestPostingsList:
                 postings.add(object_id, 0, 1)
             # candidate list far shorter than postings: exercises bisect probing
             assert postings.intersect_sorted([10, 11, 500]) == [10, 500]
-
-
-class TestIdPostingsList:
-    def test_order_and_dedupe(self):
-        postings = IdPostingsList()
-        for object_id in (3, 1, 3, 2):
-            postings.add(object_id)
-        assert postings.ids() == [1, 2, 3]
-
-    def test_delete_and_revive(self):
-        postings = IdPostingsList()
-        postings.add(1)
-        postings.delete(1)
-        assert len(postings) == 0
-        postings.add(1)
-        assert postings.ids() == [1]
-
-    def test_delete_missing_raises(self):
-        with pytest.raises(UnknownObjectError):
-            IdPostingsList().delete(1)
-
-    def test_contains(self):
-        postings = IdPostingsList()
-        postings.add(5)
-        assert 5 in postings and 6 not in postings
-        postings.delete(5)
-        assert 5 not in postings
-
-    def test_size_accounting(self):
-        postings = IdPostingsList()
-        postings.add(1)
-        postings.add(2)
-        assert postings.size_bytes() == 2 * 4 + 16
-
-    @given(st.lists(st.integers(0, 80), unique=True), st.lists(st.integers(0, 80), unique=True))
-    def test_intersect_sorted(self, mine, other):
-        postings = IdPostingsList()
-        for object_id in sorted(mine):
-            postings.add(object_id)
-        assert postings.intersect_sorted(sorted(other)) == sorted(set(mine) & set(other))

@@ -16,7 +16,6 @@ from repro.core.errors import ConfigurationError, UnknownObjectError
 from repro.ir.compressed import CompressedPostingsList
 from repro.ir.inverted import TemporalInvertedFile
 from repro.ir.packed import PackedPostingsList
-from repro.ir.postings import IdPostingsList
 
 from tests.ir.model import SWEEP, PostingsModel
 
@@ -351,29 +350,13 @@ class TestPackedInternals:
         pl.add(30, 0.5, 1)  # spill
         assert pl.layout_epoch == 0
 
-
-class TestIdBackendsEdgeCases:
-    @pytest.fixture(params=["list"])  # the one id-only list; keeps the test ids
-    def id_list(self):
-        return IdPostingsList()
-
-    def test_empty(self, id_list):
-        assert len(id_list) == 0
-        assert id_list.ids() == []
-        assert id_list.intersect_sorted([1, 2]) == []
-        with pytest.raises(UnknownObjectError):
-            id_list.delete(3)
-
-    def test_add_delete_re_add(self, id_list):
-        for oid in (5, 1, 9, 5):  # duplicate add is idempotent
-            id_list.add(oid)
-        assert id_list.ids() == [1, 5, 9]
-        id_list.delete(5)
-        assert id_list.ids() == [1, 9]
-        assert 5 not in id_list
-        id_list.add(5)
-        assert id_list.ids() == [1, 5, 9]
-        assert id_list.intersect_sorted([0, 1, 5, 6, 9]) == [1, 5, 9]
+    def test_interval_of_a_live_entry(self):
+        pl = PackedPostingsList()
+        pl.add(2, 5, 9)
+        pl.add(4, 1, 1)
+        assert (pl.interval(2), pl.interval(4), pl.interval(3)) == ((5, 9), (1, 1), None)
+        pl.delete(2)
+        assert pl.interval(2) is None
 
 
 class TestBackendSelection:

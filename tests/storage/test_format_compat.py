@@ -8,7 +8,9 @@ error.  Each image is a literal written by the last commit that could
 write its format (``parent_images``).  So are three index snapshots of
 postings layouts this build no longer has: the pre-v2 ``compressed``
 shape fails typed at load (recovery falls back); the ``list`` backend's
-and the later ``compressed`` shape restore as packed lists.
+and the later ``compressed`` shape restore as packed lists.  Two more
+pickle the retired per-division HINT classes: those indexes are rebuilt
+from their catalogs at load.
 """
 
 import io
@@ -37,7 +39,9 @@ from repro.storage.writer import write_segment
 from tests.conftest import random_queries
 from tests.storage.parent_images import (
     COMPRESSED_SNAPSHOT,
+    HINT_MERGE_SNAPSHOT,
     I64_MAX,
+    IRHINT_SIZE_SNAPSHOT,
     LIST_SNAPSHOT,
     MIGRATION_DELETED,
     TABLE_COMPRESSED_SNAPSHOT,
@@ -274,6 +278,56 @@ class TestOldLayoutSnapshots:
         live = [o for o in _live_objects() if o.id != 7] + [added]
         brute = build_index("brute", Collection(live))
         with DurableIndexStore.open(tmp_path, index_key="tif", wal_fsync=False) as store:
+            assert store.last_recovery.snapshot_path == checkpoint
+            for q in _queries(live):
+                assert store.query(q) == brute.query(q), q
+
+
+#: Snapshots of the two HINT-based indexes on the retired per-division
+#: classes, with the index key each restores as.
+OLD_HINT_LAYOUTS = {"tif-hint-merge": HINT_MERGE_SNAPSHOT, "irhint-size": IRHINT_SIZE_SNAPSHOT}
+RETIRED_HINT = {"repro.intervals.hint.partition", ("repro.ir.postings", "IdPostingsList")}
+
+
+def _names_no_retired_hint(blob):
+    classes = _pickled_classes(blob)
+    assert ("repro.intervals.hint.index", "Hint") in classes
+    assert not ({module for module, _name in classes} | classes) & RETIRED_HINT, classes
+
+
+@pytest.fixture(params=sorted(OLD_HINT_LAYOUTS))
+def old_hint_key(request):
+    return request.param
+
+
+class TestOldHintSnapshots:
+    """A store written when each HINT division was its own ``Partition``
+    restores rebuilt from its catalog, and checkpoints the one layout."""
+
+    def test_answers_match_brute_force(self, old_hint_key):
+        index = loads_index(OLD_HINT_LAYOUTS[old_hint_key])
+        assert type(index) is type(build_index(old_hint_key, Collection([])))
+        live = _live_objects()
+        assert sorted(o.id for o in index.objects()) == sorted(o.id for o in live)
+        brute = build_index("brute", Collection(live))
+        for q in _queries(live):
+            assert index.query(q) == brute.query(q), q
+        _names_no_retired_hint(dumps_index(index))
+
+    def test_store_recovers_writes_and_reopens(self, old_hint_key, tmp_path):
+        write_manifest(tmp_path, old_hint_key, None)
+        snapshot_path(tmp_path, 1).write_bytes(OLD_HINT_LAYOUTS[old_hint_key])
+        with DurableIndexStore.open(tmp_path, index_key=old_hint_key, wal_fsync=False) as store:
+            report = store.last_recovery
+            assert report.snapshot_path == snapshot_path(tmp_path, 1) and not report.degraded
+            added = make_object(900, 15, 30, {"hot", "fresh"})
+            store.insert(added)
+            store.delete(7)
+            checkpoint = store.checkpoint()
+        _names_no_retired_hint(checkpoint.read_bytes())
+        live = [o for o in _live_objects() if o.id != 7] + [added]
+        brute = build_index("brute", Collection(live))
+        with DurableIndexStore.open(tmp_path, index_key=old_hint_key, wal_fsync=False) as store:
             assert store.last_recovery.snapshot_path == checkpoint
             for q in _queries(live):
                 assert store.query(q) == brute.query(q), q

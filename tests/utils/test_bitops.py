@@ -11,7 +11,6 @@ from repro.utils.bitops import (
     is_right_child,
     max_cell,
     min_bits_for,
-    partition_extent,
     partition_of,
     partitions_per_level,
     prefix,
@@ -36,11 +35,6 @@ class TestBasics:
     def test_prefix_mid_level(self):
         # Figure 4: cell 5 at level 2 belongs to P_{2,2}.
         assert prefix(2, 5, 3) == 2
-
-    def test_partition_extent(self):
-        assert partition_extent(2, 1, 3) == (2, 3)
-        assert partition_extent(0, 0, 3) == (0, 7)
-        assert partition_extent(3, 6, 3) == (6, 6)
 
     def test_partitions_per_level(self):
         assert partitions_per_level(0) == 1
@@ -75,17 +69,17 @@ class TestProperties:
         cell = data.draw(st.integers(0, max_cell(m)))
         level = data.draw(st.integers(0, m))
         j = partition_of(level, cell, m)
-        first, last = partition_extent(level, j, m)
-        assert first <= cell <= last
+        width = 1 << (m - level)
+        assert j * width <= cell <= (j + 1) * width - 1
 
     @given(st.integers(1, 12), st.data())
     def test_extents_tile_the_domain(self, m, data):
+        """The cells each partition of a level holds are consecutive runs
+        of equal width, covering the domain in order."""
         level = data.draw(st.integers(0, m))
-        extents = [partition_extent(level, j, m) for j in range(1 << level)]
-        assert extents[0][0] == 0
-        assert extents[-1][1] == max_cell(m)
-        for (a, b), (c, _d) in zip(extents, extents[1:]):
-            assert c == b + 1
+        owners = [partition_of(level, cell, m) for cell in range(max_cell(m) + 1)]
+        width = (max_cell(m) + 1) // partitions_per_level(level)
+        assert owners == [j for j in range(partitions_per_level(level)) for _ in range(width)]
 
     @given(st.integers(1, 12), st.data())
     def test_prefix_monotone(self, m, data):
