@@ -1,10 +1,15 @@
 """Tuned build parameters (the outcome of the paper's Section 5.2).
 
 * tIF+Slicing — 50 slices (Figure 8's plateau knee);
-* tIF+HINT (merge) and the hybrid — ``m = 5``;
-* tIF+HINT (binary) — ``m = 10``;
-* irHINT — ``m`` from the HINT cost model of [19] (``num_bits=None``), which
-  the paper found effective for the HINT-first design (§5.4).
+* tIF+HINT (merge) and the hybrid — ``m`` capped at 5;
+* tIF+HINT (binary) — ``m`` capped at 10;
+* irHINT — ``num_bits=None``: the cap of 16 under which the HINT cost model
+  of [19] picks each run's ``m``, which the paper found effective for the
+  HINT-first design (§5.4).
+
+Every ``num_bits`` is a cap: the cost rule
+(:mod:`repro.intervals.hint.cost_model`) picks each run's ``m`` under it,
+or reads the run flat.
 """
 
 from __future__ import annotations

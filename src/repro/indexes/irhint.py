@@ -11,7 +11,7 @@ Two variants:
 * :class:`IRHintPerformance` (Section 4.1, Algorithm 5) — element →
   ``⟨id, t_st, t_end⟩`` postings per division.  Stored flat: *one* id-ordered
   packed run per element (a :class:`~repro.indexes.tif.TIF`), and, for the
-  runs long enough to pay for it, a derived
+  runs the cost rule finds a table pays on, a derived
   :class:`~repro.intervals.hint.timefirst.TimeFirstTable` holding that element's
   divisions as level-contiguous columns — the paper's own hybrid (§3.2):
   hierarchy only where a list is long.  Fastest queries; the tables
@@ -25,8 +25,10 @@ Two variants:
   then intersects the surviving rows with each query element's column —
   one ``searchsorted`` for every division at once.
 
-The number of bits ``m`` defaults to the HINT cost model of [19], which the
-paper found effective for irHINT thanks to its HINT-first design (§5.4).
+Each run's ``m`` comes from the HINT cost model of [19], which the paper
+found effective for irHINT thanks to its HINT-first design (§5.4), applied
+per run at each (re)build (:func:`~repro.intervals.hint.timefirst.decide`);
+``num_bits`` caps it.
 """
 
 from __future__ import annotations
@@ -35,38 +37,22 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.collection import Collection
-from repro.core.errors import CorruptSnapshotError, UnknownObjectError
+from repro.core.errors import CorruptSnapshotError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
 from repro.indexes.tif import TIF
 from repro.intervals.hint import timefirst
-from repro.intervals.hint.cost_model import choose_num_bits
 from repro.intervals.hint.index import Hint
-from repro.ir.packed import PackedPostingsList
 from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES, ENTRY_ID_BYTES
 
-#: irHINT-perf's lists with at least this many live entries get a table;
-#: shorter ones are scanned flat.  Fixed by measurement (EXPERIMENTS.md,
-#: "tif vs irHINT"): a table query spends ≈ 19 µs before it reads a row, a
-#: flat mask reads an entry in ≈ 1.3 ns, and in the ledger's query mix the
-#: table first beats the flat scan on lists of 16–32 thousand entries.
-TABLE_MIN = 16_384
+#: The cap ``num_bits=None`` stands for: the ceiling of the ``m`` HINT's
+#: cost model of [19] searches for irHINT.
+DEFAULT_BITS = 16
 
 
-def wants_table(postings: object) -> bool:
-    """Is this a packed (unspilled) list past irHINT-perf's crossover?"""
-    return (
-        isinstance(postings, PackedPostingsList)
-        and len(postings) >= TABLE_MIN
-        and postings.layout_epoch > 0
-    )
-
-
-def _cost_model_bits(objects) -> int:
-    """The cost model's ``m`` for these objects' lifespans."""
-    return choose_num_bits([(obj.id, obj.st, obj.end) for obj in objects])
+def _cap(num_bits: Optional[int]) -> int:
+    return DEFAULT_BITS if num_bits is None else num_bits
 
 
 class IRHintPerformance(TIF):
@@ -75,33 +61,23 @@ class IRHintPerformance(TIF):
 
     Updates are the tIF's — one append or tombstone per description
     element.  A query scans its rarest element's list through that list's
-    table when the list is long enough to want one (building it first if it
-    is absent or stale) and flat otherwise, and intersects the rest as
-    Algorithm 1 does.  Tables are derived state: built by queries, each
-    aside and published by one assignment, never changed afterwards, never
-    pickled.
+    table when the cost rule gives the list one (asking the rule first if
+    its verdict is absent or stale) and flat otherwise, and intersects the
+    rest as Algorithm 1 does.  Verdicts are derived state: made by queries,
+    each aside and published by one assignment, never changed afterwards,
+    never pickled.
     """
 
     name = "irHINT (performance)"
 
     def __init__(self, num_bits: Optional[int] = None) -> None:
         super().__init__()
-        self._num_bits = num_bits
-        self._tables: Dict[Element, timefirst.TimeFirstTable] = {}
-
-    def _configure_for(self, collection: Collection) -> None:
-        if self._num_bits is None and len(collection):
-            self._num_bits = _cost_model_bits(collection)
+        self._num_bits = _cap(num_bits)
+        self._tables: Dict[Element, timefirst.Verdict] = {}
 
     @property
     def num_bits(self) -> int:
-        """``m`` actually in use: the constructor's, else the cost model's
-        over the collection built from, else — for an index that started
-        empty — over the objects held when first asked."""
-        if self._num_bits is None:
-            if not self._catalog:
-                raise UnknownObjectError("index is empty; no m chosen yet")
-            self._num_bits = _cost_model_bits(self._catalog.values())
+        """The cap on every table's ``m``; the cost rule picks each one."""
         return self._num_bits
 
     def __getstate__(self) -> Dict[str, object]:
@@ -113,28 +89,33 @@ class IRHintPerformance(TIF):
         if "_tif" not in state:
             raise CorruptSnapshotError("irHINT snapshot predates the flat layout")
         self.__dict__.update(state)
+        self._num_bits = _cap(self._num_bits)  # an older build's lazy m may be unset
         self._tables = {}
 
     # ------------------------------------------------------------------ query
-    def _table_for(self, element: Element, postings) -> timefirst.TimeFirstTable:
-        """The element's table, built here when absent or stale."""
-        table = self._tables.get(element)
-        if table is None or not table.is_fresh(postings):
-            table = self._tables[element] = timefirst.TimeFirstTable(postings, self.num_bits)
-        return table
+    def _table_for(self, element: Element, postings) -> Optional[timefirst.TimeFirstTable]:
+        """The element's table, the cost rule asked here when its verdict
+        is absent or stale; ``None`` when the list reads flat.  Only the
+        verdicts of lists the rule prices are kept."""
+        if not timefirst.priced(postings):
+            self._tables.pop(element, None)
+            return None
+        held = self._tables.get(element)
+        verdict = timefirst.decide(postings, held, self._num_bits)
+        if verdict is not held:
+            self._tables[element] = verdict
+        return verdict.table
 
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         traced = tracing_active()
         ordered = self.order_query_elements(q)
         first = self._tif.postings(ordered[0])
-        if not wants_table(first):
-            if traced:
-                annotate(table="none")
-                if self._num_bits is not None:
-                    annotate(m=self._num_bits)
-            return self._tif.query(q.st, q.end, ordered)
         found = self._tables.get(ordered[0])
         table = self._table_for(ordered[0], first)
+        if table is None:
+            if traced:
+                annotate(table="none", m=0)
+            return self._tif.query(q.st, q.end, ordered)
         if not traced:
             return self._tif.intersect(table.scan_ids(first, q.st, q.end), ordered[1:])
         notes: Dict[str, object] = {}
@@ -156,32 +137,27 @@ class IRHintPerformance(TIF):
     def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
         """The tIF's bound, with the rarest list counted by its physical
         slots when a table scans it (the table, or its flat fallback, reads
-        at most those); ``None`` when the query would build or rebuild that
-        table first."""
+        at most those); ``None`` when the query would ask the cost rule
+        first, which may build a table."""
         bound = super().work_bound(q)
         if bound is None:
             return None
         rarest = self.order_query_elements(q)[0]
         first = self._tif.postings(rarest)
-        if not wants_table(first):
+        verdict = self._tables.get(rarest)
+        if verdict is None or not verdict.is_fresh(first):
+            return None if timefirst.priced(first) else bound
+        if verdict.table is None:
             return bound
-        table = self._tables.get(rarest)
-        if table is None or not table.is_fresh(first):
-            return None
         return bound + first.physical_len() - len(first)
 
     # -------------------------------------------------------------- inspection
     def _all_tables(self) -> List[timefirst.TimeFirstTable]:
-        """Every table the index holds at rest: the ones a warm index has
-        built, building here whichever are missing or stale."""
+        """Every table the index holds at rest: the rule asked here of
+        every list whose verdict is missing or stale."""
         tif = self._tif
-        # Publishing a new dict drops the tables of lists that spilled or shrank.
-        self._tables = {
-            element: self._table_for(element, postings)
-            for element in tif.elements()
-            if wants_table(postings := tif.postings(element))
-        }
-        return list(self._tables.values())
+        tables = (self._table_for(element, tif.postings(element)) for element in tif.elements())
+        return [table for table in tables if table is not None]
 
     def n_divisions(self) -> int:
         """Materialised (non-empty) divisions, over all tables."""
@@ -207,72 +183,69 @@ class IRHintPerformance(TIF):
 class IRHintSize(TemporalIRIndex):
     """Algorithm 6: one interval store + one id column per element.
 
-    The columns are derived from the store's table and the catalog, by the
-    first query that finds them absent or built for another table, and
-    never pickled.  An insert of an id the columns already cover (a
-    revive, or a mid-run insert) drops them, since its description may
-    differ; appended objects sit in the store's tail, whose rows are
-    checked against the catalog instead.
+    The columns are derived from the store's verdict (its table, or, read
+    flat, its slots) and the catalog, by the first query that finds them
+    absent or built for another verdict, and never pickled.  An insert of
+    an id the columns already cover (a revive, or a mid-run insert) drops
+    them, since its description may differ; appended objects sit in the
+    store's tail, whose rows are checked against the catalog instead.
     """
 
     name = "irHINT (size)"
 
     def __init__(self, num_bits: Optional[int] = None) -> None:
         super().__init__()
-        self._requested_bits = num_bits
-        self._hint: Optional[Hint] = None
-        #: (table, largest id it holds, element → ascending row numbers).
-        self._columns: Optional[
-            Tuple[timefirst.TimeFirstTable, int, Dict[Element, np.ndarray]]
-        ] = None
-
-    def _configure_for(self, collection: Collection) -> None:
-        if len(collection):
-            bits = self._requested_bits
-            self._hint = Hint(_cost_model_bits(collection) if bits is None else bits)
+        self._hint = Hint(_cap(num_bits))
+        #: (verdict, largest id it holds, element → ascending row numbers).
+        self._columns: Optional[Tuple[timefirst.Verdict, int, Dict[Element, np.ndarray]]] = None
 
     def __getstate__(self) -> Dict[str, object]:
         state = super().__getstate__()
         state["_columns"] = None
         return state
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # An older build kept the requested m aside, made the store when
+        # first configured, and froze the store's m then: the cap is the
+        # request's, whatever the store was given.
+        if "_requested_bits" in state:
+            cap = _cap(state.pop("_requested_bits"))
+            if state["_hint"] is None:
+                state["_hint"] = Hint(cap)
+            state["_hint"]._m = cap
+        self.__dict__.update(state)
+
     @property
     def num_bits(self) -> int:
-        if self._hint is None:
-            raise UnknownObjectError("index is empty; no HINT configured yet")
+        """The cap on the store table's ``m``; the cost rule picks it."""
         return self._hint.num_bits
 
     @property
-    def interval_hint(self) -> Optional[Hint]:
+    def interval_hint(self) -> Hint:
         """The interval-store HINT (tests, diagnostics)."""
         return self._hint
 
     # ---------------------------------------------------------------- updates
     def _insert_impl(self, obj: TemporalObject) -> None:
-        if self._hint is None:
-            bits = self._requested_bits
-            self._hint = Hint(10 if bits is None else bits)
         self._hint.insert(obj.id, obj.st, obj.end)
         if self._columns is not None and obj.id <= self._columns[1]:
             self._columns = None
 
     def _delete_impl(self, obj: TemporalObject) -> None:
-        if self._hint is None:
-            raise UnknownObjectError(obj.id)
         self._hint.delete(obj.id, obj.st, obj.end)
 
     def _settle(self) -> None:
-        table = None if self._hint is None else self._hint.table()
-        if table is not None:
-            self._columns_for(table)
+        verdict = self._hint.verdict()
+        if verdict is not None:
+            self._columns_for(verdict)
 
     # ---------------------------------------------------------------- columns
-    def _columns_for(self, table: timefirst.TimeFirstTable) -> Dict[Element, np.ndarray]:
-        """Per element, the rows of ``table`` whose object holds it,
-        ascending: its id column in (partition key, id) order, addressed by
-        row number."""
+    def _columns_for(self, verdict: timefirst.Verdict) -> Dict[Element, np.ndarray]:
+        """Per element, the rows of ``verdict``'s divisions whose object
+        holds it, ascending: its id column in (partition key, id) order —
+        in id order when the store reads flat — addressed by row number."""
         cached = self._columns  # one read: a concurrent reader may publish its own
-        if cached is not None and cached[0] is table:
+        if cached is not None and cached[0] is verdict:
             return cached[2]
         codes: Dict[Element, int] = {}
         pair_codes: List[int] = []
@@ -282,7 +255,7 @@ class IRHintSize(TemporalIRIndex):
                 pair_codes.append(codes.setdefault(element, len(codes)))
                 pair_ids.append(obj.id)
         # Every row of each (element, id) pair's slot: rows grouped by id.
-        row_ids = table.row_ids
+        row_ids = self._hint.row_ids(verdict)
         by_id = np.argsort(row_ids, kind="stable")
         sorted_ids = row_ids[by_id]
         ids = np.array(pair_ids, dtype=np.int64)
@@ -298,7 +271,7 @@ class IRHintSize(TemporalIRIndex):
         columns = {
             element: rows[starts[code] : starts[code + 1]] for element, code in codes.items()
         }
-        self._columns = (table, int(row_ids.max()), columns)
+        self._columns = (verdict, int(row_ids.max()), columns)
         return columns
 
     def _holds(self, object_id: int, elements: List[Element]) -> bool:
@@ -315,38 +288,32 @@ class IRHintSize(TemporalIRIndex):
             # The traversal is the range query when q.d = ∅; running it
             # keeps the trace's accounting on the real path.
             return self._traverse(q)
-        if self._hint is None:
-            return []
         return self._hint.range_query(q.st, q.end)
 
     def _traverse(self, q: TimeTravelQuery) -> List[int]:
         traced = tracing_active()
         hint = self._hint
-        if hint is None:
-            if traced:
-                event("empty index")
-            return []
         # Global frequency order, computed once (Algorithm 1 line 2).
         ordered = self._dictionary.order_by_frequency(q.d) if q.d else []
         notes: Optional[Dict[str, object]] = {} if traced else None
         found = hint.division_rows(q.st, q.end, notes)
         probed = 0
         if found is None:
-            # An empty or spilled store has no table: one flat pass, the
-            # descriptions read from the catalog.
+            # An empty or spilled store: one flat pass, the descriptions
+            # read from the catalog.
             flat = hint.scan_ids(q.st, q.end, notes)
             passed = len(flat)
             out = [oid for oid in flat if self._holds(oid, ordered)]
         else:
             # Step 1 (Alg. 6): the store's range filter over its divisions.
-            table, rows, ids = found
+            verdict, rows, ids = found
             passed = len(rows)
-            indexed = rows < table.n_rows
+            indexed = rows < verdict.n_rows
             rows, tail = rows[indexed], ids[~indexed].tolist()
             ids = ids[indexed]
             # Step 2: every division's survivors against each element's
             # column at once — both are in (partition key, id) order.
-            columns = self._columns_for(table) if ordered else {}
+            columns = self._columns_for(verdict) if ordered else {}
             for element in ordered:
                 column = columns.get(element)
                 if column is None or not len(column) or not len(rows):
@@ -378,23 +345,20 @@ class IRHintSize(TemporalIRIndex):
 
     # -------------------------------------------------------------- inspection
     def n_divisions(self) -> int:
-        return 0 if self._hint is None else self._hint.n_divisions()
+        return self._hint.n_divisions()
 
     def size_bytes(self) -> int:
         """The interval store, plus every column entry as a bare id and a
         container per column."""
-        total = CONTAINER_BYTES
-        if self._hint is None:
-            return total
-        total += self._hint.size_bytes()
-        table = self._hint.settled()
-        if table is not None:
-            for column in self._columns_for(table).values():
+        total = CONTAINER_BYTES + self._hint.size_bytes()  # settles the store
+        verdict = self._hint.verdict()
+        if verdict is not None:
+            for column in self._columns_for(verdict).values():
                 total += len(column) * ENTRY_ID_BYTES + CONTAINER_BYTES
         return total
 
     def stats(self) -> dict:
         out = super().stats()
-        out["num_bits"] = None if self._hint is None else self._hint.num_bits
+        out["num_bits"] = self._hint.num_bits
         out["n_divisions"] = self.n_divisions()
         return out

@@ -197,7 +197,7 @@ class _Retired:
 def _rebuilt(old: TemporalIRIndex) -> TemporalIRIndex:
     """``old``, built afresh over its catalog with its own parameters."""
     state = old.__dict__
-    params = {"num_bits": state.get("_num_bits", state.get("_requested_bits"))}
+    params = {"num_bits": getattr(old, "num_bits")}  # every HINT-based index has one
     if "_n_slices" in state:
         params["n_slices"] = state["_n_slices"]
     return type(old).build(Collection(state["_catalog"].values()), **params)

@@ -2,11 +2,7 @@
 
 from repro.intervals.base import IntervalIndex, IntervalRecord
 from repro.intervals.grid1d import GridLayout
-from repro.intervals.hint import (
-    DomainMapper,
-    Hint,
-    choose_num_bits,
-)
+from repro.intervals.hint import DomainMapper, Hint
 from repro.intervals.linear import LinearScan
 
 __all__ = [
@@ -16,5 +12,4 @@ __all__ = [
     "IntervalIndex",
     "IntervalRecord",
     "LinearScan",
-    "choose_num_bits",
 ]

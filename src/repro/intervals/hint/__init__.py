@@ -1,6 +1,5 @@
 """HINT: the hierarchical interval index and its building blocks."""
 
-from repro.intervals.hint.cost_model import CostEstimate, choose_num_bits, estimate_cost, sweep_costs
 from repro.intervals.hint.domain import DomainMapper
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.timefirst import TimeFirstTable
@@ -8,12 +7,8 @@ from repro.intervals.hint.traversal import Assignment, assign
 
 __all__ = [
     "Assignment",
-    "CostEstimate",
     "DomainMapper",
     "Hint",
     "TimeFirstTable",
     "assign",
-    "choose_num_bits",
-    "estimate_cost",
-    "sweep_costs",
 ]

@@ -12,9 +12,11 @@ read through its :class:`~repro.intervals.hint.timefirst.TimeFirstTable`:
 the divisions are row slices of that table, every level's slices are cut
 at once, and one overlap mask over the gathered rows replaces the paper's
 per-division comparison flags and beneficial sorting.  Inserts append to
-the run (the tail); the table is rebuilt, over the run's own time span, by
-the first query that finds it stale.  A run spilled to non-i64 values
-(floats) has no table and is scanned flat.
+the run (the tail); the first query that finds the table stale asks the
+cost rule again (:func:`~repro.intervals.hint.timefirst.decide`), which
+grids the run's own time span at the cheapest ``m`` up to ``num_bits``, or
+reads the run flat.  A run spilled to non-i64 values (floats) has no table
+and is scanned flat.
 """
 
 from __future__ import annotations
@@ -43,19 +45,19 @@ class Hint(IntervalIndex):
     """Hierarchical index for intervals: a packed run and its HINT table."""
 
     def __init__(self, num_bits: int) -> None:
-        """Create an empty HINT of ``num_bits + 1`` levels (``m``)."""
+        """Create an empty HINT of at most ``num_bits + 1`` levels."""
         validate_num_bits(num_bits)
         self._m = num_bits
         self._run = PackedPostingsList()
-        self._table: Optional[timefirst.TimeFirstTable] = None
+        #: The cost rule's verdict on the run: its table, or flat.
+        self._table: Optional[timefirst.Verdict] = None
 
     @classmethod
     def build(
         cls, records: Iterable[IntervalRecord], num_bits: Optional[int] = None
     ) -> "Hint":
-        """Bulk-build over ``records``; ``num_bits`` is required (use
-        :func:`repro.intervals.hint.cost_model.choose_num_bits` to derive
-        one)."""
+        """Bulk-build over ``records``; ``num_bits``, the cap on ``m``, is
+        required."""
         if num_bits is None:
             raise ConfigurationError("Hint.build needs num_bits")
         index = cls(num_bits)
@@ -71,30 +73,39 @@ class Hint(IntervalIndex):
     # ------------------------------------------------------------- properties
     @property
     def num_bits(self) -> int:
-        """``m`` — the number of index bits (``m + 1`` levels)."""
+        """The cap on ``m``, the number of index bits (``m + 1`` levels)."""
         return self._m
 
     def __len__(self) -> int:
         return len(self._run)
 
+    def verdict(self) -> Optional[timefirst.Verdict]:
+        """The cost rule's verdict on the run, asked again here when absent
+        or stale; ``None`` for an empty or spilled run."""
+        self._table = timefirst.decide(self._run, self._table, self._m)
+        return self._table
+
     def table(self) -> Optional[timefirst.TimeFirstTable]:
-        """The run's table, (re)built here when absent or stale; ``None``
-        for an empty or spilled run."""
-        run = self._run
-        if not run.layout_epoch or not run.physical_len():
-            return None
-        table = self._table
-        if table is None or not table.is_fresh(run):
-            table = self._table = timefirst.TimeFirstTable(run, self._m)
-        return table
+        """The run's table; ``None`` when the run reads flat (empty,
+        spilled, or the rule's call)."""
+        verdict = self.verdict()
+        return None if verdict is None else verdict.table
+
+    def row_ids(self, verdict: timefirst.Verdict) -> np.ndarray:
+        """The id of each row of ``verdict``'s divisions: its table's rows,
+        or, read flat, the run's slots ``[0, n_slots)``."""
+        table = verdict.table
+        if table is not None:
+            return table.row_ids
+        return self._run.columns()[0][: verdict.n_slots].copy()
 
     def settled(self) -> Optional[timefirst.TimeFirstTable]:
-        """:meth:`table`, rebuilt over the tail too if it has one: every
+        """:meth:`table`, decided over the tail too if it has one: every
         slot in a division, as the statistics count them."""
-        table = self.table()
-        if table is not None and table.n_slots < self._run.physical_len():
-            table = self._table = timefirst.TimeFirstTable(self._run, self._m)
-        return table
+        verdict = self._table
+        if verdict is not None and verdict.n_slots < self._run.physical_len():
+            self._table = None
+        return self.table()
 
     # ---------------------------------------------------------------- updates
     def insert(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
@@ -172,18 +183,28 @@ class Hint(IntervalIndex):
 
     def division_rows(
         self, q_st: Timestamp, q_end: Timestamp, notes: Optional[Dict[str, object]] = None
-    ) -> "Optional[tuple[timefirst.TimeFirstTable, np.ndarray, np.ndarray]]":
-        """Algorithm 6's range filter, by row: ``(table, rows, ids)`` of the
-        live entries of the divisions ``[q_st, q_end]`` reads that overlap
-        it.  Rows number the table's rows, ascending in (partition key, id)
-        order, then the tail's slots from ``table.n_rows`` on.  ``None`` on
-        an empty or spilled run, which has no table."""
-        table = self.table()
-        if table is None:
+    ) -> "Optional[tuple[timefirst.Verdict, np.ndarray, np.ndarray]]":
+        """Algorithm 6's range filter, by row: ``(verdict, rows, ids)`` of
+        the live entries of the divisions ``[q_st, q_end]`` reads that
+        overlap it.  Rows number the table's rows, ascending in (partition
+        key, id) order, then the tail's slots from ``verdict.n_rows`` on; a
+        run read flat (``m = 0``) is one division whose rows are its slots.
+        ``None`` on an empty or spilled run."""
+        verdict = self.verdict()
+        if verdict is None:
             return None
         window = exact_window(q_st, q_end)
         if window is None:
-            return table, _NO_IDS, _NO_IDS
+            return verdict, _NO_IDS, _NO_IDS
+        table = verdict.table
+        if table is None:
+            ids, sts, ends = self._run.columns()
+            hit = overlap_mask(sts, ends, *window)
+            alive = self._run.alive_column()
+            if alive is not None:
+                hit &= alive != 0
+            rows = np.flatnonzero(hit)
+            return verdict, rows, self._flat(notes, ids[rows])
         bounds = table.slices(window, notes)
         gathered = table.gather(self._run, bounds, notes)
         tail = self._run.physical_len() - table.n_slots
@@ -208,7 +229,7 @@ class Hint(IntervalIndex):
         except OverflowError:
             return None
         bounds = table.slices(window, notes)
-        if table.too_wide(bounds):
+        if table.reads_flat(self._run, bounds):
             return None
         return sorted_ids, table.gather(self._run, bounds, notes), window
 

@@ -24,9 +24,16 @@ is the run's own ``[min t_st, max t_end]`` at each build, so a run that
 grows past its first objects' lifespans is re-gridded at its next rebuild,
 never clamped into its last cell.
 
+Whether a run has a table at all, and at which ``m``, is the cost rule's
+call (:mod:`repro.intervals.hint.cost_model`), made by :func:`decide` at
+every (re)build: ``m = 0`` is the flat scan, recorded as a bare
+:class:`Verdict` so a run the rule sent flat is not priced again until it
+changes; it is one division whose rows are the run's slots.  The same
+charges send one wide window flat per query.
+
 The run stays the single source of truth.  Rows name slots, so liveness is
 a gather from the run's own tombstone column; slots appended since the
-build are scanned flat as the tail; and a table is *fresh* only while the
+build are scanned flat as the tail; and a verdict is *fresh* only while the
 run's layout epoch reads what it read at the build and the tail is still
 the smaller part.  The table reads the run through
 ``PackedPostingsList``'s columnar surface only (``layout_epoch``,
@@ -41,20 +48,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.interval import Timestamp
+from repro.intervals.hint import cost_model
 from repro.intervals.hint.domain import DomainMapper
 from repro.ir.blocks import exact_window, overlap_mask
 from repro.ir.packed import PackedPostingsList
-
-#: A window whose partitions hold more than this share of the table's slots
-#: is scanned flat after all: the flat mask reads every slot but yields ids
-#: in order, and past this share the gathered rows cost more to sort
-#: (measured break-even 0.22–0.25 of the list, at 8k–95k entries).
-_FLAT_SHARE = 0.25
-
-#: Finest grid a table uses.  2^30 cells outnumber the slots of any list
-#: that fits in memory, and ``key · n_slots + slot`` must pack into one
-#: i64 sort key.
-_MAX_BITS = 30
 
 _I64_MAX = np.iinfo(np.int64).max
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -75,21 +72,76 @@ def _cells(mapper: DomainMapper, column: np.ndarray) -> np.ndarray:
     return np.array([mapper.cell(t) for t in column.tolist()], dtype=np.int64)
 
 
-class TimeFirstTable:
+class Verdict:
+    """The cost rule's call on slots ``[0, n_slots)`` of a run at one
+    layout epoch: read it flat (``m = 0``), or, for the subclass, through
+    the table it is."""
+
+    __slots__ = ("epoch", "n_slots")
+
+    def __init__(self, postings: PackedPostingsList) -> None:
+        self.epoch = postings.layout_epoch
+        self.n_slots = postings.physical_len()
+
+    @property
+    def table(self) -> Optional["TimeFirstTable"]:
+        """The table to read through; ``None`` reads the run flat."""
+        return None
+
+    @property
+    def n_rows(self) -> int:
+        """Rows of the verdict's divisions: read flat, the slots it covers."""
+        return self.n_slots
+
+    def is_fresh(self, postings: PackedPostingsList) -> bool:
+        """Do slots ``[0, n_slots)`` still read as they did, and is the
+        tail appended since still the smaller part?"""
+        return (
+            self.epoch == postings.layout_epoch
+            and postings.physical_len() <= 2 * self.n_slots
+        )
+
+
+def priced(postings: object) -> bool:
+    """Can this run get a table: packed, unspilled, and past the rule's
+    short cut?"""
+    return (
+        isinstance(postings, PackedPostingsList)
+        and postings.layout_epoch > 0
+        and not cost_model.short_cut(postings.physical_len())
+    )
+
+
+def decide(postings: PackedPostingsList, held: Optional[Verdict], cap: int) -> Optional[Verdict]:
+    """``held`` while it is fresh, else the rule's verdict on the run as it
+    is now: a table at the rule's ``m`` (at most ``cap``) or a flat
+    :class:`Verdict`.  ``None`` for an empty or spilled run."""
+    if not postings.layout_epoch or not postings.physical_len():
+        return None
+    if held is not None and held.is_fresh(postings):
+        return held
+    if cost_model.short_cut(postings.physical_len()):
+        return Verdict(postings)
+    _ids, sts, ends = postings.columns()
+    m = cost_model.choose_bits(sts, ends, cap)
+    return TimeFirstTable(postings, m) if m else Verdict(postings)
+
+
+class TimeFirstTable(Verdict):
     """Rows of one list's slots ``[0, n_slots)`` in (partition key, slot) order."""
 
     #: ``n_rows``: stored rows, replicas included; ``n_divisions``: non-empty
     #: divisions (distinct partition keys, originals and replicas apart).
     __slots__ = (
-        "epoch", "n_slots", "n_rows", "n_divisions", "mapper",
+        "n_rows", "n_divisions", "mapper",
         "_keys", "_offsets", "_rows", "_shifts", "_bases",
     )
 
     def __init__(self, postings: PackedPostingsList, num_bits: int) -> None:
+        super().__init__(postings)
         ids, sts, ends = postings.columns()
-        m = min(num_bits, _MAX_BITS)
-        self.epoch = postings.layout_epoch
-        self.n_slots = n = len(sts)
+        m = min(num_bits, cost_model.MAX_BITS)
+        n = self.n_slots
         self.mapper = mapper = DomainMapper.for_domain(int(sts.min()), int(ends.max()), m)
         n_keys = 1 << (m + 1)
 
@@ -130,13 +182,9 @@ class TimeFirstTable:
         self._bases = np.concatenate((bases, bases + n_keys))
 
     # ------------------------------------------------------------------ reads
-    def is_fresh(self, postings: PackedPostingsList) -> bool:
-        """Do the rows still describe slots ``[0, n_slots)``, and is the
-        unindexed tail still the smaller part?"""
-        return (
-            self.epoch == postings.layout_epoch
-            and postings.physical_len() <= 2 * self.n_slots
-        )
+    @property
+    def table(self) -> "TimeFirstTable":
+        return self
 
     def slices(
         self, window: Tuple[int, int], notes: Optional[Dict[str, object]] = None
@@ -179,10 +227,12 @@ class TimeFirstTable:
         alive = postings.alive_column()
         return self.n_rows if alive is None else int(np.count_nonzero(alive[self._rows[0]]))
 
-    def too_wide(self, bounds: List[Tuple[int, int]]) -> bool:
-        """Do these row ranges hold more than the share of slots past which
-        one flat pass over the run is the cheaper read?"""
-        return sum(stop - start for start, stop in bounds) > _FLAT_SHARE * self.n_slots
+    def reads_flat(self, postings: PackedPostingsList, bounds: List[Tuple[int, int]]) -> bool:
+        """The rule's charges on one read: is a flat pass over the run no
+        dearer than gathering these row ranges and the tail?"""
+        n_now = postings.physical_len()
+        rows = sum(stop - start for start, stop in bounds) + n_now - self.n_slots
+        return cost_model.prefers_flat(len(bounds), rows, n_now)
 
     def gather(
         self,
@@ -229,7 +279,7 @@ class TimeFirstTable:
         if window is None:
             return _NO_IDS
         bounds = self.slices(window, notes)
-        if self.too_wide(bounds):
+        if self.reads_flat(postings, bounds):
             if notes is not None:
                 notes.update(phase="scan", rows=postings.physical_len(), slices=1)
             return postings.scan_ids(q_st, q_end)

@@ -1,4 +1,4 @@
-"""Inverted-file substrate: packed postings, block codec, intersections, tIF."""
+"""Inverted-file substrate: packed postings, block codec, tIF."""
 
 from repro.ir.codec import (
     decode_block,
@@ -9,7 +9,6 @@ from repro.ir.codec import (
     varint_encode,
 )
 from repro.ir.compressed import CompressedPostingsList
-from repro.ir.intersection import contains_sorted, intersect_merge
 from repro.ir.inverted import TemporalInvertedFile
 from repro.ir.packed import PackedPostingsList
 from repro.ir.postings import PostingsBackend, PostingsEntry
@@ -20,10 +19,8 @@ __all__ = [
     "PostingsBackend",
     "PostingsEntry",
     "TemporalInvertedFile",
-    "contains_sorted",
     "decode_block",
     "encode_block",
-    "intersect_merge",
     "svarint_decode",
     "svarint_encode",
     "varint_decode",

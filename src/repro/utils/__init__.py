@@ -1,4 +1,4 @@
-"""Shared utilities: bit arithmetic, size accounting, timing, sorted-sequence helpers."""
+"""Shared utilities: bit arithmetic, size accounting, retries, timing."""
 
 from repro.utils.bitops import (
     domain_size,
@@ -13,7 +13,6 @@ from repro.utils.bitops import (
 )
 from repro.utils.memory import SizeModel, deep_getsizeof, mib
 from repro.utils.retry import DEFAULT_POLICY, RetryPolicy, retry_call
-from repro.utils.sorting import merge_sorted
 from repro.utils.timing import (
     Stopwatch,
     ThroughputMeasurement,
@@ -35,7 +34,6 @@ __all__ = [
     "is_right_child",
     "max_cell",
     "measure_query_throughput",
-    "merge_sorted",
     "mib",
     "min_bits_for",
     "partition_of",

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.collection import Collection
 from repro.core.model import TemporalObject, make_object, make_query
-from repro.indexes import irhint
+from repro.intervals.hint import cost_model, timefirst
 
 
 @pytest.fixture()
@@ -44,10 +44,44 @@ def running_example() -> Collection:
 
 @pytest.fixture()
 def small_tables(monkeypatch):
-    """irHINT-performance with its crossover forced down: every list of at
-    least 8 entries gets a time-first table, so collections of a few
-    hundred objects reach the table."""
-    monkeypatch.setattr(irhint, "TABLE_MIN", 8)
+    """The cost rule with its fixed charges at 0 and a row priced as one
+    flat entry: a run gets a table at its cap whenever that table reads
+    fewer rows than the run holds, and a window falls back to the flat
+    pass only when its slices hold every slot — so runs of a few entries
+    reach the table, and both of its read paths stay under test."""
+    monkeypatch.setattr(cost_model, "QUERY_CHARGE", 0.0)
+    monkeypatch.setattr(cost_model, "SLICE_CHARGE", 0.0)
+    monkeypatch.setattr(cost_model, "ROW_CHARGE", 1.0)
+
+
+@pytest.fixture()
+def rule_paths(monkeypatch):
+    """Counts of the paths the cost rule sends reads down: ``table`` (a
+    read served by a table), ``fallback`` (a window a table sent flat) and
+    ``flat`` (a run read with no table: the rule's flat verdict, or a run
+    past which the rule never looks)."""
+    paths = {"table": 0, "fallback": 0, "flat": 0}
+    priced, decide, prefers_flat = timefirst.priced, timefirst.decide, cost_model.prefers_flat
+
+    def counted_priced(postings):
+        answer = priced(postings)
+        paths["flat"] += not answer
+        return answer
+
+    def counted_decide(postings, held, cap):
+        verdict = decide(postings, held, cap)
+        paths["flat"] += verdict is None or verdict.table is None
+        return verdict
+
+    def counted_prefers_flat(slices, rows, n_slots):
+        flat = prefers_flat(slices, rows, n_slots)
+        paths["fallback" if flat else "table"] += 1
+        return flat
+
+    monkeypatch.setattr(timefirst, "priced", counted_priced)
+    monkeypatch.setattr(timefirst, "decide", counted_decide)
+    monkeypatch.setattr(cost_model, "prefers_flat", counted_prefers_flat)
+    return paths
 
 
 @pytest.fixture()

@@ -467,10 +467,11 @@ def run_differential_server(tmp_path) -> None:
 
 
 # ------------------------------------------------- irHINT crossover legs
-# ``irhint-perf`` scans a list flat below its crossover length and through
-# a time-first table above it.  At the shipped crossover these collections
-# never reach a table; forced down to 8 entries (tests/conftest.py,
-# ``small_tables``) their longer lists do.  Both settings, every path.
+# ``irhint-perf`` reads a list through a time-first table when the cost
+# rule finds one pays, and flat otherwise.  Under the shipped charges these
+# collections never reach a table; under the ``small_tables`` charges
+# (tests/conftest.py; the "forced-to-8" leg) their lists do, and wide
+# windows fall back to the flat pass.  Both settings, every path.
 @pytest.fixture(params=["shipped", "forced-to-8"])
 def crossover(request):
     if request.param == "forced-to-8":
@@ -478,15 +479,24 @@ def crossover(request):
     return request.param
 
 
+def _assert_paths(crossover, paths):
+    """The shipped charges read these lists flat; the forced ones through
+    tables, with wide windows sent flat per query."""
+    if crossover == "shipped":
+        assert paths["flat"] and not paths["table"] and not paths["fallback"], paths
+    else:
+        assert paths["table"] and paths["fallback"], paths
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_differential_irhint_crossover_direct(crossover, seed):
+def test_differential_irhint_crossover_direct(crossover, rule_paths, seed):
     run_differential("irhint-perf", seed, executor_config=None)
+    _assert_paths(crossover, rule_paths)
 
 
-def test_differential_irhint_crossover_durable_store(crossover, tmp_path):
+def test_differential_irhint_crossover_durable_store(crossover, rule_paths, tmp_path):
     """Through a durable store, checkpointed and reopened mid-trace: the
     recovered index carries no table and must rebuild what it needs."""
-    from repro.indexes import irhint
     from repro.service.store import DurableIndexStore
 
     seed = SEEDS[0]
@@ -518,7 +528,8 @@ def test_differential_irhint_crossover_durable_store(crossover, tmp_path):
             store.delete(op[1])
             oracle.delete(op[1])
     store.close()
-    assert bool(tables_seen) == (irhint.TABLE_MIN == 8)
+    assert bool(tables_seen) == (crossover != "shipped")
+    _assert_paths(crossover, rule_paths)
 
 
 def test_differential_irhint_crossover_forced_through_the_daemon(

@@ -11,8 +11,7 @@ from repro.datasets.synthetic import generate_synthetic
 from repro.indexes import explain, irhint
 from repro.indexes.irhint import IRHintPerformance, IRHintSize
 from repro.indexes.tif import TIF
-from repro.intervals.hint import timefirst
-from repro.intervals.hint.cost_model import choose_num_bits
+from repro.intervals.hint import cost_model, timefirst
 
 
 @pytest.mark.parametrize("cls", [IRHintPerformance, IRHintSize])
@@ -32,6 +31,13 @@ class TestCommonBehaviour:
         index.delete(40)
         assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8]
 
+    def test_answers_are_python_ints(self, cls, running_example):
+        """Answers leave the index as plain ints (the daemon writes them
+        as JSON), on a store read flat as on one read through tables."""
+        index = cls.build(running_example, num_bits=3)
+        for q in (make_query(2, 4, {"a", "c"}), make_query(2, 4)):
+            assert all(type(oid) is int for oid in index.query(q))
+
     def test_stabbing(self, cls, running_example):
         index = cls.build(running_example, num_bits=3)
         assert index.query(make_query(5, 5, {"b"})) == [1, 4, 5]
@@ -41,8 +47,10 @@ class TestCommonBehaviour:
         assert index.query(make_query(0, 7, {"a", "c"})) == [1, 2, 4, 7]
 
     def test_cost_model_chooses_m_when_unset(self, cls, running_example):
+        """Unset, the cap is the cost model's ceiling; the rule picks each
+        run's ``m`` under it."""
         index = cls.build(running_example)
-        assert index.num_bits >= 1
+        assert index.num_bits == irhint.DEFAULT_BITS
 
     def test_updates(self, cls, running_example, example_query):
         index = cls.build(running_example, num_bits=3)
@@ -75,9 +83,8 @@ class TestCommonBehaviour:
 
 class TestVariantSpecifics:
     @pytest.fixture(autouse=True)
-    def _tables_on_the_running_example(self, monkeypatch):
-        # Its lists hold 4, 4 and 7 entries.
-        monkeypatch.setattr(irhint, "TABLE_MIN", 2)
+    def _tables_on_the_running_example(self, small_tables):
+        """Its lists hold 4, 4 and 7 entries."""
 
     def test_divisions_materialised(self, running_example):
         perf = IRHintPerformance.build(running_example, num_bits=3)
@@ -125,7 +132,7 @@ class TestFlatLayout:
         the *first inserted object's* lifespan (+25 %, m = 10), so every
         later object clamped into the last cell and a narrow query read
         everything.  A table takes its domain from its list, and m comes
-        from the cost model over what the index holds."""
+        from the cost rule over that list."""
         index = IRHintPerformance()
         objects = list(self._spread())
         for obj in objects:
@@ -136,8 +143,9 @@ class TestFlatLayout:
             [o for o in objects if o.st <= 500_500 and 500_000 <= o.end]
         )
         assert narrow.total_entries_scanned < len(objects) // 10
-        assert index.num_bits == choose_num_bits([(o.id, o.st, o.end) for o in objects]) > 1
         mapper = index._tables["hot"].mapper
+        _ids, sts, ends = index.inverted_file.postings("hot").columns()
+        assert mapper.num_bits == cost_model.choose_bits(sts, ends, index.num_bits) > 1
         assert (mapper.lo, mapper.hi) == (
             min(o.st for o in objects), max(o.end for o in objects)
         )
@@ -160,7 +168,7 @@ class TestFlatLayout:
             first = explain(index, q).phases[0]
             if first.label == f"time-first table I[{top}]":
                 gathered.append(first.entries_scanned)
-            else:  # the dense middle: over a quarter of the rows, so scanned flat
+            else:  # a window whose slices hold every row, so scanned flat
                 assert (first.label, first.entries_scanned) == (f"scan I[{top}]", held)
         assert len(gathered) >= 7 and max(gathered) < held // 4
 

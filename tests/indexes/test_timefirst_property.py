@@ -5,10 +5,13 @@ table — appends, mid-list inserts, deletes, delete-then-reinsert with the
 same and with another interval or description, compaction, a pickle round
 trip, a spill to non-i64 values — and after every step each subject must
 answer like :class:`BruteForce` (and plain :class:`TIF`): irHINT-perf
-with the crossover forced to 8, so its lists reach the table; the four
+under the ``small_tables`` charges, so its lists reach the table; the four
 HINT-based indexes (``tif-hint-binary``, ``tif-hint-merge``,
-``tif-hint-slicing``, ``irhint-size``), started empty; and a bare
-:class:`Hint` over every live interval.  Each fresh table must answer raw
+``tif-hint-slicing``, ``irhint-size``), started empty; and two bare
+:class:`Hint` over every live interval, capped at ``m = 6`` and at
+``m = 0`` (the flat scan).  Every trace must take the cost rule's three
+paths: a narrow read served by a table, a run the rule reads flat, and a
+window sent flat per query.  Each fresh table must answer raw
 windows (±inf, NaN, ``2.0**63``, floats past ``2**53``, point windows, the
 domain's edges) like a Python loop over the live entries.  Three regimes:
 a domain much wider than the grid, one beside the i64 limits, and a burst
@@ -16,7 +19,8 @@ narrower than the grid (where cells are exact offsets).
 
 The traces are only as good as what they catch, so the mutants below are
 checked in: each is a one-line change to the table
-(``repro/intervals/hint/timefirst.py``), to ``Hint``'s division reads
+(``repro/intervals/hint/timefirst.py``), to the cost rule
+(``repro/intervals/hint/cost_model.py``), to ``Hint``'s division reads
 (``repro/intervals/hint/index.py``) or to irHINT-size's id columns
 (``repro/indexes/irhint.py``) that some trace must kill (same discipline
 as the kernel mutants of ``tests/ir/test_postings_property.py``'s
@@ -44,8 +48,8 @@ from repro.indexes.brute import BruteForce
 from repro.indexes.tif import TIF
 from repro.indexes.tif_hint import TIFHintBinary, TIFHintMerge
 from repro.indexes.tif_hint_slicing import TIFHintSlicing
+from repro.intervals.hint import cost_model, timefirst
 from repro.intervals.hint import index as hint_index
-from repro.intervals.hint import timefirst
 from repro.intervals.hint.index import Hint
 from repro.intervals.hint.traversal import assign
 from repro.ir.blocks import exact_window
@@ -123,9 +127,9 @@ def _subjects() -> Dict[str, object]:
     }
 
 
-def _hints(subjects: Dict[str, object], bare: Hint) -> List[Hint]:
-    """Every ``Hint`` the subjects hold, and the bare one."""
-    found = [bare]
+def _hints(subjects: Dict[str, object], bare: List[Hint]) -> List[Hint]:
+    """Every ``Hint`` the subjects hold, and the bare ones."""
+    found = list(bare)
     for subject in subjects.values():
         found += getattr(subject, "_hints", {}).values()
         found += [hint for hint in [getattr(subject, "_hint", None)] if hint is not None]
@@ -134,12 +138,12 @@ def _hints(subjects: Dict[str, object], bare: Hint) -> List[Hint]:
 
 def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
     """Replay one seeded trace; AssertionError on the first mismatch.
-    Returns the subjects (and the bare ``Hint``, as ``"hint"``) as the
-    trace left them."""
+    Returns the subjects (and the bare ``Hint`` at ``m = 6``, as
+    ``"hint"``) as the trace left them."""
     rng = random.Random(seed * 7907 + len(regime))
     interval = REGIMES[regime]
     subjects = _subjects()
-    bare = Hint(6)
+    bare = [Hint(6), Hint(0)]
     flat, oracle = TIF(), BruteForce()
     live: dict = {}
     next_even = 0
@@ -148,13 +152,15 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
         live[obj.id] = obj
         for index in (*subjects.values(), flat, oracle):
             index.insert(obj)
-        bare.insert(obj.id, obj.st, obj.end)
+        for hint in bare:
+            hint.insert(obj.id, obj.st, obj.end)
 
     def delete(object_id: int) -> TemporalObject:
         for index in (*subjects.values(), flat, oracle):
             index.delete(object_id)
         old = live.pop(object_id)
-        bare.delete(object_id, old.st, old.end)
+        for hint in bare:
+            hint.delete(object_id, old.st, old.end)
         return old
 
     def fresh(object_id: int) -> TemporalObject:
@@ -212,7 +218,7 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
                 next_even += 2
                 # Both lists now hold floats: no table is wanted, none is kept.
                 perf = subjects["irhint-perf"]
-                assert not irhint.wants_table(perf.inverted_file.postings("hot"))
+                assert perf._table_for("hot", perf.inverted_file.postings("hot")) is None
                 assert perf.stats()["n_tables"] == 0 and perf._tables == {}
                 assert all(hint.table() is None for hint in _hints(subjects, bare))
         context = f"regime={regime!r} seed={seed} step={step} after {op}"
@@ -225,13 +231,17 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
                 for name, subject in subjects.items():
                     assert subject.query(q) == want, f"{context}: {name} on {q}"
             want = sorted(o.id for o in live.values() if st <= o.end and o.st <= end)
-            assert bare.range_query(st, end) == want, f"{context}: Hint on [{st}, {end}]"
+            for hint in bare:
+                got = hint.range_query(st, end)
+                assert got == want, f"{context}: Hint({hint.num_bits}) on [{st}, {end}]"
         perf, binary = subjects["irhint-perf"], subjects["tif-hint-binary"]
         for element in ("hot", "warm"):
             postings = perf.inverted_file.postings(element)
             tables = []
-            if irhint.wants_table(postings):
-                tables.append((perf._table_for(element, postings), postings))
+            table = perf._table_for(element, postings)
+            if table is not None:
+                assert table.mapper.num_bits <= perf.num_bits, f"{context}: m over the cap"
+                tables.append((table, postings))
             hint = binary.hint_for(element)
             if hint is not None and hint.table() is not None:
                 tables.append((hint.table(), hint._run))
@@ -242,18 +252,50 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
                     )
                     got = table.scan_ids(run, a, b)
                     assert list(got) == want, f"{context}: table I[{element}] on [{a}, {b}]"
-    return {**subjects, "hint": bare}
+        for hint in _hints(subjects, bare):
+            verdict = hint._table
+            if verdict is not None and verdict.table is not None:
+                assert verdict.table.mapper.num_bits <= hint.num_bits, f"{context}: m over the cap"
+    return {**subjects, "hint": bare[0]}
 
 
 @pytest.fixture()
 def forced(small_tables):
-    """The crossover at 8: the 40-object prefill already reaches the table."""
+    """The ``small_tables`` charges: the 40-object prefill already reaches
+    the table."""
+
+
+def _traced(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
+    """:func:`run_trace`, counting the paths the cost rule sends each read
+    down — whatever rule is installed, a mutant's included — and asserting
+    that the trace took all three."""
+    paths = {"narrow table read": 0, "flat verdict": 0, "per-query fallback": 0}
+    decide, prefers_flat = timefirst.decide, cost_model.prefers_flat
+
+    def counted_decide(postings, held, cap):
+        verdict = decide(postings, held, cap)
+        paths["flat verdict"] += verdict is not None and verdict.table is None
+        return verdict
+
+    def counted_prefers_flat(slices, rows, n_slots):
+        flat = prefers_flat(slices, rows, n_slots)
+        paths["per-query fallback"] += flat
+        paths["narrow table read"] += not flat and rows < n_slots
+        return flat
+
+    timefirst.decide, cost_model.prefers_flat = counted_decide, counted_prefers_flat
+    try:
+        left = run_trace(regime, seed, n_ops)
+    finally:
+        timefirst.decide, cost_model.prefers_flat = decide, prefers_flat
+    assert all(paths.values()), f"regime={regime!r} seed={seed}: a path never taken: {paths}"
+    return left
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_table_matches_flat_scan_and_brute_force(forced, regime, seed):
-    run_trace(regime, seed)
+    _traced(regime, seed)
 
 
 def test_traces_reach_the_table_the_tail_and_the_spill(forced, monkeypatch):
@@ -289,7 +331,7 @@ def test_traces_reach_the_table_the_tail_and_the_spill(forced, monkeypatch):
 
     monkeypatch.setattr(timefirst, "TimeFirstTable", Spy)
     monkeypatch.setattr(irhint.IRHintSize, "_columns_for", counted)
-    left = [run_trace(regime, seed) for regime in sorted(REGIMES) for seed in SEEDS]
+    left = [_traced(regime, seed) for regime in sorted(REGIMES) for seed in SEEDS]
     assert all(seen.values()), seen
     for key in ("irhint-perf", "hint"):
         spilled = [
@@ -416,10 +458,34 @@ MUTANTS = [
         "if False:  # the tail",
     ),
     (
+        "rule always flat",
+        timefirst,
+        "return TimeFirstTable(postings, m) if m else Verdict(postings)",
+        "return Verdict(postings)",
+    ),
+    (
+        "rule always table",
+        timefirst,
+        "return TimeFirstTable(postings, m) if m else Verdict(postings)",
+        "return TimeFirstTable(postings, m)",
+    ),
+    (
+        "per-query fallback inverted",
+        cost_model,
+        "return table_cost(slices, rows) >= n_slots",
+        "return table_cost(slices, rows) < n_slots",
+    ),
+    (
+        "cap ignored",
+        cost_model,
+        "cap = min(cap, MAX_BITS)",
+        "cap = MAX_BITS",
+    ),
+    (
         "a Hint serves a stale table",
-        hint_index,
-        "if table is None or not table.is_fresh(run):",
-        "if table is None:",
+        timefirst,
+        "if held is not None and held.is_fresh(postings):",
+        "if held is not None:",
     ),
     (
         "dead division rows pass the overlap mask",
@@ -508,8 +574,8 @@ def test_mutant_is_killed(forced, monkeypatch, name, module, old, new):
     for regime in sorted(REGIMES):
         for seed in SEEDS:
             try:
-                run_trace(regime, seed)
-            except Exception:  # a wrong answer, or a crash
+                _traced(regime, seed)
+            except Exception:  # a wrong answer, a path never taken, or a crash
                 return
     pytest.fail(f"mutant survived every trace: {name}")
 
@@ -521,5 +587,5 @@ def test_unmutated_module_survives_the_mutant_harness(forced, monkeypatch):
     mutant = _mutated(timefirst, anchor, f"{anchor} and True")
     assert _install(monkeypatch, timefirst, mutant) == 1
     for regime in sorted(REGIMES):
-        run_trace(regime, SEEDS[0], n_ops=40)
+        _traced(regime, SEEDS[0], n_ops=40)
     assert not any(name.endswith("_mutant") for name in sys.modules)

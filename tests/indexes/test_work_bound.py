@@ -5,9 +5,9 @@ and (the ``list`` leg: every timestamp half a unit off the integers) on
 the Python lists a packed list spills to.  Before each query the bound is
 read; the query then runs under :func:`repro.indexes.explain`, and the
 bound must cover the ``entries_scanned`` its own trace sums to.
-``irhint-perf`` (crossover forced to 8 entries, so its packed lists reach
-time-first tables) must answer ``None`` exactly when the query builds or
-rebuilds a table.  Every other registry key inherits ``None``.
+``irhint-perf`` (under the ``small_tables`` charges, so its packed lists
+reach time-first tables) must answer ``None`` exactly when the query asks
+the cost rule again, which may build a table.  Every other registry key inherits ``None``.
 
 Determinism: every trace derives from an integer seed; a failure prints
 the key, leg, seed and step.
@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.collection import Collection
 from repro.core.model import make_object, make_query
-from repro.indexes import irhint
 from repro.indexes.explain import explain
 from repro.indexes.registry import INDEX_CLASSES, build_index
 
@@ -34,14 +33,26 @@ N_STEPS = 240
 @pytest.mark.parametrize("seed", (7, 2026))
 @pytest.mark.parametrize("backend", ("list", "packed"))
 @pytest.mark.parametrize("key", BOUNDED)
-def test_bound_covers_the_queries_own_trace(key, backend, seed, small_tables):
+def test_bound_covers_the_queries_own_trace(key, backend, seed, small_tables, rule_paths):
     rng = random.Random(seed)
     objects = random_objects(320, seed, domain=5_000, max_duration=800)
     if backend == "list":  # a float timestamp spills every list it lands in
         objects = [make_object(o.id, o.st + 0.5, o.end + 0.5, o.d) for o in objects]
     index = build_index(key, Collection(objects[:200]))
     pending, live = objects[200:], [obj.id for obj in objects[:200]]
-    table_scans = rebuilds = 0
+    rebuilds = 0
+
+    def check(q, where):
+        bound = index.work_bound(q)
+        tables = getattr(index, "_tables", {})
+        before = dict(tables)
+        scanned = explain(index, q).total_entries_scanned
+        rebuilt = any(table is not before.get(e) for e, table in tables.items())
+        assert (bound is None) == rebuilt, f"bound {bound}, rebuilt {rebuilt}: {where}"
+        if bound is not None:
+            assert bound >= scanned, f"bound {bound} < {scanned} entries scanned: {where}"
+        return rebuilt
+
     for step in range(N_STEPS):
         roll = rng.random()
         if roll < 0.2 and pending:
@@ -57,23 +68,17 @@ def test_bound_covers_the_queries_own_trace(key, backend, seed, small_tables):
         if rng.random() < 0.05:
             elements.add("never-indexed")
         q = make_query(st, st + rng.randint(0, 2_500), elements)
-
-        bound = index.work_bound(q)
-        tables = getattr(index, "_tables", {})
-        before = dict(tables)
-        scanned = explain(index, q).total_entries_scanned
-        rebuilt = any(table is not before.get(e) for e, table in tables.items())
-        where = f"{key}/{backend} seed={seed} step={step} q={q}"
-        assert (bound is None) == rebuilt, f"bound {bound}, rebuilt {rebuilt}: {where}"
-        if bound is not None:
-            assert bound >= scanned, f"bound {bound} < {scanned} entries scanned: {where}"
-            rarest = index.order_query_elements(q)[0]
-            table_scans += irhint.wants_table(index.inverted_file.postings(rarest))
-        rebuilds += rebuilt
+        rebuilds += check(q, f"{key}/{backend} seed={seed} step={step} q={q}")
+    # The whole domain, twice: a window every slot of a list meets, read
+    # through a fresh verdict the second time.
+    for _ in range(2):
+        q = make_query(-200, 6_000, {ELEMENTS[0]})
+        rebuilds += check(q, f"{key}/{backend} seed={seed} whole domain")
     if key == "irhint-perf" and backend == "packed":
-        # The trace reached both sides: queries that (re)built a table and
-        # bounded queries served from a fresh one.
-        assert rebuilds and table_scans
+        # The trace reached every side: queries that asked the rule again,
+        # reads served by a table, windows sent flat per query, and runs
+        # read flat.
+        assert rebuilds and all(rule_paths.values()), rule_paths
 
 
 @pytest.mark.parametrize("key", BOUNDED)

@@ -1,84 +1,107 @@
-"""Tests for the HINT cost model."""
+"""Tests for HINT's cost rule: one ``m`` per run, ``m = 0`` the flat scan."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.core.errors import ConfigurationError
-from repro.intervals.hint.cost_model import (
-    CostEstimate,
-    choose_num_bits,
-    estimate_cost,
-    sweep_costs,
-)
+from repro.intervals.hint import cost_model
+from repro.intervals.hint.cost_model import choose_bits, estimate, prefers_flat, table_cost
+from repro.intervals.hint.timefirst import TimeFirstTable
+from repro.ir.packed import PackedPostingsList
+
+N_LONG = 40_000
 
 
-def make_records(n=500, duration=50, domain=10_000):
-    return [(i, (i * 37) % domain, (i * 37) % domain + duration) for i in range(n)]
+def make_columns(n=N_LONG, duration=50, domain=10_000_000, seed=1):
+    """Starts spread over ``domain``, exponential durations of mean
+    ``duration``, and a heavy tail of a twentieth as long as the domain."""
+    rng = np.random.default_rng(seed)
+    sts = rng.integers(0, domain, n)
+    ends = sts + rng.exponential(duration, n).astype(np.int64)
+    tail = rng.random(n) < 0.05
+    ends[tail] += rng.integers(0, domain // 20, int(tail.sum()))
+    return sts, ends
 
 
 class TestEstimate:
     def test_empty_records(self):
-        estimate = estimate_cost([], 5, 0.001)
-        assert estimate.replication == 0.0
-        assert estimate.expected_reads == 0.0
-
-    def test_replication_grows_with_m(self):
-        records = make_records(duration=500)
-        small = estimate_cost(records, 2, 0.001)
-        large = estimate_cost(records, 10, 0.001)
-        assert large.replication >= small.replication
+        none = np.empty(0, dtype=np.int64)
+        slices, rows = estimate(none, none, 5)
+        assert not slices.any() and not rows.any()
 
     def test_reads_shrink_with_m_for_point_queries(self):
-        records = make_records(duration=10)
-        coarse = estimate_cost(records, 1, 1e-6)
-        fine = estimate_cost(records, 10, 1e-6)
-        assert fine.expected_reads < coarse.expected_reads
+        _slices, rows = estimate(*make_columns(), 16)
+        assert (np.diff(rows) < 0).all()
 
     def test_divisions_grow_with_m(self):
-        records = make_records()
-        assert (
-            estimate_cost(records, 10, 0.001).expected_divisions
-            > estimate_cost(records, 3, 0.001).expected_divisions
-        )
+        slices, _rows = estimate(*make_columns(duration=20_000), 16)
+        assert (np.diff(slices) >= 0).all() and slices[-1] > slices[0]
 
     def test_total_cost_includes_overheads(self):
-        estimate = CostEstimate(num_bits=4, replication=1.0, expected_reads=100.0, expected_divisions=10.0)
-        assert estimate.total_cost > estimate.expected_reads
+        assert table_cost(10, 100) > cost_model.ROW_CHARGE * 100
+
+    @pytest.mark.parametrize("duration", [50, 20_000, 400_000])
+    def test_estimate_matches_the_walk(self, duration):
+        """The expected rows and slices of a uniform stab, against what
+        the table the walk builds reads at that ``m``."""
+        sts, ends = make_columns(n=6_000, duration=duration)
+        run = PackedPostingsList()
+        for object_id, (st, end) in enumerate(zip(sts.tolist(), ends.tolist())):
+            run.add(object_id, st, end)
+        slices, rows = estimate(sts, ends, 10)
+        rng = random.Random(3)
+        stabs = [rng.randint(int(sts.min()), int(ends.max())) for _ in range(400)]
+        for m in (2, 5, 8, 10):
+            table = TimeFirstTable(run, m)
+            read = [table.slices((x, x)) for x in stabs]
+            mean_rows = np.mean([sum(stop - start for start, stop in b) for b in read])
+            mean_slices = np.mean([len(b) for b in read])
+            assert mean_rows == pytest.approx(rows[m - 1], rel=0.1), m
+            assert abs(mean_slices - slices[m - 1]) < 2.0, m
 
 
 class TestChoose:
     def test_empty_input(self):
-        assert choose_num_bits([]) == 1
+        none = np.empty(0, dtype=np.int64)
+        assert choose_bits(none, none, 16) == 0
 
     def test_returns_value_in_range(self):
-        m = choose_num_bits(make_records(), max_bits=12)
-        assert 1 <= m <= 12
-
-    def test_replication_cap_respected(self):
-        records = make_records(duration=2000)
-        m = choose_num_bits(records, max_replication=1.5)
-        assert estimate_cost(records, m, 0.001).replication <= 1.5
+        assert 1 <= choose_bits(*make_columns(), 12) <= 12
+        assert choose_bits(*make_columns(), 3) == 3
 
     def test_impossible_cap_falls_back(self):
-        records = make_records(duration=9000)
-        assert choose_num_bits(records, max_replication=0.5) == 1
+        """Cap 0 leaves one partition, which is the flat scan."""
+        assert choose_bits(*make_columns(), 0) == 0
 
     def test_not_degenerate(self):
-        """On realistic data the model avoids both extremes."""
-        m = choose_num_bits(make_records(n=2000, duration=300), max_bits=16)
-        assert 2 <= m <= 14
+        """On realistic data the rule avoids both extremes."""
+        assert 2 <= choose_bits(*make_columns(), 16) <= 14
+
+    def test_short_runs_take_the_short_cut(self):
+        """A run no longer than the per-query charge is flat without a
+        look at its columns."""
+
+        class Untouchable:
+            def __len__(self):
+                return int(cost_model.QUERY_CHARGE)
+
+            def __getattr__(self, name):
+                raise AssertionError(f"the short cut read the column ({name})")
+
+        assert choose_bits(Untouchable(), Untouchable(), 16) == 0
+
+    def test_no_table_pays_on_intervals_spanning_the_run(self):
+        sts = np.zeros(N_LONG, dtype=np.int64)
+        assert choose_bits(sts, sts + 1_000_000, 16) == 0
+
+    def test_a_wide_read_prefers_the_flat_pass(self):
+        n = N_LONG
+        assert not prefers_flat(4, 10, n)
+        assert prefers_flat(4, n, n)
 
 
 class TestSweep:
     def test_sweep_length(self):
-        assert len(sweep_costs(make_records(), max_bits=8)) == 8
-
-    def test_sweep_rejects_bad_bits(self):
-        with pytest.raises(ConfigurationError):
-            sweep_costs(make_records(), max_bits=0)
-
-    def test_sampling_stays_stable(self):
-        """Sampled estimation stays close to the full computation."""
-        records = make_records(n=5000)
-        sampled = estimate_cost(records, 6, 0.001)
-        exact = estimate_cost(records[:2000], 6, 0.001)  # under MAX_SAMPLE
-        assert sampled.replication == pytest.approx(exact.replication, rel=0.2)
+        slices, rows = estimate(*make_columns(), 8)
+        assert len(slices) == len(rows) == 8

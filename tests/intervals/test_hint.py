@@ -14,6 +14,10 @@ from repro.intervals.linear import LinearScan
 from repro.ir.blocks import exact_window
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
+# Runs of a few entries get a table at their cap (tests/conftest.py), as
+# the structural tests below read it.
+pytestmark = pytest.mark.usefixtures("small_tables")
+
 
 def brute(records, q_st, q_end):
     return sorted(i for i, st_, end in records if st_ <= q_end and q_st <= end)

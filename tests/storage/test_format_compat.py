@@ -10,7 +10,8 @@ postings layouts this build no longer has: the pre-v2 ``compressed``
 shape fails typed at load (recovery falls back); the ``list`` backend's
 and the later ``compressed`` shape restore as packed lists.  Two more
 pickle the retired per-division HINT classes: those indexes are rebuilt
-from their catalogs at load.
+from their catalogs at load.  The last two froze one ``m`` per irHINT
+index; they load with the cost rule picking each run's ``m``.
 """
 
 import io
@@ -41,6 +42,8 @@ from tests.storage.parent_images import (
     COMPRESSED_SNAPSHOT,
     HINT_MERGE_SNAPSHOT,
     I64_MAX,
+    IRHINT_PERF_FROZEN_M_SNAPSHOT,
+    IRHINT_SIZE_FROZEN_M_SNAPSHOT,
     IRHINT_SIZE_SNAPSHOT,
     LIST_SNAPSHOT,
     MIGRATION_DELETED,
@@ -331,3 +334,60 @@ class TestOldHintSnapshots:
             assert store.last_recovery.snapshot_path == checkpoint
             for q in _queries(live):
                 assert store.query(q) == brute.query(q), q
+
+
+#: irHINT snapshots that froze one ``m`` per index, and the cap each loads with.
+FROZEN_M = {
+    "irhint-perf": (IRHINT_PERF_FROZEN_M_SNAPSHOT, 2),
+    "irhint-size": (IRHINT_SIZE_FROZEN_M_SNAPSHOT, 16),
+}
+
+
+@pytest.fixture(params=sorted(FROZEN_M))
+def frozen_m_key(request):
+    return request.param
+
+
+@pytest.fixture(params=["shipped", "small-tables"])
+def charges(request):
+    """The shipped charges (these runs read flat) and the ``small_tables``
+    ones (they read through tables)."""
+    if request.param == "small-tables":
+        request.getfixturevalue("small_tables")
+
+
+class TestFrozenMSnapshots:
+    """An irHINT snapshot whose build froze one ``m`` for the index loads,
+    answers like ``tif``, and recovers through a store.  irHINT-perf kept
+    the frozen ``m`` where a requested one would be, so it stays the cap;
+    irHINT-size kept the request aside (unset), so its cap is the
+    default."""
+
+    def test_answers_match_tif(self, frozen_m_key, charges):
+        blob, cap = FROZEN_M[frozen_m_key]
+        index = loads_index(blob)
+        assert type(index) is type(build_index(frozen_m_key, Collection([])))
+        assert index.num_bits == cap
+        live = _live_objects()
+        tif = build_index("tif", Collection(live))
+        for q in _queries(live):
+            assert index.query(q) == tif.query(q), q
+
+    def test_store_recovers_writes_and_reopens(self, frozen_m_key, tmp_path):
+        blob, cap = FROZEN_M[frozen_m_key]
+        write_manifest(tmp_path, frozen_m_key, None)
+        snapshot_path(tmp_path, 1).write_bytes(blob)
+        with DurableIndexStore.open(tmp_path, index_key=frozen_m_key, wal_fsync=False) as store:
+            report = store.last_recovery
+            assert report.snapshot_path == snapshot_path(tmp_path, 1) and not report.degraded
+            added = make_object(900, 15, 30, {"hot", "fresh"})
+            store.insert(added)
+            store.delete(7)
+            checkpoint = store.checkpoint()
+        live = [o for o in _live_objects() if o.id != 7] + [added]
+        tif = build_index("tif", Collection(live))
+        with DurableIndexStore.open(tmp_path, index_key=frozen_m_key, wal_fsync=False) as store:
+            assert store.last_recovery.snapshot_path == checkpoint
+            assert store.index.num_bits == cap
+            for q in _queries(live):
+                assert store.query(q) == tif.query(q), q

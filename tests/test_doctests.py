@@ -3,7 +3,6 @@
 import doctest
 
 import repro
-import repro.utils.sorting
 
 
 def _run(module):
@@ -14,7 +13,3 @@ def _run(module):
 
 def test_package_quickstart_doctest():
     assert _run(repro) >= 1  # the README-style quickstart in repro.__doc__
-
-
-def test_sorting_doctest():
-    assert _run(repro.utils.sorting) >= 1
