@@ -34,7 +34,6 @@ from repro.cluster.router import ClusterRouter, PartialResult
 from repro.cluster.routing import TIME_RANGE, RoutingTable
 from repro.obs.registry import OBS
 from repro.service.fsio import REAL_FS, FileSystem
-from repro.service.store import DurableIndexStore
 from repro.storage import tiering
 from repro.storage.cache import DEFAULT_SEGMENT_CACHE_BYTES, SegmentCache
 from repro.storage.tiering import TieringPlan
@@ -116,7 +115,7 @@ class TemporalCluster:
         )
         directory.mkdir(parents=True, exist_ok=True)
         params = dict(index_params or {})
-        _build_shards(
+        built = _build_shards(
             directory,
             table,
             table.shard_ids(),
@@ -126,6 +125,8 @@ class TemporalCluster:
             wal_fsync=wal_fsync,
             fs=fs,
         )
+        for replica_set in built.values():  # open() below recovers them
+            replica_set.close()
         layout.write_routing_table(directory, table, fs=fs)
         layout.write_manifest(
             directory, table.generation, index_key=index_key,
@@ -607,22 +608,15 @@ def _build_shards(
     sets: Dict[str, ReplicaSet] = {}
     for shard_id in shard_ids:
         spec = table.spec(shard_id)
-        members = Collection(
-            obj for obj in objects if spec.overlaps(obj.st, obj.end)
+        sets[shard_id] = tiering.build_replica_set(
+            directory,
+            shard_id,
+            [obj for obj in objects if spec.overlaps(obj.st, obj.end)],
+            n_replicas=table.n_replicas,
+            index_key=index_key,
+            index_params=index_params,
+            wal_fsync=wal_fsync,
+            fs=fs,
+            cache_size=cache_size,
         )
-        stores = []
-        for replica in range(table.n_replicas):
-            replica_path = layout.replica_dir(directory, shard_id, replica)
-            replica_path.mkdir(parents=True, exist_ok=True)
-            store = DurableIndexStore.open(
-                replica_path,
-                index_key=index_key,
-                index_params=index_params,
-                wal_fsync=wal_fsync,
-                fs=fs,
-            )
-            if len(members):
-                store.bootstrap(members, index_key, **index_params)
-            stores.append(store)
-        sets[shard_id] = ReplicaSet(shard_id, stores, cache_size=cache_size)
     return sets

@@ -9,12 +9,15 @@ per-division outputs disjoint.
 Two variants:
 
 * :class:`IRHintPerformance` (Section 4.1, Algorithm 5) — element →
-  ``⟨id, t_st, t_end⟩`` postings per division.  Stored flat: *one* id-ordered
-  packed run per element (a :class:`~repro.indexes.tif.TIF`), and, for the
-  runs the cost rule finds a table pays on, a derived
-  :class:`~repro.intervals.hint.timefirst.TimeFirstTable` holding that element's
-  divisions as level-contiguous columns — the paper's own hybrid (§3.2):
-  hierarchy only where a list is long.  Fastest queries; the tables
+  ``⟨id, t_st, t_end⟩`` postings per division.  Stored flat, on the
+  HINT-first skeleton of :mod:`repro.indexes.tif_hint`: one
+  :class:`~repro.intervals.hint.Hint` per element, whose id-ordered packed
+  run is the element's list and, where the cost rule finds a table pays,
+  whose :class:`~repro.intervals.hint.timefirst.TimeFirstTable` holds that
+  element's divisions as level-contiguous columns — the paper's own hybrid
+  (§3.2): hierarchy only where a list is long.  It shares tIF+HINT's store
+  and query loop and differs in its intersection: Algorithm 1's id merge
+  on each other element's whole run.  Fastest queries; the tables
   replicate entries, so the index is larger than the tIF.
 * :class:`IRHintSize` (Section 4.2, Algorithm 6) — the attributes are
   decoupled: one interval store, a real :class:`~repro.intervals.hint.Hint`
@@ -37,14 +40,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.errors import CorruptSnapshotError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
-from repro.indexes.tif import TIF
+from repro.indexes.tif_hint import _TIFHintBase
 from repro.intervals.hint import timefirst
-from repro.intervals.hint.index import Hint
+from repro.intervals.hint.index import Hint, Ids
 from repro.obs.context import annotate, event, tracing_active
-from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES, ENTRY_ID_BYTES
+from repro.utils.memory import CONTAINER_BYTES, ENTRY_ID_BYTES
 
 #: The cap ``num_bits=None`` stands for: the ceiling of the ``m`` HINT's
 #: cost model of [19] searches for irHINT.
@@ -55,73 +57,42 @@ def _cap(num_bits: Optional[int]) -> int:
     return DEFAULT_BITS if num_bits is None else num_bits
 
 
-class IRHintPerformance(TIF):
-    """Algorithm 5 on flat storage: a tIF whose long lists carry a
-    time-first table.
+class IRHintPerformance(_TIFHintBase):
+    """Algorithm 5 on the HINT-first skeleton: one :class:`Hint` per
+    element, intersected as Algorithm 1 does.
 
-    Updates are the tIF's — one append or tombstone per description
-    element.  A query scans its rarest element's list through that list's
-    table when the cost rule gives the list one (asking the rule first if
-    its verdict is absent or stale) and flat otherwise, and intersects the
-    rest as Algorithm 1 does.  Verdicts are derived state: made by queries,
-    each aside and published by one assignment, never changed afterwards,
-    never pickled.
+    Updates append or tombstone one slot per description element.  A query
+    scans its rarest element's run through the run's table when the cost
+    rule gives it one (asking the rule first if its verdict is absent or
+    stale) and flat otherwise, then merges the ascending candidates with
+    each other element's whole run.  Verdicts are lazy: a bulk build asks
+    the rule of no run, and only a run's first read does.
     """
 
     name = "irHINT (performance)"
+    _scan_label = "scan I[{element}]"
+    _intersect_label = "∩ I[{element}]"
 
     def __init__(self, num_bits: Optional[int] = None) -> None:
-        super().__init__()
-        self._num_bits = _cap(num_bits)
-        self._tables: Dict[Element, timefirst.Verdict] = {}
+        super().__init__(_cap(num_bits))
 
-    @property
-    def num_bits(self) -> int:
-        """The cap on every table's ``m``; the cost rule picks each one."""
-        return self._num_bits
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = super().__getstate__()
-        del state["_tables"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        if "_tif" not in state:
-            raise CorruptSnapshotError("irHINT snapshot predates the flat layout")
-        self.__dict__.update(state)
-        self._num_bits = _cap(self._num_bits)  # an older build's lazy m may be unset
-        self._tables = {}
+    def _settle(self) -> None:
+        """Nothing: each run's first read asks the rule."""
 
     # ------------------------------------------------------------------ query
-    def _table_for(self, element: Element, postings) -> Optional[timefirst.TimeFirstTable]:
-        """The element's table, the cost rule asked here when its verdict
-        is absent or stale; ``None`` when the list reads flat.  Only the
-        verdicts of lists the rule prices are kept."""
-        if not timefirst.priced(postings):
-            self._tables.pop(element, None)
-            return None
-        held = self._tables.get(element)
-        verdict = timefirst.decide(postings, held, self._num_bits)
-        if verdict is not held:
-            self._tables[element] = verdict
-        return verdict.table
-
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        traced = tracing_active()
-        ordered = self.order_query_elements(q)
-        first = self._tif.postings(ordered[0])
-        found = self._tables.get(ordered[0])
-        table = self._table_for(ordered[0], first)
-        if table is None:
-            if traced:
-                annotate(table="none", m=0)
-            return self._tif.query(q.st, q.end, ordered)
+    def _scan(self, element: Element, hint: Hint, q: TimeTravelQuery, traced: bool) -> Ids:
+        run, found = hint._run, hint._table
+        table = hint.table()
         if not traced:
-            return self._tif.intersect(table.scan_ids(first, q.st, q.end), ordered[1:])
+            return run.scan_ids(q.st, q.end) if table is None else table.scan_ids(run, q.st, q.end)
         notes: Dict[str, object] = {}
-        candidates = table.scan_ids(first, q.st, q.end, notes)
+        if table is None:
+            candidates = run.scan_ids(q.st, q.end)
+            notes.update(rows=len(run), slices=1)
+        else:
+            candidates = table.scan_ids(run, q.st, q.end, notes)
         event(
-            f"{notes.pop('phase', 'scan')} I[{ordered[0]}]",
+            f"{notes.pop('phase', 'scan')} I[{element}]",
             entries_scanned=notes.pop("rows", 0),
             candidates_after=len(candidates),
             structures_touched=notes.pop("slices", 0),
@@ -129,55 +100,36 @@ class IRHintPerformance(TIF):
         # The table as the query found it; anything but fresh was (re)built here.
         annotate(
             **notes,
-            table="fresh" if table is found else "none" if found is None else "stale",
-            m=table.mapper.num_bits,
+            table="none" if table is None or found is None else "fresh" if table is found else "stale",
+            m=0 if table is None else table.mapper.num_bits,
         )
-        return self._tif.intersect(candidates, ordered[1:])
+        return candidates
+
+    def _intersect(self, element, hint, candidates, q, notes=None) -> Ids:
+        run = hint._run
+        if notes is not None:
+            notes.update(rows=len(run), slices=1)
+        return run.intersect_sorted(candidates)
 
     def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
-        """The tIF's bound, with the rarest list counted by its physical
-        slots when a table scans it (the table, or its flat fallback, reads
-        at most those); ``None`` when the query would ask the cost rule
-        first, which may build a table."""
-        bound = super().work_bound(q)
-        if bound is None:
+        """The query elements' live run lengths, summed (the first read and
+        every merge read at most that many entries), with the rarest run
+        counted by its physical slots when a table scans it (the table, or
+        its flat fallback, reads at most those); ``None`` when the query
+        would ask the cost rule first, which may build a table, and for a
+        pure-temporal query, which scans the catalog."""
+        if q.is_pure_temporal:
             return None
-        rarest = self.order_query_elements(q)[0]
-        first = self._tif.postings(rarest)
-        verdict = self._tables.get(rarest)
-        if verdict is None or not verdict.is_fresh(first):
-            return None if timefirst.priced(first) else bound
-        if verdict.table is None:
+        hints = self._hints
+        bound = sum(len(hints[element]) for element in q.d if element in hints)
+        hint = hints.get(self.order_query_elements(q)[0])
+        if hint is None:
             return bound
-        return bound + first.physical_len() - len(first)
-
-    # -------------------------------------------------------------- inspection
-    def _all_tables(self) -> List[timefirst.TimeFirstTable]:
-        """Every table the index holds at rest: the rule asked here of
-        every list whose verdict is missing or stale."""
-        tif = self._tif
-        tables = (self._table_for(element, tif.postings(element)) for element in tif.elements())
-        return [table for table in tables if table is not None]
-
-    def n_divisions(self) -> int:
-        """Materialised (non-empty) divisions, over all tables."""
-        return sum(table.n_divisions for table in self._all_tables())
-
-    def size_bytes(self) -> int:
-        """The tIF plus every table row charged as a full entry."""
-        total = super().size_bytes()
-        for table in self._all_tables():
-            total += table.n_rows * ENTRY_FULL_BYTES + CONTAINER_BYTES
-        return total
-
-    def stats(self) -> dict:
-        out = super().stats()
-        tables = self._all_tables()
-        out["num_bits"] = self._num_bits
-        out["n_tables"] = len(tables)
-        out["n_divisions"] = sum(table.n_divisions for table in tables)
-        out["division_entries"] = sum(table.n_rows for table in tables)
-        return out
+        if hint.pending():
+            return None
+        if hint.table() is None:
+            return bound
+        return bound + hint._run.physical_len() - len(hint)
 
 
 class IRHintSize(TemporalIRIndex):

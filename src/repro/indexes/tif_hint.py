@@ -1,9 +1,10 @@
-"""tIF+HINT — postings lists organised as HINTs (paper Section 3.1).
+"""The HINT-first skeleton, and tIF+HINT on it (paper Section 3.1).
 
 The temporal inverted file is extended by replacing every postings list
 ``I[e]`` with a HINT ``H[e]`` over that element's intervals.  The initial
 candidate set comes from a full HINT range query on the least frequent query
-element; the two variants differ in how the remaining elements shrink it:
+element; the methods built on this skeleton differ only in how each
+remaining element shrinks it (:meth:`_TIFHintBase._intersect`):
 
 * :class:`TIFHintBinary` (Algorithm 3) — the rows of every division the
   query reads in ``H[e]`` are compared against the query interval, and
@@ -14,13 +15,18 @@ element; the two variants differ in how the remaining elements shrink it:
   no temporal comparison and no ``compfirst``/``complast`` flags, since the
   candidates are already temporally exact; their ids are merge-intersected
   with the candidates.
+* the hybrid (:class:`~repro.indexes.tif_hint_slicing.TIFHintSlicing`,
+  Section 3.2) — the element's slim slice copy;
+* irHINT-perf (:class:`~repro.indexes.irhint.IRHintPerformance`,
+  Algorithm 5) — Algorithm 1's id merge on the element's whole run.
 
 Each ``H[e]`` is a :class:`~repro.intervals.hint.Hint`: one id-ordered run
 whose divisions are row slices of its time-first table, read for every
-level at once.  One layout serves both variants: Algorithm 4's id-sorted
-divisions and Algorithm 3's beneficial sorting both give way to one mask
-over the gathered rows (docs/algorithms.md, DEVIATION).  Each HINT grids
-its own list's span, as the paper rescales each list to ``[0, 2^m − 1]``.
+level at once; the cost rule decides per run whether it has a table.  One
+layout serves both tIF+HINT variants: Algorithm 4's id-sorted divisions
+and Algorithm 3's beneficial sorting both give way to one mask over the
+gathered rows (docs/algorithms.md, DEVIATION).  Each HINT grids its own
+list's span, as the paper rescales each list to ``[0, 2^m − 1]``.
 """
 
 from __future__ import annotations
@@ -41,18 +47,8 @@ def _ids_list(ids: Ids) -> List[int]:
     return ids.tolist() if isinstance(ids, np.ndarray) else ids
 
 
-def _traced_range_query(hint: Hint, q: TimeTravelQuery, element, traced: bool) -> Ids:
-    """The first element's HINT range query (ascending ids), recorded as a
-    phase when traced."""
-    notes: Optional[Dict[str, object]] = {} if traced else None
-    candidates = hint.scan_ids(q.st, q.end, notes)
-    if notes is not None:
-        _phase(f"range query H[{element}]", notes, candidates)
-    return candidates
-
-
 def _phase(label: str, notes: Dict[str, object], candidates: Ids) -> None:
-    """Record one phase from a HINT read's notes: rows read, slices cut."""
+    """Record one phase from a read's notes: rows read, slices cut."""
     event(
         label,
         entries_scanned=notes.get("rows", 0),
@@ -62,7 +58,14 @@ def _phase(label: str, notes: Dict[str, object], candidates: Ids) -> None:
 
 
 class _TIFHintBase(TemporalIRIndex):
-    """Shared machinery: one HINT per element."""
+    """The HINT-first skeleton: one :class:`Hint` per element, whose run is
+    the element's postings list.  A query reads its rarest element through
+    that element's HINT (:meth:`_scan`) and shrinks the candidates by each
+    other element in turn (:meth:`_intersect`)."""
+
+    #: Trace labels of the first read and of each intersection.
+    _scan_label = "range query H[{element}]"
+    _intersect_label = "∩ divisions of H[{element}]"
 
     def __init__(self, num_bits: int = 10) -> None:
         super().__init__()
@@ -71,7 +74,8 @@ class _TIFHintBase(TemporalIRIndex):
 
     @property
     def num_bits(self) -> int:
-        """``m`` of the postings HINTs (Figure 9's tuning knob)."""
+        """The cap on every run's ``m`` (Figure 9's tuning knob); the cost
+        rule picks each one."""
         return self._num_bits
 
     def hint_for(self, element: Element) -> Optional[Hint]:
@@ -79,65 +83,90 @@ class _TIFHintBase(TemporalIRIndex):
         return self._hints.get(element)
 
     # ---------------------------------------------------------------- updates
+    # Straight to the runs: one dict probe per element.  The catalog's
+    # copy of the object is what reaches here, so every run holds it.
     def _insert_impl(self, obj: TemporalObject) -> None:
+        hints, object_id, st, end = self._hints, obj.id, obj.st, obj.end
         for element in obj.d:
-            hint = self._hints.get(element)
+            hint = hints.get(element)
             if hint is None:
-                hint = self._hints[element] = Hint(self._num_bits)
-            hint.insert(obj.id, obj.st, obj.end)
+                hint = hints[element] = Hint(self._num_bits)
+            hint._run.add(object_id, st, end)
 
     def _delete_impl(self, obj: TemporalObject) -> None:
+        hints, object_id = self._hints, obj.id
         for element in obj.d:
-            hint = self._hints.get(element)
-            if hint is not None:
-                hint.delete(obj.id, obj.st, obj.end)
+            hints[element]._run.delete(object_id)
 
     def _settle(self) -> None:
         for hint in self._hints.values():
-            hint.table()
+            hint.verdict()
 
     # ------------------------------------------------------------------ query
+    def _scan(self, element: Element, hint: Hint, q: TimeTravelQuery, traced: bool) -> Ids:
+        """Lines 1-3: the rarest element's live ids overlapping ``q``,
+        ascending, by a plain HINT range query."""
+        notes: Optional[Dict[str, object]] = {} if traced else None
+        candidates = hint.scan_ids(q.st, q.end, notes)
+        if notes is not None:
+            _phase(self._scan_label.format(element=element), notes, candidates)
+        return candidates
+
     @abc.abstractmethod
-    def _intersect(self, hint: Hint, candidates: Ids, q: TimeTravelQuery, notes=None) -> Ids:
-        """Shrink the ascending candidates by ``hint``'s divisions."""
+    def _intersect(
+        self, element: Element, hint: Hint, candidates: Ids, q: TimeTravelQuery, notes=None
+    ) -> Ids:
+        """Shrink the ascending, non-empty candidates to those ``element``
+        holds.  ``notes``, when given, receives the ``rows`` read and the
+        ``slices`` touched."""
 
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         traced = tracing_active()
         ordered = self.order_query_elements(q)
-        first_hint = self._hints.get(ordered[0])
-        if first_hint is None:
+        hints = self._hints
+        first = hints.get(ordered[0])
+        if first is None:
             if traced:
-                event(f"range query H[{ordered[0]}] (absent)")
+                event(self._scan_label.format(element=ordered[0]) + " (absent)")
             return []
-        # Lines 1-3: the initial candidates via a plain HINT range query.
-        candidates = _traced_range_query(first_hint, q, ordered[0], traced)
+        candidates = self._scan(ordered[0], first, q, traced)
         for element in ordered[1:]:
             if not len(candidates):
                 return []
-            hint = self._hints.get(element)
+            hint = hints.get(element)
             if hint is None:
                 if traced:
-                    event(f"∩ divisions of H[{element}] (absent)")
+                    event(self._intersect_label.format(element=element) + " (absent)")
                 return []
             notes: Optional[Dict[str, object]] = {} if traced else None
-            candidates = self._intersect(hint, candidates, q, notes)
+            candidates = self._intersect(element, hint, candidates, q, notes)
             if notes is not None:
-                _phase(f"∩ divisions of H[{element}]", notes, candidates)
+                _phase(self._intersect_label.format(element=element), notes, candidates)
         return _ids_list(candidates)
 
     # -------------------------------------------------------------- inspection
+    def _settled_tables(self) -> list:
+        """Every run's table at rest (the rule asked of every run whose
+        verdict is missing, stale or leaves a tail out)."""
+        tables = (hint.settled() for hint in self._hints.values())
+        return [table for table in tables if table is not None]
+
+    def n_divisions(self) -> int:
+        """Materialised (non-empty) divisions, over all tables."""
+        return sum(table.n_divisions for table in self._settled_tables())
+
     def size_bytes(self) -> int:
-        total = CONTAINER_BYTES
-        for hint in self._hints.values():
-            total += hint.size_bytes()
-        return total
+        """The element directory and every HINT."""
+        return CONTAINER_BYTES + sum(hint.size_bytes() for hint in self._hints.values())
 
     def stats(self) -> dict:
         out = super().stats()
+        tables = self._settled_tables()
+        out["postings_entries"] = sum(len(hint) for hint in self._hints.values())
         out["num_bits"] = self._num_bits
-        out["replicated_entries"] = sum(
-            hint.n_replicated_entries() for hint in self._hints.values()
-        )
+        out["n_tables"] = len(tables)
+        out["n_divisions"] = sum(table.n_divisions for table in tables)
+        out["division_entries"] = sum(table.n_rows for table in tables)
         return out
 
 
@@ -146,7 +175,7 @@ class TIFHintBinary(_TIFHintBase):
 
     name = "tIF+HINT (binary search)"
 
-    def _intersect(self, hint: Hint, candidates: Ids, q: TimeTravelQuery, notes=None) -> Ids:
+    def _intersect(self, element, hint, candidates, q, notes=None) -> Ids:
         return hint.probe(candidates, q.st, q.end, notes)
 
 
@@ -155,5 +184,5 @@ class TIFHintMerge(_TIFHintBase):
 
     name = "tIF+HINT (merge sort)"
 
-    def _intersect(self, hint: Hint, candidates: Ids, q: TimeTravelQuery, notes=None) -> Ids:
+    def _intersect(self, element, hint, candidates, q, notes=None) -> Ids:
         return hint.sweep(candidates, q.st, q.end, notes)

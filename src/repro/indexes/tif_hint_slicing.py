@@ -25,15 +25,12 @@ from bisect import bisect_left
 from typing import Dict, List, Optional
 
 from repro.core.collection import Collection
-from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
-from repro.indexes.base import TemporalIRIndex
-from repro.indexes.tif_hint import _ids_list, _traced_range_query
+from repro.indexes.tif_hint import _ids_list, _TIFHintBase
 from repro.indexes.tif_slicing import intersect_slices, regrid
 from repro.intervals.grid1d import GridLayout
-from repro.intervals.hint.index import Hint
-from repro.obs.context import annotate, event, tracing_active
+from repro.obs.context import annotate, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_ID_START_BYTES
 
 
@@ -78,17 +75,16 @@ class _SlimSlicedList:
         return len(self.slices)
 
 
-class TIFHintSlicing(TemporalIRIndex):
+class TIFHintSlicing(_TIFHintBase):
     """Dual-copy hybrid: HINT for the first element, slices for the rest."""
 
     name = "tIF+HINT+Slicing"
+    _intersect_label = "∩ sub-lists of I[{element}]"
 
     def __init__(self, num_bits: int = 5, n_slices: int = 50) -> None:
-        super().__init__()
-        self._num_bits = num_bits
+        super().__init__(num_bits)
         self._n_slices = n_slices
         self._layout: Optional[GridLayout] = None
-        self._hints: Dict[Element, Hint] = {}
         self._sliced: Dict[Element, _SlimSlicedList] = {}
 
     def _configure_for(self, collection: Collection) -> None:
@@ -97,20 +93,12 @@ class TIFHintSlicing(TemporalIRIndex):
             self._layout = GridLayout.spanning(domain.st, domain.end, self._n_slices)
 
     @property
-    def num_bits(self) -> int:
-        return self._num_bits
-
-    @property
     def n_slices(self) -> int:
         return self._n_slices
 
     # ---------------------------------------------------------------- updates
     def _insert_impl(self, obj: TemporalObject) -> None:
-        for element in obj.d:
-            hint = self._hints.get(element)
-            if hint is None:
-                hint = self._hints[element] = Hint(self._num_bits)
-            hint.insert(obj.id, obj.st, obj.end)
+        super()._insert_impl(obj)
         grown = regrid(self._layout, obj, self._catalog.values(), self._n_slices)
         if grown is not None:
             self._layout, self._sliced = grown, {}
@@ -129,74 +117,40 @@ class TIFHintSlicing(TemporalIRIndex):
                 sliced.add(slice_index, obj.id, obj.st)
 
     def _delete_impl(self, obj: TemporalObject) -> None:
-        if not obj.d:
-            return  # nothing was ever stored for an empty description
-        if self._layout is None:
-            raise UnknownObjectError(obj.id)
+        super()._delete_impl(obj)
+        assert self._layout is not None  # the object's own insert set it
         first, last = self._layout.slice_range(obj.st, obj.end)
-        found = False
         for element in obj.d:
-            hint = self._hints.get(element)
-            if hint is not None:
-                hint.delete(obj.id, obj.st, obj.end)
-                found = True
             sliced = self._sliced.get(element)
             if sliced is not None:
                 for slice_index in range(first, last + 1):
                     sliced.tombstone(slice_index, obj.id)
-        if not found:
-            raise UnknownObjectError(obj.id)
-
-    def _settle(self) -> None:
-        for hint in self._hints.values():
-            hint.table()
 
     # ------------------------------------------------------------------ query
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        traced = tracing_active()
+        if tracing_active() and self._layout is not None:
+            first, last = self._layout.slice_range(q.st, q.end)
+            annotate(relevant_slices=last - first + 1)
+        return super()._query_impl(q)
+
+    def _intersect(self, element, hint, candidates, q, notes=None) -> List[int]:
+        """A slice-restricted merge with reference-value de-duplication on
+        the element's ``⟨id, t_st⟩`` pairs."""
         layout = self._layout
-        if layout is None:
-            if traced:
-                event("empty index")
-            return []
-        ordered = self.order_query_elements(q)
-        first_hint = self._hints.get(ordered[0])
-        if first_hint is None:
-            if traced:
-                event(f"range query H[{ordered[0]}] (absent)")
-            return []
-        # First element: HINT's fast range query provides the candidates.
-        candidates = _ids_list(_traced_range_query(first_hint, q, ordered[0], traced))
-        first_slice, last_slice = layout.slice_range(q.st, q.end)
-        if traced:
-            annotate(relevant_slices=last_slice - first_slice + 1)
-        # Remaining elements: slice-restricted merge intersections with
-        # reference-value de-duplication on the ⟨id, t_st⟩ pairs.
-        for element in ordered[1:]:
-            if not candidates:
-                return []
-            sliced = self._sliced.get(element)
-            if sliced is None:
-                if traced:
-                    event(f"∩ sub-lists of I[{element}] (absent)")
-                return []
-            candidates, scanned, touched = intersect_slices(
-                candidates, sliced.slices, layout, first_slice, last_slice, q.st
-            )
-            if traced:
-                event(
-                    f"∩ sub-lists of I[{element}]",
-                    entries_scanned=scanned,
-                    candidates_after=len(candidates),
-                    structures_touched=touched,
-                )
+        assert layout is not None  # the element's HINT holds an object
+        sliced = self._sliced.get(element)  # none once a regrid found every holder deleted
+        first, last = layout.slice_range(q.st, q.end)
+        candidates, scanned, touched = intersect_slices(
+            _ids_list(candidates), {} if sliced is None else sliced.slices,
+            layout, first, last, q.st,
+        )
+        if notes is not None:
+            notes.update(rows=scanned, slices=touched)
         return candidates
 
     # -------------------------------------------------------------- inspection
     def size_bytes(self) -> int:
-        total = CONTAINER_BYTES
-        for hint in self._hints.values():
-            total += hint.size_bytes()
+        total = super().size_bytes()
         for sliced in self._sliced.values():
             total += sliced.n_sublists() * CONTAINER_BYTES
             total += sliced.n_physical_entries() * ENTRY_ID_START_BYTES
@@ -204,6 +158,5 @@ class TIFHintSlicing(TemporalIRIndex):
 
     def stats(self) -> dict:
         out = super().stats()
-        out["num_bits"] = self._num_bits
         out["n_slices"] = self._n_slices
         return out

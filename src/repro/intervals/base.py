@@ -21,6 +21,8 @@ IntervalRecord = Tuple[int, Timestamp, Timestamp]
 class IntervalIndex(abc.ABC):
     """Abstract base for interval indexes over ``(id, st, end)`` records."""
 
+    __slots__ = ()
+
     @classmethod
     def build(cls, records: Iterable[IntervalRecord], **params: object) -> "IntervalIndex":
         """Bulk-build an index over ``records``.

@@ -16,19 +16,21 @@ the run (the tail); the first query that finds the table stale asks the
 cost rule again (:func:`~repro.intervals.hint.timefirst.decide`), which
 grids the run's own time span at the cheapest ``m`` up to ``num_bits``, or
 reads the run flat.  A run spilled to non-i64 values (floats) has no table
-and is scanned flat.
+and is scanned flat.  The HINT-first indexes (:mod:`repro.indexes.tif_hint`)
+append to and tombstone ``_run`` directly, one element at a time, as
+:meth:`Hint.insert` and :meth:`Hint.delete` would.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError, UnknownObjectError
 from repro.core.interval import Timestamp
 from repro.intervals.base import IntervalIndex, IntervalRecord
-from repro.intervals.hint import timefirst
+from repro.intervals.hint import cost_model, timefirst
 from repro.ir.blocks import exact_window, overlap_mask
 from repro.ir.packed import PackedPostingsList
 from repro.utils.bitops import validate_num_bits
@@ -44,12 +46,15 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 class Hint(IntervalIndex):
     """Hierarchical index for intervals: a packed run and its HINT table."""
 
+    #: ``_m``: the cap on ``m``; ``_run``: the packed run; ``_table``: the
+    #: cost rule's verdict on the run (its table, or flat), never pickled.
+    __slots__ = ("_m", "_run", "_table")
+
     def __init__(self, num_bits: int) -> None:
         """Create an empty HINT of at most ``num_bits + 1`` levels."""
         validate_num_bits(num_bits)
         self._m = num_bits
         self._run = PackedPostingsList()
-        #: The cost rule's verdict on the run: its table, or flat.
         self._table: Optional[timefirst.Verdict] = None
 
     @classmethod
@@ -65,10 +70,14 @@ class Hint(IntervalIndex):
             index.insert(object_id, st, end)
         return index
 
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        state["_table"] = None  # derived; the first query rebuilds it
-        return state
+    def __getstate__(self) -> Tuple[int, PackedPostingsList]:
+        return self._m, self._run  # the verdict is derived; the first query makes it
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, dict):  # pickled before slots (a retired layout's, rebuilt at load)
+            state = state.get("_m"), state.get("_run")
+        self._m, self._run = state
+        self._table = None
 
     # ------------------------------------------------------------- properties
     @property
@@ -84,6 +93,15 @@ class Hint(IntervalIndex):
         or stale; ``None`` for an empty or spilled run."""
         self._table = timefirst.decide(self._run, self._table, self._m)
         return self._table
+
+    def pending(self) -> bool:
+        """Would :meth:`verdict` price the run now, the one step that may
+        build a table?  True unless a fresh verdict is held, the run is
+        spilled, or it is short enough for the rule's short cut."""
+        run, held = self._run, self._table
+        if held is not None and held.is_fresh(run):
+            return False
+        return bool(run.layout_epoch) and not cost_model.short_cut(run.physical_len())
 
     def table(self) -> Optional[timefirst.TimeFirstTable]:
         """The run's table; ``None`` when the run reads flat (empty,
@@ -266,8 +284,9 @@ class Hint(IntervalIndex):
         return self.n_replicated_entries() / len(self) if len(self) else 0.0
 
     def size_bytes(self) -> int:
-        """Modelled size: the run, plus the table's rows as full entries
-        and its directory."""
+        """Modelled size: the run, plus, when it has a table, the table's
+        rows as full entries and its directory."""
         table = self.settled()
-        rows = 0 if table is None else table.n_rows
-        return self._run.size_bytes() + rows * ENTRY_FULL_BYTES + CONTAINER_BYTES
+        if table is None:
+            return self._run.size_bytes()
+        return self._run.size_bytes() + table.n_rows * ENTRY_FULL_BYTES + CONTAINER_BYTES

@@ -18,17 +18,19 @@ the gathered rows and one sort.  Partitions HINT would report without
 comparing are compared anyway: one mask is cheaper than dispatching per
 slice, and it changes no answer.
 
-Two kinds of run carry a table: the run of every :class:`~repro.intervals.hint.Hint`
-(the four HINT-based indexes) and the long lists of irHINT-perf.  The grid
-is the run's own ``[min t_st, max t_end]`` at each build, so a run that
-grows past its first objects' lifespans is re-gridded at its next rebuild,
-never clamped into its last cell.
+The run of every :class:`~repro.intervals.hint.Hint` carries one: each
+element's run in the four HINT-first indexes (irHINT-perf, both
+tIF+HINT variants and the hybrid) and irHINT-size's interval store.  The
+grid is the run's own ``[min t_st, max t_end]`` at each build, so a run
+that grows past its first objects' lifespans is re-gridded at its next
+rebuild, never clamped into its last cell.
 
 Whether a run has a table at all, and at which ``m``, is the cost rule's
 call (:mod:`repro.intervals.hint.cost_model`), made by :func:`decide` at
 every (re)build: ``m = 0`` is the flat scan, recorded as a bare
 :class:`Verdict` so a run the rule sent flat is not priced again until it
-changes; it is one division whose rows are the run's slots.  The same
+changes (or, for the short cut's call, until the run is no longer
+short); it is one division whose rows are the run's slots.  The same
 charges send one wide window flat per query.
 
 The run stays the single source of truth.  Rows name slots, so liveness is
@@ -95,21 +97,14 @@ class Verdict:
 
     def is_fresh(self, postings: PackedPostingsList) -> bool:
         """Do slots ``[0, n_slots)`` still read as they did, and is the
-        tail appended since still the smaller part?"""
+        tail appended since still the smaller part?  A call the short cut
+        made, without looking at the run, holds only while it is short."""
+        n_now = postings.physical_len()
         return (
             self.epoch == postings.layout_epoch
-            and postings.physical_len() <= 2 * self.n_slots
+            and n_now <= 2 * self.n_slots
+            and (cost_model.short_cut(n_now) or not cost_model.short_cut(self.n_slots))
         )
-
-
-def priced(postings: object) -> bool:
-    """Can this run get a table: packed, unspilled, and past the rule's
-    short cut?"""
-    return (
-        isinstance(postings, PackedPostingsList)
-        and postings.layout_epoch > 0
-        and not cost_model.short_cut(postings.physical_len())
-    )
 
 
 def decide(postings: PackedPostingsList, held: Optional[Verdict], cap: int) -> Optional[Verdict]:

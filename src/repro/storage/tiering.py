@@ -418,11 +418,14 @@ def build_replica_set(
     fs: FileSystem = REAL_FS,
     cache_size: int = 0,
 ):
-    """Build + checkpoint fresh durable replicas for a promoted shard.
+    """Build + checkpoint fresh durable replicas of one shard; returns
+    the open set.
 
-    Mirrors the cluster's shard-build path: every replica gets its own
-    WAL/snapshot directory and is bootstrapped (checkpointed) before the
-    tier commit makes it authoritative.
+    The one shard-build path: a cluster's create and rebalance build
+    their shards through it, and a promotion its shard.  Every replica
+    gets its own WAL/snapshot directory and is bootstrapped
+    (checkpointed) before the routing or tier commit makes it
+    authoritative.
     """
     from repro.cluster import layout
     from repro.cluster.group import ReplicaSet

@@ -1,5 +1,8 @@
 """The TemporalCluster façade and the on-disk cluster layout."""
 
+import gc
+import warnings
+
 import pytest
 
 from repro.cluster import TemporalCluster
@@ -34,6 +37,22 @@ class TestLifecycle:
             assert len(reopened) == len(collection)
             for q in queries:
                 assert reopened.query(q) == sorted(oracle.query(q))
+
+    def test_create_leaves_no_wal_open(self, collection, tmp_path):
+        """Bugfix: ``create`` used to drop the replica sets it built with
+        their WALs open and reopen the same directories, so every replica
+        leaked a file handle."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            cluster = TemporalCluster.create(
+                tmp_path / "cluster", collection, index_key="tif",
+                n_shards=3, n_replicas=2, wal_fsync=False,
+            )
+            cluster.close()
+            del cluster
+            gc.collect()
+        leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not [message for message in leaked if "wal-" in message], leaked
 
     def test_create_refuses_existing_cluster(self, collection, tmp_path):
         directory = tmp_path / "cluster"

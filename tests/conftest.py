@@ -61,12 +61,7 @@ def rule_paths(monkeypatch):
     ``flat`` (a run read with no table: the rule's flat verdict, or a run
     past which the rule never looks)."""
     paths = {"table": 0, "fallback": 0, "flat": 0}
-    priced, decide, prefers_flat = timefirst.priced, timefirst.decide, cost_model.prefers_flat
-
-    def counted_priced(postings):
-        answer = priced(postings)
-        paths["flat"] += not answer
-        return answer
+    decide, prefers_flat = timefirst.decide, cost_model.prefers_flat
 
     def counted_decide(postings, held, cap):
         verdict = decide(postings, held, cap)
@@ -78,7 +73,6 @@ def rule_paths(monkeypatch):
         paths["fallback" if flat else "table"] += 1
         return flat
 
-    monkeypatch.setattr(timefirst, "priced", counted_priced)
     monkeypatch.setattr(timefirst, "decide", counted_decide)
     monkeypatch.setattr(cost_model, "prefers_flat", counted_prefers_flat)
     return paths

@@ -112,7 +112,7 @@ class TestPaperClaims:
         assert m + 1 <= explanation.detail["partitions_touched"]
         # Per level the partitions f … l of the window's cells: at most
         # extent / width + 2 of them.
-        mapper = indexes["irhint-perf"]._tables["e0"].mapper
+        mapper = indexes["irhint-perf"].hint_for("e0").verdict().mapper
         first, last = mapper.cell_range(2000, 2400)
         assert explanation.detail["partitions_touched"] == sum(
             (last >> (m - level)) - (first >> (m - level)) + 1 for level in range(m + 1)
@@ -167,7 +167,7 @@ class TestTraceParity:
 
     def test_trace_matches_explain_through_the_tables(self, built, small_tables):
         self.test_trace_matches_explain(built, "irhint-perf")
-        assert built[1]["irhint-perf"]._tables
+        assert built[1]["irhint-perf"].hint_for("e0").verdict().table is not None
 
     @pytest.mark.parametrize("key", EXPLAINABLE)
     def test_every_query_path_emits_phases(self, built, key):

@@ -10,6 +10,7 @@ from repro.core.model import make_object, make_query
 from repro.datasets.synthetic import generate_synthetic
 from repro.indexes import explain, irhint
 from repro.indexes.irhint import IRHintPerformance, IRHintSize
+from repro.indexes.persistence import dumps_index, loads_index
 from repro.indexes.tif import TIF
 from repro.intervals.hint import cost_model, timefirst
 
@@ -117,7 +118,8 @@ class TestVariantSpecifics:
 
 
 class TestFlatLayout:
-    """IRHintPerformance = one tIF + derived tables on the long lists."""
+    """IRHintPerformance = one Hint per element: a packed run, and a table
+    where the cost rule finds one pays."""
 
     @staticmethod
     def _spread(n=2000, seed=3):
@@ -143,8 +145,9 @@ class TestFlatLayout:
             [o for o in objects if o.st <= 500_500 and 500_000 <= o.end]
         )
         assert narrow.total_entries_scanned < len(objects) // 10
-        mapper = index._tables["hot"].mapper
-        _ids, sts, ends = index.inverted_file.postings("hot").columns()
+        hint = index.hint_for("hot")
+        mapper = hint.verdict().mapper
+        _ids, sts, ends = hint._run.columns()
         assert mapper.num_bits == cost_model.choose_bits(sts, ends, index.num_bits) > 1
         assert (mapper.lo, mapper.hi) == (
             min(o.st for o in objects), max(o.end for o in objects)
@@ -157,7 +160,7 @@ class TestFlatLayout:
         index = IRHintPerformance.build(coll)
         flat = TIF.build(coll)
         top = max(coll.dictionary.elements(), key=coll.dictionary.frequency)
-        held = len(index.inverted_file.postings(top))
+        held = len(index.hint_for(top))
         domain = coll.domain()
         span = domain.end - domain.st
         gathered = []
@@ -176,17 +179,18 @@ class TestFlatLayout:
         index = IRHintPerformance.build(random_collection)
         q = make_query(2000, 6000, {"e0"})
         want = index.query(q)
-        assert index._tables
+        assert index.hint_for("e0").verdict().table is not None
         blob = pickle.dumps(index)
         assert b"TimeFirstTable" not in blob
         clone = pickle.loads(blob)
-        assert clone._tables == {} and clone.num_bits == index.num_bits
-        assert clone.query(q) == want and clone._tables
+        assert clone.hint_for("e0")._table is None and clone.num_bits == index.num_bits
+        assert clone.query(q) == want and clone.hint_for("e0")._table is not None
 
     def test_pre_flat_snapshot_is_refused(self):
         legacy = IRHintPerformance.__new__(IRHintPerformance)
-        with pytest.raises(CorruptSnapshotError):
-            legacy.__setstate__({"_divisions": {}, "_mapper": None, "_catalog": {}})
+        legacy.__dict__.update({"_divisions": {}, "_mapper": None, "_catalog": {}})
+        with pytest.raises(CorruptSnapshotError, match="predates the flat layout"):
+            loads_index(dumps_index(legacy))
 
     def test_a_table_is_built_by_the_query_that_finds_none_usable(self, small_tables, monkeypatch):
         """Lazy, no policy: the first query on a long list builds its table,
@@ -203,7 +207,7 @@ class TestFlatLayout:
         even = [obj for obj in self._spread(400) if obj.id % 2 == 0]
         for obj in even:
             index.insert(obj)
-        assert not built and not index._tables
+        assert not built and index.hint_for("hot")._table is None
         q = make_query(0, 1_000_000, {"hot"})
         assert explain(index, q).detail["table"] == "none" and built == [200]
         for _ in range(3):

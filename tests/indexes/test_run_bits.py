@@ -29,12 +29,6 @@ HINT_BASED = ("tif-hint-binary", "tif-hint-merge", "tif-hint-slicing", "irhint-p
 
 def run_bits(index) -> Dict[object, int]:
     """Every run's ``m`` at rest, 0 for a run read flat."""
-    if hasattr(index, "_tables"):  # irHINT-perf: one verdict per list
-        index.stats()  # asks the rule of every list
-        return {
-            element: getattr(verdict, "mapper", None) and verdict.mapper.num_bits or 0
-            for element, verdict in index._tables.items()
-        }
     hints = getattr(index, "_hints", None) or {"store": index.interval_hint}
     return {
         element: 0 if (table := hint.settled()) is None else table.mapper.num_bits

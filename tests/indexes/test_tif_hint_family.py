@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import UnknownObjectError
 from repro.core.model import make_object, make_query
+from repro.indexes.tif import TIF
 from repro.indexes.tif_hint import TIFHintBinary, TIFHintMerge
 from repro.indexes.tif_hint_slicing import TIFHintSlicing
 
@@ -56,6 +57,15 @@ class TestVariantSpecifics:
         hybrid = TIFHintSlicing.build(random_collection, num_bits=5, n_slices=16)
         assert hybrid.size_bytes() > merge.size_bytes()
 
+    @pytest.mark.parametrize("cls", [TIFHintBinary, TIFHintMerge])
+    def test_flat_lists_cost_what_the_tif_charges(self, cls, random_collection):
+        """Bugfix: the shipped charges read every list of this collection
+        flat, and a list read flat has no table directory to pay for, so
+        the index is exactly the tIF's size."""
+        index = cls.build(random_collection, num_bits=5)
+        assert all(index.hint_for(e).table() is None for e in index.dictionary.elements())
+        assert index.size_bytes() == TIF.build(random_collection).size_bytes()
+
     def test_binary_and_merge_same_size_at_same_m(self, random_collection):
         """Figure 9: the two variants differ only in how they intersect, so
         their size curves coincide for equal m."""
@@ -68,7 +78,12 @@ class TestVariantSpecifics:
         assert index.num_bits == 4
         assert index.stats()["num_bits"] == 4
 
-    def test_replication_reported(self, random_collection):
+    def test_replication_reported(self, random_collection, small_tables):
+        """Table rows, replicas included: at least one per live entry of
+        each run that has a table."""
         index = TIFHintMerge.build(random_collection, num_bits=6)
         stats = index.stats()
-        assert stats["replicated_entries"] >= stats["objects"]
+        hints = [index.hint_for(e) for e in index.dictionary.elements()]
+        tabled = sum(len(hint) for hint in hints if hint.table() is not None)
+        assert stats["n_tables"] and stats["division_entries"] >= tabled
+        assert stats["postings_entries"] >= stats["objects"]

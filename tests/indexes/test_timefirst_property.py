@@ -199,7 +199,6 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
             insert(TemporalObject(old.id, old.st, old.end, d))
         elif roll < 0.88:
             op = "compaction"
-            subjects["irhint-perf"].inverted_file.compact()
             flat.inverted_file.compact()
             for hint in _hints(subjects, bare):
                 hint._run.compact()
@@ -208,7 +207,6 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
             blob = pickle.dumps((subjects, bare))
             assert b"TimeFirstTable" not in blob
             subjects, bare = pickle.loads(blob)
-            assert subjects["irhint-perf"]._tables == {}
             assert subjects["irhint-size"]._columns is None
             assert all(hint._table is None for hint in _hints(subjects, bare))
         else:
@@ -217,9 +215,7 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
                 insert(TemporalObject(next_even, 12.5, 99.25, frozenset({"hot", "warm"})))
                 next_even += 2
                 # Both lists now hold floats: no table is wanted, none is kept.
-                perf = subjects["irhint-perf"]
-                assert perf._table_for("hot", perf.inverted_file.postings("hot")) is None
-                assert perf.stats()["n_tables"] == 0 and perf._tables == {}
+                assert subjects["irhint-perf"].stats()["n_tables"] == 0
                 assert all(hint.table() is None for hint in _hints(subjects, bare))
         context = f"regime={regime!r} seed={seed} step={step} after {op}"
 
@@ -236,15 +232,11 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
                 assert got == want, f"{context}: Hint({hint.num_bits}) on [{st}, {end}]"
         perf, binary = subjects["irhint-perf"], subjects["tif-hint-binary"]
         for element in ("hot", "warm"):
-            postings = perf.inverted_file.postings(element)
             tables = []
-            table = perf._table_for(element, postings)
-            if table is not None:
-                assert table.mapper.num_bits <= perf.num_bits, f"{context}: m over the cap"
-                tables.append((table, postings))
-            hint = binary.hint_for(element)
-            if hint is not None and hint.table() is not None:
-                tables.append((hint.table(), hint._run))
+            for subject in (perf, binary):
+                hint = subject.hint_for(element)
+                if hint is not None and hint.table() is not None:
+                    tables.append((hint.table(), hint._run))
             for table, run in tables:
                 for a, b in RAW_WINDOWS:
                     want = sorted(
@@ -335,7 +327,7 @@ def test_traces_reach_the_table_the_tail_and_the_spill(forced, monkeypatch):
     assert all(seen.values()), seen
     for key in ("irhint-perf", "hint"):
         spilled = [
-            subjects[key].inverted_file.postings("hot") if key == "irhint-perf"
+            subjects[key].hint_for("hot")._run if key == "irhint-perf"
             else subjects[key]._run
             for subjects in left
         ]

@@ -42,12 +42,15 @@ def test_bound_covers_the_queries_own_trace(key, backend, seed, small_tables, ru
     pending, live = objects[200:], [obj.id for obj in objects[:200]]
     rebuilds = 0
 
+    def verdicts():
+        """Each run's verdict as held, read without asking the rule."""
+        return {e: hint._table for e, hint in getattr(index, "_hints", {}).items()}
+
     def check(q, where):
         bound = index.work_bound(q)
-        tables = getattr(index, "_tables", {})
-        before = dict(tables)
+        before = verdicts()
         scanned = explain(index, q).total_entries_scanned
-        rebuilt = any(table is not before.get(e) for e, table in tables.items())
+        rebuilt = any(verdict is not before.get(e) for e, verdict in verdicts().items())
         assert (bound is None) == rebuilt, f"bound {bound}, rebuilt {rebuilt}: {where}"
         if bound is not None:
             assert bound >= scanned, f"bound {bound} < {scanned} entries scanned: {where}"
@@ -74,6 +77,12 @@ def test_bound_covers_the_queries_own_trace(key, backend, seed, small_tables, ru
     for _ in range(2):
         q = make_query(-200, 6_000, {ELEMENTS[0]})
         rebuilds += check(q, f"{key}/{backend} seed={seed} whole domain")
+    # A run the rule reads flat, twice: one point interval, which a table
+    # could only read as one row and more.
+    index.insert(make_object(10_000, 2_500, 2_500, {"point"}))
+    for _ in range(2):
+        q = make_query(0, 5_000, {"point"})
+        rebuilds += check(q, f"{key}/{backend} seed={seed} flat run")
     if key == "irhint-perf" and backend == "packed":
         # The trace reached every side: queries that asked the rule again,
         # reads served by a table, windows sent flat per query, and runs

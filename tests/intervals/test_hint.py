@@ -286,6 +286,14 @@ class TestTableRows:
         table = hint.table()
         assert hint.size_bytes() == (5 + table.n_rows) * ENTRY_FULL_BYTES + 2 * CONTAINER_BYTES
 
+    def test_flat_run_is_not_charged_a_directory(self, small_hint):
+        """Bugfix: a run read flat has no table, so no table directory; it
+        is charged as the bare run (what a tIF charges for the list)."""
+        _hint, records = small_hint
+        flat = Hint.build(records, num_bits=0)  # m = 0: the flat scan
+        assert flat.table() is None
+        assert flat.size_bytes() == 5 * ENTRY_FULL_BYTES + CONTAINER_BYTES
+
     def test_one_point_domain(self):
         """Every interval the same point: the table's cells must be the
         mapper's (cell 0), or the query looks in an empty partition."""

@@ -10,8 +10,10 @@ postings layouts this build no longer has: the pre-v2 ``compressed``
 shape fails typed at load (recovery falls back); the ``list`` backend's
 and the later ``compressed`` shape restore as packed lists.  Two more
 pickle the retired per-division HINT classes: those indexes are rebuilt
-from their catalogs at load.  The last two froze one ``m`` per irHINT
-index; they load with the cost rule picking each run's ``m``.
+from their catalogs at load.  Two froze one ``m`` per irHINT index; they
+load with the cost rule picking each run's ``m``.  The last stored
+irHINT-perf as a tIF beside its own verdicts; it is rebuilt from its
+catalog onto the HINT-first skeleton.
 """
 
 import io
@@ -43,6 +45,8 @@ from tests.storage.parent_images import (
     HINT_MERGE_SNAPSHOT,
     I64_MAX,
     IRHINT_PERF_FROZEN_M_SNAPSHOT,
+    IRHINT_PERF_TIF_SNAPSHOT,
+    IRHINT_PERF_TIF_STATS,
     IRHINT_SIZE_FROZEN_M_SNAPSHOT,
     IRHINT_SIZE_SNAPSHOT,
     LIST_SNAPSHOT,
@@ -354,6 +358,7 @@ def charges(request):
     ones (they read through tables)."""
     if request.param == "small-tables":
         request.getfixturevalue("small_tables")
+    return request.param
 
 
 class TestFrozenMSnapshots:
@@ -391,3 +396,30 @@ class TestFrozenMSnapshots:
             assert store.index.num_bits == cap
             for q in _queries(live):
                 assert store.query(q) == tif.query(q), q
+
+
+class TestTifLayoutIrHintPerf:
+    """An irHINT-perf stored as a tIF (``_tif``) beside its own verdicts
+    loads rebuilt onto one ``Hint`` per element, answers like ``tif``,
+    reports what the build that wrote it reported, and saves in the
+    skeleton's layout."""
+
+    def test_loads_answers_and_reports_like_the_parent(self, charges):
+        index = loads_index(IRHINT_PERF_TIF_SNAPSHOT)
+        assert type(index) is type(build_index("irhint-perf", Collection([])))
+        assert "_tif" not in vars(index) and index.hint_for("hot") is not None
+        live = migration_objects()
+        tif = build_index("tif", Collection(live))
+        for q in _queries(live):
+            assert index.query(q) == tif.query(q), q
+        assert index.stats() == IRHINT_PERF_TIF_STATS[charges]
+        assert index.size_bytes() == IRHINT_PERF_TIF_STATS[charges]["size_bytes"]
+
+    def test_resaves_in_the_skeleton_layout(self):
+        blob = dumps_index(loads_index(IRHINT_PERF_TIF_SNAPSHOT))
+        classes = _pickled_classes(blob)
+        assert ("repro.intervals.hint.index", "Hint") in classes
+        assert ("repro.ir.inverted", "TemporalInvertedFile") not in classes
+        again = loads_index(blob)
+        assert "_hints" in vars(again)
+        assert again.stats() == IRHINT_PERF_TIF_STATS["shipped"]
