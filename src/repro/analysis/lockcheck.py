@@ -4,7 +4,7 @@ The static rules catch what the AST can see; ordering bugs between the
 daemon's tenant RW locks, the executor cache mutex and the cluster's
 swap/write locks only exist at runtime.  This module implements the
 :class:`~repro.utils.locks.LockObserver` protocol: installed (via
-:func:`install` or the ``REPRO_LOCKCHECK=1`` test fixtures), it watches
+:func:`install`, as the cluster, storage and server test suites do), it watches
 every acquisition flowing through :func:`repro.utils.locks.make_lock`
 and :class:`repro.utils.locks.AsyncRWLock` and maintains
 
@@ -231,11 +231,3 @@ def install(strict: bool = False) -> LockOrderChecker:
 def uninstall() -> None:
     """Remove any installed observer (leftover tracked locks go quiet)."""
     _locks.install_observer(None)
-
-
-def enabled_from_env(environ: Optional[Dict[str, str]] = None) -> bool:
-    """Whether the ``REPRO_LOCKCHECK=1`` opt-in flag is set."""
-    import os
-
-    env = environ if environ is not None else dict(os.environ)
-    return env.get("REPRO_LOCKCHECK", "") == "1"

@@ -60,16 +60,6 @@ def _decode(value: Any) -> Any:
     return value
 
 
-def encode_results(results: Any) -> Any:
-    """Encode a results value into the JSON-safe ``__pairs__`` form."""
-    return _encode(results)
-
-
-def decode_results(encoded: Any) -> Any:
-    """Invert :func:`encode_results`."""
-    return _decode(encoded)
-
-
 def save_results(results: dict, path: PathLike) -> None:
     """Write an experiment-results dict to JSON."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -448,7 +448,7 @@ def _cmd_cluster_query(args: argparse.Namespace) -> int:
                 print(f"error: {args.batch_file} holds no queries", file=sys.stderr)
                 return 2
             with timed() as watch:
-                results = cluster.run_batch(queries)
+                results = [cluster.query(q) for q in queries]
             total = sum(len(r) for r in results)
             print(
                 f"{len(queries)} queries in "
@@ -863,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             batch.add_argument(
                 "--cache-size", type=int, default=0,
-                help="attach an invalidating LRU result cache of this capacity",
+                help="keep an LRU result cache of this capacity",
             )
         p.set_defaults(func=func)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.collection import Collection
-from repro.core.errors import ClusterError, ReproError
+from repro.core.errors import ClusterError
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.cluster import layout
 from repro.cluster.group import ReplicaSet, ShardGroup
@@ -230,15 +230,13 @@ class TemporalCluster:
         return self._router.group
 
     def query(self, q: TimeTravelQuery) -> List[int]:
-        """Scatter-gather one query; retries once across a generation swap."""
-        router = self._router
-        try:
-            return router.query(q)
-        except ReproError:
-            fresh = self._router
-            if fresh is router:
-                raise
-            return fresh.query(q)
+        """Scatter-gather one query through :meth:`query_partial` (so it
+        retries once across a generation swap); an incomplete answer raises
+        the first refusing shard's own :class:`ShardUnavailableError`."""
+        result = self.query_partial(q)
+        if result.unavailable:
+            raise result.unavailable[0]
+        return result.ids
 
     def query_partial(
         self, q: TimeTravelQuery, deadline: Optional[float] = None
@@ -254,9 +252,6 @@ class TemporalCluster:
         if not result.complete and self._router is not router:
             return self._router.query_partial(q, deadline)
         return result
-
-    def run_batch(self, queries: Sequence[TimeTravelQuery]) -> List[List[int]]:
-        return self._router.run_batch(queries)
 
     def insert(self, obj: TemporalObject) -> None:
         self._router.insert(obj)

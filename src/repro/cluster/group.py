@@ -63,13 +63,7 @@ class ReplicaSet:
         # between "copy the peer's objects" and "rejoin the rebuilt
         # replica", or the revived store would silently miss it.
         self._write_lock = make_lock("cluster.group-write")
-        self.cache: Optional[ResultCache] = None
-        if cache_size:
-            self.cache = ResultCache(cache_size)
-            for store in self.stores:
-                # Attached through every replica: a mutation applied to any
-                # of them invalidates the shard's (single, shared) cache.
-                store.attach_cache(self.cache)
+        self.cache: Optional[ResultCache] = ResultCache(cache_size) if cache_size else None
 
     # ------------------------------------------------------------------- state
     @property
@@ -81,6 +75,15 @@ class ReplicaSet:
 
     def is_dead(self, replica: int) -> bool:
         return self._dead[replica]
+
+    @property
+    def version(self) -> tuple:
+        """The shard's data version: its replicas' index versions.
+
+        A write through any replica, or a revived replica's new index,
+        changes it, so the shard's cached answers stop matching.
+        """
+        return tuple(store.index.version for store in self.stores)
 
     def kill(self, replica: int) -> None:
         """Fault injection: take one replica out (closes its store)."""
@@ -100,7 +103,8 @@ class ReplicaSet:
         """
         cache = self.cache
         if cache is not None:
-            hit = cache.get(q)
+            version = self.version
+            hit = cache.get(q, version)
             if hit is not None:
                 event("cache_hit", shard=self.shard_id)
                 return hit
@@ -135,7 +139,7 @@ class ReplicaSet:
             if failovers:
                 self._count_failovers(failovers)
             if cache is not None:
-                cache.put(q, result)
+                cache.put(q, version, result)
             return result
         if failovers:
             self._count_failovers(failovers)
@@ -262,8 +266,6 @@ class ReplicaSet:
             )
             if len(collection):
                 store.bootstrap(collection, index_key, **index_params)
-            if self.cache is not None:
-                store.attach_cache(self.cache)
             self.stores[replica] = store
             self._dead[replica] = False
 

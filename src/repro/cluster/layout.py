@@ -150,12 +150,6 @@ def read_routing_table(directory: PathLike, generation: int) -> RoutingTable:
     return table
 
 
-def current_routing_table(directory: PathLike) -> RoutingTable:
-    """The generation the manifest points at."""
-    manifest = read_manifest(directory)
-    return read_routing_table(directory, int(manifest["generation"]))  # type: ignore[arg-type]
-
-
 # ------------------------------------------------------------------ housekeeping
 def prune_orphans(
     directory: PathLike,

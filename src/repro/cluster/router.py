@@ -7,16 +7,18 @@ shards it overlaps are visited.  The query goes to each planned shard's
 replica set (result cache, then replica failover), and the sorted
 per-shard id lists are merged with de-duplication, because an object
 whose lifespan straddles a shard boundary is stored (and found) in more
-than one shard but must be returned exactly once.  A batch is routed the
-same way, one query at a time.
+than one shard but must be returned exactly once.  There is one scatter
+loop, :meth:`ClusterRouter.query_partial`; a caller that wants all or
+nothing raises the first refusing shard's own error from its answer
+(:meth:`repro.cluster.TemporalCluster.query`).
 
 Writes
 ------
 An insert lands on every shard whose range the object's lifespan
 overlaps; a delete is routed to the shards that actually hold the id.
-Only those shards' result caches are invalidated — untouched shards keep
-serving their cached answers, which is the point of partitioning the
-cache along with the data.
+Only those shards' data versions move, so only their cached answers stop
+matching — untouched shards keep serving their cached answers, which is
+the point of partitioning the cache along with the data.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class PartialResult:
     shard_errors: Dict[str, Dict[str, object]] = field(default_factory=dict)
     shards_planned: int = 0
     shards_answered: int = 0
+    #: The refusing shards' own errors, in plan order (never on the wire).
+    unavailable: List[ShardUnavailableError] = field(default_factory=list, repr=False)
 
 
 class ClusterRouter:
@@ -88,16 +92,6 @@ class ClusterRouter:
         return [spec.shard_id for spec in self.table.shards_for_query(q)]
 
     # ------------------------------------------------------------------- reads
-    def query(self, q: TimeTravelQuery) -> List[int]:
-        """Scatter one query to its planned shards; gather, merge, dedup."""
-        planned = self.plan(q)
-        results = [
-            self.group.replica_set(shard_id).query(q) for shard_id in planned
-        ]
-        merged, duplicates = merge_shard_results(results)
-        self._count_query(planned, duplicates)
-        return merged
-
     def query_partial(
         self, q: TimeTravelQuery, deadline: Optional[float] = None
     ) -> PartialResult:
@@ -117,6 +111,7 @@ class ClusterRouter:
                 plan_rec.attrs["planned"] = list(planned)
         answered: List[List[int]] = []
         errors: Dict[str, Dict[str, object]] = {}
+        unavailable: List[ShardUnavailableError] = []
         for position, shard_id in enumerate(planned):
             if deadline is not None and time.monotonic() >= deadline:
                 for missed in planned[position:]:
@@ -130,6 +125,7 @@ class ClusterRouter:
                 with span(f"shard:{shard_id}", shard=shard_id):
                     answered.append(self.group.replica_set(shard_id).query(q))
             except ShardUnavailableError as exc:
+                unavailable.append(exc)
                 errors[shard_id] = {
                     "code": "shard_unavailable",
                     "message": str(exc),
@@ -145,15 +141,8 @@ class ClusterRouter:
             shard_errors=errors,
             shards_planned=len(planned),
             shards_answered=len(answered),
+            unavailable=unavailable,
         )
-
-    def run_batch(self, queries: Sequence[TimeTravelQuery]) -> List[List[int]]:
-        """Answer a batch one query at a time; results in submission order.
-
-        Each query takes :meth:`query`'s path, so per-shard caches and
-        replica failover apply to batches unchanged.
-        """
-        return [self.query(q) for q in queries]
 
     # ------------------------------------------------------------------ writes
     def insert(self, obj: TemporalObject) -> None:

@@ -116,10 +116,6 @@ class ShardUnavailableError(ClusterError):
         }
 
 
-class DeadlineExceededError(ReproError):
-    """A request's deadline expired before the work could complete."""
-
-
 class MetricError(ReproError, ValueError):
     """A metric was registered or used inconsistently (name clash with a
     different type/labels, wrong label set, malformed exposition input)."""

@@ -10,15 +10,15 @@ have returned.
 Components
 ----------
 :class:`~repro.exec.cache.ResultCache`
-    Size-bounded LRU over ``(interval, frozenset(q.d))`` keys, invalidated
-    on every index mutation (wired through
-    :meth:`repro.indexes.base.TemporalIRIndex.attach_cache`).
+    Size-bounded LRU over ``(interval, frozenset(q.d))`` keys; an entry
+    hits only at the data version it was computed at
+    (:attr:`repro.indexes.base.TemporalIRIndex.version`).
 :class:`~repro.exec.executor.QueryExecutor`
     dedup → cache probe → interval sort → one ``index.query`` loop →
     cache fill → reassembly in submission order.
 
 See ``docs/execution.md`` for the measurements behind the one serial
-loop and the invalidation guarantees.
+loop and the version rule.
 """
 
 from repro.exec.cache import ResultCache, cache_key

@@ -1,4 +1,4 @@
-"""A size-bounded, invalidating LRU cache for query result sets.
+"""A size-bounded LRU cache for query result sets, checked by data version.
 
 Keys are ``(q.st, q.end, q.d)`` — the full identity of a
 :class:`~repro.core.model.TimeTravelQuery` (``q.d`` is already a
@@ -7,18 +7,21 @@ answer them identically.  Values are the sorted id lists the indexes
 return; the cache stores and hands out *copies*, so callers may mutate
 results without corrupting later hits.
 
-Invalidation is whole-cache: any mutation of the backing index clears
-every entry.  Partial invalidation (only entries overlapping the mutated
-object) was considered and rejected — it saves little on the workloads we
-serve (popular queries are re-answered in microseconds) and its bookkeeping
-is precisely the kind of subtle code the differential harness exists to
-distrust.  The guarantee is therefore simple: **a cache attached to an
-index can never serve a result computed before the index's most recent
-mutation** (see ``docs/execution.md``).
+Every entry remembers the data version its answer was computed at (an
+index's :attr:`~repro.indexes.base.TemporalIRIndex.version`, or a
+replica set's tuple of them), and :meth:`ResultCache.get` hits only on an
+equal version; an entry of any other version is a miss and is dropped.
+Nothing tells the cache about a mutation: the version it is asked with
+has simply moved on.  A reader takes the version *before* it evaluates,
+so a write that lands while the answer is being computed leaves an entry
+no later lookup can match.  The guarantee is therefore simple: **a cache
+never serves a result computed before the most recent mutation of the
+data it is asked about** (see ``docs/execution.md``).  Versions are never
+reused within a process, so a cache carried to another index, or to a
+rebuilt one, never serves its old entries.
 
 Thread safety: all operations take an internal lock, so a cache may be
-shared by concurrent readers while an owning thread applies invalidating
-updates.
+shared by concurrent readers and writers.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from repro.utils.locks import make_lock
 
 #: The cache identity of a query: interval endpoints plus the element set.
 CacheKey = Tuple[object, object, frozenset]
+#: The data version an answer was computed at (compared with ``==`` only).
+Version = object
 
 
 def cache_key(q: TimeTravelQuery) -> CacheKey:
@@ -41,7 +46,7 @@ def cache_key(q: TimeTravelQuery) -> CacheKey:
 
 
 class ResultCache:
-    """LRU map from query identity to its sorted result-id list.
+    """LRU map from query identity to its version and sorted result-id list.
 
     Parameters
     ----------
@@ -55,12 +60,11 @@ class ResultCache:
         if capacity < 1:
             raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._entries: "OrderedDict[CacheKey, List[int]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, Tuple[Version, List[int]]]" = OrderedDict()
         self._lock = make_lock("exec.cache")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------ access
     @property
@@ -70,17 +74,24 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, q: TimeTravelQuery) -> Optional[List[int]]:
-        """The cached result for ``q`` (a copy), or ``None`` on a miss."""
+    def get(self, q: TimeTravelQuery, version: Version) -> Optional[List[int]]:
+        """The result cached for ``q`` at ``version`` (a copy), or ``None``.
+
+        An entry cached at another version is a miss, and is dropped.
+        """
         key = cache_key(q)
+        result: Optional[List[int]] = None
         with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-            else:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == version:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                result = list(result)
+                result = list(entry[1])
+            else:
+                if entry is not None:
+                    del self._entries[key]
+                self.misses += 1
+            size = len(self._entries)
         registry = OBS.registry
         if registry.enabled:
             from repro.obs.instruments import cache_instruments
@@ -88,16 +99,18 @@ class ResultCache:
             instruments = cache_instruments(registry)
             if result is None:
                 instruments.misses.inc()
+                instruments.entries.set(size)
             else:
                 instruments.hits.inc()
         return result
 
-    def put(self, q: TimeTravelQuery, result: List[int]) -> None:
-        """Store (a copy of) ``result``, evicting the LRU entry if full."""
+    def put(self, q: TimeTravelQuery, version: Version, result: List[int]) -> None:
+        """Store (a copy of) ``result`` as computed at ``version``, evicting
+        the LRU entry if full."""
         key = cache_key(q)
         evicted = 0
         with self._lock:
-            self._entries[key] = list(result)
+            self._entries[key] = (version, list(result))
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
@@ -113,30 +126,9 @@ class ResultCache:
                 instruments.evictions.inc(evicted)
             instruments.entries.set(size)
 
-    # ------------------------------------------------------------ invalidation
-    def invalidate(self) -> int:
-        """Drop every entry; returns how many were dropped.
-
-        Called by :meth:`repro.indexes.base.TemporalIRIndex.attach_cache`
-        (so a freshly attached cache starts empty) and on every
-        ``insert``/``delete`` of an index this cache is attached to.
-        """
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.invalidations += 1
-        registry = OBS.registry
-        if registry.enabled:
-            from repro.obs.instruments import cache_instruments
-
-            instruments = cache_instruments(registry)
-            instruments.invalidations.inc()
-            instruments.entries.set(0)
-        return dropped
-
     # -------------------------------------------------------------- inspection
     def stats(self) -> Dict[str, int]:
-        """Counters snapshot: sizes, hits, misses, evictions, invalidations."""
+        """Counters snapshot: sizes, hits, misses, evictions."""
         with self._lock:
             return {
                 "capacity": self._capacity,
@@ -144,7 +136,6 @@ class ResultCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

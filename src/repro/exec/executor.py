@@ -7,9 +7,9 @@ optimisations that a per-query API cannot:
 
 * **deduplication** — identical queries (same interval, same element set)
   are evaluated once; repeats receive copies of the first answer;
-* **cache probe** — with ``cache_size > 0``, answers are served from an
-  attached :class:`~repro.exec.cache.ResultCache` that every index
-  mutation invalidates (see :mod:`repro.indexes.base`);
+* **cache probe** — with ``cache_size > 0``, answers are served from a
+  :class:`~repro.exec.cache.ResultCache` whose entries hold only while
+  the index's data version is the one they were computed at;
 * **interval sort** — remaining misses are evaluated in ``(st, end)``
   order, so consecutive queries touch neighbouring HINT partitions and
   time slices (warm lines instead of random walks), one ``index.query``
@@ -18,11 +18,13 @@ optimisations that a per-query API cannot:
 The executor targets either a bare index or a
 :class:`~repro.service.DurableIndexStore`; with a store, the *live* index
 is resolved at every batch, so a ``bootstrap()`` swap cannot leave the
-executor querying a stale object, and the cache registers through the
-store so the swap invalidates it too.
+executor querying a stale object, and the new index's version misses
+every old entry.
 
-The index must not be mutated *during* a batch (mutations between batches
-are the supported, cache-invalidating case).
+A batch reads the index's version once, before it evaluates anything, so
+every answer it caches is filed under a version no newer than the data it
+was computed from: a mutation that lands mid-batch moves the version on
+and leaves those entries unmatched.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class QueryExecutor:
     strategy:
         Accepts only ``"serial"``, the one way a batch runs.
     cache_size:
-        ``0`` disables caching; ``> 0`` attaches an invalidating
+        ``0`` disables caching; ``> 0`` keeps a
         :class:`~repro.exec.cache.ResultCache` of that capacity.
     """
 
@@ -101,13 +103,7 @@ class QueryExecutor:
             raise ConfigurationError(
                 f"executor target must be an index or a store, got {type(target).__name__}"
             )
-        self.cache: Optional[ResultCache] = None
-        if cache_size:
-            self.cache = ResultCache(cache_size)
-            # Attach through the *target*: an index invalidates on its own
-            # insert/delete; a store additionally re-attaches (and therefore
-            # invalidates) across bootstrap index swaps.
-            target.attach_cache(self.cache)
+        self.cache: Optional[ResultCache] = ResultCache(cache_size) if cache_size else None
         self.last_report: Optional[ExecutionReport] = None
 
     # ------------------------------------------------------------------ state
@@ -133,6 +129,7 @@ class QueryExecutor:
         watch = Stopwatch()
         watch.start()
         index = self.index
+        version = index.version
         cache = self.cache
 
         # 1. Deduplicate (first-seen order) and probe the cache.
@@ -146,7 +143,7 @@ class QueryExecutor:
             if key in resolved or key in pending:
                 continue
             if cache is not None:
-                hit = cache.get(q)
+                hit = cache.get(q, version)
                 if hit is not None:
                     resolved[key] = hit
                     cache_hits += 1
@@ -162,7 +159,7 @@ class QueryExecutor:
             result = index.query(q)
             resolved[key] = result
             if cache is not None:
-                cache.put(q, result)
+                cache.put(q, version, result)
 
         # 5. Reassemble in submission order; duplicates get copies.
         out: List[List[int]] = []

@@ -14,13 +14,16 @@ The base class centralises the bookkeeping all methods share:
   IR-first structures, for delete-by-id convenience, and for diagnostics.
   The catalog holds *references* to the collection's objects and is
   deliberately excluded from ``size_bytes()`` — it is the corpus, not the
-  index.
+  index;
+* a data ``version`` that result caches check instead of being told about
+  mutations (see :mod:`repro.exec.cache`).
 """
 
 from __future__ import annotations
 
 import abc
-import weakref
+import itertools
+import sys
 from typing import ClassVar, Dict, List, Optional, Union
 
 from repro.core.collection import Collection
@@ -30,6 +33,15 @@ from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.obs.context import annotate, event, tracing_active
 from repro.obs.registry import OBS
 from repro.utils.timing import Stopwatch
+
+#: One process-wide source of data versions, so that no two index states —
+#: of one index or of two — ever share a value within a process.
+_VERSIONS = itertools.count(1)
+
+
+def next_version() -> int:
+    """A data version never handed out before in this process."""
+    return next(_VERSIONS)
 
 
 class TemporalIRIndex(abc.ABC):
@@ -41,6 +53,22 @@ class TemporalIRIndex(abc.ABC):
     def __init__(self) -> None:
         self._dictionary = Dictionary()
         self._catalog: Dict[int, TemporalObject] = {}
+        #: Changes at every ``insert``/``delete`` and at unpickling: an answer
+        #: computed at one version is valid exactly while it is current.
+        self.version = next_version()
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The pickled state, without the version: a version means nothing
+        outside the process that drew it, so a copy draws its own."""
+        state = self.__dict__.copy()
+        state.pop("version", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Interned names, as pickle's own restore makes them: attribute
+        # lookups on an index with plain string keys run measurably slower.
+        self.__dict__.update((sys.intern(key), value) for key, value in state.items())
+        self.version = next_version()
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -71,10 +99,12 @@ class TemporalIRIndex(abc.ABC):
         """Add one object (paper Section 5.5 insertions)."""
         if obj.id in self._catalog:
             raise DuplicateObjectError(f"object id {obj.id} already indexed")
-        self._insert_impl(obj)
-        self._catalog[obj.id] = obj
-        self._dictionary.add_description(obj.d)
-        self._invalidate_caches()
+        try:
+            self._insert_impl(obj)
+            self._catalog[obj.id] = obj
+            self._dictionary.add_description(obj.d)
+        finally:
+            self.version = next_version()
 
     def delete(self, obj: Union[TemporalObject, int]) -> None:
         """Tombstone one object, given the object or its id.
@@ -89,10 +119,12 @@ class TemporalIRIndex(abc.ABC):
         found = self._catalog.get(object_id)
         if found is None:
             raise UnknownObjectError(object_id)
-        self._delete_impl(found)
-        del self._catalog[object_id]
-        self._dictionary.remove_description(found.d)
-        self._invalidate_caches()
+        try:
+            self._delete_impl(found)
+            del self._catalog[object_id]
+            self._dictionary.remove_description(found.d)
+        finally:
+            self.version = next_version()
 
     @abc.abstractmethod
     def _insert_impl(self, obj: TemporalObject) -> None:
@@ -101,53 +133,6 @@ class TemporalIRIndex(abc.ABC):
     @abc.abstractmethod
     def _delete_impl(self, obj: TemporalObject) -> None:
         """Index-specific tombstone deletion."""
-
-    # ------------------------------------------------------- result caches
-    def attach_cache(self, cache) -> None:
-        """Register a result cache to invalidate on every mutation.
-
-        ``cache`` is anything exposing ``invalidate()`` — in practice a
-        :class:`repro.exec.cache.ResultCache`.  The cache is invalidated
-        *at attach time*, so a cache carried over from another index (or
-        an earlier state of this one, e.g. across crash recovery) can
-        never serve stale results.  The index holds only a weak
-        reference: dropping the executor that owns the cache frees it.
-
-        The registration list lives outside pickled state (see
-        :meth:`__getstate__`) — snapshots and the ``process`` execution
-        strategy transfer the index alone, never its observers.
-        """
-        cache.invalidate()
-        refs = self.__dict__.setdefault("_cache_refs", [])
-        refs[:] = [r for r in refs if r() is not None and r() is not cache]
-        refs.append(weakref.ref(cache))
-
-    def detach_cache(self, cache) -> None:
-        """Stop invalidating ``cache`` on this index's mutations."""
-        refs = self.__dict__.get("_cache_refs")
-        if refs:
-            refs[:] = [r for r in refs if r() is not None and r() is not cache]
-
-    def _invalidate_caches(self) -> None:
-        """Invalidate every attached cache (called after each mutation)."""
-        refs = self.__dict__.get("_cache_refs")
-        if not refs:
-            return
-        live = []
-        for ref in refs:
-            cache = ref()
-            if cache is not None:
-                cache.invalidate()
-                live.append(ref)
-        refs[:] = live
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickled state excludes cache registrations (weakrefs don't
-        pickle, and a snapshot or process-pool copy must not invalidate —
-        or be invalidated through — the original's caches)."""
-        state = self.__dict__.copy()
-        state.pop("_cache_refs", None)
-        return state
 
     # ------------------------------------------------------------------ query
     def query(self, q: TimeTravelQuery) -> List[int]:

@@ -165,7 +165,7 @@ class IRHintSize(TemporalIRIndex):
             if state["_hint"] is None:
                 state["_hint"] = Hint(cap)
             state["_hint"]._m = cap
-        self.__dict__.update(state)
+        super().__setstate__(state)
 
     @property
     def num_bits(self) -> int:

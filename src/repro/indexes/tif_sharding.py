@@ -15,9 +15,9 @@ Three ingredients from the original design are reproduced:
   qualifying entry, and the scan stops at the first entry starting after the
   query.  Because the sampled key is the *prefix maximum* of ``t_end``, the
   impact list stays correct even for merged (non-ideal) shards;
-* **cost-aware merging** — the number of ideal shards can be overwhelming,
-  so smallest-first pairwise merging (our simplification of the paper's
-  cost-based merge, documented in DESIGN.md) relaxes the staircase property
+* **merging** — the number of ideal shards can be overwhelming, so
+  smallest-first pairwise merging (our simplification of the paper's
+  cost-based merge, see docs/algorithms.md) relaxes the staircase property
   until at most ``max_shards`` remain per list.
 
 Sharding stores exactly one entry per (element, object) pair — the paper's
@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set
 
 from repro.core.interval import Timestamp
-from repro.core.errors import ConfigurationError, UnknownObjectError
+from repro.core.errors import UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
 from repro.obs.context import annotate, event, tracing_active
@@ -58,10 +58,6 @@ class _Shard:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def last_end(self) -> Timestamp:
-        return self.ends[-1]
 
     def append(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
         """Append (build path: entries arrive in start order)."""
@@ -189,63 +185,16 @@ def _merge_pair(a: _Shard, b: _Shard) -> _Shard:
     return merged
 
 
-def shard_waste(shard: _Shard) -> int:
-    """How far the shard deviates from the staircase property.
-
-    Counts the entries whose ``t_end`` lies below the running prefix maximum
-    — exactly the entries a query may scan without them qualifying (the
-    impact list can only skip prefixes whose *maximum* end is too small).
-    An ideal shard wastes 0.
-    """
-    waste = 0
-    running: Optional[int] = None
-    for end in shard.ends:
-        if running is not None and end < running:
-            waste += 1
-        if running is None or end > running:
-            running = end
-    return waste
-
-
-def _merge_shards(
-    shards: List[_Shard], max_shards: int, strategy: str = "size"
-) -> List[_Shard]:
-    """Reduce the shard count to ``max_shards``.
-
-    ``strategy='size'`` — smallest-first pairwise merging (fast, the
-    default used in the headline experiments).
-    ``strategy='cost'`` — the cost-aware merge in the spirit of [4]: shards
-    are kept ordered by their last ``t_end`` and the *adjacent* pair whose
-    merge adds the least staircase waste (extra scannable non-qualifying
-    entries) is merged first, so the relaxation of the staircase property is
-    as gentle as the budget allows.
-    """
+def _merge_shards(shards: List[_Shard], max_shards: int) -> List[_Shard]:
+    """Reduce the shard count to ``max_shards`` by smallest-first pairwise
+    merging."""
     if len(shards) <= max_shards:
         return shards
-    if strategy == "size":
-        shards = sorted(shards, key=len)
-        while len(shards) > max_shards:
-            merged = _merge_pair(shards.pop(0), shards.pop(0))
-            pos = bisect_left([len(s) for s in shards], len(merged))
-            shards.insert(pos, merged)
-        return shards
-    if strategy != "cost":
-        raise ConfigurationError(f"unknown merge strategy {strategy!r} (size|cost)")
-    # Cost-aware: adjacent-in-end-order merges minimising added waste.
-    shards = sorted(shards, key=lambda s: s.last_end)
-    wastes = [shard_waste(s) for s in shards]
+    shards = sorted(shards, key=len)
     while len(shards) > max_shards:
-        best_index = -1
-        best_delta = None
-        best_merged: Optional[_Shard] = None
-        for i in range(len(shards) - 1):
-            candidate = _merge_pair(shards[i], shards[i + 1])
-            delta = shard_waste(candidate) - wastes[i] - wastes[i + 1]
-            if best_delta is None or delta < best_delta:
-                best_delta, best_index, best_merged = delta, i, candidate
-        assert best_merged is not None
-        shards[best_index : best_index + 2] = [best_merged]
-        wastes[best_index : best_index + 2] = [shard_waste(best_merged)]
+        merged = _merge_pair(shards.pop(0), shards.pop(0))
+        pos = bisect_left([len(s) for s in shards], len(merged))
+        shards.insert(pos, merged)
     return shards
 
 
@@ -254,24 +203,17 @@ class TIFSharding(TemporalIRIndex):
 
     name = "tIF+Sharding"
 
-    def __init__(self, max_shards: int = 16, merge_strategy: str = "size") -> None:
+    def __init__(self, max_shards: int = 16) -> None:
         super().__init__()
-        if merge_strategy not in ("size", "cost"):
-            raise ConfigurationError(
-                f"unknown merge strategy {merge_strategy!r} (size|cost)"
-            )
         self._max_shards = max_shards
-        self._merge_strategy = merge_strategy
         self._shards: Dict[Element, List[_Shard]] = {}
 
     # ------------------------------------------------------------ construction
     @classmethod
-    def build(
-        cls, collection, max_shards: int = 16, merge_strategy: str = "size"
-    ) -> "TIFSharding":
+    def build(cls, collection, max_shards: int = 16) -> "TIFSharding":
         """Bulk build: ideal shards per element, then merging (see
-        :func:`_merge_shards` for the two strategies)."""
-        index = cls(max_shards=max_shards, merge_strategy=merge_strategy)
+        :func:`_merge_shards`)."""
+        index = cls(max_shards=max_shards)
         per_element: Dict[Element, List[tuple]] = {}
         for obj in collection:
             for element in obj.d:
@@ -281,7 +223,7 @@ class TIFSharding(TemporalIRIndex):
         for element, entries in per_element.items():
             entries.sort(key=lambda entry: (entry[1], entry[0]))
             shards = _build_ideal_shards(entries)
-            index._shards[element] = _merge_shards(shards, max_shards, merge_strategy)
+            index._shards[element] = _merge_shards(shards, max_shards)
         return index
 
     # ---------------------------------------------------------------- updates
@@ -393,6 +335,5 @@ class TIFSharding(TemporalIRIndex):
     def stats(self) -> dict:
         out = super().stats()
         out["max_shards"] = self._max_shards
-        out["merge_strategy"] = self._merge_strategy
         out["total_shards"] = self.n_shards()
         return out

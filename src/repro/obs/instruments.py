@@ -184,22 +184,19 @@ def exec_instruments(registry: MetricsRegistry) -> ExecInstruments:
 
 
 class CacheInstruments:
-    """Result-cache accounting (hits/misses/evictions/invalidations)."""
+    """Result-cache accounting (hits/misses/evictions)."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.hits = registry.counter(
             "repro_cache_hits_total", "Result-cache lookups served from cache."
         )
         self.misses = registry.counter(
-            "repro_cache_misses_total", "Result-cache lookups that missed."
+            "repro_cache_misses_total",
+            "Result-cache lookups that missed (absent, or cached at another data version).",
         )
         self.evictions = registry.counter(
             "repro_cache_evictions_total",
             "Entries evicted by the LRU capacity bound.",
-        )
-        self.invalidations = registry.counter(
-            "repro_cache_invalidations_total",
-            "Whole-cache invalidations (index mutations and attachments).",
         )
         self.entries = registry.gauge(
             "repro_cache_entries", "Live entries in the most recently touched cache."

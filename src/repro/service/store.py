@@ -17,7 +17,6 @@ and resumes appending where the durable state ends.
 
 from __future__ import annotations
 
-import weakref
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -74,7 +73,6 @@ class DurableIndexStore:
         self._checkpoint_every = checkpoint_every
         self._mutations_since_checkpoint = 0
         self._snapshotter = Snapshotter(directory, retain=retain, fs=fs)
-        self._cache_refs: List["weakref.ref"] = []
         self._wal: Optional[WriteAheadLog] = WriteAheadLog(
             layout.wal_path(directory, active_seq), fs=fs, fsync=wal_fsync
         )
@@ -188,41 +186,6 @@ class DurableIndexStore:
         :meth:`TemporalIRIndex.work_bound`); ``None`` when unknown."""
         return self._index.work_bound(q)
 
-    # ----------------------------------------------------------- result caches
-    def attach_cache(self, cache) -> None:
-        """Register a result cache against the *live* index.
-
-        Mutations applied through the store reach the index's
-        ``insert``/``delete``, which invalidate attached caches — this
-        covers the WAL-first write path for free.  The store additionally
-        remembers the cache (weakly) so :meth:`bootstrap`, which swaps the
-        index object wholesale, re-attaches it to the replacement — and
-        re-attaching invalidates, so a bulk load can never leave stale
-        entries behind.
-        """
-        self._index.attach_cache(cache)
-        self._cache_refs = [
-            r for r in self._cache_refs if r() is not None and r() is not cache
-        ]
-        self._cache_refs.append(weakref.ref(cache))
-
-    def detach_cache(self, cache) -> None:
-        """Forget ``cache`` (store-level and on the live index)."""
-        self._index.detach_cache(cache)
-        self._cache_refs = [
-            r for r in self._cache_refs if r() is not None and r() is not cache
-        ]
-
-    def _reattach_caches(self) -> None:
-        """Move every remembered cache onto the current live index."""
-        live = []
-        for ref in self._cache_refs:
-            cache = ref()
-            if cache is not None:
-                self._index.attach_cache(cache)
-                live.append(ref)
-        self._cache_refs = live
-
     def _after_mutation(self, kind: str) -> None:
         self._mutations_since_checkpoint += 1
         registry = OBS.registry
@@ -276,7 +239,6 @@ class DurableIndexStore:
             raise ReproError("bootstrap requires an empty store")
         layout.write_manifest(self._directory, index_key, dict(params), fs=self._fs)
         self._index = build_index(index_key, collection, **params)
-        self._reattach_caches()
         self.checkpoint()
 
     # -------------------------------------------------------------- inspection

@@ -28,7 +28,7 @@ import pickle
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.model import TemporalObject
@@ -194,8 +194,3 @@ def read_wal(path: PathLike) -> WalReadResult:
         result.torn = True
         result.dropped_bytes = total - result.valid_bytes
     return result
-
-
-def read_segments(paths: Iterable[PathLike]) -> List[WalReadResult]:
-    """Scan several segments in the order given."""
-    return [read_wal(path) for path in paths]

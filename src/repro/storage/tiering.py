@@ -150,6 +150,10 @@ class ColdShard:
     #: The tier marker routing/rebalancing code keys off (ReplicaSet: False).
     is_cold = True
 
+    #: The result cache's data version: a segment is immutable, so it is
+    #: constant (writes land on the promoted successor, with its own cache).
+    version = 0
+
     def __init__(
         self,
         shard_id: str,
@@ -201,7 +205,7 @@ class ColdShard:
             return successor.query(q)
         cache = self.cache
         if cache is not None:
-            hit = cache.get(q)
+            hit = cache.get(q, self.version)
             if hit is not None:
                 return hit
         with span("cold_shard", shard=self.shard_id):
@@ -218,7 +222,7 @@ class ColdShard:
                     shard_id=self.shard_id,
                 ) from exc
         if cache is not None:
-            cache.put(q, result)
+            cache.put(q, self.version, result)
         return result
 
     # ------------------------------------------------------------------ writes

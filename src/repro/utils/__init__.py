@@ -11,7 +11,6 @@ from repro.utils.bitops import (
     prefix,
     validate_num_bits,
 )
-from repro.utils.memory import SizeModel, deep_getsizeof, mib
 from repro.utils.retry import DEFAULT_POLICY, RetryPolicy, retry_call
 from repro.utils.timing import (
     Stopwatch,
@@ -25,16 +24,13 @@ from repro.utils.timing import (
 __all__ = [
     "DEFAULT_POLICY",
     "RetryPolicy",
-    "SizeModel",
     "Stopwatch",
     "ThroughputMeasurement",
-    "deep_getsizeof",
     "domain_size",
     "is_left_child",
     "is_right_child",
     "max_cell",
     "measure_query_throughput",
-    "mib",
     "min_bits_for",
     "partition_of",
     "partitions_per_level",

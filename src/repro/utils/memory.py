@@ -15,16 +15,11 @@ sizes the way the C++ implementation counts them:
 * per-container overhead (a postings list, a division, a shard, an impact
   list) costs 16 bytes.
 
-Every index exposes ``size_bytes()`` built from these primitives via a
-:class:`SizeModel` so that methods are charged consistently; a ``deep=True``
-mode reports actual CPython footprints for the curious.
+Every index's ``size_bytes()`` charges its structures with these constants,
+so that methods are charged consistently.
 """
 
 from __future__ import annotations
-
-import sys
-from dataclasses import dataclass
-from typing import Any, Iterable, Set
 
 #: Cost constants (bytes) of the storage model.
 ENTRY_FULL_BYTES = 16  # ⟨id, t_st, t_end⟩
@@ -32,77 +27,3 @@ ENTRY_ID_START_BYTES = 10  # ⟨id, t_st⟩  (reference-value slicing lists)
 ENTRY_ID_BYTES = 4  # bare object id
 ENTRY_ENDPOINT_BYTES = 6  # one timestamp on its own
 CONTAINER_BYTES = 16  # list / shard / division / dict-slot overhead
-
-
-@dataclass
-class SizeModel:
-    """Accumulates modelled byte counts for one index instance."""
-
-    bytes_total: int = 0
-
-    def add_full_entries(self, count: int) -> "SizeModel":
-        """Charge ``count`` ⟨id, st, end⟩ entries."""
-        self.bytes_total += count * ENTRY_FULL_BYTES
-        return self
-
-    def add_id_start_entries(self, count: int) -> "SizeModel":
-        """Charge ``count`` ⟨id, st⟩ entries."""
-        self.bytes_total += count * ENTRY_ID_START_BYTES
-        return self
-
-    def add_id_entries(self, count: int) -> "SizeModel":
-        """Charge ``count`` bare-id entries."""
-        self.bytes_total += count * ENTRY_ID_BYTES
-        return self
-
-    def add_endpoint_entries(self, count: int) -> "SizeModel":
-        """Charge ``count`` bare timestamps (HINT storage optimisation)."""
-        self.bytes_total += count * ENTRY_ENDPOINT_BYTES
-        return self
-
-    def add_containers(self, count: int) -> "SizeModel":
-        """Charge ``count`` container overheads."""
-        self.bytes_total += count * CONTAINER_BYTES
-        return self
-
-    def add_bytes(self, count: int) -> "SizeModel":
-        """Charge raw bytes (for bespoke structures)."""
-        self.bytes_total += count
-        return self
-
-
-def deep_getsizeof(obj: Any, _seen: Set[int] | None = None) -> int:
-    """Actual recursive CPython footprint of ``obj`` in bytes.
-
-    Follows containers (dict/list/tuple/set/frozenset) and ``__dict__`` /
-    ``__slots__`` of instances; shared sub-objects are counted once.
-    """
-    seen = _seen if _seen is not None else set()
-    oid = id(obj)
-    if oid in seen:
-        return 0
-    seen.add(oid)
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        size += sum(deep_getsizeof(k, seen) + deep_getsizeof(v, seen) for k, v in obj.items())
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        size += sum(deep_getsizeof(item, seen) for item in obj)
-    else:
-        attrs = getattr(obj, "__dict__", None)
-        if attrs is not None:
-            size += deep_getsizeof(attrs, seen)
-        slots = getattr(type(obj), "__slots__", ())
-        for slot in slots if isinstance(slots, (tuple, list)) else (slots,) if slots else ():
-            if hasattr(obj, slot):
-                size += deep_getsizeof(getattr(obj, slot), seen)
-    return size
-
-
-def mib(n_bytes: int) -> float:
-    """Bytes → MiB (for Table 5-style reporting)."""
-    return n_bytes / (1024.0 * 1024.0)
-
-
-def total_modelled_size(parts: Iterable[int]) -> int:
-    """Sum of already-modelled byte counts (helper for composite indexes)."""
-    return sum(parts)

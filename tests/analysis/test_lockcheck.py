@@ -47,11 +47,6 @@ class TestFactoryWiring:
         lockcheck.uninstall()
         assert locks.get_observer() is None
 
-    def test_enabled_from_env(self):
-        assert lockcheck.enabled_from_env({"REPRO_LOCKCHECK": "1"})
-        assert not lockcheck.enabled_from_env({"REPRO_LOCKCHECK": "0"})
-        assert not lockcheck.enabled_from_env({})
-
 
 class TestOrderingGraph:
     def test_abba_cycle_is_detected(self, checker):

@@ -1,9 +1,8 @@
 """Cluster-suite fixtures: the runtime lock-order gate.
 
-With ``REPRO_LOCKCHECK=1`` (CI exports it on this suite) every lock
-minted through :func:`repro.utils.locks.make_lock` — the shard group's
-write lock, the cluster swap lock, the executor result-cache mutex —
-reports its acquisitions to :mod:`repro.analysis.lockcheck`, which
+Every lock minted through :func:`repro.utils.locks.make_lock` — the shard
+group's write lock, the cluster swap lock, the executor result-cache
+mutex — reports its acquisitions to :mod:`repro.analysis.lockcheck`, which
 builds the lock-ordering graph across the whole package and fails the
 run at teardown if any interleaving could deadlock.
 """
@@ -19,9 +18,6 @@ import pytest
 def lockcheck_gate() -> Iterator[None]:
     from repro.analysis import lockcheck
 
-    if not lockcheck.enabled_from_env():
-        yield
-        return
     checker = lockcheck.install()
     try:
         yield

@@ -135,6 +135,43 @@ class TestSharedCache:
             obj = make_object(77777, domain.st, domain.end, {"e0"})
             cluster.insert(obj)
             assert 77777 in cluster.query(q)
+            # A write through either replica's own store moves the shard's
+            # version: the next read is a miss, not the cached answer.
+            shard_id = cluster.table.shards_for_query(q)[0].shard_id
+            replica_set = cluster.group.replica_set(shard_id)
+            q_shard = make_query(domain.st, domain.st, {"e0"})
+            for replica, object_id in ((0, 77778), (1, 77779)):
+                replica_set.query(q_shard)
+                misses = replica_set.cache.stats()["misses"]
+                replica_set.stores[replica].insert(
+                    make_object(object_id, domain.st, domain.st, {"e0"})
+                )
+                replica_set.query(q_shard)
+                assert replica_set.cache.stats()["misses"] == misses + 1
+
+    def test_revived_replica_moves_the_version(self, collection, tmp_path):
+        with TemporalCluster.create(
+            tmp_path / "cached",
+            collection,
+            index_key="tif-slicing",
+            n_shards=1,
+            n_replicas=2,
+            wal_fsync=False,
+            cache_size=64,
+        ) as cluster:
+            shard_id = cluster.table.shards[0].shard_id
+            replica_set = cluster.group.replica_set(shard_id)
+            domain = collection.domain()
+            q = make_query(domain.st, domain.end, {"e0"})
+            first = cluster.query(q)
+            cluster.group.kill_replica(shard_id, 0)
+            assert cluster.query(q) == first  # killing moves no data
+            hits = replica_set.cache.stats()["hits"]
+            before = replica_set.version
+            cluster.group.revive_replica(shard_id, 0)
+            assert replica_set.version != before
+            assert cluster.query(q) == first
+            assert replica_set.cache.stats()["hits"] == hits
 
     def test_unaffected_shard_keeps_its_cache(self, collection, tmp_path):
         with TemporalCluster.create(
@@ -160,6 +197,36 @@ class TestSharedCache:
             cluster.query(q_first)
             stats = cluster.group.replica_set(first.shard_id).cache.stats()
             assert stats["hits"] == hits_before + 1
+
+    @pytest.mark.parametrize("n_replicas", [1, 2])
+    def test_write_during_read_leaves_no_stale_entry(
+        self, collection, tmp_path, n_replicas
+    ):
+        with TemporalCluster.create(
+            tmp_path / "raced",
+            collection,
+            index_key="tif-slicing",
+            n_shards=1,
+            n_replicas=n_replicas,
+            wal_fsync=False,
+            cache_size=64,
+        ) as cluster:
+            domain = collection.domain()
+            q = make_query(domain.st, domain.end, {"e0"})
+            obj = make_object(99999, domain.st, domain.end, {"e0"})
+            shard_id = cluster.table.shards[0].shard_id
+            store = cluster.group.replica_set(shard_id).stores[0]
+            read = store.query
+
+            def read_then_write(query):
+                result = read(query)
+                del store.query  # one write, landing mid-read
+                cluster.insert(obj)
+                return result
+
+            store.query = read_then_write
+            assert 99999 not in cluster.query(q)  # the read began first
+            assert 99999 in cluster.query(q)
 
 
 class TestStructuredFailureDetail:

@@ -4,7 +4,11 @@ import pytest
 
 from repro.cluster import TemporalCluster, merge_shard_results
 from repro.core.collection import Collection
-from repro.core.errors import DuplicateObjectError, UnknownObjectError
+from repro.core.errors import (
+    DuplicateObjectError,
+    ShardUnavailableError,
+    UnknownObjectError,
+)
 from repro.core.model import make_object, make_query
 from repro.indexes.registry import build_index
 from repro.obs.registry import isolated_registry
@@ -87,7 +91,7 @@ class TestBatches:
     def test_batch_matches_oracle(self, cluster, collection):
         oracle = build_index("brute", collection)
         queries = random_queries(collection, 30, seed=53)
-        results = cluster.run_batch(queries)
+        results = [cluster.query(q) for q in queries]
         assert results == [sorted(oracle.query(q)) for q in queries]
 
     def test_batch_uses_per_shard_caches(self, collection, tmp_path):
@@ -100,8 +104,8 @@ class TestBatches:
             cache_size=64,
         ) as cluster:
             queries = random_queries(collection, 10, seed=54)
-            first = cluster.run_batch(queries)
-            again = cluster.run_batch(queries)
+            first = [cluster.query(q) for q in queries]
+            again = [cluster.query(q) for q in queries]
             assert again == first
             hits = sum(
                 cluster.group.replica_set(s).cache.stats()["hits"]
@@ -125,8 +129,24 @@ class TestBatches:
             # Close the primary without marking it dead: the batch path
             # hits the closed store and fails over to the second replica.
             cluster.group.replica_set(shard_id).stores[0].close()
-            results = cluster.run_batch(queries)
+            results = [cluster.query(q) for q in queries]
             assert results == [sorted(oracle.query(q)) for q in queries]
+
+
+class TestAllOrNothing:
+    def test_query_raises_the_first_refusing_shards_own_error(self, cluster):
+        first, second = cluster.table.shards[1], cluster.table.shards[2]
+        for spec in (first, second):
+            cluster.group.kill_replica(spec.shard_id, 0)
+        q = make_query(first.lo, second.lo, set())
+        assert cluster.router.plan(q) == [first.shard_id, second.shard_id]
+        partial = cluster.query_partial(q)
+        with pytest.raises(ShardUnavailableError) as caught:
+            cluster.query(q)
+        exc = caught.value
+        assert (exc.shard_id, exc.replica_count) == (first.shard_id, 1)
+        assert exc.failures == {0: "replica marked dead (killed or failed earlier)"}
+        assert partial.shard_errors[first.shard_id]["detail"] == exc.detail()
 
 
 class TestMutations:

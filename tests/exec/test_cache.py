@@ -1,9 +1,10 @@
-"""Result-cache semantics: LRU behaviour and — above all — invalidation.
+"""Result-cache semantics: LRU behaviour and — above all — the version rule.
 
-The contract under test: **a cache attached to an index (directly or via
-a DurableIndexStore) never serves a result computed before the most
-recent mutation**, including mutations applied by WAL replay during crash
-recovery.
+The contract under test: **a cache never serves a result computed before
+the most recent mutation of the index it is asked about** (directly or
+via a DurableIndexStore), including a mutation that lands while the
+answer is being computed and mutations applied by WAL replay during crash
+recovery.  Entries hit only at the data version they were computed at.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 from repro.core.collection import Collection
 from repro.core.model import make_object, make_query
 from repro.exec import QueryExecutor, ResultCache
+from repro.indexes.base import next_version
 from repro.indexes.registry import build_index
 from repro.service.faults import FaultPlan, FaultyFileSystem, SimulatedCrash
 from repro.service.store import DurableIndexStore
@@ -24,13 +26,13 @@ from tests.service.conftest import apply_ops, make_ops, oracle_index, probe_quer
 def test_lru_eviction_order():
     cache = ResultCache(2)
     q1, q2, q3 = make_query(0, 1), make_query(0, 2), make_query(0, 3)
-    cache.put(q1, [1])
-    cache.put(q2, [2])
-    cache.get(q1)  # q1 becomes most-recent; q2 is now LRU
-    cache.put(q3, [3])
-    assert cache.get(q2) is None  # evicted
-    assert cache.get(q1) == [1]
-    assert cache.get(q3) == [3]
+    cache.put(q1, 1, [1])
+    cache.put(q2, 1, [2])
+    cache.get(q1, 1)  # q1 becomes most-recent; q2 is now LRU
+    cache.put(q3, 1, [3])
+    assert cache.get(q2, 1) is None  # evicted
+    assert cache.get(q1, 1) == [1]
+    assert cache.get(q3, 1) == [3]
     assert cache.evictions == 1
     assert len(cache) == 2
 
@@ -38,43 +40,94 @@ def test_lru_eviction_order():
 def test_capacity_bound_holds():
     cache = ResultCache(4)
     for i in range(50):
-        cache.put(make_query(i, i + 1), [i])
+        cache.put(make_query(i, i + 1), 1, [i])
     assert len(cache) == 4
     assert cache.evictions == 46
 
 
 def test_key_includes_elements():
     cache = ResultCache(8)
-    cache.put(make_query(0, 10, {"a"}), [1])
-    assert cache.get(make_query(0, 10, {"b"})) is None
-    assert cache.get(make_query(0, 10)) is None
-    assert cache.get(make_query(0, 10, {"a"})) == [1]
+    cache.put(make_query(0, 10, {"a"}), 1, [1])
+    assert cache.get(make_query(0, 10, {"b"}), 1) is None
+    assert cache.get(make_query(0, 10), 1) is None
+    assert cache.get(make_query(0, 10, {"a"}), 1) == [1]
+
+
+def test_other_version_misses_and_drops_the_entry():
+    cache = ResultCache(8)
+    q = make_query(0, 10)
+    cache.put(q, (1, 2), [1])
+    assert cache.get(q, (1, 3)) is None
+    assert len(cache) == 0  # the stale entry is gone, not just skipped
+    assert cache.get(q, (1, 2)) is None
+    cache.put(q, (1, 3), [2])
+    assert cache.get(q, (1, 3)) == [2]
 
 
 def test_cache_stores_and_serves_copies():
     cache = ResultCache(2)
     original = [1, 2, 3]
     q = make_query(0, 5)
-    cache.put(q, original)
+    cache.put(q, 1, original)
     original.append(99)  # caller mutates after put
-    served = cache.get(q)
+    served = cache.get(q, 1)
     assert served == [1, 2, 3]
     served.append(-1)  # caller mutates a hit
-    assert cache.get(q) == [1, 2, 3]
+    assert cache.get(q, 1) == [1, 2, 3]
 
 
 def test_stats_snapshot():
     cache = ResultCache(3)
     q = make_query(1, 2)
-    cache.get(q)
-    cache.put(q, [])
-    cache.get(q)
+    cache.get(q, 1)
+    cache.put(q, 1, [])
+    cache.get(q, 1)
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
     assert stats["entries"] == 1 and stats["capacity"] == 3
 
 
-# -------------------------------------------------------- direct invalidation
+# ------------------------------------------------------------- index versions
+def test_every_mutation_and_every_copy_draws_a_new_version():
+    import pickle
+
+    index = build_index("brute", Collection(random_objects(20, seed=30)))
+    seen = {index.version}
+    index.insert(make_object(4_444, 0, 10, {"e0"}))
+    seen.add(index.version)
+    index.delete(4_444)
+    seen.add(index.version)
+    seen.add(pickle.loads(pickle.dumps(index)).version)
+    seen.add(next_version())
+    assert len(seen) == 5
+
+
+
+def test_versions_stay_unique_under_threads():
+    import sys
+    import threading
+
+    drawn = [[] for _ in range(8)]
+
+    def draw(out):
+        for _ in range(5_000):
+            out.append(next_version())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(out,)) for out in drawn]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    versions = [v for out in drawn for v in out]
+    assert len(versions) == 8 * 5_000 == len(set(versions))
+
+
 @pytest.mark.parametrize("key", ["brute", "tif-slicing", "irhint-perf"])
 def test_insert_and_delete_invalidate_attached_cache(key):
     collection = Collection(random_objects(120, seed=31))
@@ -97,29 +150,36 @@ def test_insert_and_delete_invalidate_attached_cache(key):
     assert after_delete == before
 
 
+@pytest.mark.parametrize("key", ["brute", "irhint-perf"])
+def test_write_during_read_leaves_no_stale_entry(key):
+    index = build_index(key, Collection(random_objects(80, seed=38)))
+    executor = QueryExecutor(index, cache_size=8)
+    q = make_query(0, 25_000)
+    read = index.query
+
+    def read_then_write(query):
+        result = read(query)
+        del index.query  # one write, landing mid-read
+        index.insert(make_object(9_998, 0, 25_000, {"e0"}))
+        return result
+
+    index.query = read_then_write
+    assert 9_998 not in executor.run_one(q)  # the read began first
+    assert 9_998 in executor.run_one(q)
+
+
 def test_attach_invalidates_preexisting_entries():
+    """A cache carried to another index never serves the first one's answers."""
     collection = Collection(random_objects(50, seed=32))
     index_a = build_index("brute", collection)
     index_b = build_index("brute", Collection(random_objects(50, seed=33)))
-    cache = ResultCache(8)
+    executor = QueryExecutor(index_a, cache_size=8)
     q = make_query(0, 25_000)
-    index_a.attach_cache(cache)
-    cache.put(q, index_a.query(q))
-    # Re-attaching to a different index must wipe the old answers.
-    index_b.attach_cache(cache)
-    assert len(cache) == 0
-
-
-def test_detach_stops_invalidation():
-    collection = Collection(random_objects(50, seed=34))
-    index = build_index("brute", collection)
-    cache = ResultCache(8)
-    index.attach_cache(cache)
-    q = make_query(0, 25_000)
-    cache.put(q, index.query(q))
-    index.detach_cache(cache)
-    index.insert(make_object(7_777, 0, 10, {"e1"}))
-    assert len(cache) == 1  # no longer invalidated (caller's responsibility)
+    executor.run_one(q)
+    carried = QueryExecutor(index_b)
+    carried.cache = executor.cache
+    assert carried.run_one(q) == index_b.query(q)
+    assert carried.last_report is not None and carried.last_report.cache_hits == 0
 
 
 def test_dropping_the_executor_releases_the_cache():
@@ -130,7 +190,7 @@ def test_dropping_the_executor_releases_the_cache():
     executor = QueryExecutor(index, cache_size=4)
     ref = weakref.ref(executor.cache)
     del executor
-    assert ref() is None  # the index's weak registration did not pin it
+    assert ref() is None  # the index holds nothing of the cache
 
 
 def test_index_pickles_without_cache_registrations():
@@ -139,14 +199,20 @@ def test_index_pickles_without_cache_registrations():
     collection = Collection(random_objects(40, seed=36))
     index = build_index("irhint-perf", collection)
     executor = QueryExecutor(index, cache_size=4)
-    executor.run_one(make_query(0, 25_000))
+    q = make_query(0, 25_000)
+    executor.run_one(q)
     clone = pickle.loads(pickle.dumps(index))
-    assert "_cache_refs" not in clone.__dict__
-    # Mutating the clone must not invalidate the original's cache ...
+    assert clone.version != index.version
+    # Mutating the clone leaves the original's cached answers serving ...
     clone.insert(make_object(5_555, 0, 10, {"e0"}))
-    assert executor.cache is not None and len(executor.cache) == 1
+    assert executor.run_one(q) == index.query(q)
+    assert executor.cache is not None and executor.cache.hits == 1
+    # ... the clone's answers never come from them ...
+    on_clone = QueryExecutor(clone)
+    on_clone.cache = executor.cache
+    assert 5_555 in on_clone.run_one(q)
     # ... and the clone still answers correctly.
-    assert 5_555 in clone.query(make_query(0, 25_000))
+    assert 5_555 in clone.query(q)
 
 
 # ------------------------------------------------------ DurableIndexStore path
@@ -160,7 +226,7 @@ def test_store_mutations_invalidate_executor_cache(tmp_path):
         assert executor.run_one(q) == first
         store.insert(make_object(10_000, 0, 11_000, {"e0"}))
         got = executor.run_one(q)
-        assert 10_000 in got  # WAL-first store write invalidated the cache
+        assert 10_000 in got  # the WAL-first store write moved the version
         store.delete(10_000)
         assert executor.run_one(q) == first
 
@@ -182,7 +248,7 @@ def test_wal_replay_recovery_then_fresh_executor_matches_oracle(tmp_path):
     with DurableIndexStore.open(tmp_path, index_key="irhint-perf") as store:
         apply_ops(store, ops)
     # Reopen: state is rebuilt via snapshot + WAL replay through
-    # index.insert/delete — the same choke points that invalidate caches.
+    # index.insert/delete — the same choke points that move the version.
     with DurableIndexStore.open(tmp_path) as recovered:
         executor = QueryExecutor(recovered, cache_size=16)
         oracle = oracle_index(ops)
@@ -217,8 +283,7 @@ def test_crash_recovery_cache_never_serves_pre_crash_state(tmp_path):
         oracle = oracle_index(ops[: crash_at - 1])
         for q in probe_queries():
             assert fresh.run_one(q) == oracle.query(q)
-        # Re-attaching the pre-crash cache wipes it before first use.
-        assert executor.cache is not None
-        executor.cache.put(make_query(0, 1), [123])
-        recovered.attach_cache(executor.cache)
-        assert len(executor.cache) == 0
+        # The pre-crash cache matches nothing in the recovered index.
+        assert executor.cache is not None and len(executor.cache) > 0
+        for q in probe_queries():
+            assert executor.cache.get(q, recovered.index.version) is None

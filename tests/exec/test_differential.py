@@ -6,7 +6,7 @@ likely to break — and cross-checks every answer against the
 :class:`~repro.indexes.brute.BruteForce` oracle, on the direct
 ``index.query`` path, through a caching :class:`QueryExecutor`, and
 against a 4-shard replicated :class:`~repro.cluster.TemporalCluster`
-(scatter-gather, boundary dedup, per-shard cache invalidation).
+(scatter-gather, boundary dedup, per-shard cache versions).
 
 Determinism: no wall-clock, no unseeded RNG.  Every trace derives from an
 explicit integer seed; on a mismatch the failure message prints that seed
@@ -170,7 +170,7 @@ def test_differential_direct(key, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_differential_with_executor_and_cache(key, seed):
-    """Same traces through a caching executor: invalidation under fire.
+    """Same traces through a caching executor: the version rule under fire.
 
     The cache is deliberately large enough to survive between mutations
     and small enough to evict — both the stale-entry and the LRU paths
@@ -186,7 +186,8 @@ def test_differential_batched():
 
     Batches carry duplicates (dedup path), run in locality-sorted order
     and fill a cache; the oracle answers each query individually in
-    submission order.  Mutations between batches must invalidate the cache.
+    submission order.  No answer cached before a mutation may be served
+    after it.
     """
     seed = 424242
     collection = small_collection(seed)
@@ -273,7 +274,7 @@ def run_differential_cluster(
 @pytest.mark.parametrize("key", CLUSTER_KEYS)
 def test_differential_cluster(key, seed, tmp_path):
     """Interleaved query/insert/delete against a 4-shard replicated
-    cluster: scatter-gather + dedup + per-shard cache invalidation vs the
+    cluster: scatter-gather + dedup + per-shard cache versions vs the
     oracle, on the same traces the single-index harness replays."""
     run_differential_cluster(key, seed, tmp_path / "cluster")
 
@@ -369,13 +370,10 @@ def test_trace_generation_is_deterministic():
 # ----------------------------------------------------- network daemon leg
 @pytest.fixture()
 def lock_order_checked():
-    """With ``REPRO_LOCKCHECK=1``, fail the daemon legs on a lock-ordering
-    cycle or an await-while-holding-writer (see repro.analysis.lockcheck)."""
+    """Fail the daemon legs on a lock-ordering cycle or an
+    await-while-holding-writer (see repro.analysis.lockcheck)."""
     from repro.analysis import lockcheck
 
-    if not lockcheck.enabled_from_env():
-        yield
-        return
     checker = lockcheck.install()
     try:
         yield

@@ -155,75 +155,3 @@ class TestTIFSharding:
         index = TIFSharding.build(running_example)
         assert index.stats()["total_shards"] >= 3
 
-
-class TestCostAwareMerging:
-    """The merge_strategy='cost' option (Anand et al.'s cost-aware merge)."""
-
-    def _skewed_collection(self):
-        import random
-
-        from repro.core.collection import Collection
-        from repro.core.model import make_object
-
-        rng = random.Random(12)
-        objects = []
-        for i in range(400):
-            st = rng.randint(0, 10_000)
-            # Mixed long/short durations create many ideal chains.
-            end = st + (rng.randint(0, 40) if i % 3 else rng.randint(2_000, 9_000))
-            objects.append(make_object(i, st, min(end, 10_000), {"hot"}))
-        return Collection(objects)
-
-    def test_same_answers_as_size_strategy(self, running_example, example_query):
-        size = TIFSharding.build(running_example, merge_strategy="size")
-        cost = TIFSharding.build(running_example, merge_strategy="cost")
-        assert size.query(example_query) == cost.query(example_query) == [2, 4, 7]
-
-    def test_cost_merge_wastes_less(self):
-        from repro.indexes.tif_sharding import shard_waste
-
-        collection = self._skewed_collection()
-        size = TIFSharding.build(collection, max_shards=3, merge_strategy="size")
-        cost = TIFSharding.build(collection, max_shards=3, merge_strategy="cost")
-
-        def total_waste(index):
-            return sum(
-                shard_waste(shard)
-                for shards in index._shards.values()
-                for shard in shards
-            )
-
-        assert total_waste(cost) <= total_waste(size)
-
-    def test_cost_merge_correct_on_random_queries(self):
-        from repro.core.model import make_query
-
-        collection = self._skewed_collection()
-        index = TIFSharding.build(collection, max_shards=3, merge_strategy="cost")
-        import random
-
-        rng = random.Random(3)
-        for _ in range(40):
-            a = rng.randint(0, 10_500)
-            q = make_query(a, a + rng.randint(0, 4_000), {"hot"})
-            assert index.query(q) == collection.evaluate(q)
-
-    def test_unknown_strategy_rejected(self, running_example):
-        import pytest as _pytest
-
-        from repro.core.errors import ConfigurationError
-
-        with _pytest.raises(ConfigurationError):
-            TIFSharding.build(running_example, merge_strategy="magic")
-
-    def test_shard_waste_definition(self):
-        from repro.indexes.tif_sharding import _Shard, shard_waste
-
-        staircase = _Shard()
-        for i, (st, end) in enumerate([(0, 5), (1, 6), (2, 9)]):
-            staircase.append(i, st, end)
-        assert shard_waste(staircase) == 0
-        relaxed = _Shard()
-        for i, (st, end) in enumerate([(0, 9), (1, 3), (2, 4)]):
-            relaxed.append(i, st, end)
-        assert shard_waste(relaxed) == 2

@@ -35,14 +35,11 @@ FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "20250806"))
 
 @pytest.fixture(scope="package", autouse=True)
 def lockcheck_gate() -> Iterator[None]:
-    """With ``REPRO_LOCKCHECK=1``, watch every tracked lock acquisition in
-    this package and fail the suite on an ordering cycle or an
-    await-while-holding-writer hold (see :mod:`repro.analysis.lockcheck`)."""
+    """Watch every tracked lock acquisition in this package and fail the
+    suite on an ordering cycle or an await-while-holding-writer hold (see
+    :mod:`repro.analysis.lockcheck`)."""
     from repro.analysis import lockcheck
 
-    if not lockcheck.enabled_from_env():
-        yield
-        return
     checker = lockcheck.install()
     try:
         yield

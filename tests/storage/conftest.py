@@ -1,8 +1,7 @@
 """Storage-suite fixtures: the runtime lock-order gate.
 
-With ``REPRO_LOCKCHECK=1`` (CI exports it on this suite) every lock
-minted through :func:`repro.utils.locks.make_lock` — the segment cache
-mutex, and the cluster swap lock the tiering tests acquire around it —
+Every lock minted through :func:`repro.utils.locks.make_lock` — the
+segment cache mutex, and the cluster swap lock the tiering tests acquire around it —
 reports its acquisitions to :mod:`repro.analysis.lockcheck`, which
 builds the lock-ordering graph across the whole package and fails the
 run at teardown if any interleaving could deadlock.  The ordering under
@@ -22,9 +21,6 @@ import pytest
 def lockcheck_gate() -> Iterator[None]:
     from repro.analysis import lockcheck
 
-    if not lockcheck.enabled_from_env():
-        yield
-        return
     checker = lockcheck.install()
     try:
         yield

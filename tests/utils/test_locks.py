@@ -1,7 +1,7 @@
 """``AsyncRWLock``: no suspension when admissible, FIFO grants, clean timeouts.
 
-With ``REPRO_LOCKCHECK=1`` (CI's server job) every acquisition here also
-feeds the lock-order checker, which must end the module clean.
+Every acquisition here also feeds the lock-order checker, which must end
+the module clean.
 """
 
 import asyncio
@@ -14,9 +14,6 @@ from repro.utils.locks import AsyncRWLock
 
 @pytest.fixture(scope="module", autouse=True)
 def lockcheck_gate():
-    if not lockcheck.enabled_from_env():
-        yield
-        return
     checker = lockcheck.install()
     try:
         yield
