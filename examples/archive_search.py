@@ -42,9 +42,9 @@ sample = archive.objects()[len(archive) // 2]
 terms = archive.dictionary.order_by_frequency(sample.d)[:2]
 month = 30 * 24 * 3600
 query = make_query(sample.st, sample.st + month, set(terms))
-hits = irhint.query(query)
+hits = irhint.query(query).tolist()
 print(f"\nrevisions containing {terms} in a 1-month window: {len(hits)} hits")
-assert hits == slicing.query(query) == archive.evaluate(query)
+assert hits == slicing.query(query).tolist() == archive.evaluate(query)
 
 # --- Throughput on a realistic workload. -----------------------------------
 workload = QueryWorkload(archive, seed=7)
@@ -64,4 +64,4 @@ new_revision = make_object(
 )
 irhint.insert(new_revision)
 follow_up = make_query(latest.end, latest.end + month, {"breaking"})
-print(f"\nafter ingesting a new revision: {irhint.query(follow_up)}")
+print(f"\nafter ingesting a new revision: {irhint.query(follow_up).tolist()}")

@@ -69,8 +69,8 @@ for day in range(30, 60):
     # A user query against the live index, verified against the shadow.
     term = rng.choices(TERMS, weights=weights, k=1)[0]
     q = make_query(clock - 7 * DAY, clock, {term})
-    live = index.query(q)
-    assert live == shadow.query(q), "live index diverged from the oracle!"
+    live = index.query(q).tolist()
+    assert live == shadow.query(q).tolist(), "live index diverged from the oracle!"
 ops_seconds = time.perf_counter() - t0
 print(f"30 live days: +{inserted} versions, -{deleted} expired, "
       f"{ops_seconds:.2f}s of update+query work — all answers verified")

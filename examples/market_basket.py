@@ -60,12 +60,12 @@ print(f"chosen: {n_slices} slices")
 
 # --- The Stephen King query over the last month. ----------------------------
 last_month = make_query(QUARTER - 30 * DAY, QUARTER, {SHINING, IT, MISERY})
-king_fans = slicing.query(last_month)
+king_fans = slicing.query(last_month).tolist()
 print(f"\nvisits buying all three novels last month: {len(king_fans)} -> {king_fans[:10]}")
 
 # --- Cross-check with the time-first index. ---------------------------------
 irhint = IRHintPerformance.build(collection)
-assert irhint.query(last_month) == king_fans == collection.evaluate(last_month)
+assert irhint.query(last_month).tolist() == king_fans == collection.evaluate(last_month)
 
 pairs = make_query(QUARTER - 30 * DAY, QUARTER, {SHINING, IT})
 print(f"visits buying just The Shining + It:      {len(irhint.query(pairs))}")

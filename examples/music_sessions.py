@@ -45,7 +45,7 @@ print(f"irHINT (size) built in {time.perf_counter() - t0:.2f}s, "
 
 # --- The paper's query: both pieces, within January. ------------------------
 january = make_query(JAN_1, JAN_1 + 31 * DAY, {ODE_TO_JOY, FUR_ELISE})
-both_in_january = index.query(january)
+both_in_january = index.query(january).tolist()
 print(f"\nsessions playing BOTH pieces in January: {len(both_in_january)}")
 assert both_in_january == collection.evaluate(january)
 
@@ -56,7 +56,7 @@ for track in (ODE_TO_JOY, FUR_ELISE):
 
 # --- Compare with the most space-efficient IR-first baseline. --------------
 sharding = TIFSharding.build(collection)
-assert sharding.query(january) == both_in_january
+assert sharding.query(january).tolist() == both_in_january
 print(f"\ntIF+Sharding agrees; sizes: irHINT(size)={index.size_bytes() >> 20} MB "
       f"vs tIF+Sharding={sharding.size_bytes() >> 20} MB")
 
@@ -66,4 +66,4 @@ tonight = make_object(
 )
 index.insert(tonight)
 new_years_eve = make_query(YEAR - DAY, YEAR, {ODE_TO_JOY, FUR_ELISE})
-print(f"\nNew Year's Eve sessions with both pieces: {index.query(new_years_eve)}")
+print(f"\nNew Year's Eve sessions with both pieces: {index.query(new_years_eve).tolist()}")

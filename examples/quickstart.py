@@ -31,25 +31,25 @@ index = IRHintPerformance.build(collection, num_bits=3)
 
 # --- 3. Time-travel IR query: overlap [2, 4] and contain both a and c. ----
 query = make_query(2, 4, {"a", "c"})
-print(f"\nquery [2,4] ∩ {{a,c}}  →  objects {index.query(query)}")
-assert index.query(query) == [2, 4, 7]  # Example 2.2's answer
+print(f"\nquery [2,4] ∩ {{a,c}}  →  objects {index.query(query).tolist()}")
+assert index.query(query).tolist() == [2, 4, 7]  # Example 2.2's answer
 
 # Stabbing query (single time point) and pure-temporal query also work.
-print(f"stab   t=0  ∩ {{b}}    →  objects {index.query(make_query(0, 0, {'b'}))}")
-print(f"range  [2,4], no terms →  objects {index.query(make_query(2, 4))}")
+print(f"stab   t=0  ∩ {{b}}    →  objects {index.query(make_query(0, 0, {'b'})).tolist()}")
+print(f"range  [2,4], no terms →  objects {index.query(make_query(2, 4)).tolist()}")
 
 # --- 4. Updates: insert a new version, tombstone an old one. --------------
 index.insert(make_object(9, 3, 4, {"a", "c"}))
 index.delete(4)
-print(f"\nafter insert(o9) + delete(o4)   →  {index.query(query)}")
+print(f"\nafter insert(o9) + delete(o4)   →  {index.query(query).tolist()}")
 
 # --- 5. Every method answers identically; pick by workload. ---------------
 slicing = TIFSlicing.build(collection, n_slices=4)
-assert slicing.query(query) == [2, 4, 7]
-print(f"\ntIF+Slicing agrees: {slicing.query(query)}")
+assert slicing.query(query).tolist() == [2, 4, 7]
+print(f"\ntIF+Slicing agrees: {slicing.query(query).tolist()}")
 print(f"index sizes: irHINT={index.size_bytes()} B, "
       f"tIF+Slicing={slicing.size_bytes()} B")
 
 # The registry builds any method by name (see repro.indexes.PAPER_METHODS).
 sharding = build_index("tif-sharding", collection)
-print(f"tIF+Sharding agrees: {sharding.query(query)}")
+print(f"tIF+Sharding agrees: {sharding.query(query).tolist()}")

@@ -14,7 +14,7 @@ Quickstart
 >>> col = Collection(make_object(i, i, i + 5, {"a", "b"}) for i in range(10))
 >>> idx = IRHintPerformance.build(col)
 >>> idx.query(make_query(3, 4, {"a"}))
-[0, 1, 2, 3, 4]
+array([0, 1, 2, 3, 4])
 """
 
 from repro.core import (

@@ -149,7 +149,7 @@ def validate_index(
     """
     for q in list(queries)[:sample]:
         expected = collection.evaluate(q)
-        got = index.query(q)
+        got = index.query(q).tolist()
         if got != expected:
             raise AssertionError(
                 f"{index.name}: wrong answer on {q}: {len(got)} vs {len(expected)} ids"

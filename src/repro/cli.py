@@ -337,7 +337,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     ms = watch.elapsed * 1000
     print(f"{len(result)} results in {ms:.2f} ms")
     limit = args.limit if args.limit > 0 else len(result)
-    print(result[:limit])
+    print(result[:limit].tolist())
     return 0
 
 
@@ -469,7 +469,7 @@ def _cmd_cluster_query(args: argparse.Namespace) -> int:
             f"{', '.join(planned)})"
         )
         limit = args.limit if args.limit > 0 else len(result)
-        print(result[:limit])
+        print(result[:limit].tolist())
     return 0
 
 
@@ -673,7 +673,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
             print(json.dumps({"error": {"code": "transport", "message": str(exc)}}),
                   file=sys.stderr)
             return 1
-    print(json.dumps(result, indent=2, sort_keys=True))
+    # Answers arrive as int64 arrays; the document lists their ids.
+    print(json.dumps(result, indent=2, sort_keys=True, default=lambda ids: ids.tolist()))
     return 0
 
 

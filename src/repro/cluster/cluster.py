@@ -19,6 +19,8 @@ import shutil
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.collection import Collection
 from repro.core.errors import ClusterError
 from repro.core.model import TemporalObject, TimeTravelQuery
@@ -229,7 +231,7 @@ class TemporalCluster:
     def group(self) -> ShardGroup:
         return self._router.group
 
-    def query(self, q: TimeTravelQuery) -> List[int]:
+    def query(self, q: TimeTravelQuery) -> np.ndarray:
         """Scatter-gather one query through :meth:`query_partial` (so it
         retries once across a generation swap); an incomplete answer raises
         the first refusing shard's own :class:`ShardUnavailableError`."""

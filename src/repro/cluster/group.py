@@ -19,6 +19,8 @@ import shutil
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.collection import Collection
 from repro.core.errors import ReproError, ShardUnavailableError
 from repro.core.model import TemporalObject, TimeTravelQuery
@@ -93,7 +95,7 @@ class ReplicaSet:
             store.close()
 
     # ------------------------------------------------------------------- reads
-    def query(self, q: TimeTravelQuery) -> List[int]:
+    def query(self, q: TimeTravelQuery) -> np.ndarray:
         """Answer from the first replica that serves; cache-aware.
 
         Dead replicas are skipped; a replica that raises mid-read is
@@ -121,7 +123,7 @@ class ReplicaSet:
                     replica=replica,
                 )
                 continue
-            result: Optional[List[int]] = None
+            result: Optional[np.ndarray] = None
             with span(
                 f"replica:{replica}", shard=self.shard_id, replica=replica
             ) as rec:

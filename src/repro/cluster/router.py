@@ -4,12 +4,13 @@ Reads
 -----
 A query interval is planned against the :class:`RoutingTable`: only the
 shards it overlaps are visited.  The query goes to each planned shard's
-replica set (result cache, then replica failover), and the sorted
-per-shard id lists are merged with de-duplication, because an object
-whose lifespan straddles a shard boundary is stored (and found) in more
-than one shard but must be returned exactly once.  There is one scatter
-loop, :meth:`ClusterRouter.query_partial`; a caller that wants all or
-nothing raises the first refusing shard's own error from its answer
+replica set (result cache, then replica failover), and the per-shard
+answers (sorted int64 arrays, :mod:`repro.core.answer`) are merged with
+de-duplication, because an object whose lifespan straddles a shard
+boundary is stored (and found) in more than one shard but must be
+returned exactly once.  There is one scatter loop,
+:meth:`ClusterRouter.query_partial`; a caller that wants all or nothing
+raises the first refusing shard's own error from its answer
 (:meth:`repro.cluster.TemporalCluster.query`).
 
 Writes
@@ -27,6 +28,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.core.answer import NO_IDS, as_answer
 from repro.core.errors import (
     DuplicateObjectError,
     ShardUnavailableError,
@@ -39,23 +43,19 @@ from repro.obs.context import event, span
 from repro.obs.registry import OBS
 
 
-def merge_shard_results(results: Sequence[List[int]]) -> Tuple[List[int], int]:
-    """Union the sorted per-shard id lists; returns (merged, duplicates).
+def merge_shard_results(results: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """Union the per-shard answers; returns (merged answer, duplicates).
 
     ``duplicates`` counts ids seen in more than one shard — boundary
     straddlers the caller reports to the cross-shard duplicate metric.
     """
+    if not results:
+        return NO_IDS, 0
     if len(results) == 1:
-        return list(results[0]), 0
-    seen: set = set()
-    duplicates = 0
-    for shard_ids in results:
-        for object_id in shard_ids:
-            if object_id in seen:
-                duplicates += 1
-            else:
-                seen.add(object_id)
-    return sorted(seen), duplicates
+        return results[0], 0
+    every = np.concatenate(results)
+    merged = np.unique(every)
+    return as_answer(merged), len(every) - len(merged)
 
 
 @dataclass
@@ -65,12 +65,13 @@ class PartialResult:
     ``complete`` is True only when every planned shard answered; failed
     shards appear in ``shard_errors`` as ``{shard_id: {"code", "message",
     "detail"?}}`` with code ``"shard_unavailable"`` or
-    ``"deadline_exceeded"``.  The ids gathered from the shards that *did*
-    answer are always returned — graceful degradation beats an empty
-    hand — and the caller decides whether a partial answer is usable.
+    ``"deadline_exceeded"``.  ``ids``, the answer gathered from the
+    shards that *did* answer (:mod:`repro.core.answer`), is always
+    returned — graceful degradation beats an empty hand — and the caller
+    decides whether a partial answer is usable.
     """
 
-    ids: List[int]
+    ids: np.ndarray
     complete: bool = True
     shard_errors: Dict[str, Dict[str, object]] = field(default_factory=dict)
     shards_planned: int = 0
@@ -109,7 +110,7 @@ class ClusterRouter:
             planned = self.plan(q)
             if plan_rec is not None:
                 plan_rec.attrs["planned"] = list(planned)
-        answered: List[List[int]] = []
+        answered: List[np.ndarray] = []
         errors: Dict[str, Dict[str, object]] = {}
         unavailable: List[ShardUnavailableError] = []
         for position, shard_id in enumerate(planned):
@@ -131,9 +132,7 @@ class ClusterRouter:
                     "message": str(exc),
                     "detail": exc.detail(),
                 }
-        merged, duplicates = (
-            merge_shard_results(answered) if answered else ([], 0)
-        )
+        merged, duplicates = merge_shard_results(answered)
         self._count_query(planned, duplicates)
         return PartialResult(
             ids=merged,

@@ -16,6 +16,9 @@ from typing import AbstractSet, FrozenSet, Hashable, Iterable
 from repro.core.errors import InvalidObjectError, InvalidQueryError
 from repro.core.interval import Interval, Timestamp, validate_interval
 
+#: The largest object id: answers are int64 arrays.
+_ID_MAX = (1 << 63) - 1
+
 #: Descriptive elements are arbitrary hashables (strings for documents,
 #: track/product ids for sessions and baskets).
 Element = Hashable
@@ -28,7 +31,8 @@ class TemporalObject:
     Parameters
     ----------
     id:
-        Integer identifier, unique within a collection.
+        Integer identifier in ``[0, 2**63)``, unique within a collection:
+        every answer (:mod:`repro.core.answer`) is an int64 array.
     st, end:
         Lifespan endpoints, ``st <= end``.
     d:
@@ -45,6 +49,8 @@ class TemporalObject:
             raise InvalidObjectError(f"object id must be an int, got {self.id!r}")
         if self.id < 0:
             raise InvalidObjectError(f"object id must be non-negative, got {self.id}")
+        if self.id > _ID_MAX:
+            raise InvalidObjectError(f"object id {self.id} is not an i64 (above 2**63 - 1)")
         try:
             validate_interval(self.st, self.end)
         except Exception as exc:  # re-brand as object error with context

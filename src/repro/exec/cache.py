@@ -3,9 +3,9 @@
 Keys are ``(q.st, q.end, q.d)`` — the full identity of a
 :class:`~repro.core.model.TimeTravelQuery` (``q.d`` is already a
 ``frozenset``), so two queries collide exactly when every index would
-answer them identically.  Values are the sorted id lists the indexes
-return; the cache stores and hands out *copies*, so callers may mutate
-results without corrupting later hits.
+answer them identically.  Values are the answers the indexes return
+(:mod:`repro.core.answer`): read-only arrays, so the cache stores and
+hands out the answer itself and no caller can corrupt a later hit.
 
 Every entry remembers the data version its answer was computed at (an
 index's :attr:`~repro.indexes.base.TemporalIRIndex.version`, or a
@@ -27,8 +27,11 @@ shared by concurrent readers and writers.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+import numpy as np
+
+from repro.core.answer import as_answer
 from repro.core.errors import ConfigurationError
 from repro.core.model import TimeTravelQuery
 from repro.obs.registry import OBS
@@ -46,7 +49,7 @@ def cache_key(q: TimeTravelQuery) -> CacheKey:
 
 
 class ResultCache:
-    """LRU map from query identity to its version and sorted result-id list.
+    """LRU map from query identity to its version and answer.
 
     Parameters
     ----------
@@ -60,7 +63,7 @@ class ResultCache:
         if capacity < 1:
             raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._entries: "OrderedDict[CacheKey, Tuple[Version, List[int]]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, Tuple[Version, np.ndarray]]" = OrderedDict()
         self._lock = make_lock("exec.cache")
         self.hits = 0
         self.misses = 0
@@ -74,19 +77,19 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, q: TimeTravelQuery, version: Version) -> Optional[List[int]]:
-        """The result cached for ``q`` at ``version`` (a copy), or ``None``.
+    def get(self, q: TimeTravelQuery, version: Version) -> Optional[np.ndarray]:
+        """The answer cached for ``q`` at ``version``, or ``None``.
 
         An entry cached at another version is a miss, and is dropped.
         """
         key = cache_key(q)
-        result: Optional[List[int]] = None
+        result: Optional[np.ndarray] = None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0] == version:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                result = list(entry[1])
+                result = entry[1]
             else:
                 if entry is not None:
                     del self._entries[key]
@@ -104,13 +107,14 @@ class ResultCache:
                 instruments.hits.inc()
         return result
 
-    def put(self, q: TimeTravelQuery, version: Version, result: List[int]) -> None:
-        """Store (a copy of) ``result`` as computed at ``version``, evicting
-        the LRU entry if full."""
+    def put(self, q: TimeTravelQuery, version: Version, result: np.ndarray) -> None:
+        """Store the answer ``result`` (made one if it is not yet) as
+        computed at ``version``, evicting the LRU entry if full."""
         key = cache_key(q)
+        result = as_answer(result)
         evicted = 0
         with self._lock:
-            self._entries[key] = (version, list(result))
+            self._entries[key] = (version, result)
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)

@@ -6,7 +6,7 @@ exactly as ``index.query(q)`` would, while applying batch-level
 optimisations that a per-query API cannot:
 
 * **deduplication** — identical queries (same interval, same element set)
-  are evaluated once; repeats receive copies of the first answer;
+  are evaluated once; repeats receive the same (read-only) answer;
 * **cache probe** — with ``cache_size > 0``, answers are served from a
   :class:`~repro.exec.cache.ResultCache` whose entries hold only while
   the index's data version is the one they were computed at;
@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.core.model import TimeTravelQuery
 from repro.exec.cache import ResultCache, cache_key
@@ -52,7 +54,7 @@ class ExecutionReport:
 
     @property
     def duplicates(self) -> int:
-        """Queries answered by copying another query's result."""
+        """Queries answered with another query's answer."""
         return self.queries - self.unique
 
     @property
@@ -116,12 +118,10 @@ class QueryExecutor:
         return target.index
 
     # -------------------------------------------------------------- execution
-    def run(self, queries: Sequence[TimeTravelQuery]) -> List[List[int]]:
-        """Answer every query; results in submission order.
-
-        Each returned list is an independent object — mutating one never
-        affects another result, the cache, or a later batch.
-        """
+    def run(self, queries: Sequence[TimeTravelQuery]) -> List[np.ndarray]:
+        """Answer every query; answers (:mod:`repro.core.answer`) in
+        submission order.  Answers are read-only, so repeats of one query
+        share its answer, and no caller can write into the cache."""
         batch = list(queries)
         if not batch:
             self.last_report = ExecutionReport(0, 0, 0, 0, 0.0)
@@ -134,7 +134,7 @@ class QueryExecutor:
 
         # 1. Deduplicate (first-seen order) and probe the cache.
         keys: List[Hashable] = []
-        resolved: Dict[Hashable, List[int]] = {}
+        resolved: Dict[Hashable, np.ndarray] = {}
         pending: Dict[Hashable, TimeTravelQuery] = {}
         cache_hits = 0
         for q in batch:
@@ -161,16 +161,8 @@ class QueryExecutor:
             if cache is not None:
                 cache.put(q, version, result)
 
-        # 5. Reassemble in submission order; duplicates get copies.
-        out: List[List[int]] = []
-        emitted: set = set()
-        for key in keys:
-            result = resolved[key]
-            if key in emitted:
-                result = list(result)
-            else:
-                emitted.add(key)
-            out.append(result)
+        # 5. Reassemble in submission order.
+        out = [resolved[key] for key in keys]
 
         seconds = watch.stop()
         report = ExecutionReport(
@@ -194,6 +186,6 @@ class QueryExecutor:
                 instruments.deduped.inc(report.duplicates)
         return out
 
-    def run_one(self, q: TimeTravelQuery) -> List[int]:
+    def run_one(self, q: TimeTravelQuery) -> np.ndarray:
         """Single-query convenience (still cache-aware)."""
         return self.run([q])[0]

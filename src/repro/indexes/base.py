@@ -26,6 +26,9 @@ import itertools
 import sys
 from typing import ClassVar, Dict, List, Optional, Union
 
+import numpy as np
+
+from repro.core.answer import as_answer
 from repro.core.collection import Collection
 from repro.core.dictionary import Dictionary
 from repro.core.errors import DuplicateObjectError, UnknownObjectError
@@ -135,8 +138,9 @@ class TemporalIRIndex(abc.ABC):
         """Index-specific tombstone deletion."""
 
     # ------------------------------------------------------------------ query
-    def query(self, q: TimeTravelQuery) -> List[int]:
-        """Answer a time-travel IR query; returns sorted live object ids.
+    def query(self, q: TimeTravelQuery) -> np.ndarray:
+        """Answer a time-travel IR query: the live object ids, as an answer
+        (:mod:`repro.core.answer` — sorted, read-only, owned int64).
 
         When metrics are off (the default) this is the bare dispatch; one
         attribute load and a branch is the entire overhead.  With a metrics
@@ -147,10 +151,10 @@ class TemporalIRIndex(abc.ABC):
         if OBS.active:
             return self._observed_query(q)
         if q.is_pure_temporal:
-            return self._pure_temporal_query(q)
-        return self._query_impl(q)
+            return as_answer(self._pure_temporal_query(q))
+        return as_answer(self._query_impl(q))
 
-    def _observed_query(self, q: TimeTravelQuery) -> List[int]:
+    def _observed_query(self, q: TimeTravelQuery) -> np.ndarray:
         """The slow-path twin of :meth:`query`: timed and counted."""
         from repro.obs.instruments import query_instruments
 
@@ -160,6 +164,7 @@ class TemporalIRIndex(abc.ABC):
             result = self._pure_temporal_query(q)
         else:
             result = self._query_impl(q)
+        result = as_answer(result)
         seconds = watch.stop()
         instruments = query_instruments(OBS.registry)
         instruments.queries.labels(self.name).inc()
@@ -170,8 +175,10 @@ class TemporalIRIndex(abc.ABC):
         return result
 
     @abc.abstractmethod
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
-        """Index-specific evaluation for queries with ``q.d`` non-empty."""
+    def _query_impl(self, q: TimeTravelQuery) -> "np.ndarray | List[int]":
+        """Index-specific evaluation for queries with ``q.d`` non-empty:
+        the ascending ids, as an int64 array nothing else holds or as a
+        list; :meth:`query` makes the answer."""
 
     def work_bound(self, q: TimeTravelQuery) -> Optional[int]:
         """An upper bound on the postings entries answering ``q`` reads, or
@@ -184,7 +191,7 @@ class TemporalIRIndex(abc.ABC):
         """
         return None
 
-    def _pure_temporal_query(self, q: TimeTravelQuery) -> List[int]:
+    def _pure_temporal_query(self, q: TimeTravelQuery) -> "np.ndarray | List[int]":
         """Fallback for ``q.d = ∅``: a catalog scan.
 
         IR-first structures have no temporal index over *all* objects, so the
@@ -250,7 +257,7 @@ class TemporalIRIndex(abc.ABC):
         """Check this index against the linear-scan oracle; None when clean."""
         for q in queries:
             expected = collection.evaluate(q)
-            got = self.query(q)
+            got = self.query(q).tolist()
             if got != expected:
                 return (
                     f"{self.name}: mismatch on {q}: got {len(got)} ids, "

@@ -232,17 +232,17 @@ class IRHintSize(TemporalIRIndex):
         return all(element in d for element in elements)
 
     # ------------------------------------------------------------------ query
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
+    def _query_impl(self, q: TimeTravelQuery) -> Ids:
         return self._traverse(q)
 
-    def _pure_temporal_query(self, q: TimeTravelQuery) -> List[int]:
+    def _pure_temporal_query(self, q: TimeTravelQuery) -> Ids:
         if tracing_active():
             # The traversal is the range query when q.d = ∅; running it
             # keeps the trace's accounting on the real path.
             return self._traverse(q)
-        return self._hint.range_query(q.st, q.end)
+        return self._hint.scan_ids(q.st, q.end)
 
-    def _traverse(self, q: TimeTravelQuery) -> List[int]:
+    def _traverse(self, q: TimeTravelQuery) -> Ids:
         traced = tracing_active()
         hint = self._hint
         # Global frequency order, computed once (Algorithm 1 line 2).
@@ -276,7 +276,8 @@ class IRHintSize(TemporalIRIndex):
                 np.minimum(positions, len(column) - 1, out=positions)
                 hit = column[positions] == rows
                 rows, ids = rows[hit], ids[hit]
-            out = ids.tolist() + [oid for oid in tail if self._holds(oid, ordered)]
+            kept = [oid for oid in tail if self._holds(oid, ordered)]
+            out = np.concatenate([ids, np.array(kept, dtype=np.int64)]) if kept else ids
         out.sort()
         if traced:
             assert notes is not None

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
 from repro.ir.inverted import TemporalInvertedFile
@@ -33,7 +35,7 @@ class TIF(TemporalIRIndex):
         self._tif.delete_object(obj.id, obj.d)
 
     # ------------------------------------------------------------------ query
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
+    def _query_impl(self, q: TimeTravelQuery) -> "np.ndarray | List[int]":
         ordered = self.order_query_elements(q)
         return self._tif.query(q.st, q.end, ordered)
 

@@ -32,19 +32,13 @@ list's span, as the paper rescales each list to ``[0, 2^m − 1]``.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
 from repro.intervals.hint.index import Hint, Ids
 from repro.obs.context import event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES
-
-
-def _ids_list(ids: Ids) -> List[int]:
-    return ids.tolist() if isinstance(ids, np.ndarray) else ids
 
 
 def _phase(label: str, notes: Dict[str, object], candidates: Ids) -> None:
@@ -120,7 +114,7 @@ class _TIFHintBase(TemporalIRIndex):
         holds.  ``notes``, when given, receives the ``rows`` read and the
         ``slices`` touched."""
 
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
+    def _query_impl(self, q: TimeTravelQuery) -> Ids:
         traced = tracing_active()
         ordered = self.order_query_elements(q)
         hints = self._hints
@@ -142,7 +136,7 @@ class _TIFHintBase(TemporalIRIndex):
             candidates = self._intersect(element, hint, candidates, q, notes)
             if notes is not None:
                 _phase(self._intersect_label.format(element=element), notes, candidates)
-        return _ids_list(candidates)
+        return candidates
 
     # -------------------------------------------------------------- inspection
     def _settled_tables(self) -> list:

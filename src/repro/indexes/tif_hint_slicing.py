@@ -24,11 +24,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.collection import Collection
 from repro.core.interval import Timestamp
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
-from repro.indexes.tif_hint import _ids_list, _TIFHintBase
+from repro.indexes.tif_hint import _TIFHintBase
 from repro.indexes.tif_slicing import intersect_slices, regrid
+from repro.intervals.hint.index import Ids
 from repro.intervals.grid1d import GridLayout
 from repro.obs.context import annotate, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_ID_START_BYTES
@@ -127,7 +130,7 @@ class TIFHintSlicing(_TIFHintBase):
                     sliced.tombstone(slice_index, obj.id)
 
     # ------------------------------------------------------------------ query
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
+    def _query_impl(self, q: TimeTravelQuery) -> Ids:
         if tracing_active() and self._layout is not None:
             first, last = self._layout.slice_range(q.st, q.end)
             annotate(relevant_slices=last - first + 1)
@@ -141,7 +144,8 @@ class TIFHintSlicing(_TIFHintBase):
         sliced = self._sliced.get(element)  # none once a regrid found every holder deleted
         first, last = layout.slice_range(q.st, q.end)
         candidates, scanned, touched = intersect_slices(
-            _ids_list(candidates), {} if sliced is None else sliced.slices,
+            candidates.tolist() if isinstance(candidates, np.ndarray) else candidates,
+            {} if sliced is None else sliced.slices,
             layout, first, last, q.st,
         )
         if notes is not None:

@@ -131,13 +131,14 @@ class TemporalInvertedFile:
         q_st: Timestamp,
         q_end: Timestamp,
         ordered_elements: Sequence[Element],
-    ) -> List[int]:
+    ) -> "np.ndarray | List[int]":
         """Algorithm 1: scan the first list, intersect with the rest.
 
         ``ordered_elements`` must be non-empty and already sorted by
         ascending frequency (global or local — the caller decides which
-        applies).  Returns live object ids sorted ascending.  Inside a
-        sampled request trace each phase is recorded as an event.
+        applies).  Returns live object ids sorted ascending, unboxed as
+        :meth:`intersect` leaves them.  Inside a sampled request trace
+        each phase is recorded as an event.
         """
         first = self._lists.get(ordered_elements[0])
         if first is None:
@@ -162,14 +163,15 @@ class TemporalInvertedFile:
         self,
         candidates: "np.ndarray | List[int]",
         elements: Sequence[Element],
-    ) -> List[int]:
+    ) -> "np.ndarray | List[int]":
         """Algorithm 1 lines 7–9: shrink ascending ``candidates`` by the
         list of each of ``elements`` in turn.
 
         Candidates that arrive as an int64 array (a kernel-sized packed
-        first list, or irHINT's table) stay one through every packed list
-        whose kernel engages and are boxed once; a compressed list is
-        handed a list.
+        first list) stay one through every packed list whose kernel
+        engages and are never boxed: the answer leaves as that array, or
+        as a list where a scalar path or a compressed list (which is
+        handed a list) took over.
         """
         traced = tracing_active()
         for element in elements:
@@ -193,7 +195,7 @@ class TemporalInvertedFile:
                     candidates_after=len(candidates),
                     structures_touched=1,
                 )
-        return candidates.tolist() if isinstance(candidates, np.ndarray) else candidates
+        return candidates
 
     # ------------------------------------------------------------------ sizes
     def size_bytes(self) -> int:

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster import PartialResult
+from repro.core.answer import NO_IDS
 from repro.core.errors import (
     DuplicateObjectError,
     InvalidObjectError,
@@ -353,7 +354,9 @@ class QueryDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         while True:
-            frame = await protocol.read_frame(reader, self.config.max_frame_bytes)
+            frame = await protocol.read_frame(
+                reader, self.config.max_frame_bytes, attachments=False
+            )
             if frame is None:
                 return
             payload, nbytes = frame
@@ -679,7 +682,7 @@ class QueryDaemon:
                             continue
                         expired = {"code": E_DEADLINE, "message": "batch deadline expired"}
                         out.append(
-                            PartialResult(ids=[], complete=False, shard_errors={"*": expired})
+                            PartialResult(ids=NO_IDS, complete=False, shard_errors={"*": expired})
                         )
                     return out
 

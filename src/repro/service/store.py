@@ -18,7 +18,9 @@ and resumes appending where the durable state ends.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
+
+import numpy as np
 
 from repro.core.collection import Collection
 from repro.core.errors import (
@@ -176,8 +178,9 @@ class DurableIndexStore:
         self._index.delete(object_id)
         self._after_mutation("delete")
 
-    def query(self, q: TimeTravelQuery) -> List[int]:
-        """Answer a time-travel IR query from the live index."""
+    def query(self, q: TimeTravelQuery) -> np.ndarray:
+        """Answer a time-travel IR query from the live index (the index's
+        answer itself, :mod:`repro.core.answer`)."""
         self._require_open()
         return self._index.query(q)
 

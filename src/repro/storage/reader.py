@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.core.answer import NO_IDS, as_answer
 from repro.core.errors import CorruptSegmentError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.ir.blocks import exact_window, overlap_mask
@@ -153,40 +154,41 @@ class SegmentReader:
         return 0 if postings is None else len(postings)
 
     # ------------------------------------------------------------------- query
-    def query(self, q: TimeTravelQuery) -> List[int]:
-        """Algorithm 1 over the segment; ids ascending, bit-identical to
-        the hot tier's answer for the same objects."""
+    def query(self, q: TimeTravelQuery) -> np.ndarray:
+        """Algorithm 1 over the segment, as an answer
+        (:mod:`repro.core.answer`) equal to the hot tier's for the same
+        objects."""
         with span("segment_query", shard=self.shard_id, segment=self.path.name):
             self._count_query()
             if not q.d:
-                return self._pure_temporal(q.st, q.end)
+                return as_answer(self._pure_temporal(q.st, q.end))
             ordered = sorted(q.d, key=lambda e: (self.term_count(e), repr(e)))
             first = self.postings(ordered[0])
             if first is None:
-                return []
+                return NO_IDS
             candidates = first.overlapping_ids(q.st, q.end)
             for element in ordered[1:]:
                 if not candidates:
-                    return []
+                    return NO_IDS
                 postings = self.postings(element)
                 if postings is None:
-                    return []
+                    return NO_IDS
                 candidates = postings.intersect_sorted(candidates)
-            return candidates
+            return as_answer(candidates)
 
-    def _pure_temporal(self, q_st, q_end) -> List[int]:
+    def _pure_temporal(self, q_st, q_end) -> np.ndarray:
         """Catalog-column scan: ids of objects overlapping the window."""
         seg_lo_hi = self.directory.span
         window = exact_window(q_st, q_end)
         if seg_lo_hi is None or window is None:
-            return []
+            return NO_IDS
         if seg_lo_hi[0] > window[1] or seg_lo_hi[1] < window[0]:
-            return []
+            return NO_IDS
         ids, sts, ends = (
             np.frombuffer(column, dtype=np.int64)
             for column in (self._ids, self._sts, self._ends)
         )
-        return ids[overlap_mask(sts, ends, *window)].tolist()
+        return ids[overlap_mask(sts, ends, *window)]
 
     # --------------------------------------------------------------- promotion
     def objects(self) -> List[TemporalObject]:

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+import numpy as np
+
 from repro.core.errors import (
     ClusterError,
     CorruptSegmentError,
@@ -140,7 +142,7 @@ class ColdIndexView:
         with self._shard.lease() as reader:
             return reader.objects()
 
-    def query(self, q: TimeTravelQuery) -> List[int]:
+    def query(self, q: TimeTravelQuery) -> np.ndarray:
         return self._shard.query(q)
 
 
@@ -199,7 +201,7 @@ class ColdShard:
         return self._segments.lease(self.segment_path)
 
     # ------------------------------------------------------------------- reads
-    def query(self, q: TimeTravelQuery) -> List[int]:
+    def query(self, q: TimeTravelQuery) -> np.ndarray:
         successor = self._successor
         if successor is not None:
             return successor.query(q)

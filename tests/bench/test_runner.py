@@ -12,6 +12,7 @@ from repro.bench.runner import (
     split_for_insertion,
     validate_index,
 )
+from repro.core.answer import NO_IDS
 from repro.core.model import make_query
 from repro.queries.generator import QueryWorkload
 
@@ -76,7 +77,7 @@ class TestValidation:
 
     def test_validate_index_catches_lies(self, random_collection):
         index = build_timed("tif", random_collection).index
-        index.query = lambda q: []  # sabotage
+        index.query = lambda q: NO_IDS  # sabotage
         with pytest.raises(AssertionError):
             validate_index(index, random_collection, [make_query(0, 10**6, {"e0"})])
 

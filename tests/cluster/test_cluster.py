@@ -31,12 +31,12 @@ class TestLifecycle:
         ) as cluster:
             assert len(cluster) == len(collection)
             for q in queries:
-                assert cluster.query(q) == sorted(oracle.query(q))
+                assert cluster.query(q).tolist() == sorted(oracle.query(q))
         with TemporalCluster.open(directory, wal_fsync=False) as reopened:
             assert reopened.table.generation == 1
             assert len(reopened) == len(collection)
             for q in queries:
-                assert reopened.query(q) == sorted(oracle.query(q))
+                assert reopened.query(q).tolist() == sorted(oracle.query(q))
 
     def test_create_leaves_no_wal_open(self, collection, tmp_path):
         """Bugfix: ``create`` used to drop the replica sets it built with

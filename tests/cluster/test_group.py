@@ -45,7 +45,7 @@ class TestFailover:
         for spec in cluster.table.shards:
             cluster.group.kill_replica(spec.shard_id, 0)
         for q, want in zip(queries, expected):
-            assert cluster.query(q) == want
+            assert cluster.query(q).tolist() == want
 
     def test_failover_is_counted(self, cluster, collection):
         with isolated_registry() as registry:
@@ -130,8 +130,8 @@ class TestSharedCache:
         ) as cluster:
             domain = collection.domain()
             q = make_query(domain.st, domain.end, {"e0"})
-            first = cluster.query(q)
-            assert cluster.query(q) == first  # served from cache
+            first = cluster.query(q).tolist()
+            assert cluster.query(q).tolist() == first  # served from cache
             obj = make_object(77777, domain.st, domain.end, {"e0"})
             cluster.insert(obj)
             assert 77777 in cluster.query(q)
@@ -163,14 +163,14 @@ class TestSharedCache:
             replica_set = cluster.group.replica_set(shard_id)
             domain = collection.domain()
             q = make_query(domain.st, domain.end, {"e0"})
-            first = cluster.query(q)
+            first = cluster.query(q).tolist()
             cluster.group.kill_replica(shard_id, 0)
-            assert cluster.query(q) == first  # killing moves no data
+            assert cluster.query(q).tolist() == first  # killing moves no data
             hits = replica_set.cache.stats()["hits"]
             before = replica_set.version
             cluster.group.revive_replica(shard_id, 0)
             assert replica_set.version != before
-            assert cluster.query(q) == first
+            assert cluster.query(q).tolist() == first
             assert replica_set.cache.stats()["hits"] == hits
 
     def test_unaffected_shard_keeps_its_cache(self, collection, tmp_path):
@@ -306,7 +306,7 @@ class TestReviveUnderConcurrentWrites:
         assert not thread.is_alive() and not errors
         # Force reads onto the revived replica alone.
         cluster.group.kill_replica(shard_id, 1)
-        got = replica_set.query(make_query(hi - 2, hi - 1, {"e0"}))
+        got = replica_set.query(make_query(hi - 2, hi - 1, {"e0"})).tolist()
         missing = [oid for oid in inserted if oid not in got]
         assert not missing, f"revived replica lost writes: {missing}"
 

@@ -121,7 +121,7 @@ class TestApply:
         assert plan.kind == "split"
         assert skewed_cluster.table.generation == 2
         for q in queries:
-            assert skewed_cluster.query(q) == sorted(oracle.query(q))
+            assert skewed_cluster.query(q).tolist() == sorted(oracle.query(q))
 
     def test_merge_preserves_every_answer(self, skewed_cluster):
         collection = Collection(skewed_objects())
@@ -129,7 +129,7 @@ class TestApply:
         plan = skewed_cluster.rebalance(split_factor=100.0, merge_factor=2.0)
         assert plan.kind == "merge"
         for q in random_queries(collection, 40, seed=65):
-            assert skewed_cluster.query(q) == sorted(oracle.query(q))
+            assert skewed_cluster.query(q).tolist() == sorted(oracle.query(q))
 
     def test_rebalance_survives_reopen(self, tmp_path):
         directory = tmp_path / "cluster"
@@ -144,7 +144,7 @@ class TestApply:
         with TemporalCluster.open(directory, wal_fsync=False) as reopened:
             assert reopened.table.generation == generation == 2
             for q in random_queries(collection, 30, seed=66):
-                assert reopened.query(q) == sorted(oracle.query(q))
+                assert reopened.query(q).tolist() == sorted(oracle.query(q))
 
     def test_replaced_shard_directories_are_removed(self, skewed_cluster):
         before = set(skewed_cluster.table.shard_ids())
@@ -190,7 +190,7 @@ class TestCrashConsistency:
                 recovered.table.shard_ids()
             )
             for q in random_queries(collection, 30, seed=67):
-                assert recovered.query(q) == sorted(oracle.query(q))
+                assert recovered.query(q).tolist() == sorted(oracle.query(q))
 
     def test_crash_after_commit_recovers_new_generation(
         self, tmp_path, monkeypatch
@@ -221,4 +221,4 @@ class TestCrashConsistency:
                 recovered.table.shard_ids()
             )
             for q in random_queries(collection, 30, seed=68):
-                assert recovered.query(q) == sorted(oracle.query(q))
+                assert recovered.query(q).tolist() == sorted(oracle.query(q))

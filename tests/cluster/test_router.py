@@ -1,8 +1,10 @@
 """Scatter-gather routing: planning, dedup, batches, mutation routing."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import TemporalCluster, merge_shard_results
+from repro.core.answer import as_answer
 from repro.core.collection import Collection
 from repro.core.errors import (
     DuplicateObjectError,
@@ -37,15 +39,19 @@ def cluster(collection, tmp_path):
 
 class TestMerge:
     def test_single_shard_passthrough(self):
-        assert merge_shard_results([[3, 1, 2]]) == ([3, 1, 2], 0)
+        answer = as_answer([1, 2, 3])
+        merged, dups = merge_shard_results([answer])
+        assert merged is answer and dups == 0
 
     def test_dedup_counts_straddlers(self):
-        merged, dups = merge_shard_results([[1, 2], [2, 3], [3, 4]])
-        assert merged == [1, 2, 3, 4]
+        merged, dups = merge_shard_results([as_answer(ids) for ids in ([1, 2], [2, 3], [3, 4])])
+        assert merged.tolist() == [1, 2, 3, 4]
         assert dups == 2
+        assert merged.dtype == np.int64 and not merged.flags.writeable
 
     def test_empty(self):
-        assert merge_shard_results([[], []]) == ([], 0)
+        merged, dups = merge_shard_results([as_answer([]), as_answer([])])
+        assert (merged.tolist(), dups) == ([], 0)
 
 
 class TestQueries:
@@ -54,7 +60,7 @@ class TestQueries:
     ):
         oracle = build_index("brute", collection)
         for q in random_queries(collection, 50, seed=52):
-            got = cluster.query(q)
+            got = cluster.query(q).tolist()
             assert got == sorted(oracle.query(q))
             assert len(got) == len(set(got))
 
@@ -71,7 +77,7 @@ class TestQueries:
         cluster.insert(obj)
         q = make_query(boundary - 5, boundary + 5, {"e0"})
         assert len(cluster.router.plan(q)) >= 2
-        result = cluster.query(q)
+        result = cluster.query(q).tolist()
         assert result.count(70000) == 1
 
     def test_shards_visited_metric_reflects_the_plan(self, cluster):
@@ -91,7 +97,7 @@ class TestBatches:
     def test_batch_matches_oracle(self, cluster, collection):
         oracle = build_index("brute", collection)
         queries = random_queries(collection, 30, seed=53)
-        results = [cluster.query(q) for q in queries]
+        results = [cluster.query(q).tolist() for q in queries]
         assert results == [sorted(oracle.query(q)) for q in queries]
 
     def test_batch_uses_per_shard_caches(self, collection, tmp_path):
@@ -104,8 +110,8 @@ class TestBatches:
             cache_size=64,
         ) as cluster:
             queries = random_queries(collection, 10, seed=54)
-            first = [cluster.query(q) for q in queries]
-            again = [cluster.query(q) for q in queries]
+            first = [cluster.query(q).tolist() for q in queries]
+            again = [cluster.query(q).tolist() for q in queries]
             assert again == first
             hits = sum(
                 cluster.group.replica_set(s).cache.stats()["hits"]
@@ -129,7 +135,7 @@ class TestBatches:
             # Close the primary without marking it dead: the batch path
             # hits the closed store and fails over to the second replica.
             cluster.group.replica_set(shard_id).stores[0].close()
-            results = [cluster.query(q) for q in queries]
+            results = [cluster.query(q).tolist() for q in queries]
             assert results == [sorted(oracle.query(q)) for q in queries]
 
 

@@ -31,8 +31,8 @@ def test_lru_eviction_order():
     cache.get(q1, 1)  # q1 becomes most-recent; q2 is now LRU
     cache.put(q3, 1, [3])
     assert cache.get(q2, 1) is None  # evicted
-    assert cache.get(q1, 1) == [1]
-    assert cache.get(q3, 1) == [3]
+    assert cache.get(q1, 1).tolist() == [1]
+    assert cache.get(q3, 1).tolist() == [3]
     assert cache.evictions == 1
     assert len(cache) == 2
 
@@ -50,7 +50,7 @@ def test_key_includes_elements():
     cache.put(make_query(0, 10, {"a"}), 1, [1])
     assert cache.get(make_query(0, 10, {"b"}), 1) is None
     assert cache.get(make_query(0, 10), 1) is None
-    assert cache.get(make_query(0, 10, {"a"}), 1) == [1]
+    assert cache.get(make_query(0, 10, {"a"}), 1).tolist() == [1]
 
 
 def test_other_version_misses_and_drops_the_entry():
@@ -61,19 +61,20 @@ def test_other_version_misses_and_drops_the_entry():
     assert len(cache) == 0  # the stale entry is gone, not just skipped
     assert cache.get(q, (1, 2)) is None
     cache.put(q, (1, 3), [2])
-    assert cache.get(q, (1, 3)) == [2]
+    assert cache.get(q, (1, 3)).tolist() == [2]
 
 
-def test_cache_stores_and_serves_copies():
+def test_cache_serves_read_only_answers():
     cache = ResultCache(2)
     original = [1, 2, 3]
     q = make_query(0, 5)
     cache.put(q, 1, original)
     original.append(99)  # caller mutates after put
     served = cache.get(q, 1)
-    assert served == [1, 2, 3]
-    served.append(-1)  # caller mutates a hit
-    assert cache.get(q, 1) == [1, 2, 3]
+    assert served.tolist() == [1, 2, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        served[0] = -1  # a caller cannot write into a hit
+    assert cache.get(q, 1).tolist() == [1, 2, 3]
 
 
 def test_stats_snapshot():
@@ -134,18 +135,18 @@ def test_insert_and_delete_invalidate_attached_cache(key):
     index = build_index(key, collection)
     executor = QueryExecutor(index, cache_size=32)
     q = make_query(0, 25_000)  # matches everything
-    before = executor.run_one(q)
-    assert executor.run_one(q) == before  # second hit is served from cache
+    before = executor.run_one(q).tolist()
+    assert executor.run_one(q).tolist() == before  # second hit is served from cache
     assert executor.cache is not None and executor.cache.hits == 1
 
     extra = make_object(9_999, 0, 25_000, {"e0"})
     index.insert(extra)
-    after_insert = executor.run_one(q)
+    after_insert = executor.run_one(q).tolist()
     assert 9_999 in after_insert  # stale answer was NOT served
-    assert after_insert == index.query(q)
+    assert after_insert == index.query(q).tolist()
 
     index.delete(9_999)
-    after_delete = executor.run_one(q)
+    after_delete = executor.run_one(q).tolist()
     assert 9_999 not in after_delete
     assert after_delete == before
 
@@ -178,7 +179,7 @@ def test_attach_invalidates_preexisting_entries():
     executor.run_one(q)
     carried = QueryExecutor(index_b)
     carried.cache = executor.cache
-    assert carried.run_one(q) == index_b.query(q)
+    assert carried.run_one(q).tolist() == index_b.query(q).tolist()
     assert carried.last_report is not None and carried.last_report.cache_hits == 0
 
 
@@ -205,7 +206,7 @@ def test_index_pickles_without_cache_registrations():
     assert clone.version != index.version
     # Mutating the clone leaves the original's cached answers serving ...
     clone.insert(make_object(5_555, 0, 10, {"e0"}))
-    assert executor.run_one(q) == index.query(q)
+    assert executor.run_one(q).tolist() == index.query(q).tolist()
     assert executor.cache is not None and executor.cache.hits == 1
     # ... the clone's answers never come from them ...
     on_clone = QueryExecutor(clone)
@@ -222,13 +223,13 @@ def test_store_mutations_invalidate_executor_cache(tmp_path):
         q = make_query(0, 11_000)
         ops = make_ops(30)
         apply_ops(store, ops)
-        first = executor.run_one(q)
-        assert executor.run_one(q) == first
+        first = executor.run_one(q).tolist()
+        assert executor.run_one(q).tolist() == first
         store.insert(make_object(10_000, 0, 11_000, {"e0"}))
-        got = executor.run_one(q)
+        got = executor.run_one(q).tolist()
         assert 10_000 in got  # the WAL-first store write moved the version
         store.delete(10_000)
-        assert executor.run_one(q) == first
+        assert executor.run_one(q).tolist() == first
 
 
 def test_bootstrap_swap_invalidates_store_attached_cache(tmp_path):
@@ -236,10 +237,10 @@ def test_bootstrap_swap_invalidates_store_attached_cache(tmp_path):
     with DurableIndexStore.open(tmp_path, index_key="brute") as store:
         executor = QueryExecutor(store, cache_size=16)
         q = make_query(0, 25_000)
-        assert executor.run_one(q) == []  # empty store, cached
+        assert executor.run_one(q).tolist() == []  # empty store, cached
         store.bootstrap(collection, "brute")
-        got = executor.run_one(q)
-        assert got == store.index.query(q)
+        got = executor.run_one(q).tolist()
+        assert got == store.index.query(q).tolist()
         assert len(got) == len(collection)  # not the stale empty answer
 
 
@@ -253,8 +254,8 @@ def test_wal_replay_recovery_then_fresh_executor_matches_oracle(tmp_path):
         executor = QueryExecutor(recovered, cache_size=16)
         oracle = oracle_index(ops)
         for q in probe_queries():
-            assert executor.run_one(q) == oracle.query(q)
-            assert executor.run_one(q) == oracle.query(q)  # cached pass
+            assert executor.run_one(q).tolist() == oracle.query(q).tolist()
+            assert executor.run_one(q).tolist() == oracle.query(q).tolist()  # cached pass
 
 
 def test_crash_recovery_cache_never_serves_pre_crash_state(tmp_path):
@@ -282,7 +283,7 @@ def test_crash_recovery_cache_never_serves_pre_crash_state(tmp_path):
         fresh = QueryExecutor(recovered, cache_size=16)
         oracle = oracle_index(ops[: crash_at - 1])
         for q in probe_queries():
-            assert fresh.run_one(q) == oracle.query(q)
+            assert fresh.run_one(q).tolist() == oracle.query(q).tolist()
         # The pre-crash cache matches nothing in the recovered index.
         assert executor.cache is not None and len(executor.cache) > 0
         for q in probe_queries():

@@ -139,8 +139,8 @@ def run_differential(
     ops = make_trace(seed, n_ops, live, max(live) + 1 if live else 0)
     for step, op in enumerate(ops):
         if op[0] == "query":
-            expected = oracle.query(op[1])
-            got = executor.run_one(op[1]) if executor is not None else index.query(op[1])
+            expected = oracle.query(op[1]).tolist()
+            got = (executor.run_one(op[1]) if executor is not None else index.query(op[1])).tolist()
             if got != expected:
                 pytest.fail(
                     f"{key}: differential mismatch at step {step} "
@@ -200,8 +200,8 @@ def test_differential_batched():
     for round_number in range(4):
         batch = [_random_query(rng) for _ in range(20)]
         batch += [batch[i] for i in range(0, len(batch), 3)]  # duplicates
-        expected = [oracle.query(q) for q in batch]
-        got = executor.run(batch)
+        expected = [oracle.query(q).tolist() for q in batch]
+        got = [answer.tolist() for answer in executor.run(batch)]
         assert got == expected, (
             f"round {round_number} (seed={seed}): "
             "batched answers diverge from oracle"
@@ -251,7 +251,7 @@ def run_differential_cluster(
         for step, op in enumerate(ops):
             if op[0] == "query":
                 expected = sorted(oracle.query(op[1]))
-                got = cluster.query(op[1])
+                got = cluster.query(op[1]).tolist()
                 if got != expected or len(got) != len(set(got)):
                     pytest.fail(
                         f"{key}: cluster differential mismatch at step {step} "
@@ -327,7 +327,7 @@ def run_differential_tiered(
                 served_cold = served_cold or bool(cluster.tier_state.cold)
             if op[0] == "query":
                 expected = sorted(oracle.query(op[1]))
-                got = cluster.query(op[1])
+                got = cluster.query(op[1]).tolist()
                 if got != expected or len(got) != len(set(got)):
                     pytest.fail(
                         f"{key}: tiered differential mismatch at step {step} "
@@ -441,7 +441,7 @@ def run_differential_server(tmp_path) -> None:
                     q = op[1]
                     expected = sorted(oracle.query(q))
                     got = client.query("docs", q.st, q.end, sorted(map(str, q.d)))
-                    if got["ids"] != expected:
+                    if got["ids"].tolist() != expected:
                         pytest.fail(
                             f"server differential mismatch at step {step} "
                             f"(seed={seed}, fault_seed={fault_seed}, "
@@ -522,7 +522,7 @@ def test_differential_irhint_crossover_durable_store(crossover, rule_paths, tmp_
             store = DurableIndexStore.open(tmp_path / "docs", index_key="irhint-perf", wal_fsync=False)
             assert not held_tables(store.index)
         if op[0] == "query":
-            assert store.query(op[1]) == oracle.query(op[1]), (
+            assert store.query(op[1]).tolist() == oracle.query(op[1]).tolist(), (
                 f"durable-store differential mismatch at step {step} (seed={seed}, "
                 f"crossover={crossover}):\n{format_trace(ops[: step + 1])}"
             )

@@ -18,7 +18,7 @@ def corpus():
     index = build_index("irhint-perf", collection)
     queries = random_queries(collection, 40, seed=22)
     queries += queries[:10]  # guaranteed duplicates
-    expected = [index.query(q) for q in queries]
+    expected = [index.query(q).tolist() for q in queries]
     return collection, index, queries, expected
 
 
@@ -36,7 +36,7 @@ def test_unknown_strategy_rejected(corpus):
 def test_executor_matches_direct_path(corpus, strategy):
     _collection, index, queries, expected = corpus
     executor = QueryExecutor(index, strategy=strategy)
-    assert executor.run(queries) == expected
+    assert [answer.tolist() for answer in executor.run(queries)] == expected
 
 
 def test_empty_batch(corpus):
@@ -51,19 +51,21 @@ def test_result_lists_are_independent(corpus):
     _collection, index, queries, expected = corpus
     executor = QueryExecutor(index, cache_size=64)
     first = executor.run(queries)
-    first[0].append(-1)  # vandalise one returned list
-    for a, b in zip(first[1:], expected[1:]):
-        assert a == b
-    # Neither the cache nor a rerun sees the vandalism.
+    target = next(answer for answer in first if len(answer))
+    with pytest.raises(ValueError, match="read-only"):
+        target[0] = -1  # try to vandalise one returned answer
+    for a, b in zip(first, expected):
+        assert a.tolist() == b
+    # Neither the cache nor a rerun sees any vandalism.
     second = executor.run(queries)
-    assert second == expected
+    assert [answer.tolist() for answer in second] == expected
 
 
 def test_duplicates_resolved_once(corpus):
     _collection, index, queries, expected = corpus
     executor = QueryExecutor(index)
     results = executor.run(queries)
-    assert results == expected
+    assert [answer.tolist() for answer in results] == expected
     report = executor.last_report
     assert report is not None
     assert report.queries == len(queries)
@@ -76,7 +78,7 @@ def test_cache_hits_across_batches(corpus):
     _collection, index, queries, expected = corpus
     executor = QueryExecutor(index, cache_size=256)
     executor.run(queries)
-    assert executor.run(queries) == expected
+    assert [answer.tolist() for answer in executor.run(queries)] == expected
     report = executor.last_report
     assert report is not None
     assert report.cache_hits == report.unique
@@ -112,8 +114,8 @@ def test_report_summary_and_throughput(corpus):
 def test_run_one(corpus):
     _collection, index, queries, expected = corpus
     executor = QueryExecutor(index, cache_size=4)
-    assert executor.run_one(queries[0]) == expected[0]
-    assert executor.run_one(queries[0]) == expected[0]  # cached now
+    assert executor.run_one(queries[0]).tolist() == expected[0]
+    assert executor.run_one(queries[0]).tolist() == expected[0]  # cached now
     assert executor.cache is not None and executor.cache.hits == 1
 
 

@@ -46,10 +46,10 @@ class TestLifecycle:
 
 class TestQueryDispatch:
     def test_containment_query(self, index, example_query):
-        assert index.query(example_query) == [2, 4, 7]
+        assert index.query(example_query).tolist() == [2, 4, 7]
 
     def test_pure_temporal_fallback(self, index):
-        assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8]
+        assert index.query(make_query(2, 4)).tolist() == [2, 4, 5, 6, 7, 8]
 
     def test_order_query_elements(self, index):
         # c (freq 7) must come after a (freq 4).

@@ -46,7 +46,7 @@ class TestAgainstOracle:
     def test_randomized_collection(self, key, random_collection):
         index = build_index(key, random_collection)
         for q in random_queries(random_collection, 40, seed=5):
-            assert index.query(q) == random_collection.evaluate(q), q
+            assert index.query(q).tolist() == random_collection.evaluate(q), q
 
     def test_after_update_storm(self, key, random_collection):
         index = build_index(key, random_collection)
@@ -63,7 +63,7 @@ class TestAgainstOracle:
             index.delete(object_id)
             random_collection.remove(object_id)
         for q in random_queries(random_collection, 30, seed=6):
-            assert index.query(q) == random_collection.evaluate(q), q
+            assert index.query(q).tolist() == random_collection.evaluate(q), q
 
 
 @settings(
@@ -78,7 +78,7 @@ def test_all_indexes_agree_property(collection, query_list):
     for q in query_list:
         expected = collection.evaluate(q)
         for key, index in zip(ALL_KEYS, indexes):
-            assert index.query(q) == expected, (key, q)
+            assert index.query(q).tolist() == expected, (key, q)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -95,7 +95,7 @@ def test_delete_matches_rebuild_property(collection, q, data):
         index = build_index(key, collection)
         for object_id in to_delete:
             index.delete(object_id)
-        assert index.query(q) == survivors.evaluate(q), key
+        assert index.query(q).tolist() == survivors.evaluate(q), key
 
 
 @pytest.mark.parametrize("key", ["tif-slicing", "tif-sharding", "tif-hint-merge", "irhint-perf", "irhint-size"])
@@ -116,9 +116,9 @@ def test_insertion_order_invariance(key):
     index_shuf = build_index(key, Collection(shuffled))
     for q in random_queries(forward, 25, seed=57):
         expected = forward.evaluate(q)
-        assert index_fwd.query(q) == expected, key
-        assert index_rev.query(q) == expected, key
-        assert index_shuf.query(q) == expected, key
+        assert index_fwd.query(q).tolist() == expected, key
+        assert index_rev.query(q).tolist() == expected, key
+        assert index_shuf.query(q).tolist() == expected, key
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -141,19 +141,19 @@ class TestEdgeCases:
             TemporalObject(id=3, st=0, end=4, d=frozenset({"a"})),
         ]
         index = self._build(key, objects)
-        assert index.query(TimeTravelQuery(5, 5, frozenset({"a"}))) == [1, 2]
-        assert index.query(TimeTravelQuery(4, 4, frozenset({"a"}))) == [3]
-        assert index.query(TimeTravelQuery(6, 6, frozenset({"a"}))) == [2]
-        assert index.query(TimeTravelQuery(0, 10, frozenset({"a"}))) == [1, 2, 3]
+        assert index.query(TimeTravelQuery(5, 5, frozenset({"a"}))).tolist() == [1, 2]
+        assert index.query(TimeTravelQuery(4, 4, frozenset({"a"}))).tolist() == [3]
+        assert index.query(TimeTravelQuery(6, 6, frozenset({"a"}))).tolist() == [2]
+        assert index.query(TimeTravelQuery(0, 10, frozenset({"a"}))).tolist() == [1, 2, 3]
 
     def test_query_touching_endpoints_exactly(self, key):
         # Closed intervals: touching at a single point is an overlap.
         objects = [TemporalObject(id=1, st=10, end=20, d=frozenset({"a"}))]
         index = self._build(key, objects)
-        assert index.query(TimeTravelQuery(0, 10, frozenset({"a"}))) == [1]
-        assert index.query(TimeTravelQuery(20, 30, frozenset({"a"}))) == [1]
-        assert index.query(TimeTravelQuery(0, 9, frozenset({"a"}))) == []
-        assert index.query(TimeTravelQuery(21, 30, frozenset({"a"}))) == []
+        assert index.query(TimeTravelQuery(0, 10, frozenset({"a"}))).tolist() == [1]
+        assert index.query(TimeTravelQuery(20, 30, frozenset({"a"}))).tolist() == [1]
+        assert index.query(TimeTravelQuery(0, 9, frozenset({"a"}))).tolist() == []
+        assert index.query(TimeTravelQuery(21, 30, frozenset({"a"}))).tolist() == []
 
     def test_empty_query_description(self, key):
         # q.d = ∅ degrades to a pure temporal range query.
@@ -163,23 +163,23 @@ class TestEdgeCases:
             TemporalObject(id=3, st=9, end=12, d=frozenset()),
         ]
         index = self._build(key, objects)
-        assert index.query(TimeTravelQuery(0, 100, frozenset())) == [1, 2, 3]
-        assert index.query(TimeTravelQuery(6, 9, frozenset())) == [2, 3]
-        assert index.query(TimeTravelQuery(13, 99, frozenset())) == []
+        assert index.query(TimeTravelQuery(0, 100, frozenset())).tolist() == [1, 2, 3]
+        assert index.query(TimeTravelQuery(6, 9, frozenset())).tolist() == [2, 3]
+        assert index.query(TimeTravelQuery(13, 99, frozenset())).tolist() == []
 
     def test_query_elements_absent_from_dictionary(self, key):
         objects = [TemporalObject(id=1, st=0, end=10, d=frozenset({"a", "b"}))]
         index = self._build(key, objects)
-        assert index.query(TimeTravelQuery(0, 10, frozenset({"zz-unknown"}))) == []
+        assert index.query(TimeTravelQuery(0, 10, frozenset({"zz-unknown"}))).tolist() == []
         # Mixing a known and an unknown element still yields nothing.
         assert (
-            index.query(TimeTravelQuery(0, 10, frozenset({"a", "zz-unknown"}))) == []
+            index.query(TimeTravelQuery(0, 10, frozenset({"a", "zz-unknown"}))).tolist() == []
         )
 
     def test_empty_and_fully_deleted_index(self, key):
         empty = build_index(key, Collection([]))
-        assert empty.query(TimeTravelQuery(0, 10, frozenset({"a"}))) == []
-        assert empty.query(TimeTravelQuery(0, 10, frozenset())) == []
+        assert empty.query(TimeTravelQuery(0, 10, frozenset({"a"}))).tolist() == []
+        assert empty.query(TimeTravelQuery(0, 10, frozenset())).tolist() == []
 
         objects = [
             TemporalObject(id=1, st=0, end=5, d=frozenset({"a"})),
@@ -189,8 +189,8 @@ class TestEdgeCases:
         for object_id in (1, 2):
             index.delete(object_id)
         assert len(index) == 0
-        assert index.query(TimeTravelQuery(0, 100, frozenset({"a"}))) == []
-        assert index.query(TimeTravelQuery(0, 100, frozenset())) == []
+        assert index.query(TimeTravelQuery(0, 100, frozenset({"a"}))).tolist() == []
+        assert index.query(TimeTravelQuery(0, 100, frozenset())).tolist() == []
 
 
 @pytest.mark.parametrize("key", ["tif-slicing", "irhint-perf"])
@@ -200,12 +200,12 @@ def test_insert_then_delete_is_identity(key):
     collection = Collection(objects)
     index = build_index(key, collection)
     queries = random_queries(collection, 20, seed=61)
-    before = [index.query(q) for q in queries]
+    before = [index.query(q).tolist() for q in queries]
     extra = random_objects(50, seed=62)
     for obj in extra:
         renamed = TemporalObject(id=obj.id + 50_000, st=obj.st, end=obj.end, d=obj.d)
         index.insert(renamed)
     for obj in extra:
         index.delete(obj.id + 50_000)
-    after = [index.query(q) for q in queries]
+    after = [index.query(q).tolist() for q in queries]
     assert before == after

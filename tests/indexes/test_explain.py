@@ -155,7 +155,7 @@ class TestTraceParity:
         for q in self.QUERIES:
             request = Tracer(sample_rate=1.0).begin(None, "request")
             with request.activate():
-                result = index.query(q)
+                result = index.query(q).tolist()
             explanation = explain(index, q)
             assert explanation.result_size == len(result)
             _root, *events = request.finish()["spans"]

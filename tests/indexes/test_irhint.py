@@ -3,6 +3,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.errors import CorruptSnapshotError, UnknownObjectError
@@ -19,33 +20,36 @@ from repro.intervals.hint import cost_model, timefirst
 class TestCommonBehaviour:
     def test_running_example(self, cls, running_example, example_query):
         index = cls.build(running_example, num_bits=3)
-        assert index.query(example_query) == [2, 4, 7]
+        assert index.query(example_query).tolist() == [2, 4, 7]
 
     def test_pure_temporal_handled_natively(self, cls, running_example):
         """q.d = ∅: a HINT range query (size) or the catalog scan
         (performance) — the same answer, empty descriptions included."""
         index = cls.build(running_example, num_bits=3)
-        assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8]
+        assert index.query(make_query(2, 4)).tolist() == [2, 4, 5, 6, 7, 8]
         index.insert(make_object(40, 3, 3))
-        assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8, 40]
-        assert index.query(make_query(2, 4, {"c"})) == [2, 4, 5, 6, 7, 8]
+        assert index.query(make_query(2, 4)).tolist() == [2, 4, 5, 6, 7, 8, 40]
+        assert index.query(make_query(2, 4, {"c"})).tolist() == [2, 4, 5, 6, 7, 8]
         index.delete(40)
-        assert index.query(make_query(2, 4)) == [2, 4, 5, 6, 7, 8]
+        assert index.query(make_query(2, 4)).tolist() == [2, 4, 5, 6, 7, 8]
 
-    def test_answers_are_python_ints(self, cls, running_example):
-        """Answers leave the index as plain ints (the daemon writes them
-        as JSON), on a store read flat as on one read through tables."""
+    def test_answers_are_int64_arrays(self, cls, running_example):
+        """Answers leave the index as the one answer type (the daemon
+        attaches them to its frames as binary ids), on a store read flat
+        as on one read through tables."""
         index = cls.build(running_example, num_bits=3)
         for q in (make_query(2, 4, {"a", "c"}), make_query(2, 4)):
-            assert all(type(oid) is int for oid in index.query(q))
+            answer = index.query(q)
+            assert type(answer) is np.ndarray and answer.dtype == np.int64
+            assert not answer.flags.writeable
 
     def test_stabbing(self, cls, running_example):
         index = cls.build(running_example, num_bits=3)
-        assert index.query(make_query(5, 5, {"b"})) == [1, 4, 5]
+        assert index.query(make_query(5, 5, {"b"})).tolist() == [1, 4, 5]
 
     def test_full_extent_degrades_to_ir_search(self, cls, running_example):
         index = cls.build(running_example, num_bits=3)
-        assert index.query(make_query(0, 7, {"a", "c"})) == [1, 2, 4, 7]
+        assert index.query(make_query(0, 7, {"a", "c"})).tolist() == [1, 2, 4, 7]
 
     def test_cost_model_chooses_m_when_unset(self, cls, running_example):
         """Unset, the cap is the cost model's ceiling; the rule picks each
@@ -57,10 +61,10 @@ class TestCommonBehaviour:
         index = cls.build(running_example, num_bits=3)
         index.delete(2)
         index.delete(running_example[7])
-        assert index.query(example_query) == [4]
+        assert index.query(example_query).tolist() == [4]
         index.insert(make_object(31, 2, 6, {"a", "c", "x"}))
-        assert index.query(example_query) == [4, 31]
-        assert index.query(make_query(2, 4, {"x"})) == [31]
+        assert index.query(example_query).tolist() == [4, 31]
+        assert index.query(make_query(2, 4, {"x"})).tolist() == [31]
 
     def test_delete_unknown(self, cls, running_example):
         index = cls.build(running_example, num_bits=3)
@@ -71,15 +75,15 @@ class TestCommonBehaviour:
         """HINT's structural duplicate avoidance: o4 spans everything and
         is replicated widely, yet reported once."""
         index = cls.build(running_example, num_bits=3)
-        result = index.query(make_query(0, 7, {"b"}))
+        result = index.query(make_query(0, 7, {"b"})).tolist()
         assert result == sorted(set(result)) == [1, 3, 4, 5]
 
     def test_empty_index(self, cls):
         from repro.core.collection import Collection
 
         index = cls.build(Collection())
-        assert index.query(make_query(0, 1, {"a"})) == []
-        assert index.query(make_query(0, 1)) == []
+        assert index.query(make_query(0, 1, {"a"})).tolist() == []
+        assert index.query(make_query(0, 1)).tolist() == []
 
 
 class TestVariantSpecifics:
@@ -167,7 +171,7 @@ class TestFlatLayout:
         for k in range(1, 10):
             st = domain.st + k * span // 10
             q = make_query(st, st + span // 1000, {top})
-            assert index.query(q) == flat.query(q)
+            assert index.query(q).tolist() == flat.query(q).tolist()
             first = explain(index, q).phases[0]
             if first.label == f"time-first table I[{top}]":
                 gathered.append(first.entries_scanned)
@@ -178,13 +182,13 @@ class TestFlatLayout:
     def test_tables_are_never_pickled(self, small_tables, random_collection):
         index = IRHintPerformance.build(random_collection)
         q = make_query(2000, 6000, {"e0"})
-        want = index.query(q)
+        want = index.query(q).tolist()
         assert index.hint_for("e0").verdict().table is not None
         blob = pickle.dumps(index)
         assert b"TimeFirstTable" not in blob
         clone = pickle.loads(blob)
         assert clone.hint_for("e0")._table is None and clone.num_bits == index.num_bits
-        assert clone.query(q) == want and clone.hint_for("e0")._table is not None
+        assert clone.query(q).tolist() == want and clone.hint_for("e0")._table is not None
 
     def test_pre_flat_snapshot_is_refused(self):
         legacy = IRHintPerformance.__new__(IRHintPerformance)
@@ -217,7 +221,7 @@ class TestFlatLayout:
         assert explain(index, q).detail["table"] == "fresh" and built == [200]
         index.insert(make_object(1, 5, 9, {"hot"}))  # mid-list: every later slot shifts
         assert explain(index, q).detail["table"] == "stale" and built == [200, 201]
-        assert index.query(q) == sorted(index._catalog) and built == [200, 201]
+        assert index.query(q).tolist() == sorted(index._catalog) and built == [200, 201]
 
     def test_window_at_the_lists_last_end(self, small_tables):
         """A term alive for a short burst: its list spans fewer timestamps
@@ -232,4 +236,4 @@ class TestFlatLayout:
         for st in (100, 99.5, 100.0, 79, 80):
             q = make_query(st, 100, {"burst"})
             assert explain(index, q).phases[0].label == "time-first table I[burst]"
-            assert index.query(q) == flat.query(q) != []
+            assert index.query(q).tolist() == flat.query(q).tolist() != []

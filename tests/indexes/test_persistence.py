@@ -25,7 +25,7 @@ def test_roundtrip_every_method(key, running_example, example_query, tmp_path):
     save_index(index, path)
     restored = load_index(path)
     assert restored.name == index.name
-    assert restored.query(example_query) == [2, 4, 7]
+    assert restored.query(example_query).tolist() == [2, 4, 7]
     assert len(restored) == len(index)
 
 
@@ -36,9 +36,9 @@ def test_restored_index_stays_updatable(running_example, example_query, tmp_path
     restored = load_index(path)
     restored.insert(make_object(60, 2, 4, {"a", "c"}))
     restored.delete(4)
-    assert restored.query(example_query) == [2, 7, 60]
+    assert restored.query(example_query).tolist() == [2, 7, 60]
     # The on-disk snapshot is unaffected.
-    assert load_index(path).query(example_query) == [2, 4, 7]
+    assert load_index(path).query(example_query).tolist() == [2, 4, 7]
 
 
 def test_header_is_cheap_and_informative(running_example, tmp_path):
@@ -73,7 +73,7 @@ def test_in_memory_roundtrip(running_example, example_query):
     index = build_index("irhint-size", running_example)
     blob = dumps_index(index)
     restored = loads_index(blob)
-    assert restored.query(example_query) == [2, 4, 7]
+    assert restored.query(example_query).tolist() == [2, 4, 7]
     with pytest.raises(ReproError):
         loads_index(b"garbage")
 
@@ -91,12 +91,12 @@ def test_roundtrip_preserves_queries_for_every_registry_index(
         make_query(0, 7, {"nope"}),
     ]
     index = build_index(key, running_example, **tuned(key))
-    before = [index.query(q) for q in probes]
+    before = [index.query(q).tolist() for q in probes]
     path = tmp_path / f"{key}.idx"
     save_index(index, path)
     restored = load_index(path)
     assert type(restored) is type(index)
-    assert [restored.query(q) for q in probes] == before
+    assert [restored.query(q).tolist() for q in probes] == before
     assert len(restored) == len(index)
     assert restored.size_bytes() == index.size_bytes()
 
@@ -118,7 +118,7 @@ def test_save_fsyncs_the_directory_after_the_rename(running_example, tmp_path, m
     path = tmp_path / "i.idx"
     save_index(build_index("brute", running_example), path)
     assert synced == [path.parent]
-    assert load_index(path).query(make_query(0, 7, {"a"}))
+    assert load_index(path).query(make_query(0, 7, {"a"})).tolist()
 
 
 def test_v2_header_carries_checksum(running_example, tmp_path):
@@ -204,8 +204,8 @@ def test_v1_snapshots_still_load(running_example, example_query, tmp_path):
     path.write_bytes(_v1_blob(index))
     assert read_header(path)["format"] == 1
     restored = load_index(path)
-    assert restored.query(example_query) == [2, 4, 7]
-    assert loads_index(_v1_blob(index)).query(example_query) == [2, 4, 7]
+    assert restored.query(example_query).tolist() == [2, 4, 7]
+    assert loads_index(_v1_blob(index)).query(example_query).tolist() == [2, 4, 7]
 
 
 def test_v1_unpickling_damage_is_a_corrupt_snapshot(running_example, tmp_path):
@@ -260,7 +260,7 @@ def test_header_integers_must_be_ints(running_example, field, kind):
 
 def test_boolean_format_does_not_skip_the_checksum(running_example, example_query):
     blob = dumps_index(build_index("tif", running_example))
-    assert loads_index(_with_header(blob, format=2)).query(example_query) == [2, 4, 7]
+    assert loads_index(_with_header(blob, format=2)).query(example_query).tolist() == [2, 4, 7]
     with pytest.raises(CorruptSnapshotError, match="checksum"):
         loads_index(_with_header(blob, format=2, payload_crc32=0))
     with pytest.raises(CorruptSnapshotError):

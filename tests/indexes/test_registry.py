@@ -32,7 +32,7 @@ def test_unknown_key_raises():
 
 def test_build_index(running_example, example_query):
     index = build_index("tif", running_example)
-    assert index.query(example_query) == [2, 4, 7]
+    assert index.query(example_query).tolist() == [2, 4, 7]
 
 
 def test_build_index_with_params(running_example):

@@ -12,22 +12,22 @@ from repro.indexes.tif_slicing import TIFSlicing
 class TestTIF:
     def test_running_example(self, running_example, example_query):
         index = TIF.build(running_example)
-        assert index.query(example_query) == [2, 4, 7]
+        assert index.query(example_query).tolist() == [2, 4, 7]
 
     def test_single_element(self, running_example):
         index = TIF.build(running_example)
-        assert index.query(make_query(0, 7, {"b"})) == [1, 3, 4, 5]
+        assert index.query(make_query(0, 7, {"b"})).tolist() == [1, 3, 4, 5]
 
     def test_unknown_element(self, running_example):
         index = TIF.build(running_example)
-        assert index.query(make_query(0, 7, {"nope"})) == []
+        assert index.query(make_query(0, 7, {"nope"})).tolist() == []
 
     def test_updates(self, running_example, example_query):
         index = TIF.build(running_example)
         index.delete(4)
-        assert index.query(example_query) == [2, 7]
+        assert index.query(example_query).tolist() == [2, 7]
         index.insert(make_object(20, 3, 3, {"a", "c"}))
-        assert index.query(example_query) == [2, 7, 20]
+        assert index.query(example_query).tolist() == [2, 7, 20]
 
     def test_stats(self, running_example):
         index = TIF.build(running_example)
@@ -38,7 +38,7 @@ class TestTIFSlicing:
     def test_running_example(self, running_example, example_query):
         for n_slices in (1, 2, 4, 8, 50):
             index = TIFSlicing.build(running_example, n_slices=n_slices)
-            assert index.query(example_query) == [2, 4, 7], n_slices
+            assert index.query(example_query).tolist() == [2, 4, 7], n_slices
 
     def test_replication_grows_with_slices(self, running_example):
         few = TIFSlicing.build(running_example, n_slices=2)
@@ -50,15 +50,15 @@ class TestTIFSlicing:
         # o4 spans the whole domain; with 8 slices it is replicated 8 times
         # per element but must be reported once.
         index = TIFSlicing.build(running_example, n_slices=8)
-        result = index.query(make_query(0, 7, {"a"}))
+        result = index.query(make_query(0, 7, {"a"})).tolist()
         assert result == sorted(set(result)) == [1, 2, 4, 7]
 
     def test_updates(self, running_example, example_query):
         index = TIFSlicing.build(running_example, n_slices=4)
         index.delete(2)
-        assert index.query(example_query) == [4, 7]
+        assert index.query(example_query).tolist() == [4, 7]
         index.insert(make_object(21, 2, 4, {"a", "c"}))
-        assert index.query(example_query) == [4, 7, 21]
+        assert index.query(example_query).tolist() == [4, 7, 21]
 
     def test_delete_unknown(self, running_example):
         index = TIFSlicing.build(running_example, n_slices=4)
@@ -68,14 +68,14 @@ class TestTIFSlicing:
     def test_insert_beyond_domain_clamps(self, running_example, example_query):
         index = TIFSlicing.build(running_example, n_slices=4)
         index.insert(make_object(50, 100, 120, {"a", "c"}))
-        assert index.query(make_query(90, 130, {"a", "c"})) == [50]
-        assert index.query(example_query) == [2, 4, 7]
+        assert index.query(make_query(90, 130, {"a", "c"})).tolist() == [50]
+        assert index.query(example_query).tolist() == [2, 4, 7]
 
     def test_empty_index_query(self):
         from repro.core.collection import Collection
 
         index = TIFSlicing.build(Collection())
-        assert index.query(make_query(0, 1, {"a"})) == []
+        assert index.query(make_query(0, 1, {"a"})).tolist() == []
 
 
 class TestShardConstruction:
@@ -112,7 +112,7 @@ class TestShardConstruction:
 class TestTIFSharding:
     def test_running_example(self, running_example, example_query):
         index = TIFSharding.build(running_example)
-        assert index.query(example_query) == [2, 4, 7]
+        assert index.query(example_query).tolist() == [2, 4, 7]
 
     def test_no_replication(self, running_example):
         index = TIFSharding.build(running_example)
@@ -137,9 +137,9 @@ class TestTIFSharding:
     def test_updates(self, running_example, example_query):
         index = TIFSharding.build(running_example)
         index.delete(7)
-        assert index.query(example_query) == [2, 4]
+        assert index.query(example_query).tolist() == [2, 4]
         index.insert(make_object(22, 2, 3, {"a", "c"}))
-        assert index.query(example_query) == [2, 4, 22]
+        assert index.query(example_query).tolist() == [2, 4, 22]
 
     def test_delete_unknown(self, running_example):
         index = TIFSharding.build(running_example)

@@ -222,10 +222,10 @@ def run_trace(regime: str, seed: int, n_ops: int = N_OPS) -> Dict[str, object]:
         for st, end in _windows(rng, regime, list(live.values())):
             for d in TERMS:
                 q = make_query(st, end, d)
-                want = oracle.query(q)
-                assert flat.query(q) == want, f"{context}: tif on {q}"
+                want = oracle.query(q).tolist()
+                assert flat.query(q).tolist() == want, f"{context}: tif on {q}"
                 for name, subject in subjects.items():
-                    assert subject.query(q) == want, f"{context}: {name} on {q}"
+                    assert subject.query(q).tolist() == want, f"{context}: {name} on {q}"
             want = sorted(o.id for o in live.values() if st <= o.end and o.st <= end)
             for hint in bare:
                 got = hint.range_query(st, end)
@@ -518,8 +518,8 @@ MUTANTS = [
     (
         "tail objects not checked against the catalog",
         irhint,
-        "out = ids.tolist() + [oid for oid in tail if self._holds(oid, ordered)]",
-        "out = ids.tolist() + tail",
+        "kept = [oid for oid in tail if self._holds(oid, ordered)]",
+        "kept = tail",
     ),
 ]
 

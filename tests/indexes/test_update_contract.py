@@ -18,11 +18,11 @@ ALL_KEYS = sorted(INDEX_CLASSES)
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_insert_duplicate_raises_and_leaves_index_intact(key, running_example, example_query):
     index = build_index(key, running_example)
-    before = index.query(example_query)
+    before = index.query(example_query).tolist()
     with pytest.raises(DuplicateObjectError):
         index.insert(make_object(2, 0, 7, {"x"}))
     assert len(index) == len(running_example)
-    assert index.query(example_query) == before
+    assert index.query(example_query).tolist() == before
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -66,16 +66,16 @@ def test_delete_by_stale_object_uses_the_catalog_copy(key, running_example, exam
     assert 5 not in index
     assert len(index) == len(running_example) - 1
     # The dictionary dropped the real description, not the stale one.
-    assert index.query(example_query) == [2, 4, 7]
-    assert index.query(make_query(0, 7, {"does-not-exist"})) == []
+    assert index.query(example_query).tolist() == [2, 4, 7]
+    assert index.query(make_query(0, 7, {"does-not-exist"})).tolist() == []
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_insert_delete_roundtrip_restores_results(key, running_example, example_query):
     index = build_index(key, running_example)
-    before = index.query(example_query)
+    before = index.query(example_query).tolist()
     obj = make_object(60, 2, 4, {"a", "c"})
     index.insert(obj)
-    assert index.query(example_query) == sorted(before + [60])
+    assert index.query(example_query).tolist() == sorted(before + [60])
     index.delete(60)
-    assert index.query(example_query) == before
+    assert index.query(example_query).tolist() == before

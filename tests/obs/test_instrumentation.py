@@ -15,7 +15,7 @@ class TestQueryPath:
         index = build_index("tif", random_collection)
         q = make_query(2000, 6000, {"e0", "e1"})
         with isolated_registry() as registry:
-            result = index.query(q)
+            result = index.query(q).tolist()
             index.query(q)
             assert registry.sample_value("repro_queries_total", [index.name]) == 2.0
             assert (

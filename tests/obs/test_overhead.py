@@ -100,7 +100,7 @@ def test_disabled_overhead_within_budget(workload):
 
 def test_enabled_path_returns_identical_results(workload):
     index, queries = workload
-    expected = [index.query(q) for q in queries[:40]]
+    expected = [index.query(q).tolist() for q in queries[:40]]
     with isolated_registry():
-        got = [index.query(q) for q in queries[:40]]
+        got = [index.query(q).tolist() for q in queries[:40]]
     assert got == expected

@@ -20,6 +20,7 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.model import make_query
@@ -74,7 +75,7 @@ class TestNetworkChaos:
                     if i % 3 == 0:
                         try:
                             result = c.query("docs", 0, 30_000, ["chaos"])
-                            assert isinstance(result["ids"], list)
+                            assert isinstance(result["ids"], np.ndarray)
                             assert isinstance(result["complete"], bool)
                         except (ServerError, TransportError):
                             pass  # structured failure is acceptable; hangs are not

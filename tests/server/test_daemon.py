@@ -20,7 +20,7 @@ class TestQueryVerbs:
         oracle = BruteForce.build(Collection(store_objects))
         q = make_query(0, 5_000, {"e0", "e3"})
         result = client.query("docs", 0, 5_000, ["e0", "e3"])
-        assert result["ids"] == sorted(oracle.query(q))
+        assert result["ids"].tolist() == sorted(oracle.query(q))
         assert result["complete"] is True
         assert result["shards_planned"] == 1
 
@@ -30,7 +30,7 @@ class TestQueryVerbs:
         oracle = BruteForce.build(Collection(cluster_objects))
         q = make_query(0, 20_000, set())
         result = client.query("shards", 0, 20_000)
-        assert result["ids"] == sorted(oracle.query(q))
+        assert result["ids"].tolist() == sorted(oracle.query(q))
         assert result["complete"] is True
         assert result["shards_planned"] >= 1
 
@@ -46,7 +46,7 @@ class TestQueryVerbs:
         assert len(result["results"]) == 3
         for spec, got in zip(specs, result["results"]):
             q = make_query(spec["start"], spec["end"], set(spec.get("elements", [])))
-            assert got["ids"] == sorted(oracle.query(q))
+            assert got["ids"].tolist() == sorted(oracle.query(q))
 
     def test_mutations_round_trip_and_are_isolated_per_tenant(self, client):
         assert client.insert("docs", 900_001, 50, 60, ["zz"]) == {

@@ -70,8 +70,8 @@ class TestInlineReads:
 
         submitted, single, batch = serve(daemon, go)
         assert submitted == 0
-        assert single["result"]["ids"] == expected_ids(store_objects)
-        assert [r["ids"] for r in batch["result"]["results"]] == [
+        assert single["result"]["ids"].tolist() == expected_ids(store_objects)
+        assert [r["ids"].tolist() for r in batch["result"]["results"]] == [
             expected_ids(store_objects)
         ] * 2
         # The sampled trace keeps its shape, and says the read ran inline.
@@ -97,7 +97,7 @@ class TestInlineReads:
 
         submitted, response = serve(daemon, go)
         assert submitted == hops
-        assert response["result"]["ids"] == expected_ids(store_objects)
+        assert response["result"]["ids"].tolist() == expected_ids(store_objects)
 
     def test_a_batch_is_bounded_by_the_sum_of_its_queries(self, registry):
         registry.get("docs").work_bound = lambda q: INLINE_BUDGET // 2 + 1

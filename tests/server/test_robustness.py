@@ -1,12 +1,22 @@
 """Degradation under pressure: shedding, deadlines, partials, drain."""
 
 import asyncio
+import json
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from repro.server import DaemonClient, ServerConfig, ServerError, start_daemon_thread
+from repro.server import (
+    DaemonClient,
+    ServerConfig,
+    ServerError,
+    TransportError,
+    start_daemon_thread,
+)
+from repro.server import protocol
 from repro.server.daemon import QueryDaemon
 from repro.server.protocol import encode_frame
 from repro.service.store import DurableIndexStore
@@ -338,6 +348,66 @@ class TestPartialResults:
         )
 
 
+class TestHostileAttachments:
+    """Id-attachment bytes that do not add up: the daemon answers
+    ``bad_request`` and hangs up; the client raises, never returns ids."""
+
+    @staticmethod
+    def attached(envelope, attachment: bytes) -> bytes:
+        head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+        body = struct.pack("!I", len(head)) + head + attachment
+        return struct.pack("!I", (1 << 31) | len(body)) + body
+
+    def test_daemon_refuses_a_flagged_request_and_hangs_up(self, daemon):
+        frame = self.attached(
+            {"id": 1, "verb": "query", "tenant": "docs", "start": 0, "end": 100,
+             "result": {"count": 1}, "id_width": 2},
+            b"\x01\x00",
+        )
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=5) as sock:
+            sock.settimeout(5)
+            sock.sendall(frame)
+            response = protocol.read_frame_sock(sock)
+            assert response is not None and response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+            assert "attachment" in response["error"]["message"]
+            assert protocol.read_frame_sock(sock) is None  # then EOF
+
+    @pytest.mark.parametrize(
+        "result, width, attachment",
+        [
+            ({"count": 1}, 2, b"\x01\x00\x02"),  # not a multiple of the width
+            ({"count": 1}, 3, b"\x01\x00\x02"),  # unknown width
+            ({}, 2, b"\x01\x00"),  # count missing
+            ({"count": -1}, 2, b""),  # negative count
+            ({"count": True}, 2, b"\x01\x00"),  # boolean count
+            ({"count": 3}, 2, b"\x01\x00\x02\x00"),  # counts do not sum
+        ],
+        ids=["ragged", "width", "missing", "negative", "bool", "sum"],
+    )
+    def test_client_raises_on_a_hostile_response(self, result, width, attachment):
+        server = socket.create_server(("127.0.0.1", 0))
+        port = server.getsockname()[1]
+        frame = self.attached({"id": 1, "ok": True, "result": result, "id_width": width}, attachment)
+
+        def answer_one_request():  # one attempt: the client does not retry
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(5)
+                if protocol.read_frame_sock(conn) is not None:
+                    conn.sendall(frame)
+
+        thread = threading.Thread(target=answer_one_request, daemon=True)
+        thread.start()
+        try:
+            with DaemonClient("127.0.0.1", port, timeout=5.0, retry=NO_RETRY) as c:
+                with pytest.raises(TransportError, match="ProtocolError"):
+                    c.query("docs", 0, 100)
+        finally:
+            server.close()
+            thread.join(5)
+
+
 class TestGracefulDrain:
     def test_drain_answers_in_flight_and_flushes_wals(
         self, tenant_root, registry
@@ -373,7 +443,7 @@ class TestGracefulDrain:
         try:
             from repro.core.model import make_query
 
-            ids = store.query(make_query(10, 20, {"drained"}))
+            ids = store.query(make_query(10, 20, {"drained"})).tolist()
             assert set(ids) == {700_000, 700_001, 700_002, 700_003}
         finally:
             store.close()

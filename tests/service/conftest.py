@@ -75,7 +75,7 @@ def probe_queries() -> List[TimeTravelQuery]:
 
 def query_results(index) -> List[List[int]]:
     """The index's answers to every probe (the convergence fingerprint)."""
-    return [index.query(q) for q in probe_queries()]
+    return [index.query(q).tolist() for q in probe_queries()]
 
 
 @pytest.fixture()

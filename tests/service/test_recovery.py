@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError, ReproError
+from repro.core.errors import ConfigurationError, InvalidObjectError, ReproError
 from repro.indexes.brute import BruteForce
 from repro.indexes.registry import available_indexes
 from repro.service import layout
@@ -100,7 +100,7 @@ def test_degraded_store_keeps_serving_and_can_recheckpoint(tmp_path, ops):
         from repro.core.model import make_object, make_query
 
         store.insert(make_object(10_000, 0, 50, {"fresh"}))
-        assert store.query(make_query(0, 50, {"fresh"})) == [10_000]
+        assert store.query(make_query(0, 50, {"fresh"})).tolist() == [10_000]
         store.checkpoint()
     # After the checkpoint the degraded state is durable again.
     report = recover(tmp_path)
@@ -142,4 +142,23 @@ def test_unknown_wal_record_kind_degrades(tmp_path, ops):
     report = recover(tmp_path)
     assert report.degraded
     # Earlier, well-formed records were still rebuilt into the fallback.
+    assert query_results(report.index) == query_results(oracle_index(ops[:10]))
+
+
+def test_replayed_id_beyond_i64_is_the_typed_refusal(tmp_path, ops):
+    # A log written before ids were bounded can hold an insert of an id
+    # past i64.  Replaying it refuses the object exactly as a live insert
+    # would (InvalidObjectError), so the record is skipped: every other
+    # record replays, nothing degrades, and no answer carries the id.
+    populate(tmp_path, ops[:10])
+    seq, _path = layout.list_wal_segments(tmp_path)[-1]
+    record = ("insert", 10_000, 1 << 63, 0, 5, frozenset({"e0"}))
+    with WriteAheadLog(layout.wal_path(tmp_path, seq)) as wal:
+        wal.append(record)
+    with pytest.raises(InvalidObjectError, match="not an i64"):
+        _apply(BruteForce(), record)
+    report = recover(tmp_path)
+    assert not report.degraded
+    assert report.records_skipped >= 1
+    assert (1 << 63) not in report.index
     assert query_results(report.index) == query_results(oracle_index(ops[:10]))

@@ -98,7 +98,7 @@ def test_bootstrap_builds_and_checkpoints(tmp_path):
             store.bootstrap(collection, "irhint-perf")
     with DurableIndexStore.open(tmp_path) as reopened:
         assert len(reopened.index) == 40
-        assert reopened.query(make_query(0, 100, {"b"})) == [
+        assert reopened.query(make_query(0, 100, {"b"})).tolist() == [
             i for i in range(40) if i % 2 == 0
         ]
 

@@ -134,7 +134,7 @@ class TestOldFormats:
                 assert old.directory.terms.get("hot")[1] == new.directory.terms.get("hot")[1] == 2
                 assert old.postings("absent") is new.postings("absent") is None
                 for q in _queries(objects):
-                    assert old.query(q) == new.query(q) == sorted(oracle.query(q))
+                    assert old.query(q).tolist() == new.query(q).tolist() == sorted(oracle.query(q))
 
     def test_damaged_segments_raise_typed(self, old_segment):
         _version, path = old_segment
@@ -185,14 +185,14 @@ class TestMixedFormatCluster:
                 V2_SHARD: paths[V2_SHARD].name,
                 "g0001-s02": v3_path.name,
             }
-            assert [cluster.query(q) for q in queries] == expected
+            assert [cluster.query(q).tolist() for q in queries] == expected
             # The upgrade recipe: promote reads any format, demote writes v3.
             for shard in (V1_SHARD, V2_SHARD):
                 cluster.promote(shard)
                 assert not paths[shard].exists()
-                assert [cluster.query(q) for q in queries] == expected
+                assert [cluster.query(q).tolist() for q in queries] == expected
                 assert cluster.demote(shard).read_bytes().endswith(MAGIC)
-                assert [cluster.query(q) for q in queries] == expected
+                assert [cluster.query(q).tolist() for q in queries] == expected
 
 
 def _pickled_classes(blob):
@@ -231,7 +231,7 @@ class TestCompressedSnapshots:
         _names_no_retired_layout(blob)
         restored = loads_index(blob)
         for q in random_queries(collection, 40, seed=23):
-            assert restored.query(q) == index.query(q)
+            assert restored.query(q).tolist() == index.query(q).tolist()
 
 
 #: Snapshots of an index built on another postings layout than packed.
@@ -269,7 +269,7 @@ class TestOldLayoutSnapshots:
         live = _live_objects()
         brute = build_index("brute", Collection(live))
         for q in _queries(live):
-            assert index.query(q) == brute.query(q), q
+            assert index.query(q).tolist() == brute.query(q).tolist(), q
 
     def test_store_recovers_writes_and_checkpoints_packed(self, old_layout_snapshot, tmp_path):
         write_manifest(tmp_path, "tif", None)
@@ -287,7 +287,7 @@ class TestOldLayoutSnapshots:
         with DurableIndexStore.open(tmp_path, index_key="tif", wal_fsync=False) as store:
             assert store.last_recovery.snapshot_path == checkpoint
             for q in _queries(live):
-                assert store.query(q) == brute.query(q), q
+                assert store.query(q).tolist() == brute.query(q).tolist(), q
 
 
 #: Snapshots of the two HINT-based indexes on the retired per-division
@@ -318,7 +318,7 @@ class TestOldHintSnapshots:
         assert sorted(o.id for o in index.objects()) == sorted(o.id for o in live)
         brute = build_index("brute", Collection(live))
         for q in _queries(live):
-            assert index.query(q) == brute.query(q), q
+            assert index.query(q).tolist() == brute.query(q).tolist(), q
         _names_no_retired_hint(dumps_index(index))
 
     def test_store_recovers_writes_and_reopens(self, old_hint_key, tmp_path):
@@ -337,7 +337,7 @@ class TestOldHintSnapshots:
         with DurableIndexStore.open(tmp_path, index_key=old_hint_key, wal_fsync=False) as store:
             assert store.last_recovery.snapshot_path == checkpoint
             for q in _queries(live):
-                assert store.query(q) == brute.query(q), q
+                assert store.query(q).tolist() == brute.query(q).tolist(), q
 
 
 #: irHINT snapshots that froze one ``m`` per index, and the cap each loads with.
@@ -376,7 +376,7 @@ class TestFrozenMSnapshots:
         live = _live_objects()
         tif = build_index("tif", Collection(live))
         for q in _queries(live):
-            assert index.query(q) == tif.query(q), q
+            assert index.query(q).tolist() == tif.query(q).tolist(), q
 
     def test_store_recovers_writes_and_reopens(self, frozen_m_key, tmp_path):
         blob, cap = FROZEN_M[frozen_m_key]
@@ -395,7 +395,7 @@ class TestFrozenMSnapshots:
             assert store.last_recovery.snapshot_path == checkpoint
             assert store.index.num_bits == cap
             for q in _queries(live):
-                assert store.query(q) == tif.query(q), q
+                assert store.query(q).tolist() == tif.query(q).tolist(), q
 
 
 class TestTifLayoutIrHintPerf:
@@ -411,7 +411,7 @@ class TestTifLayoutIrHintPerf:
         live = migration_objects()
         tif = build_index("tif", Collection(live))
         for q in _queries(live):
-            assert index.query(q) == tif.query(q), q
+            assert index.query(q).tolist() == tif.query(q).tolist(), q
         assert index.stats() == IRHINT_PERF_TIF_STATS[charges]
         assert index.size_bytes() == IRHINT_PERF_TIF_STATS[charges]["size_bytes"]
 

@@ -19,6 +19,7 @@ from repro.core.errors import (
     ConfigurationError,
     CorruptPostingsError,
     CorruptSegmentError,
+    InvalidObjectError,
     ReadOnlySegmentError,
 )
 from repro.core.model import TemporalObject, make_object, make_query
@@ -98,7 +99,7 @@ class TestRoundTrip:
         queries = random_queries(collection, 100, seed=32)
         with SegmentReader(segment) as reader:
             for q in queries:
-                assert reader.query(q) == sorted(oracle.query(q))
+                assert reader.query(q).tolist() == sorted(oracle.query(q))
             # The query path must never touch the pickled descriptions.
             assert reader.descriptions_decoded is False
 
@@ -112,7 +113,7 @@ class TestRoundTrip:
                 (domain.end // 2, domain.end // 2),
             ]:
                 q = make_query(st, end, set())
-                assert reader.query(q) == collection.evaluate(q)
+                assert reader.query(q).tolist() == collection.evaluate(q)
             assert reader.descriptions_decoded is False
 
     def test_objects_round_trip_for_promotion(self, objects, segment):
@@ -140,8 +141,8 @@ class TestRoundTrip:
             assert len(reader) == 0
             assert reader.object_ids() == []
             assert reader.directory.span is None
-            assert reader.query(make_query(0, 10, {"e0"})) == []
-            assert reader.query(make_query(0, 10, set())) == []
+            assert reader.query(make_query(0, 10, {"e0"})).tolist() == []
+            assert reader.query(make_query(0, 10, set())).tolist() == []
 
     def test_build_is_deterministic(self, objects):
         first = build_segment(
@@ -157,16 +158,21 @@ class TestRoundTrip:
         with pytest.raises(ClusterError, match="i64"):
             build_segment(bad, shard_id="s", index_key=INDEX_KEY, index_params={})
 
-    def test_ids_beyond_i64_refuse_to_demote(self):
-        # The id column is i64 like the timestamp ones: the refusal must be
-        # the documented ClusterError, not struct's or numpy's own error.
+    def test_ids_beyond_i64_refuse_to_demote(self, tmp_path):
+        # The id column is i64, like every answer: an id beyond it is
+        # refused by the object itself, typed, so no shard can ever hold
+        # one its segment could not store.
         for bad_id in (1 << 63, 1 << 80):
-            bad = [
-                make_object(1, 0, 5, {"a"}),
-                TemporalObject(id=bad_id, st=0, end=5, d=frozenset({"a"})),
-            ]
-            with pytest.raises(ClusterError, match="id .* is not an i64"):
-                build_segment(bad, shard_id="s", index_key=INDEX_KEY, index_params={})
+            with pytest.raises(InvalidObjectError, match="id .* is not an i64"):
+                TemporalObject(id=bad_id, st=0, end=5, d=frozenset({"a"}))
+        # The largest id that is one round-trips through a segment.
+        path = write_segment(
+            tmp_path / "max.seg",
+            [make_object(1, 0, 5, {"a"}), make_object(I64_MAX, 0, 5, {"a"})],
+            shard_id="s", index_key=INDEX_KEY, index_params={},
+        )
+        with SegmentReader(path) as reader:
+            assert reader.query(make_query(0, 5, {"a"})).tolist() == [1, I64_MAX]
 
     def test_written_segments_carry_the_v3_magic(self, segment):
         assert segment.read_bytes().endswith(MAGIC)
@@ -225,7 +231,7 @@ class TestTermKeys:
             )
             for element in self.ELEMENTS + ["common", "a\x00\x00", b"a\x00", 2, ("a", 2)]:
                 q = make_query(-10, 100, {element})
-                assert reader.query(q) == sorted(oracle.query(q)), element
+                assert reader.query(q).tolist() == sorted(oracle.query(q)), element
             for element in (1.5, None):
                 assert reader.postings(element) is None
 
@@ -246,9 +252,9 @@ class TestNoUnpickling:
             assert sorted(reader.directory.terms, key=repr) == elements
             for element in elements:
                 q = make_query(-(1 << 40), 1 << 40, {element})
-                assert reader.query(q) == sorted(oracle.query(q))
+                assert reader.query(q).tolist() == sorted(oracle.query(q))
             q = make_query(-(1 << 40), 1 << 40, set())
-            assert reader.query(q) == sorted(oracle.query(q))
+            assert reader.query(q).tolist() == sorted(oracle.query(q))
             assert all(obj.id in reader for obj in objects)
             assert max(obj.id for obj in objects) + 1 not in reader
             assert reader.descriptions_decoded is False
@@ -287,7 +293,7 @@ class TestPureTemporalScan:
         with SegmentReader(path) as reader:
             for st, end in self.WINDOWS:
                 q = make_query(st, end, set())
-                assert reader.query(q) == sorted(oracle.query(q)), (st, end)
+                assert reader.query(q).tolist() == sorted(oracle.query(q)), (st, end)
             assert reader.descriptions_decoded is False
 
     def test_random_windows(self, objects, segment):
@@ -300,7 +306,7 @@ class TestPureTemporalScan:
                 st = rng.randint(domain.st - 50, domain.end + 50)
                 end = st + rng.choice([0, 1, 10, 500, domain.end])
                 q = make_query(st, end, set())
-                assert reader.query(q) == sorted(oracle.query(q))
+                assert reader.query(q).tolist() == sorted(oracle.query(q))
 
 
 class TestZeroDecodeObservability:
@@ -321,7 +327,7 @@ class TestZeroDecodeObservability:
         with isolated_registry() as registry:
             with SegmentReader(path) as reader:
                 q = make_query(30, 35, {"hot", "rare3"})
-                assert reader.query(q) == [3]
+                assert reader.query(q).tolist() == [3]
                 assert reader.descriptions_decoded is False
             skipped = registry.sample_value("repro_storage_blocks_skipped_total")
             decoded = registry.sample_value("repro_storage_blocks_decoded_total")
@@ -440,7 +446,7 @@ class TestCorruption:
         )
         with SegmentReader(path) as reader:
             ids_offset, sts_offset, ends_offset, n = reader.directory.catalog
-            assert n == 64 and reader.query(make_query(0, 100, set())) == list(range(11))
+            assert n == 64 and reader.query(make_query(0, 100, set())).tolist() == list(range(11))
         t_st_5, id_7 = sts_offset + 8 * 5, ids_offset + 8 * 7
         for flips in ([t_st_5], [id_7], [t_st_5, id_7], [ends_offset + 8 * 63 + 7]):
             for at in flips:
@@ -535,7 +541,7 @@ class TestCorruption:
         flip_bit(segment, offset + 1)
         with SegmentReader(segment) as reader:
             # Queries never touch the blob, so they still work…
-            assert reader.query(make_query(0, 10**6, set())) == reader.object_ids()
+            assert reader.query(make_query(0, 10**6, set())).tolist() == reader.object_ids()
             # …but promotion detects the damage instead of resurrecting junk.
             with pytest.raises(CorruptSegmentError):
                 reader.objects()

@@ -49,7 +49,7 @@ def _assert_recovered(directory, queries, baseline, *, cold):
     shard_id = _shard_id(directory)
     with TemporalCluster.open(directory, wal_fsync=False) as cluster:
         assert cluster.tier_state.is_cold(shard_id) is cold
-        assert [cluster.query(q) for q in queries] == baseline
+        assert [cluster.query(q).tolist() for q in queries] == baseline
         tiers = {s["shard_id"]: s["tier"] for s in cluster.tier_status()}
         assert tiers[shard_id] == ("cold" if cold else "hot")
     # Disk agrees with the committed tier: no file serves the other one.
@@ -108,7 +108,7 @@ class TestDemotionCrashes:
             with pytest.raises(OSError, match="injected fsync failure"):
                 cluster.demote(_shard_id(directory))
             # The same in-process cluster keeps serving from the hot tier.
-            assert [cluster.query(q) for q in queries] == baseline
+            assert [cluster.query(q).tolist() for q in queries] == baseline
         _assert_recovered(directory, queries, baseline, cold=False)
 
     def test_crash_after_commit_before_cleanup(self, tmp_path):
@@ -220,6 +220,6 @@ class TestRecoveryValidation:
         tiering.write_tier_state(directory, state)
         with TemporalCluster.open(directory, wal_fsync=False) as cluster:
             assert "g9999-s99" not in cluster.tier_state.cold
-            assert [cluster.query(q) for q in queries] == baseline
+            assert [cluster.query(q).tolist() for q in queries] == baseline
         # The rewritten commit no longer names the phantom shard.
         assert "g9999-s99" not in tiering.read_tier_state(directory).cold

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import TemporalCluster
 from repro.core.collection import Collection
-from repro.core.errors import ClusterError, ShardUnavailableError
+from repro.core.errors import ClusterError, InvalidObjectError, ShardUnavailableError
 from repro.core.model import make_object, make_query
 from repro.indexes.registry import build_index
 from repro.obs.registry import isolated_registry
@@ -78,24 +78,24 @@ class TestDemotePromoteCycle:
         assert segment.is_file()
         assert cluster.tier_state.is_cold(shard_id)
         assert len(cluster) == len(collection)
-        assert [cluster.query(q) for q in queries] == baseline
+        assert [cluster.query(q).tolist() for q in queries] == baseline
 
         cluster.promote(shard_id)
         assert not segment.exists()
         assert cluster.tier_state.cold == {}
-        assert [cluster.query(q) for q in queries] == baseline
+        assert [cluster.query(q).tolist() for q in queries] == baseline
 
     def test_mixed_tiers_survive_reopen(self, collection, cluster, tmp_path):
         queries = random_queries(collection, 30, seed=43)
         shard_id = _some_hot_shard(cluster)
         cluster.demote(shard_id)
-        baseline = [cluster.query(q) for q in queries]
+        baseline = [cluster.query(q).tolist() for q in queries]
         directory = cluster.directory
         cluster.close()
         with TemporalCluster.open(directory, wal_fsync=False) as reopened:
             assert reopened.tier_state.is_cold(shard_id)
             assert len(reopened) == len(collection)
-            assert [reopened.query(q) for q in queries] == baseline
+            assert [reopened.query(q).tolist() for q in queries] == baseline
             tiers = {s["shard_id"]: s["tier"] for s in reopened.tier_status()}
             assert tiers[shard_id] == "cold"
             assert sum(1 for t in tiers.values() if t == "hot") == 3
@@ -109,33 +109,31 @@ class TestDemotePromoteCycle:
             cluster.demote(shard_id)
 
     def test_uncodable_id_refuses_typed_and_changes_nothing(self, collection, cluster):
-        # An id past i64 cannot live in a segment's id column.  The refusal
-        # is the documented ClusterError (it used to escape as struct.error)
-        # and comes before anything is written: the shard stays hot, and a
-        # tier state already on disk — another shard's demotion — is not
+        # An id past i64 fits neither an answer (an int64 array) nor a
+        # segment's id column.  The refusal is the object's own typed
+        # InvalidObjectError, before the cluster is touched: no shard can
+        # ever hold an id that would keep it from going cold, and a tier
+        # state already on disk — another shard's demotion — is not
         # touched.
         cluster.demote(_some_hot_shard(cluster))
         spec = _bounded_shard(cluster)  # another shard: this one has a lower bound
         directory = cluster.directory
         tiers = tiering.tiers_path(directory)
         before = tiers.read_bytes()
-        cluster.insert(make_object(1 << 63, spec.lo, spec.lo, {"e0"}))
         probe = make_query(spec.lo, spec.lo, {"e0"})
-        answer = cluster.query(probe)
-        assert 1 << 63 in answer
+        answer = cluster.query(probe).tolist()
 
-        with pytest.raises(ClusterError, match=r"id 9223372036854775808 is not an i64"):
-            cluster.demote(spec.shard_id)
+        with pytest.raises(InvalidObjectError, match=r"id 9223372036854775808 is not an i64"):
+            cluster.insert(make_object(1 << 63, spec.lo, spec.lo, {"e0"}))
 
-        assert not cluster.tier_state.is_cold(spec.shard_id)
         assert tiers.read_bytes() == before
-        segments = directory / "segments"
-        assert not (segments / f"{spec.shard_id}.seg").exists()
         assert not list(directory.rglob("*.tmp"))
-        assert cluster.query(probe) == answer
-        cluster.delete(1 << 63)  # still writable: it never left the hot tier
-        cluster.demote(spec.shard_id)  # and demotable once the id is gone
+        assert cluster.query(probe).tolist() == answer
+        largest = (1 << 63) - 1  # the largest id is one, and demotes
+        cluster.insert(make_object(largest, spec.lo, spec.lo, {"e0"}))
+        cluster.demote(spec.shard_id)
         assert cluster.tier_state.is_cold(spec.shard_id)
+        assert cluster.query(probe).tolist() == sorted(answer + [largest])
 
     def test_unencodable_element_refuses_typed_and_changes_nothing(self, cluster):
         # A segment's term table holds typed keys for str, int, bytes and
@@ -146,7 +144,7 @@ class TestDemotePromoteCycle:
         odd = make_object(10**6, spec.lo, spec.lo, {("e0", 2.5)})
         cluster.insert(odd)
         probe = make_query(spec.lo, spec.lo, {("e0", 2.5)})
-        assert cluster.query(probe) == [odd.id]
+        assert cluster.query(probe).tolist() == [odd.id]
 
         with pytest.raises(ClusterError, match=r"element \('e0', 2.5\) is not a str, int, bytes"):
             cluster.demote(spec.shard_id)
@@ -155,7 +153,7 @@ class TestDemotePromoteCycle:
         assert not tiering.tiers_path(directory).exists()
         assert not (directory / "segments" / f"{spec.shard_id}.seg").exists()
         assert not list(directory.rglob("*.tmp"))
-        assert cluster.query(probe) == [odd.id]
+        assert cluster.query(probe).tolist() == [odd.id]
         cluster.delete(odd.id)  # still writable: it never left the hot tier
         cluster.demote(spec.shard_id)  # and demotable once the element is gone
         assert cluster.tier_state.is_cold(spec.shard_id)
@@ -340,8 +338,8 @@ class TestRebalancerInteraction:
         shard_id = _some_hot_shard(cluster)
         cluster.demote(shard_id)
         queries = random_queries(collection, 20, seed=45)
-        baseline = [cluster.query(q) for q in queries]
+        baseline = [cluster.query(q).tolist() for q in queries]
         plan = cluster.plan_rebalance(split_factor=0.01, min_split_objects=1)
         if not plan.is_noop:
             cluster.rebalance(plan)
-            assert [cluster.query(q) for q in queries] == baseline
+            assert [cluster.query(q).tolist() for q in queries] == baseline

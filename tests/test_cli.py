@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 
 import pytest
 
@@ -219,6 +220,59 @@ class TestServe:
             "--start", "0", "--end", "10", "--elements", "x",
         )
         assert (code, out["ids"]) == (0, [7])
+
+
+class TestGoldenDocuments:
+    """What the human edge prints, line for line as it did when answers
+    were id lists: the CLI turns each answer array into a list there."""
+
+    QUERY = ["--start", "2", "--end", "4", "--elements", "a,c"]
+
+    def test_query(self, data_file, capsys):
+        assert main(["query", data_file, "--index", "irhint-perf", *self.QUERY]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"3 results in \d+\.\d\d ms", lines[0])
+        assert lines[1:] == ["[2, 4, 7]"]
+
+    def test_cluster_query(self, data_file, tmp_path, capsys):
+        directory = str(tmp_path / "c")
+        assert main(["cluster", "build", directory, "--data", data_file, "--index", "tif",
+                     "--shards", "2", "--no-fsync"]) == 0
+        capsys.readouterr()
+        assert main(["cluster", "query", directory, *self.QUERY]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"3 results in \d+\.\d\d ms \(1/2 shards: g0001-s01\)", lines[0])
+        assert lines[1:] == ["[2, 4, 7]"]
+
+    def test_explain(self, data_file, capsys):
+        assert main(["explain", data_file, "--index", "irhint-perf", *self.QUERY]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "explain irHINT (performance): q=[2, 4] d=['a', 'c'] → 3 results",
+            "  scan I[a]                    scanned=4        touched=1     candidates=3",
+            "  ∩ I[c]                       scanned=7        touched=1     candidates=3",
+            "  table: none",
+            "  m: 0",
+        ]
+
+    def test_client_query(self, tmp_path, serve_net, capsys):
+        daemon = serve_net(tmp_path / "root", "--create", "t", "--index", "brute", "--no-fsync")
+        for object_id in (7, 70_000):
+            assert _client(
+                capsys, daemon.port, "insert", "--tenant", "t", "--object-id", str(object_id),
+                "--start", "0", "--end", "5", "--elements", "x",
+            )[0] == 0
+        for elements, count, ids in (("x", 2, "[\n    7,\n    70000\n  ]"), ("y", 0, "[]")):
+            assert main(["client", "--port", str(daemon.port), "query", "--tenant", "t",
+                         "--start", "0", "--end", "10", "--elements", elements]) == 0
+            assert capsys.readouterr().out == (
+                "{\n"
+                '  "complete": true,\n'
+                f'  "count": {count},\n'
+                f'  "ids": {ids},\n'
+                '  "shards_answered": 1,\n'
+                '  "shards_planned": 1\n'
+                "}\n"
+            )
 
 
 class TestRecover:
