@@ -39,10 +39,23 @@ class Dictionary:
             dictionary.add_description(description)
         return dictionary
 
+    @classmethod
+    def from_frequencies(cls, pairs: Iterable[Tuple[Element, int]]) -> "Dictionary":
+        """Build from ``(element, frequency)`` pairs, in their order (a bulk
+        load counts every element at once)."""
+        dictionary = cls()
+        dictionary._freq = dict(pairs)
+        return dictionary
+
     def add_description(self, description: Iterable[Element]) -> None:
-        """Register one object's description (each element counted once)."""
+        """Register one object's description (each element counted once).
+
+        A set is read in its own order, so the dictionary meets new
+        elements in the order the indexes' element maps do."""
         freq = self._freq
-        for element in set(description):
+        if not isinstance(description, (set, frozenset)):
+            description = set(description)
+        for element in description:
             freq[element] = freq.get(element, 0) + 1
 
     def remove_description(self, description: Iterable[Element]) -> None:

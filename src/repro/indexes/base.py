@@ -24,7 +24,9 @@ from __future__ import annotations
 import abc
 import itertools
 import sys
-from typing import ClassVar, Dict, List, Optional, Union
+from bisect import bisect_right
+from functools import cached_property
+from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from repro.core.collection import Collection
 from repro.core.dictionary import Dictionary
 from repro.core.errors import DuplicateObjectError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
+from repro.ir.packed import IdSorted, PackedPostingsList, id_sorted
 from repro.obs.context import annotate, event, tracing_active
 from repro.obs.registry import OBS
 from repro.utils.timing import Stopwatch
@@ -45,6 +48,102 @@ _VERSIONS = itertools.count(1)
 def next_version() -> int:
     """A data version never handed out before in this process."""
     return next(_VERSIONS)
+
+
+#: Bytes of one column a bulk load gathers at once while it cuts runs: its
+#: transient memory past the sort stays under a MiB at any collection size.
+_GATHER_BYTES = 1 << 18
+
+
+class BuildColumns:
+    """A collection read once into the columns a bulk load splits
+    (:meth:`TemporalIRIndex._load_columns`).
+
+    Each column is computed on first use, so an index that loads by its
+    insert loop pays for the object list alone.
+    """
+
+    def __init__(self, collection: Iterable[TemporalObject]) -> None:
+        self.objects: List[TemporalObject] = list(collection)
+
+    @cached_property
+    def by_id(self) -> Optional[IdSorted]:
+        """The objects' ``(id, t_st, t_end)`` as int64 columns sorted by id,
+        or ``None`` when only the insert loop loads these objects as the
+        loop would: an endpoint no i64 slot holds (a float, which spills
+        its lists) or a repeated id (the loop's :class:`DuplicateObjectError`)."""
+        objects = self.objects
+        return id_sorted(
+            [obj.id for obj in objects], [obj.st for obj in objects], [obj.end for obj in objects]
+        )
+
+    def held(self) -> IdSorted:
+        """:attr:`by_id`, which a columnar load may take to exist."""
+        held = self.by_id
+        assert held is not None, "what the columns cannot hold loads by the loop"
+        return held
+
+    @cached_property
+    def descriptions(self) -> Tuple[List[Element], np.ndarray, np.ndarray]:
+        """``(elements, keys, lengths)``: the elements in first-seen order
+        (the order the insert loop meets them); for each (object, element)
+        pair in collection order, its element's key — the number of that
+        element's first pair, so keys ascend in first-seen order; and each
+        object's description length."""
+        ds = [obj.d for obj in self.objects]
+        lengths = np.fromiter(map(len, ds), dtype=np.int64, count=len(ds))
+        n_pairs = int(lengths.sum())
+        first: Dict[Element, int] = {}
+        keys = np.fromiter(
+            map(first.setdefault, itertools.chain.from_iterable(ds), itertools.count()),
+            dtype=np.min_scalar_type(n_pairs),
+            count=n_pairs,
+        )
+        return list(first), keys, lengths
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """Each element's document frequency, in first-seen order: its
+        pairs (a description is a set)."""
+        counts = np.bincount(self.descriptions[1])
+        return counts[counts != 0]
+
+    def runs(self) -> Iterator[Tuple[Element, PackedPostingsList]]:
+        """Every element's postings run, in first-seen element order: the
+        pairs sorted by (element, id) once and cut at each element's bounds
+        (:attr:`by_id` must exist)."""
+        ids, sts, ends, permutation = self.held()
+        elements, keys, lengths = self.descriptions
+        # The row of each pair's object in the id-sorted columns, narrow:
+        # the sort's index is the widest column.
+        narrow = np.min_scalar_type(len(ids))
+        owner = np.repeat(np.arange(len(ids), dtype=narrow), lengths)
+        if permutation is None:  # collection order is id order
+            order = np.argsort(keys, kind="stable")
+        else:
+            rank = np.empty(len(ids), dtype=narrow)
+            rank[permutation] = np.arange(len(ids), dtype=narrow)
+            owner = rank[owner]
+            del rank
+            order = np.lexsort((owner, keys))
+        owner = owner[order]
+        del order
+        # Byte offsets of each run; a chunk of whole runs is gathered at once.
+        bounds = [0, *itertools.accumulate((self.frequencies * 8).tolist())]
+        first = 0
+        while first < len(elements):
+            lo = bounds[first]
+            last = max(first + 1, bisect_right(bounds, lo + _GATHER_BYTES) - 1)
+            rows = owner[lo // 8 : bounds[last] // 8]
+            chunk_ids, chunk_sts, chunk_ends = (
+                memoryview(column[rows]).cast("B") for column in (ids, sts, ends)
+            )
+            for e in range(first, last):
+                a, b = bounds[e] - lo, bounds[e + 1] - lo
+                yield elements[e], PackedPostingsList.from_columns(
+                    chunk_ids[a:b], chunk_sts[a:b], chunk_ends[a:b]
+                )
+            first = last
 
 
 class TemporalIRIndex(abc.ABC):
@@ -78,23 +177,48 @@ class TemporalIRIndex(abc.ABC):
     def build(cls, collection: Collection, **params: object) -> "TemporalIRIndex":
         """Build an index over every object of ``collection``.
 
-        The default path creates an empty index configured for the
-        collection's domain (via :meth:`_configure_for`), inserts object
-        by object and lets the index settle (:meth:`_settle`); subclasses
-        override the hooks when a bulk path differs.
+        Creates an empty index configured for the collection's domain (via
+        :meth:`_configure_for`), reads the collection once into columns,
+        hands them to :meth:`_load` and lets the index settle
+        (:meth:`_settle`).  The finished index draws a fresh version.
         """
         index = cls(**params)  # type: ignore[call-arg]
         index._configure_for(collection)
-        for obj in collection:
-            index.insert(obj)
+        index._load(BuildColumns(collection))
         index._settle()
+        index.version = next_version()
         return index
 
     def _configure_for(self, collection: Collection) -> None:
-        """Hook: derive domain-dependent parameters before bulk insertion."""
+        """Hook: derive domain-dependent parameters before the load."""
+
+    #: Does :meth:`_load_columns` fill this index?  Otherwise it loads by
+    #: its insert loop.
+    _columnar: ClassVar[bool] = False
+
+    def _load(self, columns: BuildColumns) -> None:
+        """Fill the empty index with ``columns.objects``: the catalog, the
+        dictionary counts and :meth:`_load_columns` when the index has a
+        columnar load and the columns hold the collection (:attr:`BuildColumns.by_id`),
+        otherwise the insert loop, whose semantics the rest have."""
+        if not (self._columnar and columns.by_id is not None):
+            for obj in columns.objects:
+                self.insert(obj)
+            return
+        self._catalog = {obj.id: obj for obj in columns.objects}
+        self._dictionary = Dictionary.from_frequencies(
+            zip(columns.descriptions[0], columns.frequencies.tolist())
+        )
+        self._load_columns(columns)
+
+    def _load_columns(self, columns: BuildColumns) -> None:
+        """Hook of a ``_columnar`` index: fill its structures from ``columns``
+        (whose :attr:`~BuildColumns.by_id` exists) exactly as the insert
+        loop would."""
+        raise NotImplementedError
 
     def _settle(self) -> None:
-        """Hook: after bulk insertion, derive what the first queries would
+        """Hook: after the load, derive what the first queries would
         otherwise build (a HINT's table)."""
 
     # ---------------------------------------------------------------- updates

@@ -41,10 +41,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
-from repro.indexes.base import TemporalIRIndex
+from repro.indexes.base import BuildColumns, TemporalIRIndex
 from repro.indexes.tif_hint import _TIFHintBase
 from repro.intervals.hint import timefirst
 from repro.intervals.hint.index import Hint, Ids
+from repro.ir.packed import PackedPostingsList
 from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_ID_BYTES
 
@@ -178,6 +179,13 @@ class IRHintSize(TemporalIRIndex):
         return self._hint
 
     # ---------------------------------------------------------------- updates
+    _columnar = True
+
+    def _load_columns(self, columns: BuildColumns) -> None:
+        """The store's run, sorted by id once."""
+        ids, sts, ends, _ = columns.held()
+        self._hint = Hint(self._hint.num_bits, PackedPostingsList.from_columns(ids, sts, ends))
+
     def _insert_impl(self, obj: TemporalObject) -> None:
         self._hint.insert(obj.id, obj.st, obj.end)
         if self._columns is not None and obj.id <= self._columns[1]:

@@ -12,8 +12,9 @@ foreign files or version-incompatible snapshots *before* unpickling
 anything, and the checksum detects torn writes and bit rot.  Snapshots are
 written through the :mod:`repro.service.fsio` seam (temp file → fsync →
 rename → directory fsync) so a crash mid-save never clobbers the previous
-snapshot.  Format v1 files (no
-checksum) written by earlier releases still load.
+snapshot.  Format v1 files (no checksum:
+damage inside a pickled value would load silently) are refused, naming
+their format, before anything is unpickled.
 
 Snapshots pickle postings classes: lists of the previous release's ``list``
 and ``compressed`` layouts load as plain :class:`~repro.ir.packed.PackedPostingsList`,
@@ -50,7 +51,6 @@ PathLike = Union[str, Path]
 
 _MAGIC = b"RPROIDX1"
 _FORMAT_VERSION = 2
-_SUPPORTED_FORMATS = (1, 2)
 _LEN_BYTES = 4
 #: Largest header we will ever read; anything bigger means a corrupt
 #: length field, not a real header.
@@ -232,22 +232,21 @@ def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
     """Inverse of :func:`dumps_index`, verifying integrity end to end."""
     header, offset = _parse_header(blob, context)
     fmt = _int_field(header, "format", context)
-    if fmt not in _SUPPORTED_FORMATS:
+    if fmt != _FORMAT_VERSION:
         raise ReproError(
             f"{context}: snapshot format {fmt} unsupported "
-            f"(this library reads {', '.join(map(str, _SUPPORTED_FORMATS))})"
+            f"(this library reads {_FORMAT_VERSION})"
         )
     payload = blob[offset:]
-    if fmt >= 2:
-        expected_len = _int_field(header, "payload_bytes", context)
-        if expected_len != len(payload):
-            raise CorruptSnapshotError(
-                f"{context}: truncated snapshot payload "
-                f"({len(payload)} bytes, header says {expected_len})"
-            )
-        expected_crc = _int_field(header, "payload_crc32", context)
-        if zlib.crc32(payload) != expected_crc:
-            raise CorruptSnapshotError(f"{context}: snapshot payload checksum mismatch")
+    expected_len = _int_field(header, "payload_bytes", context)
+    if expected_len != len(payload):
+        raise CorruptSnapshotError(
+            f"{context}: truncated snapshot payload "
+            f"({len(payload)} bytes, header says {expected_len})"
+        )
+    expected_crc = _int_field(header, "payload_crc32", context)
+    if zlib.crc32(payload) != expected_crc:
+        raise CorruptSnapshotError(f"{context}: snapshot payload checksum mismatch")
     unpickler = _Unpickler(io.BytesIO(payload))
     # A cyclic collection mid-load frees nothing: it only walks the objects
     # loaded so far (two full passes took 40 % of a 2·10⁴-object load).
@@ -255,7 +254,7 @@ def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
     gc.disable()
     try:
         index = unpickler.load()
-    except Exception as exc:  # bit rot in a v1 payload surfaces here
+    except Exception as exc:  # a checksummed payload that still fails to unpickle
         raise CorruptSnapshotError(f"{context}: snapshot payload unreadable: {exc}") from exc
     finally:
         if collecting:
@@ -276,7 +275,7 @@ def _tif_layout(index: TemporalIRIndex, context: str) -> bool:
 
 
 def load_index(path: PathLike) -> TemporalIRIndex:
-    """Restore a snapshot written by :func:`save_index` (v1 or v2)."""
+    """Restore a snapshot written by :func:`save_index`."""
     with open(path, "rb") as handle:
         blob = handle.read()
     return loads_index(blob, context=str(path))

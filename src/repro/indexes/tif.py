@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.model import TemporalObject, TimeTravelQuery
-from repro.indexes.base import TemporalIRIndex
+from repro.indexes.base import BuildColumns, TemporalIRIndex
 from repro.ir.inverted import TemporalInvertedFile
 
 
@@ -28,6 +28,12 @@ class TIF(TemporalIRIndex):
         self._tif = TemporalInvertedFile()
 
     # ---------------------------------------------------------------- updates
+    _columnar = True
+
+    def _load_columns(self, columns: BuildColumns) -> None:
+        """Every element's run cut from one sort."""
+        self._tif.load(columns.runs())
+
     def _insert_impl(self, obj: TemporalObject) -> None:
         self._tif.add_object(obj.id, obj.st, obj.end, obj.d)
 

@@ -35,7 +35,7 @@ import abc
 from typing import Dict, Optional
 
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
-from repro.indexes.base import TemporalIRIndex
+from repro.indexes.base import BuildColumns, TemporalIRIndex
 from repro.intervals.hint.index import Hint, Ids
 from repro.obs.context import event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES
@@ -77,6 +77,13 @@ class _TIFHintBase(TemporalIRIndex):
         return self._hints.get(element)
 
     # ---------------------------------------------------------------- updates
+    _columnar = True
+
+    def _load_columns(self, columns: BuildColumns) -> None:
+        """One :class:`Hint` over each element's run, the runs cut from one sort."""
+        num_bits = self._num_bits
+        self._hints = {element: Hint(num_bits, run) for element, run in columns.runs()}
+
     # Straight to the runs: one dict probe per element.  The catalog's
     # copy of the object is what reaches here, so every run holds it.
     def _insert_impl(self, obj: TemporalObject) -> None:

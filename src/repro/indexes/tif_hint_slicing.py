@@ -100,6 +100,9 @@ class TIFHintSlicing(_TIFHintBase):
         return self._n_slices
 
     # ---------------------------------------------------------------- updates
+    #: The slice copies load object by object, as the baselines do.
+    _columnar = False
+
     def _insert_impl(self, obj: TemporalObject) -> None:
         super()._insert_impl(obj)
         grown = regrid(self._layout, obj, self._catalog.values(), self._n_slices)

@@ -11,8 +11,9 @@ Stored as one id-ordered packed run (:class:`~repro.ir.packed.PackedPostingsList
 read through its :class:`~repro.intervals.hint.timefirst.TimeFirstTable`:
 the divisions are row slices of that table, every level's slices are cut
 at once, and one overlap mask over the gathered rows replaces the paper's
-per-division comparison flags and beneficial sorting.  Inserts append to
-the run (the tail); the first query that finds the table stale asks the
+per-division comparison flags and beneficial sorting.  :meth:`Hint.build`
+sorts its records by id once into the run; inserts append to the run
+(the tail); the first query that finds the table stale asks the
 cost rule again (:func:`~repro.intervals.hint.timefirst.decide`), which
 grids the run's own time span at the cheapest ``m`` up to ``num_bits``, or
 reads the run flat.  A run spilled to non-i64 values (floats) has no table
@@ -32,7 +33,7 @@ from repro.core.interval import Timestamp
 from repro.intervals.base import IntervalIndex, IntervalRecord
 from repro.intervals.hint import cost_model, timefirst
 from repro.ir.blocks import exact_window, overlap_mask
-from repro.ir.packed import PackedPostingsList
+from repro.ir.packed import PackedPostingsList, id_sorted
 from repro.utils.bitops import validate_num_bits
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 
@@ -50,11 +51,12 @@ class Hint(IntervalIndex):
     #: cost rule's verdict on the run (its table, or flat), never pickled.
     __slots__ = ("_m", "_run", "_table")
 
-    def __init__(self, num_bits: int) -> None:
-        """Create an empty HINT of at most ``num_bits + 1`` levels."""
+    def __init__(self, num_bits: int, run: Optional[PackedPostingsList] = None) -> None:
+        """A HINT of at most ``num_bits + 1`` levels over ``run`` (empty
+        when omitted)."""
         validate_num_bits(num_bits)
         self._m = num_bits
-        self._run = PackedPostingsList()
+        self._run = PackedPostingsList() if run is None else run
         self._table: Optional[timefirst.Verdict] = None
 
     @classmethod
@@ -62,9 +64,16 @@ class Hint(IntervalIndex):
         cls, records: Iterable[IntervalRecord], num_bits: Optional[int] = None
     ) -> "Hint":
         """Bulk-build over ``records``; ``num_bits``, the cap on ``m``, is
-        required."""
+        required.  The records are sorted by id once into the run; a
+        repeated id or an endpoint no i64 slot holds takes the insert loop
+        instead, whose semantics those have (the last interval wins; a
+        float spills the run)."""
         if num_bits is None:
             raise ConfigurationError("Hint.build needs num_bits")
+        records = list(records)
+        held = id_sorted(*zip(*records)) if records else None
+        if held is not None:
+            return cls(num_bits, PackedPostingsList.from_columns(held.ids, held.sts, held.ends))
         index = cls(num_bits)
         for object_id, st, end in records:
             index.insert(object_id, st, end)

@@ -18,7 +18,7 @@ numbers ``explain()`` renders and a daemon trace shows.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,11 @@ class TemporalInvertedFile:
                 # A tIF pickled by the previous release carries None: packed.
                 postings = lists[element] = _LAYOUTS[self._backend or "packed"]()
             postings.add(object_id, st, end)
+
+    def load(self, runs: Iterable[Tuple[Element, PostingsBackend]]) -> None:
+        """Fill an empty file with ready-made ``(element, list)`` runs (a
+        bulk load), in their order."""
+        self._lists.update(runs)
 
     def delete_object(self, object_id: int, description: Iterable[Element]) -> None:
         """Tombstone the object's entry in every element list of ``d``."""

@@ -6,6 +6,10 @@ closest CPython analogue of the paper's packed C++ arrays (HINT §5's
 cache-miss argument, arXiv 2104.10939): no boxed int per id or endpoint,
 so the scan and intersection loops pay no pointer chase or refcount.
 
+A bulk build writes each list at once from id-sorted int64 columns
+(:meth:`PackedPostingsList.from_columns`), the list ``add`` in id order
+would make.
+
 Past :data:`_VECTOR_MIN` slots the temporal scans and the sorted-id
 intersection run as numpy kernels over zero-copy views of those columns;
 shorter lists use scalar loops.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +59,49 @@ def _fits_i64(value: Timestamp) -> bool:
     return isinstance(value, int) and _I64_MIN <= value <= _I64_MAX
 
 
+class IdSorted(NamedTuple):
+    """Entries as int64 columns sorted by id (:func:`id_sorted`)."""
+
+    ids: np.ndarray
+    sts: np.ndarray
+    ends: np.ndarray
+    #: The permutation of the given order that sorted them; ``None`` when
+    #: the ids already ascended.
+    order: Optional[np.ndarray]
+
+
+def id_sorted(
+    ids: Iterable[int], sts: Iterable[Timestamp], ends: Iterable[Timestamp]
+) -> Optional[IdSorted]:
+    """The entries ``zip(ids, sts, ends)`` as the columns of the list that
+    :meth:`PackedPostingsList.add` would make of them, or ``None`` when
+    only ``add`` one by one makes that list: a value no i64 slot holds (a
+    float spills the list) or a repeated id."""
+    try:
+        id_col, st_col, end_col = (
+            np.frombuffer(array("q", column), dtype=np.int64) for column in (ids, sts, ends)
+        )
+    except (TypeError, OverflowError):
+        return None
+    if (id_col[1:] > id_col[:-1]).all():
+        return IdSorted(id_col, st_col, end_col, None)
+    order = np.argsort(id_col, kind="stable")
+    id_col = id_col[order]
+    if not (id_col[1:] > id_col[:-1]).all():
+        return None
+    return IdSorted(id_col, st_col[order], end_col[order], order)
+
+
+def _copied(values: "np.ndarray | memoryview") -> array:
+    """An ``array('q')`` holding a copy of a contiguous int64 column, given
+    as an array or as a byte memoryview of one."""
+    if isinstance(values, np.ndarray):
+        values = memoryview(values).cast("B")
+    column = array("q")
+    column.frombytes(values)
+    return column
+
+
 class PackedPostingsList:
     """Id-ordered ``⟨id, t_st, t_end⟩`` entries in flat packed columns.
 
@@ -79,6 +126,27 @@ class PackedPostingsList:
         self._alive = bytearray()
         self._n_dead = 0
         self._packed = 1
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: "np.ndarray | memoryview",
+        sts: "np.ndarray | memoryview",
+        ends: "np.ndarray | memoryview",
+    ) -> "PackedPostingsList":
+        """An all-live list at layout epoch 1 over strictly id-ascending
+        contiguous int64 columns (a bulk load's run), given as arrays or as
+        byte memoryviews of them.  Each is copied in, so the list never
+        shares the caller's buffers: the same list, slot for slot, as
+        :meth:`add` in id order makes."""
+        postings = cls.__new__(cls)
+        postings._ids = _copied(ids)
+        postings._sts = _copied(sts)
+        postings._ends = _copied(ends)
+        postings._alive = bytearray(b"\x01") * len(postings._ids)
+        postings._n_dead = 0
+        postings._packed = 1
+        return postings
 
     # ----------------------------------------------------------------- spill
     def _spill(self) -> None:

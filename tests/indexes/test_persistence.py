@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.errors import CorruptSnapshotError, ReproError
 from repro.core.model import make_object, make_query
+from repro.indexes import persistence
 from repro.indexes.persistence import (
     dumps_index,
     load_index,
@@ -198,24 +199,39 @@ def _v1_blob(index):
     )
 
 
-def test_v1_snapshots_still_load(running_example, example_query, tmp_path):
-    index = build_index("irhint-perf", running_example)
+@pytest.fixture
+def no_unpickling(monkeypatch):
+    """Fail the test if anything reaches an unpickler."""
+
+    def unpickled(*_args, **_kwargs):
+        raise AssertionError("a v1 payload reached the unpickler")
+
+    monkeypatch.setattr(persistence, "_Unpickler", unpickled)
+    monkeypatch.setattr(pickle, "Unpickler", unpickled)
+    monkeypatch.setattr(pickle, "loads", unpickled)
+
+
+def test_v1_snapshots_are_refused_before_unpickling(running_example, tmp_path, no_unpickling):
+    # v1 carries no checksum, so damage inside a pickled value would load
+    # silently: a v1 snapshot is refused by its header, naming its format,
+    # and its payload is never unpickled.
+    blob = _v1_blob(build_index("irhint-perf", running_example))
     path = tmp_path / "legacy.idx"
-    path.write_bytes(_v1_blob(index))
+    path.write_bytes(blob)
     assert read_header(path)["format"] == 1
-    restored = load_index(path)
-    assert restored.query(example_query).tolist() == [2, 4, 7]
-    assert loads_index(_v1_blob(index)).query(example_query).tolist() == [2, 4, 7]
+    with pytest.raises(ReproError, match="format 1 unsupported"):
+        load_index(path)
+    with pytest.raises(ReproError, match="format 1 unsupported"):
+        loads_index(blob)
 
 
-def test_v1_unpickling_damage_is_a_corrupt_snapshot(running_example, tmp_path):
-    # v1 has no checksum; damage surfaces at unpickling and must still be
-    # branded CorruptSnapshotError for the recovery ladder to catch.
-    index = build_index("brute", running_example)
-    blob = bytearray(_v1_blob(index))
-    blob[-4] ^= 0xFF
-    with pytest.raises(CorruptSnapshotError):
-        loads_index(bytes(blob))
+def test_damaged_v1_snapshots_are_refused_before_unpickling(running_example, no_unpickling):
+    # Damage inside a v1 payload used to surface only at unpickling; the
+    # header refusal now comes first, whatever the payload holds.
+    damaged = bytearray(_v1_blob(build_index("brute", running_example)))
+    damaged[-4] ^= 0xFF
+    with pytest.raises(ReproError, match="format 1 unsupported"):
+        loads_index(bytes(damaged))
 
 
 def test_format_version_guard(running_example, tmp_path):
