@@ -50,11 +50,20 @@ class CorruptSnapshotError(ReproError):
     payload checksum, or unpickling) and must not be trusted."""
 
 
+class UnsupportedFormatError(ReproError):
+    """An index snapshot names a format version this build does not read.
+
+    Only the current version is read; older bytes are refused before
+    anything is unpickled.  This is not damage (recovery does not fall back
+    past it): rebuild the index from its source collection."""
+
+
 class CorruptPostingsError(ReproError):
-    """A compressed postings buffer failed to decode (truncated varint,
-    overlong encoding, bad block header or entry count).  Mirrors the WAL's
-    torn-tail discipline: damaged bytes surface as one typed error, never as
-    ``IndexError`` or silently wrong entries."""
+    """A compressed postings block failed to decode (a header without the
+    block tag, a length that does not fit its widths and entry count, ids
+    that do not ascend or miss the summary's range).  Mirrors the WAL's
+    torn-tail discipline: damaged bytes surface as one typed error, never
+    as ``IndexError`` or silently wrong entries."""
 
 
 class StoreClosedError(ReproError):

@@ -157,17 +157,6 @@ class IRHintSize(TemporalIRIndex):
         state["_columns"] = None
         return state
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # An older build kept the requested m aside, made the store when
-        # first configured, and froze the store's m then: the cap is the
-        # request's, whatever the store was given.
-        if "_requested_bits" in state:
-            cap = _cap(state.pop("_requested_bits"))
-            if state["_hint"] is None:
-                state["_hint"] = Hint(cap)
-            state["_hint"]._m = cap
-        super().__setstate__(state)
-
     @property
     def num_bits(self) -> int:
         """The cap on the store table's ``m``; the cost rule picks it."""

@@ -5,24 +5,20 @@ archives that restart frequently want to pay it once.  This module
 persists any :class:`~repro.indexes.base.TemporalIRIndex` to disk and
 restores it byte-for-byte.
 
-Format v2: a small JSON header (magic, format version, library version,
+Format v3: a small JSON header (magic, format version, library version,
 index class, payload length and CRC32) followed by a pickle of the index
 object.  The header lets :func:`load_index` fail with a clear error on
 foreign files or version-incompatible snapshots *before* unpickling
 anything, and the checksum detects torn writes and bit rot.  Snapshots are
 written through the :mod:`repro.service.fsio` seam (temp file → fsync →
 rename → directory fsync) so a crash mid-save never clobbers the previous
-snapshot.  Format v1 files (no checksum:
-damage inside a pickled value would load silently) are refused, naming
-their format, before anything is unpickled.
+snapshot.
 
-Snapshots pickle postings classes: lists of the previous release's ``list``
-and ``compressed`` layouts load as plain :class:`~repro.ir.packed.PackedPostingsList`,
-tombstones kept, so an old store moves to packed at its next checkpoint.
-An index stored on the retired per-division HINT classes (``Partition``,
-``SubArray``, ``IdPostingsList``), and an irHINT-perf stored as a tIF
-(``_tif``) beside its own verdicts, are rebuilt from their own catalogs,
-with the parameters they were built with.
+One format is read.  A snapshot of any other (format 1 had no checksum;
+format 2's pickled layout changed several times under one number) raises
+:class:`~repro.core.errors.UnsupportedFormatError`, naming its format,
+before anything is unpickled: rebuild the index from its source
+collection.
 
 Security note (the standard pickle caveat): only load snapshots you wrote.
 The header check guards against accidents, not adversaries.
@@ -31,7 +27,6 @@ The header check guards against accidents, not adversaries.
 from __future__ import annotations
 
 import gc
-import io
 import json
 import pickle
 import zlib
@@ -39,18 +34,13 @@ from pathlib import Path
 from typing import Optional, Union
 
 import repro
-from repro.core.collection import Collection
-from repro.core.errors import CorruptSnapshotError, ReproError
+from repro.core.errors import CorruptSnapshotError, ReproError, UnsupportedFormatError
 from repro.indexes.base import TemporalIRIndex
-from repro.indexes.irhint import IRHintPerformance
-from repro.ir import postings
-from repro.ir.compressed import CompressedPostingsList
-from repro.ir.packed import PackedPostingsList
 
 PathLike = Union[str, Path]
 
 _MAGIC = b"RPROIDX1"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _LEN_BYTES = 4
 #: Largest header we will ever read; anything bigger means a corrupt
 #: length field, not a real header.
@@ -150,92 +140,14 @@ def _int_field(header: dict, field: str, context: str) -> int:
     return value
 
 
-def _packed_list(entries, dead) -> PackedPostingsList:
-    packed = PackedPostingsList()
-    for entry in entries:
-        packed.add(*entry)
-    for object_id in dead:
-        packed.delete(object_id)
-    return packed
-
-
-class _Migrated(PackedPostingsList):
-    """A list of the previous release's ``list`` or ``compressed`` layout,
-    turned into a plain packed list as it unpickles."""
-
-    __slots__ = ()
-
-    def __setstate__(self, state) -> None:
-        slots = state[1]
-        if "_alive" in slots:  # the list backend's boxed columns
-            ids = slots["_ids"]
-            dead = [oid for oid, alive in zip(ids, slots["_alive"]) if not alive]
-            packed = _packed_list(zip(ids, slots["_sts"], slots["_ends"]), dead)
-        else:
-            source = object.__new__(CompressedPostingsList)
-            for name, value in slots.items():
-                setattr(source, name, value)  # an older shape fails here, typed
-            spilled = source._spilled  # a list-backend delegate, migrated already
-            packed = (
-                spilled
-                if spilled is not None
-                else _packed_list(source._reader().entries(), source._dead)
-            )
-        self.__class__ = PackedPostingsList
-        for name in PackedPostingsList.__slots__:
-            setattr(self, name, getattr(packed, name))
-
-
-class _Retired:
-    """Stands in for a class of the retired HINT layout while it unpickles;
-    the index holding it is rebuilt (:func:`_rebuilt`)."""
-
-    def __init__(self, *_args) -> None:  # an enum member's value
-        pass
-
-    def __setstate__(self, _state) -> None:
-        pass
-
-
-def _rebuilt(old: TemporalIRIndex) -> TemporalIRIndex:
-    """``old``, built afresh over its catalog with its own parameters."""
-    state = old.__dict__
-    params = {"num_bits": getattr(old, "num_bits")}  # every HINT-based index has one
-    if "_n_slices" in state:
-        params["n_slices"] = state["_n_slices"]
-    return type(old).build(Collection(state["_catalog"].values()), **params)
-
-
-class _Unpickler(pickle.Unpickler):
-    """Restores the previous release's postings layouts as packed lists,
-    and notes a class of its HINT layout (``retired``).
-
-    Delete with the v1/v2 segment readers when the catalog bumps its version.
-    """
-
-    retired = False
-
-    def find_class(self, module: str, name: str):
-        if module == "repro.intervals.hint.partition" or (module, name) == (
-            "repro.ir.postings", "IdPostingsList"
-        ):
-            self.retired = True
-            return _Retired
-        if (module, name) == ("repro.ir.compressed", "CompressedPostingsList") or (
-            module == "repro.ir.postings" and not hasattr(postings, name)
-        ):
-            return _Migrated  # the postings module has lost one class: the list layout
-        return super().find_class(module, name)
-
-
 def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
     """Inverse of :func:`dumps_index`, verifying integrity end to end."""
     header, offset = _parse_header(blob, context)
     fmt = _int_field(header, "format", context)
     if fmt != _FORMAT_VERSION:
-        raise ReproError(
-            f"{context}: snapshot format {fmt} unsupported "
-            f"(this library reads {_FORMAT_VERSION})"
+        raise UnsupportedFormatError(
+            f"{context}: snapshot format {fmt} unsupported (this library reads "
+            f"{_FORMAT_VERSION}); rebuild the index from its source collection"
         )
     payload = blob[offset:]
     expected_len = _int_field(header, "payload_bytes", context)
@@ -247,13 +159,12 @@ def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
     expected_crc = _int_field(header, "payload_crc32", context)
     if zlib.crc32(payload) != expected_crc:
         raise CorruptSnapshotError(f"{context}: snapshot payload checksum mismatch")
-    unpickler = _Unpickler(io.BytesIO(payload))
     # A cyclic collection mid-load frees nothing: it only walks the objects
     # loaded so far (two full passes took 40 % of a 2·10⁴-object load).
     collecting = gc.isenabled()
     gc.disable()
     try:
-        index = unpickler.load()
+        index = pickle.loads(payload)
     except Exception as exc:  # a checksummed payload that still fails to unpickle
         raise CorruptSnapshotError(f"{context}: snapshot payload unreadable: {exc}") from exc
     finally:
@@ -261,17 +172,7 @@ def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
             gc.enable()
     if not isinstance(index, TemporalIRIndex):
         raise CorruptSnapshotError(f"{context}: snapshot did not contain an index")
-    return _rebuilt(index) if unpickler.retired or _tif_layout(index, context) else index
-
-
-def _tif_layout(index: TemporalIRIndex, context: str) -> bool:
-    """Is ``index`` an irHINT-perf stored as a tIF beside its own verdicts?
-    One of an older layout still (no ``_tif`` either) is refused."""
-    if not isinstance(index, IRHintPerformance) or "_hints" in vars(index):
-        return False
-    if "_tif" not in vars(index):
-        raise CorruptSnapshotError(f"{context}: irHINT snapshot predates the flat layout")
-    return True
+    return index
 
 
 def load_index(path: PathLike) -> TemporalIRIndex:

@@ -91,9 +91,9 @@ class TIFHintSlicing(_TIFHintBase):
         self._sliced: Dict[Element, _SlimSlicedList] = {}
 
     def _configure_for(self, collection: Collection) -> None:
-        if len(collection):
-            domain = collection.domain()
-            self._layout = GridLayout.spanning(domain.st, domain.end, self._n_slices)
+        if len(collection):  # a Collection's domain, or a plain list's span
+            st, end = min(o.st for o in collection), max(o.end for o in collection)
+            self._layout = GridLayout.spanning(st, end, self._n_slices)
 
     @property
     def n_slices(self) -> int:

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set
 
 from repro.core.interval import Timestamp
-from repro.core.errors import UnknownObjectError
+from repro.core.errors import DuplicateObjectError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
 from repro.obs.context import annotate, event, tracing_active
@@ -212,10 +212,13 @@ class TIFSharding(TemporalIRIndex):
     @classmethod
     def build(cls, collection, max_shards: int = 16) -> "TIFSharding":
         """Bulk build: ideal shards per element, then merging (see
-        :func:`_merge_shards`)."""
+        :func:`_merge_shards`).  A repeated id raises
+        :class:`DuplicateObjectError`, as :meth:`insert` does."""
         index = cls(max_shards=max_shards)
         per_element: Dict[Element, List[tuple]] = {}
         for obj in collection:
+            if obj.id in index._catalog:
+                raise DuplicateObjectError(f"object id {obj.id} already indexed")
             for element in obj.d:
                 per_element.setdefault(element, []).append((obj.id, obj.st, obj.end))
             index._catalog[obj.id] = obj

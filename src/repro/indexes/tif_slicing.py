@@ -152,9 +152,9 @@ class TIFSlicing(TemporalIRIndex):
         self._lists: Dict[Element, _SlicedList] = {}
 
     def _configure_for(self, collection: Collection) -> None:
-        if len(collection):
-            domain = collection.domain()
-            self._layout = GridLayout.spanning(domain.st, domain.end, self._n_slices)
+        if len(collection):  # a Collection's domain, or a plain list's span
+            st, end = min(o.st for o in collection), max(o.end for o in collection)
+            self._layout = GridLayout.spanning(st, end, self._n_slices)
 
     @property
     def layout(self) -> Optional[GridLayout]:

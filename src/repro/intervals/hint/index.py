@@ -82,9 +82,7 @@ class Hint(IntervalIndex):
     def __getstate__(self) -> Tuple[int, PackedPostingsList]:
         return self._m, self._run  # the verdict is derived; the first query makes it
 
-    def __setstate__(self, state) -> None:
-        if isinstance(state, dict):  # pickled before slots (a retired layout's, rebuilt at load)
-            state = state.get("_m"), state.get("_run")
+    def __setstate__(self, state: Tuple[int, PackedPostingsList]) -> None:
         self._m, self._run = state
         self._table = None
 

@@ -1,13 +1,6 @@
 """Inverted-file substrate: packed postings, block codec, tIF."""
 
-from repro.ir.codec import (
-    decode_block,
-    encode_block,
-    svarint_decode,
-    svarint_encode,
-    varint_decode,
-    varint_encode,
-)
+from repro.ir.codec import decode_block, encode_block
 from repro.ir.compressed import CompressedPostingsList
 from repro.ir.inverted import TemporalInvertedFile
 from repro.ir.packed import PackedPostingsList
@@ -21,8 +14,4 @@ __all__ = [
     "TemporalInvertedFile",
     "decode_block",
     "encode_block",
-    "svarint_decode",
-    "svarint_encode",
-    "varint_decode",
-    "varint_encode",
 ]

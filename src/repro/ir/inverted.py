@@ -57,7 +57,7 @@ class TemporalInvertedFile:
                 f"unknown postings backend {backend!r}; "
                 f"available: {', '.join(sorted(_LAYOUTS))}"
             )
-        self._backend: "str | None" = backend
+        self._backend = backend
         self._lists: Dict[Element, PostingsBackend] = {}
 
     # ---------------------------------------------------------------- updates
@@ -69,8 +69,7 @@ class TemporalInvertedFile:
         for element in description:
             postings = lists.get(element)
             if postings is None:
-                # A tIF pickled by the previous release carries None: packed.
-                postings = lists[element] = _LAYOUTS[self._backend or "packed"]()
+                postings = lists[element] = _LAYOUTS[self._backend]()
             postings.add(object_id, st, end)
 
     def load(self, runs: Iterable[Tuple[Element, PostingsBackend]]) -> None:

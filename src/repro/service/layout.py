@@ -4,7 +4,7 @@
 
     store-dir/
       store.json             manifest: index key, build params, versions
-      snapshot-00000002.idx  checksummed v2 snapshots (persistence layer)
+      snapshot-00000002.idx  checksummed snapshots (persistence layer)
       wal-00000002.log       mutations applied *after* snapshot 2
       ...
 

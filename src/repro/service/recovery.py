@@ -4,7 +4,11 @@ Recovery ladder, strongest state first:
 
 1. load the newest snapshot whose checksum verifies; on
    :class:`~repro.core.errors.CorruptSnapshotError` fall back to the next
-   older generation;
+   older generation.  Only damage falls back: a snapshot of a format this
+   build does not read raises
+   :class:`~repro.core.errors.UnsupportedFormatError` out of
+   :func:`recover`, which then writes nothing — skipping it would serve a
+   partial store, and its next checkpoint would prune the real snapshots;
 2. replay every WAL segment from the loaded snapshot's sequence onward,
    in order, *idempotently* — every record carries an LSN and the
    snapshot records the last LSN it captured, so records the snapshot
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.errors import ReproError
+from repro.core.errors import CorruptSnapshotError, ReproError
 from repro.core.model import TemporalObject
 from repro.indexes.base import TemporalIRIndex
 from repro.indexes.brute import BruteForce
@@ -195,8 +199,10 @@ def recover(
 
     ``index_key``/``index_params`` apply only when the directory has no
     manifest (a store that never finished initialising); a manifest on
-    disk wins.  When a metrics registry is enabled, each ladder step is
-    counted (``repro_recovery_*`` — see docs/observability.md).
+    disk wins.  A snapshot of a format this build does not read raises
+    :class:`~repro.core.errors.UnsupportedFormatError`.  When a metrics
+    registry is enabled, each ladder step is counted (``repro_recovery_*``
+    — see docs/observability.md).
     """
     report = _recover(directory, fs, index_key, index_params)
     registry = OBS.registry
@@ -242,7 +248,7 @@ def _recover(
         try:
             base = load_index(path)
             base_lsn = int(read_header(path).get("last_lsn", 0))
-        except ReproError:
+        except CorruptSnapshotError:
             corrupt.append(path)
             continue
         base_seq, base_path = seq, path

@@ -1,8 +1,8 @@
 """Periodic checksummed snapshots with atomic installation and retention.
 
-A snapshot is the v2 blob of the hardened persistence layer
-(:mod:`repro.indexes.persistence`): JSON header carrying a CRC32 of the
-pickled payload.  Installation is crash-safe — the blob goes to a
+A snapshot is the blob of the hardened persistence layer
+(:mod:`repro.indexes.persistence`, format 3, the one format it reads): a
+JSON header carrying a CRC32 of the pickled payload.  Installation is crash-safe — the blob goes to a
 ``*.tmp`` sibling, is fsynced, and only then renamed over the final name
 with ``os.replace`` — so the store directory always holds either the old
 complete snapshot set or the new one, never a torn file under a final

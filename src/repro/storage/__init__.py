@@ -6,8 +6,8 @@ immutable (the append-mostly regime of *Disk-Based Interval Indexes Under
 the Increasing Ending Time Assumption*, arXiv 2606.22773), so this
 package demotes them to disk and serves them lazily:
 
-* :mod:`repro.storage.format` — the immutable segment file format (v3;
-  v1 and v2 stay readable): checksummed column postings blocks
+* :mod:`repro.storage.format` — the immutable segment file format (v3,
+  the one version read; older segments are refused): checksummed column postings blocks
   (:mod:`repro.ir.codec`) described by a columnar block table, packed
   i64 catalog columns, a sorted term table, a JSON header, and a
   self-locating footer.

@@ -1,4 +1,4 @@
-"""The immutable cold-segment file format (v3; v1 and v2 stay readable).
+"""The immutable cold-segment file format, v3: the one this build reads.
 
 One segment holds one demoted shard::
 
@@ -33,7 +33,7 @@ One segment holds one demoted shard::
   never on the query path.
 * The **header** is JSON — identity (shard id, index key and params),
   object count and span, the term table's shape, and ``(offset, length,
-  crc32)`` of every region above.  Nothing on a v3 open unpickles.
+  crc32)`` of every region above.  Nothing on an open unpickles.
 
 The footer makes the file self-locating without a seek-back during the
 write (single forward pass through the fsio seam).  Damage surfaces as
@@ -45,18 +45,10 @@ at open), :class:`~repro.core.errors.CorruptPostingsError` for a torn
 block — mirroring the WAL / snapshot discipline.
 
 **Formats v1 and v2** (magic ``RSEG\\x00\\x01`` / ``RSEG\\x00\\x02``) kept
-a pickled :class:`SegmentDirectory` where v3 keeps its header, with the
-term table inside it as an ``element → (first_row, n_rows)`` dict, and
-had no catalog checksum.  v1 also had no block table — its directory
-held a list of ``(offset, length, crc32) ‖ summary`` 8-tuples per
-element — its blocks are varint streams and its descriptions blob is a
-bare pickle.  Nothing writes either any more, but an old segment is the
-only copy of its shard's data, so :func:`read_directory` gives every
-format one shape (the dict and :class:`TermTable` answer the same
-``get`` / ``len`` / iteration) and :func:`unpack_descriptions` reads
-either blob: this module is the one place that tells the formats apart
-(:mod:`repro.ir.codec` does the same for block payloads), and everything
-above reads them all alike.
+a pickled directory where v3 keeps its header.  Only earlier commits of
+this repository wrote them, and :func:`parse_footer` refuses them by
+their magic, naming their format, before anything is read or unpickled:
+rebuild the shard from its source collection.
 """
 
 from __future__ import annotations
@@ -66,7 +58,7 @@ import pickle
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -158,10 +150,10 @@ def decode_key(raw: bytes) -> Element:
 
 
 class TermTable:
-    """A v3 segment's terms: ``element → (first_row, n_rows)`` of the
-    block table, answering ``get`` / ``len`` / iteration like the v1/v2
-    dict.  Both columns are copies of the mapping (nothing here pins it),
-    and a lookup is one ``np.searchsorted`` of the encoded key."""
+    """A segment's terms: ``element → (first_row, n_rows)`` of the block
+    table, answering ``get`` / ``len`` / iteration.  Both columns are
+    copies of the mapping (nothing here pins it), and a lookup is one
+    ``np.searchsorted`` of the encoded key."""
 
     __slots__ = ("_keys", "_first_row")
 
@@ -187,17 +179,11 @@ class TermTable:
         return (decode_key(bytes(key)) for key in self._keys)
 
 
-#: What :class:`SegmentReader` looks terms up in: a v3 :class:`TermTable`,
-#: or a v1/v2 segment's unpickled dict.
-Terms = Union[TermTable, Dict[Element, Tuple[int, int]]]
-
-
 # ---------------------------------------------------------------- directory
 @dataclass
 class SegmentDirectory:
-    """Everything a reader needs that is not raw block/column bytes, in
-    one shape for every format: a v3 header parsed and checked by
-    :func:`read_directory`, or a v1/v2 segment's unpickled directory."""
+    """Everything a reader needs that is not raw block/column bytes: the
+    header, parsed and checked by :func:`read_directory`."""
 
     shard_id: str
     index_key: str
@@ -205,7 +191,7 @@ class SegmentDirectory:
     count: int
     #: element → ``(first_row, n_rows)``: its blocks' rows of the block
     #: table, ascending id ranges.
-    terms: Terms
+    terms: TermTable
     #: ``(offset, n_blocks, crc32)`` of the block table.
     block_table: Tuple[int, int, int]
     #: ``(ids_offset, sts_offset, ends_offset, n)`` — i64 column regions.
@@ -214,7 +200,6 @@ class SegmentDirectory:
     descriptions: Tuple[int, int, int]
     #: ``(min_st, max_end)`` over all objects; ``None`` for empty shards.
     span: Optional[Tuple[int, int]]
-    version: int = FORMAT_VERSION
 
 
 def _count(value: object) -> bool:
@@ -245,7 +230,7 @@ _HEADER_FIELDS: Dict[str, Callable[[object], bool]] = {
 
 
 def pack_header(header: Dict[str, object]) -> bytes:
-    """A v3 header's bytes: canonical JSON (the footer carries its CRC32)."""
+    """A header's bytes: canonical JSON (the footer carries its CRC32)."""
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -264,11 +249,11 @@ def pack_descriptions(descriptions: Dict[int, FrozenSet[Element]]) -> bytes:
 def unpack_descriptions(
     directory: SegmentDirectory, blob: bytes, path: str
 ) -> Dict[int, FrozenSet[Element]]:
-    """Verify and decode the descriptions blob of any format."""
+    """Verify and decode the descriptions blob."""
     if zlib.crc32(blob) != directory.descriptions[2]:
         raise CorruptSegmentError(f"{path}: descriptions blob fails its checksum")
     try:
-        return pickle.loads(blob if directory.version == 1 else zlib.decompress(blob))
+        return pickle.loads(zlib.decompress(blob))
     except Exception as exc:
         raise CorruptSegmentError(
             f"{path}: descriptions blob does not decode: {exc}"
@@ -282,13 +267,12 @@ def build_footer(dir_offset: int, dir_blob: bytes) -> bytes:
     )
 
 
-def parse_footer(buffer: bytes, path: str) -> Tuple[int, int, int, int]:
-    """``(dir_offset, dir_length, dir_crc, version)`` from a segment's
-    tail bytes.
+def parse_footer(buffer: bytes, path: str) -> Tuple[int, int, int]:
+    """``(dir_offset, dir_length, dir_crc)`` from a segment's tail bytes.
 
     Raises :class:`CorruptSegmentError` when the file is too short, the
-    magic is not one this build reads, or the directory bounds fall
-    outside the file.
+    magic is not a segment's or names a format this build does not read,
+    or the directory bounds fall outside the file.
     """
     if len(buffer) < FOOTER_SIZE:
         raise CorruptSegmentError(
@@ -297,81 +281,34 @@ def parse_footer(buffer: bytes, path: str) -> Tuple[int, int, int, int]:
     dir_offset, dir_length, dir_crc, magic = FOOTER_STRUCT.unpack(
         buffer[-FOOTER_SIZE:]
     )
-    version = magic[-1]
-    if not magic.startswith(_MAGIC_PREFIX) or not 1 <= version <= FORMAT_VERSION:
+    if not magic.startswith(_MAGIC_PREFIX):
         raise CorruptSegmentError(f"{path}: bad segment magic {magic!r}")
+    if magic != MAGIC:
+        raise CorruptSegmentError(
+            f"{path}: segment format {magic[-1]} unsupported (this build reads "
+            f"{FORMAT_VERSION}); rebuild the shard from its source collection"
+        )
     if dir_offset + dir_length > len(buffer) - FOOTER_SIZE:
         raise CorruptSegmentError(
             f"{path}: directory [{dir_offset}, {dir_offset + dir_length}) "
             f"runs past the body"
         )
-    return dir_offset, dir_length, dir_crc, version
+    return dir_offset, dir_length, dir_crc
 
 
 def read_directory(view: memoryview, path: str) -> Tuple[SegmentDirectory, np.ndarray]:
-    """Validate an open segment's envelope: its directory, in one shape
-    whichever format the file has, and its block table — an int64 array
-    of one *row per descriptor field*, one column per block, that owns
-    its memory (no view of ``view`` outlives this call).
+    """Validate an open segment's envelope: its directory, and its block
+    table — an int64 array of one *row per descriptor field*, one column
+    per block, that owns its memory (no view of ``view`` outlives this
+    call).  Every header field is typed and every region bounded and
+    CRC-checked before anything is sliced.
 
     Raises :class:`CorruptSegmentError` on any damage.
     """
-    dir_offset, dir_length, dir_crc, version = parse_footer(view, path)
+    dir_offset, dir_length, dir_crc = parse_footer(view, path)
     blob = bytes(view[dir_offset : dir_offset + dir_length])
     if zlib.crc32(blob) != dir_crc:
         raise CorruptSegmentError(f"{path}: segment directory checksum mismatch")
-    if version == FORMAT_VERSION:
-        return _read_header(view, blob, dir_offset, path)
-    try:
-        directory = pickle.loads(blob)
-    except Exception as exc:
-        raise CorruptSegmentError(
-            f"{path}: segment directory does not unpickle: {exc}"
-        ) from exc
-    if not isinstance(directory, SegmentDirectory):
-        raise CorruptSegmentError(
-            f"{path}: directory pickle holds {type(directory).__name__}, "
-            f"not SegmentDirectory"
-        )
-    if directory.version != version:
-        raise CorruptSegmentError(
-            f"{path}: directory of format version {directory.version} "
-            f"under a version-{version} magic"
-        )
-    if version == 1:
-        return directory, _adopt_v1(directory, path)
-    offset, n_blocks, crc = directory.block_table
-    length = 8 * _DESCRIPTOR_FIELDS * n_blocks
-    return directory, _block_table(view, offset, length, crc, dir_offset, path)
-
-
-def _checked(
-    view: memoryview, name: str, offset: int, length: int, crc: int, dir_offset: int, path: str
-) -> None:
-    """Bounds and CRC32 of one body region."""
-    if not 0 <= offset <= offset + length <= dir_offset:
-        raise CorruptSegmentError(
-            f"{path}: {name} [{offset}, {offset + length}) runs past the body"
-        )
-    # Slices of the mapping stay unnamed: one kept alive (by a traceback,
-    # say) would make closing the mapping fail.
-    if zlib.crc32(view[offset : offset + length]) != crc:
-        raise CorruptSegmentError(f"{path}: {name} checksum mismatch")
-
-
-def _block_table(
-    view: memoryview, offset: int, length: int, crc: int, dir_offset: int, path: str
-) -> np.ndarray:
-    _checked(view, "block table", offset, length, crc, dir_offset, path)
-    table = np.frombuffer(view[offset : offset + length], dtype="<i8").astype(np.int64)  # a copy
-    return table.reshape(_DESCRIPTOR_FIELDS, -1)
-
-
-def _read_header(
-    view: memoryview, blob: bytes, dir_offset: int, path: str
-) -> Tuple[SegmentDirectory, np.ndarray]:
-    """A v3 directory: the JSON header, every field typed and every
-    region bounded and CRC-checked before anything is sliced."""
     try:
         header = json.loads(blob)
     except (ValueError, RecursionError) as exc:
@@ -396,7 +333,10 @@ def _read_header(
                 f"{path}: {name} region of {header[name][1]} bytes does not fit "
                 f"{count} objects, {n_terms} terms of width {width}"
             )
-    table = _block_table(view, *header["block_table"], dir_offset, path)
+    offset, length, crc = header["block_table"]
+    _checked(view, "block table", offset, length, crc, dir_offset, path)
+    table = np.frombuffer(view[offset : offset + length], dtype="<i8").astype(np.int64)  # a copy
+    table = table.reshape(_DESCRIPTOR_FIELDS, -1)
     _checked(view, "catalog columns", *header["catalog"], dir_offset, path)
     _checked(view, "term table", *header["terms"], dir_offset, path)
     offset = header["terms"][0]
@@ -426,26 +366,18 @@ def _read_header(
     return directory, table
 
 
-def _adopt_v1(directory: SegmentDirectory, path: str) -> np.ndarray:
-    """Give a v1 directory — ``terms`` mapping each element to its list of
-    descriptor 8-tuples, plus a redundant ``term_counts`` — the v2 shape,
-    and return the block table those descriptors make (built here, per
-    block: what a v1 open always cost)."""
-    terms: Dict[Element, Tuple[int, int]] = {}
-    descriptors: List[BlockDescriptor] = []
-    try:
-        for element, blocks in directory.terms.items():  # type: ignore[union-attr]
-            terms[element] = (len(descriptors), len(blocks))
-            descriptors += blocks
-        table = np.array(descriptors, dtype=np.int64).reshape(-1, _DESCRIPTOR_FIELDS)
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+def _checked(
+    view: memoryview, name: str, offset: int, length: int, crc: int, dir_offset: int, path: str
+) -> None:
+    """Bounds and CRC32 of one body region."""
+    if not 0 <= offset <= offset + length <= dir_offset:
         raise CorruptSegmentError(
-            f"{path}: v1 segment directory is malformed: {exc}"
-        ) from exc
-    directory.terms = terms
-    directory.block_table = (0, len(descriptors), 0)  # no region in a v1 body
-    vars(directory).pop("term_counts", None)
-    return np.ascontiguousarray(table.T)
+            f"{path}: {name} [{offset}, {offset + length}) runs past the body"
+        )
+    # Slices of the mapping stay unnamed: one kept alive (by a traceback,
+    # say) would make closing the mapping fail.
+    if zlib.crc32(view[offset : offset + length]) != crc:
+        raise CorruptSegmentError(f"{path}: {name} checksum mismatch")
 
 
 def align8(offset: int) -> int:

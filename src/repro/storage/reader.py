@@ -14,11 +14,9 @@ full-segment decode**:
 * the pickled descriptions blob is read only by :meth:`objects` — the
   promotion path — and the reader records whether that ever happened
   (``descriptions_decoded``) so tests can assert the query path stayed
-  lazy.  On a v3 segment nothing else unpickles either: its directory
-  is a JSON header.
-
-The reader cannot tell formats apart: :func:`~repro.storage.format.read_directory`
-gives v1, v2 and v3 segments one directory shape.
+  lazy.  Nothing else unpickles: the directory is a JSON header, and
+  :func:`~repro.storage.format.read_directory` refuses a segment of any
+  format but v3 by its footer magic before reading it.
 
 Every query counts into the ``repro_storage_*`` families and runs under
 a ``segment_query`` trace span.

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import re
 import select
@@ -40,6 +41,23 @@ def running_example() -> Collection:
             make_object(8, 1, 2, {"c"}),
         ]
     )
+
+
+@pytest.fixture()
+def no_unpickling(monkeypatch):
+    """Fail the test if anything reaches an unpickler: refused bytes must
+    be refused by their header or magic, before any of them is loaded."""
+
+    calls = []
+
+    def unpickled(*args, **_kwargs):
+        calls.append(args)  # the raise alone may be caught and retyped
+        raise AssertionError("refused bytes reached the unpickler")
+
+    for name in ("Unpickler", "load", "loads"):
+        monkeypatch.setattr(pickle, name, unpickled)
+    yield
+    assert not calls, f"{len(calls)} unpickling call(s)"
 
 
 @pytest.fixture()

@@ -198,7 +198,7 @@ def test_hint_build_takes_the_loop_for_what_columns_cannot_hold():
     assert bulk._run.interval(1) == (7, 9)
 
 
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key", sorted(INDEX_CLASSES))  # every registry index, a plain list
 def test_duplicate_ids_raise_the_loops_error(key):
     objects = random_objects(30, seed=12)
     objects.append(make_object(objects[4].id, 0, 1, {"e1"}))

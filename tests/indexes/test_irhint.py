@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.errors import CorruptSnapshotError, UnknownObjectError
+from repro.core.errors import UnknownObjectError, UnsupportedFormatError
 from repro.core.model import make_object, make_query
 from repro.datasets.synthetic import generate_synthetic
 from repro.indexes import explain, irhint
@@ -190,11 +190,14 @@ class TestFlatLayout:
         assert clone.hint_for("e0")._table is None and clone.num_bits == index.num_bits
         assert clone.query(q).tolist() == want and clone.hint_for("e0")._table is not None
 
-    def test_pre_flat_snapshot_is_refused(self):
+    def test_pre_flat_snapshot_is_refused(self, no_unpickling):
+        # The pre-flat layout was written under format 2: its header
+        # refuses it, and nothing of it is unpickled.
         legacy = IRHintPerformance.__new__(IRHintPerformance)
         legacy.__dict__.update({"_divisions": {}, "_mapper": None, "_catalog": {}})
-        with pytest.raises(CorruptSnapshotError, match="predates the flat layout"):
-            loads_index(dumps_index(legacy))
+        blob = dumps_index(legacy).replace(b'"format":3', b'"format":2', 1)
+        with pytest.raises(UnsupportedFormatError, match="snapshot format 2 unsupported"):
+            loads_index(blob)
 
     def test_a_table_is_built_by_the_query_that_finds_none_usable(self, small_tables, monkeypatch):
         """Lazy, no policy: the first query on a long list builds its table,

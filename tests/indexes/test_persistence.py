@@ -5,9 +5,8 @@ import pickle
 
 import pytest
 
-from repro.core.errors import CorruptSnapshotError, ReproError
+from repro.core.errors import CorruptSnapshotError, ReproError, UnsupportedFormatError
 from repro.core.model import make_object, make_query
-from repro.indexes import persistence
 from repro.indexes.persistence import (
     dumps_index,
     load_index,
@@ -127,7 +126,7 @@ def test_v2_header_carries_checksum(running_example, tmp_path):
     path = tmp_path / "i.idx"
     save_index(index, path)
     header = read_header(path)
-    assert header["format"] == 2
+    assert header["format"] == 3
     assert header["payload_bytes"] > 0
     assert isinstance(header["payload_crc32"], int)
 
@@ -199,18 +198,6 @@ def _v1_blob(index):
     )
 
 
-@pytest.fixture
-def no_unpickling(monkeypatch):
-    """Fail the test if anything reaches an unpickler."""
-
-    def unpickled(*_args, **_kwargs):
-        raise AssertionError("a v1 payload reached the unpickler")
-
-    monkeypatch.setattr(persistence, "_Unpickler", unpickled)
-    monkeypatch.setattr(pickle, "Unpickler", unpickled)
-    monkeypatch.setattr(pickle, "loads", unpickled)
-
-
 def test_v1_snapshots_are_refused_before_unpickling(running_example, tmp_path, no_unpickling):
     # v1 carries no checksum, so damage inside a pickled value would load
     # silently: a v1 snapshot is refused by its header, naming its format,
@@ -219,9 +206,9 @@ def test_v1_snapshots_are_refused_before_unpickling(running_example, tmp_path, n
     path = tmp_path / "legacy.idx"
     path.write_bytes(blob)
     assert read_header(path)["format"] == 1
-    with pytest.raises(ReproError, match="format 1 unsupported"):
+    with pytest.raises(UnsupportedFormatError, match="format 1 unsupported"):
         load_index(path)
-    with pytest.raises(ReproError, match="format 1 unsupported"):
+    with pytest.raises(UnsupportedFormatError, match="format 1 unsupported"):
         loads_index(blob)
 
 
@@ -230,7 +217,7 @@ def test_damaged_v1_snapshots_are_refused_before_unpickling(running_example, no_
     # header refusal now comes first, whatever the payload holds.
     damaged = bytearray(_v1_blob(build_index("brute", running_example)))
     damaged[-4] ^= 0xFF
-    with pytest.raises(ReproError, match="format 1 unsupported"):
+    with pytest.raises(UnsupportedFormatError, match="format 1 unsupported"):
         loads_index(bytes(damaged))
 
 
@@ -245,7 +232,7 @@ def test_format_version_guard(running_example, tmp_path):
     header["format"] = 999
     forged = json.dumps(header, separators=(",", ":")).encode()
     path.write_bytes(raw[:8] + len(forged).to_bytes(4, "little") + forged + raw[12 + length :])
-    with pytest.raises(ReproError, match="unsupported"):
+    with pytest.raises(UnsupportedFormatError, match="format 999 unsupported"):
         load_index(path)
 
 
@@ -276,8 +263,8 @@ def test_header_integers_must_be_ints(running_example, field, kind):
 
 def test_boolean_format_does_not_skip_the_checksum(running_example, example_query):
     blob = dumps_index(build_index("tif", running_example))
-    assert loads_index(_with_header(blob, format=2)).query(example_query).tolist() == [2, 4, 7]
+    assert loads_index(_with_header(blob, format=3)).query(example_query).tolist() == [2, 4, 7]
     with pytest.raises(CorruptSnapshotError, match="checksum"):
-        loads_index(_with_header(blob, format=2, payload_crc32=0))
+        loads_index(_with_header(blob, format=3, payload_crc32=0))
     with pytest.raises(CorruptSnapshotError):
         loads_index(_with_header(blob, format=True, payload_crc32=0))

@@ -1,20 +1,19 @@
-"""Fuzz and round-trip tests for the postings codecs (repro.ir.codec).
+"""Fuzz and round-trip tests for the block codec (repro.ir.codec).
 
 Two properties matter for a decoder that reads bytes off disk or the
 wire:
 
 1. **Round-trip**: anything the encoder writes, the decoder reads back
-   verbatim — across the full signed-64-bit range (and, for the varint
-   primitives, beyond: Python ints are unbounded).
+   verbatim — across the full signed-64-bit range.
 2. **Typed failure**: *any* damaged input — truncated tails, random
    garbage, spliced blocks, a block read beside the wrong summary —
    raises :class:`~repro.core.errors.CorruptPostingsError`.  Never
    ``IndexError``, never a numpy ``ValueError``, never an infinite loop,
    never silently-wrong values.
 
-Blocks come in two formats: v2 (fixed-width columns, what
-``encode_block`` writes) and v1 (varint streams, which old segments hold
-and ``decode_block`` must keep reading); both are pinned by golden bytes.
+Blocks have one format (fixed-width columns behind a tagged header
+byte), pinned by golden bytes; format v1's varint streams, which no
+segment this build reads can hold, are refused by their missing tag.
 
 All fuzzing is seeded (``random.Random(<literal>)``) so failures replay.
 """
@@ -28,130 +27,10 @@ import pytest
 
 from repro.core.errors import ConfigurationError, CorruptPostingsError
 from repro.ir.blocks import seal, summarize
-from repro.ir.codec import (
-    decode_block,
-    encode_block,
-    svarint_decode,
-    svarint_encode,
-    varint_decode,
-    varint_encode,
-    zigzag_decode,
-    zigzag_encode,
-)
+from repro.ir.codec import decode_block, encode_block
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
-
-BOUNDARY_VALUES = [
-    0, 1, 2, 127, 128, 129, 255, 256, 16_383, 16_384,
-    (1 << 32) - 1, 1 << 32, I64_MAX - 1, I64_MAX,
-]
-
-
-# ----------------------------------------------------------------- round-trip
-class TestVarintRoundTrip:
-    def test_boundary_values(self):
-        for value in BOUNDARY_VALUES:
-            out = bytearray()
-            varint_encode(value, out)
-            decoded, offset = varint_decode(bytes(out), 0)
-            assert decoded == value
-            assert offset == len(out)
-
-    def test_random_u64_sequences(self):
-        rng = random.Random(20250807)
-        for _ in range(50):
-            values = [rng.randrange(I64_MAX + 1) for _ in range(rng.randint(1, 40))]
-            out = bytearray()
-            for value in values:
-                varint_encode(value, out)
-            buffer = bytes(out)
-            offset = 0
-            decoded = []
-            while offset < len(buffer):
-                value, offset = varint_decode(buffer, offset)
-                decoded.append(value)
-            assert decoded == values
-
-    def test_negative_rejected_with_typed_error(self):
-        with pytest.raises(ConfigurationError):
-            varint_encode(-1, bytearray())
-
-    def test_concatenated_stream_offsets_chain(self):
-        out = bytearray()
-        for value in (0, 300, 7):
-            varint_encode(value, out)
-        buffer = bytes(out)
-        a, offset = varint_decode(buffer, 0)
-        b, offset = varint_decode(buffer, offset)
-        c, offset = varint_decode(buffer, offset)
-        assert (a, b, c) == (0, 300, 7)
-        assert offset == len(buffer)
-
-
-class TestZigzag:
-    def test_fold_order(self):
-        # The canonical interleave: 0, -1, 1, -2, 2, ...
-        assert [zigzag_encode(v) for v in (0, -1, 1, -2, 2)] == [0, 1, 2, 3, 4]
-
-    def test_round_trip_i64_range_and_beyond(self):
-        rng = random.Random(8061)
-        values = [I64_MIN, I64_MIN + 1, -1, 0, 1, I64_MAX - 1, I64_MAX,
-                  -(1 << 100), 1 << 100]
-        values += [rng.randint(I64_MIN, I64_MAX) for _ in range(500)]
-        for value in values:
-            folded = zigzag_encode(value)
-            assert folded >= 0
-            assert zigzag_decode(folded) == value
-
-    def test_svarint_random_i64_sequences(self):
-        rng = random.Random(2025)
-        for _ in range(50):
-            values = [rng.randint(I64_MIN, I64_MAX) for _ in range(rng.randint(1, 40))]
-            out = bytearray()
-            for value in values:
-                svarint_encode(value, out)
-            buffer = bytes(out)
-            offset = 0
-            decoded = []
-            while offset < len(buffer):
-                value, offset = svarint_decode(buffer, offset)
-                decoded.append(value)
-            assert decoded == values
-
-
-# ------------------------------------------------------------- torn buffers
-class TestTornBuffers:
-    def test_every_truncation_of_a_varint_raises_typed(self):
-        out = bytearray()
-        varint_encode((1 << 63) - 1, out)  # a long, multi-byte varint
-        buffer = bytes(out)
-        for cut in range(len(buffer)):
-            with pytest.raises(CorruptPostingsError):
-                varint_decode(buffer[:cut], 0)
-
-    def test_overlong_varint_raises_instead_of_looping(self):
-        # An adversarial run of continuation bytes never terminates the
-        # value; the decoder must bail with a typed error, not spin or
-        # build a gigantic int.
-        with pytest.raises(CorruptPostingsError):
-            varint_decode(b"\x80" * 64 + b"\x01", 0)
-
-    def test_decode_at_end_of_buffer_raises_typed(self):
-        with pytest.raises(CorruptPostingsError):
-            varint_decode(b"", 0)
-        with pytest.raises(CorruptPostingsError):
-            varint_decode(b"\x07", 1)
-
-    def test_random_garbage_never_raises_indexerror(self):
-        rng = random.Random(424242)
-        for _ in range(300):
-            blob = bytes(rng.randrange(256) for _ in range(rng.randint(0, 24)))
-            try:
-                varint_decode(blob, 0)
-            except CorruptPostingsError:
-                pass  # the only acceptable failure
-
 
 # ------------------------------------------------------------------- blocks
 def _random_block_entries(rng: random.Random, n: int, lo=I64_MIN, hi=I64_MAX):
@@ -176,9 +55,9 @@ def _entries(buffer: bytes, summary):
     return list(zip(*_decoded(buffer, summary)))
 
 
-#: Format v2, pinned.  Segments on disk and compressed lists in snapshots
-#: hold these bytes, so a codec change that moves them needs a new format
-#: tag beside v1 and v2, not an edit of these literals.
+#: The block format, pinned.  Segments on disk hold these bytes, so a
+#: codec change that moves them needs a new segment format, not an edit
+#: of these literals.
 #:
 #: The extremes: id 0 and id 2**63 - 1 in one block, i64-extreme
 #: timestamps and a zero-length interval — every column eight bytes wide.
@@ -202,10 +81,9 @@ GOLDEN_MIXED_BYTES = bytes.fromhex(
 )
 GOLDEN_MIXED_SUMMARY = (10, 300, 100, 100 + (1 << 40), 3)
 
-#: Format v1, pinned at the commit that last wrote it: a negative first
-#: id, i64-extreme timestamps and a zero-length interval.  Nothing encodes
-#: this any more; cold segments written before format v2 still hold it.
-GOLDEN_V1_RUN = [(-7, I64_MIN, I64_MIN + 300), (5, -1, -1), (133, 1_000, I64_MAX)]
+#: Format v1, as the commit that last wrote it laid out a negative first
+#: id, i64-extreme timestamps and a zero-length interval.  Nothing reads
+#: it any more: it is refused by its first byte.
 GOLDEN_V1_BYTES = bytes.fromhex(
     "03"  # count
     "0d" "0c" "8001"  # ids: zigzag(-7), gaps 12 and 128
@@ -217,23 +95,24 @@ GOLDEN_V1_SUMMARY = (-7, 133, I64_MIN, I64_MAX, 3)
 GOLDENS = [
     (GOLDEN_BYTES, GOLDEN_SUMMARY, GOLDEN_RUN),
     (GOLDEN_MIXED_BYTES, GOLDEN_MIXED_SUMMARY, GOLDEN_MIXED_RUN),
-    (GOLDEN_V1_BYTES, GOLDEN_V1_SUMMARY, GOLDEN_V1_RUN),
 ]
 
 
 class TestBlockCodec:
     def test_golden_bytes_pin_the_block_format(self):
-        for golden, summary, run in GOLDENS[:2]:
+        for golden, summary, run in GOLDENS:
             assert encode_block(run) == golden
             assert seal(run) == (golden, summary)
             assert _entries(golden, summary) == run
 
-    def test_v1_golden_bytes_still_decode(self):
-        assert _entries(GOLDEN_V1_BYTES, GOLDEN_V1_SUMMARY) == GOLDEN_V1_RUN
-        # ... beside a summary held as an int64 table column too, which
-        # is how both backends hand it over.
+    def test_v1_golden_bytes_are_refused(self):
+        # Whole, beside a summary held as an int64 table column (how both
+        # backends hand it over), and cut at every length: one typed error.
         column = np.array(GOLDEN_V1_SUMMARY, dtype=np.int64)
-        assert _entries(GOLDEN_V1_BYTES, column) == GOLDEN_V1_RUN
+        for summary in (GOLDEN_V1_SUMMARY, column):
+            for cut in range(len(GOLDEN_V1_BYTES) + 1):
+                with pytest.raises(CorruptPostingsError, match="tag"):
+                    decode_block(GOLDEN_V1_BYTES[:cut], summary)
 
     def test_decoded_columns_are_int64_arrays(self):
         for golden, summary, _run in GOLDENS:
@@ -255,7 +134,7 @@ class TestBlockCodec:
         with pytest.raises(ConfigurationError):
             encode_block([])
         with pytest.raises(CorruptPostingsError):
-            decode_block(b"\x00", (0, 0, 0, 0, 0))  # v1's empty block
+            decode_block(b"\x00", (0, 0, 0, 0, 0))  # no tag
         with pytest.raises(CorruptPostingsError):
             decode_block(b"\xc0", (0, 0, 0, 0, 0))
 
@@ -317,9 +196,6 @@ class TestBlockCodec:
         for cut in range(len(buffer)):
             with pytest.raises(CorruptPostingsError):
                 decode_block(buffer[:cut], summary)
-        for cut in range(len(GOLDEN_V1_BYTES)):
-            with pytest.raises(CorruptPostingsError):
-                decode_block(GOLDEN_V1_BYTES[:cut], GOLDEN_V1_SUMMARY)
 
     def test_trailing_bytes_raise_typed(self):
         for golden, summary, _run in GOLDENS:
@@ -333,8 +209,6 @@ class TestBlockCodec:
         b, _ = seal([(4, 1, 1)])
         with pytest.raises(CorruptPostingsError):
             decode_block(a + b, summary)
-        with pytest.raises(CorruptPostingsError):
-            decode_block(GOLDEN_V1_BYTES + GOLDEN_V1_BYTES, GOLDEN_V1_SUMMARY)
 
     def test_block_beside_the_wrong_summary_raises_typed(self):
         # Same count, same widths, another block's id range: the payload
@@ -346,10 +220,6 @@ class TestBlockCodec:
             decode_block(a, summary_b)
         with pytest.raises(CorruptPostingsError):
             decode_block(b, summary_a, ids_only=True)
-        for other in [(-7, 133, I64_MIN, I64_MAX, 2), (-6, 133, I64_MIN, I64_MAX, 3),
-                      (-7, 134, I64_MIN, I64_MAX, 3)]:
-            with pytest.raises(CorruptPostingsError):
-                decode_block(GOLDEN_V1_BYTES, other)
 
     def test_zero_gap_raises_typed(self):
         payload, summary = seal([(1, 0, 0), (2, 0, 0), (3, 0, 0)])
@@ -394,7 +264,7 @@ class TestBlockCodec:
         rng = random.Random(161803)
         for _ in range(300):
             blob = bytes(rng.randrange(256) for _ in range(rng.randint(0, 48)))
-            if rng.random() < 0.5 and blob:  # force the v2 path half the time
+            if rng.random() < 0.5 and blob:  # tag the header half the time
                 blob = bytes([blob[0] | 0xC0]) + blob[1:]
             summary = (rng.randint(-5, 5), rng.randint(-5, 300), rng.randint(-9, 9),
                        rng.randint(-9, 300), rng.randint(-1, 12))
@@ -410,21 +280,21 @@ class TestBlockCodec:
         # as IndexError/ValueError.
         rng = random.Random(271828)
         entries = _random_block_entries(rng, 8)
-        for buffer, summary in [seal(entries), (GOLDEN_V1_BYTES, GOLDEN_V1_SUMMARY)]:
-            buffer = bytearray(buffer)
-            for _ in range(200):
-                i = rng.randrange(len(buffer))
-                bit = 1 << rng.randrange(8)
-                buffer[i] ^= bit
-                try:
-                    ids, sts, ends = _decoded(bytes(buffer), summary)
-                except CorruptPostingsError:
-                    pass
-                else:
-                    assert ids == sorted(ids) and len(set(ids)) == len(ids)
-                    assert (ids[0], ids[-1], len(ids)) == (summary[0], summary[1], summary[4])
-                    assert all(st <= end for st, end in zip(sts, ends))
-                buffer[i] ^= bit  # restore
+        buffer, summary = seal(entries)
+        buffer = bytearray(buffer)
+        for _ in range(200):
+            i = rng.randrange(len(buffer))
+            bit = 1 << rng.randrange(8)
+            buffer[i] ^= bit
+            try:
+                ids, sts, ends = _decoded(bytes(buffer), summary)
+            except CorruptPostingsError:
+                pass
+            else:
+                assert ids == sorted(ids) and len(set(ids)) == len(ids)
+                assert (ids[0], ids[-1], len(ids)) == (summary[0], summary[1], summary[4])
+                assert all(st <= end for st, end in zip(sts, ends))
+            buffer[i] ^= bit  # restore
 
     def test_summarize_matches_what_decode_needs(self):
         rng = random.Random(5)

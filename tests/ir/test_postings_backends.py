@@ -372,9 +372,6 @@ class TestBackendSelection:
         tif = TemporalInvertedFile()
         tif.add_object(1, 0, 5, ["a"])
         assert type(tif.postings("a")) is PackedPostingsList
-        tif._backend = None  # what a tIF pickled by the previous release holds
-        tif.add_object(2, 0, 5, ["b"])
-        assert type(tif.postings("b")) is PackedPostingsList
 
     def test_unknown_names_raise_configuration_error(self):
         for retired in ("list", "cold", "roaring"):

@@ -1,8 +1,15 @@
 """Recovery ladder: snapshot fallback, idempotent replay, degradation."""
 
+import re
+
 import pytest
 
-from repro.core.errors import ConfigurationError, InvalidObjectError, ReproError
+from repro.core.errors import (
+    ConfigurationError,
+    InvalidObjectError,
+    ReproError,
+    UnsupportedFormatError,
+)
 from repro.indexes.brute import BruteForce
 from repro.indexes.registry import available_indexes
 from repro.service import layout
@@ -89,6 +96,25 @@ def test_all_snapshots_corrupt_degrades_to_brute_force(tmp_path, ops):
             except ReproError:
                 pass
     assert query_results(report.index) == query_results(replayed_oracle)
+
+
+def test_a_format_this_build_does_not_read_raises_and_writes_nothing(tmp_path, ops):
+    # Not damage: skipping such snapshots would serve a partial store, and
+    # its next checkpoint would prune the real ones.
+    populate(tmp_path, ops, checkpoints=(20, 40, 60), index_key="tif")
+    snapshots = layout.list_snapshots(tmp_path)
+    assert len(snapshots) == 3
+    for _seq, path in snapshots:
+        blob = path.read_bytes()
+        assert blob.count(b'"format":3') == 1
+        path.write_bytes(blob.replace(b'"format":3', b'"format":9'))
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    newest = snapshots[-1][1]
+    with pytest.raises(UnsupportedFormatError, match=re.escape(f"{newest}: snapshot format 9 ")):
+        recover(tmp_path)
+    with pytest.raises(UnsupportedFormatError):
+        DurableIndexStore.open(tmp_path)
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_degraded_store_keeps_serving_and_can_recheckpoint(tmp_path, ops):
