@@ -63,16 +63,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.bench.config import SCALES
-from repro.bench.tuned import tuned
 from repro.core.errors import ReproError
 from repro.core.model import make_query
-from repro.datasets.eclog import generate_eclog
-from repro.datasets.io import load, save
-from repro.datasets.stats import table3_rows
-from repro.datasets.synthetic import generate_synthetic
-from repro.datasets.wikipedia import generate_wikipedia
-from repro.indexes.explain import explain as explain_query
 from repro.indexes.registry import available_indexes, build_index
 from repro.storage.cache import DEFAULT_SEGMENT_CACHE_BYTES
 from repro.utils.timing import timed
@@ -82,6 +74,9 @@ _EXPERIMENTS = [
     "table5", "fig11", "fig12", "table6", "table7", "all",
 ]
 
+#: ``repro.bench.config.SCALES``' names: only ``bench`` imports the harness.
+_SCALES = ("large", "medium", "small", "tiny")
+
 
 def _parse_number(text: str) -> float:
     """Accept ints and floats from the command line."""
@@ -90,6 +85,11 @@ def _parse_number(text: str) -> float:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets.eclog import generate_eclog
+    from repro.datasets.io import save
+    from repro.datasets.synthetic import generate_synthetic
+    from repro.datasets.wikipedia import generate_wikipedia
+
     if args.dataset == "synthetic":
         collection = generate_synthetic(
             cardinality=args.n,
@@ -285,11 +285,22 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.datasets.io import load
+    from repro.datasets.stats import table3_rows
+
     collection = load(args.data)
     width = max(len(label) for label, _v in table3_rows(collection))
     for label, value in table3_rows(collection):
         print(f"{label:<{width}}  {value}")
     return 0
+
+
+def _source(args: argparse.Namespace):
+    """The collection ``args.data`` names, and ``args.index``'s parameters."""
+    from repro.bench.tuned import tuned
+    from repro.datasets.io import load
+
+    return load(args.data), (tuned(args.index) if args.tuned else {})
 
 
 def _build(args: argparse.Namespace):
@@ -300,8 +311,7 @@ def _build(args: argparse.Namespace):
         with timed() as watch:
             index = load_index(snapshot)
         return None, index, watch.elapsed
-    collection = load(args.data)
-    params = tuned(args.index) if args.tuned else {}
+    collection, params = _source(args)
     with timed() as watch:
         index = build_index(args.index, collection, **params)
     return collection, index, watch.elapsed
@@ -373,6 +383,8 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.indexes.explain import explain as explain_query
+
     _collection, index, _seconds = _build(args)
     print(explain_query(index, _make_query_from_args(args)).render())
     return 0
@@ -411,8 +423,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_cluster_build(args: argparse.Namespace) -> int:
     from repro.cluster import TemporalCluster
 
-    collection = load(args.data)
-    params = tuned(args.index) if args.tuned else {}
+    collection, params = _source(args)
     with timed() as watch:
         cluster = TemporalCluster.create(
             args.directory,
@@ -1060,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a paper experiment")
     p.add_argument("experiment", choices=_EXPERIMENTS)
-    p.add_argument("--scale", choices=sorted(SCALES), default="small")
+    p.add_argument("--scale", choices=_SCALES, default="small")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 

@@ -1,8 +1,11 @@
-"""Composite temporal-IR indexes: the paper's baselines and contributions."""
+"""Composite temporal-IR indexes: the paper's baselines and contributions.
+
+``explain()`` lives in :mod:`repro.indexes.explain`, imported by whoever
+explains a query, not with the indexes.
+"""
 
 from repro.indexes.base import TemporalIRIndex
 from repro.indexes.brute import BruteForce
-from repro.indexes.explain import PhaseTrace, QueryExplanation, explain
 from repro.indexes.persistence import load_index, save_index
 from repro.indexes.irhint import IRHintPerformance, IRHintSize
 from repro.indexes.registry import (
@@ -22,9 +25,6 @@ from repro.indexes.tif_slicing import TIFSlicing
 
 __all__ = [
     "BruteForce",
-    "PhaseTrace",
-    "QueryExplanation",
-    "explain",
     "COMPARISON_METHODS",
     "INDEX_CLASSES",
     "IRHintPerformance",

@@ -12,9 +12,9 @@ The base class centralises the bookkeeping all methods share:
   and kept in sync across updates;
 * an object catalog (id → object) used for pure-temporal query fallbacks on
   IR-first structures, for delete-by-id convenience, and for diagnostics.
-  The catalog holds *references* to the collection's objects and is
-  deliberately excluded from ``size_bytes()`` — it is the corpus, not the
-  index;
+  It holds the caller's objects and, after a load, sealed columns
+  (:mod:`repro.indexes.catalog`); it is deliberately excluded from
+  ``size_bytes()`` — it is the corpus, not the index;
 * a data ``version`` that result caches check instead of being told about
   mutations (see :mod:`repro.exec.cache`).
 """
@@ -35,6 +35,7 @@ from repro.core.collection import Collection
 from repro.core.dictionary import Dictionary
 from repro.core.errors import DuplicateObjectError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
+from repro.indexes.catalog import Catalog
 from repro.ir.packed import IdSorted, PackedPostingsList, id_sorted
 from repro.obs.context import annotate, event, tracing_active
 from repro.obs.registry import OBS
@@ -154,7 +155,7 @@ class TemporalIRIndex(abc.ABC):
 
     def __init__(self) -> None:
         self._dictionary = Dictionary()
-        self._catalog: Dict[int, TemporalObject] = {}
+        self._catalog = Catalog()
         #: Changes at every ``insert``/``delete`` and at unpickling: an answer
         #: computed at one version is valid exactly while it is current.
         self.version = next_version()
@@ -205,7 +206,7 @@ class TemporalIRIndex(abc.ABC):
             for obj in columns.objects:
                 self.insert(obj)
             return
-        self._catalog = {obj.id: obj for obj in columns.objects}
+        self._catalog = Catalog(columns.objects)
         self._dictionary = Dictionary.from_frequencies(
             zip(columns.descriptions[0], columns.frequencies.tolist())
         )
@@ -228,7 +229,7 @@ class TemporalIRIndex(abc.ABC):
             raise DuplicateObjectError(f"object id {obj.id} already indexed")
         try:
             self._insert_impl(obj)
-            self._catalog[obj.id] = obj
+            self._catalog.add(obj)
             self._dictionary.add_description(obj.d)
         finally:
             self.version = next_version()
@@ -248,7 +249,7 @@ class TemporalIRIndex(abc.ABC):
             raise UnknownObjectError(object_id)
         try:
             self._delete_impl(found)
-            del self._catalog[object_id]
+            self._catalog.discard(object_id)
             self._dictionary.remove_description(found.d)
         finally:
             self.version = next_version()
@@ -322,11 +323,7 @@ class TemporalIRIndex(abc.ABC):
         honest answer is a scan; time-first structures override this with
         their HINT traversal.
         """
-        result = sorted(
-            obj.id
-            for obj in self._catalog.values()
-            if obj.st <= q.end and q.st <= obj.end
-        )
+        result = self._catalog.overlapping(q.st, q.end)
         if tracing_active():
             event(
                 "catalog scan",
@@ -352,7 +349,11 @@ class TemporalIRIndex(abc.ABC):
 
     def objects(self) -> List[TemporalObject]:
         """The live indexed objects, ordered by id (catalog view)."""
-        return [self._catalog[object_id] for object_id in sorted(self._catalog)]
+        return self._catalog.objects()
+
+    def object_ids(self) -> np.ndarray:
+        """The live object ids, ascending, as int64 (no object is made)."""
+        return self._catalog.object_ids()
 
     def get(self, object_id: int) -> Optional[TemporalObject]:
         """A live object by id, or ``None``."""

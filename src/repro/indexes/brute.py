@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
@@ -10,26 +10,30 @@ from repro.utils.memory import CONTAINER_BYTES
 
 
 class BruteForce(TemporalIRIndex):
-    """Linear scan over the catalog; correct by construction, never fast.
+    """Linear scan over an id → object dict of its own, whatever form the
+    catalog holds them in; correct by construction, never fast.
 
     Used as the ground truth in tests and as the no-index baseline in
-    ablation benchmarks.  Its modelled size is zero: it maintains no
-    structure beyond the shared catalog.
+    ablation benchmarks.  Its modelled size is zero.
     """
 
     name = "brute-force"
 
-    def _insert_impl(self, obj: TemporalObject) -> None:  # catalog suffices
-        pass
+    def __init__(self) -> None:
+        super().__init__()
+        self._objects: Dict[int, TemporalObject] = {}
 
-    def _delete_impl(self, obj: TemporalObject) -> None:  # catalog suffices
-        pass
+    def _insert_impl(self, obj: TemporalObject) -> None:
+        self._objects[obj.id] = obj
+
+    def _delete_impl(self, obj: TemporalObject) -> None:
+        del self._objects[obj.id]
 
     def _query_impl(self, q: TimeTravelQuery) -> List[int]:
         q_st, q_end, q_d = q.st, q.end, q.d
         return sorted(
             obj.id
-            for obj in self._catalog.values()
+            for obj in self._objects.values()
             if obj.st <= q_end and q_st <= obj.end and obj.d >= q_d
         )
 

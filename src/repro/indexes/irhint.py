@@ -196,36 +196,31 @@ class IRHintSize(TemporalIRIndex):
         cached = self._columns  # one read: a concurrent reader may publish its own
         if cached is not None and cached[0] is verdict:
             return cached[2]
-        codes: Dict[Element, int] = {}
-        pair_codes: List[int] = []
-        pair_ids: List[int] = []
-        for obj in self._catalog.values():
-            for element in obj.d:
-                pair_codes.append(codes.setdefault(element, len(codes)))
-                pair_ids.append(obj.id)
+        terms, pair_codes, ids = self._catalog.pairs()
         # Every row of each (element, id) pair's slot: rows grouped by id.
         row_ids = self._hint.row_ids(verdict)
         by_id = np.argsort(row_ids, kind="stable")
         sorted_ids = row_ids[by_id]
-        ids = np.array(pair_ids, dtype=np.int64)
         first = sorted_ids.searchsorted(ids, "left")
         counts = sorted_ids.searchsorted(ids, "right") - first
         pair = np.repeat(np.arange(len(ids)), counts)
         rank = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
         rows = by_id[first[pair] + rank]
-        elements = np.array(pair_codes, dtype=np.int64)[pair]
+        elements = pair_codes[pair]
         order = np.lexsort((rows, elements))
         rows, elements = rows[order], elements[order]
-        starts = elements.searchsorted(np.arange(len(codes) + 1))
+        starts = elements.searchsorted(np.arange(len(terms) + 1)).tolist()
         columns = {
-            element: rows[starts[code] : starts[code + 1]] for element, code in codes.items()
+            element: rows[starts[code] : starts[code + 1]]
+            for code, element in enumerate(terms)
+            if starts[code] < starts[code + 1]
         }
         self._columns = (verdict, int(row_ids.max()), columns)
         return columns
 
     def _holds(self, object_id: int, elements: List[Element]) -> bool:
         """Does the catalog's object hold every one of ``elements``?"""
-        d = self._catalog[object_id].d
+        d = self._catalog.get(object_id).d
         return all(element in d for element in elements)
 
     # ------------------------------------------------------------------ query

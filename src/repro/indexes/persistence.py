@@ -5,17 +5,18 @@ archives that restart frequently want to pay it once.  This module
 persists any :class:`~repro.indexes.base.TemporalIRIndex` to disk and
 restores it byte-for-byte.
 
-Format v3: a small JSON header (magic, format version, library version,
+Format v4: a small JSON header (magic, format version, library version,
 index class, payload length and CRC32) followed by a pickle of the index
-object.  The header lets :func:`load_index` fail with a clear error on
-foreign files or version-incompatible snapshots *before* unpickling
-anything, and the checksum detects torn writes and bit rot.  Snapshots are
-written through the :mod:`repro.service.fsio` seam (temp file → fsync →
-rename → directory fsync) so a crash mid-save never clobbers the previous
-snapshot.
+object, its catalog as columns (:mod:`repro.indexes.catalog`).  The header
+lets :func:`load_index` fail with a clear error on foreign files or
+version-incompatible snapshots *before* unpickling anything, and the
+checksum detects torn writes and bit rot.  Snapshots are written through
+the :mod:`repro.service.fsio` seam (temp file → fsync → rename → directory
+fsync) so a crash mid-save never clobbers the previous snapshot.
 
 One format is read.  A snapshot of any other (format 1 had no checksum;
-format 2's pickled layout changed several times under one number) raises
+format 2's pickled layout changed several times under one number; format
+3 pickled the catalog as a dict of objects) raises
 :class:`~repro.core.errors.UnsupportedFormatError`, naming its format,
 before anything is unpickled: rebuild the index from its source
 collection.
@@ -40,7 +41,7 @@ from repro.indexes.base import TemporalIRIndex
 PathLike = Union[str, Path]
 
 _MAGIC = b"RPROIDX1"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _LEN_BYTES = 4
 #: Largest header we will ever read; anything bigger means a corrupt
 #: length field, not a real header.
@@ -165,6 +166,8 @@ def loads_index(blob: bytes, context: str = "snapshot") -> TemporalIRIndex:
     gc.disable()
     try:
         index = pickle.loads(payload)
+    except MemoryError:  # a sound snapshot this process cannot hold is not damage
+        raise
     except Exception as exc:  # a checksummed payload that still fails to unpickle
         raise CorruptSnapshotError(f"{context}: snapshot payload unreadable: {exc}") from exc
     finally:

@@ -105,10 +105,10 @@ class TIFHintSlicing(_TIFHintBase):
 
     def _insert_impl(self, obj: TemporalObject) -> None:
         super()._insert_impl(obj)
-        grown = regrid(self._layout, obj, self._catalog.values(), self._n_slices)
+        grown = regrid(self._layout, obj, self._catalog, self._n_slices)
         if grown is not None:
             self._layout, self._sliced = grown, {}
-            for held in self._catalog.values():
+            for held in self._catalog.objects():
                 self._slice_in(held)
         self._slice_in(obj)
 

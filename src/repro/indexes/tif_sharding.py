@@ -221,7 +221,7 @@ class TIFSharding(TemporalIRIndex):
                 raise DuplicateObjectError(f"object id {obj.id} already indexed")
             for element in obj.d:
                 per_element.setdefault(element, []).append((obj.id, obj.st, obj.end))
-            index._catalog[obj.id] = obj
+            index._catalog.add(obj)
             index._dictionary.add_description(obj.d)
         for element, entries in per_element.items():
             entries.sort(key=lambda entry: (entry[1], entry[0]))

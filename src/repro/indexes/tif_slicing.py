@@ -19,13 +19,14 @@ past it re-slices every held object over the grown span (:func:`regrid`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.collection import Collection
 from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import TemporalIRIndex
+from repro.indexes.catalog import Catalog
 from repro.intervals.grid1d import GridLayout
 from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
@@ -34,14 +35,14 @@ from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES
 def regrid(
     layout: Optional[GridLayout],
     obj: TemporalObject,
-    held: Iterable[TemporalObject],
+    held: Catalog,
     n_slices: int,
 ) -> Optional[GridLayout]:
-    """The grid to re-slice ``held`` and ``obj`` over, when ``obj`` ends
-    past ``layout`` (or there is none yet); ``None`` when it fits."""
+    """The grid to re-slice ``held``'s objects and ``obj`` over, when ``obj``
+    ends past ``layout`` (or there is none yet); ``None`` when it fits."""
     if layout is not None and obj.end <= layout.hi:
         return None
-    objects = [*held, obj]
+    objects = [*held.objects(), obj]
     return GridLayout.spanning(
         min(o.st for o in objects), max(o.end for o in objects), n_slices
     )
@@ -163,10 +164,10 @@ class TIFSlicing(TemporalIRIndex):
 
     # ---------------------------------------------------------------- updates
     def _insert_impl(self, obj: TemporalObject) -> None:
-        grown = regrid(self._layout, obj, self._catalog.values(), self._n_slices)
+        grown = regrid(self._layout, obj, self._catalog, self._n_slices)
         if grown is not None:
             self._layout, self._lists = grown, {}
-            for held in self._catalog.values():
+            for held in self._catalog.objects():
                 self._slice_in(held)
         self._slice_in(obj)
 

@@ -281,6 +281,8 @@ def _recover(
             _replay_segments(
                 base, [(s, p) for s, p in segments if s >= base_seq], report
             )
+        except MemoryError:  # not the index's fault: degrading would lose the store
+            raise
         except Exception as exc:  # index-specific replay blow-up
             degradation_reason = f"replay failed on {index_key}: {exc}"
         else:

@@ -184,6 +184,8 @@ def read_wal(path: PathLike) -> WalReadResult:
             break
         try:
             op = pickle.loads(payload)
+        except MemoryError:  # not a torn tail: truncating here would lose records
+            raise
         except Exception as exc:
             result.error = f"record payload unreadable: {exc}"
             break

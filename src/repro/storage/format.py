@@ -254,6 +254,8 @@ def unpack_descriptions(
         raise CorruptSegmentError(f"{path}: descriptions blob fails its checksum")
     try:
         return pickle.loads(zlib.decompress(blob))
+    except MemoryError:  # not damage: the bytes passed their checksum
+        raise
     except Exception as exc:
         raise CorruptSegmentError(
             f"{path}: descriptions blob does not decode: {exc}"

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.model import make_query
-from repro.indexes import BruteForce, build_index, explain
+from repro.indexes import BruteForce, build_index
+from repro.indexes.explain import explain
 from repro.indexes.registry import PAPER_METHODS
 from repro.bench.tuned import tuned
 from repro.obs.context import Tracer

@@ -17,7 +17,8 @@ import pytest
 from repro.bench.tuned import tuned
 from repro.core.collection import Collection
 from repro.core.model import make_object, make_query
-from repro.indexes import BruteForce, build_index, explain
+from repro.indexes import BruteForce, build_index
+from repro.indexes.explain import explain
 
 KEYS = ["tif-hint-binary", "tif-hint-merge", "tif-hint-slicing", "irhint-size", "tif-slicing"]
 N = 2048

@@ -9,7 +9,8 @@ import pytest
 from repro.core.errors import UnknownObjectError, UnsupportedFormatError
 from repro.core.model import make_object, make_query
 from repro.datasets.synthetic import generate_synthetic
-from repro.indexes import explain, irhint
+from repro.indexes import irhint
+from repro.indexes.explain import explain
 from repro.indexes.irhint import IRHintPerformance, IRHintSize
 from repro.indexes.persistence import dumps_index, loads_index
 from repro.indexes.tif import TIF
@@ -195,7 +196,7 @@ class TestFlatLayout:
         # refuses it, and nothing of it is unpickled.
         legacy = IRHintPerformance.__new__(IRHintPerformance)
         legacy.__dict__.update({"_divisions": {}, "_mapper": None, "_catalog": {}})
-        blob = dumps_index(legacy).replace(b'"format":3', b'"format":2', 1)
+        blob = dumps_index(legacy).replace(b'"format":4', b'"format":2', 1)
         with pytest.raises(UnsupportedFormatError, match="snapshot format 2 unsupported"):
             loads_index(blob)
 

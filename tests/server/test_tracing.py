@@ -20,7 +20,7 @@ from repro.cluster import TemporalCluster
 from repro.core.collection import Collection
 from repro.core.model import make_query
 from repro.cli import main
-from repro.indexes import explain
+from repro.indexes.explain import explain
 from repro.server import (
     ServerConfig,
     ServerError,

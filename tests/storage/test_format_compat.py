@@ -5,7 +5,8 @@ Each image is a literal written by the last commit that could write its
 format (``parent_images``): v1 and v2 segments, and index snapshots of
 format 2 whose pickled layouts (postings backends other than packed, the
 per-division HINT classes, irHINT's frozen ``m`` and its tIF layout) no
-build reads any more.  A segment is refused by its footer magic, a
+build reads any more, and one of format 3, whose catalog pickled as a
+dict of objects.  A segment is refused by its footer magic, a
 snapshot by its header's format; damage and truncation of either give
 only typed errors; a store refuses to recover from them, and a cluster
 that holds an old segment reports that shard unavailable while the rest
@@ -28,6 +29,7 @@ from repro.core.model import make_query
 from repro.indexes.persistence import _parse_header, dumps_index, loads_index
 from repro.indexes.registry import build_index
 from repro.service.layout import snapshot_path, write_manifest
+from repro.service.recovery import recover
 from repro.service.store import DurableIndexStore
 from repro.storage.format import FOOTER_SIZE, MAGIC, read_directory
 from repro.storage.reader import SegmentReader
@@ -44,6 +46,7 @@ from tests.storage.parent_images import (
     IRHINT_SIZE_SNAPSHOT,
     LIST_SNAPSHOT,
     TABLE_COMPRESSED_SNAPSHOT,
+    TIF_FORMAT3_SNAPSHOT,
     V1_SEGMENT,
     V1_SHARD,
     V2_SEGMENT,
@@ -68,7 +71,7 @@ SNAPSHOTS = {
     "irhint-perf-tif": (IRHINT_PERF_TIF_SNAPSHOT, "irhint-perf"),
 }
 
-REFUSED_SNAPSHOT = "snapshot format 2 unsupported \\(this library reads 3\\)"
+REFUSED_SNAPSHOT = "snapshot format 2 unsupported \\(this library reads 4\\)"
 
 
 def _magic(version):
@@ -209,7 +212,7 @@ class TestCompressedSnapshots:
         collection = Collection(snapshot_objects())
         index = build_index("tif", collection)
         blob = dumps_index(index)
-        assert _parse_header(blob, "new.idx")[0]["format"] == 3
+        assert _parse_header(blob, "new.idx")[0]["format"] == 4
         restored = loads_index(blob)
         for q in random_queries(collection, 40, seed=23):
             assert restored.query(q).tolist() == index.query(q).tolist()
@@ -237,4 +240,27 @@ class TestOldSnapshots:
         named = f"{re.escape(str(path))}: {REFUSED_SNAPSHOT}"
         with pytest.raises(UnsupportedFormatError, match=named):
             DurableIndexStore.open(tmp_path, index_key=key, wal_fsync=False)
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestFormat3Snapshot:
+    """The catalog's dict of objects became sealed columns at format 4."""
+
+    REFUSED = "snapshot format 3 unsupported \\(this library reads 4\\)"
+
+    def test_load_is_refused(self, no_unpickling):
+        assert _parse_header(TIF_FORMAT3_SNAPSHOT, "old.idx")[0]["format"] == 3
+        with pytest.raises(UnsupportedFormatError, match=self.REFUSED):
+            loads_index(TIF_FORMAT3_SNAPSHOT, context="old.idx")
+
+    def test_recovery_raises_and_writes_nothing(self, tmp_path, no_unpickling):
+        write_manifest(tmp_path, "tif", None)
+        path = snapshot_path(tmp_path, 1)
+        path.write_bytes(TIF_FORMAT3_SNAPSHOT)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        named = f"{re.escape(str(path))}: {self.REFUSED}"
+        with pytest.raises(UnsupportedFormatError, match=named):
+            recover(tmp_path)
+        with pytest.raises(UnsupportedFormatError, match=named):
+            DurableIndexStore.open(tmp_path, wal_fsync=False)
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
