@@ -35,7 +35,7 @@ from repro.core.collection import Collection
 from repro.core.dictionary import Dictionary
 from repro.core.errors import DuplicateObjectError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
-from repro.indexes.catalog import Catalog
+from repro.indexes.catalog import Catalog, Codes
 from repro.ir.packed import IdSorted, PackedPostingsList, id_sorted
 from repro.obs.context import annotate, event, tracing_active
 from repro.obs.registry import OBS
@@ -86,51 +86,38 @@ class BuildColumns:
 
     @cached_property
     def descriptions(self) -> Tuple[List[Element], np.ndarray, np.ndarray]:
-        """``(elements, keys, lengths)``: the elements in first-seen order
+        """``(elements, codes, lengths)``: the elements in first-seen order
         (the order the insert loop meets them); for each (object, element)
-        pair in collection order, its element's key — the number of that
-        element's first pair, so keys ascend in first-seen order; and each
-        object's description length."""
+        pair in collection order, its element's code — its place in that
+        order; and each object's description length."""
         ds = [obj.d for obj in self.objects]
         lengths = np.fromiter(map(len, ds), dtype=np.int64, count=len(ds))
-        n_pairs = int(lengths.sum())
-        first: Dict[Element, int] = {}
-        keys = np.fromiter(
-            map(first.setdefault, itertools.chain.from_iterable(ds), itertools.count()),
-            dtype=np.min_scalar_type(n_pairs),
-            count=n_pairs,
-        )
-        return list(first), keys, lengths
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        """Each element's document frequency, in first-seen order: its
-        pairs (a description is a set)."""
-        counts = np.bincount(self.descriptions[1])
-        return counts[counts != 0]
+        codes = Codes()
+        pairs = np.fromiter(map(codes.__getitem__, itertools.chain.from_iterable(ds)), np.int32)
+        return list(codes), pairs, lengths
 
     def runs(self) -> Iterator[Tuple[Element, PackedPostingsList]]:
         """Every element's postings run, in first-seen element order: the
         pairs sorted by (element, id) once and cut at each element's bounds
         (:attr:`by_id` must exist)."""
         ids, sts, ends, permutation = self.held()
-        elements, keys, lengths = self.descriptions
+        elements, codes, lengths = self.descriptions
         # The row of each pair's object in the id-sorted columns, narrow:
         # the sort's index is the widest column.
         narrow = np.min_scalar_type(len(ids))
         owner = np.repeat(np.arange(len(ids), dtype=narrow), lengths)
         if permutation is None:  # collection order is id order
-            order = np.argsort(keys, kind="stable")
+            order = np.argsort(codes, kind="stable")
         else:
             rank = np.empty(len(ids), dtype=narrow)
             rank[permutation] = np.arange(len(ids), dtype=narrow)
             owner = rank[owner]
             del rank
-            order = np.lexsort((owner, keys))
+            order = np.lexsort((owner, codes))
         owner = owner[order]
         del order
         # Byte offsets of each run; a chunk of whole runs is gathered at once.
-        bounds = [0, *itertools.accumulate((self.frequencies * 8).tolist())]
+        bounds = [0, *itertools.accumulate((np.bincount(codes) * 8).tolist())]
         first = 0
         while first < len(elements):
             lo = bounds[first]
@@ -198,19 +185,19 @@ class TemporalIRIndex(abc.ABC):
     _columnar: ClassVar[bool] = False
 
     def _load(self, columns: BuildColumns) -> None:
-        """Fill the empty index with ``columns.objects``: the catalog, the
-        dictionary counts and :meth:`_load_columns` when the index has a
-        columnar load and the columns hold the collection (:attr:`BuildColumns.by_id`),
+        """Fill the empty index with ``columns.objects``: the dictionary, the
+        structures (:meth:`_load_columns`) and a sealed catalog when the index
+        has a columnar load and the columns hold the collection (:attr:`BuildColumns.by_id`),
         otherwise the insert loop, whose semantics the rest have."""
         if not (self._columnar and columns.by_id is not None):
             for obj in columns.objects:
                 self.insert(obj)
             return
-        self._catalog = Catalog(columns.objects)
-        self._dictionary = Dictionary.from_frequencies(
-            zip(columns.descriptions[0], columns.frequencies.tolist())
-        )
+        elements, codes, _lengths = columns.descriptions  # frequencies: descriptions are sets
+        self._dictionary = Dictionary.from_frequencies(zip(elements, np.bincount(codes).tolist()))
         self._load_columns(columns)
+        # Sealed as a load seals it, once the runs' sort has let go.
+        self._catalog = Catalog.sealed(columns.held(), *columns.descriptions)
 
     def _load_columns(self, columns: BuildColumns) -> None:
         """Hook of a ``_columnar`` index: fill its structures from ``columns``

@@ -23,6 +23,14 @@ class BruteForce(TemporalIRIndex):
         super().__init__()
         self._objects: Dict[int, TemporalObject] = {}
 
+    # Remade from the catalog: a frozenset unpickled may iterate in another order.
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in super().__getstate__().items() if k != "_objects"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        super().__setstate__(state)
+        self._objects = {obj.id: obj for obj in self._catalog.objects()}
+
     def _insert_impl(self, obj: TemporalObject) -> None:
         self._objects[obj.id] = obj
 

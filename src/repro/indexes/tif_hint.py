@@ -37,6 +37,7 @@ from typing import Dict, Optional
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.indexes.base import BuildColumns, TemporalIRIndex
 from repro.intervals.hint.index import Hint, Ids
+from repro.ir.packed import pack_runs, unpack_runs
 from repro.obs.context import event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES
 
@@ -75,6 +76,18 @@ class _TIFHintBase(TemporalIRIndex):
     def hint_for(self, element: Element) -> Optional[Hint]:
         """The postings HINT of an element (tests, diagnostics)."""
         return self._hints.get(element)
+
+    # Every run pickles in one run set, beside the elements in dict order.
+    def __getstate__(self) -> Dict[str, object]:
+        state = super().__getstate__()
+        state["_hints"] = (tuple(self._hints), pack_runs([h._run for h in self._hints.values()]))
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        elements, runs = state["_hints"]
+        hints = (Hint(state["_num_bits"], run) for run in unpack_runs(runs))
+        state["_hints"] = dict(zip(elements, hints))
+        super().__setstate__(state)
 
     # ---------------------------------------------------------------- updates
     _columnar = True

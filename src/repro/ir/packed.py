@@ -20,13 +20,15 @@ trigger a one-way *spill*: the columns are converted to plain Python lists
 and the instance keeps working with identical semantics, just without the
 packed representation.  Tombstone-heavy lists compact automatically once
 dead slots outnumber live ones (see :meth:`PackedPostingsList.compact`).
+Many lists pickle as one *run set* of a few columns (:func:`pack_runs`).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from operator import attrgetter
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -454,3 +456,39 @@ class PackedPostingsList:
         the actual packed footprint is ~24 bytes/slot + 1 tombstone byte.
         """
         return self.physical_len() * ENTRY_FULL_BYTES + CONTAINER_BYTES
+
+
+def pack_runs(runs: Sequence[PackedPostingsList]) -> tuple:
+    """``runs`` as one run set: per-run lengths, dead counts and epochs; the packed
+    runs' columns and the dead-slotted runs' tombstones, joined; spilled runs by value."""
+    packed = [run for run in runs if run._packed]
+    return (
+        array("q", [len(run._ids) for run in runs]).tobytes(),
+        array("q", [run._n_dead for run in runs]).tobytes(),
+        array("q", [run._packed for run in runs]).tobytes(),
+        *(b"".join(map(attrgetter(column), packed)) for column in ("_ids", "_sts", "_ends")),
+        b"".join(run._alive for run in runs if run._n_dead),
+        [(run._ids, run._sts, run._ends) for run in runs if not run._packed],
+    )
+
+
+def unpack_runs(state: tuple) -> List[PackedPostingsList]:
+    """The runs :func:`pack_runs` packed, slot for slot."""
+    *counts, ids, sts, ends, alive, spilled = state
+    columns, alive, spilled = [*map(memoryview, (ids, sts, ends))], memoryview(alive), iter(spilled)
+    runs, at, dead_at = [], 0, 0
+    for n, n_dead, epoch in zip(*(memoryview(c).cast("q").tolist() for c in counts), strict=True):
+        if epoch:
+            run = PackedPostingsList.from_columns(*(c[at : at + 8 * n] for c in columns))
+            at += 8 * n
+        else:
+            run = PackedPostingsList()
+            run._ids, run._sts, run._ends = map(list, next(spilled))
+            run._alive = bytearray(b"\x01") * n
+        if n_dead:
+            run._alive, dead_at = bytearray(alive[dead_at : dead_at + n]), dead_at + n
+        run._n_dead, run._packed = n_dead, epoch
+        runs.append(run)
+    if (at, dead_at, next(spilled, None)) != (len(columns[0]), len(alive), None):
+        raise ValueError("a run set's columns disagree with its run lengths")
+    return runs

@@ -195,8 +195,8 @@ class TestFlatLayout:
         # The pre-flat layout was written under format 2: its header
         # refuses it, and nothing of it is unpickled.
         legacy = IRHintPerformance.__new__(IRHintPerformance)
-        legacy.__dict__.update({"_divisions": {}, "_mapper": None, "_catalog": {}})
-        blob = dumps_index(legacy).replace(b'"format":4', b'"format":2', 1)
+        legacy.__dict__.update({"_divisions": {}, "_mapper": None, "_catalog": {}, "_hints": {}})
+        blob = dumps_index(legacy).replace(b'"format":5', b'"format":2', 1)
         with pytest.raises(UnsupportedFormatError, match="snapshot format 2 unsupported"):
             loads_index(blob)
 

@@ -121,12 +121,12 @@ def test_save_fsyncs_the_directory_after_the_rename(running_example, tmp_path, m
     assert load_index(path).query(make_query(0, 7, {"a"})).tolist()
 
 
-def test_v2_header_carries_checksum(running_example, tmp_path):
+def test_header_carries_checksum(running_example, tmp_path):
     index = build_index("brute", running_example)
     path = tmp_path / "i.idx"
     save_index(index, path)
     header = read_header(path)
-    assert header["format"] == 4
+    assert header["format"] == 5
     assert header["payload_bytes"] > 0
     assert isinstance(header["payload_crc32"], int)
 
@@ -263,8 +263,8 @@ def test_header_integers_must_be_ints(running_example, field, kind):
 
 def test_boolean_format_does_not_skip_the_checksum(running_example, example_query):
     blob = dumps_index(build_index("tif", running_example))
-    assert loads_index(_with_header(blob, format=4)).query(example_query).tolist() == [2, 4, 7]
+    assert loads_index(_with_header(blob, format=5)).query(example_query).tolist() == [2, 4, 7]
     with pytest.raises(CorruptSnapshotError, match="checksum"):
-        loads_index(_with_header(blob, format=4, payload_crc32=0))
+        loads_index(_with_header(blob, format=5, payload_crc32=0))
     with pytest.raises(CorruptSnapshotError):
         loads_index(_with_header(blob, format=True, payload_crc32=0))

@@ -5,8 +5,9 @@ Each image is a literal written by the last commit that could write its
 format (``parent_images``): v1 and v2 segments, and index snapshots of
 format 2 whose pickled layouts (postings backends other than packed, the
 per-division HINT classes, irHINT's frozen ``m`` and its tIF layout) no
-build reads any more, and one of format 3, whose catalog pickled as a
-dict of objects.  A segment is refused by its footer magic, a
+build reads any more, one of format 3, whose catalog pickled as a dict
+of objects, and one of format 4, whose irHINT-perf pickled one ``Hint``
+per element.  A segment is refused by its footer magic, a
 snapshot by its header's format; damage and truncation of either give
 only typed errors; a store refuses to recover from them, and a cluster
 that holds an old segment reports that shard unavailable while the rest
@@ -40,6 +41,8 @@ from tests.storage.parent_images import (
     COMPRESSED_SNAPSHOT,
     HINT_MERGE_SNAPSHOT,
     I64_MAX,
+    MIGRATION_DELETED,
+    IRHINT_PERF_FORMAT4_SNAPSHOT,
     IRHINT_PERF_FROZEN_M_SNAPSHOT,
     IRHINT_PERF_TIF_SNAPSHOT,
     IRHINT_SIZE_FROZEN_M_SNAPSHOT,
@@ -53,6 +56,7 @@ from tests.storage.parent_images import (
     V2_SHARD,
     fixture_cluster,
     fixture_objects,
+    migration_objects,
     snapshot_objects,
 )
 
@@ -71,7 +75,7 @@ SNAPSHOTS = {
     "irhint-perf-tif": (IRHINT_PERF_TIF_SNAPSHOT, "irhint-perf"),
 }
 
-REFUSED_SNAPSHOT = "snapshot format 2 unsupported \\(this library reads 4\\)"
+REFUSED_SNAPSHOT = "snapshot format 2 unsupported \\(this library reads 5\\)"
 
 
 def _magic(version):
@@ -212,7 +216,7 @@ class TestCompressedSnapshots:
         collection = Collection(snapshot_objects())
         index = build_index("tif", collection)
         blob = dumps_index(index)
-        assert _parse_header(blob, "new.idx")[0]["format"] == 4
+        assert _parse_header(blob, "new.idx")[0]["format"] == 5
         restored = loads_index(blob)
         for q in random_queries(collection, 40, seed=23):
             assert restored.query(q).tolist() == index.query(q).tolist()
@@ -246,7 +250,7 @@ class TestOldSnapshots:
 class TestFormat3Snapshot:
     """The catalog's dict of objects became sealed columns at format 4."""
 
-    REFUSED = "snapshot format 3 unsupported \\(this library reads 4\\)"
+    REFUSED = "snapshot format 3 unsupported \\(this library reads 5\\)"
 
     def test_load_is_refused(self, no_unpickling):
         assert _parse_header(TIF_FORMAT3_SNAPSHOT, "old.idx")[0]["format"] == 3
@@ -264,3 +268,39 @@ class TestFormat3Snapshot:
         with pytest.raises(UnsupportedFormatError, match=named):
             DurableIndexStore.open(tmp_path, wal_fsync=False)
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestFormat4Snapshot:
+    """Each element's ``Hint`` became one run set at format 5."""
+
+    REFUSED = "snapshot format 4 unsupported \\(this library reads 5\\)"
+
+    def test_load_is_refused(self, no_unpickling):
+        assert _parse_header(IRHINT_PERF_FORMAT4_SNAPSHOT, "old.idx")[0]["format"] == 4
+        with pytest.raises(UnsupportedFormatError, match=self.REFUSED):
+            loads_index(IRHINT_PERF_FORMAT4_SNAPSHOT, context="old.idx")
+
+    def test_store_refuses_and_writes_nothing(self, tmp_path, no_unpickling):
+        write_manifest(tmp_path, "irhint-perf", None)
+        path = snapshot_path(tmp_path, 1)
+        path.write_bytes(IRHINT_PERF_FORMAT4_SNAPSHOT)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        named = f"{re.escape(str(path))}: {self.REFUSED}"
+        with pytest.raises(UnsupportedFormatError, match=named):
+            DurableIndexStore.open(tmp_path, wal_fsync=False)
+        with pytest.raises(UnsupportedFormatError, match=named):
+            recover(tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_this_build_writes_the_same_index_as_format_5(self):
+        objects = migration_objects()
+        index = build_index("irhint-perf", Collection(objects))
+        for object_id in MIGRATION_DELETED:
+            index.delete(object_id)
+        blob = dumps_index(index)
+        assert _parse_header(blob, "new.idx")[0]["format"] == 5
+        assert len(blob) < len(IRHINT_PERF_FORMAT4_SNAPSHOT)
+        restored = loads_index(blob)
+        assert restored.hint_for("hot")._run.layout_epoch == 0  # spilled by the float
+        for q in _queries(objects):
+            assert restored.query(q).tolist() == index.query(q).tolist(), q
