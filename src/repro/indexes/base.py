@@ -180,16 +180,12 @@ class TemporalIRIndex(abc.ABC):
     def _configure_for(self, collection: Collection) -> None:
         """Hook: derive domain-dependent parameters before the load."""
 
-    #: Does :meth:`_load_columns` fill this index?  Otherwise it loads by
-    #: its insert loop.
-    _columnar: ClassVar[bool] = False
-
     def _load(self, columns: BuildColumns) -> None:
         """Fill the empty index with ``columns.objects``: the dictionary, the
-        structures (:meth:`_load_columns`) and a sealed catalog when the index
-        has a columnar load and the columns hold the collection (:attr:`BuildColumns.by_id`),
-        otherwise the insert loop, whose semantics the rest have."""
-        if not (self._columnar and columns.by_id is not None):
+        structures (:meth:`_load_columns`) and a sealed catalog, unless the
+        columns cannot hold the collection (:attr:`BuildColumns.by_id` is
+        ``None``): then the insert loop, whose semantics the rest have."""
+        if columns.by_id is None:
             for obj in columns.objects:
                 self.insert(obj)
             return
@@ -199,11 +195,11 @@ class TemporalIRIndex(abc.ABC):
         # Sealed as a load seals it, once the runs' sort has let go.
         self._catalog = Catalog.sealed(columns.held(), *columns.descriptions)
 
+    @abc.abstractmethod
     def _load_columns(self, columns: BuildColumns) -> None:
-        """Hook of a ``_columnar`` index: fill its structures from ``columns``
-        (whose :attr:`~BuildColumns.by_id` exists) exactly as the insert
-        loop would."""
-        raise NotImplementedError
+        """Fill the index's structures from ``columns`` (whose
+        :attr:`~BuildColumns.by_id` exists) exactly as the insert loop
+        would."""
 
     def _settle(self) -> None:
         """Hook: after the load, derive what the first queries would

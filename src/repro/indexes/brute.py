@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.model import TemporalObject, TimeTravelQuery
-from repro.indexes.base import TemporalIRIndex
+from repro.indexes.base import BuildColumns, TemporalIRIndex
 from repro.utils.memory import CONTAINER_BYTES
 
 
@@ -30,6 +30,9 @@ class BruteForce(TemporalIRIndex):
     def __setstate__(self, state: Dict[str, object]) -> None:
         super().__setstate__(state)
         self._objects = {obj.id: obj for obj in self._catalog.objects()}
+
+    def _load_columns(self, columns: BuildColumns) -> None:
+        self._objects = {obj.id: obj for obj in columns.objects}
 
     def _insert_impl(self, obj: TemporalObject) -> None:
         self._objects[obj.id] = obj

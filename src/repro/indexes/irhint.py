@@ -168,8 +168,6 @@ class IRHintSize(TemporalIRIndex):
         return self._hint
 
     # ---------------------------------------------------------------- updates
-    _columnar = True
-
     def _load_columns(self, columns: BuildColumns) -> None:
         """The store's run, sorted by id once."""
         ids, sts, ends, _ = columns.held()

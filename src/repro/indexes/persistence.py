@@ -5,10 +5,11 @@ archives that restart frequently want to pay it once.  This module
 persists any :class:`~repro.indexes.base.TemporalIRIndex` to disk and
 restores it byte-for-byte.
 
-Format 5: a small JSON header (magic, format version, library version,
+Format 6: a small JSON header (magic, format version, library version,
 index class, payload length and CRC32) followed by a pickle of the index
 object, its catalog as columns (:mod:`repro.indexes.catalog`), a HINT-first
-index's runs as one run set (:func:`repro.ir.packed.pack_runs`).  The header
+index's runs and a slicing index's sub-lists each as one run set
+(:func:`repro.ir.packed.pack_runs`).  The header
 lets :func:`load_index` fail with a clear error on foreign files or
 version-incompatible snapshots *before* unpickling anything, and the
 checksum detects torn writes and bit rot.  Snapshots are written through
@@ -18,7 +19,8 @@ fsync) so a crash mid-save never clobbers the previous snapshot.
 One format is read.  A snapshot of any other (format 1 had no checksum;
 format 2's pickled layout changed several times under one number; format
 3 pickled the catalog as a dict of objects; format 4, a ``Hint`` per
-element) raises :class:`~repro.core.errors.UnsupportedFormatError`, naming
+element; format 5, each slice of tIF+Slicing and the hybrid as Python
+lists) raises :class:`~repro.core.errors.UnsupportedFormatError`, naming
 its format, before anything is unpickled: rebuild the index from its
 source collection.
 
@@ -43,7 +45,7 @@ from repro.indexes.base import TemporalIRIndex
 PathLike = Union[str, Path]
 
 _MAGIC = b"RPROIDX1"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 _LEN_BYTES = 4
 #: Largest header we will ever read; anything bigger means a corrupt
 #: length field, not a real header.

@@ -28,8 +28,6 @@ class TIF(TemporalIRIndex):
         self._tif = TemporalInvertedFile()
 
     # ---------------------------------------------------------------- updates
-    _columnar = True
-
     def _load_columns(self, columns: BuildColumns) -> None:
         """Every element's run cut from one sort."""
         self._tif.load(columns.runs())

@@ -90,8 +90,6 @@ class _TIFHintBase(TemporalIRIndex):
         super().__setstate__(state)
 
     # ---------------------------------------------------------------- updates
-    _columnar = True
-
     def _load_columns(self, columns: BuildColumns) -> None:
         """One :class:`Hint` over each element's run, the runs cut from one sort."""
         num_bits = self._num_bits

@@ -10,30 +10,40 @@ Three ingredients from the original design are reproduced:
 
 * **ideal shard construction** — a greedy first-fit (patience) pass over the
   entries in start order produces the minimal set of staircase chains;
-* **impact lists** — per shard, sampled ``(max t_end so far, offset)`` pairs;
-  a binary search finds the first offset whose prefix can contain a
-  qualifying entry, and the scan stops at the first entry starting after the
-  query.  Because the sampled key is the *prefix maximum* of ``t_end``, the
-  impact list stays correct even for merged (non-ideal) shards;
+* **impact lists** — per shard, the prefix maximum of ``t_end`` sampled
+  every :data:`IMPACT_STRIDE` entries; a binary search finds the first
+  offset whose prefix can contain a qualifying entry, and the scan stops
+  at the first entry starting after the query.  Because the sampled key is
+  the *prefix maximum*, the impact list stays correct even for merged
+  (non-ideal) shards;
 * **merging** — the number of ideal shards can be overwhelming, so
   smallest-first pairwise merging (our simplification of the paper's
   cost-based merge, see docs/algorithms.md) relaxes the staircase property
   until at most ``max_shards`` remain per list.
 
-Sharding stores exactly one entry per (element, object) pair — the paper's
-Table 5 shows it as the most space-efficient method, at the price of query
-throughput; both properties reproduce here.
+A shard keeps its entries in flat columns (``array('q')``; a shard that
+gets an endpoint no i64 slot holds keeps the values themselves), and a scan
+reads the stretch the impact list and the query's end leave by one mask,
+or by a loop when it is short.
+Sharding stores exactly one live entry per (element, object) pair — the
+paper's Table 5 shows it as the most space-efficient method, at the price
+of query throughput; both properties reproduce here.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.errors import UnknownObjectError
 from repro.core.interval import Timestamp
-from repro.core.errors import DuplicateObjectError, UnknownObjectError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
-from repro.indexes.base import TemporalIRIndex
+from repro.indexes.base import BuildColumns, TemporalIRIndex
+from repro.ir.blocks import exact_window
+from repro.ir.packed import COMPACT_FRACTION
 from repro.obs.context import annotate, event, tracing_active
 from repro.utils.memory import CONTAINER_BYTES, ENTRY_FULL_BYTES, ENTRY_ID_START_BYTES
 from repro.utils.partitioning import staircase_chain_assignment
@@ -41,64 +51,87 @@ from repro.utils.partitioning import staircase_chain_assignment
 #: Impact-list sampling stride (entries per sampled offset).
 IMPACT_STRIDE = 64
 
+#: Below this many entries to examine a loop beats numpy's set-up (the
+#: packed postings lists' threshold).
+_VECTOR_MIN = 64
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+def _kept(column: "array | list", keep: List[int]) -> "array | list":
+    kept = [column[i] for i in keep]
+    return array("q", kept) if isinstance(column, array) else kept
+
 
 class _Shard:
-    """Entries sorted by ``(t_st, id)`` with a prefix-max-end impact list."""
+    """Entries in start order, a tombstone byte per slot, and the impact
+    list (made by the first scan after a change)."""
 
-    __slots__ = ("ids", "sts", "ends", "alive", "impact_ends", "impact_offsets", "dirty")
+    __slots__ = ("ids", "sts", "ends", "alive", "n_dead", "_impact")
 
-    def __init__(self) -> None:
-        self.ids: List[int] = []
-        self.sts: List[Timestamp] = []
-        self.ends: List[Timestamp] = []
-        self.alive: List[bool] = []
-        self.impact_ends: List[Timestamp] = []
-        self.impact_offsets: List[int] = []
-        self.dirty = True
+    ids: array
+    sts: "array | List[Timestamp]"
+    ends: "array | List[Timestamp]"
+
+    def __init__(self, ids: np.ndarray, sts: np.ndarray, ends: np.ndarray) -> None:
+        """A live shard over start-ordered int64 columns (copied in)."""
+        self.ids, self.sts, self.ends = (array("q", c.tobytes()) for c in (ids, sts, ends))
+        self.alive = bytearray(b"\x01") * len(ids)
+        self.n_dead = 0
+        self._impact: Optional[List[Timestamp]] = None
 
     def __len__(self) -> int:
+        """Slots, tombstones included."""
         return len(self.ids)
 
-    def append(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
-        """Append (build path: entries arrive in start order)."""
-        self.ids.append(object_id)
-        self.sts.append(st)
-        self.ends.append(end)
-        self.alive.append(True)
-        self.dirty = True
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, t_st, t_end)``: int64 views, or the endpoint values
+        themselves (object) once spilled."""
+        ids = np.frombuffer(self.ids, dtype=np.int64)
+        if isinstance(self.sts, array):
+            return ids, np.frombuffer(self.sts, np.int64), np.frombuffer(self.ends, np.int64)
+        return ids, np.array(self.sts, dtype=object), np.array(self.ends, dtype=object)
 
-    def insert(self, object_id: int, st: Timestamp, end: Timestamp) -> int:
-        """Insert in start order; returns the position used."""
-        pos = bisect_right(self.sts, st)
+    # ---------------------------------------------------------------- updates
+    def insert(self, pos: int, object_id: int, st: Timestamp, end: Timestamp) -> None:
+        """Insert an entry at slot ``pos`` of the start order."""
+        sts, ends = self.sts, self.ends
+        try:
+            sts.insert(pos, st)
+            ends.insert(pos, end)
+        except (TypeError, OverflowError):  # no i64 slot holds it: keep the values
+            if len(sts) > len(ends):
+                del sts[pos]
+            self.sts, self.ends = sts, ends = list(sts), list(ends)
+            sts.insert(pos, st)
+            ends.insert(pos, end)
         self.ids.insert(pos, object_id)
-        self.sts.insert(pos, st)
-        self.ends.insert(pos, end)
-        self.alive.insert(pos, True)
-        self.dirty = True
-        return pos
+        self.alive.insert(pos, 1)
+        self._impact = None
 
-    def is_staircase_at(self, pos: int, end: Timestamp) -> bool:
-        """Would inserting an entry ending at ``end`` at ``pos`` keep the staircase?"""
-        if pos > 0 and self.ends[pos - 1] > end:
-            return False
-        if pos < len(self.ends) and end > self.ends[pos]:
-            return False
-        return True
+    def tombstone(self, object_id: int, st: Timestamp) -> bool:
+        """Tombstone the live entry of ``object_id`` starting at ``st``, if
+        held; once dead slots outnumber live ones (the packed lists' rule,
+        at any length), the shard compacts."""
+        ids, sts, alive = self.ids, self.sts, self.alive
+        i = bisect_left(sts, st)
+        while i < len(sts) and sts[i] == st:
+            if ids[i] == object_id and alive[i]:
+                alive[i] = 0
+                self.n_dead += 1
+                if self.n_dead > len(ids) * COMPACT_FRACTION:
+                    keep = [k for k, live in enumerate(alive) if live]
+                    self.ids = array("q", [ids[k] for k in keep])
+                    self.sts, self.ends = _kept(sts, keep), _kept(self.ends, keep)
+                    self.alive, self.n_dead, self._impact = bytearray(b"\x01") * len(keep), 0, None
+                return True
+            i += 1
+        return False
 
-    def rebuild_impact(self) -> None:
-        """Recompute the sampled prefix-max-end impact list."""
-        self.impact_ends = []
-        self.impact_offsets = []
-        running_max: Optional[Timestamp] = None
-        for offset in range(0, len(self.ids), IMPACT_STRIDE):
-            # prefix max over entries [0, offset)
-            if offset:
-                block_max = max(self.ends[offset - IMPACT_STRIDE : offset])
-                running_max = block_max if running_max is None else max(running_max, block_max)
-            if running_max is not None:
-                self.impact_ends.append(running_max)
-                self.impact_offsets.append(offset)
-        self.dirty = False
+    # ------------------------------------------------------------------ reads
+    def impact_size(self) -> int:
+        """Sampled offsets in the impact list, as last made (0 before)."""
+        return 0 if self._impact is None else len(self._impact)
 
     def scan_start(self, q_st: Timestamp) -> int:
         """First offset from which a qualifying entry may exist.
@@ -107,95 +140,89 @@ class _Shard:
         (their prefix maximum is below the query start), so they can never
         overlap the query.
         """
-        if self.dirty:
-            self.rebuild_impact()
-        # Largest sampled offset whose prefix-max end is still < q_st.
-        pos = bisect_left(self.impact_ends, q_st)
-        if pos == 0:
-            return 0
-        return self.impact_offsets[pos - 1]
+        if self._impact is None:
+            ends = self._columns()[2]
+            prefix_max = np.maximum.accumulate(ends) if len(ends) else ends
+            # Sampled at offsets STRIDE, 2·STRIDE, … below the length: the
+            # maximum of the entries before each.
+            sampled = prefix_max[IMPACT_STRIDE - 1 :: IMPACT_STRIDE]
+            self._impact = sampled[: max(len(ends) - 1, 0) // IMPACT_STRIDE].tolist()
+        return IMPACT_STRIDE * bisect_left(self._impact, q_st)
 
     def scan(
         self,
         q_st: Timestamp,
         q_end: Timestamp,
+        window: Optional[Tuple[int, int]],
         out: List[int],
-        membership: Optional[Set[int]] = None,
-    ) -> int:
-        """Append qualifying live ids, optionally filtered by ``membership``.
-
-        Starts at the impact-list offset; stops at the first entry whose
-        start exceeds ``q_end`` (entries are start-sorted).  Returns the
-        number of entries examined (instrumentation: entries scanned).
-        """
+    ) -> Tuple[Optional[np.ndarray], int, int]:
+        """The live ids overlapping ``[q_st, q_end]``, in start order:
+        appended to ``out`` when a loop examines them, returned as an array
+        when a mask does (a stretch of :data:`_VECTOR_MIN` entries or more);
+        with the impact list's skip and the entries examined, from the skip
+        to the first entry starting after ``q_end``.  Int64 columns meet the
+        bounds as ``window``, their :func:`~repro.ir.blocks.exact_window`."""
+        if isinstance(self.sts, array):
+            if window is None:
+                return None, 0, 0
+            q_st, q_end = window
         ids, sts, ends, alive = self.ids, self.sts, self.ends, self.alive
-        start = self.scan_start(q_st)
-        i = start
-        n = len(ids)
-        while i < n:
-            st = sts[i]
+        start = 0
+        if len(ids) > IMPACT_STRIDE:
+            start = self.scan_start(q_st)
+            stop = max(start, bisect_right(sts, q_end))
+            if stop - start >= _VECTOR_MIN:
+                id_column, _sts, end_column = self._columns()
+                mask = end_column[start:stop] >= q_st
+                if self.n_dead:
+                    mask &= np.frombuffer(alive, dtype=np.uint8)[start:stop] != 0
+                return id_column[start:stop][mask], start, stop - start
+            ids, sts = ids[start:stop], sts[start:stop]
+            ends, alive = ends[start:stop], alive[start:stop]
+        examined = 0
+        for object_id, st, end, live in zip(ids, sts, ends, alive):
             if st > q_end:
                 break
-            if alive[i] and ends[i] >= q_st:
-                object_id = ids[i]
-                if membership is None or object_id in membership:
-                    out.append(object_id)
-            i += 1
-        return i - start
+            examined += 1
+            if live and end >= q_st:
+                out.append(object_id)
+        return None, start, examined
 
 
-def _build_ideal_shards(entries: List[tuple]) -> List[_Shard]:
-    """Greedy first-fit chain decomposition into staircase shards.
-
-    ``entries`` must be sorted by ``(st, id)``.  The chain assignment is the
-    shared patience pass of :func:`repro.utils.partitioning.
-    staircase_chain_assignment` (also consumed by the cluster layer's
-    time-range partitioner); here each chain becomes one ideal shard, in
-    first-seen chain order.
-    """
-    assignment = staircase_chain_assignment([entry[2] for entry in entries])
-    shards: List[_Shard] = []
-    for (object_id, st, end), chain in zip(entries, assignment):
-        if chain == len(shards):
-            shards.append(_Shard())
-        shards[chain].append(object_id, st, end)
-    return shards
+def _merged(sizes: List[int], max_shards: int) -> List[List[int]]:
+    """The chains each shard holds: one each, or, past ``max_shards``, the
+    two smallest shards merged until ``max_shards`` remain (a merged shard
+    goes before the shards of its size)."""
+    shards = [(size, [chain]) for chain, size in enumerate(sizes)]
+    if len(shards) > max_shards:
+        shards.sort(key=lambda shard: shard[0])
+        while len(shards) > max_shards:
+            (a, first), (b, second) = shards.pop(0), shards.pop(0)
+            at = bisect_left(shards, a + b, key=lambda shard: shard[0])
+            shards.insert(at, (a + b, first + second))
+    return [chains for _size, chains in shards]
 
 
-def _merge_pair(a: _Shard, b: _Shard) -> _Shard:
-    """Merge two shards, keeping the ``(t_st, id)`` order."""
-    merged = _Shard()
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        if (a.sts[i], a.ids[i]) <= (b.sts[j], b.ids[j]):
-            merged.append(a.ids[i], a.sts[i], a.ends[i])
-            merged.alive[-1] = a.alive[i]
-            i += 1
-        else:
-            merged.append(b.ids[j], b.sts[j], b.ends[j])
-            merged.alive[-1] = b.alive[j]
-            j += 1
-    for k in range(i, na):
-        merged.append(a.ids[k], a.sts[k], a.ends[k])
-        merged.alive[-1] = a.alive[k]
-    for k in range(j, nb):
-        merged.append(b.ids[k], b.sts[k], b.ends[k])
-        merged.alive[-1] = b.alive[k]
-    return merged
-
-
-def _merge_shards(shards: List[_Shard], max_shards: int) -> List[_Shard]:
-    """Reduce the shard count to ``max_shards`` by smallest-first pairwise
-    merging."""
-    if len(shards) <= max_shards:
-        return shards
-    shards = sorted(shards, key=len)
-    while len(shards) > max_shards:
-        merged = _merge_pair(shards.pop(0), shards.pop(0))
-        pos = bisect_left([len(s) for s in shards], len(merged))
-        shards.insert(pos, merged)
-    return shards
+def _shards(ids: np.ndarray, sts: np.ndarray, ends: np.ndarray, max_shards: int) -> List[_Shard]:
+    """One list's shards: its entries sorted by ``(t_st, id)``, cut into
+    staircase chains (the ideal shards, in first-seen order; the shared
+    patience pass of :func:`repro.utils.partitioning.staircase_chain_assignment`),
+    merged down to ``max_shards``."""
+    order = np.lexsort((ids, sts))
+    ids, sts, ends = ids[order], sts[order], ends[order]
+    chains = np.array(staircase_chain_assignment(ends.tolist()), dtype=np.intp)
+    sizes = np.bincount(chains)
+    if len(sizes) == 1:  # one staircase
+        return [_Shard(ids, sts, ends)]
+    groups = _merged(sizes.tolist(), max_shards)
+    shard_of = np.empty(len(sizes), dtype=np.intp)
+    for shard, members in enumerate(groups):
+        shard_of[members] = shard
+    owner = shard_of[chains]
+    order = np.argsort(owner, kind="stable")  # (t_st, id) order within each
+    ids, sts, ends = ids[order], sts[order], ends[order]
+    bounds = [0, *np.cumsum(np.bincount(owner, minlength=len(groups))).tolist()]
+    return [_Shard(ids[a:b], sts[a:b], ends[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class TIFSharding(TemporalIRIndex):
@@ -208,116 +235,94 @@ class TIFSharding(TemporalIRIndex):
         self._max_shards = max_shards
         self._shards: Dict[Element, List[_Shard]] = {}
 
-    # ------------------------------------------------------------ construction
-    @classmethod
-    def build(cls, collection, max_shards: int = 16) -> "TIFSharding":
-        """Bulk build: ideal shards per element, then merging (see
-        :func:`_merge_shards`).  A repeated id raises
-        :class:`DuplicateObjectError`, as :meth:`insert` does."""
-        index = cls(max_shards=max_shards)
-        per_element: Dict[Element, List[tuple]] = {}
-        for obj in collection:
-            if obj.id in index._catalog:
-                raise DuplicateObjectError(f"object id {obj.id} already indexed")
-            for element in obj.d:
-                per_element.setdefault(element, []).append((obj.id, obj.st, obj.end))
-            index._catalog.add(obj)
-            index._dictionary.add_description(obj.d)
-        for element, entries in per_element.items():
-            entries.sort(key=lambda entry: (entry[1], entry[0]))
-            shards = _build_ideal_shards(entries)
-            index._shards[element] = _merge_shards(shards, max_shards)
-        return index
-
     # ---------------------------------------------------------------- updates
+    def _load_columns(self, columns: BuildColumns) -> None:
+        """Every element's shards, from its run cut from one sort."""
+        max_shards = self._max_shards
+        self._shards = {
+            element: _shards(*run.columns(), max_shards) for element, run in columns.runs()
+        }
+
+    # Each entry goes after the entries starting at or before it, in the
+    # first shard whose staircase it keeps there.
     def _insert_impl(self, obj: TemporalObject) -> None:
+        object_id, st, end = obj.id, obj.st, obj.end
         for element in obj.d:
             shards = self._shards.get(element)
             if shards is None:
                 shards = self._shards[element] = []
-            placed = False
             for shard in shards:
-                pos = bisect_right(shard.sts, obj.st)
-                if shard.is_staircase_at(pos, obj.end):
-                    shard.insert(obj.id, obj.st, obj.end)
-                    placed = True
+                ends = shard.ends
+                pos = bisect_right(shard.sts, st)
+                if not ((pos and ends[pos - 1] > end) or (pos < len(ends) and end > ends[pos])):
                     break
-            if not placed:
+            else:
                 if len(shards) < 2 * self._max_shards:
-                    shard = _Shard()
-                    shard.append(obj.id, obj.st, obj.end)
+                    shard, pos = _Shard(_NO_IDS, _NO_IDS, _NO_IDS), 0
                     shards.append(shard)
                 else:  # relax the staircase: put it in the smallest shard
                     shard = min(shards, key=len)
-                    shard.insert(obj.id, obj.st, obj.end)
+                    pos = bisect_right(shard.sts, st)
+            shard.insert(pos, object_id, st, end)
 
     def _delete_impl(self, obj: TemporalObject) -> None:
-        if not obj.d:
-            return  # nothing was ever stored for an empty description
         found = False
         for element in obj.d:
             for shard in self._shards.get(element, ()):
-                lo = bisect_left(shard.sts, obj.st)
-                hi = bisect_right(shard.sts, obj.st)
-                for i in range(lo, hi):
-                    if shard.ids[i] == obj.id and shard.alive[i]:
-                        shard.alive[i] = False
-                        found = True
-                        break
-        if not found:
+                if shard.tombstone(obj.id, obj.st):
+                    found = True
+                    break
+        if obj.d and not found:
             raise UnknownObjectError(obj.id)
 
     # ------------------------------------------------------------------ query
-    def _query_impl(self, q: TimeTravelQuery) -> List[int]:
+    def _query_impl(self, q: TimeTravelQuery) -> "np.ndarray | List[int]":
         traced = tracing_active()
         skips = 0
+        candidates: "np.ndarray | List[int] | None" = None
+        window = exact_window(q.st, q.end)
         try:
-            ordered = self.order_query_elements(q)
-            shards = self._shards.get(ordered[0])
-            if not shards:
-                if traced:
-                    event(f"scan shards of I[{ordered[0]}] (absent)")
-                return []
-            candidates: List[int] = []
-            scanned = 0
-            for shard in shards:
-                examined = shard.scan(q.st, q.end, candidates)
-                if traced:
-                    scanned += examined
-                    skips += shard.scan_start(q.st)
-            if traced:
-                event(
-                    f"scan shards of I[{ordered[0]}]",
-                    entries_scanned=scanned,
-                    candidates_after=len(candidates),
-                    structures_touched=len(shards),
-                )
-            for element in ordered[1:]:
-                if not candidates:
-                    return []
+            for element in self.order_query_elements(q):
+                label = f"{'scan' if candidates is None else '∩'} shards of I[{element}]"
                 shards = self._shards.get(element)
                 if not shards:
                     if traced:
-                        event(f"∩ shards of I[{element}] (absent)")
+                        event(f"{label} (absent)")
                     return []
-                membership = set(candidates)
-                matched: List[int] = []
+                looped: List[int] = []
+                masked: List[np.ndarray] = []
                 scanned = 0
                 for shard in shards:
-                    examined = shard.scan(q.st, q.end, matched, membership)
-                    if traced:
-                        scanned += examined
-                        skips += shard.scan_start(q.st)
-                candidates = matched
+                    found, skipped, examined = shard.scan(q.st, q.end, window, looped)
+                    if found is not None:
+                        masked.append(found)
+                    skips += skipped
+                    scanned += examined
+                # One live entry per object and element: the hits repeat no id.
+                if len(looped) + sum(map(len, masked)) < _VECTOR_MIN:  # few: stay in Python
+                    for ids in masked:
+                        looped.extend(ids.tolist())
+                    if candidates is None:
+                        candidates = sorted(looped)
+                    else:
+                        held = set(looped)
+                        candidates = [c for c in candidates if c in held]
+                else:
+                    joined = np.concatenate([np.array(looped, dtype=np.int64), *masked])
+                    if candidates is None:
+                        candidates = np.sort(joined)
+                    else:
+                        candidates = np.intersect1d(candidates, joined, assume_unique=True)
                 if traced:
                     event(
-                        f"∩ shards of I[{element}]",
+                        label,
                         entries_scanned=scanned,
                         candidates_after=len(candidates),
                         structures_touched=len(shards),
                     )
-            candidates.sort()
-            return candidates
+                if not len(candidates):
+                    break
+            return [] if candidates is None else candidates
         finally:
             if traced:
                 annotate(impact_list_skips=skips)
@@ -332,7 +337,7 @@ class TIFSharding(TemporalIRIndex):
         for shards in self._shards.values():
             for shard in shards:
                 total += CONTAINER_BYTES + len(shard) * ENTRY_FULL_BYTES
-                total += len(shard.impact_offsets) * ENTRY_ID_START_BYTES
+                total += shard.impact_size() * ENTRY_ID_START_BYTES
         return total
 
     def stats(self) -> dict:

@@ -52,7 +52,7 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 
 #: Auto-compaction threshold: compact when dead slots exceed this fraction
 #: of physical slots (and the list is big enough for it to matter).
-_COMPACT_FRACTION = 0.5
+COMPACT_FRACTION = 0.5
 _COMPACT_MIN_SLOTS = 32
 
 
@@ -168,17 +168,25 @@ class PackedPostingsList:
         re-adding an existing id overwrites its interval and revives a
         tombstoned entry in place.
         """
+        ids = self._ids
+        if not ids or object_id > ids[-1]:
+            try:  # a packed column refuses a value no i64 slot holds
+                ids.append(object_id)
+                self._sts.append(st)
+                self._ends.append(end)
+            except (TypeError, OverflowError):
+                n = len(self._alive)
+                del ids[n:], self._sts[n:]
+                self._spill()
+                self.add(object_id, st, end)
+                return
+            self._alive.append(1)
+            return
         if self._packed and not (
             _fits_i64(object_id) and _fits_i64(st) and _fits_i64(end)
         ):
             self._spill()
-        ids = self._ids
-        if not ids or object_id > ids[-1]:
-            ids.append(object_id)
-            self._sts.append(st)
-            self._ends.append(end)
-            self._alive.append(1)
-            return
+            ids = self._ids
         pos = bisect_left(ids, object_id)
         if pos < len(ids) and ids[pos] == object_id:
             if self._packed and (self._sts[pos] != st or self._ends[pos] != end):
@@ -206,7 +214,7 @@ class PackedPostingsList:
         self._n_dead += 1
         if (
             len(ids) >= _COMPACT_MIN_SLOTS
-            and self._n_dead > len(ids) * _COMPACT_FRACTION
+            and self._n_dead > len(ids) * COMPACT_FRACTION
         ):
             self.compact()
 

@@ -1,7 +1,7 @@
 """Periodic checksummed snapshots with atomic installation and retention.
 
 A snapshot is the blob of the hardened persistence layer
-(:mod:`repro.indexes.persistence`, format 5, the one format it reads): a
+(:mod:`repro.indexes.persistence`, format 6, the one format it reads): a
 JSON header carrying a CRC32 of the pickled payload (which finds damage,
 not malice).  Installation is crash-safe — the blob goes to a
 ``*.tmp`` sibling, is fsynced, and only then renamed over the final name

@@ -23,6 +23,7 @@ entries that pairwise violate the staircase order).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -39,22 +40,17 @@ def staircase_chain_assignment(ends: Sequence[Timestamp]) -> List[int]:
     property :func:`chain_break_positions` and the tIF+Sharding shard
     builder both rely on).
     """
-    tops: List[Timestamp] = []  # last end per chain, strictly decreasing
+    # Minus the last end per chain, strictly increasing: the first chain
+    # whose last end is <= end is the first whose negation is >= -end.
+    tops: List[Timestamp] = []
     assignment: List[int] = []
     for end in ends:
-        # First chain with tops[i] <= end, searched on the descending list.
-        lo, hi = 0, len(tops)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tops[mid] > end:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(tops):
-            tops.append(end)
+        chain = bisect_left(tops, -end)
+        if chain == len(tops):
+            tops.append(-end)
         else:
-            tops[lo] = end
-        assignment.append(lo)
+            tops[chain] = -end
+        assignment.append(chain)
     return assignment
 
 

@@ -1,12 +1,15 @@
 """The bulk load against the insert loop it replaces.
 
-``TemporalIRIndex.build`` reads a collection once into columns and, for
-``tif``, the HINT-first indexes and irHINT-size, cuts every run from one
-sort (``BuildColumns``, ``PackedPostingsList.from_columns``); ``Hint.build``
-sorts its records by id once.  An id-ascending collection must pickle
-byte for byte as the loop leaves it, any other must answer, explain and
-count as the loop's does, and what the columns cannot hold (a float or an
-out-of-i64 endpoint, a repeated id) must take the loop itself.
+``TemporalIRIndex.build`` reads a collection once into columns and cuts
+every run from one sort (``BuildColumns``, ``PackedPostingsList.from_columns``);
+the slicing indexes cut each run into its slices' sub-lists, Sharding sorts
+each by ``(t_st, id)`` into its shards; ``Hint.build`` sorts its records by
+id once.  An id-ascending collection must pickle byte for byte as the loop
+leaves it, any other must answer, explain and count as the loop's does,
+and what the columns cannot hold (a float or an out-of-i64 endpoint, a
+repeated id) must take the loop itself.  Sharding's build cuts other
+shards than its inserts make (ideal chains, merged); its build answers,
+explains and counts alike whatever the collection's order.
 """
 
 import gc
@@ -28,13 +31,18 @@ from repro.intervals.hint import Hint
 from repro.ir.packed import PackedPostingsList, id_sorted
 from tests.conftest import random_objects, random_queries
 
-BULK_KEYS = ["tif", "irhint-perf", "irhint-size", "tif-hint-binary", "tif-hint-merge"]
+BULK_KEYS = [
+    "tif", "irhint-perf", "irhint-size", "tif-hint-binary", "tif-hint-merge",
+    "tif-slicing", "tif-hint-slicing",
+]
 KEYS = BULK_KEYS + ["brute"]
 
 
 def loop_built(key, objects):
-    """The index as ``build`` made it before the bulk load: insert by insert."""
+    """The index as ``build`` made it before the bulk load: configured for
+    the objects (a slicing grid), then insert by insert."""
     index = INDEX_CLASSES[key]()
+    index._configure_for(objects)
     for obj in objects:
         index.insert(obj)
     index._settle()
@@ -164,11 +172,30 @@ def test_shuffled_ids_answer_explain_and_count_as_the_loop(key, tables, request)
     assert list(bulk.dictionary.items()) == list(loop.dictionary.items())
 
 
+@pytest.mark.parametrize("tables", [False, True])
+def test_sharding_builds_alike_in_any_order(tables, request):
+    if tables:
+        request.getfixturevalue("small_tables")
+    objects = random_objects(300, seed=21)
+    bulk = INDEX_CLASSES["tif-sharding"].build(shuffled(objects, seed=22), max_shards=4)
+    ordered = INDEX_CLASSES["tif-sharding"].build(objects, max_shards=4)
+    shards = {e: [list(shard.ids) for shard in s] for e, s in ordered._shards.items()}
+    assert {e: [list(shard.ids) for shard in s] for e, s in bulk._shards.items()} == shards
+    queries = probe_queries(objects)
+    assert answers(bulk, queries) == answers(ordered, queries)
+    assert answers(bulk, queries) == answers(INDEX_CLASSES["brute"].build(objects), queries)
+    for q in queries:
+        if q.d:
+            assert explain(bulk, q).phases == explain(ordered, q).phases
+            assert explain(bulk, q).detail == explain(ordered, q).detail
+    assert bulk.stats() == ordered.stats()
+
+
 # ----------------------------------------------------------- the loop's cases
 @pytest.mark.parametrize(
     "odd", [2.5, 1 << 63, -(1 << 63) - 1], ids=["float", "above-i64", "below-i64"]
 )
-@pytest.mark.parametrize("key", BULK_KEYS)
+@pytest.mark.parametrize("key", BULK_KEYS + ["tif-sharding"])
 def test_an_endpoint_no_slot_holds_takes_the_loop_and_spills(key, odd):
     objects = random_objects(80, seed=9)
     st, end = (odd, odd + 1) if odd > 0 else (odd, 0)
@@ -182,6 +209,10 @@ def test_an_endpoint_no_slot_holds_takes_the_loop_and_spills(key, odd):
         assert bulk.inverted_file.postings("odd").layout_epoch == 0
     elif key == "irhint-size":
         assert bulk.interval_hint._run.layout_epoch == 0
+    elif key == "tif-slicing":
+        assert all(not run.layout_epoch for run in bulk._sliced.lists["odd"].values())
+    elif key == "tif-sharding":
+        assert isinstance(bulk._shards["odd"][0].sts, list)
     else:
         assert bulk.hint_for("odd")._run.layout_epoch == 0
 

@@ -196,7 +196,7 @@ class TestFlatLayout:
         # refuses it, and nothing of it is unpickled.
         legacy = IRHintPerformance.__new__(IRHintPerformance)
         legacy.__dict__.update({"_divisions": {}, "_mapper": None, "_catalog": {}, "_hints": {}})
-        blob = dumps_index(legacy).replace(b'"format":5', b'"format":2', 1)
+        blob = dumps_index(legacy).replace(b'"format":6', b'"format":2', 1)
         with pytest.raises(UnsupportedFormatError, match="snapshot format 2 unsupported"):
             loads_index(blob)
 

@@ -126,7 +126,7 @@ def test_header_carries_checksum(running_example, tmp_path):
     path = tmp_path / "i.idx"
     save_index(index, path)
     header = read_header(path)
-    assert header["format"] == 5
+    assert header["format"] == 6
     assert header["payload_bytes"] > 0
     assert isinstance(header["payload_crc32"], int)
 
@@ -263,8 +263,8 @@ def test_header_integers_must_be_ints(running_example, field, kind):
 
 def test_boolean_format_does_not_skip_the_checksum(running_example, example_query):
     blob = dumps_index(build_index("tif", running_example))
-    assert loads_index(_with_header(blob, format=5)).query(example_query).tolist() == [2, 4, 7]
+    assert loads_index(_with_header(blob, format=6)).query(example_query).tolist() == [2, 4, 7]
     with pytest.raises(CorruptSnapshotError, match="checksum"):
-        loads_index(_with_header(blob, format=5, payload_crc32=0))
+        loads_index(_with_header(blob, format=6, payload_crc32=0))
     with pytest.raises(CorruptSnapshotError):
         loads_index(_with_header(blob, format=True, payload_crc32=0))

@@ -1,12 +1,23 @@
 """Per-index tests for the IR-first family: tIF, Slicing, Sharding."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import UnknownObjectError
 from repro.core.model import make_object, make_query
 from repro.indexes.tif import TIF
-from repro.indexes.tif_sharding import TIFSharding, _build_ideal_shards, _merge_shards
+from repro.indexes.tif_sharding import IMPACT_STRIDE, TIFSharding, _Shard, _shards
 from repro.indexes.tif_slicing import TIFSlicing
+
+
+def columns(entries):
+    """``(id, t_st, t_end)`` entries as the int64 columns a shard is cut from."""
+    return [np.array(column, dtype=np.int64) for column in zip(*entries)]
+
+
+def ideal_shards(entries):
+    """The staircase chains of ``entries``, none merged."""
+    return _shards(*columns(entries), max_shards=len(entries))
 
 
 class TestTIF:
@@ -84,29 +95,28 @@ class TestShardConstruction:
             [(1, 0, 10), (2, 1, 5), (3, 2, 12), (4, 3, 4), (5, 6, 20)],
             key=lambda e: (e[1], e[0]),
         )
-        shards = _build_ideal_shards(entries)
+        shards = ideal_shards(entries)
         for shard in shards:
-            assert shard.sts == sorted(shard.sts)
-            assert shard.ends == sorted(shard.ends)  # the staircase
+            assert list(shard.sts) == sorted(shard.sts)
+            assert list(shard.ends) == sorted(shard.ends)  # the staircase
 
     def test_minimal_chain_count(self):
         # Ends strictly decreasing as starts increase → every entry is its
         # own chain.
         entries = [(i, i, 100 - i) for i in range(5)]
-        assert len(_build_ideal_shards(entries)) == 5
+        assert len(ideal_shards(entries)) == 5
         # Perfect staircase → a single chain.
         entries = [(i, i, 100 + i) for i in range(5)]
-        assert len(_build_ideal_shards(entries)) == 1
+        assert len(ideal_shards(entries)) == 1
 
     def test_merge_reduces_count_preserving_entries(self):
         entries = [(i, i, 200 - 2 * i) for i in range(20)]
-        shards = _build_ideal_shards(entries)
-        merged = _merge_shards(shards, max_shards=4)
+        merged = _shards(*columns(entries), max_shards=4)
         assert len(merged) <= 4
         total = sum(len(s) for s in merged)
         assert total == 20
         for shard in merged:
-            assert shard.sts == sorted(shard.sts)  # start order survives
+            assert list(shard.sts) == sorted(shard.sts)  # start order survives
 
 
 class TestTIFSharding:
@@ -124,11 +134,7 @@ class TestTIFSharding:
         assert total_entries == 15  # exactly Σ|o.d|
 
     def test_impact_list_scan_start_skips_prefix(self):
-        from repro.indexes.tif_sharding import _Shard, IMPACT_STRIDE
-
-        shard = _Shard()
-        for i in range(IMPACT_STRIDE * 4):
-            shard.append(i, i, i + 10)
+        shard = _Shard(*columns([(i, i, i + 10) for i in range(IMPACT_STRIDE * 4)]))
         start = shard.scan_start(q_st=IMPACT_STRIDE * 2 + 50)
         assert start > 0  # some prefix is provably skippable
         # Everything before `start` must end before the query.

@@ -49,8 +49,8 @@ class TestCommonBehaviour:
 class TestVariantSpecifics:
     def test_hybrid_has_two_copies(self, running_example):
         index = TIFHintSlicing.build(running_example, num_bits=3, n_slices=4)
-        assert index._hints and index._sliced
-        assert set(index._hints) == set(index._sliced) == {"a", "b", "c"}
+        assert index._hints and index._sliced.lists
+        assert set(index._hints) == set(index._sliced.lists) == {"a", "b", "c"}
 
     def test_hybrid_larger_than_plain_merge(self, random_collection):
         merge = TIFHintMerge.build(random_collection, num_bits=5)

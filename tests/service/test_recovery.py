@@ -106,8 +106,8 @@ def test_a_format_this_build_does_not_read_raises_and_writes_nothing(tmp_path, o
     assert len(snapshots) == 3
     for _seq, path in snapshots:
         blob = path.read_bytes()
-        assert blob.count(b'"format":5') == 1
-        path.write_bytes(blob.replace(b'"format":5', b'"format":9'))
+        assert blob.count(b'"format":6') == 1
+        path.write_bytes(blob.replace(b'"format":6', b'"format":9'))
     before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     newest = snapshots[-1][1]
     with pytest.raises(UnsupportedFormatError, match=re.escape(f"{newest}: snapshot format 9 ")):

@@ -24,7 +24,7 @@ def test_write_installs_v2_snapshot(tmp_path):
     path = Snapshotter(tmp_path).write(small_index(), seq=1)
     assert path == layout.snapshot_path(tmp_path, 1)
     header = read_header(path)
-    assert header["format"] == 5
+    assert header["format"] == 6
     assert header["objects"] == 10
     assert "payload_crc32" in header
     assert len(load_index(path)) == 10

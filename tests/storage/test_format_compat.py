@@ -6,8 +6,9 @@ format (``parent_images``): v1 and v2 segments, and index snapshots of
 format 2 whose pickled layouts (postings backends other than packed, the
 per-division HINT classes, irHINT's frozen ``m`` and its tIF layout) no
 build reads any more, one of format 3, whose catalog pickled as a dict
-of objects, and one of format 4, whose irHINT-perf pickled one ``Hint``
-per element.  A segment is refused by its footer magic, a
+of objects, one of format 4, whose irHINT-perf pickled one ``Hint``
+per element, and one of format 5, whose tIF+Slicing pickled each slice
+as Python lists.  A segment is refused by its footer magic, a
 snapshot by its header's format; damage and truncation of either give
 only typed errors; a store refuses to recover from them, and a cluster
 that holds an old segment reports that shard unavailable while the rest
@@ -50,6 +51,7 @@ from tests.storage.parent_images import (
     LIST_SNAPSHOT,
     TABLE_COMPRESSED_SNAPSHOT,
     TIF_FORMAT3_SNAPSHOT,
+    TIF_SLICING_FORMAT5_SNAPSHOT,
     V1_SEGMENT,
     V1_SHARD,
     V2_SEGMENT,
@@ -75,7 +77,7 @@ SNAPSHOTS = {
     "irhint-perf-tif": (IRHINT_PERF_TIF_SNAPSHOT, "irhint-perf"),
 }
 
-REFUSED_SNAPSHOT = "snapshot format 2 unsupported \\(this library reads 5\\)"
+REFUSED_SNAPSHOT = "snapshot format 2 unsupported \\(this library reads 6\\)"
 
 
 def _magic(version):
@@ -216,7 +218,7 @@ class TestCompressedSnapshots:
         collection = Collection(snapshot_objects())
         index = build_index("tif", collection)
         blob = dumps_index(index)
-        assert _parse_header(blob, "new.idx")[0]["format"] == 5
+        assert _parse_header(blob, "new.idx")[0]["format"] == 6
         restored = loads_index(blob)
         for q in random_queries(collection, 40, seed=23):
             assert restored.query(q).tolist() == index.query(q).tolist()
@@ -250,7 +252,7 @@ class TestOldSnapshots:
 class TestFormat3Snapshot:
     """The catalog's dict of objects became sealed columns at format 4."""
 
-    REFUSED = "snapshot format 3 unsupported \\(this library reads 5\\)"
+    REFUSED = "snapshot format 3 unsupported \\(this library reads 6\\)"
 
     def test_load_is_refused(self, no_unpickling):
         assert _parse_header(TIF_FORMAT3_SNAPSHOT, "old.idx")[0]["format"] == 3
@@ -273,7 +275,7 @@ class TestFormat3Snapshot:
 class TestFormat4Snapshot:
     """Each element's ``Hint`` became one run set at format 5."""
 
-    REFUSED = "snapshot format 4 unsupported \\(this library reads 5\\)"
+    REFUSED = "snapshot format 4 unsupported \\(this library reads 6\\)"
 
     def test_load_is_refused(self, no_unpickling):
         assert _parse_header(IRHINT_PERF_FORMAT4_SNAPSHOT, "old.idx")[0]["format"] == 4
@@ -292,15 +294,53 @@ class TestFormat4Snapshot:
             recover(tmp_path)
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_this_build_writes_the_same_index_as_format_5(self):
+    def test_this_build_writes_the_same_index_as_format_6(self):
         objects = migration_objects()
         index = build_index("irhint-perf", Collection(objects))
         for object_id in MIGRATION_DELETED:
             index.delete(object_id)
         blob = dumps_index(index)
-        assert _parse_header(blob, "new.idx")[0]["format"] == 5
+        assert _parse_header(blob, "new.idx")[0]["format"] == 6
         assert len(blob) < len(IRHINT_PERF_FORMAT4_SNAPSHOT)
         restored = loads_index(blob)
         assert restored.hint_for("hot")._run.layout_epoch == 0  # spilled by the float
+        for q in _queries(objects):
+            assert restored.query(q).tolist() == index.query(q).tolist(), q
+
+
+class TestFormat5Snapshot:
+    """Each slice of a slicing index's lists became a packed list, all of
+    them one run set, at format 6."""
+
+    REFUSED = "snapshot format 5 unsupported \\(this library reads 6\\)"
+
+    def test_load_is_refused(self, no_unpickling):
+        assert _parse_header(TIF_SLICING_FORMAT5_SNAPSHOT, "old.idx")[0]["format"] == 5
+        with pytest.raises(UnsupportedFormatError, match=self.REFUSED):
+            loads_index(TIF_SLICING_FORMAT5_SNAPSHOT, context="old.idx")
+
+    def test_store_refuses_and_writes_nothing(self, tmp_path, no_unpickling):
+        write_manifest(tmp_path, "tif-slicing", None)
+        path = snapshot_path(tmp_path, 1)
+        path.write_bytes(TIF_SLICING_FORMAT5_SNAPSHOT)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        named = f"{re.escape(str(path))}: {self.REFUSED}"
+        with pytest.raises(UnsupportedFormatError, match=named):
+            DurableIndexStore.open(tmp_path, wal_fsync=False)
+        with pytest.raises(UnsupportedFormatError, match=named):
+            recover(tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_this_build_writes_the_same_index_as_format_6(self):
+        objects = migration_objects()
+        index = build_index("tif-slicing", Collection(objects))
+        for object_id in MIGRATION_DELETED:
+            index.delete(object_id)
+        blob = dumps_index(index)
+        assert _parse_header(blob, "new.idx")[0]["format"] == 6
+        restored = loads_index(blob)
+        assert dumps_index(restored) == blob
+        spilled = [run for run in restored._sliced.lists["hot"].values() if not run.layout_epoch]
+        assert spilled  # the float interval's slices
         for q in _queries(objects):
             assert restored.query(q).tolist() == index.query(q).tolist(), q

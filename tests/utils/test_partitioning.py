@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.datasets.synthetic import generate_synthetic
-from repro.indexes.tif_sharding import TIFSharding, _build_ideal_shards
+from repro.indexes.tif_sharding import TIFSharding, _shards
 from repro.utils.partitioning import (
     chain_break_positions,
     quantile_boundaries,
@@ -71,8 +72,9 @@ def test_chain_indexes_are_dense_and_first_seen_ordered():
 def test_tif_sharding_build_equivalent_after_hoist():
     """The hoisted helper must reproduce the index's previous greedy pass.
 
-    ``_build_ideal_shards`` is compared entry-by-entry against the naive
-    reference decomposition on a realistic synthetic postings shape.
+    ``_shards``, with nothing to merge, is compared entry-by-entry against
+    the naive reference decomposition on a realistic synthetic postings
+    shape.
     """
     rng = random.Random(2025)
     entries = sorted(
@@ -81,7 +83,8 @@ def test_tif_sharding_build_equivalent_after_hoist():
     )
     entries = [(oid, st, st + extra) for oid, st, extra in entries]
     entries.sort(key=lambda e: (e[1], e[0]))
-    shards = _build_ideal_shards(entries)
+    ids, sts, ends = (np.array(column, dtype=np.int64) for column in zip(*entries))
+    shards = _shards(ids, sts, ends, max_shards=len(entries))
     reference = naive_first_fit([e[2] for e in entries])
     rebuilt = {}
     for (object_id, st, end), chain in zip(entries, reference):
