@@ -374,7 +374,7 @@ class TemporalCluster:
         commit point:
 
         1. write + atomically install ``segments/<shard>.seg`` (the full
-           shard: postings blocks, catalog columns, descriptions blob);
+           shard: catalog columns and each term's run of catalog rows);
         2. **commit**: atomically replace ``tiers.json`` naming the segment;
         3. swap the in-process router to a group serving the shard cold;
         4. close the replica stores and remove the shard's hot directories.

@@ -72,10 +72,9 @@ class StoreClosedError(ReproError):
 
 class CorruptSegmentError(ReproError):
     """A cold-tier segment file failed an integrity check (magic, footer,
-    directory checksum, or unpickling) and must not be served.  Block-level
-    payload damage inside an otherwise-sound segment surfaces as
-    :class:`CorruptPostingsError` instead — same typed discipline, scoped
-    to the unit that is actually damaged."""
+    header, a region's bounds or checksum, the columns' structure, or a
+    term key that does not decode) and must not be served.  Every check
+    but the last runs when the segment is opened."""
 
 
 class ReadOnlySegmentError(ReproError):

@@ -130,8 +130,9 @@ class _Shard:
 
     # ------------------------------------------------------------------ reads
     def impact_size(self) -> int:
-        """Sampled offsets in the impact list, as last made (0 before)."""
-        return 0 if self._impact is None else len(self._impact)
+        """Sampled offsets in the impact list: one per :data:`IMPACT_STRIDE`
+        slots below the last, whether or not a scan has made it yet."""
+        return max(len(self) - 1, 0) // IMPACT_STRIDE
 
     def scan_start(self, q_st: Timestamp) -> int:
         """First offset from which a qualifying entry may exist.

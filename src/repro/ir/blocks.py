@@ -4,11 +4,14 @@ A block-postings list is a sequence of *sealed blocks* — id-sorted runs of
 up to :data:`BLOCK_SIZE` ``⟨id, t_st, t_end⟩`` entries encoded by
 :func:`repro.ir.codec.encode_block`, ascending and disjoint in id range —
 each paired with an uncompressed :data:`Summary`
-``(min_id, max_id, min_st, max_end, count)``.  This module is the only
-place that knows that layout:
+``(min_id, max_id, min_st, max_end, count)``.  The layout now serves one
+list, :class:`~repro.ir.compressed.CompressedPostingsList` — the ledger's
+codec probe (cold segments read their postings as catalog-row runs in
+place: :mod:`repro.ir.cold`).  This module is the only place that knows
+the layout:
 
 * :func:`seal` / :func:`runs` build it (the compressed backend's tail
-  seal and rebuild, and the segment writer);
+  seal and rebuild);
 * :class:`BlockReader` answers the whole postings read surface over
   ``(summaries, load)``: ``summaries`` is an int64 table with one *row per
   summary field* and one column per block (:data:`MIN_ID` …
@@ -16,16 +19,15 @@ place that knows that layout:
   int64 ``(ids, sts, ends)`` columns.  Blocks are admitted by one mask
   over the summary rows, a block is decoded only when admitted — the id
   column alone where that is all a read needs — and its entries are
-  matched by one mask or one ``searchsorted`` over the columns.  That is
-  what lets :class:`~repro.ir.compressed.CompressedPostingsList` (``load``
-  decodes bytes held in RAM) and :class:`~repro.ir.cold.ColdPostingsList`
-  (``load`` CRC-checks and decodes an mmap slice; ``summaries`` are rows
-  of the segment's block table) share every scan.
+  matched by one mask or one ``searchsorted`` over the columns.
 
 Reads take the caller's tombstone set (``dead``: ids stored but logically
 deleted; empty for a list that has none) and, where a caller meters block
 traffic, return how many blocks they decoded; the blocks not decoded were
 skipped on their summary.  Answers are plain Python ints.
+
+The window helpers (:func:`exact_window`, :func:`overlap_mask`) and
+:func:`sorted_candidates` are every columnar scan's, not the blocks' alone.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def overlap_mask(sts: np.ndarray, ends: np.ndarray, lo: int, hi: int) -> np.ndar
     return (sts <= hi) & (ends >= lo)
 
 
-def _candidates(sorted_ids: Sequence[int]) -> np.ndarray:
+def sorted_candidates(sorted_ids: Sequence[int]) -> np.ndarray:
     """An ascending candidate list as a duplicate-free int64 array."""
     candidates = np.asarray(sorted_ids)
     if candidates.dtype != np.int64:
@@ -202,7 +204,7 @@ class BlockReader:
         reported once): ``(ids, decoded)``.  Blocks whose ``[min_id,
         max_id]`` holds no candidate are never decoded, and of the others
         only the id column is — intersect without decompression."""
-        candidates = _candidates(sorted_ids)
+        candidates = sorted_candidates(sorted_ids)
         first = np.searchsorted(candidates, self.summaries[MIN_ID], side="left")
         stop = np.searchsorted(candidates, self.summaries[MAX_ID], side="right")
         out: List[int] = []

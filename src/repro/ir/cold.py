@@ -1,14 +1,14 @@
-"""Cold postings: a read-only view over a segment's mmap'd blocks.
+"""Cold postings: a read-only view over one term's run of a segment's rows.
 
-:class:`ColdPostingsList` serves the full
-:class:`~repro.ir.postings.PostingsBackend` read surface straight from a
-segment's encoded blocks (:mod:`repro.storage.format`) without ever
-materialising the whole list: it is a run of rows of the segment's block
-table, every read is the :mod:`repro.ir.blocks` kernel — the one
-:class:`~repro.ir.compressed.CompressedPostingsList` runs over RAM — and
-only blocks a query can touch are CRC-checked and decoded on demand.
-Decoded payload damage raises
-:class:`~repro.core.errors.CorruptPostingsError`; mutation attempts raise
+A segment (:mod:`repro.storage.format`) keeps an element's postings as a
+run of catalog row numbers, ascending, and the catalog as id / ``t_st`` /
+``t_end`` columns.  :class:`ColdPostingsList` serves the full
+:class:`~repro.ir.postings.PostingsBackend` read surface over that run,
+read in place from the mapped file: an entry is a row, its endpoints are
+a gather from the catalog columns, and nothing is decoded.  The reader's
+query path stays in row space (:meth:`ColdPostingsList.overlapping_rows`,
+:meth:`ColdPostingsList.intersect_rows`) and turns rows into ids once, at
+the end.  Mutation attempts raise
 :class:`~repro.core.errors.ReadOnlySegmentError` — cold shards promote
 before they accept writes (:mod:`repro.storage.tiering`).
 
@@ -18,26 +18,21 @@ tIF cannot be built on it.
 
 from __future__ import annotations
 
-import zlib
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.errors import CorruptPostingsError, ReadOnlySegmentError
+from repro.core.errors import ReadOnlySegmentError, UnknownObjectError
 from repro.core.interval import Timestamp
-from repro.ir import blocks
-from repro.ir.codec import Columns, decode_block
+from repro.ir.blocks import exact_window, overlap_mask, sorted_candidates
 from repro.ir.postings import PostingsEntry
 
-#: One ``(offset, length, crc32) ‖ summary`` row of eight i64 per block —
-#: a run of rows of a segment's block table
-#: (:data:`repro.storage.format.BlockDescriptor`; not imported: repro.ir
-#: stays a lower layer than the storage package).
-Descriptors = Union[np.ndarray, Sequence[Tuple[int, int, int, int, int, int, int, int]]]
+#: Metrics sink, called once per read: ``True`` when the run is read,
+#: ``False`` when it is skipped (its first and last rows bracket no
+#: candidate, or the window holds no i64).
+RunSink = Callable[[bool], None]
 
-#: Metrics sink: ``count_blocks(decoded, skipped)``; the reader batches
-#: these into the ``repro_storage_blocks_*`` counters once per call.
-BlockSink = Callable[[int, int], None]
+_NO_ROWS = np.empty(0, dtype=np.int32)
 
 
 def _read_only(what: str) -> ReadOnlySegmentError:
@@ -47,51 +42,61 @@ def _read_only(what: str) -> ReadOnlySegmentError:
     )
 
 
-def _mmap_load(buffer, table: np.ndarray) -> blocks.Load:
-    """The kernel's ``load`` over a segment body: slice, CRC-check, decode.
-    ``table`` holds one row per descriptor field, one column per block."""
+class SegmentColumns:
+    """The columns one open segment answers from: ``rows`` (i32, every
+    term's run back to back) and the catalog's ``ids``, ``sts`` and
+    ``ends`` (i64).  The reader fills them with views of its mapping and
+    :meth:`release`\\ s them when it closes; the postings views it hands
+    out hold this object, never a view, so closing never waits on them."""
 
-    def load(block_index: int, ids_only: bool) -> Columns:
-        offset, length, crc, *summary = table[:, block_index].tolist()
-        raw = bytes(buffer[offset : offset + length])
-        if len(raw) != length:
-            raise CorruptPostingsError(
-                f"segment block at {offset} is truncated "
-                f"({len(raw)} of {length} bytes mapped)"
-            )
-        if zlib.crc32(raw) != crc:
-            raise CorruptPostingsError(
-                f"segment block at {offset} fails its checksum"
-            )
-        return decode_block(raw, summary, ids_only)
+    __slots__ = ("rows", "ids", "sts", "ends")
 
-    return load
+    def __init__(self, rows: np.ndarray, ids: np.ndarray, sts: np.ndarray, ends: np.ndarray) -> None:
+        self.rows: Optional[np.ndarray] = rows
+        self.ids, self.sts, self.ends = ids, sts, ends
+
+    def get(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if self.rows is None:
+            raise ValueError("read of a closed segment")
+        return self.rows, self.ids, self.sts, self.ends
+
+    def release(self) -> None:
+        self.rows = self.ids = self.sts = self.ends = None  # type: ignore[assignment]
+
+    def rows_of(self, sorted_ids: Sequence[int]) -> np.ndarray:
+        """The catalog rows, ascending, of the ids an ascending candidate
+        list shares with the catalog."""
+        wanted = sorted_candidates(sorted_ids)
+        ids = self.get()[1]
+        if not len(wanted) or not len(ids):
+            return _NO_ROWS
+        at = ids.searchsorted(wanted)
+        np.minimum(at, len(ids) - 1, out=at)
+        return at[ids[at] == wanted].astype(np.int32)
 
 
 class ColdPostingsList:
-    """Read-only postings over one element's blocks in an open segment."""
+    """Read-only postings over rows ``[start, stop)`` of a segment's rows
+    column."""
 
-    __slots__ = ("_table", "_reader", "_n", "_sink")
+    __slots__ = ("_columns", "_start", "_stop", "_sink")
 
     def __init__(
-        self,
-        buffer,  # memoryview over the segment body (zero-copy mmap slice)
-        descriptors: Descriptors,
-        sink: Optional[BlockSink] = None,
+        self, columns: SegmentColumns, start: int, stop: int, sink: Optional[RunSink] = None
     ) -> None:
-        # One row per field, one column per block; for rows of a segment's
-        # block table this is a view: nothing is built per descriptor.
-        self._table = np.asarray(descriptors, dtype=np.int64).reshape(-1, 8).T
-        summaries = self._table[3:]
-        self._reader = blocks.BlockReader(summaries, _mmap_load(buffer, self._table))
-        self._n = int(summaries[blocks.COUNT].sum())
+        self._columns = columns
+        self._start = start
+        self._stop = stop
         self._sink = sink
 
-    def _count(self, decoded: int) -> None:
-        """Meter one kernel read: what it did not decode, it skipped."""
-        skipped = self._table.shape[1] - decoded
-        if self._sink is not None and (decoded or skipped):
-            self._sink(decoded, skipped)
+    def _count(self, read: bool) -> None:
+        if self._sink is not None:
+            self._sink(read)
+
+    def _run(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, ids, sts, ends)``: this term's rows, then the catalog."""
+        rows, ids, sts, ends = self._columns.get()
+        return rows[self._start : self._stop], ids, sts, ends
 
     # ---------------------------------------------------------------- updates
     def add(self, object_id: int, st: Timestamp, end: Timestamp) -> None:
@@ -103,54 +108,79 @@ class ColdPostingsList:
     def compact(self) -> None:
         """Compaction is a no-op: segments carry no tombstones by design."""
 
+    # ------------------------------------------------------------- row space
+    def overlapping_rows(self, q_st: Timestamp, q_end: Timestamp) -> np.ndarray:
+        """The ascending rows whose interval overlaps ``[q_st, q_end]``:
+        one gather of the endpoints, one mask."""
+        window = exact_window(q_st, q_end)
+        if window is None:
+            self._count(False)
+            return _NO_ROWS
+        rows, _ids, sts, ends = self._run()
+        self._count(True)
+        return rows[overlap_mask(sts[rows], ends[rows], *window)]
+
+    def intersect_rows(self, candidates: np.ndarray) -> np.ndarray:
+        """The ascending, distinct ``candidates`` this run holds: one
+        ``searchsorted``, or none when the run's first and last rows
+        bracket no candidate."""
+        if not len(candidates):
+            return candidates
+        rows = self._run()[0]
+        if not len(rows) or candidates[-1] < rows[0] or candidates[0] > rows[-1]:
+            self._count(False)
+            return _NO_ROWS
+        self._count(True)
+        at = rows.searchsorted(candidates)
+        np.minimum(at, len(rows) - 1, out=at)
+        return candidates[rows[at] == candidates]
+
     # ------------------------------------------------------------------ reads
     def __len__(self) -> int:
-        return self._n
+        return self._stop - self._start
 
     def physical_len(self) -> int:
-        return self._n
+        return len(self)
 
     def __contains__(self, object_id: int) -> bool:
-        found, decoded = self._reader.contains(object_id)
-        if decoded:  # an id outside every block's range meters nothing
-            self._count(decoded)
-        return found
+        return len(self.intersect_rows(self._columns.rows_of([object_id]))) > 0
 
     def entries(self) -> Iterator[PostingsEntry]:
-        """Every entry in id order (sequential block decode)."""
-        yield from self._reader.entries()
-        self._count(self._table.shape[1])
+        """Every entry in id order."""
+        rows, ids, sts, ends = self._run()
+        self._count(True)
+        return zip(ids[rows].tolist(), sts[rows].tolist(), ends[rows].tolist())
 
     def ids(self) -> List[int]:
-        return [entry[0] for entry in self.entries()]
+        rows, ids, _sts, _ends = self._run()
+        self._count(True)
+        return ids[rows].tolist()
 
-    def overlapping(
-        self, q_st: Timestamp, q_end: Timestamp
-    ) -> List[PostingsEntry]:
-        """Entries overlapping ``[q_st, q_end]``; summary-skipped."""
-        out, decoded = self._reader.overlapping(q_st, q_end)
-        self._count(decoded)
-        return out
+    def overlapping(self, q_st: Timestamp, q_end: Timestamp) -> List[PostingsEntry]:
+        """Entries overlapping ``[q_st, q_end]``, in id order."""
+        rows = self.overlapping_rows(q_st, q_end)
+        _rows, ids, sts, ends = self._columns.get()
+        return list(zip(ids[rows].tolist(), sts[rows].tolist(), ends[rows].tolist()))
 
     def overlapping_ids(self, q_st: Timestamp, q_end: Timestamp) -> List[int]:
-        out, decoded = self._reader.overlapping_ids(q_st, q_end)
-        self._count(decoded)
-        return out
+        return self._columns.get()[1][self.overlapping_rows(q_st, q_end)].tolist()
 
-    def intersect_sorted(self, sorted_ids: List[int]) -> List[int]:
-        """Merge-intersect with an ascending candidate list, skipping
-        every block whose id range holds no candidate."""
-        if not sorted_ids or not self._n:
+    def intersect_sorted(self, sorted_ids: Sequence[int]) -> List[int]:
+        """The ids of an ascending candidate list (repeats allowed,
+        reported once) that this list holds."""
+        if not len(self):
             return []  # nothing to scan meters nothing
-        out, decoded = self._reader.intersect_sorted(sorted_ids)
-        self._count(decoded)
-        return out
+        rows = self.intersect_rows(self._columns.rows_of(sorted_ids))
+        return self._columns.get()[1][rows].tolist()
 
     def span(self) -> Tuple[Timestamp, Timestamp]:
-        """``[min t_st, max t_end]`` — exact from the summaries alone."""
-        return self._reader.span()
+        """``[min t_st, max t_end]`` over the run."""
+        rows, _ids, sts, ends = self._run()
+        if not len(rows):
+            raise UnknownObjectError("span() of an empty postings list")
+        return int(sts[rows].min()), int(ends[rows].max())
 
     # ----------------------------------------------------------------- sizes
     def size_bytes(self) -> int:
-        """Encoded bytes on disk plus this list's rows of the block table."""
-        return int(self._table[1].sum()) + self._table.shape[1] * 8 * 8
+        """This run's bytes of the rows column."""
+        return 4 * len(self)

@@ -2,8 +2,9 @@
 
 No index builds on :class:`CompressedPostingsList` (all run on packed lists):
 the ledger builds ``TemporalInvertedFile(backend="compressed")`` to price the
-block codec (the §7 "orthogonal" direction the paper defers), whose size win
-cold segments serve on disk through the same kernel.
+block codec (the §7 "orthogonal" direction the paper defers).  It is the
+block kernel's one user: cold segments read their postings as catalog-row
+runs in place (:mod:`repro.ir.cold`).
 
 Entries live in immutable sealed blocks of up to
 :data:`BLOCK_SIZE` id-sorted entries, each with an uncompressed skip

@@ -461,11 +461,11 @@ class StorageInstruments:
         )
         self.blocks_decoded = registry.counter(
             "repro_storage_blocks_decoded_total",
-            "Postings blocks decoded (and CRC-checked) on the cold path.",
+            "Term runs of a segment's rows column read on the cold path.",
         )
         self.blocks_skipped = registry.counter(
             "repro_storage_blocks_skipped_total",
-            "Postings blocks skipped by summary metadata without a decode.",
+            "Term runs skipped: their first and last rows bracket no candidate.",
         )
         self.cache_hits = registry.counter(
             "repro_storage_cache_hits_total",

@@ -6,17 +6,18 @@ immutable (the append-mostly regime of *Disk-Based Interval Indexes Under
 the Increasing Ending Time Assumption*, arXiv 2606.22773), so this
 package demotes them to disk and serves them lazily:
 
-* :mod:`repro.storage.format` — the immutable segment file format (v3,
-  the one version read; older segments are refused): checksummed column postings blocks
-  (:mod:`repro.ir.codec`) described by a columnar block table, packed
-  i64 catalog columns, a sorted term table, a JSON header, and a
-  self-locating footer.
+* :mod:`repro.storage.format` — the immutable segment file format (v4,
+  the one version read; older segments are refused): postings as one i32
+  column of catalog rows, a run per term, over packed i64 catalog
+  columns, a sorted term table, a JSON header and a self-locating footer,
+  every region checksummed and the columns' structure checked at open.
+  Nothing in a segment is pickled.
 * :mod:`repro.storage.writer` — builds a segment from a shard's live
   objects and installs it crash-safely through the
   :mod:`repro.service.fsio` seam (write-temp + fsync + rename).
 * :mod:`repro.storage.reader` — :class:`SegmentReader`, serving
-  Algorithm 1 queries straight from ``mmap`` with block-skip summaries
-  and **zero full-segment decode**.
+  Algorithm 1 queries straight from ``mmap`` in row space, with **no
+  decode** at all.
 * :mod:`repro.storage.cache` — :class:`SegmentCache`, an LRU of open
   readers with byte-budget accounting and pin-protected eviction.
 * :mod:`repro.storage.tiering` — the tier state file, crash recovery,

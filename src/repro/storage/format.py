@@ -1,64 +1,58 @@
-"""The immutable cold-segment file format, v3: the one this build reads.
+"""The immutable cold-segment file format, v4: the one this build reads.
 
 One segment holds one demoted shard::
 
-    [ postings blocks | block table | catalog columns | term table | descriptions ]  body
-    [ JSON header ]                                                                 directory
-    [ dir_offset u64 | dir_length u64 | dir_crc32 u32 | magic ]                     footer
+    [ rows | catalog columns | term table ]                        body
+    [ JSON header ]                                                directory
+    [ dir_offset u64 | dir_length u64 | dir_crc32 u32 | magic ]    footer
 
-* **Postings blocks** are the :func:`repro.ir.codec.encode_block` payload
-  of :data:`~repro.ir.blocks.BLOCK_SIZE`-entry id-sorted runs, one run
-  sequence per dictionary element, the elements' runs back to back in
-  encoded-key order (the term table's order).
-* The **block table** describes them: eight little-endian i64 columns
-  (8-byte aligned, one value per block each) — ``offset``, ``length``,
-  ``crc32`` of the payload, then the ``(min_id, max_id, min_st, max_end,
-  count)`` skip summary.  A reader copies the table out of the mapping
-  with one ``memcpy`` and parses nothing per block; an element's
-  postings are a run of its rows, and only the blocks a query can touch
-  are decoded.
+* The **rows** column is the postings: one little-endian i32 per entry,
+  the catalog row of an object that holds the term, each term's rows
+  strictly ascending, the terms back to back in encoded-key order (the
+  term table's order).  A term's postings are a run of this column, read
+  in place: no codec, no per-read checksum.
 * **Catalog columns** are three raw little-endian i64 arrays (ids, sts,
-  ends; sorted by id, 8-byte aligned) accessed zero-copy through
-  ``memoryview.cast('q')`` — membership probes bisect the id column and
-  pure-temporal queries mask the endpoint columns, neither touching a
-  single postings block.
-* The **term table** is two columns: ``first_row``, ``n_terms + 1`` i64
-  (term *i* owns block-table rows ``[first_row[i], first_row[i + 1])``),
-  then the sorted element keys as one fixed-width ``S{key_width}``
-  column in :func:`encode_key`'s typed encoding.  A reader copies both
-  out of the mapping and finds an element with one ``np.searchsorted``
-  (:class:`TermTable`); nothing is built per term at open.
-* The **descriptions blob** (id → frozenset of elements, pickled like the
-  snapshot format, then deflated) is decoded only at promotion time,
-  never on the query path.
+  ends; sorted by id, 8-byte aligned).  A row names an object through
+  them, so a term's ``t_st``/``t_end`` are one gather, membership probes
+  search the id column and pure-temporal queries mask the endpoints.
+* The **term table** is two columns: ``offsets``, ``n_terms + 1`` i64
+  (term *i* owns rows ``[offsets[i], offsets[i + 1])`` of the rows
+  column), then the sorted element keys as one fixed-width
+  ``S{key_width}`` column in :func:`encode_key`'s typed encoding.  A
+  reader copies both out of the mapping and finds an element with one
+  ``np.searchsorted`` (:class:`TermTable`); nothing is built per term at
+  open.  An object's description is the set of terms whose runs hold its
+  row, so a segment stores no descriptions of its own.
 * The **header** is JSON — identity (shard id, index key and params),
   object count and span, the term table's shape, and ``(offset, length,
-  crc32)`` of every region above.  Nothing on an open unpickles.
+  crc32)`` of every region above.  Nothing in a segment is pickled.
 
 The footer makes the file self-locating without a seek-back during the
-write (single forward pass through the fsio seam).  Damage surfaces as
-one typed error: :class:`~repro.core.errors.CorruptSegmentError` for the
-envelope (magic, footer bounds, a header that does not parse or has a
-missing or wrong-typed field, a region out of bounds, and the checksums
-of the header, term table, block table and catalog columns — all checked
-at open), :class:`~repro.core.errors.CorruptPostingsError` for a torn
-block — mirroring the WAL / snapshot discipline.
+write (single forward pass through the fsio seam).  Every check runs at
+open and fails as :class:`~repro.core.errors.CorruptSegmentError`: the
+magic, the footer bounds, a header that does not parse or has a missing
+or wrong-typed field, a region out of bounds or failing its CRC32, and
+the columns' structure — the offsets partition the rows column into
+non-empty runs, every row lies in ``[0, count)`` and ascends strictly
+within its term, the ids ascend strictly and every ``t_st <= t_end``.  A
+segment that opens reads no row outside its catalog and no run outside
+its column.
 
-**Formats v1 and v2** (magic ``RSEG\\x00\\x01`` / ``RSEG\\x00\\x02``) kept
-a pickled directory where v3 keeps its header.  Only earlier commits of
-this repository wrote them, and :func:`parse_footer` refuses them by
-their magic, naming their format, before anything is read or unpickled:
-rebuild the shard from its source collection.
+**Formats v1 to v3** (magic ``RSEG\\x00\\x01`` to ``RSEG\\x00\\x03``) kept
+the postings as encoded id-ordered blocks behind a block table, and each
+object's description in a pickled blob (v1 and v2 also a pickled
+directory).  Only earlier commits of this repository wrote them, and
+:func:`parse_footer` refuses them by their magic, naming their format,
+before anything is read: rebuild the shard from its source collection.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +64,7 @@ SEGMENT_SUFFIX = ".seg"
 
 #: Current format version: the last byte of the magic, and the version
 #: stored in the header.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Trailing magic: the last bytes of every well-formed segment.
 _MAGIC_PREFIX = b"RSEG\x00"
@@ -80,10 +74,9 @@ MAGIC = _MAGIC_PREFIX + bytes([FORMAT_VERSION])
 FOOTER_STRUCT = struct.Struct("<QQI6s")
 FOOTER_SIZE = FOOTER_STRUCT.size
 
-#: One postings block's row of the block table:
-#: ``(offset, length, crc32, min_id, max_id, min_st, max_end, count)``.
-BlockDescriptor = Tuple[int, int, int, int, int, int, int, int]
-_DESCRIPTOR_FIELDS = 8
+#: The rows column's element type, and so the largest shard a segment holds.
+ROW_DTYPE = "<i4"
+MAX_ROWS = (1 << 31) - 1
 
 
 # ---------------------------------------------------------------- term keys
@@ -150,16 +143,16 @@ def decode_key(raw: bytes) -> Element:
 
 
 class TermTable:
-    """A segment's terms: ``element → (first_row, n_rows)`` of the block
-    table, answering ``get`` / ``len`` / iteration.  Both columns are
-    copies of the mapping (nothing here pins it), and a lookup is one
+    """A segment's terms: ``element → (start, stop)`` of the rows column,
+    answering ``get`` / ``len`` / iteration.  Both columns are copies of
+    the mapping (nothing here pins it), and a lookup is one
     ``np.searchsorted`` of the encoded key."""
 
-    __slots__ = ("_keys", "_first_row")
+    __slots__ = ("_keys", "_offsets")
 
-    def __init__(self, keys: np.ndarray, first_row: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, offsets: np.ndarray) -> None:
         self._keys = keys
-        self._first_row = first_row
+        self._offsets = offsets
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -172,32 +165,32 @@ class TermTable:
         i = keys.searchsorted(key)  # the method: half np.searchsorted's call cost
         if i == len(keys) or keys[i] != key:
             return None
-        first = self._first_row.item(i)
-        return first, self._first_row.item(i + 1) - first
+        return self._offsets.item(i), self._offsets.item(i + 1)
 
     def __iter__(self) -> Iterator[Element]:
         return (decode_key(bytes(key)) for key in self._keys)
+
+    def runs(self) -> Iterator[Tuple[Element, int, int]]:
+        """``(element, start, stop)`` per term, each key decoded once."""
+        return zip(self, self._offsets[:-1].tolist(), self._offsets[1:].tolist())
 
 
 # ---------------------------------------------------------------- directory
 @dataclass
 class SegmentDirectory:
-    """Everything a reader needs that is not raw block/column bytes: the
-    header, parsed and checked by :func:`read_directory`."""
+    """Everything a reader needs that is not raw column bytes: the header,
+    parsed and checked by :func:`read_directory`."""
 
     shard_id: str
     index_key: str
     index_params: Dict[str, object]
     count: int
-    #: element → ``(first_row, n_rows)``: its blocks' rows of the block
-    #: table, ascending id ranges.
+    #: element → ``(start, stop)`` of the rows column.
     terms: TermTable
-    #: ``(offset, n_blocks, crc32)`` of the block table.
-    block_table: Tuple[int, int, int]
+    #: ``(offset, n_rows)`` — the i32 rows column.
+    rows: Tuple[int, int]
     #: ``(ids_offset, sts_offset, ends_offset, n)`` — i64 column regions.
     catalog: Tuple[int, int, int, int]
-    #: ``(offset, length, crc32)`` of the id → description blob.
-    descriptions: Tuple[int, int, int]
     #: ``(min_st, max_end)`` over all objects; ``None`` for empty shards.
     span: Optional[Tuple[int, int]]
 
@@ -210,56 +203,27 @@ def _region(value: object) -> bool:
     return type(value) is list and len(value) == 3 and all(map(_count, value))
 
 
-#: Every v3 header field and what makes it well-typed.
+#: Every v4 header field and what makes it well-typed.
 _HEADER_FIELDS: Dict[str, Callable[[object], bool]] = {
     "version": lambda value: value == FORMAT_VERSION and type(value) is int,
     "shard_id": lambda value: type(value) is str,
     "index_key": lambda value: type(value) is str,
     "index_params": lambda value: type(value) is dict,
-    "count": _count,
+    "count": lambda value: _count(value) and value <= MAX_ROWS,
     "span": lambda value: value is None or (
         type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
     ),
     "n_terms": _count,
     "key_width": lambda value: _count(value) and value > 0,
     "terms": _region,
-    "block_table": _region,
+    "rows": _region,
     "catalog": _region,
-    "descriptions": _region,
 }
 
 
 def pack_header(header: Dict[str, object]) -> bytes:
     """A header's bytes: canonical JSON (the footer carries its CRC32)."""
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-
-
-def pack_block_table(descriptors: List[BlockDescriptor]) -> bytes:
-    """The block table's bytes: eight i64 columns, one value per block."""
-    rows = np.array(descriptors, dtype="<i8").reshape(-1, _DESCRIPTOR_FIELDS)
-    return rows.T.tobytes()
-
-
-def pack_descriptions(descriptions: Dict[int, FrozenSet[Element]]) -> bytes:
-    """The descriptions blob: the pickled map, deflated (fastest level:
-    it already gets most of what the repeated element references give)."""
-    return zlib.compress(pickle.dumps(descriptions, protocol=pickle.HIGHEST_PROTOCOL), 1)
-
-
-def unpack_descriptions(
-    directory: SegmentDirectory, blob: bytes, path: str
-) -> Dict[int, FrozenSet[Element]]:
-    """Verify and decode the descriptions blob."""
-    if zlib.crc32(blob) != directory.descriptions[2]:
-        raise CorruptSegmentError(f"{path}: descriptions blob fails its checksum")
-    try:
-        return pickle.loads(zlib.decompress(blob))
-    except MemoryError:  # not damage: the bytes passed their checksum
-        raise
-    except Exception as exc:
-        raise CorruptSegmentError(
-            f"{path}: descriptions blob does not decode: {exc}"
-        ) from exc
 
 
 def build_footer(dir_offset: int, dir_blob: bytes) -> bytes:
@@ -298,12 +262,11 @@ def parse_footer(buffer: bytes, path: str) -> Tuple[int, int, int]:
     return dir_offset, dir_length, dir_crc
 
 
-def read_directory(view: memoryview, path: str) -> Tuple[SegmentDirectory, np.ndarray]:
-    """Validate an open segment's envelope: its directory, and its block
-    table — an int64 array of one *row per descriptor field*, one column
-    per block, that owns its memory (no view of ``view`` outlives this
-    call).  Every header field is typed and every region bounded and
-    CRC-checked before anything is sliced.
+def read_directory(view: memoryview, path: str) -> SegmentDirectory:
+    """Validate an open segment: its directory, every region's bounds and
+    CRC32, and the columns' structure (the module docstring lists the
+    checks).  The term table it returns owns its memory; no view of
+    ``view`` outlives this call.
 
     Raises :class:`CorruptSegmentError` on any damage.
     """
@@ -325,7 +288,7 @@ def read_directory(view: memoryview, path: str) -> Tuple[SegmentDirectory, np.nd
             )
     count, n_terms, width = header["count"], header["n_terms"], header["key_width"]
     sizes = {
-        "block_table": header["block_table"][1] % (8 * _DESCRIPTOR_FIELDS) == 0,
+        "rows": header["rows"][1] % 4 == 0,
         "catalog": header["catalog"][1] == 24 * count,
         "terms": header["terms"][1] == 8 * (n_terms + 1) + width * n_terms,
     }
@@ -335,37 +298,62 @@ def read_directory(view: memoryview, path: str) -> Tuple[SegmentDirectory, np.nd
                 f"{path}: {name} region of {header[name][1]} bytes does not fit "
                 f"{count} objects, {n_terms} terms of width {width}"
             )
-    offset, length, crc = header["block_table"]
-    _checked(view, "block table", offset, length, crc, dir_offset, path)
-    table = np.frombuffer(view[offset : offset + length], dtype="<i8").astype(np.int64)  # a copy
-    table = table.reshape(_DESCRIPTOR_FIELDS, -1)
+    _checked(view, "rows column", *header["rows"], dir_offset, path)
     _checked(view, "catalog columns", *header["catalog"], dir_offset, path)
     _checked(view, "term table", *header["terms"], dir_offset, path)
     offset = header["terms"][0]
     keys_offset = offset + 8 * (n_terms + 1)
-    first_row = np.frombuffer(view[offset:keys_offset], dtype="<i8").astype(np.int64)
+    offsets = np.frombuffer(view[offset:keys_offset], dtype="<i8").astype(np.int64)
     keys = np.frombuffer(
         view[keys_offset : keys_offset + width * n_terms], dtype=f"S{width}"
     ).copy()
-    n_blocks = table.shape[1]
-    if first_row[0] != 0 or first_row[-1] != n_blocks or (first_row[1:] <= first_row[:-1]).any():
-        raise CorruptSegmentError(
-            f"{path}: term table rows do not partition the {n_blocks}-block table"
-        )
+    rows = (header["rows"][0], header["rows"][1] // 4)
     ids = header["catalog"][0]
+    catalog = (ids, ids + 8 * count, ids + 16 * count, count)
+    # The fault is named here, after every view the check made is gone: a
+    # traceback holding one would keep the mapping from closing.
+    fault = _structure_fault(view, rows, catalog, offsets)
+    if fault is not None:
+        raise CorruptSegmentError(f"{path}: {fault}")
     span = header["span"]
-    directory = SegmentDirectory(
+    return SegmentDirectory(
         shard_id=header["shard_id"],
         index_key=header["index_key"],
         index_params=header["index_params"],
         count=count,
-        terms=TermTable(keys, first_row),
-        block_table=(header["block_table"][0], n_blocks, header["block_table"][2]),
-        catalog=(ids, ids + 8 * count, ids + 16 * count, count),
-        descriptions=tuple(header["descriptions"]),  # type: ignore[arg-type]
+        terms=TermTable(keys, offsets),
+        rows=rows,
+        catalog=catalog,
         span=None if span is None else (span[0], span[1]),
     )
-    return directory, table
+
+
+def _structure_fault(
+    view: memoryview,
+    rows_at: Tuple[int, int],
+    catalog: Tuple[int, int, int, int],
+    offsets: np.ndarray,
+) -> Optional[str]:
+    """What is wrong with the checksummed columns' content, or ``None``."""
+    n_rows = rows_at[1]
+    if offsets[0] != 0 or offsets[-1] != n_rows or (offsets[1:] <= offsets[:-1]).any():
+        return f"term offsets do not partition the {n_rows}-entry rows column"
+    ids_at, sts_at, ends_at, count = catalog
+    rows = np.frombuffer(view, dtype=ROW_DTYPE, count=n_rows, offset=rows_at[0])
+    if n_rows and (rows.min() < 0 or rows.max() >= count):
+        return f"a row lies outside the {count}-object catalog"
+    descents = rows[1:] <= rows[:-1]
+    descents[offsets[1:-1] - 1] = False  # a term's first row may lie below its predecessor's last
+    if descents.any():
+        return "a term's rows do not ascend"
+    ids, sts, ends = (
+        np.frombuffer(view, dtype="<i8", count=count, offset=at) for at in (ids_at, sts_at, ends_at)
+    )
+    if (ids[1:] <= ids[:-1]).any():
+        return "catalog ids do not ascend"
+    if (sts > ends).any():
+        return "a catalog interval ends before it starts"
+    return None
 
 
 def _checked(

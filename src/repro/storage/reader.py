@@ -1,22 +1,23 @@
 """Serving queries straight from an mmap'd segment.
 
-:class:`SegmentReader` maps a segment file once, validates the footer and
-directory, and answers Algorithm 1 (overlap ∧ containment) with **zero
-full-segment decode**:
+:class:`SegmentReader` maps a segment file once, validates it whole (the
+footer, the header, every region's CRC32 and the columns' structure:
+:func:`~repro.storage.format.read_directory`) and answers Algorithm 1
+(overlap ∧ containment) from numpy views of the mapping, with no decode
+and no checksum per read:
 
-* element postings are :class:`~repro.ir.cold.ColdPostingsList` views —
-  runs of rows of the block table, found through the directory's term
-  table; both are copied out of the mapping once at open, and only
-  blocks whose skip summary admits the query are decoded;
-* membership probes bisect the raw i64 id column through
-  ``memoryview.cast('q')`` (zero-copy);
-* pure-temporal queries mask the endpoint columns, never a block;
-* the pickled descriptions blob is read only by :meth:`objects` — the
-  promotion path — and the reader records whether that ever happened
-  (``descriptions_decoded``) so tests can assert the query path stayed
-  lazy.  Nothing else unpickles: the directory is a JSON header, and
-  :func:`~repro.storage.format.read_directory` refuses a segment of any
-  format but v3 by its footer magic before reading it.
+* an element's postings are a :class:`~repro.ir.cold.ColdPostingsList` —
+  its run of the rows column, found through the term table;
+* a query stays in row space: the rarest term's rows gather their
+  endpoints and one mask keeps the matches, each further term cuts the
+  candidates with one ``searchsorted``, and the answer is the id column
+  gathered at the rows left — an array of its own, never a view;
+* membership probes search the id column, and pure-temporal queries mask
+  the endpoint columns;
+* :meth:`objects` — the promotion path — rebuilds each object's
+  description from the term runs, and the reader records whether that
+  ever happened (``descriptions_decoded``) so tests can assert the query
+  path never builds objects.  Nothing in a segment is pickled.
 
 Every query counts into the ``repro_storage_*`` families and runs under
 a ``segment_query`` trace span.
@@ -25,7 +26,6 @@ a ``segment_query`` trace span.
 from __future__ import annotations
 
 import mmap
-from bisect import bisect_left
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -35,10 +35,10 @@ from repro.core.answer import NO_IDS, as_answer
 from repro.core.errors import CorruptSegmentError
 from repro.core.model import Element, TemporalObject, TimeTravelQuery
 from repro.ir.blocks import exact_window, overlap_mask
-from repro.ir.cold import ColdPostingsList
+from repro.ir.cold import ColdPostingsList, SegmentColumns
 from repro.obs.context import span
 from repro.obs.registry import OBS
-from repro.storage.format import read_directory, unpack_descriptions
+from repro.storage.format import ROW_DTYPE, read_directory
 
 PathLike = Union[str, Path]
 
@@ -62,22 +62,22 @@ class SegmentReader:
                 ) from exc
         finally:
             handle.close()
-        self._view = memoryview(self._mmap)
         self._closed = False
         self._postings: Dict[Element, ColdPostingsList] = {}
         try:
-            # The block table is a copy: no numpy view of the mapping
-            # outlives a call, so close() can always release it.
-            self.directory, self._blocks = read_directory(self._view, str(self.path))
+            with memoryview(self._mmap) as view:
+                self.directory = read_directory(view, str(self.path))
         except CorruptSegmentError:
-            self.close()
+            self._mmap.close()
             raise
-        ids_off, sts_off, ends_off, n = self.directory.catalog
-        self._ids = self._view[ids_off : ids_off + 8 * n].cast("q")
-        self._sts = self._view[sts_off : sts_off + 8 * n].cast("q")
-        self._ends = self._view[ends_off : ends_off + 8 * n].cast("q")
-        #: True once the promotion path unpickled the descriptions blob;
-        #: the query path must never flip this.
+        rows_at, n_rows = self.directory.rows
+        *catalog_at, n = self.directory.catalog
+        self._columns = SegmentColumns(
+            np.frombuffer(self._mmap, dtype=ROW_DTYPE, count=n_rows, offset=rows_at),
+            *(np.frombuffer(self._mmap, dtype="<i8", count=n, offset=at) for at in catalog_at),
+        )
+        #: True once the promotion path rebuilt the objects; the query
+        #: path must never flip this.
         self.descriptions_decoded = False
         self._count_open(+1)
 
@@ -91,13 +91,13 @@ class SegmentReader:
             return
         self._closed = True
         self._postings.clear()
-        # Release column views before the backing mmap (mmap refuses to
-        # close with exported views alive).
-        for name in ("_ids", "_sts", "_ends"):
-            if hasattr(self, name):
-                getattr(self, name).release()
-        self._view.release()
-        self._mmap.close()
+        # The column views go before the mapping: mmap refuses to close
+        # while one is exported.  Postings views and answers hold none.
+        self._columns.release()
+        try:
+            self._mmap.close()
+        except BufferError:  # a view a traceback still holds: unmapped with it
+            pass
         self._count_open(-1)
 
     def __enter__(self) -> "SegmentReader":
@@ -115,13 +115,11 @@ class SegmentReader:
         return self.directory.count
 
     def __contains__(self, object_id: int) -> bool:
-        ids = self._ids
-        position = bisect_left(ids, object_id)
-        return position < len(ids) and ids[position] == object_id
+        return len(self._columns.rows_of([object_id])) > 0
 
     def object_ids(self) -> List[int]:
-        """Every catalogued id, ascending (zero-copy column read)."""
-        return list(self._ids)
+        """Every catalogued id, ascending."""
+        return self._columns.get()[1].tolist()
 
     def size_bytes(self) -> int:
         """The mapped file size — the segment's worst-case residency."""
@@ -133,21 +131,16 @@ class SegmentReader:
         cached = self._postings.get(element)
         if cached is not None:
             return cached
-        rows = self.directory.terms.get(element)
-        if rows is None:
+        run = self.directory.terms.get(element)
+        if run is None:
             return None
-        first_row, n_rows = rows
-        view = ColdPostingsList(
-            self._view,
-            self._blocks.T[first_row : first_row + n_rows],
-            self._count_blocks,
-        )
+        view = ColdPostingsList(self._columns, *run, self._count_run)
         self._postings[element] = view
         return view
 
     def term_count(self, element: Element) -> int:
         """Live entries under ``element`` (Algorithm 1 ordering key): the
-        sum of its rows of the block table's count column."""
+        length of its run."""
         postings = self.postings(element)
         return 0 if postings is None else len(postings)
 
@@ -164,15 +157,15 @@ class SegmentReader:
             first = self.postings(ordered[0])
             if first is None:
                 return NO_IDS
-            candidates = first.overlapping_ids(q.st, q.end)
+            rows = first.overlapping_rows(q.st, q.end)
             for element in ordered[1:]:
-                if not candidates:
+                if not len(rows):
                     return NO_IDS
                 postings = self.postings(element)
                 if postings is None:
                     return NO_IDS
-                candidates = postings.intersect_sorted(candidates)
-            return as_answer(candidates)
+                rows = postings.intersect_rows(rows)
+            return as_answer(self._columns.get()[1][rows])
 
     def _pure_temporal(self, q_st, q_end) -> np.ndarray:
         """Catalog-column scan: ids of objects overlapping the window."""
@@ -182,66 +175,53 @@ class SegmentReader:
             return NO_IDS
         if seg_lo_hi[0] > window[1] or seg_lo_hi[1] < window[0]:
             return NO_IDS
-        ids, sts, ends = (
-            np.frombuffer(column, dtype=np.int64)
-            for column in (self._ids, self._sts, self._ends)
-        )
+        _rows, ids, sts, ends = self._columns.get()
         return ids[overlap_mask(sts, ends, *window)]
 
     # --------------------------------------------------------------- promotion
     def objects(self) -> List[TemporalObject]:
         """The full decoded shard — the promote/rebalance path only.
 
-        This is the one deliberate full-segment decode: the descriptions
-        blob is CRC-checked and decoded, and the catalog columns are
-        joined back into :class:`TemporalObject` instances.
+        Each object's description is the set of terms whose run holds its
+        row: every term key is decoded once and its run scattered, then
+        the catalog columns are joined back into :class:`TemporalObject`
+        instances (an object under no term gets ``frozenset()``).
         """
-        offset, length, _crc = self.directory.descriptions
-        descriptions = unpack_descriptions(
-            self.directory, bytes(self._view[offset : offset + length]), str(self.path)
-        )
+        rows, ids, sts, ends = self._columns.get()
+        described: List[List[Element]] = [[] for _ in range(len(ids))]
+        for element, start, stop in self.directory.terms.runs():
+            for row in rows[start:stop].tolist():
+                described[row].append(element)
         self.descriptions_decoded = True
-        ids, sts, ends = self._ids, self._sts, self._ends
         return [
-            TemporalObject(
-                id=ids[i], st=sts[i], end=ends[i],
-                d=descriptions.get(ids[i], frozenset()),
+            TemporalObject(id=object_id, st=st, end=end, d=frozenset(elements))
+            for object_id, st, end, elements in zip(
+                ids.tolist(), sts.tolist(), ends.tolist(), described
             )
-            for i in range(len(ids))
         ]
 
     # ----------------------------------------------------------------- metrics
-    def stats(self) -> Dict[str, object]:
-        return {
-            "path": str(self.path),
-            "shard_id": self.shard_id,
-            "objects": len(self),
-            "terms": len(self.directory.terms),
-            "size_bytes": self.size_bytes(),
-        }
-
     def _count_open(self, delta: int) -> None:
-        registry = OBS.registry
-        if registry.enabled:
-            from repro.obs.instruments import storage_instruments
-
-            storage_instruments(registry).segments_open.inc(delta)
+        instruments = _instruments()
+        if instruments is not None:
+            instruments.segments_open.inc(delta)
 
     def _count_query(self) -> None:
-        registry = OBS.registry
-        if registry.enabled:
-            from repro.obs.instruments import storage_instruments
+        instruments = _instruments()
+        if instruments is not None:
+            instruments.cold_queries.inc()
 
-            storage_instruments(registry).cold_queries.inc()
+    def _count_run(self, read: bool) -> None:
+        instruments = _instruments()
+        if instruments is not None:
+            (instruments.blocks_decoded if read else instruments.blocks_skipped).inc()
 
-    def _count_blocks(self, decoded: int, skipped: int) -> None:
-        registry = OBS.registry
-        if not registry.enabled:
-            return
-        from repro.obs.instruments import storage_instruments
 
-        instruments = storage_instruments(registry)
-        if decoded:
-            instruments.blocks_decoded.inc(decoded)
-        if skipped:
-            instruments.blocks_skipped.inc(skipped)
+def _instruments():
+    """The ``repro_storage_*`` families, or ``None`` while metrics are off."""
+    registry = OBS.registry
+    if not registry.enabled:
+        return None
+    from repro.obs.instruments import storage_instruments
+
+    return storage_instruments(registry)

@@ -16,23 +16,21 @@ from __future__ import annotations
 
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from repro.core.errors import ClusterError
 from repro.core.model import Element, TemporalObject
-from repro.ir.blocks import runs, seal
 from repro.obs.registry import OBS
 from repro.service.fsio import REAL_FS, FileSystem
 from repro.storage.format import (
     FORMAT_VERSION,
-    BlockDescriptor,
+    MAX_ROWS,
+    ROW_DTYPE,
     align8,
     build_footer,
     encode_key,
-    pack_block_table,
-    pack_descriptions,
     pack_header,
 )
 
@@ -68,50 +66,47 @@ def build_segment(
 ) -> bytes:
     """Serialise ``objects`` into one complete segment image.
 
-    Objects are catalogued in id order; per-element postings runs are
-    sealed into :data:`~repro.ir.blocks.BLOCK_SIZE`-entry encoded
-    blocks, described row by row in the block table, elements in
+    Objects are catalogued in id order; each element's postings are the
+    ascending catalog rows of the objects that hold it, elements in
     encoded-key order.  Raises :class:`~repro.core.errors.ClusterError`
-    for ids or timestamps that are not i64 (the domain of the block codec
-    and of every column) and for elements :func:`encode_key` cannot
-    encode — such shards stay RAM-resident.
+    for ids or timestamps that are not i64 (the domain of every column),
+    for a shard of more objects than an i32 row can name, and for
+    elements :func:`encode_key` cannot encode — such shards stay
+    RAM-resident.
     """
     catalog = sorted(objects, key=lambda obj: obj.id)
     for obj in catalog:
         _check_codable(obj)
+    if len(catalog) > MAX_ROWS:
+        raise ClusterError(
+            f"shard {shard_id}: {len(catalog)} objects is more than a segment's "
+            f"i32 rows can name ({MAX_ROWS})"
+        )
 
-    postings: Dict[Element, List[Tuple[int, int, int]]] = {}
-    for obj in catalog:
+    postings: Dict[Element, List[int]] = {}
+    for row, obj in enumerate(catalog):
         for element in obj.d:
-            postings.setdefault(element, []).append((obj.id, obj.st, obj.end))
-    elements = {_term_key(element): element for element in postings}
-    terms = sorted(elements)  # the term table's order, and the blocks'
+            postings.setdefault(element, []).append(row)
+    terms = sorted((_term_key(element), rows) for element, rows in postings.items())
 
     body = bytearray()
-    descriptors: List[BlockDescriptor] = []
-    first_row = [0]
-    for key in terms:
-        for run in runs(postings[elements[key]]):
-            block, summary = seal(run)
-            descriptors.append((len(body), len(block), zlib.crc32(block)) + summary)
-            body += block
-        first_row.append(len(descriptors))
 
     def region(blob: bytes) -> List[int]:
         offset = len(body)
         body.extend(blob)
         return [offset, len(blob), zlib.crc32(blob)]
 
+    rows_region = region(
+        np.fromiter((row for _key, rows in terms for row in rows), dtype=ROW_DTYPE).tobytes()
+    )
     body += b"\x00" * (align8(len(body)) - len(body))
-    block_table = region(pack_block_table(descriptors))
     catalog_region = region(  # ids, then sts, then ends
         np.array([(obj.id, obj.st, obj.end) for obj in catalog], dtype="<i8").T.tobytes()
     )
-    width = max(map(len, terms), default=1)
-    term_region = region(
-        np.array(first_row, dtype="<i8").tobytes() + np.array(terms, dtype=f"S{width}").tobytes()
-    )
-    descriptions = region(pack_descriptions({obj.id: obj.d for obj in catalog}))
+    offsets = np.cumsum([0] + [len(rows) for _key, rows in terms], dtype="<i8")
+    keys = [key for key, _rows in terms]
+    width = max(map(len, keys), default=1)
+    term_region = region(offsets.tobytes() + np.array(keys, dtype=f"S{width}").tobytes())
 
     header = {
         "version": FORMAT_VERSION,
@@ -127,9 +122,8 @@ def build_segment(
         "n_terms": len(terms),
         "key_width": width,
         "terms": term_region,
-        "block_table": block_table,
+        "rows": rows_region,
         "catalog": catalog_region,
-        "descriptions": descriptions,
     }
     try:
         header_blob = pack_header(header)

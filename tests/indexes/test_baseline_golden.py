@@ -8,7 +8,9 @@ the random collection, each method must still report, query by query,
 the answer size, its ``relevant_slices`` or ``impact_list_skips`` and
 every phase's entries scanned, structures touched and candidates left;
 and the modelled size and replication (Table 5's model) before and after
-those queries.  Sharding's shards, ids in order, must be the ones that
+those queries.  Sharding's size counts every shard's impact list from the
+build on, so its fresh figure is the one the list-based implementation
+reported only once queries had made each list.  Sharding's shards, ids in order, must be the ones that
 build cut from the shard-construction fixtures.
 """
 

@@ -10,8 +10,8 @@ and cross-checks the **full** observable surface after every mutation
 (the ``blocks`` regime first bulk-loads enough entries that the block
 layouts seal, tombstone and rebuild real blocks; the ``extremes`` regime
 bulk-loads half-way, so its second half runs on packed's numpy kernels;
-the read-only ``cold`` view is checked over the model's entries sealed
-into a buffer after each step):
+the read-only ``cold`` view is checked over the model's entries laid
+out as a segment's catalog columns and rows after each step):
 
 ``add`` / ``delete`` (exception parity included) / ``__len__`` /
 ``__contains__`` / ``entries`` / ``ids`` / ``overlapping`` /
@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import os
 import random
-import zlib
 from typing import Callable, List, Tuple
 
+import numpy as np
 import pytest
 
 from repro.core.errors import UnknownObjectError
-from repro.ir.blocks import BLOCK_SIZE, runs, seal
-from repro.ir.cold import ColdPostingsList
+from repro.ir.blocks import BLOCK_SIZE
+from repro.ir.cold import ColdPostingsList, SegmentColumns
 from repro.ir.compressed import CompressedPostingsList
 from repro.ir.packed import _VECTOR_MIN, PackedPostingsList
 from repro.utils.memory import CONTAINER_BYTES
@@ -190,8 +190,8 @@ REGIME_NAMES = [name for name, _ in REGIMES]
 
 #: The mutable layouts under the harness.
 BACKENDS = {"packed": PackedPostingsList, "compressed": CompressedPostingsList}
-#: ``cold`` holds what the block codec holds: every regime but the one
-#: whose floats and beyond-i64 ints exist to force a spill.
+#: ``cold`` holds what a segment's i64 columns hold: every regime but the
+#: one whose floats and beyond-i64 ints exist to force a spill.
 COLD_REGIMES = [name for name in REGIME_NAMES if name != "spill"]
 
 
@@ -322,22 +322,27 @@ def _apply(target, op: Op) -> bool:
 
 
 def _cold_view(oracle: PostingsModel) -> ColdPostingsList:
-    """The model's entries as a cold list: sealed into one buffer
-    the way the segment writer lays blocks out, every read metered."""
-    body = bytearray()
-    descriptors = []
-    for run in runs(oracle.entries()):
-        payload, summary = seal(run)
-        descriptors.append((len(body), len(payload), zlib.crc32(payload)) + summary)
-        body += payload
+    """The model's entries as a cold list, laid out the way a segment is:
+    a catalog in id order — the model's objects, and an object spanning
+    every time in each gap of the id range, which the list must never
+    report — and the list as the ascending catalog rows of its entries.
+    Every read is metered as one run, read or skipped."""
+    entries = list(oracle.entries())
+    catalog = []
+    for at, entry in enumerate(entries):
+        below = entries[at - 1][0] + 1 if at else I64_MIN
+        if below < entry[0]:  # a gap before this id: an object in it
+            catalog.append(((below + entry[0]) // 2, I64_MIN, I64_MAX))
+        catalog.append(entry)
+    columns = np.array(catalog, dtype=np.int64).reshape(-1, 3).T.copy()
+    rows = np.flatnonzero(np.isin(columns[0], [entry[0] for entry in entries]))
 
-    def sink(decoded: int, skipped: int) -> None:
-        assert decoded + skipped == len(descriptors), (
-            f"cold metering: {decoded} decoded + {skipped} skipped of "
-            f"{len(descriptors)} blocks"
-        )
+    def sink(read: bool) -> None:
+        assert type(read) is bool, f"cold metering: {read!r} is not one run read or skipped"
 
-    return ColdPostingsList(memoryview(bytes(body)), descriptors, sink)
+    return ColdPostingsList(
+        SegmentColumns(rows.astype(np.int32), *columns), 0, len(rows), sink
+    )
 
 
 def run_property_trace(backend: str, regime: str, seed: int, n_ops: int = N_OPS) -> None:

@@ -11,7 +11,6 @@ and recovery marks, deletes and writes nothing.
 from __future__ import annotations
 
 import pickle
-import zlib
 
 import pytest
 
@@ -23,6 +22,8 @@ from repro.service.recovery import recover
 from repro.service.store import DurableIndexStore
 from repro.service.wal import read_wal
 from repro.storage import format as segment_format
+from repro.storage.reader import SegmentReader
+from repro.storage.writer import write_segment
 
 from tests.service.conftest import apply_ops, make_ops, oracle_index, probe_queries, query_results
 
@@ -103,14 +104,18 @@ def test_memory_error_while_reading_the_wal_is_not_a_torn_tail(tmp_path, monkeyp
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
-def test_memory_error_while_decoding_segment_descriptions_propagates(monkeypatch):
-    blob = segment_format.pack_descriptions({1: frozenset({"a"})})
-    directory = segment_format.SegmentDirectory.__new__(segment_format.SegmentDirectory)
-    directory.descriptions = (0, len(blob), zlib.crc32(blob))
-    assert segment_format.unpack_descriptions(directory, blob, "x.seg") == {1: frozenset({"a"})}
-    monkeypatch.setattr(pickle, "loads", _no_memory)
-    with pytest.raises(MemoryError):
-        segment_format.unpack_descriptions(directory, blob, "x.seg")
+def test_memory_error_while_decoding_segment_descriptions_propagates(tmp_path, monkeypatch):
+    # Promotion rebuilds descriptions by decoding each term key: a
+    # MemoryError there is not a key that does not decode.
+    path = write_segment(
+        tmp_path / "s.seg", [make_object(1, 0, 5, {"a"})], shard_id="s", index_key="tif",
+        index_params={},
+    )
+    with SegmentReader(path) as reader:
+        assert reader.objects() == [make_object(1, 0, 5, {"a"})]
+        monkeypatch.setattr(segment_format, "_decode", _no_memory)
+        with pytest.raises(MemoryError):
+            reader.objects()
 
 
 def test_a_bulk_built_store_seals_on_its_first_checkpoint(tmp_path):

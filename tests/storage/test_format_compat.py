@@ -2,7 +2,7 @@
 with a typed error, before anything of them is unpickled.
 
 Each image is a literal written by the last commit that could write its
-format (``parent_images``): v1 and v2 segments, and index snapshots of
+format (``parent_images``): v1, v2 and v3 segments, and index snapshots of
 format 2 whose pickled layouts (postings backends other than packed, the
 per-division HINT classes, irHINT's frozen ``m`` and its tIF layout) no
 build reads any more, one of format 3, whose catalog pickled as a dict
@@ -56,6 +56,8 @@ from tests.storage.parent_images import (
     V1_SHARD,
     V2_SEGMENT,
     V2_SHARD,
+    V3_SEGMENT,
+    V3_SHARD,
     fixture_cluster,
     fixture_objects,
     migration_objects,
@@ -63,7 +65,10 @@ from tests.storage.parent_images import (
 )
 
 #: version → (image, shard it is an image of).
-IMAGES = {1: (V1_SEGMENT, V1_SHARD), 2: (V2_SEGMENT, V2_SHARD)}
+IMAGES = {1: (V1_SEGMENT, V1_SHARD), 2: (V2_SEGMENT, V2_SHARD), 3: (V3_SEGMENT, V3_SHARD)}
+#: The images the mixed-format cluster serves beside a current segment of
+#: its third shard.
+MIXED = {version: IMAGES[version] for version in (1, 2)}
 
 #: Every parent snapshot image, with the index key each was written for.
 SNAPSHOTS = {
@@ -85,7 +90,7 @@ def _magic(version):
 
 
 def _refused_segment(version):
-    return f"segment format {version} unsupported \\(this build reads 3\\)"
+    return f"segment format {version} unsupported \\(this build reads 4\\)"
 
 
 @pytest.fixture(params=sorted(IMAGES), ids=lambda version: f"v{version}")
@@ -116,15 +121,15 @@ def _queries(objects):
 
 
 class TestOldFormats:
-    def test_image_is_old_and_writer_emits_v3(self, old_segment, tmp_path):
+    def test_image_is_old_and_writer_emits_current(self, old_segment, tmp_path):
         version, path = old_segment
-        assert path.read_bytes().endswith(_magic(version)) and MAGIC == _magic(3)
-        v3 = write_segment(
-            tmp_path / "v3.seg", fixture_objects(),
+        assert path.read_bytes().endswith(_magic(version)) and MAGIC == _magic(4)
+        current = write_segment(
+            tmp_path / "current.seg", fixture_objects(),
             shard_id=path.stem, index_key="tif", index_params={},
         )
-        assert v3.read_bytes().endswith(MAGIC)
-        with SegmentReader(v3) as reader:
+        assert current.read_bytes().endswith(MAGIC)
+        with SegmentReader(current) as reader:
             assert reader.shard_id == path.stem
 
     def test_refused_before_unpickling(self, old_segment, no_unpickling):
@@ -137,9 +142,9 @@ class TestOldFormats:
 
     def test_damaged_segments_raise_typed(self, old_segment, no_unpickling):
         # Every bit of the footer and of the directory bytes before it,
-        # and bytes inside the old blocks at the head of the body.  One
-        # flip turns the v2 magic into v3's: that file then fails as a
-        # header that is not JSON, never as a pickle.
+        # and bytes inside the old blocks at the head of the body.  No one
+        # flip turns an old magic into v4's; flips that name another old
+        # format are refused by that name, never read as a pickle.
         _version, path = old_segment
         image = bytearray(path.read_bytes())
         for offset in [*range(len(image) - FOOTER_SIZE - 8, len(image)), 0, 40, 41]:
@@ -162,28 +167,28 @@ class TestMixedFormatCluster:
         with fixture_cluster(tmp_path / "cluster") as cluster:
             directory = cluster.directory
             paths = {shard: cluster.demote(shard) for shard in (V1_SHARD, V2_SHARD)}
-            v3_path = cluster.demote("g0001-s02")
-        # The v3 shard answers alone, with what it holds (long-lived
+            current_path = cluster.demote(V3_SHARD)
+        # The current shard answers alone, with what it holds (long-lived
         # objects sit in every shard they reach).
-        with SegmentReader(v3_path) as reader:
+        with SegmentReader(current_path) as reader:
             held = set(reader.object_ids())
         oracle = build_index("brute", Collection(o for o in fixture_objects() if o.id in held))
-        v3_bytes = {shard: path.read_bytes() for shard, path in paths.items()}
+        current_bytes = {shard: path.read_bytes() for shard, path in paths.items()}
         # From here on nothing unpickles (building the cluster loaded its
         # own snapshots).
         request.getfixturevalue("no_unpickling")
 
         # Opening verifies every cold segment: an old one refuses the open.
-        for image, shard in IMAGES.values():
+        for image, shard in MIXED.values():
             paths[shard].write_bytes(image)
         with pytest.raises(CorruptSegmentError, match=_refused_segment(1)):
             TemporalCluster.open(directory, wal_fsync=False)
 
         # An old segment that replaces a served one takes only its shard out.
-        for shard, blob in v3_bytes.items():
+        for shard, blob in current_bytes.items():
             paths[shard].write_bytes(blob)
         with TemporalCluster.open(directory, wal_fsync=False) as cluster:
-            for image, shard in IMAGES.values():
+            for image, shard in MIXED.values():
                 cluster.segment_cache.discard(paths[shard])
                 paths[shard].write_bytes(image)
             old_seen = 0
@@ -196,8 +201,8 @@ class TestMixedFormatCluster:
                 for shard in old:
                     error = result.shard_errors[shard]
                     assert error["code"] == "shard_unavailable"
-                    assert "unsupported (this build reads 3)" in error["message"]
-                expected = oracle.query(q).tolist() if "g0001-s02" in plan else []
+                    assert "unsupported (this build reads 4)" in error["message"]
+                expected = oracle.query(q).tolist() if V3_SHARD in plan else []
                 assert result.ids.tolist() == expected, q
                 if old:
                     old_seen += 1

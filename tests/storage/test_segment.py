@@ -1,9 +1,9 @@
-"""The immutable segment format: fidelity, zero-decode reads, corruption.
+"""The immutable segment format: fidelity, in-place reads, corruption.
 
 The reader must answer every query bit-identically to a live index over
-the same objects *without* ever unpickling the descriptions blob, and
-every torn or bit-flipped byte must surface as a typed error — never a
-wrong answer.
+the same objects without ever building an object, promotion must get the
+objects back exactly, and every torn or bit-flipped byte must surface as
+a typed error at open — never a wrong answer.
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.core.collection import Collection
 from repro.core.errors import (
     ClusterError,
     ConfigurationError,
-    CorruptPostingsError,
     CorruptSegmentError,
     InvalidObjectError,
     ReadOnlySegmentError,
@@ -27,7 +26,6 @@ from repro.indexes.registry import build_index
 from repro.ir.inverted import TemporalInvertedFile
 from repro.obs.registry import isolated_registry
 from repro.service.faults import flip_bit, truncate_tail
-from repro.storage import format as segment_format
 from repro.storage.format import (
     FOOTER_STRUCT,
     MAGIC,
@@ -36,7 +34,6 @@ from repro.storage.format import (
     encode_key,
     pack_header,
     parse_footer,
-    read_directory,
 )
 from repro.storage.reader import SegmentReader
 from repro.storage.writer import build_segment, write_segment
@@ -67,6 +64,17 @@ def segment(objects, tmp_path):
 def _header(image):
     dir_offset, dir_length, _crc = parse_footer(image, "image")
     return json.loads(image[dir_offset : dir_offset + dir_length])
+
+
+def _rewrite_region(image, tmp_path, region, at, raw):
+    """``image`` with ``raw`` written at ``at`` inside ``region`` and that
+    region's CRC in the header recomputed: only the structural checks can
+    refuse it."""
+    body = bytearray(image)
+    body[at : at + len(raw)] = raw
+    offset, length, _crc = _header(image)[region]
+    crc = zlib.crc32(bytes(body[offset : offset + length]))
+    return _rewrite_header(bytes(body), tmp_path, lambda h: h[region].__setitem__(2, crc))
 
 
 def _rewrite_header(image, tmp_path, edit):
@@ -100,7 +108,7 @@ class TestRoundTrip:
         with SegmentReader(segment) as reader:
             for q in queries:
                 assert reader.query(q).tolist() == sorted(oracle.query(q))
-            # The query path must never touch the pickled descriptions.
+            # The query path must never build the objects.
             assert reader.descriptions_decoded is False
 
     def test_pure_temporal_queries(self, objects, segment):
@@ -174,10 +182,10 @@ class TestRoundTrip:
         with SegmentReader(path) as reader:
             assert reader.query(make_query(0, 5, {"a"})).tolist() == [1, I64_MAX]
 
-    def test_written_segments_carry_the_v3_magic(self, segment):
+    def test_written_segments_carry_the_current_magic(self, segment):
         assert segment.read_bytes().endswith(MAGIC)
-        assert MAGIC == b"RSEG\x00\x03"
-        assert _header(segment.read_bytes())["version"] == 3
+        assert MAGIC == b"RSEG\x00\x04"
+        assert _header(segment.read_bytes())["version"] == 4
 
     def test_unencodable_elements_refuse_to_demote(self):
         for element in (2.5, True, frozenset({"a"}), ("a", None)):
@@ -236,17 +244,12 @@ class TestTermKeys:
 
 
 class TestNoUnpickling:
-    def test_v3_query_path_never_unpickles(self, objects, segment, monkeypatch):
-        # Opening, every element's postings, a pure-temporal query and a
-        # membership probe run with pickle.loads refusing; only objects()
-        # (promotion's descriptions blob) may unpickle.
+    def test_open_queries_and_promotion_never_unpickle(self, objects, segment, no_unpickling):
+        # Opening, every element's postings, a pure-temporal query, a
+        # membership probe and promotion all run with every unpickler
+        # refusing: nothing in a segment is pickled.
         oracle = build_index("brute", Collection(objects))
         elements = sorted({e for obj in objects for e in obj.d}, key=repr)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the v3 query path unpickled")
-
-        monkeypatch.setattr(segment_format.pickle, "loads", refuse)
         with SegmentReader(segment) as reader:
             assert sorted(reader.directory.terms, key=repr) == elements
             for element in elements:
@@ -257,8 +260,8 @@ class TestNoUnpickling:
             assert all(obj.id in reader for obj in objects)
             assert max(obj.id for obj in objects) + 1 not in reader
             assert reader.descriptions_decoded is False
-            with pytest.raises(CorruptSegmentError, match="the v3 query path unpickled"):
-                reader.objects()
+            assert reader.objects() == sorted(objects, key=lambda obj: obj.id)
+            assert reader.descriptions_decoded is True
 
 
 class TestPureTemporalScan:
@@ -310,10 +313,14 @@ class TestPureTemporalScan:
 
 class TestZeroDecodeObservability:
     def test_block_skips_are_counted(self, tmp_path):
-        # One popular element spread over many blocks, queried with a
-        # narrow id-range partner so most blocks are skippable.
+        # The block counters count term runs: one read per run a query
+        # scans or cuts its candidates with, one skip per run whose first
+        # and last rows bracket no candidate.
         objects = [
-            make_object(i, (i % 50) * 10, (i % 50) * 10 + 5, {"hot", f"rare{i}"})
+            make_object(
+                i, (i % 50) * 10, (i % 50) * 10 + 5,
+                {"hot", f"rare{i}"} | ({"late"} if i >= 500 else set()),
+            )
             for i in range(600)
         ]
         path = write_segment(
@@ -325,16 +332,17 @@ class TestZeroDecodeObservability:
         )
         with isolated_registry() as registry:
             with SegmentReader(path) as reader:
-                q = make_query(30, 35, {"hot", "rare3"})
-                assert reader.query(q).tolist() == [3]
+                # rare3's run is read, then hot's cuts the one candidate.
+                assert reader.query(make_query(30, 35, {"hot", "rare3"})).tolist() == [3]
+                # late's rows are 500 and up: they bracket no candidate.
+                assert reader.query(make_query(30, 35, {"late", "rare3"})).tolist() == []
                 assert reader.descriptions_decoded is False
             skipped = registry.sample_value("repro_storage_blocks_skipped_total")
             decoded = registry.sample_value("repro_storage_blocks_decoded_total")
             queries = registry.sample_value("repro_storage_cold_queries_total")
-        assert queries == 1
-        assert decoded >= 1
-        # 600 postings for "hot" = 5 blocks; the intersect must skip most.
-        assert skipped >= 3
+        assert queries == 2
+        assert decoded == 3
+        assert skipped == 1
 
     def test_segments_open_gauge(self, segment):
         with isolated_registry() as registry:
@@ -404,35 +412,38 @@ class TestCorruption:
             SegmentReader(segment)
 
     def test_flipped_postings_block(self, objects, segment):
-        # Locate a real block through an intact reader, then damage it.
+        # A damaged byte of an element's postings — its run of the rows
+        # column — fails the open, before any query could read it.
         element = next(iter(sorted(objects, key=lambda o: o.id)[0].d))
-        directory, table = read_directory(memoryview(segment.read_bytes()), str(segment))
-        offset, length = table[:2, directory.terms.get(element)[0]].tolist()
-        flip_bit(segment, offset + length // 2)
         with SegmentReader(segment) as reader:
-            postings = reader.postings(element)
-            with pytest.raises(CorruptPostingsError):
-                postings.ids()
+            start, stop = reader.directory.terms.get(element)
+            rows_offset = reader.directory.rows[0]
+        flip_bit(segment, rows_offset + 4 * ((start + stop) // 2) + 1)
+        with pytest.raises(CorruptSegmentError, match="rows column checksum"):
+            SegmentReader(segment)
 
     def test_flipped_block_table(self, segment):
-        # A damaged summary must never become a mis-skip, nor a damaged
-        # block CRC a refused sound block: the table has a checksum of its
-        # own, checked at open.  One flip per column, and both ends.
-        directory, table = read_directory(memoryview(segment.read_bytes()), str(segment))
-        offset, n_blocks, _crc = directory.block_table
-        assert table.shape == (8, n_blocks) and n_blocks > 8
-        columns = ["offset", "length", "crc32", "min_id", "max_id", "min_st", "max_end", "count"]
-        for column in range(len(columns)):
-            at = offset + 8 * (column * n_blocks + n_blocks // 2)
-            flip_bit(segment, at)
-            with pytest.raises(CorruptSegmentError, match="block table"):
-                SegmentReader(segment)
-            flip_bit(segment, at)  # restore
-        for at in (offset, offset + 64 * n_blocks - 1):
-            flip_bit(segment, at, bit=7)
-            with pytest.raises(CorruptSegmentError, match="block table"):
-                SegmentReader(segment)
-            flip_bit(segment, at, bit=7)
+        # What a v3 block table held — where each term's postings lie and
+        # what they hold — is the term offsets, the rows column and the
+        # catalog columns: one flip in each, and both ends of the rows
+        # column, fail the open naming the region, never a mis-read.
+        header = _header(segment.read_bytes())
+        rows_offset, rows_length, _crc = header["rows"]
+        catalog_offset, _length, _crc = header["catalog"]
+        terms_offset, terms_length, _crc = header["terms"]
+        count = header["count"]
+        assert rows_length // 4 > header["n_terms"] > 8
+        flips = {
+            "rows column": [rows_offset, rows_offset + rows_length // 2, rows_offset + rows_length - 1],
+            "catalog columns": [catalog_offset + 8 * k * count + 3 for k in range(3)],
+            "term table": [terms_offset + 8, terms_offset + terms_length - 1],
+        }
+        for region, offsets in flips.items():
+            for at in offsets:
+                flip_bit(segment, at, bit=7)
+                with pytest.raises(CorruptSegmentError, match=f"{region} checksum"):
+                    SegmentReader(segment)
+                flip_bit(segment, at, bit=7)  # restore
         SegmentReader(segment).close()  # restored: sound again
 
     def test_flipped_catalog_columns(self, tmp_path):
@@ -467,29 +478,26 @@ class TestCorruption:
         SegmentReader(segment).close()
 
     def test_term_rows_must_partition_the_block_table(self, objects, tmp_path):
-        # A term table with a sound CRC whose first_row column is not
-        # 0 = r0 < r1 < … = n_blocks would hand a term someone else's rows
+        # A term table with a sound CRC whose offsets are not
+        # 0 = o0 < o1 < … = n_rows would hand a term someone else's rows
         # (or none): refused at open.
         image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
         header = _header(image)
         offset, length, _crc = header["terms"]
-        n_blocks = header["block_table"][1] // 64
-        for at, value in [(1, 0), (2, 1), (0, 1), (header["n_terms"], n_blocks + 1)]:
-            body = bytearray(image)
-            body[offset + 8 * at : offset + 8 * at + 8] = value.to_bytes(8, "little")
-            region = bytes(body[offset : offset + length])
-            path = _rewrite_header(
-                bytes(body), tmp_path, lambda h: h["terms"].__setitem__(2, zlib.crc32(region))
+        n_rows = header["rows"][1] // 4
+        for at, value in [(1, 0), (2, 1), (0, 1), (header["n_terms"], n_rows + 1)]:
+            path = _rewrite_region(
+                image, tmp_path, "terms", offset + 8 * at, value.to_bytes(8, "little")
             )
             with pytest.raises(CorruptSegmentError, match="do not partition"):
                 SegmentReader(path)
 
     def test_block_table_bounds_are_checked(self, objects, tmp_path):
-        # A header whose table region runs into the header itself (a
+        # A header whose rows region runs into the header itself (a
         # consistent CRC cannot save it) is refused, not sliced.
         image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
-        path = _rewrite_header(image, tmp_path, lambda h: h["block_table"].__setitem__(1, 64 << 40))
-        with pytest.raises(CorruptSegmentError, match="block table .* runs past the body"):
+        path = _rewrite_header(image, tmp_path, lambda h: h["rows"].__setitem__(1, 4 << 40))
+        with pytest.raises(CorruptSegmentError, match="rows column .* runs past the body"):
             SegmentReader(path)
 
     @pytest.mark.parametrize(
@@ -503,9 +511,11 @@ class TestCorruption:
             (lambda h: h.__setitem__("span", [0.5, 2]), "'span' is missing or malformed"),
             (lambda h: h.__setitem__("version", 2), "'version' is missing or malformed"),
             (lambda h: h.__setitem__("key_width", 0), "'key_width' is missing or malformed"),
-            (lambda h: h["descriptions"].pop(), "'descriptions' is missing or malformed"),
-            (lambda h: h["terms"].__setitem__(0, sum(h["descriptions"][:2])),  # dir_offset
+            (lambda h: h["rows"].pop(), "'rows' is missing or malformed"),
+            (lambda h: h.__setitem__("count", 1 << 31), "'count' .* \\(2147483648\\)"),
+            (lambda h: h["terms"].__setitem__(0, sum(h["terms"][:2])),  # dir_offset
              "term table .* runs past the body"),
+            (lambda h: h["rows"].__setitem__(1, h["rows"][1] - 2), "rows region .* does not fit"),
             (lambda h: h["catalog"].__setitem__(1, 8), "catalog region of 8 bytes does not fit"),
             (lambda h: h.__setitem__("n_terms", h["n_terms"] + 1), "terms region .* does not fit"),
             (lambda h: h.__setitem__("key_width", h["key_width"] + 1),
@@ -534,13 +544,147 @@ class TestCorruption:
         with pytest.raises(CorruptSegmentError):
             SegmentReader(tmp_path / "absent.seg")
 
-    def test_corrupt_descriptions_blob(self, segment):
-        with SegmentReader(segment) as reader:
-            offset, _length, _crc = reader.directory.descriptions
-        flip_bit(segment, offset + 1)
-        with SegmentReader(segment) as reader:
-            # Queries never touch the blob, so they still work…
+    def test_corrupt_descriptions_blob(self, objects, tmp_path):
+        # A description is rebuilt from the term keys and runs.  A key that
+        # does not decode, behind a sound CRC and in key order, is not
+        # read by queries on other terms — but promotion detects it
+        # instead of resurrecting junk.
+        image = build_segment(objects, shard_id="s", index_key=INDEX_KEY, index_params={})
+        header = _header(image)
+        offset, length, _crc = header["terms"]
+        width = header["key_width"]
+        path = _rewrite_region(
+            image, tmp_path, "terms", offset + length - width, b"\xff" * (width - 1) + b"s"
+        )
+        oracle = build_index("brute", Collection(objects))
+        with SegmentReader(path) as reader:
+            last = max(map(encode_key, {e for obj in objects for e in obj.d}))
+            kept = next(e for obj in objects for e in obj.d if encode_key(e) != last)
+            q = make_query(0, 10**6, {kept})
+            assert reader.query(q).tolist() == sorted(oracle.query(q))
             assert reader.query(make_query(0, 10**6, set())).tolist() == reader.object_ids()
-            # …but promotion detects the damage instead of resurrecting junk.
-            with pytest.raises(CorruptSegmentError):
+            with pytest.raises(CorruptSegmentError, match="does not decode"):
                 reader.objects()
+
+
+class TestLifetimes:
+    def test_close_succeeds_while_postings_and_answers_are_held(self, objects, segment):
+        # Postings views hold the reader's columns object, never a view of
+        # the mapping, and answers own their ids: closing unmaps the file
+        # while both are still held.
+        element = next(iter(sorted(objects, key=lambda o: o.id)[0].d))
+        reader = SegmentReader(segment)
+        postings = reader.postings(element)
+        answer = reader.query(make_query(-(1 << 40), 1 << 40, {element}))
+        pure = reader.query(make_query(-(1 << 40), 1 << 40, set()))
+        held = postings.ids()
+        reader.close()
+        assert reader.closed and reader._mmap.closed
+        assert answer.tolist() == held and answer.base is None and pure.base is None
+        assert len(pure) == len(objects)
+        with pytest.raises(ValueError, match="closed segment"):
+            postings.ids()
+
+
+#: Elements of every encodable kind, and two no segment will hold.
+POOL = ["a", "b", "", "é\ud800", b"", b"\x00", 0, -1, 1 << 70, (), ("a", 1), (("x",), b"y")]
+ABSENT = ["zzz", ("b",)]
+
+
+def _random_shard(rng):
+    """Up to 60 objects: ids and times drawn from the i64 edges and a
+    small range, descriptions of any kind, some of them empty."""
+    n = rng.choice([0, 1, 2, 5, 60])
+    ids = rng.sample([0, 1, I64_MAX - 1, I64_MAX, *range(2, 400)], n)
+    edges = [I64_MIN, I64_MIN + 1, -1, 0, I64_MAX - 1, I64_MAX]
+    objects = []
+    for object_id in ids:
+        st, end = sorted(rng.choice(edges) if rng.random() < 0.2 else rng.randint(-50, 50)
+                         for _ in range(2))
+        d = set(rng.sample(POOL, rng.choice([0, 1, 1, 2, 4])))
+        objects.append(make_object(object_id, st, end, d))
+    return objects
+
+
+def _random_queries(rng, n):
+    edges = [I64_MIN, -60, -1, 0, 0.5, 50, I64_MAX, float(I64_MAX), -1e30, 1e30]
+    queries = []
+    for _ in range(n):
+        st, end = sorted(rng.choice(edges) if rng.random() < 0.3 else rng.randint(-60, 60)
+                         for _ in range(2))
+        queries.append(make_query(st, end, rng.sample(POOL + ABSENT, rng.choice([0, 1, 1, 2, 3]))))
+    return queries
+
+
+class TestV4Property:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_shards_answer_like_brute_force_and_round_trip(self, seed, tmp_path):
+        rng = random.Random(seed)
+        for shard in range(4):
+            objects = _random_shard(rng)
+            path = write_segment(
+                tmp_path / f"{shard}.seg", objects, shard_id="s", index_key=INDEX_KEY,
+                index_params={},
+            )
+            oracle = build_index("brute", Collection(objects)) if objects else None
+            with SegmentReader(path) as reader:
+                for q in _random_queries(rng, 40):
+                    want = sorted(oracle.query(q)) if oracle is not None else []
+                    assert reader.query(q).tolist() == want, (seed, shard, q)
+                assert reader.descriptions_decoded is False
+                got = reader.objects()
+            assert got == sorted(objects, key=lambda obj: obj.id)
+            assert [type(e) for obj in got for e in sorted(obj.d, key=repr)] == [
+                type(e) for obj in sorted(objects, key=lambda o: o.id)
+                for e in sorted(obj.d, key=repr)
+            ]
+
+
+class TestEveryByte:
+    """A small segment, torn at every offset and flipped at every bit."""
+
+    OBJECTS = [
+        make_object(1, 0, 5, {"a", "b"}),
+        make_object(4, I64_MIN, -3, {"a", ("t", 1)}),
+        make_object(9, 3, I64_MAX, {b"\x00"}),
+        make_object(12, 7, 7, set()),
+        make_object(I64_MAX, -2, 2, {"b", 5}),
+    ]
+    QUERIES = [
+        make_query(lo, hi, d)
+        for lo, hi in [(I64_MIN, I64_MAX), (0, 4), (6, 8), (-5, -3)]
+        for d in [set(), {"a"}, {"b", b"\x00"}, {("t", 1)}, {5}, {"a", "b"}]
+    ]
+
+    def _observed(self, path):
+        with SegmentReader(path) as reader:
+            return [reader.query(q).tolist() for q in self.QUERIES], reader.objects()
+
+    def test_every_truncation_and_bit_flip_is_typed(self, tmp_path):
+        image = build_segment(self.OBJECTS, shard_id="s", index_key=INDEX_KEY, index_params={})
+        path = tmp_path / "small.seg"
+        path.write_bytes(image)
+        expected = self._observed(path)
+        assert expected[1] == self.OBJECTS
+        header = _header(image)
+        rows_end = header["rows"][0] + header["rows"][1]
+        padding = set(range(rows_end, header["catalog"][0]))
+        assert padding  # an odd number of rows: the catalog is aligned past them
+        for cut in range(len(image)):
+            path.write_bytes(image[:cut])
+            with pytest.raises(CorruptSegmentError):
+                SegmentReader(path)
+        opened = set()
+        for at in range(len(image)):
+            for bit in range(8):
+                damaged = bytearray(image)
+                damaged[at] ^= 1 << bit
+                path.write_bytes(bytes(damaged))
+                try:
+                    observed = self._observed(path)
+                except CorruptSegmentError:
+                    continue
+                assert observed == expected, (at, bit)
+                opened.add(at)
+        # Every byte is under a checksum but the alignment padding.
+        assert opened == padding
