@@ -9,53 +9,39 @@ daemon with an ever-growing outbound buffer); and shutdown is a drain
 (stop accepting, let in-flight work finish or deadline out, flush every
 tenant's WAL, exit) rather than a drop.
 
+Request path
+------------
+Each connection is one :class:`_Connection`, an ``asyncio.Protocol``
+that cuts whole frames off its buffer (a declared length over the limit,
+or the attachment bit on a request, is one ``bad_request`` and a
+hang-up) and hands each to one synchronous :meth:`QueryDaemon._dispatch`:
+validation, trace, admission and — when nothing has to wait — execution
+and accounting, returning the response for ``transport.write``.  A store
+read runs there when admission has a free slot, the tenant's read lock
+is free without waiting, and the index bounds the postings it touches
+(``work_bound``) within :data:`INLINE_BUDGET`.
+
 Concurrency model
 -----------------
-One asyncio loop owns all socket I/O and the admission state.  Index
-work is synchronous CPU-bound Python, so admitted requests execute on a
-bounded thread pool (``max_inflight`` workers — the pool *is* the
-capacity; a full pool parks requests in a FIFO that finishing requests
-hand their slots to).  Per tenant, a read/write lock lets queries
-overlap while mutations get exclusivity (the WAL and the in-memory index
-are not safe under concurrent mutation).  A cheap store read skips the
-pool: when admission granted its slot without queueing, the tenant's
-read lock is free without waiting, and the index bounds the postings the
-read touches (``work_bound``) within :data:`INLINE_BUDGET`, the read runs
-on the loop and releases its hold before the coroutine next yields — so
-it can delay the loop no longer than a pool thread holding the GIL
-would.  Mutations, cluster reads and unbounded or over-budget reads take
-the pool.  Deadlines are enforced cooperatively at shard boundaries
-inside the cluster scatter-gather
-(:meth:`~repro.cluster.ClusterRouter.query_partial`) and by one loop
-timer per wait: admission queue, lock queue, pool call; an inline read
-is bounded by the budget instead of a timer.  An expired
-execution backstop abandons the *result*, not the thread — a
-pathological query can at worst occupy one of ``max_inflight`` slots
-until it returns.  The tenant lock stays held until that thread really
-finishes (the pool future's done-callback releases it), so an abandoned
-mutation can never overlap a later one on the same store; drain likewise
-waits for outstanding pool futures before flushing WALs.  Uncontended,
-a request creates no task; an inline read never suspends, and any other
-request suspends once, on the pool hop.
+One asyncio loop owns all socket I/O and the admission state.  A request
+that has to wait — in the admission queue, in the tenant lock's queue,
+on the pool call and its backstop timer, or on an injected network delay
+(a :class:`~repro.service.faults.NetworkFaultInjector` is consulted once
+per frame each way) — gets a coroutine from the dispatch that finishes
+it; the connection pauses reading, runs it as its one task, writes the
+response and resumes, so one connection's requests stay strictly
+sequential.  Mutations, cluster reads and unbounded or over-budget reads
+run on a bounded thread pool (``max_inflight`` workers; a full pool
+parks requests in a FIFO).  Per tenant, a read/write lock lets reads
+overlap while mutations get exclusivity.  An expired pool call abandons
+the *result*, not the thread: the tenant lock stays held until that
+thread finishes (the pool future's done-callback releases it), and drain
+waits for it before flushing WALs.
 
-Fault injection
----------------
-A :class:`~repro.service.faults.NetworkFaultInjector` may be installed;
-the daemon consults it once per received frame and once per sent frame
-and executes the planned drop/delay/close — the chaos suite's hook.
-
-Observability plane
--------------------
-Every work request gets a :class:`~repro.obs.context.RequestTrace`
-(adopting the client's ``trace`` context when present) whose spans cover
-ingress, admission wait, tenant-lock wait, and execution (``inline``
-says whether it ran on the loop or the pool) — a pool thread re-parents the cluster router's per-shard/per-replica
-spans beneath the ``execute`` span, so one stitched tree attributes a
-slow request to its actual phase.  Head-based sampling keeps the cost
-near zero at low rates; errors and deadline misses are force-captured
-regardless.  Finished traces feed a bounded buffer, the slow-query log,
-and per-tenant SLO windows, all exported by the ``introspect`` verb (see
-``docs/observability.md``).
+Every work request gets a :class:`~repro.obs.context.RequestTrace` whose
+spans cover ingress, admission, tenant-lock wait and execution
+(``inline`` says loop or pool); errors and deadline misses are
+force-captured regardless of sampling (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -67,55 +53,33 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Coroutine, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.cluster import PartialResult
 from repro.core.answer import NO_IDS
 from repro.core.errors import (
-    DuplicateObjectError,
-    InvalidObjectError,
-    InvalidQueryError,
-    ReproError,
-    ShardUnavailableError,
-    StoreClosedError,
-    UnknownObjectError,
+    DuplicateObjectError, InvalidObjectError, InvalidQueryError, ReproError,
+    ShardUnavailableError, StoreClosedError, UnknownObjectError,
 )
 from repro.core.model import TimeTravelQuery, make_object, make_query
-from repro.obs.context import (
-    RequestTrace,
-    TraceContext,
-    Tracer,
-    capture_active,
-    span,
-    under,
-)
+from repro.obs.context import RequestTrace, TraceContext, Tracer, capture_active, span, under
 from repro.obs.events import EventLog, SlowQueryLog
+from repro.obs.instruments import ServerInstruments, server_instruments
+from repro.obs.instruments import tenant_instruments, trace_instruments
 from repro.obs.registry import OBS
 from repro.obs.slo import SloAccountant
 from repro.server import protocol
 from repro.server.introspect import introspect
 from repro.server.protocol import (
-    E_BAD_REQUEST,
-    E_CONFLICT,
-    E_DEADLINE,
-    E_INTERNAL,
-    E_NOT_FOUND,
-    E_OVERLOADED,
-    E_SHUTTING_DOWN,
-    E_UNAVAILABLE,
-    E_UNKNOWN_TENANT,
+    E_BAD_REQUEST, E_CONFLICT, E_DEADLINE, E_INTERNAL, E_NOT_FOUND, E_OVERLOADED,
+    E_SHUTTING_DOWN, E_UNAVAILABLE, E_UNKNOWN_TENANT,
 )
-from repro.server.tenants import TenantRegistry, UnknownTenantError
-from repro.service.faults import (
-    NET_CLOSE,
-    NET_DELAY,
-    NET_DROP,
-    InjectedDisconnect,
-    NetworkFaultInjector,
-)
+from repro.server.tenants import Tenant, TenantRegistry, UnknownTenantError
+from repro.service.faults import NET_CLOSE, NET_DELAY, NetAction, NetworkFaultInjector
 from repro.utils.locks import AsyncRWLock
 
-#: Verbs that go through admission control and the executor pool.
+#: Verbs that go through admission control (and may take the pool).
 WORK_VERBS = frozenset({"query", "batch", "insert", "delete"})
 
 #: Cheap control-plane verbs answered inline on the event loop.
@@ -124,13 +88,14 @@ CONTROL_VERBS = frozenset({"status", "metrics", "ping", "shutdown", "introspect"
 ALL_VERBS = WORK_VERBS | CONTROL_VERBS
 
 #: Postings entries a store read may touch and still run on the event loop
-#: instead of the pool (see ``docs/server.md``, "Request path").  The
-#: smallest power of two covering every read of the ledger's
-#: ``daemon-query`` mix at 2·10⁴ objects; on packed postings, the one
-#: layout every index uses, the slowest of those takes about 0.5 ms, a
-#: tenth of ``sys.getswitchinterval()`` (5 ms), the longest the loop
-#: already waits while a pool thread holds the GIL.
+#: (``docs/server.md``, "Request path"): the smallest power of two covering
+#: every read of the ledger's ``daemon-query`` mix at 2·10⁴ objects, the
+#: slowest of which takes about 0.5 ms, a tenth of the 5 ms GIL switch
+#: interval the loop already waits out behind a pool thread.
 INLINE_BUDGET = 1 << 16
+
+#: What a dispatch returns: the response, or a coroutine that returns it.
+Answer = Union[Dict[str, Any], Coroutine[Any, Any, Dict[str, Any]]]
 
 
 @dataclass
@@ -145,11 +110,9 @@ class ServerConfig:
     max_deadline_ms: int = 60_000
     write_timeout: float = 5.0  # slow-client response-write bound
     drain_timeout: float = 10.0  # in-flight grace on shutdown
-    # Extra time past the deadline granted to *cluster* queries so the
-    # cooperative scatter-gather can surface the partial result it was
-    # building (a mid-shard probe cannot be interrupted, only awaited a
-    # little longer or abandoned).  Store queries get no grace: they are
-    # one atomic probe, so the backstop abandons them exactly on time.
+    # Extra time past the deadline for *cluster* queries, so the
+    # scatter-gather can surface the partial result it was building; a
+    # store query is one atomic probe and is abandoned exactly on time.
     deadline_grace: float = 0.5
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     retry_after_ms: int = 50  # hint attached to shed responses
@@ -174,25 +137,18 @@ class ServerConfig:
         if self.default_deadline_ms < 1 or self.max_deadline_ms < 1:
             raise ReproError("deadlines must be positive")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ReproError(
-                f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}"
-            )
+            raise ReproError(f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}")
         if self.trace_buffer < 1:
             raise ReproError(f"trace_buffer must be >= 1, got {self.trace_buffer}")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
-            raise ReproError(
-                f"slow_query_ms must be >= 0 or None, got {self.slow_query_ms}"
-            )
+            raise ReproError(f"slow_query_ms must be >= 0 or None, got {self.slow_query_ms}")
 
 
 class QueryDaemon:
     """One serving daemon over a :class:`TenantRegistry`."""
 
     def __init__(
-        self,
-        tenants: TenantRegistry,
-        config: Optional[ServerConfig] = None,
-        *,
+        self, tenants: TenantRegistry, config: Optional[ServerConfig] = None, *,
         net_faults: Optional[NetworkFaultInjector] = None,
     ) -> None:
         self.tenants = tenants
@@ -203,27 +159,22 @@ class QueryDaemon:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_futures: Set["Future[Any]"] = set()
         self._locks: Dict[str, AsyncRWLock] = {}
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_Connection] = set()
         self._executing = 0
         self._queue: Deque["asyncio.Future[bool]"] = deque()  # admission FIFO
-        self._active = 0  # requests between dispatch and response-sent
+        self._active = 0  # requests whose answer waits (connection tasks)
         self._draining = False
         self._drain_requested: Optional[asyncio.Event] = None
         self._drain_report: Dict[str, int] = {}
         # Observability plane: tracer + event/slow-query logs + SLO windows.
         cfg = self.config
-        self.tracer = Tracer(
-            sample_rate=cfg.trace_sample_rate,
-            capacity=cfg.trace_buffer,
-            rng=random.Random(cfg.trace_seed) if cfg.trace_seed is not None else None,
-        )
+        rng = random.Random(cfg.trace_seed) if cfg.trace_seed is not None else None
+        self.tracer = Tracer(sample_rate=cfg.trace_sample_rate, capacity=cfg.trace_buffer, rng=rng)
         self.events = EventLog(cfg.event_log_capacity, cfg.slow_log_path)
         self.slow_log = SlowQueryLog(self.events, cfg.slow_query_ms)
         self.slo = SloAccountant(
-            capacity=cfg.slo_window,
-            horizon_s=cfg.slo_horizon_s,
-            latency_slo_ms=cfg.slo_latency_ms,
-            error_budget=cfg.slo_error_budget,
+            capacity=cfg.slo_window, horizon_s=cfg.slo_horizon_s,
+            latency_slo_ms=cfg.slo_latency_ms, error_budget=cfg.slo_error_budget,
             max_tenants=cfg.slo_max_tenants,
         )
         self._trace_drops_seen = 0
@@ -232,12 +183,9 @@ class QueryDaemon:
     async def start(self) -> None:
         """Bind the socket and start accepting (loop-owned state born here)."""
         self._drain_requested = asyncio.Event()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.max_inflight,
-            thread_name_prefix="repro-server",
-        )
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
+        self._pool = ThreadPoolExecutor(self.config.max_inflight, "repro-server")
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(_Connection, self), self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -246,14 +194,9 @@ class QueryDaemon:
         if self._drain_requested is not None:
             self._drain_requested.set()
 
-    async def run_until_drained(
-        self, *, install_signal_handlers: bool = True
-    ) -> Dict[str, int]:
-        """Serve until a drain is requested, then drain; the CLI main loop.
-
-        SIGTERM and SIGINT both trigger the graceful path: stop accepting,
-        answer (or deadline-out) everything in flight, flush WALs, return.
-        """
+    async def run_until_drained(self, *, install_signal_handlers: bool = True) -> Dict[str, int]:
+        """Serve until a drain is requested (SIGTERM and SIGINT request
+        one), then drain; the CLI main loop."""
         if self._server is None:
             await self.start()
         assert self._drain_requested is not None
@@ -269,30 +212,24 @@ class QueryDaemon:
         if self._draining:
             return self._drain_report
         self._draining = True
-        self._count(lambda i: i.drains.inc())
+        inst = self._instruments()
+        if inst is not None:
+            inst.drains.inc()
         in_flight = self._active
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Let in-flight work finish: every admitted request has a deadline,
-        # so this loop is bounded even without the drain_timeout backstop.
+        # Every admitted request has a deadline, so this wait is bounded.
         grace_until = time.monotonic() + self.config.drain_timeout
         while self._active and time.monotonic() < grace_until:
             await asyncio.sleep(0.005)
         abandoned = self._active
         # Now sever lingering connections (idle keep-alives, slow clients).
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            # analysis: allow(REP006, reason=best-effort severing of an already-dying socket during drain; any close failure means the peer is gone, which is the goal)
-            except Exception:
-                pass
-        await asyncio.sleep(0)  # let connection tasks observe the close
-        # Deadline-abandoned worker threads may still be inside a store
-        # mutation; the WAL must not be flushed and closed underneath
-        # them.  Wait (bounded) for every outstanding pool future — the
-        # tenant-lock releases ride on their done-callbacks — before
-        # touching the tenants.
+        for connection in list(self._connections):
+            connection.transport.close()
+        await asyncio.sleep(0)  # let the transports report their close
+        # An abandoned pool thread may still be mutating a store: wait for
+        # it (bounded) before the WALs are flushed and closed.
         pool_grace = time.monotonic() + self.config.drain_timeout
         while self._pool_futures and time.monotonic() < pool_grace:
             await asyncio.sleep(0.005)
@@ -301,158 +238,43 @@ class QueryDaemon:
             self._pool.shutdown(wait=False)
         if not wedged:
             self.tenants.close_all()
-        # else: a thread outlived the full grace period and may still be
-        # mutating a store — closing now could tear the WAL tail it is
-        # writing.  Every ack'd record is already flushed+fsync'd by
-        # WAL.append, so skipping close loses nothing durable; the next
-        # open replays the WAL.
-        self.events.emit(
-            "drain",
-            in_flight_at_drain=in_flight,
-            abandoned=abandoned,
-            wedged_threads=wedged,
-        )
+        # else: closing could tear the WAL tail a wedged thread is writing;
+        # every ack'd record is already fsync'd, and the next open replays.
+        report = {"in_flight_at_drain": in_flight, "abandoned": abandoned, "wedged_threads": wedged}
+        self.events.emit("drain", **report)
         self.events.close()
-        self._drain_report = {
-            "in_flight_at_drain": in_flight,
-            "abandoned": abandoned,
-            "wedged_threads": wedged,
-        }
-        return self._drain_report
-
-    # -------------------------------------------------------------- connection
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        self._count(lambda i: (i.connections.inc(), i.open_connections.inc()))
-        try:
-            await self._connection_loop(reader, writer)
-        except protocol.ProtocolError as exc:
-            # One best-effort structured reply, then hang up: a framing
-            # violation poisons everything after it on this connection.
-            await self._send(
-                writer,
-                protocol.error_response(None, E_BAD_REQUEST, str(exc)),
-            )
-        except (
-            InjectedDisconnect,
-            ConnectionError,
-            asyncio.IncompleteReadError,
-        ):
-            pass  # peer vanished; nothing sensible left to say
-        finally:
-            self._writers.discard(writer)
-            self._count(lambda i: i.open_connections.dec())
-            try:
-                writer.close()
-            # analysis: allow(REP006, reason=connection teardown after the request loop ended; a close failure on a dead transport has no remaining observer)
-            except Exception:
-                pass
-
-    async def _connection_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            frame = await protocol.read_frame(
-                reader, self.config.max_frame_bytes, attachments=False
-            )
-            if frame is None:
-                return
-            payload, nbytes = frame
-            self._count(lambda i: i.bytes_read.inc(nbytes))
-            if self.net_faults is not None:
-                action = self.net_faults.on_recv()
-                if action is not None:
-                    self._count(lambda i: i.injected_faults.labels(action[0]).inc())
-                    if action[0] == NET_DROP:
-                        continue  # request vanishes; the client retries
-                    if action[0] == NET_DELAY:
-                        await asyncio.sleep(action[1])
-                    elif action[0] == NET_CLOSE:
-                        raise InjectedDisconnect("injected recv-side close")
-            self._active += 1
-            try:
-                response = await self._handle_request(payload)
-                if response is not None and not await self._send(writer, response):
-                    return  # slow client or injected close: abandon the conn
-            finally:
-                self._active -= 1
-            if self._draining:
-                return
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
-    ) -> bool:
-        """Write one response frame; False means the connection is gone."""
-        if self.net_faults is not None:
-            action = self.net_faults.on_send()
-            if action is not None:
-                self._count(lambda i: i.injected_faults.labels(action[0]).inc())
-                if action[0] == NET_DROP:
-                    return True  # silently lost on the wire
-                if action[0] == NET_DELAY:
-                    await asyncio.sleep(action[1])
-                elif action[0] == NET_CLOSE:
-                    writer.transport.abort()
-                    return False
-        try:
-            data = protocol.encode_frame(payload)
-        except protocol.ProtocolError:
-            data = protocol.encode_frame(
-                protocol.error_response(
-                    payload.get("id"), E_INTERNAL, "response exceeded frame limit"
-                )
-            )
-        writer.write(data)
-        transport = writer.transport
-        # Drain only a socket that did not take the whole frame (or is closing).
-        if transport.get_write_buffer_size() or transport.is_closing():
-            try:
-                await asyncio.wait_for(writer.drain(), self.config.write_timeout)
-            except asyncio.TimeoutError:
-                # Slow client: its kernel buffers are full and it is not
-                # reading.  Keeping the connection would let one laggard
-                # pin daemon memory; cut it loose instead.
-                self._count(lambda i: i.slow_client_closes.inc())
-                transport.abort()
-                return False
-            except (ConnectionError, InjectedDisconnect):
-                return False
-        self._count(lambda i: i.bytes_written.inc(len(data)))
-        return True
+        self._drain_report = report
+        return report
 
     # ---------------------------------------------------------------- requests
-    async def _handle_request(
-        self, payload: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
+    async def _handle_request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """:meth:`_dispatch` as one awaitable."""
+        response = self._dispatch(payload, self._instruments())
+        return response if isinstance(response, dict) else await response
+
+    def _dispatch(self, payload: Dict[str, Any], inst: Optional[ServerInstruments]) -> Answer:
+        """Answer one request frame: the response, or — when the request
+        has to wait — a coroutine that finishes it and returns it."""
         started = time.monotonic()
         request_id = payload.get("id")
         verb = payload.get("verb")
         if not isinstance(verb, str) or verb not in ALL_VERBS:
-            return self._error(
-                request_id, E_BAD_REQUEST, f"unknown verb {verb!r}", verb="invalid"
-            )
-        self._count(lambda i: i.requests.labels(verb).inc())
+            return self._error(request_id, E_BAD_REQUEST, f"unknown verb {verb!r}")
+        if inst is not None:
+            inst.requests.labels(verb).inc()
+        response: Answer
         try:
             if verb in CONTROL_VERBS:
                 response = self._control(request_id, verb, payload)
             else:
-                response = await self._work(request_id, verb, payload, started)
+                response = self._work(request_id, verb, payload, started, inst)
         except Exception as exc:  # noqa: BLE001 — the daemon must answer
-            response = self._error(
-                request_id, E_INTERNAL, f"{type(exc).__name__}: {exc}", verb=verb
-            )
-        self._count(
-            lambda i: i.request_seconds.labels(verb).observe(
-                time.monotonic() - started
-            )
-        )
+            response = self._error(request_id, E_INTERNAL, f"{type(exc).__name__}: {exc}")
+        if inst is not None and type(response) is dict:
+            inst.request_seconds.labels(verb).observe(time.monotonic() - started)
         return response
 
-    def _control(
-        self, request_id: Any, verb: str, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def _control(self, request_id: Any, verb: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         if verb == "ping":
             return protocol.ok_response(request_id, {"pong": True})
         if verb == "shutdown":
@@ -463,109 +285,112 @@ class QueryDaemon:
         if verb == "metrics":
             from repro.obs.exposition import render_prometheus
 
-            # Fold the lazily-computed SLO gauges into the scrape.
-            self.slo.publish()
+            self.slo.publish()  # fold the lazily-computed SLO gauges into the scrape
+            body = render_prometheus(OBS.registry)
             return protocol.ok_response(
-                request_id,
-                {
-                    "format": "prometheus",
-                    "enabled": OBS.registry.enabled,
-                    "body": render_prometheus(OBS.registry),
-                },
+                request_id, {"format": "prometheus", "enabled": OBS.registry.enabled, "body": body}
             )
-        # status
-        return protocol.ok_response(
+        limits = ("max_inflight", "max_queue", "default_deadline_ms", "max_deadline_ms")
+        return protocol.ok_response(  # status
             request_id,
             {
                 "draining": self._draining,
                 "tenants": self.tenants.stats(),
                 "executing": self._executing,
                 "waiting": len(self._queue),
-                "open_connections": len(self._writers),
-                "limits": {
-                    "max_inflight": self.config.max_inflight,
-                    "max_queue": self.config.max_queue,
-                    "default_deadline_ms": self.config.default_deadline_ms,
-                    "max_deadline_ms": self.config.max_deadline_ms,
-                },
+                "open_connections": len(self._connections),
+                "limits": {name: getattr(self.config, name) for name in limits},
             },
         )
 
-    async def _work(
-        self, request_id: Any, verb: str, payload: Dict[str, Any], started: float
-    ) -> Dict[str, Any]:
+    def _work(self, request_id: Any, verb: str, payload: Dict[str, Any], started: float,
+              inst: Optional[ServerInstruments]) -> Answer:
         if self._draining:
             message = "daemon is draining; no new work accepted"
-            return self._error(request_id, E_SHUTTING_DOWN, message, verb=verb)
+            return self._error(request_id, E_SHUTTING_DOWN, message)
         try:
             deadline = started + self._deadline_seconds(payload)
             tenant = self.tenants.get(self._tenant_name(payload))
         except UnknownTenantError as exc:
-            return self._error(request_id, E_UNKNOWN_TENANT, str(exc), verb=verb)
+            return self._error(request_id, E_UNKNOWN_TENANT, str(exc))
         except _BadRequest as exc:
-            return self._error(request_id, E_BAD_REQUEST, str(exc), verb=verb)
-
-        trace = self.tracer.begin(
-            TraceContext.from_wire(payload.get("trace")),
-            name="ingress",
-            verb=verb,
-            tenant=tenant.name,
-        )
-        waits = {"queue_ms": 0.0, "lock_ms": 0.0}
+            return self._error(request_id, E_BAD_REQUEST, str(exc))
+        context = TraceContext.from_wire(payload.get("trace"))
+        trace = self.tracer.begin(context, name="ingress", verb=verb, tenant=tenant.name)
+        request = _Request(request_id, verb, payload, tenant, deadline, started, inst, trace)
+        free = self._slot_free()
+        if not free and len(self._queue) < self.config.max_queue:
+            return self._work_later(request, queued=True)
         with trace.activate():
             with span("admission") as rec:
-                queue_t0 = time.monotonic()
-                unqueued = self._slot_free()  # only these may run inline
-                admitted = await self._admit(deadline)
-                waits["queue_ms"] = (time.monotonic() - queue_t0) * 1000.0
                 if rec is not None:
-                    rec.attrs["admitted"] = admitted
-            if admitted == "shed":
-                self._count(lambda i: i.shed.inc())
-                response = self._error(
-                    request_id,
-                    E_OVERLOADED,
-                    f"admission queue at capacity "
-                    f"({self.config.max_inflight} executing, "
-                    f"{self.config.max_queue} queued)",
-                    verb=verb,
-                    retry_after_ms=self.config.retry_after_ms,
-                )
-            elif admitted == "deadline":
-                response = self._deadline_error(
-                    request_id, verb, "waiting for an execution slot"
-                )
+                    rec.attrs["admitted"] = "ok" if free else "shed"
+            if not free:
+                response = self._refused(request, "shed")
             else:
-                try:
-                    response = await self._execute(
-                        request_id, verb, payload, tenant, deadline, waits,
-                        inline=unqueued,
-                    )
-                finally:
-                    self._release_slot()
-        self._finish_work(trace, tenant.name, verb, response, started, waits)
+                # A read answered right here never yields the loop, so it
+                # needs no slot of its own; a request that waits holds one.
+                response = self._execute_now(request)
+                if response is None:
+                    self._executing += 1
+                    self._publish_slots()
+                    return self._work_later(request, queued=False)
+        self._finish_work(request, response)
         return response
 
-    def _finish_work(
-        self,
-        trace: RequestTrace,
-        tenant_name: str,
-        verb: str,
-        response: Dict[str, Any],
-        started: float,
-        waits: Dict[str, float],
-    ) -> None:
+    async def _work_later(self, request: _Request, *, queued: bool) -> Dict[str, Any]:
+        """Finish a work request that has to wait: in the admission queue
+        (``queued``; it holds no slot yet), for the tenant lock, or on the
+        pool."""
+        try:
+            with request.trace.activate():
+                admitted = "ok"
+                if queued:
+                    with span("admission") as rec:
+                        queue_t0 = time.monotonic()
+                        admitted = await self._admit(request.deadline)
+                        request.queue_ms = (time.monotonic() - queue_t0) * 1000.0
+                        if rec is not None:
+                            rec.attrs["admitted"] = admitted
+                if admitted != "ok":
+                    response = self._refused(request, admitted)
+                else:
+                    try:
+                        response = await self._execute(request)
+                    finally:
+                        self._release_slot()
+            self._finish_work(request, response)
+        except Exception as exc:  # noqa: BLE001 — the daemon must answer
+            response = self._error(request.id, E_INTERNAL, f"{type(exc).__name__}: {exc}")
+        if request.inst is not None:
+            seconds = time.monotonic() - request.started
+            request.inst.request_seconds.labels(request.verb).observe(seconds)
+        return response
+
+    def _refused(self, request: _Request, admitted: str) -> Dict[str, Any]:
+        """The answer to a request admission turned away."""
+        if admitted == "deadline":
+            return self._failure(request.id, _DeadlineHit("waiting for an execution slot"))
+        if request.inst is not None:
+            request.inst.shed.inc()
+        cfg = self.config
+        message = f"admission queue at capacity ({cfg.max_inflight} executing, "
+        message += f"{cfg.max_queue} queued)"
+        return self._error(request.id, E_OVERLOADED, message, retry_after_ms=cfg.retry_after_ms)
+
+    def _finish_work(self, request: _Request, response: Dict[str, Any]) -> None:
         """Post-response accounting: trace deposit, SLO window, slow log."""
-        duration = time.monotonic() - started
+        now = time.monotonic()
+        duration = now - request.started
         outcome, error_code = _classify(response)
+        trace = request.trace
         if error_code is not None:
             trace.annotate(error_code=error_code)
         doc = trace.finish(outcome)
-        self.slo.record(tenant_name, duration, outcome)
+        tenant_name = request.tenant.name
+        self.slo.record(tenant_name, duration, outcome, now)
         registry = OBS.registry
-        if registry.enabled:
-            from repro.obs.instruments import tenant_instruments, trace_instruments
-
+        if request.inst is not None:
             tenants = tenant_instruments(registry)
             tenants.requests.labels(tenant_name, outcome).inc()
             tenants.request_seconds.labels(tenant_name).observe(duration)
@@ -577,40 +402,33 @@ class QueryDaemon:
             if dropped > self._trace_drops_seen:
                 traces.buffer_dropped.inc(dropped - self._trace_drops_seen)
                 self._trace_drops_seen = dropped
+        threshold = self.slow_log.threshold_ms
+        if threshold is None or duration * 1000.0 < threshold:
+            return  # the common case: no entry, so none is built
         entry = self.slow_log.observe(
-            duration,
-            tenant=tenant_name,
-            verb=verb,
-            trace_id=trace.trace_id,
-            queue_wait_ms=waits["queue_ms"],
-            lock_wait_ms=waits["lock_ms"],
-            status=outcome,
-            error_code=error_code,
-            trace=doc,
+            duration, tenant=tenant_name, verb=request.verb, trace_id=trace.trace_id,
+            queue_wait_ms=request.queue_ms, lock_wait_ms=request.lock_ms,
+            status=outcome, error_code=error_code, trace=doc,
         )
         if entry is not None and registry.enabled:
-            from repro.obs.instruments import trace_instruments
-
             trace_instruments(registry).slow_queries.inc()
 
     # ---------------------------------------------------------------- admission
     async def _admit(self, deadline: float) -> str:
-        """Reserve an execution slot: ``ok``, ``shed`` or ``deadline``.
-
-        A full pool parks the request in :attr:`_queue` until
-        :meth:`_release_slot` hands it a slot or its deadline unqueues it.
-        """
+        """Reserve an execution slot: ``ok``, ``shed`` or ``deadline``; a full
+        pool parks the request in :attr:`_queue` until :meth:`_release_slot`
+        hands it a slot or its deadline unqueues it."""
         queue = self._queue
         if self._slot_free():
             self._executing += 1
-            self._count(lambda i: i.inflight.set(self._executing))
+            self._publish_slots()
             return "ok"
         if len(queue) >= self.config.max_queue:
             return "shed"
         loop = asyncio.get_running_loop()
         waiter: "asyncio.Future[bool]" = loop.create_future()
         queue.append(waiter)
-        self._count(lambda i: i.queued.set(len(queue)))
+        self._publish_slots()
         timer = loop.call_later(deadline - time.monotonic(), self._unqueue, waiter)
         try:
             return "ok" if await waiter else "deadline"
@@ -631,7 +449,7 @@ class QueryDaemon:
         """Take a waiter out of the admission queue (deadline or cancel)."""
         if waiter in self._queue:
             self._queue.remove(waiter)
-            self._count(lambda i: i.queued.set(len(self._queue)))
+            self._publish_slots()
         _settle(waiter, False)
 
     def _release_slot(self) -> None:
@@ -641,154 +459,125 @@ class QueryDaemon:
             waiter = queue.popleft()
             if not waiter.done():
                 waiter.set_result(True)
-                self._count(lambda i: i.queued.set(len(queue)))
+                self._publish_slots()
                 return
         self._executing -= 1
-        self._count(lambda i: i.inflight.set(self._executing))
+        self._publish_slots()
+
+    def _publish_slots(self) -> None:
+        inst = self._instruments()
+        if inst is not None:
+            inst.inflight.set(self._executing)
+            inst.queued.set(len(self._queue))
 
     # ---------------------------------------------------------------- execution
-    async def _execute(
-        self,
-        request_id: Any,
-        verb: str,
-        payload: Dict[str, Any],
-        tenant,
-        deadline: float,
-        waits: Optional[Dict[str, float]] = None,
-        *,
-        inline: bool = False,
-    ) -> Dict[str, Any]:
+    def _execute_now(self, request: _Request) -> Optional[Dict[str, Any]]:
+        """Answer a store read on the loop, or ``None`` when the request has
+        to wait: a mutation, a read whose lock is not free without waiting,
+        or one the index cannot bound within :data:`INLINE_BUDGET` (it then
+        keeps the read hold it took, and takes the pool)."""
+        if request.verb not in _READ_VERBS:
+            return None
         try:
-            grace = self.config.deadline_grace if tenant.kind == "cluster" else 0.0
-            if verb == "query":
-                q = _query_from(payload)
-                work = lambda: tenant.query_partial(q, deadline)  # noqa: E731
-                fits = (lambda: _within_budget(tenant, [q])) if inline else None
-                partial = await self._run_locked(
-                    tenant.name, work, deadline, write=False, grace=grace, waits=waits,
-                    fits=fits,
-                )
-                if not partial.complete:
-                    self._count(lambda i: i.partial_results.inc())
-                return protocol.ok_response(request_id, self._partial_dict(partial))
-            if verb == "batch":
-                queries = self._parse_batch(payload)
+            reads = request.reads = _parse_reads(request.verb, request.payload)
+            if time.monotonic() >= request.deadline:
+                raise _DeadlineHit("deadline expired before execution began")
+            lock = self._lock(request.tenant.name)
+            if not lock.try_acquire_read():
+                return None
+            with span("tenant_lock", write=False):
+                pass  # taken without waiting
+            try:
+                fits = _within_budget(request.tenant, reads)
+            except BaseException:
+                lock.release_read()
+                raise
+            if not fits:
+                request.held = True
+                return None
+            with span("execute", inline=True):
+                try:
+                    result = _read(request)
+                finally:
+                    lock.release_read()
+            return self._read_response(request, result)
+        except _FAILURES as exc:
+            return self._failure(request.id, exc)
 
-                def run_batch() -> List[PartialResult]:
-                    out: List[PartialResult] = []
-                    for q in queries:
-                        if time.monotonic() < deadline:
-                            out.append(tenant.query_partial(q, deadline))
-                            continue
-                        expired = {"code": E_DEADLINE, "message": "batch deadline expired"}
-                        out.append(
-                            PartialResult(ids=NO_IDS, complete=False, shard_errors={"*": expired})
-                        )
-                    return out
-
-                fits = (lambda: _within_budget(tenant, queries)) if inline else None
-                partials = await self._run_locked(
-                    tenant.name, run_batch, deadline, write=False, grace=grace,
-                    waits=waits, fits=fits,
+    async def _execute(self, request: _Request) -> Dict[str, Any]:
+        """Execute a request that waits for the tenant lock and the pool."""
+        tenant, deadline = request.tenant, request.deadline
+        try:
+            if request.verb in _READ_VERBS:
+                if request.reads is None:  # it queued for admission first
+                    request.reads = _parse_reads(request.verb, request.payload)
+                grace = self.config.deadline_grace if tenant.kind == "cluster" else 0.0
+                result = await self._run_locked(
+                    tenant.name, partial(_read, request), deadline, write=False,
+                    grace=grace, held=request.held, request=request,
                 )
-                results = [self._partial_dict(p) for p in partials]
-                complete = all(p.complete for p in partials)
-                if not complete:
-                    self._count(lambda i: i.partial_results.inc())
-                return protocol.ok_response(
-                    request_id, {"results": results, "complete": complete}
-                )
-            if verb == "insert":
-                obj = self._parse_object(payload)
+                return self._read_response(request, result)
+            if request.verb == "insert":
+                obj = self._parse_object(request.payload)
                 await self._run_locked(
                     tenant.name, lambda: tenant.insert(obj), deadline, write=True,
-                    waits=waits,
+                    request=request,
                 )
-                return protocol.ok_response(request_id, {"inserted": obj.id})
-            # delete
-            object_id = self._parse_id(payload)
+                return protocol.ok_response(request.id, {"inserted": obj.id})
+            object_id = self._parse_id(request.payload)
             await self._run_locked(
                 tenant.name, lambda: tenant.delete(object_id), deadline, write=True,
-                waits=waits,
+                request=request,
             )
-            return protocol.ok_response(request_id, {"deleted": object_id})
-        except _BadRequest as exc:
-            return self._error(request_id, E_BAD_REQUEST, str(exc), verb=verb)
-        except _DeadlineHit as exc:
-            return self._deadline_error(request_id, verb, str(exc))
-        except DuplicateObjectError as exc:
-            return self._error(request_id, E_CONFLICT, str(exc), verb=verb)
-        except UnknownObjectError as exc:
-            return self._error(request_id, E_NOT_FOUND, str(exc), verb=verb)
-        except ShardUnavailableError as exc:
-            return self._error(
-                request_id, E_UNAVAILABLE, str(exc), verb=verb, detail=exc.detail()
-            )
-        except StoreClosedError as exc:
-            return self._error(request_id, E_UNAVAILABLE, str(exc), verb=verb)
-        except (InvalidObjectError, InvalidQueryError) as exc:
-            return self._error(request_id, E_BAD_REQUEST, str(exc), verb=verb)
+            return protocol.ok_response(request.id, {"deleted": object_id})
+        except _FAILURES as exc:
+            return self._failure(request.id, exc)
 
-    async def _run_locked(
-        self,
-        tenant_name: str,
-        fn: Callable[[], Any],
-        deadline: float,
-        *,
-        write: bool,
-        grace: float = 0.0,
-        waits: Optional[Dict[str, float]] = None,
-        fits: Optional[Callable[[], bool]] = None,
-    ) -> Any:
-        """Run ``fn`` under the tenant's read/write lock, on the loop or
-        on the pool.
+    def _failure(self, request_id: Any, exc: Exception) -> Dict[str, Any]:
+        """The error response to an exception the execution path raised."""
+        if isinstance(exc, _DeadlineHit):
+            inst = self._instruments()
+            if inst is not None:
+                inst.deadline_exceeded.inc()
+            return self._error(request_id, E_DEADLINE, f"deadline exceeded: {exc}")
+        if isinstance(exc, ShardUnavailableError):
+            return self._error(request_id, E_UNAVAILABLE, str(exc), detail=exc.detail())
+        code = next(code for kind, code in _FAILURE_CODES if isinstance(exc, kind))
+        return self._error(request_id, code, str(exc))
 
-        ``fits`` (reads only) is asked, under a read hold taken without
-        waiting, whether the work fits :data:`INLINE_BUDGET`.  If it does,
-        ``fn`` runs right here and the hold is released before this
-        coroutine next yields.  Every other request goes to the pool, and
-        there the lock is held until the worker thread actually finishes —
-        never merely until the awaiter gives up.  A running pool thread
-        cannot be cancelled, so when the deadline backstop (one loop
-        timer) fires the caller gets its deadline error immediately, but
-        the release rides on the pool future's done-callback: no later
-        writer can acquire the lock and mutate the same store while the
-        abandoned thread is still inside it.
-        """
+    def _lock(self, tenant_name: str) -> AsyncRWLock:
         lock = self._locks.get(tenant_name)
         if lock is None:
             lock = self._locks[tenant_name] = AsyncRWLock(f"tenant:{tenant_name}")
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise _DeadlineHit("deadline expired before execution began")
-        with span("tenant_lock", write=write):
-            lock_t0 = time.monotonic()
-            if fits is not None and lock.try_acquire_read():
-                acquired = True
-            else:
-                fits = None  # a read that had to wait takes the pool
+        return lock
+
+    async def _run_locked(
+        self, tenant_name: str, fn: Callable[[], Any], deadline: float, *, write: bool,
+        grace: float = 0.0, held: bool = False, request: Optional[_Request] = None,
+    ) -> Any:
+        """Run ``fn`` on the pool under the tenant's read/write lock (waited
+        for here unless the caller ``held`` it).  When the deadline backstop
+        fires the caller gets its error at once, but the lock is released
+        by the pool future's done-callback, once the thread has finished:
+        no later writer can mutate a store an abandoned thread is inside."""
+        lock = self._lock(tenant_name)
+        release = lock.release_write if write else lock.release_read
+        if not held:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise _DeadlineHit("deadline expired before execution began")
+            with span("tenant_lock", write=write):
+                lock_t0 = time.monotonic()
                 acquire = lock.acquire_write if write else lock.acquire_read
                 acquired = await acquire(remaining)
-            if waits is not None:
-                waits["lock_ms"] = (time.monotonic() - lock_t0) * 1000.0
-            if not acquired:
-                raise _DeadlineHit("deadline expired waiting for the tenant lock")
-        release = lock.release_write if write else lock.release_read
+                if request is not None:
+                    request.lock_ms = (time.monotonic() - lock_t0) * 1000.0
+                if not acquired:
+                    raise _DeadlineHit("deadline expired waiting for the tenant lock")
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             release()
             raise _DeadlineHit("deadline expired before execution began")
-        try:
-            inline = fits is not None and fits()
-        except BaseException:
-            release()
-            raise
-        if inline:
-            with span("execute", inline=True):
-                try:
-                    return fn()
-                finally:
-                    release()
         assert self._pool is not None
         loop = asyncio.get_running_loop()
         outcome: "asyncio.Future[Optional[Tuple[str, Any]]]" = loop.create_future()
@@ -806,16 +595,14 @@ class QueryDaemon:
                 pass  # loop already torn down; the lock is moot
 
         with span("execute", inline=False) as exec_rec:
-            # The worker re-parents its spans (router plan, per-shard
-            # probes) under this one: ContextVars do not follow a pool
-            # submission on their own.
+            # The worker re-parents its spans (router plan, per-shard probes)
+            # under this one: ContextVars do not follow a pool submission.
             try:
                 job = self._pool.submit(_capture(fn, capture_active()))
             except BaseException:
                 release()  # the job never started
                 raise
-            # The done-callback now owns the release and the drain-visible
-            # tracking; the backstop timer only settles `outcome`.
+            # The done-callback owns the release; the timer only settles `outcome`.
             self._pool_futures.add(job)
             job.add_done_callback(from_thread)
             timer = loop.call_later(remaining + grace, _settle, outcome, None)
@@ -833,13 +620,21 @@ class QueryDaemon:
             return value
 
     # ------------------------------------------------------------ result shapes
+    def _read_response(self, request: _Request, result: Any) -> Dict[str, Any]:
+        if request.verb == "query":
+            complete = result.complete
+            body = self._partial_dict(result)
+        else:
+            body = {"results": [self._partial_dict(p) for p in result]}
+            complete = body["complete"] = all(p.complete for p in result)
+        if not complete and request.inst is not None:
+            request.inst.partial_results.inc()
+        return protocol.ok_response(request.id, body)
+
     def _partial_dict(self, partial: PartialResult) -> Dict[str, Any]:
         out: Dict[str, Any] = {
-            "ids": partial.ids,
-            "count": len(partial.ids),
-            "complete": partial.complete,
-            "shards_planned": partial.shards_planned,
-            "shards_answered": partial.shards_answered,
+            "ids": partial.ids, "count": len(partial.ids), "complete": partial.complete,
+            "shards_planned": partial.shards_planned, "shards_answered": partial.shards_answered,
         }
         if partial.shard_errors:
             out["shard_errors"] = partial.shard_errors
@@ -859,15 +654,8 @@ class QueryDaemon:
             raise _BadRequest("missing required field 'tenant'")
         return tenant
 
-    def _parse_batch(self, payload: Dict[str, Any]) -> List[TimeTravelQuery]:
-        raw = payload.get("queries")
-        if not isinstance(raw, list) or not raw:
-            raise _BadRequest("'batch' needs a non-empty 'queries' list")
-        return [_query_from(item) for item in raw]
-
     def _parse_object(self, payload: Dict[str, Any]):
-        object_id = self._parse_id(payload)
-        start, end = _bounds_from(payload)
+        object_id, (start, end) = self._parse_id(payload), _bounds_from(payload)
         elements = _elements_from(payload)
         try:
             return make_object(object_id, start, end, elements)
@@ -881,35 +669,226 @@ class QueryDaemon:
         return raw
 
     # ----------------------------------------------------------------- metrics
-    def _count(self, apply) -> None:
+    def _instruments(self) -> Optional[ServerInstruments]:
+        """The server's instruments, or ``None`` while metrics are off."""
         registry = OBS.registry
-        if registry.enabled:
-            from repro.obs.instruments import server_instruments
-
-            apply(server_instruments(registry))
+        return server_instruments(registry) if registry.enabled else None
 
     def _error(
-        self,
-        request_id: Any,
-        code: str,
-        message: str,
-        *,
-        verb: str,
-        retry_after_ms: Optional[int] = None,
-        detail: Optional[Dict[str, Any]] = None,
+        self, request_id: Any, code: str, message: str, *,
+        retry_after_ms: Optional[int] = None, detail: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        self._count(lambda i: i.errors.labels(code).inc())
+        inst = self._instruments()
+        if inst is not None:
+            inst.errors.labels(code).inc()
         return protocol.error_response(
             request_id, code, message, retry_after_ms=retry_after_ms, detail=detail
         )
 
-    def _deadline_error(
-        self, request_id: Any, verb: str, where: str
-    ) -> Dict[str, Any]:
-        self._count(lambda i: i.deadline_exceeded.inc())
-        return self._error(
-            request_id, E_DEADLINE, f"deadline exceeded: {where}", verb=verb
-        )
+
+class _Connection(asyncio.Protocol):
+    """One client connection: whole frames in, one dispatch each, and the
+    responses out in request order.  The write buffer's high-water mark is
+    0, so ``pause_writing`` fires whenever the socket did not take a
+    response whole: reading pauses until it has, and a client that has
+    not taken it within ``write_timeout`` is aborted."""
+
+    def __init__(self, daemon: QueryDaemon) -> None:
+        self.daemon = daemon
+        self.transport: Any = None
+        self._buffer = bytearray()
+        self._task: Optional["asyncio.Task[None]"] = None  # the request that waits
+        self._write_timer: Optional[asyncio.TimerHandle] = None  # armed while the socket is full
+        self._closing = False  # hung up, or the peer is gone: serve no more frames
+        self._eof = False
+
+    # ----------------------------------------------------- protocol callbacks
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        transport.set_write_buffer_limits(0)
+        self.daemon._connections.add(self)
+        inst = self.daemon._instruments()
+        if inst is not None:
+            inst.connections.inc()
+            inst.open_connections.inc()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if self._task is None and self._write_timer is None:
+            self._serve_frames()
+        else:  # a response is owed: read nothing more until it is out
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        # Hang up once every owed response is out (at once when none is).
+        self._eof = True
+        return self._task is not None or self._write_timer is not None
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closing = True
+        self._buffer.clear()
+        self.daemon._connections.discard(self)
+        if self._write_timer is not None:
+            self._write_timer.cancel()
+            self._write_timer = None
+        inst = self.daemon._instruments()
+        if inst is not None:
+            inst.open_connections.dec()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+        loop = asyncio.get_running_loop()
+        self._write_timer = loop.call_later(self.daemon.config.write_timeout, self._write_timed_out)
+
+    def resume_writing(self) -> None:
+        if self._write_timer is not None:
+            self._write_timer.cancel()
+            self._write_timer = None
+        self._resume()
+
+    # --------------------------------------------------------------- frames
+    def _serve_frames(self) -> None:
+        """Answer the buffered frames in order, until one has to wait."""
+        daemon = self.daemon
+        while self._task is None and self._write_timer is None and not self._closing:
+            try:
+                frame = protocol.cut_frame(
+                    self._buffer, daemon.config.max_frame_bytes, attachments=False
+                )
+            except protocol.ProtocolError as exc:
+                # A framing violation poisons the rest: one reply, then hang up.
+                self._buffer.clear()
+                self._closing = True
+                refusal = protocol.error_response(None, E_BAD_REQUEST, str(exc))
+                self._respond(refusal, daemon._instruments())
+                return
+            if frame is None:
+                if self._eof:
+                    self._hang_up(abort=False)
+                return
+            payload, nbytes = frame
+            inst = daemon._instruments()
+            if inst is not None:
+                inst.bytes_read.inc(nbytes)
+            faults = daemon.net_faults
+            action = None if faults is None else self._fault(faults.on_recv(), inst)
+            if action is None:
+                response = daemon._dispatch(payload, inst)
+                if isinstance(response, dict):
+                    self._respond(response, inst)
+                else:
+                    self._wait(self._later(inst, pending=response))
+            elif action[0] == NET_DELAY:
+                self._wait(self._later(inst, payload=payload, delay=action[1]))
+            elif action[0] == NET_CLOSE:
+                self._hang_up(abort=False)
+            # NET_DROP: the request vanishes; the client retries
+
+    def _respond(self, response: Dict[str, Any], inst: Optional[ServerInstruments]) -> None:
+        delay = self._reply(response, inst)
+        if delay is not None:
+            self._wait(self._later(inst, response=response, delay=delay))
+
+    async def _later(
+        self, inst: Optional[ServerInstruments], *, payload: Optional[Dict[str, Any]] = None,
+        pending: Optional[Coroutine[Any, Any, Dict[str, Any]]] = None,
+        response: Optional[Dict[str, Any]] = None, delay: Optional[float] = None,
+    ) -> None:
+        """The rest of a request that has to wait: an injected ``delay`` on
+        the way in (``payload``), the dispatch's ``pending`` coroutine, or
+        an injected ``delay`` before ``response`` goes out."""
+        if payload is not None:
+            await asyncio.sleep(delay)
+            answer = self.daemon._dispatch(payload, inst)
+            response = answer if isinstance(answer, dict) else await answer
+            delay = self._reply(response, inst)
+        elif pending is not None:
+            response = await pending
+            delay = self._reply(response, inst)
+        if delay is not None:
+            await asyncio.sleep(delay)
+            assert response is not None
+            self._reply(response, inst, delayed=True)
+
+    def _reply(
+        self, response: Dict[str, Any], inst: Optional[ServerInstruments], delayed: bool = False
+    ) -> Optional[float]:
+        """Send one response, or lose it or hang up as an injected fault
+        plans; the delay a fault puts before it is returned, not waited."""
+        faults = self.daemon.net_faults
+        action = None if faults is None or delayed else self._fault(faults.on_send(), inst)
+        if action is None:
+            self._write(response, inst)
+        elif action[0] == NET_DELAY:
+            return action[1]
+        elif action[0] == NET_CLOSE:
+            self._hang_up(abort=True)
+        # NET_DROP: silently lost on the wire
+        if self._closing or self.daemon._draining:
+            self._hang_up(abort=False)
+        return None
+
+    def _write(self, response: Dict[str, Any], inst: Optional[ServerInstruments]) -> None:
+        transport = self.transport
+        if transport.is_closing():
+            return  # the peer is gone: nobody is left to answer
+        try:
+            data = protocol.encode_frame(response)
+        except protocol.ProtocolError:
+            message = "response exceeded frame limit"
+            data = protocol.encode_frame(
+                protocol.error_response(response.get("id"), E_INTERNAL, message)
+            )
+        transport.write(data)
+        if inst is not None:
+            inst.bytes_written.inc(len(data))
+
+    def _fault(
+        self, action: Optional[NetAction], inst: Optional[ServerInstruments]
+    ) -> Optional[NetAction]:
+        if action is not None and inst is not None:
+            inst.injected_faults.labels(action[0]).inc()
+        return action
+
+    def _hang_up(self, *, abort: bool) -> None:
+        self._closing = True
+        # close() still sends what is written; abort() drops it.
+        (self.transport.abort if abort else self.transport.close)()
+
+    # -------------------------------------------------------------- waiting
+    def _wait(self, pending: Coroutine[Any, Any, None]) -> None:
+        """Run the rest of a request as the connection's one task; frames
+        behind it wait.  ``_active`` counts these tasks: a request answered
+        synchronously is never seen in flight."""
+        self.daemon._active += 1
+        self._task = task = asyncio.get_running_loop().create_task(pending)
+        task.add_done_callback(self._waited)
+
+    def _waited(self, task: "asyncio.Task[None]") -> None:
+        self._task = None
+        self.daemon._active -= 1
+        if not task.cancelled() and task.exception() is not None:
+            # A daemon bug (the request path answers every failure): report it.
+            task.get_loop().call_exception_handler(
+                {"message": "request task failed", "exception": task.exception(), "protocol": self}
+            )
+            self._hang_up(abort=True)
+        self._resume()
+
+    def _resume(self) -> None:
+        """Answer what was buffered meanwhile; read on if nothing waits."""
+        if self._task is None and self._write_timer is None and not self._closing:
+            self._serve_frames()
+            if self._task is None and self._write_timer is None:
+                self.transport.resume_reading()
+
+    def _write_timed_out(self) -> None:
+        # A client that does not read would otherwise pin daemon memory.
+        self._write_timer = None
+        inst = self.daemon._instruments()
+        if inst is not None:
+            inst.slow_client_closes.inc()
+        self._hang_up(abort=True)
 
 
 # ----------------------------------------------------------------- internals
@@ -921,9 +900,60 @@ class _DeadlineHit(Exception):
     """The deadline fired somewhere on the execution path."""
 
 
-def _capture(
-    fn: Callable[[], Any], active: Optional[object] = None
-) -> Callable[[], Tuple[str, Any]]:
+#: The exceptions the execution path answers with an error code, and the
+#: code for each one :meth:`QueryDaemon._failure` does not shape itself.
+_FAILURE_CODES = (
+    (_BadRequest, E_BAD_REQUEST), (InvalidObjectError, E_BAD_REQUEST),
+    (InvalidQueryError, E_BAD_REQUEST), (DuplicateObjectError, E_CONFLICT),
+    (UnknownObjectError, E_NOT_FOUND), (StoreClosedError, E_UNAVAILABLE),
+)
+_FAILURES = (_DeadlineHit, ShardUnavailableError) + tuple(kind for kind, _ in _FAILURE_CODES)
+
+_READ_VERBS = frozenset({"query", "batch"})
+
+
+@dataclass(slots=True)
+class _Request:
+    """One work request between its dispatch and its response."""
+
+    id: Any
+    verb: str
+    payload: Dict[str, Any]
+    tenant: Tenant
+    deadline: float
+    started: float
+    inst: Optional[ServerInstruments]
+    trace: RequestTrace
+    reads: Optional[List[TimeTravelQuery]] = None  # parsed once admitted
+    held: bool = False  # a read hold taken on the loop, handed to the pool
+    queue_ms: float = 0.0
+    lock_ms: float = 0.0
+
+
+def _parse_reads(verb: str, payload: Dict[str, Any]) -> List[TimeTravelQuery]:
+    if verb == "query":
+        return [_query_from(payload)]
+    raw = payload.get("queries")
+    if not isinstance(raw, list) or not raw:
+        raise _BadRequest("'batch' needs a non-empty 'queries' list")
+    return [_query_from(item) for item in raw]
+
+
+def _read(request: _Request) -> Any:
+    """Run a ``query``/``batch`` request's reads: one partial result, or a list."""
+    tenant, deadline, reads = request.tenant, request.deadline, request.reads
+    assert reads is not None
+    if request.verb == "query":
+        return tenant.query_partial(reads[0], deadline)
+    expired = {"*": {"code": E_DEADLINE, "message": "batch deadline expired"}}
+    return [
+        tenant.query_partial(q, deadline) if time.monotonic() < deadline
+        else PartialResult(ids=NO_IDS, complete=False, shard_errors=expired)
+        for q in reads
+    ]
+
+
+def _capture(fn: Callable[[], Any], active: Optional[object]) -> Callable[[], Tuple[str, Any]]:
     def run() -> Tuple[str, Any]:
         try:
             with under(active):
@@ -961,11 +991,7 @@ def _classify(response: Dict[str, Any]) -> Tuple[str, Optional[str]]:
         complete = result.get("complete", True)
         return ("partial" if complete is False else "ok", None)
     code = (response.get("error") or {}).get("code", E_INTERNAL)
-    if code == E_OVERLOADED:
-        return ("shed", code)
-    if code == E_DEADLINE:
-        return ("deadline", code)
-    return ("error", code)
+    return ({E_OVERLOADED: "shed", E_DEADLINE: "deadline"}.get(code, "error"), code)
 
 
 def _query_from(payload: Dict[str, Any]) -> TimeTravelQuery:
@@ -977,13 +1003,11 @@ def _query_from(payload: Dict[str, Any]) -> TimeTravelQuery:
 
 
 def _bounds_from(payload: Dict[str, Any]) -> Tuple[float, float]:
-    out = []
-    for key in ("start", "end"):
-        raw = payload.get(key)
+    start, end = bounds = payload.get("start"), payload.get("end")
+    for key, raw in zip(("start", "end"), bounds):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise _BadRequest(f"{key} must be a number, got {raw!r}")
-        out.append(raw)
-    return out[0], out[1]
+    return start, end
 
 
 def _elements_from(payload: Dict[str, Any]) -> List[str]:

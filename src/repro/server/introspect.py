@@ -25,7 +25,7 @@ def introspect(
 ) -> Dict[str, Any]:
     """The response to one ``introspect`` request."""
     def bad(message: str) -> Dict[str, Any]:
-        return daemon._error(request_id, E_BAD_REQUEST, message, verb="introspect")
+        return daemon._error(request_id, E_BAD_REQUEST, message)
 
     what = payload.get("what", "top")
     if what not in INTROSPECT_VIEWS:
@@ -118,7 +118,7 @@ def introspect(
                 "draining": daemon._draining,
                 "executing": daemon._executing,
                 "waiting": len(daemon._queue),
-                "open_connections": len(daemon._writers),
+                "open_connections": len(daemon._connections),
                 "traces_buffered": len(daemon.tracer.buffer),
                 "traces_dropped": daemon.tracer.buffer.dropped,
                 "sample_rate": daemon.tracer.sample_rate,

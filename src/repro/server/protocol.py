@@ -32,8 +32,10 @@ boolean or not summing to it, an envelope running past the body, ids
 not ascending or past 2**63 - 1, or the bit set on a request — are a
 :class:`ProtocolError`, never a wrong answer.
 
-Both async (daemon-side) and blocking-socket (client-side) frame I/O
-live here so the two ends can never drift apart.
+Every frame reader lives here so the ends can never drift apart: the
+daemon cuts frames from a connection's buffer (:func:`cut_frame`),
+:func:`read_frame` awaits one from an asyncio stream, and the client
+reads a blocking socket (:func:`read_frame_sock`).
 
 Requests and responses
 ----------------------
@@ -76,7 +78,7 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -270,9 +272,10 @@ def _decode(word: int, body: bytes, attachments: bool) -> Dict[str, Any]:
     return _decode_attached(body)
 
 
-def _length_word(header: bytes, max_bytes: int) -> int:
-    """The frame's length word, its declared body length checked."""
-    (word,) = _HEADER.unpack(header)
+def _length_word(header: Union[bytes, bytearray], max_bytes: int) -> int:
+    """The length word that ``header`` starts with, its declared body
+    length checked."""
+    (word,) = _HEADER.unpack_from(header)
     length = word & ~_ATTACHED
     if length > max_bytes:
         raise ProtocolError(
@@ -281,16 +284,41 @@ def _length_word(header: bytes, max_bytes: int) -> int:
     return word
 
 
-# ------------------------------------------------------------- async (daemon)
-async def read_frame(
-    reader: asyncio.StreamReader,
+# ---------------------------------------------------------- buffered (daemon)
+def cut_frame(
+    buffer: bytearray,
     max_bytes: int = MAX_FRAME_BYTES,
     *,
     attachments: bool = True,
 ) -> Optional[Tuple[Dict[str, Any], int]]:
-    """One ``(payload, framed_bytes)`` from the stream; ``None`` on clean
-    EOF.  The daemon reads requests with ``attachments=False``: a request
-    never carries ids, so the attachment bit on one is a violation."""
+    """Take one whole frame off the front of ``buffer``: ``(payload,
+    framed_bytes)``, or ``None`` while it has not all arrived.
+
+    The declared length is checked as soon as the header is in, before
+    any of the body is waited for.  The daemon cuts requests with
+    ``attachments=False``: a request never carries ids, so the attachment
+    bit on one is a violation.
+    """
+    if len(buffer) < _HEADER.size:
+        return None
+    word = _length_word(buffer, max_bytes)
+    end = _HEADER.size + (word & ~_ATTACHED)
+    if len(buffer) < end:
+        return None
+    body = bytes(buffer[_HEADER.size : end])
+    del buffer[:end]
+    return _decode(word, body, attachments), end
+
+
+# ------------------------------------------------------------------- async
+async def read_frame(
+    reader: Any,
+    max_bytes: int = MAX_FRAME_BYTES,
+    *,
+    attachments: bool = True,
+) -> Optional[Tuple[Dict[str, Any], int]]:
+    """One ``(payload, framed_bytes)`` from an asyncio stream reader (any
+    object with an awaitable ``readexactly``); ``None`` on clean EOF."""
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:

@@ -78,6 +78,51 @@ class TestAsyncBlocking:
         )
         assert report.clean, report.render_text()
 
+    def test_fires_in_protocol_callbacks_and_what_they_call(self, run_analysis):
+        report = run_analysis(
+            {
+                "repro/server/conn.py": """\
+                import asyncio
+                import time
+
+                class Conn(asyncio.Protocol):
+                    def data_received(self, data):
+                        time.sleep(0.1)
+                        self._answer(data)
+
+                    def _answer(self, data):
+                        return self.sock.recv(4)
+
+                    def helper_nobody_calls(self):
+                        time.sleep(1)
+                """
+            },
+            rules=[AsyncBlockingRule],
+        )
+        assert codes(report) == ["REP001", "REP001"]
+        assert sorted(f.line for f in report.unsuppressed) == [6, 10]
+        assert "loop callback data_received" in report.unsuppressed[0].message
+
+    def test_passes_protocol_callbacks_that_do_not_block(self, run_analysis):
+        report = run_analysis(
+            {
+                "repro/server/conn.py": """\
+                import asyncio
+                import time
+
+                class Conn(asyncio.Protocol):
+                    def data_received(self, data):
+                        self.transport.write(data)
+
+                class NotAProtocol:
+                    def data_received(self, data):
+                        time.sleep(0.1)
+                """
+            },
+            rules=[AsyncBlockingRule],
+        )
+        assert report.clean, report.render_text()
+
 
 # ----------------------------------------------------------------- REP002
 class TestWalAck:

@@ -504,14 +504,25 @@ class TestGracefulDrain:
 
 
 class StuckTransport:
-    """A socket whose kernel buffer holds ``buffered`` unsent bytes."""
+    """A socket whose kernel buffer takes nothing once ``stuck``; like
+    asyncio's transports, a write that leaves bytes buffered past the
+    high-water mark calls the protocol's ``pause_writing``."""
 
-    def __init__(self, buffered: int) -> None:
-        self.buffered = buffered
+    def __init__(self, stuck: bool) -> None:
+        self.stuck = stuck
+        self.written = b""
         self.aborted = False
+        self.reading = True
+        self.high = None
+        self.protocol = None
 
-    def get_write_buffer_size(self) -> int:
-        return self.buffered
+    def set_write_buffer_limits(self, high=None, low=None) -> None:
+        self.high = high
+
+    def write(self, data: bytes) -> None:
+        self.written += data
+        if self.stuck and len(self.written) > self.high:
+            self.protocol.pause_writing()
 
     def is_closing(self) -> bool:
         return self.aborted
@@ -519,47 +530,53 @@ class StuckTransport:
     def abort(self) -> None:
         self.aborted = True
 
+    def pause_reading(self) -> None:
+        self.reading = False
 
-class StuckWriter:
-    """A client that never reads: ``drain()`` only returns after 10 s."""
+    def resume_reading(self) -> None:
+        self.reading = True
 
-    def __init__(self, buffered: int) -> None:
-        self.transport = StuckTransport(buffered)
-        self.written = b""
-        self.drains = 0
 
-    def write(self, data: bytes) -> None:
-        self.written += data
+def connect_stuck(daemon: QueryDaemon, stuck: bool):
+    from repro.server.daemon import _Connection
 
-    async def drain(self) -> None:
-        self.drains += 1
-        await asyncio.sleep(10)
+    conn = _Connection(daemon)
+    transport = StuckTransport(stuck)
+    transport.protocol = conn
+    conn.connection_made(transport)
+    return conn, transport
 
 
 class TestSlowClients:
     def test_write_timeout_aborts_the_connection(self, registry):
         daemon = QueryDaemon(registry, ServerConfig(write_timeout=0.05))
-        writer = StuckWriter(buffered=4096)
 
         async def go():
-            return await daemon._send(writer, {"id": 1, "ok": True, "result": {}})
+            conn, transport = connect_stuck(daemon, stuck=True)
+            conn.data_received(encode_frame({"id": 1, "verb": "ping"}))
+            waiting = conn._write_timer is not None and not transport.reading
+            aborted_early = transport.aborted
+            await asyncio.sleep(0.2)
+            return transport, waiting, aborted_early
 
-        assert asyncio.run(go()) is False
-        assert writer.drains == 1
-        assert writer.transport.aborted is True
+        transport, waiting, aborted_early = asyncio.run(go())
+        assert waiting  # one timed wait for the socket, reading paused
+        assert aborted_early is False
+        assert transport.aborted is True
 
     def test_response_written_in_full_never_awaits_drain(self, registry):
         daemon = QueryDaemon(registry, ServerConfig(write_timeout=0.05))
-        writer = StuckWriter(buffered=0)
-        response = {"id": 1, "ok": True, "result": {"ids": [1, 2, 3]}}
+        response = {"id": 1, "ok": True, "result": {"pong": True}}
 
         async def go():
-            return await daemon._send(writer, response)
+            conn, transport = connect_stuck(daemon, stuck=False)
+            conn.data_received(encode_frame({"id": 1, "verb": "ping"}))
+            return conn, transport
 
-        assert asyncio.run(go()) is True
-        assert writer.drains == 0
-        assert writer.transport.aborted is False
-        assert writer.written == encode_frame(response)
+        conn, transport = asyncio.run(go())
+        assert conn._write_timer is None and transport.reading
+        assert transport.aborted is False
+        assert transport.written == encode_frame(response)
 
 
 class TestAsyncRWLock:
