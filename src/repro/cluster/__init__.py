@@ -13,7 +13,7 @@ protocol behind routing-generation swaps.
 """
 
 from repro.cluster.cluster import DEFAULT_CACHE_SIZE, TemporalCluster
-from repro.cluster.group import ReplicaSet, ShardGroup
+from repro.cluster.group import ReplicaSet
 from repro.cluster.partitioners import TimeRangePartitioner
 from repro.cluster.rebalance import RebalancePlan, next_table, plan_rebalance
 from repro.cluster.router import ClusterRouter, PartialResult, merge_shard_results
@@ -25,7 +25,6 @@ __all__ = [
     "RebalancePlan",
     "ReplicaSet",
     "RoutingTable",
-    "ShardGroup",
     "ShardSpec",
     "TIME_RANGE",
     "TemporalCluster",

@@ -1,11 +1,16 @@
 """The cluster façade: a durable, rebalancing group of index shards.
 
 :class:`TemporalCluster` composes the pieces of this package — a
-versioned :class:`~repro.cluster.routing.RoutingTable`, a
-:class:`~repro.cluster.group.ShardGroup` of durable replicas, and the
-:class:`~repro.cluster.router.ClusterRouter` — behind the same
-query/insert/delete surface a single index exposes, plus
+versioned :class:`~repro.cluster.routing.RoutingTable`, one
+:class:`~repro.cluster.group.ReplicaSet` of durable replicas per shard,
+and the :class:`~repro.cluster.router.ClusterRouter` that holds both —
+behind the same query/insert/delete surface a single index exposes, plus
 :meth:`rebalance`.
+
+Every path that makes a generation — :meth:`create`, :meth:`rebalance`,
+:meth:`demote`, :meth:`promote` — builds what it needs, commits, and then
+serves what it built through a new router; only :meth:`open` recovers
+stores from disk.
 
 Generation swaps are wait-free for readers: :meth:`query` grabs the
 current router once (one attribute read) and a query caught mid-swap on
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from repro.core.collection import Collection
 from repro.core.errors import ClusterError
 from repro.core.model import TemporalObject, TimeTravelQuery
 from repro.cluster import layout
-from repro.cluster.group import ReplicaSet, ShardGroup
+from repro.cluster.group import ReplicaSet, open_replica
 from repro.cluster.partitioners import TimeRangePartitioner
 from repro.cluster.rebalance import (
     RebalancePlan,
@@ -49,7 +54,7 @@ DEFAULT_CACHE_SIZE = 256
 
 
 class TemporalCluster:
-    """Time-partitioned shard groups with scatter-gather serving.
+    """Time-partitioned, replicated shards with scatter-gather serving.
 
     Use :meth:`create` to lay a new cluster down on disk or :meth:`open`
     to recover an existing one; both return a serving cluster.
@@ -81,8 +86,8 @@ class TemporalCluster:
         self._tier_state = tier_state or tiering.TierState()
         # Recovered cold shards were built before this cluster object
         # existed; wire their write-triggered promotion hook now.
-        for replica_set in router.group.replica_sets.values():
-            if getattr(replica_set, "is_cold", False):
+        for replica_set in router.replica_sets.values():
+            if isinstance(replica_set, tiering.ColdShard):
                 replica_set._on_promote = self._promote_for_write
         self._set_gauges()
 
@@ -103,7 +108,11 @@ class TemporalCluster:
         fs: FileSystem = REAL_FS,
         segment_cache_bytes: int = DEFAULT_SEGMENT_CACHE_BYTES,
     ) -> "TemporalCluster":
-        """Partition ``collection``, build every shard, commit generation 1."""
+        """Partition ``collection``, build every shard, commit generation 1.
+
+        The cluster serves the replica sets it built: nothing it has just
+        written is read back.
+        """
         directory = Path(directory)
         if layout.is_cluster_dir(directory):
             raise ClusterError(f"{directory}: already a cluster directory")
@@ -117,29 +126,35 @@ class TemporalCluster:
         )
         directory.mkdir(parents=True, exist_ok=True)
         params = dict(index_params or {})
-        built = _build_shards(
+        built = _open_shards(
             directory,
-            table,
-            table.shard_ids(),
-            collection.objects(),
+            table.n_replicas,
+            _place(table, table.shard_ids(), collection.objects()),
             index_key=index_key,
             index_params=params,
             wal_fsync=wal_fsync,
             fs=fs,
+            cache_size=cache_size,
         )
-        for replica_set in built.values():  # open() below recovers them
-            replica_set.close()
-        layout.write_routing_table(directory, table, fs=fs)
-        layout.write_manifest(
-            directory, table.generation, index_key=index_key,
-            index_params=params, fs=fs,
-        )
-        return cls.open(
+        try:
+            layout.write_routing_table(directory, table, fs=fs)
+            layout.write_manifest(
+                directory, table.generation, index_key=index_key,
+                index_params=params, fs=fs,
+            )
+        except BaseException:
+            for replica_set in built.values():
+                replica_set.close()
+            raise
+        return cls(
             directory,
+            ClusterRouter(table, built),
+            index_key=index_key,
+            index_params=params,
             cache_size=cache_size,
             wal_fsync=wal_fsync,
             fs=fs,
-            segment_cache_bytes=segment_cache_bytes,
+            segment_cache=SegmentCache(segment_cache_bytes),
         )
 
     @classmethod
@@ -179,19 +194,23 @@ class TemporalCluster:
         cold_shards = tiering.open_cold_shards(
             cold_map, segment_cache, cache_size=cache_size
         )
-        group = ShardGroup.open(
+        hot_sets = _open_shards(
             directory,
-            table,
+            table.n_replicas,
+            {
+                shard_id: None
+                for shard_id in table.shard_ids()
+                if shard_id not in cold_shards
+            },
             index_key=index_key,
             index_params=index_params,
-            cache_size=cache_size,
             wal_fsync=wal_fsync,
             fs=fs,
-            cold=cold_shards,  # type: ignore[arg-type]
+            cache_size=cache_size,
         )
         return cls(
             directory,
-            ClusterRouter(table, group),
+            ClusterRouter(table, {**cold_shards, **hot_sets}),
             index_key=index_key,
             index_params=index_params,
             cache_size=cache_size,
@@ -203,7 +222,8 @@ class TemporalCluster:
 
     def close(self) -> None:
         if not self._closed:
-            self._router.group.close()
+            for replica_set in self._router.replica_sets.values():
+                replica_set.close()
             self._segments.close()
             self._closed = True
 
@@ -226,10 +246,6 @@ class TemporalCluster:
     @property
     def table(self) -> RoutingTable:
         return self._router.table
-
-    @property
-    def group(self) -> ShardGroup:
-        return self._router.group
 
     def query(self, q: TimeTravelQuery) -> np.ndarray:
         """Scatter-gather one query through :meth:`query_partial` (so it
@@ -267,7 +283,7 @@ class TemporalCluster:
     # -------------------------------------------------------------- rebalancing
     def plan_rebalance(self, **thresholds: float) -> RebalancePlan:
         """Inspect the current generation; propose (don't apply) one action."""
-        return plan_rebalance(self.table, self.group, **thresholds)
+        return plan_rebalance(self._router, **thresholds)
 
     def rebalance(self, plan: Optional[RebalancePlan] = None, **thresholds: float) -> RebalancePlan:
         """Apply ``plan`` (or plan one now); swap in the next generation.
@@ -282,16 +298,16 @@ class TemporalCluster:
         5. close and remove the replaced shards' directories.
         """
         with self._swap_lock:
-            old_table, old_group = self._router.table, self._router.group
+            old = self._router
             if plan is None:
-                plan = plan_rebalance(old_table, old_group, **thresholds)
+                plan = plan_rebalance(old, **thresholds)
             if plan.is_noop:
                 return plan
-            new_table = next_table(old_table, plan)
+            new_table = next_table(old.table, plan)
             survivors = {
-                spec.shard_id: old_group.replica_sets[spec.shard_id]
+                spec.shard_id: old.replica_sets[spec.shard_id]
                 for spec in new_table.shards
-                if spec.shard_id in old_group.replica_sets
+                if spec.shard_id in old.replica_sets
             }
             created = [
                 spec.shard_id
@@ -300,21 +316,18 @@ class TemporalCluster:
             ]
             replaced = [
                 shard_id
-                for shard_id in old_table.shard_ids()
+                for shard_id in old.table.shard_ids()
                 if shard_id not in survivors
             ]
-            objects = _collect_objects(old_group, replaced)
-            new_sets = _build_shards(
-                self._directory,
-                new_table,
-                created,
-                objects,
-                index_key=self._index_key,
-                index_params=self._index_params,
-                wal_fsync=self._wal_fsync,
-                fs=self._fs,
-                cache_size=self._cache_size,
-            )
+            cold = [shard_id for shard_id in replaced if old.replica_sets[shard_id].is_cold]
+            if cold:
+                # The planner's own rule: a segment is rebuilt by promotion.
+                raise ClusterError(
+                    f"{', '.join(cold)}: cold shards cannot be split or merged; "
+                    f"promote first"
+                )
+            objects = _collect_objects(old, replaced)
+            new_sets = self._build(_place(new_table, created, objects))
             layout.write_routing_table(self._directory, new_table, fs=self._fs)
             # The commit point: after this replace, open() recovers the new
             # generation; before it, the old one.
@@ -325,19 +338,9 @@ class TemporalCluster:
                 index_params=self._index_params,
                 fs=self._fs,
             )
-            new_group = ShardGroup(
-                self._directory,
-                new_table,
-                {**survivors, **new_sets},
-                index_key=self._index_key,
-                index_params=self._index_params,
-                cache_size=self._cache_size,
-                wal_fsync=self._wal_fsync,
-                fs=self._fs,
-            )
-            self._router = ClusterRouter(new_table, new_group)
+            self._router = ClusterRouter(new_table, {**survivors, **new_sets})
             for shard_id in replaced:
-                old_group.replica_sets[shard_id].close()
+                old.replica_sets[shard_id].close()
                 shard_path = layout.shard_dir(self._directory, shard_id)
                 if shard_path.exists():
                     shutil.rmtree(shard_path)
@@ -356,7 +359,7 @@ class TemporalCluster:
 
     def plan_tiering(self, **thresholds) -> TieringPlan:
         """Heat-driven tier proposal (propose, don't apply)."""
-        return tiering.plan_tiering(self.table, self.group, **thresholds)
+        return tiering.plan_tiering(self._router, **thresholds)
 
     def auto_tier(self, **thresholds) -> TieringPlan:
         """Plan from query heat and apply every proposed movement."""
@@ -376,7 +379,7 @@ class TemporalCluster:
         1. write + atomically install ``segments/<shard>.seg`` (the full
            shard: catalog columns and each term's run of catalog rows);
         2. **commit**: atomically replace ``tiers.json`` naming the segment;
-        3. swap the in-process router to a group serving the shard cold;
+        3. swap the in-process router to one serving the shard cold;
         4. close the replica stores and remove the shard's hot directories.
 
         A crash before step 2 leaves an orphan segment (swept on open, the
@@ -384,8 +387,7 @@ class TemporalCluster:
         the shard comes back cold).
         """
         with self._swap_lock:
-            old_group = self._router.group
-            replica_set = old_group.replica_set(shard_id)
+            replica_set = self._router.replica_set(shard_id)
             if getattr(replica_set, "is_cold", False):
                 raise ClusterError(f"{shard_id}: already cold")
             objects = replica_set.primary_index().objects()
@@ -431,7 +433,7 @@ class TemporalCluster:
         open, the shard is hot).
         """
         with self._swap_lock:
-            replica_set = self._router.group.replica_set(shard_id)
+            replica_set = self._router.replica_set(shard_id)
             if not getattr(replica_set, "is_cold", False):
                 raise ClusterError(f"{shard_id}: not a cold shard")
             return self._promote_locked(shard_id, replica_set)
@@ -440,17 +442,7 @@ class TemporalCluster:
         segment_path = cold_shard.segment_path
         with self._segments.lease(segment_path) as reader:
             objects = reader.objects()
-        new_set = tiering.build_replica_set(
-            self._directory,
-            shard_id,
-            objects,
-            n_replicas=self.table.n_replicas,
-            index_key=self._index_key,
-            index_params=self._index_params,
-            wal_fsync=self._wal_fsync,
-            fs=self._fs,
-            cache_size=self._cache_size,
-        )
+        new_set = self._build({shard_id: objects})[shard_id]
         state = tiering.TierState(
             cold={
                 other: name
@@ -476,7 +468,7 @@ class TemporalCluster:
         already hot and just gets the replica set back.
         """
         with self._swap_lock:
-            replica_set = self._router.group.replica_set(shard_id)
+            replica_set = self._router.replica_set(shard_id)
             if not getattr(replica_set, "is_cold", False):
                 return replica_set
             return self._promote_locked(shard_id, replica_set)
@@ -485,28 +477,48 @@ class TemporalCluster:
         """Install a new serving object for one shard (lock held).
 
         Same table, same generation — only the tier of one shard changed —
-        so this swaps the group + router exactly like a rebalance does and
-        readers caught mid-swap retry against the fresh router.
+        so this swaps the router exactly like a rebalance does and readers
+        caught mid-swap retry against the fresh router.
         """
         old = self._router
-        new_group = ShardGroup(
+        self._router = ClusterRouter(
+            old.table, {**old.replica_sets, shard_id: replacement}
+        )
+
+    def _build(
+        self, shards: Dict[str, List[TemporalObject]]
+    ) -> Dict[str, ReplicaSet]:
+        """Build + checkpoint the replicas of new shards (rebalance, promote)."""
+        return _open_shards(
             self._directory,
-            old.table,
-            {**old.group.replica_sets, shard_id: replacement},
+            self.table.n_replicas,
+            shards,
             index_key=self._index_key,
             index_params=self._index_params,
-            cache_size=self._cache_size,
             wal_fsync=self._wal_fsync,
             fs=self._fs,
+            cache_size=self._cache_size,
         )
-        self._router = ClusterRouter(old.table, new_group)
 
     def tier_status(self) -> List[Dict[str, object]]:
         """One entry per shard: tier, object count, and byte footprint."""
-        out: List[Dict[str, object]] = []
-        for stats in self.group.stats():
-            out.append(stats)
-        return out
+        return self._router.shard_stats()
+
+    # ---------------------------------------------------------------- replicas
+    def kill_replica(self, shard_id: str, replica: int) -> None:
+        """Fault injection: take one replica of a hot shard out."""
+        self._router.replica_set(shard_id).kill(replica)
+
+    def revive_replica(self, shard_id: str, replica: int) -> None:
+        """Rebuild a dead replica from a live peer and rejoin it."""
+        self._router.replica_set(shard_id).revive(
+            replica,
+            layout.replica_dir(self._directory, shard_id, replica),
+            index_key=self._index_key,
+            index_params=self._index_params,
+            wal_fsync=self._wal_fsync,
+            fs=self._fs,
+        )
 
     # ----------------------------------------------------------------- metrics
     def _count_tiering(self, kind: str) -> None:
@@ -552,14 +564,14 @@ class TemporalCluster:
             "index_key": self._index_key,
             "tiers": {"hot": len(self.table.shards) - cold, "cold": cold},
             "segment_cache": self._segments.stats(),
-            "shard_stats": self.group.stats(),
+            "shard_stats": self._router.shard_stats(),
         }
 
     def status_lines(self) -> List[str]:
         """Human-readable ``cluster status`` output."""
         out = [f"cluster at {self._directory} ({self._index_key})"]
         out.extend(self.table.describe())
-        for stats in self.group.stats():
+        for stats in self._router.shard_stats():
             if stats.get("tier") == "cold":
                 out.append(
                     f"  {stats['shard_id']}: {stats['objects']} objects, "
@@ -574,46 +586,58 @@ class TemporalCluster:
 
 
 def _collect_objects(
-    group: ShardGroup, shard_ids: List[str]
+    router: ClusterRouter, shard_ids: List[str]
 ) -> List[TemporalObject]:
     """Distinct live objects held by ``shard_ids`` (boundary dedup)."""
     seen: Dict[int, TemporalObject] = {}
     for shard_id in shard_ids:
-        for obj in group.replica_set(shard_id).primary_index().objects():
+        for obj in router.replica_set(shard_id).primary_index().objects():
             seen[obj.id] = obj
     return [seen[object_id] for object_id in sorted(seen)]
 
 
-def _build_shards(
+def _place(
+    table: RoutingTable, shard_ids: List[str], objects: Sequence[TemporalObject]
+) -> Dict[str, List[TemporalObject]]:
+    """Each of ``shard_ids`` with the subset of ``objects`` its spec claims."""
+    placed: Dict[str, List[TemporalObject]] = {}
+    for shard_id in shard_ids:
+        spec = table.spec(shard_id)
+        placed[shard_id] = [obj for obj in objects if spec.overlaps(obj.st, obj.end)]
+    return placed
+
+
+def _open_shards(
     directory: Path,
-    table: RoutingTable,
-    shard_ids: List[str],
-    objects: Sequence[TemporalObject],
+    n_replicas: int,
+    shards: Mapping[str, Optional[Sequence[TemporalObject]]],
     *,
     index_key: str,
     index_params: Dict[str, object],
     wal_fsync: bool,
     fs: FileSystem,
-    cache_size: int = 0,
+    cache_size: int,
 ) -> Dict[str, ReplicaSet]:
-    """Build + checkpoint replicas for ``shard_ids``; returns open sets.
+    """One open :class:`ReplicaSet` per shard of ``shards``.
 
-    Each shard receives the subset of ``objects`` its spec claims; every
-    replica is bootstrapped independently (own WAL/snapshot directory) so
-    it is crash-consistent from birth.
+    Every replica goes through :func:`~repro.cluster.group.open_replica`
+    in its own WAL/snapshot directory: a shard given objects is
+    bootstrapped (and checkpointed) from them, one given ``None`` recovers
+    whatever its directories hold.
     """
     sets: Dict[str, ReplicaSet] = {}
-    for shard_id in shard_ids:
-        spec = table.spec(shard_id)
-        sets[shard_id] = tiering.build_replica_set(
-            directory,
-            shard_id,
-            [obj for obj in objects if spec.overlaps(obj.st, obj.end)],
-            n_replicas=table.n_replicas,
-            index_key=index_key,
-            index_params=index_params,
-            wal_fsync=wal_fsync,
-            fs=fs,
-            cache_size=cache_size,
-        )
+    for shard_id, objects in shards.items():
+        collection = None if objects is None else Collection(objects)
+        stores = [
+            open_replica(
+                layout.replica_dir(directory, shard_id, replica),
+                collection,
+                index_key=index_key,
+                index_params=index_params,
+                wal_fsync=wal_fsync,
+                fs=fs,
+            )
+            for replica in range(n_replicas)
+        ]
+        sets[shard_id] = ReplicaSet(shard_id, stores, cache_size=cache_size)
     return sets

@@ -1,8 +1,9 @@
-"""Shard groups: N durable replicas per shard, read failover, revival.
+"""Replica sets: N durable replicas per shard, read failover, revival.
 
 Each shard of a routing table is served by a :class:`ReplicaSet` — one
 :class:`~repro.service.DurableIndexStore` per replica, each in its own
-WAL/snapshot directory under the cluster layout.  Mutations fan out to
+WAL/snapshot directory under the cluster layout, opened (and, for a new
+shard, bootstrapped) by :func:`open_replica`.  Mutations fan out to
 every live replica (each replica is independently crash-safe); reads are
 answered by the first replica that serves without raising, rotating past
 dead ones and counting the failover.
@@ -24,8 +25,6 @@ import numpy as np
 from repro.core.collection import Collection
 from repro.core.errors import ReproError, ShardUnavailableError
 from repro.core.model import TemporalObject, TimeTravelQuery
-from repro.cluster import layout
-from repro.cluster.routing import RoutingTable
 from repro.exec.cache import ResultCache
 from repro.obs.context import event, span
 from repro.obs.registry import OBS
@@ -37,6 +36,36 @@ from repro.utils.retry import RetryPolicy, retry_call
 #: Backoff for the revive rebuild-from-peer path: a peer that dies
 #: mid-copy is marked dead and the copy retries against the next one.
 REVIVE_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.1)
+
+
+def open_replica(
+    path: Path,
+    collection: Optional[Collection] = None,
+    *,
+    index_key: str,
+    index_params: Dict[str, object],
+    wal_fsync: bool,
+    fs: FileSystem = REAL_FS,
+) -> DurableIndexStore:
+    """Open the replica store at ``path``, bootstrapped with ``collection``.
+
+    The one replica build: create, rebalance and promote make every
+    replica of a new shard through it, revive rebuilds a dead one, and
+    open recovers each hot replica through it with no collection.  The
+    bootstrap checkpoints, so a new replica is crash-consistent before any
+    commit names it.
+    """
+    path.mkdir(parents=True, exist_ok=True)
+    store = DurableIndexStore.open(
+        path,
+        index_key=index_key,
+        index_params=index_params,
+        wal_fsync=wal_fsync,
+        fs=fs,
+    )
+    if collection is not None and len(collection):
+        store.bootstrap(collection, index_key, **index_params)
+    return store
 
 
 class ReplicaSet:
@@ -258,17 +287,14 @@ class ReplicaSet:
             )
             if directory.exists():
                 shutil.rmtree(directory)
-            directory.mkdir(parents=True)
-            store = DurableIndexStore.open(
+            self.stores[replica] = open_replica(
                 directory,
+                collection,
                 index_key=index_key,
                 index_params=index_params,
                 wal_fsync=wal_fsync,
                 fs=fs,
             )
-            if len(collection):
-                store.bootstrap(collection, index_key, **index_params)
-            self.stores[replica] = store
             self._dead[replica] = False
 
     def close(self) -> None:
@@ -296,119 +322,3 @@ class ReplicaSet:
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         return out
-
-
-class ShardGroup:
-    """Every shard of one routing-table generation, opened and serving."""
-
-    def __init__(
-        self,
-        directory: Path,
-        table: RoutingTable,
-        replica_sets: Dict[str, ReplicaSet],
-        *,
-        index_key: str,
-        index_params: Optional[Dict[str, object]] = None,
-        cache_size: int = 0,
-        wal_fsync: bool = True,
-        fs: FileSystem = REAL_FS,
-    ) -> None:
-        self.directory = Path(directory)
-        self.table = table
-        self.index_key = index_key
-        self.index_params = dict(index_params or {})
-        self.wal_fsync = wal_fsync
-        self._fs = fs
-        self._cache_size = cache_size
-        self.replica_sets = replica_sets
-
-    @classmethod
-    def open(
-        cls,
-        directory: Path,
-        table: RoutingTable,
-        *,
-        index_key: str,
-        index_params: Optional[Dict[str, object]] = None,
-        cache_size: int = 0,
-        wal_fsync: bool = True,
-        fs: FileSystem = REAL_FS,
-        reuse: Optional[Dict[str, ReplicaSet]] = None,
-        cold: Optional[Dict[str, ReplicaSet]] = None,
-    ) -> "ShardGroup":
-        """Open (or create) every shard's replicas under ``directory``.
-
-        ``reuse`` hands over already-open :class:`ReplicaSet` objects from
-        a previous generation's group — a rebalance keeps surviving shards
-        serving without re-opening their stores (two live handles on one
-        WAL would corrupt it).
-
-        ``cold`` hands over the demoted shards' serving façades
-        (:class:`repro.storage.tiering.ColdShard`): those shards have no
-        replica directories on disk — their data is one immutable segment
-        — so no :class:`~repro.service.store.DurableIndexStore` may be
-        opened (or created!) for them.
-        """
-        params = dict(index_params or {})
-        replica_sets: Dict[str, ReplicaSet] = {}
-        for spec in table.shards:
-            if cold is not None and spec.shard_id in cold:
-                replica_sets[spec.shard_id] = cold[spec.shard_id]
-                continue
-            if reuse is not None and spec.shard_id in reuse:
-                replica_sets[spec.shard_id] = reuse[spec.shard_id]
-                continue
-            stores = []
-            for replica in range(table.n_replicas):
-                replica_path = layout.replica_dir(directory, spec.shard_id, replica)
-                replica_path.mkdir(parents=True, exist_ok=True)
-                stores.append(
-                    DurableIndexStore.open(
-                        replica_path,
-                        index_key=index_key,
-                        index_params=params,
-                        wal_fsync=wal_fsync,
-                        fs=fs,
-                    )
-                )
-            replica_sets[spec.shard_id] = ReplicaSet(
-                spec.shard_id, stores, cache_size=cache_size
-            )
-        return cls(
-            directory,
-            table,
-            replica_sets,
-            index_key=index_key,
-            index_params=params,
-            cache_size=cache_size,
-            wal_fsync=wal_fsync,
-            fs=fs,
-        )
-
-    def replica_set(self, shard_id: str) -> ReplicaSet:
-        try:
-            return self.replica_sets[shard_id]
-        except KeyError:
-            raise ShardUnavailableError(f"unknown shard id {shard_id!r}") from None
-
-    def kill_replica(self, shard_id: str, replica: int) -> None:
-        self.replica_set(shard_id).kill(replica)
-
-    def revive_replica(self, shard_id: str, replica: int) -> None:
-        self.replica_set(shard_id).revive(
-            replica,
-            layout.replica_dir(self.directory, shard_id, replica),
-            index_key=self.index_key,
-            index_params=self.index_params,
-            wal_fsync=self.wal_fsync,
-            fs=self._fs,
-        )
-
-    def close(self) -> None:
-        for replica_set in self.replica_sets.values():
-            replica_set.close()
-
-    def stats(self) -> List[Dict[str, object]]:
-        return [
-            self.replica_sets[shard_id].stats() for shard_id in self.table.shard_ids()
-        ]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from repro.core.errors import ClusterError
 from repro.core.interval import Timestamp
-from repro.cluster.group import ShardGroup
+from repro.cluster.router import ClusterRouter
 from repro.cluster.routing import RoutingTable, ShardSpec
 from repro.cluster.partitioners import shard_id as make_shard_id
 from repro.obs.registry import OBS
@@ -80,17 +80,16 @@ _query_share = query_share
 
 
 def plan_rebalance(
-    table: RoutingTable,
-    group: ShardGroup,
+    router: ClusterRouter,
     *,
     split_factor: float = DEFAULT_SPLIT_FACTOR,
     merge_factor: float = DEFAULT_MERGE_FACTOR,
     min_split_objects: int = DEFAULT_MIN_SPLIT_OBJECTS,
 ) -> RebalancePlan:
     """Propose at most one split or merge for the current generation."""
-    ordered = sorted(table.shards, key=lambda s: (s.lo is not None, s.lo))
+    ordered = sorted(router.table.shards, key=lambda s: (s.lo is not None, s.lo))
     sizes = {
-        spec.shard_id: len(group.replica_set(spec.shard_id).primary_index())
+        spec.shard_id: len(router.replica_set(spec.shard_id).primary_index())
         for spec in ordered
     }
     queries = query_share(list(sizes))
@@ -100,7 +99,7 @@ def plan_rebalance(
     cold = {
         spec.shard_id
         for spec in ordered
-        if getattr(group.replica_set(spec.shard_id), "is_cold", False)
+        if getattr(router.replica_set(spec.shard_id), "is_cold", False)
     }
     mean_size = sum(sizes.values()) / len(sizes)
     total_queries = sum(queries.values())
@@ -123,7 +122,7 @@ def plan_rebalance(
     ]
     if candidates:
         victim = max(candidates, key=overload)
-        boundary = split_boundary(victim, group)
+        boundary = split_boundary(victim, router)
         if boundary is not None:
             size_ratio = sizes[victim.shard_id] / mean_size if mean_size else 0.0
             return RebalancePlan(
@@ -161,7 +160,7 @@ def plan_rebalance(
     return RebalancePlan("none", reason="no shard is overloaded or underloaded")
 
 
-def split_boundary(spec: ShardSpec, group: ShardGroup) -> Optional[Timestamp]:
+def split_boundary(spec: ShardSpec, router: ClusterRouter) -> Optional[Timestamp]:
     """A cut strictly inside ``spec``'s range, or None if none exists.
 
     Prefers a staircase-aligned boundary (via
@@ -177,7 +176,7 @@ def split_boundary(spec: ShardSpec, group: ShardGroup) -> Optional[Timestamp]:
             spec.hi is None or boundary < spec.hi
         )
 
-    objects = group.replica_set(spec.shard_id).primary_index().objects()
+    objects = router.replica_set(spec.shard_id).primary_index().objects()
     intervals = [(obj.st, obj.end) for obj in objects]
     for boundary in staircase_time_boundaries(intervals, 2):
         if inside(boundary):

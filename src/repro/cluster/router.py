@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,10 +37,14 @@ from repro.core.errors import (
     UnknownObjectError,
 )
 from repro.core.model import TemporalObject, TimeTravelQuery
-from repro.cluster.group import ShardGroup
+from repro.cluster.group import ReplicaSet
 from repro.cluster.routing import RoutingTable
 from repro.obs.context import event, span
 from repro.obs.registry import OBS
+from repro.storage.tiering import ColdShard
+
+#: What serves one shard: its hot replicas, or its cold segment.
+Shard = Union[ReplicaSet, ColdShard]
 
 
 def merge_shard_results(results: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
@@ -81,11 +85,23 @@ class PartialResult:
 
 
 class ClusterRouter:
-    """Routes queries and mutations for one routing-table generation."""
+    """Routes queries and mutations for one routing-table generation.
 
-    def __init__(self, table: RoutingTable, group: ShardGroup) -> None:
+    ``replica_sets`` maps each shard id of ``table`` to what serves it: a
+    hot :class:`~repro.cluster.group.ReplicaSet` or a cold
+    :class:`~repro.storage.tiering.ColdShard`.  A router is never mutated;
+    a rebalance or a tier move builds the next one.
+    """
+
+    def __init__(self, table: RoutingTable, replica_sets: Mapping[str, Shard]) -> None:
         self.table = table
-        self.group = group
+        self.replica_sets = replica_sets
+
+    def replica_set(self, shard_id: str) -> Shard:
+        try:
+            return self.replica_sets[shard_id]
+        except KeyError:
+            raise ShardUnavailableError(f"unknown shard id {shard_id!r}") from None
 
     # ------------------------------------------------------------------- plans
     def plan(self, q: TimeTravelQuery) -> List[str]:
@@ -124,7 +140,7 @@ class ClusterRouter:
                 break
             try:
                 with span(f"shard:{shard_id}", shard=shard_id):
-                    answered.append(self.group.replica_set(shard_id).query(q))
+                    answered.append(self.replica_set(shard_id).query(q))
             except ShardUnavailableError as exc:
                 unavailable.append(exc)
                 errors[shard_id] = {
@@ -151,7 +167,7 @@ class ClusterRouter:
         owners = self.table.shards_for_object(obj)
         for spec in owners:
             with span(f"shard_write:{spec.shard_id}", shard=spec.shard_id, op="insert"):
-                self.group.replica_set(spec.shard_id).insert(obj)
+                self.replica_set(spec.shard_id).insert(obj)
         self._count_mutation("insert", len(owners))
 
     def delete(self, obj: Union[TemporalObject, int]) -> None:
@@ -162,7 +178,7 @@ class ClusterRouter:
             raise UnknownObjectError(object_id)
         for shard_id in holders:
             with span(f"shard_write:{shard_id}", shard=shard_id, op="delete"):
-                self.group.replica_set(shard_id).delete(object_id)
+                self.replica_set(shard_id).delete(object_id)
         self._count_mutation("delete", len(holders))
 
     def _holding_shards(self, object_id: int) -> List[str]:
@@ -170,7 +186,7 @@ class ClusterRouter:
         return [
             shard_id
             for shard_id in self.table.shard_ids()
-            if object_id in self.group.replica_set(shard_id).primary_index()
+            if object_id in self.replica_set(shard_id).primary_index()
         ]
 
     # ----------------------------------------------------------------- metrics
@@ -198,11 +214,15 @@ class ClusterRouter:
             instruments.mutation_shards.observe(shards)
 
     # -------------------------------------------------------------- inspection
+    def shard_stats(self) -> List[Dict[str, object]]:
+        """One stats entry per shard, in routing-table order."""
+        return [self.replica_sets[shard_id].stats() for shard_id in self.table.shard_ids()]
+
     def __len__(self) -> int:
         """Distinct live objects across the cluster."""
         # Every shard's id column, hot or cold: counting makes no object.
         columns = [
-            np.asarray(self.group.replica_set(shard_id).primary_index().object_ids(), np.int64)
+            np.asarray(self.replica_set(shard_id).primary_index().object_ids(), np.int64)
             for shard_id in self.table.shard_ids()
         ]
         return len(np.unique(np.concatenate(columns))) if columns else 0

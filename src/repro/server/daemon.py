@@ -94,6 +94,24 @@ ALL_VERBS = WORK_VERBS | CONTROL_VERBS
 #: interval the loop already waits out behind a pool thread.
 INLINE_BUDGET = 1 << 16
 
+#: Extra time past the deadline for *cluster* queries, so the
+#: scatter-gather can surface the partial result it was building; a store
+#: query is one atomic probe and is abandoned exactly on time.
+DEADLINE_GRACE_S = 0.5
+
+#: Events the in-memory event log keeps for ``introspect``.
+EVENT_LOG_CAPACITY = 256
+
+#: SLO accounting (``docs/observability.md``): per-tenant rolling sample
+#: count, window horizon, the latency objective feeding the burn rate, the
+#: error budget, and the tenant count beyond which windows collapse to
+#: ``__other__``.
+SLO_WINDOW = 512
+SLO_HORIZON_S = 60.0
+SLO_LATENCY_MS = 250.0
+SLO_ERROR_BUDGET = 0.01
+SLO_MAX_TENANTS = 64
+
 #: What a dispatch returns: the response, or a coroutine that returns it.
 Answer = Union[Dict[str, Any], Coroutine[Any, Any, Dict[str, Any]]]
 
@@ -110,11 +128,6 @@ class ServerConfig:
     max_deadline_ms: int = 60_000
     write_timeout: float = 5.0  # slow-client response-write bound
     drain_timeout: float = 10.0  # in-flight grace on shutdown
-    # Extra time past the deadline for *cluster* queries, so the
-    # scatter-gather can surface the partial result it was building; a
-    # store query is one atomic probe and is abandoned exactly on time.
-    deadline_grace: float = 0.5
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     retry_after_ms: int = 50  # hint attached to shed responses
     # --- observability plane (tracing, slow-query log, SLO windows) ---
     trace_sample_rate: float = 0.01  # head-based sampling of work requests
@@ -122,12 +135,6 @@ class ServerConfig:
     trace_seed: Optional[int] = None  # deterministic sampling/ids in tests
     slow_query_ms: Optional[float] = 500.0  # None disables; 0.0 logs all
     slow_log_path: Optional[str] = None  # JSONL sink for the event log
-    event_log_capacity: int = 256
-    slo_window: int = 512  # per-tenant rolling sample count
-    slo_horizon_s: float = 60.0
-    slo_latency_ms: float = 250.0  # latency objective feeding burn rate
-    slo_error_budget: float = 0.01
-    slo_max_tenants: int = 64  # beyond this, windows collapse to __other__
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -170,12 +177,12 @@ class QueryDaemon:
         cfg = self.config
         rng = random.Random(cfg.trace_seed) if cfg.trace_seed is not None else None
         self.tracer = Tracer(sample_rate=cfg.trace_sample_rate, capacity=cfg.trace_buffer, rng=rng)
-        self.events = EventLog(cfg.event_log_capacity, cfg.slow_log_path)
+        self.events = EventLog(EVENT_LOG_CAPACITY, cfg.slow_log_path)
         self.slow_log = SlowQueryLog(self.events, cfg.slow_query_ms)
         self.slo = SloAccountant(
-            capacity=cfg.slo_window, horizon_s=cfg.slo_horizon_s,
-            latency_slo_ms=cfg.slo_latency_ms, error_budget=cfg.slo_error_budget,
-            max_tenants=cfg.slo_max_tenants,
+            capacity=SLO_WINDOW, horizon_s=SLO_HORIZON_S,
+            latency_slo_ms=SLO_LATENCY_MS, error_budget=SLO_ERROR_BUDGET,
+            max_tenants=SLO_MAX_TENANTS,
         )
         self._trace_drops_seen = 0
 
@@ -511,7 +518,7 @@ class QueryDaemon:
             if request.verb in _READ_VERBS:
                 if request.reads is None:  # it queued for admission first
                     request.reads = _parse_reads(request.verb, request.payload)
-                grace = self.config.deadline_grace if tenant.kind == "cluster" else 0.0
+                grace = DEADLINE_GRACE_S if tenant.kind == "cluster" else 0.0
                 result = await self._run_locked(
                     tenant.name, partial(_read, request), deadline, write=False,
                     grace=grace, held=request.held, request=request,
@@ -752,9 +759,7 @@ class _Connection(asyncio.Protocol):
         daemon = self.daemon
         while self._task is None and self._write_timer is None and not self._closing:
             try:
-                frame = protocol.cut_frame(
-                    self._buffer, daemon.config.max_frame_bytes, attachments=False
-                )
+                frame = protocol.cut_frame(self._buffer, attachments=False)
             except protocol.ProtocolError as exc:
                 # A framing violation poisons the rest: one reply, then hang up.
                 self._buffer.clear()

@@ -289,8 +289,7 @@ class TieringPlan:
 
 
 def plan_tiering(
-    table,
-    group,
+    router,
     *,
     demote_share: float = DEFAULT_DEMOTE_SHARE,
     promote_share: float = DEFAULT_PROMOTE_SHARE,
@@ -308,6 +307,7 @@ def plan_tiering(
     """
     from repro.cluster.rebalance import query_share
 
+    table = router.table
     shard_ids = list(table.shard_ids())
     heat = query_share(shard_ids)
     total = sum(heat.values())
@@ -317,7 +317,7 @@ def plan_tiering(
     cold_ids = {
         shard_id
         for shard_id in shard_ids
-        if getattr(group.replica_set(shard_id), "is_cold", False)
+        if getattr(router.replica_set(shard_id), "is_cold", False)
     }
     open_ended = {spec.shard_id for spec in table.shards if spec.hi is None}
     hot_ids = [shard_id for shard_id in shard_ids if shard_id not in cold_ids]
@@ -410,47 +410,3 @@ def open_cold_shards(
             on_promote=on_promote,
         )
     return shards
-
-
-def build_replica_set(
-    directory: PathLike,
-    shard_id: str,
-    objects: List[TemporalObject],
-    *,
-    n_replicas: int,
-    index_key: str,
-    index_params: Dict[str, object],
-    wal_fsync: bool,
-    fs: FileSystem = REAL_FS,
-    cache_size: int = 0,
-):
-    """Build + checkpoint fresh durable replicas of one shard; returns
-    the open set.
-
-    The one shard-build path: a cluster's create and rebalance build
-    their shards through it, and a promotion its shard.  Every replica
-    gets its own WAL/snapshot directory and is bootstrapped
-    (checkpointed) before the routing or tier commit makes it
-    authoritative.
-    """
-    from repro.cluster import layout
-    from repro.cluster.group import ReplicaSet
-    from repro.core.collection import Collection
-    from repro.service.store import DurableIndexStore
-
-    collection = Collection(objects)
-    stores = []
-    for replica in range(n_replicas):
-        replica_path = layout.replica_dir(directory, shard_id, replica)
-        replica_path.mkdir(parents=True, exist_ok=True)
-        store = DurableIndexStore.open(
-            replica_path,
-            index_key=index_key,
-            index_params=index_params,
-            wal_fsync=wal_fsync,
-            fs=fs,
-        )
-        if len(collection):
-            store.bootstrap(collection, index_key, **index_params)
-        stores.append(store)
-    return ReplicaSet(shard_id, stores, cache_size=cache_size)

@@ -54,6 +54,30 @@ class TestLifecycle:
         leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
         assert not [message for message in leaked if "wal-" in message], leaked
 
+    def test_create_reads_nothing_back(self, collection, tmp_path, monkeypatch):
+        """``create`` serves the stores it built: no snapshot it has just
+        written is loaded again."""
+        from repro.service import recovery
+
+        loads = []
+        load_index = recovery.load_index
+
+        def counting_load(path):
+            loads.append(path)
+            return load_index(path)
+
+        monkeypatch.setattr(recovery, "load_index", counting_load)
+        oracle = build_index("brute", collection)
+        with TemporalCluster.create(
+            tmp_path / "cluster", collection, index_key="tif",
+            n_shards=3, n_replicas=2, wal_fsync=False,
+        ) as cluster:
+            assert loads == []
+            assert len(cluster.table.shards) == 3
+            for q in random_queries(collection, 30, seed=73):
+                assert cluster.query(q).tolist() == sorted(oracle.query(q))
+        assert loads == []
+
     def test_create_refuses_existing_cluster(self, collection, tmp_path):
         directory = tmp_path / "cluster"
         TemporalCluster.create(

@@ -1,4 +1,4 @@
-"""Replica sets and shard groups: failover, revival, shared caches."""
+"""Replica sets: failover, revival, shared caches."""
 
 import pytest
 
@@ -43,14 +43,14 @@ class TestFailover:
         queries = random_queries(collection, 25, seed=42)
         expected = oracle_answers(collection, queries)
         for spec in cluster.table.shards:
-            cluster.group.kill_replica(spec.shard_id, 0)
+            cluster.kill_replica(spec.shard_id, 0)
         for q, want in zip(queries, expected):
             assert cluster.query(q).tolist() == want
 
     def test_failover_is_counted(self, cluster, collection):
         with isolated_registry() as registry:
             shard_id = cluster.table.shards[0].shard_id
-            cluster.group.kill_replica(shard_id, 0)
+            cluster.kill_replica(shard_id, 0)
             lo = cluster.table.shards[0].hi
             q = make_query(lo - 1 if lo is not None else 0, lo or 10, set())
             cluster.query(q)
@@ -60,24 +60,24 @@ class TestFailover:
 
     def test_all_replicas_dead_raises_shard_unavailable(self, cluster):
         shard_id = cluster.table.shards[0].shard_id
-        cluster.group.kill_replica(shard_id, 0)
-        cluster.group.kill_replica(shard_id, 1)
-        replica_set = cluster.group.replica_set(shard_id)
+        cluster.kill_replica(shard_id, 0)
+        cluster.kill_replica(shard_id, 1)
+        replica_set = cluster.router.replica_set(shard_id)
         with pytest.raises(ShardUnavailableError):
             replica_set.query(make_query(0, 10, set()))
 
     def test_writes_refused_with_no_live_replica(self, cluster):
         shard_id = cluster.table.shards[0].shard_id
-        cluster.group.kill_replica(shard_id, 0)
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 0)
+        cluster.kill_replica(shard_id, 1)
         with pytest.raises(ShardUnavailableError):
-            cluster.group.replica_set(shard_id).insert(
+            cluster.router.replica_set(shard_id).insert(
                 make_object(99999, 0, 1, {"e0"})
             )
 
     def test_mutations_keep_flowing_to_survivors(self, cluster, collection):
         shard_id = cluster.table.shards[-1].shard_id
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 1)
         domain = collection.domain()
         obj = make_object(99999, domain.end - 1, domain.end + 10, {"e0"})
         cluster.insert(obj)
@@ -88,13 +88,13 @@ class TestFailover:
 class TestRevive:
     def test_revive_rebuilds_from_peer_and_rejoins(self, cluster, collection):
         shard_id = cluster.table.shards[0].shard_id
-        replica_set = cluster.group.replica_set(shard_id)
-        cluster.group.kill_replica(shard_id, 0)
+        replica_set = cluster.router.replica_set(shard_id)
+        cluster.kill_replica(shard_id, 0)
         # Mutate while the replica is down: it misses this insert.
         domain = collection.domain()
         obj = make_object(88888, domain.st, domain.st + 1, {"e1"})
         cluster.insert(obj)
-        cluster.group.revive_replica(shard_id, 0)
+        cluster.revive_replica(shard_id, 0)
         assert replica_set.live_replicas() == [0, 1]
         # The revived replica answers first now and must include the
         # mutation it was down for.
@@ -103,16 +103,16 @@ class TestRevive:
 
     def test_revive_without_live_peer_is_refused(self, cluster):
         shard_id = cluster.table.shards[0].shard_id
-        cluster.group.kill_replica(shard_id, 0)
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 0)
+        cluster.kill_replica(shard_id, 1)
         with pytest.raises(ShardUnavailableError):
-            cluster.group.revive_replica(shard_id, 0)
+            cluster.revive_replica(shard_id, 0)
 
     def test_revive_of_live_replica_is_a_no_op(self, cluster):
         shard_id = cluster.table.shards[0].shard_id
-        before = cluster.group.replica_set(shard_id).stores[0]
-        cluster.group.revive_replica(shard_id, 0)
-        assert cluster.group.replica_set(shard_id).stores[0] is before
+        before = cluster.router.replica_set(shard_id).stores[0]
+        cluster.revive_replica(shard_id, 0)
+        assert cluster.router.replica_set(shard_id).stores[0] is before
 
 
 class TestSharedCache:
@@ -138,7 +138,7 @@ class TestSharedCache:
             # A write through either replica's own store moves the shard's
             # version: the next read is a miss, not the cached answer.
             shard_id = cluster.table.shards_for_query(q)[0].shard_id
-            replica_set = cluster.group.replica_set(shard_id)
+            replica_set = cluster.router.replica_set(shard_id)
             q_shard = make_query(domain.st, domain.st, {"e0"})
             for replica, object_id in ((0, 77778), (1, 77779)):
                 replica_set.query(q_shard)
@@ -160,15 +160,15 @@ class TestSharedCache:
             cache_size=64,
         ) as cluster:
             shard_id = cluster.table.shards[0].shard_id
-            replica_set = cluster.group.replica_set(shard_id)
+            replica_set = cluster.router.replica_set(shard_id)
             domain = collection.domain()
             q = make_query(domain.st, domain.end, {"e0"})
             first = cluster.query(q).tolist()
-            cluster.group.kill_replica(shard_id, 0)
+            cluster.kill_replica(shard_id, 0)
             assert cluster.query(q).tolist() == first  # killing moves no data
             hits = replica_set.cache.stats()["hits"]
             before = replica_set.version
-            cluster.group.revive_replica(shard_id, 0)
+            cluster.revive_replica(shard_id, 0)
             assert replica_set.version != before
             assert cluster.query(q).tolist() == first
             assert replica_set.cache.stats()["hits"] == hits
@@ -188,14 +188,14 @@ class TestSharedCache:
             q_last = make_query(last.lo + 1, last.lo + 2, set())
             cluster.query(q_first)
             cluster.query(q_last)
-            hits_before = cluster.group.replica_set(first.shard_id).cache.stats()[
+            hits_before = cluster.router.replica_set(first.shard_id).cache.stats()[
                 "hits"
             ]
             # Mutate only the last shard; the first shard's cache survives.
             obj = make_object(66666, last.lo + 1, last.lo + 2, {"e0"})
             cluster.insert(obj)
             cluster.query(q_first)
-            stats = cluster.group.replica_set(first.shard_id).cache.stats()
+            stats = cluster.router.replica_set(first.shard_id).cache.stats()
             assert stats["hits"] == hits_before + 1
 
     @pytest.mark.parametrize("n_replicas", [1, 2])
@@ -215,7 +215,7 @@ class TestSharedCache:
             q = make_query(domain.st, domain.end, {"e0"})
             obj = make_object(99999, domain.st, domain.end, {"e0"})
             shard_id = cluster.table.shards[0].shard_id
-            store = cluster.group.replica_set(shard_id).stores[0]
+            store = cluster.router.replica_set(shard_id).stores[0]
             read = store.query
 
             def read_then_write(query):
@@ -234,10 +234,10 @@ class TestStructuredFailureDetail:
 
     def test_all_replicas_dead_error_carries_structure(self, cluster):
         shard_id = cluster.table.shards[0].shard_id
-        cluster.group.kill_replica(shard_id, 0)
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 0)
+        cluster.kill_replica(shard_id, 1)
         with pytest.raises(ShardUnavailableError) as caught:
-            cluster.group.replica_set(shard_id).query(make_query(0, 10, set()))
+            cluster.router.replica_set(shard_id).query(make_query(0, 10, set()))
         exc = caught.value
         assert exc.shard_id == shard_id
         assert exc.replica_count == 2
@@ -251,8 +251,8 @@ class TestStructuredFailureDetail:
         from repro.core.errors import StoreClosedError
 
         shard_id = cluster.table.shards[0].shard_id
-        replica_set = cluster.group.replica_set(shard_id)
-        cluster.group.kill_replica(shard_id, 1)
+        replica_set = cluster.router.replica_set(shard_id)
+        cluster.kill_replica(shard_id, 1)
 
         def exploding_query(q):
             raise StoreClosedError("torn page while reading")
@@ -266,10 +266,10 @@ class TestStructuredFailureDetail:
 
     def test_write_refusal_carries_shard_identity(self, cluster):
         shard_id = cluster.table.shards[0].shard_id
-        cluster.group.kill_replica(shard_id, 0)
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 0)
+        cluster.kill_replica(shard_id, 1)
         with pytest.raises(ShardUnavailableError) as caught:
-            cluster.group.replica_set(shard_id).insert(
+            cluster.router.replica_set(shard_id).insert(
                 make_object(424242, 0, 1, {"e0"})
             )
         assert caught.value.shard_id == shard_id
@@ -284,8 +284,8 @@ class TestReviveUnderConcurrentWrites:
 
         spec = cluster.table.shards[0]
         shard_id = spec.shard_id
-        replica_set = cluster.group.replica_set(shard_id)
-        cluster.group.kill_replica(shard_id, 0)
+        replica_set = cluster.router.replica_set(shard_id)
+        cluster.kill_replica(shard_id, 0)
         hi = spec.hi if spec.hi is not None else 100
         inserted = []
         errors = []
@@ -301,11 +301,11 @@ class TestReviveUnderConcurrentWrites:
 
         thread = threading.Thread(target=writer)
         thread.start()
-        cluster.group.revive_replica(shard_id, 0)
+        cluster.revive_replica(shard_id, 0)
         thread.join(30)
         assert not thread.is_alive() and not errors
         # Force reads onto the revived replica alone.
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 1)
         got = replica_set.query(make_query(hi - 2, hi - 1, {"e0"})).tolist()
         missing = [oid for oid in inserted if oid not in got]
         assert not missing, f"revived replica lost writes: {missing}"
@@ -320,15 +320,15 @@ class TestReviveUnderConcurrentWrites:
 
         spec = cluster.table.shards[0]
         shard_id = spec.shard_id
-        replica_set = cluster.group.replica_set(shard_id)
-        cluster.group.kill_replica(shard_id, 0)
+        replica_set = cluster.router.replica_set(shard_id)
+        cluster.kill_replica(shard_id, 0)
         # Every copy attempt finds the only peer dead -> bounded retries,
         # then the structured error (not an infinite loop).
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 1)
         with pytest.raises(ShardUnavailableError) as caught:
             replica_set.revive(
                 0,
-                layout.replica_dir(cluster.group.directory, shard_id, 0),
+                layout.replica_dir(cluster.directory, shard_id, 0),
                 index_key="tif-slicing",
                 index_params={},
                 wal_fsync=False,

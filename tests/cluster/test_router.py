@@ -114,7 +114,7 @@ class TestBatches:
             again = [cluster.query(q).tolist() for q in queries]
             assert again == first
             hits = sum(
-                cluster.group.replica_set(s).cache.stats()["hits"]
+                cluster.router.replica_set(s).cache.stats()["hits"]
                 for s in cluster.table.shard_ids()
             )
             assert hits > 0
@@ -134,7 +134,7 @@ class TestBatches:
             shard_id = cluster.table.shards[0].shard_id
             # Close the primary without marking it dead: the batch path
             # hits the closed store and fails over to the second replica.
-            cluster.group.replica_set(shard_id).stores[0].close()
+            cluster.router.replica_set(shard_id).stores[0].close()
             results = [cluster.query(q).tolist() for q in queries]
             assert results == [sorted(oracle.query(q)) for q in queries]
 
@@ -143,7 +143,7 @@ class TestAllOrNothing:
     def test_query_raises_the_first_refusing_shards_own_error(self, cluster):
         first, second = cluster.table.shards[1], cluster.table.shards[2]
         for spec in (first, second):
-            cluster.group.kill_replica(spec.shard_id, 0)
+            cluster.kill_replica(spec.shard_id, 0)
         q = make_query(first.lo, second.lo, set())
         assert cluster.router.plan(q) == [first.shard_id, second.shard_id]
         partial = cluster.query_partial(q)
@@ -170,7 +170,7 @@ class TestMutations:
         holders = [
             s
             for s in cluster.table.shard_ids()
-            if 80000 in cluster.group.replica_set(s).primary_index()
+            if 80000 in cluster.router.replica_set(s).primary_index()
         ]
         assert holders == [spec.shard_id]
 
@@ -181,7 +181,7 @@ class TestMutations:
         holders = [
             s
             for s in cluster.table.shard_ids()
-            if 80001 in cluster.group.replica_set(s).primary_index()
+            if 80001 in cluster.router.replica_set(s).primary_index()
         ]
         assert len(holders) >= 2
 

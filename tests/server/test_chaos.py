@@ -164,9 +164,9 @@ class TestReplicaChaos:
         def killer():
             time.sleep(0.05)
             # Degrade one shard completely; wound another.
-            cluster.group.kill_replica(shard_ids[0], 0)
-            cluster.group.kill_replica(shard_ids[0], 1)
-            cluster.group.kill_replica(shard_ids[1], 0)
+            cluster.kill_replica(shard_ids[0], 0)
+            cluster.kill_replica(shard_ids[0], 1)
+            cluster.kill_replica(shard_ids[1], 0)
             time.sleep(0.2)
             stop.set()
 
@@ -191,17 +191,17 @@ class TestReplicaChaos:
         cluster = registry.get("shards").handle
         shard_id = cluster.table.shards[0].shard_id
         with make_client(daemon, retry=NO_RETRY) as c:
-            cluster.group.kill_replica(shard_id, 0)
+            cluster.kill_replica(shard_id, 0)
             assert c.query("shards", 0, 20_000)["complete"] is True  # failover
-            cluster.group.revive_replica(shard_id, 0)  # rebuild from peer
+            cluster.revive_replica(shard_id, 0)  # rebuild from peer
             assert c.query("shards", 0, 20_000)["complete"] is True
             # Lose the whole shard: answers degrade but keep coming...
-            cluster.group.kill_replica(shard_id, 0)
-            cluster.group.kill_replica(shard_id, 1)
+            cluster.kill_replica(shard_id, 0)
+            cluster.kill_replica(shard_id, 1)
             assert c.query("shards", 0, 20_000)["complete"] is False
             # ...and a peerless revive refuses with the structured error.
             with pytest.raises(ShardUnavailableError):
-                cluster.group.revive_replica(shard_id, 0)
+                cluster.revive_replica(shard_id, 0)
             assert c.query("shards", 0, 20_000)["complete"] is False
 
 

@@ -313,8 +313,8 @@ class TestPartialResults:
     def test_dead_shard_degrades_to_partial_with_detail(self, daemon, registry):
         cluster = registry.get("shards").handle
         shard_id = cluster.table.shards[0].shard_id
-        cluster.group.kill_replica(shard_id, 0)
-        cluster.group.kill_replica(shard_id, 1)
+        cluster.kill_replica(shard_id, 0)
+        cluster.kill_replica(shard_id, 1)
         with make_client(daemon, retry=NO_RETRY) as c:
             result = c.query("shards", 0, 20_000)
         assert result["complete"] is False
@@ -329,7 +329,7 @@ class TestPartialResults:
     ):
         cluster = registry.get("shards").handle
         first = cluster.table.shards[0].shard_id
-        replica_set = cluster.group.replica_set(first)
+        replica_set = cluster.router.replica_set(first)
         original = replica_set.query
 
         def slow_query(q):

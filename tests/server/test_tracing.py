@@ -67,7 +67,7 @@ def slow_down_replicas(cluster, seconds):
 
     originals = []
     for spec in cluster.table.shards:
-        replica_set = cluster.group.replica_set(spec.shard_id)
+        replica_set = cluster.router.replica_set(spec.shard_id)
         original = replica_set.query
 
         def slow_query(q, _original=original):
@@ -296,7 +296,7 @@ class TestChaosStorm:
                     if i == 10:
                         # mid-storm fault: shard 0 loses its first replica,
                         # so later reads must fail over to replica 1
-                        cluster.group.kill_replica(shard_ids[0], 0)
+                        cluster.kill_replica(shard_ids[0], 0)
                     try:
                         c.query("shards", 0, 30_000, sampled=True)
                         trace_ids.append(c.last_trace_id)

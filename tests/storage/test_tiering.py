@@ -7,7 +7,7 @@ shard resurrects exactly the objects the segment froze.
 
 import pytest
 
-from repro.cluster import TemporalCluster
+from repro.cluster import RebalancePlan, TemporalCluster
 from repro.core.collection import Collection
 from repro.core.errors import ClusterError, InvalidObjectError, ShardUnavailableError
 from repro.core.model import make_object, make_query
@@ -343,3 +343,44 @@ class TestRebalancerInteraction:
         if not plan.is_noop:
             cluster.rebalance(plan)
             assert [cluster.query(q).tolist() for q in queries] == baseline
+
+    @pytest.mark.parametrize("kind", ["merge", "split"])
+    def test_plan_naming_a_cold_shard_is_refused_before_any_write(
+        self, tmp_path, kind
+    ):
+        """A hand-made plan may not split or merge a cold shard: the
+        rebalance refuses it before anything is written, so the tier state,
+        the segment and the answers stay as they were."""
+        collection = Collection(random_objects(400, seed=47))
+        directory = tmp_path / "cluster"
+        with TemporalCluster.create(
+            directory, collection, index_key="tif", n_shards=4, wal_fsync=False,
+        ) as cluster:
+            ids = cluster.table.shard_ids()
+            cold = ids[1]
+            segment = cluster.demote(cold)
+            if kind == "merge":
+                plan = RebalancePlan("merge", shard_ids=[cold, ids[2]])
+            else:
+                spec = cluster.table.spec(cold)
+                plan = RebalancePlan(
+                    "split", shard_ids=[cold], boundary=(spec.lo + spec.hi) // 2
+                )
+            queries = random_queries(collection, 30, seed=48)
+            answers = [cluster.query(q).tolist() for q in queries]
+            before = {
+                path.relative_to(directory): path.read_bytes()
+                for path in directory.rglob("*") if path.is_file()
+            }
+            with pytest.raises(ClusterError, match="promote first"):
+                cluster.rebalance(plan)
+            after = {
+                path.relative_to(directory): path.read_bytes()
+                for path in directory.rglob("*") if path.is_file()
+            }
+            assert after == before  # cluster.json, tiers.json, routing files, shards
+            assert segment.is_file()
+            assert cluster.table.generation == 1
+            assert cluster.tier_state.cold == {cold: segment.name}
+            assert cluster.stats()["tiers"] == {"hot": 3, "cold": 1}
+            assert [cluster.query(q).tolist() for q in queries] == answers
